@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race bench bench-json vet fmt fmt-check lint chaos serve-smoke serve-smoke-durable
+.PHONY: build test check race bench bench-check bench-json vet fmt fmt-check lint chaos serve-smoke serve-smoke-durable
 
 build:
 	$(GO) build ./...
@@ -92,11 +92,19 @@ serve-smoke-durable:
 	echo "serve-smoke-durable: recovered server at $$addr"; \
 	$(GO) run ./cmd/prever-bench remote -addr "$$addr" -limit 100 -conns 2 -duration 2s -check -audit 30s
 
+# bench-check builds, vets and tests the repository benchmark.
+# benchmark/ is a module of its own, so the root `go build ./...` and
+# `go test ./...` never compile it: an API deletion that breaks it is
+# caught only here.
+bench-check:
+	cd benchmark && $(GO) vet . && $(GO) test -count=1 .
+
 # check is the CI gate: formatting, static analysis (go vet plus the
-# project analyzers), the full suite under the race detector (the
-# pipeline's concurrency contract is only proven with -race), the
-# server boot smoke test, and the kill -9 recovery smoke test.
-check: fmt-check vet lint race serve-smoke serve-smoke-durable
+# project analyzers), the full suite under the race detector (the batch
+# fan-out's concurrency contract is only proven with -race), the
+# benchmark module, the server boot smoke test, and the kill -9
+# recovery smoke test.
+check: fmt-check vet lint race bench-check serve-smoke serve-smoke-durable
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run xxx ./...

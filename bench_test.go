@@ -7,7 +7,6 @@ package prever_test
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -180,12 +179,12 @@ func BenchmarkE2_Verify_ZKProof(b *testing.B) {
 	}
 }
 
-// --- E2b: batched submission: sequential loop vs Pipeline -----------------
+// --- E2b: batched submission: sequential loop vs SubmitBatch --------------
 
 // pipelinePlainManager builds a PlainManager with the windowed FLSA
 // constraint and prefills `prefill` rows per worker, so each verification
 // runs the windowed aggregate over a populated table — the scan-heavy,
-// read-only work the pipeline parallelizes across worker lanes.
+// read-only work SubmitBatch parallelizes across producers.
 func pipelinePlainManager(tb testing.TB, workers, prefill int) *prever.PlainManager {
 	tb.Helper()
 	mgr := prever.NewPlainManager("pipe")
@@ -260,28 +259,29 @@ func BenchmarkPipeline_PlainSequential(b *testing.B) {
 	reportP95(b, mgr)
 }
 
-func BenchmarkPipeline_PlainWidth4(b *testing.B) {
+// BenchmarkPipeline_PlainSubmitBatch is the same workload through the
+// batch entry point, 64 updates (8 per producer) per call.
+func BenchmarkPipeline_PlainSubmitBatch(b *testing.B) {
+	const batch = 64
 	mgr := pipelinePlainManager(b, 8, 128)
-	us := pipelineWorkload(8, (b.N+7)/8, "pipe")
-	p := prever.NewPipeline(mgr, prever.PipelineConfig{Width: 4})
+	us := pipelineWorkload(8, (b.N+7)/8, "batch")[:b.N]
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Submit(us[i]); err != nil {
+	for len(us) > 0 {
+		n := min(batch, len(us))
+		if _, err := mgr.SubmitBatch(us[:n]); err != nil {
 			b.Fatal(err)
 		}
-	}
-	if err := p.Close(); err != nil {
-		b.Fatal(err)
+		us = us[n:]
 	}
 	b.StopTimer()
 	reportP95(b, mgr)
 }
 
-// TestPipelineSpeedupOnPlain is the concurrency acceptance gate: on a
-// machine with >= 4 cores, a width-4 pipeline must beat the sequential
-// Submit loop by >= 2x on the scan-heavy plain workload. Skipped on
-// smaller runners, where there is no parallelism to claim.
-func TestPipelineSpeedupOnPlain(t *testing.T) {
+// TestSubmitBatchSpeedupOnPlain is the concurrency acceptance gate: on a
+// machine with >= 4 cores, SubmitBatch's per-producer fan-out must beat
+// the sequential Submit loop by >= 2x on the scan-heavy plain workload.
+// Skipped on smaller runners, where there is no parallelism to claim.
+func TestSubmitBatchSpeedupOnPlain(t *testing.T) {
 	if runtime.NumCPU() < 4 {
 		t.Skipf("need >= 4 CPUs for the 2x speedup gate, have %d", runtime.NumCPU())
 	}
@@ -306,20 +306,15 @@ func TestPipelineSpeedupOnPlain(t *testing.T) {
 		}
 		return nil
 	}, "seq")
-	pipeMgr := pipelinePlainManager(t, workers, prefill)
-	p := prever.NewPipeline(pipeMgr, prever.PipelineConfig{Width: 4})
-	pipe := measure(func(us []prever.Update) error {
-		for _, u := range us {
-			if _, err := p.Submit(u); err != nil {
-				return err
-			}
-		}
-		return p.Close()
-	}, "pipe")
-	speedup := float64(seq) / float64(pipe)
-	t.Logf("sequential %v, pipeline(4) %v, speedup %.2fx", seq, pipe, speedup)
+	batchMgr := pipelinePlainManager(t, workers, prefill)
+	batch := measure(func(us []prever.Update) error {
+		_, err := batchMgr.SubmitBatch(us)
+		return err
+	}, "batch")
+	speedup := float64(seq) / float64(batch)
+	t.Logf("sequential %v, SubmitBatch %v, speedup %.2fx", seq, batch, speedup)
 	if speedup < 2.0 {
-		t.Fatalf("pipeline speedup %.2fx < 2x (sequential %v, pipeline %v)", speedup, seq, pipe)
+		t.Fatalf("SubmitBatch speedup %.2fx < 2x (sequential %v, SubmitBatch %v)", speedup, seq, batch)
 	}
 }
 
@@ -363,10 +358,11 @@ func BenchmarkE3_Federated_Tokens(b *testing.B) {
 }
 
 func BenchmarkE3_Federated_MPC(b *testing.B) {
-	fed, err := prever.NewMPCFederation("e3", 1<<40, 0, []string{"uber", "lyft", "doordash"}, 512)
+	setup, err := prever.NewMPCFederationSetup("e3", 1<<40, 0, []string{"uber", "lyft", "doordash"}, 512)
 	if err != nil {
 		b.Fatal(err)
 	}
+	fed := setup.Federation
 	base := time.Now()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -429,38 +425,6 @@ func BenchmarkE4_Consensus_PBFT4(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkE4_Consensus_PBFT4_Batch16(b *testing.B) {
-	net := netsim.New(netsim.Config{})
-	defer net.Close()
-	ids := []string{"p0", "p1", "p2", "p3"}
-	var primary *pbft.Replica
-	for _, id := range ids {
-		r, err := pbft.NewReplica(net, id, ids, 1, nil, pbft.Options{BatchSize: 16, BatchDelay: 200 * time.Microsecond})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if primary == nil {
-			primary = r
-		}
-	}
-	val := make([]byte, 64)
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, 16)
-	for i := 0; i < b.N; i++ {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if err := primary.Submit("bench", uint64(i), val, 10*time.Second); err != nil {
-				b.Error(err)
-			}
-		}(i)
-	}
-	wg.Wait()
 }
 
 func BenchmarkE4_Consensus_Chain1Shard(b *testing.B) {

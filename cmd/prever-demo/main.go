@@ -80,10 +80,11 @@ func sustainability() error {
 // attendance without revealing whom they looked up.
 func conference() error {
 	fmt.Println("— In-person conference participation (Fig 1b, RC3): public data, private updates —")
-	mgr, health, err := prever.NewPublicPIRManager("edbt", "edbt-2022", 128, 1024)
+	setup, err := prever.NewPublicPIRSetup("edbt", "edbt-2022", 128, 1024)
 	if err != nil {
 		return err
 	}
+	mgr, health := setup.Manager, setup.Authority
 	fmt.Println("(0) public constraint: a valid single-use vaccination credential is required")
 	for _, name := range []string{"alice", "bob", "carol"} {
 		wallet, err := prever.NewWallet(health.PublicKey(), "edbt-2022", 1)

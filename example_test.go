@@ -84,13 +84,14 @@ func ExampleNewZKBoundManagerWithGroup() {
 	// owner refuses the 101st unit
 }
 
-// ExampleNewMPCFederation shows federated enforcement without any shared
-// plaintext: three platforms jointly check a 40-unit cap.
-func ExampleNewMPCFederation() {
-	fed, err := prever.NewMPCFederation("cap", 40, 0, []string{"a", "b", "c"}, 256)
+// ExampleNewMPCFederationSetup shows federated enforcement without any
+// shared plaintext: three platforms jointly check a 40-unit cap.
+func ExampleNewMPCFederationSetup() {
+	setup, err := prever.NewMPCFederationSetup("cap", 40, 0, []string{"a", "b", "c"}, 256)
 	if err != nil {
 		log.Fatal(err)
 	}
+	fed := setup.Federation
 	now := time.Date(2022, 3, 28, 0, 0, 0, 0, time.UTC)
 	for i, task := range []struct {
 		platform string

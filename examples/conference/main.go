@@ -24,11 +24,12 @@ import (
 )
 
 func main() {
-	conference, healthAuthority, err := prever.NewPublicPIRManager(
+	setup, err := prever.NewPublicPIRSetup(
 		"edbt-2022", "edbt-2022-vaccination", 128, 1024)
 	if err != nil {
 		log.Fatal(err)
 	}
+	conference, healthAuthority := setup.Manager, setup.Authority
 
 	fmt.Println("public constraint: in-person registration requires a valid, single-use vaccination credential")
 

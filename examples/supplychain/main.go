@@ -78,10 +78,11 @@ func main() {
 	// Cross-enterprise SLA verified without disclosure.
 	fmt.Println("\n— private SLA: total monthly defects across suppliers <= 100 —")
 	suppliers := []string{"steelco", "chipco", "gearco"}
-	sla, err := prever.NewMPCFederation("sla-defects", 100, 0 /* cumulative */, suppliers, 512)
+	slaSetup, err := prever.NewMPCFederationSetup("sla-defects", 100, 0 /* cumulative */, suppliers, 512)
 	if err != nil {
 		log.Fatal(err)
 	}
+	sla := slaSetup.Federation
 	month := time.Date(2022, 3, 1, 0, 0, 0, 0, time.UTC)
 	batches := []struct {
 		supplier string

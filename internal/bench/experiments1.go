@@ -588,25 +588,17 @@ func E4Consensus(scale Scale) (*Table, error) {
 		t.AddRow("paxos", "batch=64 pipelined", fmt.Sprint(n), perOp(bops, elapsed), opsRate(bops, elapsed))
 	}
 
-	// PBFT f=1 (n=4) unbatched and batched, plus f=2 (n=7) unbatched.
-	type pbftCfg struct {
-		f, batch int
-	}
-	pbftCfgs := []pbftCfg{{1, 1}, {1, 16}, {2, 1}}
-	for _, pc := range pbftCfgs {
-		batch := pc.batch
+	// PBFT one request per instance, f=1 (n=4) and f=2 (n=7).
+	for _, f := range []int{1, 2} {
 		net := netsim.New(lanCfg)
-		n := 3*pc.f + 1
+		n := 3*f + 1
 		ids := make([]string, n)
 		for i := range ids {
 			ids[i] = fmt.Sprintf("p%d", i)
 		}
 		var primary *pbft.Replica
 		for _, id := range ids {
-			r, err := pbft.NewReplica(net, id, ids, pc.f, nil, pbft.Options{
-				BatchSize:  batch,
-				BatchDelay: 200 * time.Microsecond,
-			})
+			r, err := pbft.NewReplica(net, id, ids, f, nil, pbft.Options{})
 			if err != nil {
 				net.Close()
 				return nil, err
@@ -616,38 +608,18 @@ func E4Consensus(scale Scale) (*Table, error) {
 			}
 		}
 		start := time.Now()
-		if batch == 1 {
-			for i := 0; i < ops; i++ {
-				if err := primary.Submit("bench", uint64(i), val, 10*time.Second); err != nil {
-					net.Close()
-					return nil, err
-				}
-			}
-		} else {
-			// Concurrent submissions so batches actually fill.
-			sem := make(chan struct{}, batch)
-			errCh := make(chan error, ops)
-			for i := 0; i < ops; i++ {
-				sem <- struct{}{}
-				go func(i int) {
-					defer func() { <-sem }()
-					errCh <- primary.Submit("bench", uint64(i), val, 10*time.Second)
-				}(i)
-			}
-			for i := 0; i < ops; i++ {
-				if err := <-errCh; err != nil {
-					net.Close()
-					return nil, err
-				}
+		for i := 0; i < ops; i++ {
+			if err := primary.Submit("bench", uint64(i), val, 10*time.Second); err != nil {
+				net.Close()
+				return nil, err
 			}
 		}
 		elapsed := time.Since(start)
 		net.Close()
-		t.AddRow("pbft", fmt.Sprintf("batch=%d", batch), fmt.Sprint(n), perOp(ops, elapsed), opsRate(ops, elapsed))
+		t.AddRow("pbft", "batch=1", fmt.Sprint(n), perOp(ops, elapsed), opsRate(ops, elapsed))
 	}
 
-	// PBFT batched through the mempool: replica-side batching off, all
-	// aggregation in the mempool batcher (batch 64, 4 pipelined requests
+	// PBFT batched through the mempool (batch 64, 4 pipelined requests
 	// with eagerly assigned sequence numbers).
 	{
 		net := netsim.New(lanCfg)

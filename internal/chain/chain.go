@@ -370,23 +370,16 @@ func NewShard(net *netsim.Network, cfg ShardConfig) (*Shard, error) {
 		peer := newPeer(id, memberOf(id))
 		s.peers = append(s.peers, peer)
 		applier := func(_ uint64, batch []pbft.Request) {
-			txs := make([]Tx, 0, len(batch))
-			decode := func(op []byte) {
-				var tx Tx
-				if json.Unmarshal(op, &tx) == nil {
-					txs = append(txs, tx)
-				}
-			}
+			var txs []Tx
 			for _, req := range batch {
-				// A request is either one mempool batch (fanned back out
-				// into its transactions) or a bare single transaction from
-				// the synchronous path.
-				if ops, ok := pbft.DecodeBatch(req.Op); ok {
-					for _, op := range ops {
-						decode(op)
+				// Every request the shard's client submits is one framed
+				// mempool batch; fan it back out into its transactions.
+				ops, _ := mempool.DecodeBatch(req.Op)
+				for _, op := range ops {
+					var tx Tx
+					if json.Unmarshal(op, &tx) == nil {
+						txs = append(txs, tx)
 					}
-				} else {
-					decode(req.Op)
 				}
 			}
 			if len(txs) > 0 {

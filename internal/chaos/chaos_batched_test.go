@@ -39,7 +39,7 @@ func (c *batchChecker) apply(slot uint64, value []byte) {
 		return
 	}
 	c.next++
-	ops, ok := paxos.DecodeBatch(value)
+	ops, ok := mempool.DecodeBatch(value)
 	if !ok {
 		ops = [][]byte{value} // no-op gap fill or bare value
 	}

@@ -324,11 +324,7 @@ func TestChaosPBFTRecoverFromDisk(t *testing.T) {
 
 	const f = 1
 	ids := []string{"dbft0", "dbft1", "dbft2", "dbft3"}
-	opts := pbft.Options{
-		ViewTimeout: 250 * time.Millisecond,
-		BatchSize:   4,
-		BatchDelay:  2 * time.Millisecond,
-	}
+	opts := pbft.Options{ViewTimeout: 250 * time.Millisecond}
 	nodes := make(map[string]*durablePBFTChaosNode)
 	start := func(id string) (*pbft.Replica, *durableSeqChecker, error) {
 		sc := &durableSeqChecker{}

@@ -254,11 +254,7 @@ func TestChaosPBFT(t *testing.T) {
 	for _, id := range ids {
 		sc := &seqChecker{}
 		checkers[id] = sc
-		r, err := pbft.NewReplica(net, id, ids, f, sc.apply, pbft.Options{
-			ViewTimeout: 250 * time.Millisecond,
-			BatchSize:   4,
-			BatchDelay:  2 * time.Millisecond,
-		})
+		r, err := pbft.NewReplica(net, id, ids, f, sc.apply, pbft.Options{ViewTimeout: 250 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,146 +10,207 @@ import (
 
 	"prever/internal/commit"
 	"prever/internal/group"
+	"prever/internal/he"
 	"prever/internal/token"
 )
 
-// --- Pipeline mechanics ---------------------------------------------------
+// --- every batch entry point, one contract ---------------------------------
 
-// TestPipelinePerLaneOrdering drives a recording submit function from many
-// producers concurrently and asserts every lane key's updates were
-// processed in submission order.
-func TestPipelinePerLaneOrdering(t *testing.T) {
-	const producers, perProducer = 8, 40
-	var mu sync.Mutex
-	seen := make(map[string][]int)
-	p := NewPipeline(func(u Update) (Receipt, error) {
-		var n int
-		fmt.Sscanf(u.ID, "n%d", &n)
-		mu.Lock()
-		seen[u.Producer] = append(seen[u.Producer], n)
-		mu.Unlock()
-		return Receipt{UpdateID: u.ID, Accepted: true}, nil
-	}, LaneKey, PipelineConfig{Width: 4, QueueDepth: 4})
+// batchRun is one engine's batch entry point reduced to what the shared
+// contract checks need. The batch interleaves several ordering keys;
+// every update is valid except the one at batchBad, which fails
+// operationally and is the last update of its key (so no later update
+// depends on state it would have written).
+type batchRun struct {
+	run   func() ([]Receipt, error)
+	stats func() Stats
+	// receiptID names the receipt expected at an input position; nil
+	// means the update's own ID (updateID).
+	receiptID func(pos int) string
+}
 
-	var wg sync.WaitGroup
-	for w := 0; w < producers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			worker := fmt.Sprintf("w%d", w)
-			for i := 0; i < perProducer; i++ {
-				// Synchronous per producer: each producer waits for its own
-				// previous update (the pipeline preserves order per lane even
-				// for async ticketing; Do keeps the test deterministic).
-				if _, err := p.Do(Update{ID: fmt.Sprintf("n%d", i), Producer: worker}); err != nil {
-					t.Errorf("submit: %v", err)
-					return
+// The batch is batchKeys x batchPer updates, key-interleaved (position
+// i*batchKeys+k is key k's i-th update). batchBad is key 0's last
+// update: two healthy updates of other keys follow it.
+const (
+	batchKeys, batchPer = 3, 4
+	batchBad            = (batchPer - 1) * batchKeys
+)
+
+// holderSeq names credential holders: the shared test authority issues
+// one credential per holder per process, -count reruns included.
+var holderSeq atomic.Int64
+
+func batchKey(pos int) string { return fmt.Sprintf("k%d", pos%batchKeys) }
+
+func updateID(pos int) string { return fmt.Sprintf("u%d", pos) }
+
+// TestBatchEntryPoints holds all six batch entry points to one contract:
+// receipts come back in input order, each key's updates are processed in
+// submission order (their ledger sequences increase), and one update's
+// operational error is returned without costing any other update its
+// receipt.
+func TestBatchEntryPoints(t *testing.T) {
+	cases := map[string]func(t *testing.T) batchRun{
+		"PlainManager.SubmitBatch": func(t *testing.T) batchRun {
+			m := newPlain(t)
+			us := make([]Update, batchKeys*batchPer)
+			for i := range us {
+				us[i] = taskUpdate(updateID(i), batchKey(i), 8, tBase())
+			}
+			us[batchBad].Table = "no-such-table"
+			return batchRun{stats: m.Stats, run: func() ([]Receipt, error) { return m.SubmitBatch(us) }}
+		},
+		"ZKBoundManager.SubmitZKBatch": func(t *testing.T) batchRun {
+			m, owner := newZKBatchFixture(t, 1000)
+			us := make([]ZKUpdate, batchKeys*batchPer)
+			for i := range us {
+				u, err := owner.ProduceUpdate(updateID(i), batchKey(i), batchKey(i), 7)
+				if err != nil {
+					t.Fatal(err)
+				}
+				us[i] = u
+			}
+			us[batchBad].C.C = nil
+			return batchRun{stats: m.Stats, run: func() ([]Receipt, error) { return m.SubmitZKBatch(us) }}
+		},
+		"EncryptedManager.SubmitEncryptedBatch": func(t *testing.T) batchRun {
+			m, pk := newEncrypted(t)
+			us := make([]EncryptedUpdate, batchKeys*batchPer)
+			for i := range us {
+				us[i] = encUpdate(t, pk, updateID(i), batchKey(i), 8, tBase())
+			}
+			us[batchBad].Enc = map[string]*he.Ciphertext{}
+			return batchRun{stats: m.Stats, run: func() ([]Receipt, error) { return m.SubmitEncryptedBatch(us) }}
+		},
+		"PublicPIRManager.SubmitCredentialedBatch": func(t *testing.T) batchRun {
+			m, auth := newPublicMgr(t)
+			ces := make([]CredentialedEntry, batchKeys*batchPer)
+			for i := range ces {
+				ces[i] = CredentialedEntry{
+					Entry: PublicEntry{Key: batchKey(i), Data: fmt.Sprintf("v%d", i)},
+					Cred:  credential(t, auth, fmt.Sprintf("holder%d", holderSeq.Add(1))),
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for worker, order := range seen {
-		if len(order) != perProducer {
-			t.Fatalf("%s processed %d updates, want %d", worker, len(order), perProducer)
-		}
-		for i, n := range order {
-			if n != i {
-				t.Fatalf("%s out of order at %d: got %d", worker, i, n)
+			ces[batchBad].Entry.Data = strings.Repeat("x", 256) // over the 128-byte block
+			return batchRun{
+				stats: m.Stats,
+				run:   func() ([]Receipt, error) { return m.SubmitCredentialedBatch(ces) },
+				// The PIR engine's receipts are named after the entry key.
+				receiptID: batchKey,
 			}
-		}
+		},
+		"TokenFederation.SubmitTasks": func(t *testing.T) batchRun {
+			fed, auth := newTokenFed(t)
+			subs := taskBatch()
+			wallets := make(map[string]*token.Wallet)
+			for k := 0; k < batchKeys; k++ {
+				wallets[batchKey(k)] = issueTokens(t, auth, batchKey(k), 2*batchPer)
+			}
+			return batchRun{stats: fed.Stats, run: func() ([]Receipt, error) { return fed.SubmitTasks(subs, wallets) }}
+		},
+		"MPCFederation.SubmitTaskBatch": func(t *testing.T) batchRun {
+			fed := newMPCFed(t)
+			subs := taskBatch()
+			return batchRun{stats: fed.Stats, run: func() ([]Receipt, error) { return fed.SubmitTaskBatch(subs) }}
+		},
+	}
+	for name, build := range cases {
+		t.Run(name, func(t *testing.T) {
+			b := build(t)
+			rs, err := b.run()
+			if err == nil {
+				t.Fatal("the failing update's operational error was not returned")
+			}
+			const n = batchKeys * batchPer
+			if len(rs) != n {
+				t.Fatalf("%d receipts for %d updates", len(rs), n)
+			}
+			receiptID := b.receiptID
+			if receiptID == nil {
+				receiptID = updateID
+			}
+			lastSeq := make(map[string]uint64)
+			for i, r := range rs {
+				if i == batchBad {
+					if r.Accepted {
+						t.Fatalf("failing update %d accepted", i)
+					}
+					continue
+				}
+				if r.UpdateID != receiptID(i) || !r.Accepted {
+					t.Fatalf("receipt %d = %+v, want %q accepted", i, r, receiptID(i))
+				}
+				key := batchKey(i)
+				if last, ok := lastSeq[key]; ok && r.LedgerSeq <= last {
+					t.Fatalf("key %s processed out of order: seq %d at input %d after %d", key, r.LedgerSeq, i, last)
+				}
+				lastSeq[key] = r.LedgerSeq
+			}
+			if s := b.stats(); s.Submitted != n || s.Accepted != n-1 || s.Errors != 1 {
+				t.Fatalf("stats = %+v, want %d submitted, %d accepted, 1 error", s, n, n-1)
+			}
+		})
 	}
 }
 
-func TestPipelineTicketsResolveAndClose(t *testing.T) {
-	var processed atomic.Int64
-	p := NewPipeline(func(u Update) (Receipt, error) {
-		time.Sleep(200 * time.Microsecond) // force queueing / backpressure
-		processed.Add(1)
-		return Receipt{UpdateID: u.ID, Accepted: true}, nil
-	}, LaneKey, PipelineConfig{Width: 2, QueueDepth: 1})
-	const n = 50
-	tickets := make([]Ticket, 0, n)
-	for i := 0; i < n; i++ {
-		tk, err := p.Submit(Update{ID: fmt.Sprintf("u%d", i), Producer: fmt.Sprintf("w%d", i%5)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tickets = append(tickets, tk)
+// taskBatch is the federations' batch: 2-hour tasks on one platform (so
+// one ledger numbers them all), the failing one with no hours.
+func taskBatch() []TaskSubmission {
+	subs := make([]TaskSubmission, batchKeys*batchPer)
+	for i := range subs {
+		subs[i] = TaskSubmission{ID: updateID(i), Worker: batchKey(i), Platform: "uber", Hours: 2, TS: tBase()}
 	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Close drained: every ticket resolves, nothing was dropped.
-	for i, tk := range tickets {
-		r, err := tk.Wait()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.UpdateID != fmt.Sprintf("u%d", i) {
-			t.Fatalf("ticket %d resolved to %q", i, r.UpdateID)
-		}
-	}
-	if got := processed.Load(); got != n {
-		t.Fatalf("processed %d, want %d", got, n)
-	}
-	if _, err := p.Submit(Update{ID: "late"}); err != ErrPipelineClosed {
-		t.Fatalf("submit after close: err = %v", err)
-	}
-	if err := p.Close(); err != nil { // idempotent
-		t.Fatal(err)
-	}
+	subs[batchBad].Hours = 0
+	return subs
 }
 
 // --- PlainManager ---------------------------------------------------------
 
-func TestPipelinePlainConcurrent(t *testing.T) {
-	const producers, perProducer = 6, 30
+// TestPlainSubmitBatchConcurrent: several callers batch at once, each
+// for its own producers; the counters add up and every producer's
+// updates were anchored in submission order.
+func TestPlainSubmitBatchConcurrent(t *testing.T) {
+	const callers, producersPer, perProducer = 3, 2, 30
 	m := newPlain(t)
-	p := NewEnginePipeline(m, PipelineConfig{Width: 4})
 	var wg sync.WaitGroup
-	seqs := make([][]uint64, producers) // per-producer ledger sequences
-	for w := 0; w < producers; w++ {
+	for c := 0; c < callers; c++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(c int) {
 			defer wg.Done()
-			worker := fmt.Sprintf("w%d", w)
+			var us []Update
 			for i := 0; i < perProducer; i++ {
-				u := taskUpdate(fmt.Sprintf("%s-t%d", worker, i), worker, 1, tBase().Add(time.Duration(i)*time.Minute))
-				r, err := p.Do(u)
-				if err != nil {
-					t.Errorf("submit: %v", err)
-					return
+				for p := 0; p < producersPer; p++ {
+					worker := fmt.Sprintf("c%d-w%d", c, p)
+					us = append(us, taskUpdate(fmt.Sprintf("%s-t%d", worker, i), worker, 1, tBase().Add(time.Duration(i)*time.Minute)))
 				}
-				if !r.Accepted {
-					t.Errorf("update %s rejected: %s", u.ID, r.Reason)
-					return
-				}
-				seqs[w] = append(seqs[w], r.LedgerSeq)
 			}
-		}(w)
+			rs, err := m.SubmitBatch(us)
+			if err != nil {
+				t.Errorf("submit: %v", err)
+				return
+			}
+			last := make(map[string]uint64)
+			for i, r := range rs {
+				if !r.Accepted {
+					t.Errorf("update %s rejected: %s", us[i].ID, r.Reason)
+					return
+				}
+				if prev, ok := last[us[i].Producer]; ok && r.LedgerSeq <= prev {
+					t.Errorf("producer %s receipts out of order: %d after %d", us[i].Producer, r.LedgerSeq, prev)
+					return
+				}
+				last[us[i].Producer] = r.LedgerSeq
+			}
+		}(c)
 	}
 	wg.Wait()
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
 	s := m.Stats()
-	if want := int64(producers * perProducer); s.Submitted != want || s.Accepted != want {
+	if want := int64(callers * producersPer * perProducer); s.Submitted != want || s.Accepted != want {
 		t.Fatalf("stats = %+v, want %d submitted+accepted", s, want)
 	}
 	if s.Rejected != 0 || s.Errors != 0 {
 		t.Fatalf("unexpected rejections/errors: %+v", s)
-	}
-	// Per-lane ordering: each producer's ledger sequences are increasing.
-	for w, ss := range seqs {
-		for i := 1; i < len(ss); i++ {
-			if ss[i] <= ss[i-1] {
-				t.Fatalf("producer %d receipts out of order: %v", w, ss)
-			}
-		}
 	}
 	if s.Latency.Count != s.Submitted || s.Latency.P50 > s.Latency.P95 || s.Latency.P95 > s.Latency.P99 || s.Latency.P99 > s.Latency.Max {
 		t.Fatalf("latency summary inconsistent: %+v", s.Latency)
@@ -194,7 +256,7 @@ func TestPlainSubmitBatchOrderAndEnforcement(t *testing.T) {
 
 // --- ZKBoundManager -------------------------------------------------------
 
-func TestPipelineZKConcurrentGroups(t *testing.T) {
+func TestZKBatchConcurrentGroups(t *testing.T) {
 	const groups, perGroup = 4, 6
 	params := commit.NewParams(group.TestGroup())
 	m, err := NewZKBoundManager("zk-conc", params, 1000)
@@ -267,7 +329,7 @@ func TestEncryptedBatchSequentialFallback(t *testing.T) {
 
 // --- PublicPIRManager -----------------------------------------------------
 
-func TestPipelinePIRConcurrentRegistrations(t *testing.T) {
+func TestPIRBatchConcurrentRegistrations(t *testing.T) {
 	const n = 12
 	m, auth := newPublicMgr(t)
 	ces := make([]CredentialedEntry, 0, n)

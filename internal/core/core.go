@@ -206,34 +206,6 @@ type Receipt struct {
 	Spent []string
 }
 
-// Engine is the uniform submission interface all PReVer instantiations
-// expose: Figure 2 steps (1)-(3) behind one call, plus the batched
-// submission path and the observability surface the evaluation
-// methodology (§6) drives.
-//
-// Engines whose updates are independently verifiable (per-producer
-// constraints) implement SubmitBatch with SubmitConcurrent — verification
-// fans out across key-hashed lanes while incorporation stays a short
-// critical section. Engines whose verification protocol is inherently
-// serialized (a comparison oracle in the loop) fall back to
-// SubmitSequential; both defaults live in pipeline.go.
-type Engine interface {
-	// Name identifies the instantiation.
-	Name() string
-	// Submit verifies an update against the engine's constraints and, if
-	// accepted, incorporates it and anchors it in the integrity layer.
-	// A rejected update returns a Receipt with Accepted == false and a
-	// nil error; errors are reserved for operational failures.
-	Submit(u Update) (Receipt, error)
-	// SubmitBatch submits a batch, returning receipts in input order and
-	// the first operational error. Per-producer ordering is preserved;
-	// updates of different producers may verify concurrently.
-	SubmitBatch(us []Update) ([]Receipt, error)
-	// Stats returns a tear-free snapshot of the engine's submission
-	// counters and latency histogram.
-	Stats() Stats
-}
-
 // ErrRejected wraps a constraint rejection for callers that prefer errors.
 type ErrRejected struct {
 	Receipt Receipt

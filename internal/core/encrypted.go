@@ -256,10 +256,6 @@ func (m *EncryptedManager) SubmitEncryptedBatch(us []EncryptedUpdate) ([]Receipt
 	return SubmitSequential(m.SubmitEncrypted, us)
 }
 
-// EncryptedLane is the pipeline lane key for ciphertext updates: the
-// routing group (per-group ordering for the windowed aggregates).
-func EncryptedLane(u EncryptedUpdate) string { return u.Group }
-
 // checkSpecLocked evaluates one bound against the update: it assembles
 // the coefficient-scaled ciphertext list (windowed aggregate history +
 // update terms), asks the oracle, and returns the update's own aggregate

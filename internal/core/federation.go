@@ -197,22 +197,22 @@ func (f *TokenFederation) SubmitTask(sub TaskSubmission, wallet *token.Wallet) (
 	return Receipt{UpdateID: sub.ID, Accepted: true, LedgerSeq: seq, Spent: spent}, nil
 }
 
-// TaskLane is the pipeline lane key for federation tasks: per-worker
+// TaskLane is the batch ordering key for federation tasks: per-worker
 // ordering, matching the per-worker regulations both federations enforce.
 func TaskLane(s TaskSubmission) string { return s.Worker }
 
-// SubmitTasks is the batch path: tasks fan out across worker-hashed lanes
+// SubmitTasks is the batch path: tasks fan out by worker
 // (token verification is independent per task; one worker's tasks stay
 // ordered so the budget drains deterministically). wallets maps each
 // worker to the wallet holding their period budget.
 func (f *TokenFederation) SubmitTasks(subs []TaskSubmission, wallets map[string]*token.Wallet) ([]Receipt, error) {
-	return SubmitConcurrent(func(sub TaskSubmission) (Receipt, error) {
+	return SubmitGrouped(eachInOrder(func(sub TaskSubmission) (Receipt, error) {
 		w, ok := wallets[sub.Worker]
 		if !ok {
 			return Receipt{}, fmt.Errorf("core: no wallet for worker %q", sub.Worker)
 		}
 		return f.SubmitTask(sub, w)
-	}, TaskLane, subs, 0)
+	}), TaskLane, subs)
 }
 
 // ChainSpentStore is a token.SpentStore backed by the permissioned
@@ -312,13 +312,13 @@ func (f *MPCFederation) Platform(id string) (*FedPlatform, bool) {
 	return p, ok
 }
 
-// SubmitTaskBatch fans a batch across worker-hashed lanes: the helper is
+// SubmitTaskBatch fans a batch out by worker: the helper is
 // stateless and each platform's records are internally synchronized, so
 // different workers' bound checks run concurrently while one worker's
 // tasks verify in order (required: each check reads the totals the
 // previous accept wrote).
 func (f *MPCFederation) SubmitTaskBatch(subs []TaskSubmission) ([]Receipt, error) {
-	return SubmitConcurrent(f.SubmitTask, TaskLane, subs, 0)
+	return SubmitGrouped(eachInOrder(f.SubmitTask), TaskLane, subs)
 }
 
 // SubmitTask runs the federated verification: each platform encrypts its

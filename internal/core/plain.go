@@ -21,12 +21,12 @@ import (
 // privacy-preserving instantiation against this baseline on standard
 // workloads; experiments E1 and E2 do exactly that.
 // Concurrency: verification only reads, so Submit evaluates constraints
-// under a shared (read) lock — lanes of a Pipeline verify in parallel —
-// while incorporation relies on the table's and ledger's own short
-// internal critical sections. Updates of the SAME producer must not race
-// (per-producer constraints read state the previous update wrote); the
-// pipeline's key-hashed lanes guarantee that ordering. Callers that
-// bypass the pipeline and concurrently Submit for one producer get
+// under a shared (read) lock — SubmitBatch's producer groups verify in
+// parallel — while incorporation relies on the table's and ledger's own
+// short internal critical sections. Updates of the SAME producer must
+// not race (per-producer constraints read state the previous update
+// wrote); SubmitBatch's per-producer grouping guarantees that ordering.
+// Callers that concurrently Submit for one producer themselves get
 // per-row consistency but may over-admit against per-producer bounds.
 type PlainManager struct {
 	name  string
@@ -50,7 +50,7 @@ func NewPlainManager(name string, tables map[string]*store.Table) *PlainManager 
 	}
 }
 
-// Name implements Engine.
+// Name identifies the engine.
 func (m *PlainManager) Name() string { return m.name }
 
 // AddTable registers a table.
@@ -88,7 +88,9 @@ func (m *PlainManager) Ledger() *ledger.Ledger { return m.ledger }
 // Stats reports the engine's submission counters.
 func (m *PlainManager) Stats() Stats { return m.stats.snapshot() }
 
-// Submit implements Engine: verify (step 2), apply (step 3), anchor.
+// Submit runs Figure 2 for one update: verify (step 2), apply (step 3),
+// anchor. A rejected update returns a Receipt with Accepted == false and
+// a nil error; errors are reserved for operational failures.
 func (m *PlainManager) Submit(u Update) (r Receipt, err error) {
 	start := time.Now()
 	defer func() { m.stats.record(start, r, err) }()
@@ -151,10 +153,10 @@ func (m *PlainManager) incorporate(u Update, tbl *store.Table) (Receipt, error) 
 	return Receipt{UpdateID: u.ID, Accepted: true, LedgerSeq: rcpt.Seq}, nil
 }
 
-// SubmitBatch implements Engine: updates fan out across a key-hashed
-// pipeline (per-producer ordering, concurrent verification).
+// SubmitBatch fans a batch out by producer: one producer's updates
+// verify in submission order, different producers' concurrently.
 func (m *PlainManager) SubmitBatch(us []Update) ([]Receipt, error) {
-	return SubmitConcurrent(m.Submit, LaneKey, us, 0)
+	return SubmitGrouped(eachInOrder(m.Submit), LaneKey, us)
 }
 
 // rowJSON renders a row into a JSON-friendly map (store.Value is a tagged

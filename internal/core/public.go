@@ -101,21 +101,21 @@ type CredentialedEntry struct {
 }
 
 // SubmitCredentialed is SubmitWithCredential over a CredentialedEntry
-// (the typed-submit shape pipelines and batches drive).
+// (the typed-submit shape the batch path drives).
 func (m *PublicPIRManager) SubmitCredentialed(ce CredentialedEntry) (Receipt, error) {
 	return m.SubmitWithCredential(ce.Entry, ce.Cred)
 }
 
-// CredentialLane is the pipeline lane key for credentialed entries:
+// CredentialLane is the batch ordering key for credentialed entries:
 // per-key ordering so re-registrations of one key apply in order.
 func CredentialLane(ce CredentialedEntry) string { return ce.Entry.Key }
 
-// SubmitCredentialedBatch fans a batch across key-hashed lanes. Credential
+// SubmitCredentialedBatch fans a batch out by entry key. Credential
 // verification (an RSA signature check plus a spent-store insert) is
 // independently verifiable per entry, so it runs genuinely concurrently;
 // incorporation into the PIR replicas is a short critical section.
 func (m *PublicPIRManager) SubmitCredentialedBatch(ces []CredentialedEntry) ([]Receipt, error) {
-	return SubmitConcurrent(m.SubmitCredentialed, CredentialLane, ces, 0)
+	return SubmitGrouped(eachInOrder(m.SubmitCredentialed), CredentialLane, ces)
 }
 
 // SubmitWithCredential verifies the private credential against the public

@@ -29,9 +29,9 @@ import (
 // Concurrency: proof verification (the expensive group exponentiations)
 // runs OUTSIDE the lock against a snapshot of the group's running
 // commitment; incorporation re-checks the snapshot under a short critical
-// section and re-verifies serially in the (lane-disciplined pipelines
-// never hit it) case that the group advanced mid-verify. Different groups
-// therefore verify fully in parallel.
+// section and re-verifies serially in the (SubmitZKBatch's per-group
+// ordering never hits it) case that the group advanced mid-verify.
+// Different groups therefore verify fully in parallel.
 type ZKBoundManager struct {
 	name   string
 	stats  statsRecorder
@@ -105,8 +105,8 @@ func proofContext(name, group, updateID string) string {
 //
 // The expensive verification runs outside the lock against a snapshot of
 // the group's fold; incorporation commits only if the fold is unchanged
-// (same-group submissions are serialized by the pipeline's lanes, so the
-// re-verify fallback is reserved for undisciplined callers).
+// (SubmitZKBatch serializes same-group submissions, so the re-verify
+// fallback is reserved for callers racing one group themselves).
 func (m *ZKBoundManager) SubmitZK(u ZKUpdate) (r Receipt, err error) {
 	start := time.Now()
 	defer func() { m.stats.record(start, r, err) }()
@@ -149,7 +149,7 @@ func (m *ZKBoundManager) SubmitZK(u ZKUpdate) (r Receipt, err error) {
 	return Receipt{UpdateID: u.ID, Accepted: true, LedgerSeq: rcpt.Seq}, nil
 }
 
-// ZKLane is the pipeline lane key for proof-carrying updates: proofs
+// ZKLane is the batch ordering key for proof-carrying updates: proofs
 // chain per group, so a group's updates must apply in production order.
 func ZKLane(u ZKUpdate) string { return u.Group }
 
@@ -160,7 +160,7 @@ func ZKLane(u ZKUpdate) string { return u.Group }
 // zk.VerifyBoundBatch multi-exponentiation (submitZKGroup). Receipts
 // come back in input order.
 func (m *ZKBoundManager) SubmitZKBatch(us []ZKUpdate) ([]Receipt, error) {
-	return SubmitGrouped(m.submitZKGroup, ZKLane, us, 0)
+	return SubmitGrouped(m.submitZKGroup, ZKLane, us)
 }
 
 // submitZKGroup is the amortized verify path for one group's ordered

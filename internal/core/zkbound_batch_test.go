@@ -142,7 +142,7 @@ func TestSubmitGroupedOrdering(t *testing.T) {
 			rs[i] = Receipt{UpdateID: x.id, Accepted: true}
 		}
 		return rs, nil
-	}, func(x u) string { return x.key }, us, 0)
+	}, func(x u) string { return x.key }, us)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestSubmitGroupedPropagatesError(t *testing.T) {
 			rs[i] = Receipt{UpdateID: x.id, Accepted: true}
 		}
 		return rs, nil
-	}, func(x u) string { return x.key }, us, 0)
+	}, func(x u) string { return x.key }, us)
 	if err == nil {
 		t.Fatal("group error not propagated")
 	}

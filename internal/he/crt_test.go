@@ -16,6 +16,16 @@ func mustKey(t testing.TB, bits int) *PrivateKey {
 	return sk
 }
 
+// DecryptLegacy recovers the signed message via the textbook
+// single-modulus path L(c^λ mod n²)·μ mod n: the oracle the CRT path
+// must agree with bit-for-bit.
+func (sk *PrivateKey) DecryptLegacy(ct *Ciphertext) (*big.Int, error) {
+	if err := sk.checkCiphertext(ct); err != nil {
+		return nil, err
+	}
+	return sk.decode(sk.legacyResidue(ct)), nil
+}
+
 // TestDecryptCRTMatchesLegacy: the CRT and textbook decryption paths
 // must agree bit-for-bit on edge-case plaintexts, including negatives
 // and the extremes of the signed encoding.

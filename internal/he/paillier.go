@@ -197,7 +197,8 @@ func (pk *PublicKey) EncryptInt(m int64, rng io.Reader) (*Ciphertext, error) {
 // 1 + multiples-of-p subgroup because the unit group mod p² has order
 // p(p-1) and n(p-1) ≡ 0 mod p(p-1)), the analogous step mod q², and
 // Garner recombination of the two half-width residues. The result is
-// bit-for-bit identical to DecryptLegacy on every valid ciphertext.
+// bit-for-bit identical to the textbook path (legacyResidue) on every
+// valid ciphertext; crt_test.go holds it to that.
 func (sk *PrivateKey) Decrypt(ct *Ciphertext) (*big.Int, error) {
 	if err := sk.checkCiphertext(ct); err != nil {
 		return nil, err
@@ -227,16 +228,9 @@ func crtHalf(c, pr, pr2, prm1, h *big.Int) *big.Int {
 	return u.Mod(u, pr)
 }
 
-// DecryptLegacy recovers the signed message via the textbook
-// single-modulus path L(c^λ mod n²)·μ mod n. Retained as a cross-check
-// oracle for the CRT path (the two must agree bit-for-bit).
-func (sk *PrivateKey) DecryptLegacy(ct *Ciphertext) (*big.Int, error) {
-	if err := sk.checkCiphertext(ct); err != nil {
-		return nil, err
-	}
-	return sk.decode(sk.legacyResidue(ct)), nil
-}
-
+// legacyResidue is the textbook single-modulus path L(c^λ mod n²)·μ mod
+// n: what Decrypt falls back to for a key without CRT components, and
+// the oracle the tests hold the CRT path to.
 func (sk *PrivateKey) legacyResidue(ct *Ciphertext) *big.Int {
 	u := new(big.Int).Exp(ct.C, sk.lambda, sk.N2)
 	// L(u) = (u - 1) / n

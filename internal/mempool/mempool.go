@@ -15,10 +15,13 @@
 //     (queued + in flight); beyond that Add returns ErrFull. This is the
 //     system's first overload shedding point — a caller that sees ErrFull
 //     backs off instead of growing an unbounded queue.
-//   - Per-lane ordering. Ops are queued on key-hashed lanes (the same
-//     fnv-1a mapping as core.Pipeline, see LaneIndex) and each lane drains
-//     FIFO, so two ops with the same lane key are always proposed — and,
-//     with in-order dispatch, applied — in submission order.
+//   - Per-lane ordering. Ops are queued on key-hashed lanes (fnv-1a of
+//     the lane key) and each lane drains FIFO, so two ops with the same
+//     lane key are always proposed — and, with in-order dispatch,
+//     applied — in submission order.
+//
+// The package also owns the one batch framing (EncodeBatch/DecodeBatch)
+// that the paxos and pbft clients write and every applier reads.
 package mempool
 
 import (
@@ -42,11 +45,8 @@ type Op struct {
 	Data []byte
 }
 
-// LaneIndex maps an ordering key onto one of width lanes with fnv-1a —
-// the single lane mapping shared by core.Pipeline's worker lanes and the
-// mempool's queues, so an engine pipeline's per-producer lanes feed
-// straight into the matching mempool lanes.
-func LaneIndex(key string, width int) int {
+// laneIndex maps an ordering key onto one of width lanes with fnv-1a.
+func laneIndex(key string, width int) int {
 	if width <= 1 {
 		return 0
 	}
@@ -226,7 +226,7 @@ func (p *Pool) Add(op Op, done func(error)) error {
 		p.mu.Unlock()
 		return ErrFull
 	}
-	lane := LaneIndex(op.Lane, len(p.lanes))
+	lane := laneIndex(op.Lane, len(p.lanes))
 	p.lanes[lane] = append(p.lanes[lane], op)
 	p.states[op.ID] = &opState{acks: []func(error){done}, queued: true}
 	p.queued++

@@ -201,10 +201,12 @@ func TestSeededFaultsAreDeterministic(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			n.Send(Message{From: "a", To: "b", Type: "t"})
 		}
+		// "Delivered" counts inbox enqueues; the handler runs after, so
+		// wait for it to catch up before reading its count.
 		deadline := time.Now().Add(time.Second)
 		for time.Now().Before(deadline) {
 			s, d, dr := n.Stats()
-			if d+dr >= s {
+			if d+dr >= s && count.Load() == d {
 				break
 			}
 			time.Sleep(time.Millisecond)

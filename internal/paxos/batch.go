@@ -1,45 +1,16 @@
 package paxos
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"time"
+
+	"prever/internal/mempool"
 )
 
 // Batched proposals: the mempool's Batcher packs many operations into one
-// log slot. A batch is an ordinary opaque value at the consensus layer —
-// EncodeBatch/DecodeBatch are the framing the applier uses to fan the
-// slot back out into its operations.
-
-// batchMagic prefixes encoded batches so appliers can tell a batch value
-// from a bare single-op value (and from the leader-turnover no-op fill).
-var batchMagic = []byte("pxB1")
-
-// EncodeBatch frames ops as one proposable value.
-func EncodeBatch(ops [][]byte) []byte {
-	body, err := json.Marshal(ops)
-	if err != nil {
-		// [][]byte always marshals; keep the signature ergonomic.
-		panic(fmt.Sprintf("paxos: encode batch: %v", err))
-	}
-	return append(append([]byte{}, batchMagic...), body...)
-}
-
-// DecodeBatch unframes a batch value. ok is false when v is not a batch
-// (a bare value or a no-op fill), in which case the applier should treat
-// v as a single operation.
-func DecodeBatch(v []byte) ([][]byte, bool) {
-	if !bytes.HasPrefix(v, batchMagic) {
-		return nil, false
-	}
-	var ops [][]byte
-	if err := json.Unmarshal(v[len(batchMagic):], &ops); err != nil {
-		return nil, false
-	}
-	return ops, true
-}
+// log slot. A batch is an ordinary opaque value at the consensus layer,
+// framed by mempool.EncodeBatch; the applier fans the slot back out into
+// its operations with mempool.DecodeBatch.
 
 // Pending is an in-flight client proposal started by Start: the fast path
 // holds an eager slot on the trusted leader; Wait falls back to the full
@@ -106,11 +77,11 @@ func (p *Pending) Wait(budget time.Duration) (uint64, error) {
 
 // StartBatch begins proposing ops as one batched value (see Start).
 func (c *Client) StartBatch(ops [][]byte) *Pending {
-	return c.Start(EncodeBatch(ops))
+	return c.Start(mempool.EncodeBatch(ops))
 }
 
 // ProposeBatch replicates ops as one batched value into a single slot,
 // with the same failover behaviour as Propose.
 func (c *Client) ProposeBatch(ops [][]byte, budget time.Duration) (uint64, error) {
-	return c.Propose(EncodeBatch(ops), budget)
+	return c.Propose(mempool.EncodeBatch(ops), budget)
 }

@@ -5,33 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"prever/internal/mempool"
 	"prever/internal/netsim"
 )
-
-func TestBatchEncodeDecodeRoundTrip(t *testing.T) {
-	ops := [][]byte{[]byte("a"), []byte(""), []byte("op-3")}
-	got, ok := DecodeBatch(EncodeBatch(ops))
-	if !ok {
-		t.Fatal("encoded batch did not decode")
-	}
-	if len(got) != len(ops) {
-		t.Fatalf("decoded %d ops, want %d", len(got), len(ops))
-	}
-	for i := range ops {
-		if string(got[i]) != string(ops[i]) {
-			t.Fatalf("op %d = %q, want %q", i, got[i], ops[i])
-		}
-	}
-	if _, ok := DecodeBatch([]byte("bare value")); ok {
-		t.Fatal("bare value decoded as batch")
-	}
-	if _, ok := DecodeBatch(nil); ok {
-		t.Fatal("nil decoded as batch")
-	}
-	if _, ok := DecodeBatch([]byte("pxB1 not json")); ok {
-		t.Fatal("corrupt batch body decoded as batch")
-	}
-}
 
 func TestProposeAsyncPipelinesInOrder(t *testing.T) {
 	c := newCluster(t, 3, netsim.Config{Jitter: 200 * time.Microsecond, Seed: 7})
@@ -101,7 +77,7 @@ func TestClientProposeBatchCommitsOneSlot(t *testing.T) {
 	if !ok {
 		t.Fatalf("slot %d not chosen on r0", slot)
 	}
-	got, ok := DecodeBatch(v)
+	got, ok := mempool.DecodeBatch(v)
 	if !ok || len(got) != 3 {
 		t.Fatalf("chosen value did not decode as 3-op batch (ok=%v len=%d)", ok, len(got))
 	}
@@ -133,7 +109,7 @@ func TestClientStartWaitFallsBackOnLeaderCrash(t *testing.T) {
 	var committed bool
 	for _, r := range c.replicas[1:] {
 		if v, ok := r.Chosen(slot); ok {
-			ops, isBatch := DecodeBatch(v)
+			ops, isBatch := mempool.DecodeBatch(v)
 			if isBatch && len(ops) == 1 && string(ops[0]) == "survivor" {
 				committed = true
 			}

@@ -465,8 +465,14 @@ func (r *Replica) Chosen(slot uint64) ([]byte, bool) {
 	return v, ok
 }
 
-// Applied returns the number of contiguous slots applied so far.
+// Applied returns the number of contiguous slots the Applier has been
+// handed and has returned from. onLearn and adoptImage advance r.applied
+// under mu and run the Applier afterwards, outside mu but still under
+// applyMu; taking applyMu first keeps a mid-apply floor — slot n counted,
+// n-1 values in the application — from being observed.
 func (r *Replica) Applied() uint64 {
+	r.applyMu.Lock()
+	defer r.applyMu.Unlock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.applied

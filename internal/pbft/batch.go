@@ -1,46 +1,19 @@
 package pbft
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"time"
+
+	"prever/internal/mempool"
 )
 
 // Batched submission: the mempool's Batcher packs many operations into a
-// single PBFT request, so one three-phase instance orders the whole
-// batch. EncodeBatch/DecodeBatch are the framing the apply callback uses
-// to fan a request back out into its operations. The batch rides the
-// normal client path — one client sequence number per batch — so the
-// cluster's executed-request dedup gives the entire batch exactly-once
-// semantics across retries.
-
-// batchMagic prefixes encoded batches so appliers can tell a batch
-// request from a bare single-op request.
-var batchMagic = []byte("pbB1")
-
-// EncodeBatch frames ops as one submittable operation.
-func EncodeBatch(ops [][]byte) []byte {
-	body, err := json.Marshal(ops)
-	if err != nil {
-		// [][]byte always marshals; keep the signature ergonomic.
-		panic(fmt.Sprintf("pbft: encode batch: %v", err))
-	}
-	return append(append([]byte{}, batchMagic...), body...)
-}
-
-// DecodeBatch unframes a batch operation. ok is false when v is not a
-// batch, in which case the applier should treat v as a single operation.
-func DecodeBatch(v []byte) ([][]byte, bool) {
-	if !bytes.HasPrefix(v, batchMagic) {
-		return nil, false
-	}
-	var ops [][]byte
-	if err := json.Unmarshal(v[len(batchMagic):], &ops); err != nil {
-		return nil, false
-	}
-	return ops, true
-}
+// single PBFT request (framed by mempool.EncodeBatch), so one three-phase
+// instance orders the whole batch and the apply callback fans it back
+// out with mempool.DecodeBatch. The batch rides the normal client path —
+// one client sequence number per batch — so the cluster's
+// executed-request dedup gives the entire batch exactly-once semantics
+// across retries.
 
 // Pending is an in-flight client submission started by Start: the fast
 // path has already handed the request to a replica; Wait falls back to
@@ -97,11 +70,11 @@ func (p *Pending) Wait(budget time.Duration) error {
 
 // StartBatch begins submitting ops as one batched request (see Start).
 func (c *Client) StartBatch(ops [][]byte) *Pending {
-	return c.Start(EncodeBatch(ops))
+	return c.Start(mempool.EncodeBatch(ops))
 }
 
 // SubmitBatch orders ops as one batched request under a single client
 // sequence number, with the same failover behaviour as Submit.
 func (c *Client) SubmitBatch(ops [][]byte, budget time.Duration) error {
-	return c.Submit(EncodeBatch(ops), budget)
+	return c.Submit(mempool.EncodeBatch(ops), budget)
 }

@@ -6,30 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"prever/internal/mempool"
 	"prever/internal/netsim"
 )
-
-func TestBatchEncodeDecodeRoundTrip(t *testing.T) {
-	ops := [][]byte{[]byte("a"), []byte(""), []byte("op-3")}
-	got, ok := DecodeBatch(EncodeBatch(ops))
-	if !ok {
-		t.Fatal("encoded batch did not decode")
-	}
-	if len(got) != len(ops) {
-		t.Fatalf("decoded %d ops, want %d", len(got), len(ops))
-	}
-	for i := range ops {
-		if string(got[i]) != string(ops[i]) {
-			t.Fatalf("op %d = %q, want %q", i, got[i], ops[i])
-		}
-	}
-	if _, ok := DecodeBatch([]byte("bare op")); ok {
-		t.Fatal("bare op decoded as batch")
-	}
-	if _, ok := DecodeBatch([]byte("pbB1 not json")); ok {
-		t.Fatal("corrupt batch body decoded as batch")
-	}
-}
 
 func TestSubmitAsyncDuplicateGetsClosedChannel(t *testing.T) {
 	c := newCluster(t, 1, Options{}, netsim.Config{})
@@ -48,29 +27,54 @@ func TestSubmitAsyncDuplicateGetsClosedChannel(t *testing.T) {
 	}
 }
 
-func TestClientSubmitBatchExecutesAllOpsInOrder(t *testing.T) {
+// TestClientSubmitBatchOneInstanceExactlyOnce: N ops through
+// Client.SubmitBatch are ordered by one three-phase instance on every
+// replica, come back out of the framing in submission order, and a
+// client retry of the same request does not execute them again.
+func TestClientSubmitBatchOneInstanceExactlyOnce(t *testing.T) {
 	c := newCluster(t, 1, Options{}, netsim.Config{Jitter: 100 * time.Microsecond, Seed: 5})
 	client, err := NewClient(c.net, c.replicas, "batcher", ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The cluster applier records raw ops; decode batches like a real
-	// applier would.
-	ops := [][]byte{[]byte("b-0"), []byte("b-1"), []byte("b-2")}
+	const n = 24
+	ops := make([][]byte, n)
+	for i := range ops {
+		ops[i] = []byte(fmt.Sprintf("op-%d", i))
+	}
 	if err := client.SubmitBatch(ops, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	got := c.appliedAt("p0")
-	if len(got) != 1 {
-		t.Fatalf("applied %d requests, want 1 batch request", len(got))
+	// A retry after a lost ack reuses the client sequence number.
+	if err := client.submit(client.seq.Load(), mempool.EncodeBatch(ops), 5*time.Second); err != nil {
+		t.Fatal(err)
 	}
-	decoded, ok := DecodeBatch([]byte(got[0]))
-	if !ok || len(decoded) != 3 {
-		t.Fatalf("applied request did not decode as 3-op batch (ok=%v)", ok)
+	deadline := time.Now().Add(5 * time.Second)
+	for _, r := range c.replicas {
+		for time.Now().Before(deadline) && r.Executed() < 1 {
+			time.Sleep(time.Millisecond)
+		}
 	}
-	for i := range ops {
-		if string(decoded[i]) != string(ops[i]) {
-			t.Fatalf("batch op %d = %q, want %q", i, decoded[i], ops[i])
+	// Give any stray re-execution time to land.
+	time.Sleep(50 * time.Millisecond)
+	for _, r := range c.replicas {
+		if got := r.Executed(); got != 1 {
+			t.Fatalf("%s ran %d instances for one batch, want 1", r.ID(), got)
+		}
+		// The cluster applier records raw requests; decode the batch like
+		// a real applier would.
+		got := c.appliedAt(r.ID())
+		if len(got) != 1 {
+			t.Fatalf("%s applied %d requests, want 1 batch request", r.ID(), len(got))
+		}
+		decoded, ok := mempool.DecodeBatch([]byte(got[0]))
+		if !ok || len(decoded) != n {
+			t.Fatalf("%s: applied request did not decode as a %d-op batch (ok=%v, %d ops)", r.ID(), n, ok, len(decoded))
+		}
+		for i := range ops {
+			if string(decoded[i]) != string(ops[i]) {
+				t.Fatalf("%s: batch op %d = %q, want %q", r.ID(), i, decoded[i], ops[i])
+			}
 		}
 	}
 }
@@ -103,7 +107,7 @@ func TestClientStartPipelinedKeepsOrder(t *testing.T) {
 			t.Fatalf("%s applied %d requests, want %d", r.ID(), len(got), n)
 		}
 		for i, raw := range got {
-			ops, ok := DecodeBatch([]byte(raw))
+			ops, ok := mempool.DecodeBatch([]byte(raw))
 			if !ok || len(ops) != 1 {
 				t.Fatalf("%s request %d not a 1-op batch", r.ID(), i)
 			}

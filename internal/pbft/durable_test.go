@@ -63,7 +63,7 @@ type durablePBFTNode struct {
 func startDurablePBFT(t *testing.T, net *netsim.Network, id string, ids []string, dir string, snapEvery uint64) *durablePBFTNode {
 	t.Helper()
 	n := &durablePBFTNode{app: &durableSeqApp{}, dir: dir}
-	opts := Options{BatchSize: 1, ViewTimeout: 300 * time.Millisecond}
+	opts := Options{ViewTimeout: 300 * time.Millisecond}
 	r, err := NewDurableReplica(net, id, ids, 1, n.app.apply, opts, DurableOptions{
 		Dir:           dir,
 		App:           n.app,

@@ -1,8 +1,10 @@
 // Package pbft implements Practical Byzantine Fault Tolerance
 // (Castro & Liskov, OSDI '99) over the simulated network: the three-phase
-// pre-prepare / prepare / commit protocol with request batching, HMAC
-// message authentication, checkpointing, and a view-change protocol that
-// recovers prepared-but-unexecuted batches under a new primary.
+// pre-prepare / prepare / commit protocol, HMAC message authentication,
+// checkpointing, and a view-change protocol that recovers
+// prepared-but-unexecuted requests under a new primary. The primary
+// proposes one request per instance; batching happens upstream, in
+// internal/mempool, whose framed batch rides as one request.
 //
 // PReVer uses PBFT twice: as the standard BFT baseline the paper prescribes
 // for evaluation (experiment E4), and as the ordering service underneath
@@ -170,17 +172,12 @@ type Applier func(seq uint64, batch []Request)
 
 // Options tunes a replica.
 type Options struct {
-	BatchSize       int           // max requests per pre-prepare (default 1)
-	BatchDelay      time.Duration // how long the primary waits to fill a batch
 	CheckpointEvery uint64        // checkpoint period in sequences (default 128)
 	ViewTimeout     time.Duration // request execution timeout before view change (default 2s)
 	AuthKey         []byte        // cluster MAC master key (default fixed)
 }
 
 func (o *Options) withDefaults() {
-	if o.BatchSize <= 0 {
-		o.BatchSize = 1
-	}
 	if o.CheckpointEvery == 0 {
 		o.CheckpointEvery = 128
 	}
@@ -260,8 +257,6 @@ type Replica struct {
 	insts      map[uint64]*instState
 	executedR  map[string]bool // client:seq dedup of executed requests
 	waiters    map[Digest][]chan struct{}
-	pending    []Request // primary: batch under construction
-	batchTmr   *time.Timer
 	ckpts      map[uint64]map[string]bool
 	vcs        map[uint64]map[string]viewChangeMsg
 	inVC       bool
@@ -434,7 +429,7 @@ func (r *Replica) broadcast(msgType string, v any) {
 // --- client path ---
 
 // Submit proposes an operation and blocks until it executes locally or the
-// timeout elapses. On the primary it goes straight into a batch; on a
+// timeout elapses. On the primary it is proposed at once; on a
 // backup it is forwarded to the primary and guarded by a view-change
 // timer, so a dead primary is eventually replaced and the caller can
 // retry.
@@ -476,7 +471,7 @@ func (r *Replica) SubmitAsync(client string, clientSeq uint64, op []byte) <-chan
 	isPrimary := r.primaryLocked(r.view) == r.id && !r.inVC
 	if isPrimary {
 		if !r.inFlightLocked(req) {
-			r.enqueueLocked(req)
+			r.proposeLocked(req)
 		}
 		r.mu.Unlock()
 	} else {
@@ -536,7 +531,7 @@ func (r *Replica) onViewChangeTimeout(d Digest, req Request) {
 			// away from itself. If the request IS in flight, the view's
 			// quorum has collapsed — re-proposing into the same dead view
 			// cannot help, so fall through to the view change.
-			r.enqueueLocked(req)
+			r.proposeLocked(req)
 			r.mu.Unlock()
 			return
 		}
@@ -578,15 +573,10 @@ func (r *Replica) onViewChangeTimeout(d Digest, req Request) {
 }
 
 // inFlightLocked reports whether req sits in the batch of an un-executed
-// instance (or the batch under construction) — i.e. it has been proposed
-// and is waiting on votes, so proposing it again would be futile.
+// instance — i.e. it has been proposed and is waiting on votes, so
+// proposing it again would be futile.
 func (r *Replica) inFlightLocked(req Request) bool {
 	k := reqKey(req)
-	for _, p := range r.pending {
-		if reqKey(p) == k {
-			return true
-		}
-	}
 	for _, inst := range r.insts {
 		if inst.executed || !inst.prePrepared {
 			continue
@@ -600,38 +590,13 @@ func (r *Replica) inFlightLocked(req Request) bool {
 	return false
 }
 
-// enqueueLocked adds a request to the primary's batch, flushing when full
-// or after the batch delay.
-func (r *Replica) enqueueLocked(req Request) {
-	r.pending = append(r.pending, req)
-	if len(r.pending) >= r.opts.BatchSize {
-		r.flushBatchLocked()
-		return
-	}
-	if r.opts.BatchDelay <= 0 {
-		r.flushBatchLocked()
-		return
-	}
-	if r.batchTmr == nil {
-		r.batchTmr = time.AfterFunc(r.opts.BatchDelay, func() {
-			r.mu.Lock()
-			r.batchTmr = nil
-			if len(r.pending) > 0 {
-				r.flushBatchLocked()
-			}
-			r.mu.Unlock()
-		})
-	}
-}
-
-// flushBatchLocked assigns the next sequence and runs pre-prepare.
-func (r *Replica) flushBatchLocked() {
-	batch := r.pending
-	r.pending = nil
-	if r.batchTmr != nil {
-		r.batchTmr.Stop()
-		r.batchTmr = nil
-	}
+// proposeLocked assigns req the next sequence and runs pre-prepare. The
+// primary proposes each request the moment it admits it: grouping
+// operations into one request is the mempool's job, upstream of the
+// client. (The wire and WAL shape stays a request list, which earlier
+// data directories hold and state transfer re-serves.)
+func (r *Replica) proposeLocked(req Request) {
+	batch := []Request{req}
 	seq := r.nextSeq
 	r.nextSeq++
 	pp := prePrepareMsg{View: r.view, Seq: seq, Digest: digestOf(batch), Batch: batch}
@@ -749,7 +714,7 @@ func (r *Replica) onRequest(req Request) {
 	// a second instance would be a wasted consensus round (execution
 	// dedups it to a no-op).
 	if !r.inFlightLocked(req) {
-		r.enqueueLocked(req)
+		r.proposeLocked(req)
 	}
 	r.mu.Unlock()
 }
@@ -1184,7 +1149,7 @@ func (r *Replica) onNewView(from string, nv newViewMsg) {
 // watched (armed, un-executed) requests so the caller can revive them in
 // the new view: the new primary must propose them and backups must relay
 // them to it. A request that arrived while the old view was collapsing is
-// held only in vcTimers — nobody's pending batch — so without this
+// held only in vcTimers — no instance carries it — so without this
 // handoff the timers drive view change after view change while no
 // primary ever proposes the request: a permanent livelock.
 func (r *Replica) enterViewLocked(view, nextSeq uint64) []Request {
@@ -1218,7 +1183,6 @@ func (r *Replica) enterViewLocked(view, nextSeq uint64) []Request {
 			inst.resetVotesLocked()
 		}
 	}
-	r.pending = nil
 	// Restart the watchdogs: timers armed in the old view carry stale
 	// deadlines — left running they fire mid-recovery and cascade into
 	// further view changes. Pending requests get a full fresh timeout
@@ -1240,23 +1204,18 @@ func (r *Replica) enterViewLocked(view, nextSeq uint64) []Request {
 // --- crash / restart / state transfer ---
 
 // Crash detaches the replica from the network, simulating a process
-// crash: armed timers die with the process and primary batch state is
-// dropped. Consensus state (executed log, instances, view) survives in
-// this object, standing in for the replica's stable storage.
+// crash: armed timers die with the process. Consensus state (executed
+// log, instances, view) survives in this object, standing in for the
+// replica's stable storage.
 func (r *Replica) Crash() error {
 	if err := r.net.Crash(r.id); err != nil {
 		return err
 	}
 	r.mu.Lock()
-	if r.batchTmr != nil {
-		r.batchTmr.Stop()
-		r.batchTmr = nil
-	}
 	for d, vt := range r.vcTimers {
 		vt.tmr.Stop()
 		delete(r.vcTimers, d)
 	}
-	r.pending = nil
 	r.inVC = false
 	// Volatile view-change state dies with the process: any vote this
 	// replica had broadcast is treated as lost, so after a restart it can

@@ -144,34 +144,6 @@ func TestDuplicateRequestExecutesOnce(t *testing.T) {
 	}
 }
 
-func TestBatchingExecutesAllRequests(t *testing.T) {
-	c := newCluster(t, 1, Options{BatchSize: 8, BatchDelay: 10 * time.Millisecond}, netsim.Config{})
-	primary := c.replicas[0]
-	const n = 24
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = primary.Submit("client", uint64(i), []byte(fmt.Sprintf("op-%d", i)), 5*time.Second)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-	}
-	if got := c.appliedAt("p0"); len(got) != n {
-		t.Fatalf("applied %d, want %d", len(got), n)
-	}
-	// Batching must have reduced the number of consensus instances.
-	if primary.Executed() >= n {
-		t.Fatalf("no batching happened: %d instances for %d requests", primary.Executed(), n)
-	}
-}
-
 func TestViewChangeOnDeadPrimary(t *testing.T) {
 	c := newCluster(t, 1, Options{ViewTimeout: 200 * time.Millisecond}, netsim.Config{})
 	// Kill the primary.
@@ -287,33 +259,16 @@ func TestCheckpointGarbageCollects(t *testing.T) {
 	t.Fatalf("no GC: stable=%d, instances=%d", primary.stable, len(primary.insts))
 }
 
-func BenchmarkPBFTThroughputF1NoBatch(b *testing.B) {
-	benchPBFT(b, 1, 1)
-}
-
-func BenchmarkPBFTThroughputF1Batch16(b *testing.B) {
-	benchPBFT(b, 1, 16)
-}
-
-func benchPBFT(b *testing.B, f, batch int) {
-	c := newCluster(b, f, Options{BatchSize: batch, BatchDelay: 500 * time.Microsecond}, netsim.Config{})
+func BenchmarkPBFTThroughputF1(b *testing.B) {
+	c := newCluster(b, 1, Options{}, netsim.Config{})
 	primary := c.replicas[0]
 	op := []byte("benchmark-operation-64-bytes-xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx")
 	b.ResetTimer()
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, batch)
 	for i := 0; i < b.N; i++ {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if err := primary.Submit("bench", uint64(i), op, 10*time.Second); err != nil {
-				b.Error(err)
-			}
-		}(i)
+		if err := primary.Submit("bench", uint64(i), op, 10*time.Second); err != nil {
+			b.Fatal(err)
+		}
 	}
-	wg.Wait()
 }
 
 func TestF2ClusterCommitsAndSurvivesTwoFaults(t *testing.T) {

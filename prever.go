@@ -19,8 +19,8 @@
 //     NewZKBoundManager (owner-produced zero-knowledge bound proofs).
 //   - Federated private databases (RC2): NewTokenFederation (Separ-style
 //     single-use pseudonymous tokens, centralized authority) or
-//     NewMPCFederation (secure aggregation, decentralized).
-//   - Public data with private updates (RC3): NewPublicPIRManager
+//     NewMPCFederationSetup (secure aggregation, decentralized).
+//   - Public data with private updates (RC3): NewPublicPIRSetup
 //     (credential-gated writes, PIR reads).
 //   - Non-private baseline for comparisons (§6): NewPlainManager.
 //
@@ -69,8 +69,6 @@ type (
 	Constraint = core.Constraint
 	// Participant is an entity with roles and a threat model.
 	Participant = core.Participant
-	// Engine is the uniform submit interface of all instantiations.
-	Engine = core.Engine
 	// Privacy labels data/updates/constraints public or private.
 	Privacy = core.Privacy
 	// Role is a participant role.
@@ -171,30 +169,6 @@ type (
 	// Commitment is a Pedersen commitment (ZK engine).
 	Commitment = commit.Commitment
 )
-
-// Batched, concurrent submission (the Engine interface's SubmitBatch is
-// backed by the same machinery).
-type (
-	// Pipeline fans plaintext Updates across key-hashed lanes: per-producer
-	// ordering, bounded-queue backpressure, clean drain on Close. Build one
-	// per engine with NewPipeline; typed engines (encrypted, ZK, federated)
-	// use core.NewPipeline with their own update types.
-	Pipeline = core.Pipeline[core.Update]
-	// PipelineConfig sizes a Pipeline (Width defaults to GOMAXPROCS).
-	PipelineConfig = core.PipelineConfig
-	// PipelineTicket is the handle of one in-flight submission.
-	PipelineTicket = core.Ticket
-	// PipelineResult is an asynchronous submission outcome.
-	PipelineResult = core.Result
-)
-
-// ErrPipelineClosed is returned by Pipeline.Submit after Close.
-var ErrPipelineClosed = core.ErrPipelineClosed
-
-// NewPipeline builds a submission pipeline over an engine.
-func NewPipeline(e Engine, cfg PipelineConfig) *Pipeline {
-	return core.NewEnginePipeline(e, cfg)
-}
 
 // Setup is the uniform shape of every engine constructor's result: the
 // engine bundled with the secret-holding side artifacts minted during
@@ -424,19 +398,6 @@ func NewMPCFederationSetup(name string, bound int64, window time.Duration, platf
 	return &MPCFederationSetup{Federation: fed, Helper: helper}, nil
 }
 
-// NewMPCFederation builds the RC2 decentralized engine with a fresh
-// helper.
-//
-// Deprecated: use NewMPCFederationSetup, which follows the uniform Setup
-// pattern and keeps a handle on the helper for audits and tests.
-func NewMPCFederation(name string, bound int64, window time.Duration, platforms []string, keyBits int) (*MPCFederation, error) {
-	s, err := NewMPCFederationSetup(name, bound, window, platforms, keyBits)
-	if err != nil {
-		return nil, err
-	}
-	return s.Federation, nil
-}
-
 // PublicPIRSetup bundles the RC3 engine with its credential authority.
 type PublicPIRSetup struct {
 	Manager *PublicPIRManager
@@ -462,19 +423,6 @@ func NewPublicPIRSetup(name, event string, blockSize, authorityKeyBits int) (*Pu
 		return nil, err
 	}
 	return &PublicPIRSetup{Manager: m, Authority: auth}, nil
-}
-
-// NewPublicPIRManager builds the RC3 engine with a fresh credential
-// authority.
-//
-// Deprecated: use NewPublicPIRSetup; the multi-value return predates the
-// uniform Setup pattern.
-func NewPublicPIRManager(name, event string, blockSize, authorityKeyBits int) (*PublicPIRManager, *token.Authority, error) {
-	s, err := NewPublicPIRSetup(name, event, blockSize, authorityKeyBits)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.Manager, s.Authority, nil
 }
 
 // NewSepar boots the §5 Separ instantiation.

@@ -163,10 +163,11 @@ func TestFacadeTokenFederation(t *testing.T) {
 }
 
 func TestFacadeMPCFederation(t *testing.T) {
-	fed, err := prever.NewMPCFederation("fed", 10, 0, []string{"a", "b"}, 256)
+	setup, err := prever.NewMPCFederationSetup("fed", 10, 0, []string{"a", "b"}, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fed := setup.Federation
 	r, err := fed.SubmitTask(prever.TaskSubmission{ID: "t1", Worker: "w", Platform: "a", Hours: 6, TS: time.Now()})
 	if err != nil || !r.Accepted {
 		t.Fatalf("t1: %+v, %v", r, err)
@@ -178,10 +179,11 @@ func TestFacadeMPCFederation(t *testing.T) {
 }
 
 func TestFacadePublicPIR(t *testing.T) {
-	m, auth, err := prever.NewPublicPIRManager("conf", "evt", 128, 1024)
+	setup, err := prever.NewPublicPIRSetup("conf", "evt", 128, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m, auth := setup.Manager, setup.Authority
 	w, _ := prever.NewWallet(auth.PublicKey(), "evt", 1)
 	sigs, err := auth.IssueBudget("alice", "evt", w.BlindedRequests(), 1)
 	if err != nil {
