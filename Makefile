@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race bench bench-check bench-json vet fmt fmt-check lint chaos serve-smoke serve-smoke-durable
+.PHONY: build test check race bench bench-check bench-json vet fmt fmt-check lint chaos fuzz-smoke serve-smoke serve-smoke-durable
 
 build:
 	$(GO) build ./...
@@ -34,6 +34,19 @@ race:
 # run with CHAOS_SEED=<seed> make chaos.
 chaos:
 	$(GO) test -race -count=1 -v ./internal/chaos
+
+# fuzz-smoke runs every Fuzz* target of the root module for 10 s (plain
+# `go test` only replays a target's seed corpus). Go fuzzes one target of
+# one package per invocation, so the targets are found by name. A crasher
+# is written to the package's testdata/fuzz/<Target>/ — commit it with
+# the fix, it becomes a seed.
+fuzz-smoke:
+	@set -e; \
+	grep -r --include='*_test.go' -o '^func Fuzz[A-Za-z0-9_]*' cmd internal *_test.go | \
+	while IFS=: read -r file fn; do \
+		echo "fuzz-smoke: $${fn#func } in ./$$(dirname $$file)"; \
+		$(GO) test -run '^$$' -fuzz "^$${fn#func }\$$" -fuzztime 10s ./$$(dirname $$file); \
+	done
 
 # serve-smoke is the deployment smoke test: boot a real prever-server
 # process on an ephemeral port, drive it with the remote open-loop bench
@@ -102,9 +115,9 @@ bench-check:
 # check is the CI gate: formatting, static analysis (go vet plus the
 # project analyzers), the full suite under the race detector (the batch
 # fan-out's concurrency contract is only proven with -race), the
-# benchmark module, the server boot smoke test, and the kill -9
-# recovery smoke test.
-check: fmt-check vet lint race bench-check serve-smoke serve-smoke-durable
+# benchmark module, ten seconds of fuzzing per Fuzz* target, the server
+# boot smoke test, and the kill -9 recovery smoke test.
+check: fmt-check vet lint race bench-check fuzz-smoke serve-smoke serve-smoke-durable
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run xxx ./...

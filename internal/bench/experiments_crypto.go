@@ -28,7 +28,8 @@ func prodParams() *commit.Params {
 // E11Crypto measures the amortized-verification primitives (ISSUE 10):
 // random-linear-combination batch verification of Σ-proofs against the
 // sequential baseline, the Straus multi-exponentiation against
-// one-at-a-time exponentiation, and Paillier CRT decryption on its own.
+// one-at-a-time exponentiation, the subgroup-membership kernel against
+// math/big.Jacobi, and Paillier CRT decryption on its own.
 // Each pair shares its inputs, so the speedup column is a like-for-like
 // ratio.
 func E11Crypto(scale Scale) (*Table, error) {
@@ -144,37 +145,80 @@ func E11Crypto(scale Scale) (*Table, error) {
 	t.AddRow("paillier decrypt", "CRT (mod p², q²)", fmt.Sprint(nDec), fmtDur(crt), perOp(nDec, crt), "—")
 
 	// Multi-exponentiation: n independent Exp+Mul vs one Straus pass over
-	// the same bases and (RLC-sized) exponents.
+	// the same bases and exponents — at the RLC width, and in the shape
+	// the engine's bit fold really has (per bit proof A0^ρ, A1^σ with
+	// 128-bit coefficients and C^(ρ·c0+σ·c1) at 257 bits).
 	g := p.Group
-	bases := make([]*big.Int, nExp)
-	exps := make([]*big.Int, nExp)
-	for i := range bases {
-		b, err := g.RandElement(nil)
-		if err != nil {
-			return nil, err
+	multiExpPair := func(name string, n int, width func(i int) uint) error {
+		bases := make([]*big.Int, n)
+		exps := make([]*big.Int, n)
+		for i := range bases {
+			b, err := g.RandElement(nil)
+			if err != nil {
+				return err
+			}
+			e, err := g.RandScalar(nil)
+			if err != nil {
+				return err
+			}
+			bases[i], exps[i] = b, e.Rsh(e, uint(g.Q.BitLen())-width(i))
 		}
-		e, err := g.RandScalar(nil)
-		if err != nil {
-			return nil, err
+		naiveStart := time.Now()
+		naive := big.NewInt(1)
+		for i := range bases {
+			naive = g.Mul(naive, g.Exp(bases[i], exps[i]))
 		}
-		bases[i], exps[i] = b, e.Rsh(e, uint(g.Q.BitLen()-128)) // 128-bit, RLC-shaped
+		naiveD := time.Since(naiveStart)
+		strausStart := time.Now()
+		straus, err := g.MultiExp(bases, exps)
+		if err != nil {
+			return err
+		}
+		strausD := time.Since(strausStart)
+		if naive.Cmp(straus) != 0 {
+			return fmt.Errorf("bench: MultiExp disagrees with naive product")
+		}
+		addPair(name, "per-term Exp", "Straus sliding-window", n, naiveD, strausD)
+		return nil
 	}
-	naiveStart := time.Now()
-	naive := big.NewInt(1)
-	for i := range bases {
-		naive = g.Mul(naive, g.Exp(bases[i], exps[i]))
-	}
-	naiveD := time.Since(naiveStart)
-	strausStart := time.Now()
-	straus, err := g.MultiExp(bases, exps)
-	if err != nil {
+	if err := multiExpPair("multi-exp (128-bit exps)", nExp, func(int) uint { return 128 }); err != nil {
 		return nil, err
 	}
-	strausD := time.Since(strausStart)
-	if naive.Cmp(straus) != 0 {
-		return nil, fmt.Errorf("bench: MultiExp disagrees with naive product")
+	foldShape := func(i int) uint {
+		if i%3 == 2 {
+			return 257
+		}
+		return 128
 	}
-	addPair("multi-exp (128-bit exps)", "per-term Exp", "Straus interleaved", nExp, naiveD, strausD)
+	if err := multiExpPair("multi-exp (bit-fold shape)", 36*nBound, foldShape); err != nil {
+		return nil, err
+	}
+
+	// Subgroup membership, the per-element pre-check of every verifier:
+	// math/big.Jacobi (what Contains called before, now its test oracle)
+	// vs the word-batched kernel behind Contains, on the same elements.
+	elems := make([]*big.Int, 39*nBound) // 39 checks per batched update
+	for i := range elems {
+		x, err := g.RandElement(nil)
+		if err != nil {
+			return nil, err
+		}
+		elems[i] = x
+	}
+	jacStart := time.Now()
+	for _, x := range elems {
+		if big.Jacobi(x, g.P) != 1 {
+			return nil, fmt.Errorf("bench: big.Jacobi rejects a group element")
+		}
+	}
+	jacD := time.Since(jacStart)
+	conStart := time.Now()
+	for _, x := range elems {
+		if !g.Contains(x) {
+			return nil, fmt.Errorf("bench: Contains rejects a group element")
+		}
+	}
+	addPair("membership (x/P) = 1", "math/big.Jacobi", "Contains (word-batched kernel)", len(elems), jacD, time.Since(conStart))
 
 	return t, nil
 }

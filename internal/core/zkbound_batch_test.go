@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/big"
+	"reflect"
 	"testing"
 
 	"prever/internal/commit"
@@ -173,5 +175,61 @@ func TestSubmitGroupedPropagatesError(t *testing.T) {
 	}
 	if !rs[0].Accepted || !rs[2].Accepted {
 		t.Fatalf("healthy group's receipts lost: %+v", rs)
+	}
+}
+
+// TestZKBatchEqualsSequentialOnNonMembers: SubmitZKBatch must be
+// indistinguishable from per-update SubmitZK when an update carries an
+// element outside the subgroup. In a group of 8 honest updates one
+// element at a time — the update's commitment, a bit commitment, an A0,
+// an A1, on either side of the bound proof — is replaced by its
+// negation P − x, the small-order twist the membership checks exist to
+// stop (an RLC fold with an even coefficient would not notice it).
+// Receipts, the operational error, the running commitment and the
+// ledger must match at every position.
+func TestZKBatchEqualsSequentialOnNonMembers(t *testing.T) {
+	params := commit.NewParams(group.TestGroup())
+	negate := func(x **big.Int) { *x = new(big.Int).Sub(params.Group.P, *x) }
+	twists := map[string]func(u *ZKUpdate){
+		"u.C":          func(u *ZKUpdate) { negate(&u.C.C) },
+		"low.Bits[0]":  func(u *ZKUpdate) { negate(&u.Proof.Low.Bits[0].C) },
+		"high.Bits[3]": func(u *ZKUpdate) { negate(&u.Proof.High.Bits[3].C) },
+		"low.A0":       func(u *ZKUpdate) { negate(&u.Proof.Low.BitProofs[2].A0) },
+		"high.A1":      func(u *ZKUpdate) { negate(&u.Proof.High.BitProofs[1].A1) },
+	}
+	const n = 8
+	for name, twist := range twists {
+		for _, pos := range []int{0, 3, n - 1} {
+			t.Run(fmt.Sprintf("%s@%d", name, pos), func(t *testing.T) {
+				batch, owner := newZKBatchFixture(t, 1000)
+				seq, _ := newZKBatchFixture(t, 1000)
+				us := produceZK(t, owner, "g", n, 7)
+				twist(&us[pos])
+				rsBatch, errBatch := batch.SubmitZKBatch(us)
+				rsSeq, errSeq := SubmitSequential(seq.SubmitZK, us)
+				if fmt.Sprint(errBatch) != fmt.Sprint(errSeq) {
+					t.Fatalf("errors differ: batch %v, sequential %v", errBatch, errSeq)
+				}
+				if !reflect.DeepEqual(rsBatch, rsSeq) {
+					t.Fatalf("receipts differ:\nbatch      %+v\nsequential %+v", rsBatch, rsSeq)
+				}
+				if rsSeq[pos].Accepted {
+					t.Fatalf("update %d accepted with a twisted %s", pos, name)
+				}
+				if !batch.Running("g").Equal(seq.Running("g")) {
+					t.Fatal("running commitments differ")
+				}
+				eb, es := batch.Ledger().Export(), seq.Ledger().Export()
+				if len(eb) != len(es) {
+					t.Fatalf("ledger sizes differ: batch %d, sequential %d", len(eb), len(es))
+				}
+				for i := range eb {
+					if eb[i].Key != es[i].Key || !bytes.Equal(eb[i].Value, es[i].Value) ||
+						eb[i].Author != es[i].Author || eb[i].TxID != es[i].TxID {
+						t.Fatalf("ledger entry %d differs: batch %+v, sequential %+v", i, eb[i], es[i])
+					}
+				}
+			})
+		}
 	}
 }

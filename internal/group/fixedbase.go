@@ -8,8 +8,10 @@ import (
 // FixedBase precomputes window tables for exponentiations with a fixed
 // base (the commitment generators g and h are used thousands of times per
 // proof). With 4-bit windows, an exponentiation becomes ~q.BitLen()/4
-// modular multiplications with no squarings — typically 3–5× faster than
-// big.Int.Exp for repeated bases.
+// modular multiplications with no squarings — 2–3× faster than
+// big.Int.Exp for repeated bases (measured 2.9× at MODP2048, 1.44 ms
+// against 4.14 ms: big.Int.Exp multiplies in Montgomery form, which
+// Group.Mul's multiply-then-reduce cannot match per multiplication).
 type FixedBase struct {
 	g      *Group
 	tables [][16]*big.Int // tables[w][d] = base^(d << (4*w)) mod P

@@ -5,13 +5,22 @@ import (
 	"math/big"
 )
 
+// multiExpWindow is the sliding-window width of MultiExp: digits are
+// the odd values below 2^multiExpWindow, so each base carries a table
+// of 2^(multiExpWindow-1) = 8 odd powers.
+const multiExpWindow = 4
+
 // MultiExp computes the simultaneous product Π bases[i]^exps[i] mod P
-// using Straus's interleaved windowed method: one 16-entry table per
-// base (4-bit windows, matching FixedBase), with the window squarings
-// shared across every base. For n terms of b-bit exponents the cost is
-// ~b squarings + n·(b/4)·(15/16) multiplications, versus n·(b + b/2)
-// for n independent big.Int.Exp calls — the amortization that makes
-// batch Σ-proof verification pay off.
+// using Straus's interleaved method with sliding windows: each exponent
+// is cut into odd 4-bit digits separated by runs of zeros (one digit
+// per ~5 bits on average), each base carries an 8-entry table of its
+// odd powers b, b³, …, b¹⁵ (one squaring and seven multiplications),
+// and the squarings between digits are shared across every base. For n
+// terms of b-bit exponents the cost is ~b squarings + n·(8 + b/5)
+// multiplications — 34 per 128-bit term — versus n·(b + b/2) for n
+// independent big.Int.Exp calls: the amortization that makes batch
+// Σ-proof verification pay off. The main loop reuses three big.Ints,
+// so it allocates nothing per multiplication.
 //
 // Exponents are reduced mod Q (negative exponents are interpreted mod
 // Q, as in Exp). Bases are reduced mod P. Terms with a zero exponent
@@ -20,12 +29,10 @@ func (g *Group) MultiExp(bases, exps []*big.Int) (*big.Int, error) {
 	if len(bases) != len(exps) {
 		return nil, errors.New("group: multiexp length mismatch")
 	}
-	type term struct {
-		words []big.Word   // exponent limbs, reduced mod Q
-		table [16]*big.Int // table[d] = base^d mod P (table[0] unused)
-	}
-	terms := make([]term, 0, len(bases))
-	maxBits := 0
+	// byPos[p] lists the table entries to multiply in once the shared
+	// accumulator stands at bit p of the exponents.
+	var byPos [][]*big.Int
+	var prod, quo big.Int // scratch: product before reduction, quotient
 	for i := range bases {
 		if bases[i] == nil || exps[i] == nil {
 			return nil, errors.New("group: nil multiexp term")
@@ -34,32 +41,40 @@ func (g *Group) MultiExp(bases, exps []*big.Int) (*big.Int, error) {
 		if e.Sign() == 0 {
 			continue
 		}
-		b := new(big.Int).Mod(bases[i], g.P)
-		t := term{words: e.Bits()}
-		t.table[1] = b
-		for d := 2; d < 16; d++ {
-			t.table[d] = g.Mul(t.table[d-1], b)
+		if n := e.BitLen(); n > len(byPos) {
+			byPos = append(byPos, make([][]*big.Int, n-len(byPos))...)
 		}
-		if bl := e.BitLen(); bl > maxBits {
-			maxBits = bl
+		// table[k] = base^(2k+1) mod P.
+		var table [1 << (multiExpWindow - 1)]*big.Int
+		table[0] = new(big.Int).Mod(bases[i], g.P)
+		sq := g.Mul(table[0], table[0])
+		for k := 1; k < len(table); k++ {
+			table[k] = g.Mul(table[k-1], sq)
 		}
-		terms = append(terms, t)
+		// Right-to-left sliding windows: skip zero bits; at a one bit
+		// take the next multiExpWindow bits as an odd digit.
+		for p := 0; p < e.BitLen(); {
+			if e.Bit(p) == 0 {
+				p++
+				continue
+			}
+			d := uint(0)
+			for b := multiExpWindow - 1; b >= 0; b-- {
+				d = d<<1 | e.Bit(p+b)
+			}
+			byPos[p] = append(byPos[p], table[d>>1])
+			p += multiExpWindow
+		}
 	}
 	result := big.NewInt(1)
-	if len(terms) == 0 {
-		return result, nil
-	}
-	windows := (maxBits + windowBits - 1) / windowBits
-	for w := windows - 1; w >= 0; w-- {
-		if w != windows-1 {
-			for s := 0; s < windowBits; s++ {
-				result = g.Mul(result, result)
-			}
+	for p := len(byPos) - 1; p >= 0; p-- {
+		if p != len(byPos)-1 {
+			prod.Mul(result, result)
+			quo.QuoRem(&prod, g.P, result)
 		}
-		for _, t := range terms {
-			if d := nibbleAt(t.words, w); d != 0 {
-				result = g.Mul(result, t.table[d])
-			}
+		for _, t := range byPos[p] {
+			prod.Mul(result, t)
+			quo.QuoRem(&prod, g.P, result)
 		}
 	}
 	return result, nil

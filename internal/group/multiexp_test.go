@@ -69,42 +69,86 @@ func TestMultiExpErrors(t *testing.T) {
 	}
 }
 
-// TestMultiExpMatchesNaive fuzzes MultiExp against independent Exp
-// products: random term counts, random elements, and exponents drawn
-// from a range deliberately wider than [0, Q) so reduction is exercised.
+// TestMultiExpMatchesNaive compares MultiExp with independent Exp
+// products. "reduce" fuzzes the small group with random term counts and
+// exponents drawn from a range deliberately wider than [0, Q), so
+// reduction is exercised. "shapes" runs MODP2048 at 1, 2, 3 and 300
+// terms with the exponent widths the verifiers fold (128-bit
+// coefficients, 257-bit coefficient·challenge sums) next to 1-bit and
+// full-width ones — windows that start, end and straddle every limb
+// boundary — with zero and negative exponents, repeated bases, and
+// bases that are arbitrary residues rather than subgroup members.
 func TestMultiExpMatchesNaive(t *testing.T) {
-	g := TestGroup()
-	wide := new(big.Int).Lsh(g.Q, 2) // exponents in [-4Q, 4Q)
-	f := func(seed int64, n uint8) bool {
-		k := int(n%9) + 1
-		bases := make([]*big.Int, k)
-		exps := make([]*big.Int, k)
-		for i := 0; i < k; i++ {
-			b, err := g.RandElement(rand.Reader)
+	t.Run("reduce", func(t *testing.T) {
+		g := TestGroup()
+		wide := new(big.Int).Lsh(g.Q, 2) // exponents in [-4Q, 4Q)
+		f := func(seed int64, n uint8) bool {
+			k := int(n%9) + 1
+			bases := make([]*big.Int, k)
+			exps := make([]*big.Int, k)
+			for i := 0; i < k; i++ {
+				b, err := g.RandElement(rand.Reader)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e, err := rand.Int(rand.Reader, wide)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if seed&(1<<uint(i)) != 0 {
+					e.Neg(e)
+				}
+				if i == 0 && n%3 == 0 {
+					e.SetInt64(0) // force a zero-exponent term regularly
+				}
+				bases[i], exps[i] = b, e
+			}
+			got, err := g.MultiExp(bases, exps)
 			if err != nil {
 				t.Fatal(err)
 			}
-			e, err := rand.Int(rand.Reader, wide)
+			return got.Cmp(naiveMultiExp(g, bases, exps)) == 0
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+			t.Error(err)
+		}
+	})
+	t.Run("shapes", func(t *testing.T) {
+		g := MODP2048()
+		widths := []uint{1, 128, 257, 2047}
+		for _, n := range []int{1, 2, 3, 300} {
+			bases := make([]*big.Int, n)
+			exps := make([]*big.Int, n)
+			for i := range bases {
+				b, err := rand.Int(rand.Reader, g.P)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w := widths[i%len(widths)]
+				e, err := rand.Int(rand.Reader, new(big.Int).Lsh(one, w))
+				if err != nil {
+					t.Fatal(err)
+				}
+				e.SetBit(e, int(w)-1, 1) // exactly w bits
+				switch i % 11 {
+				case 5:
+					e.SetInt64(0)
+				case 7:
+					e.Neg(e)
+				case 9:
+					b = bases[i-1] // same base twice in a row
+				}
+				bases[i], exps[i] = b, e
+			}
+			got, err := g.MultiExp(bases, exps)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if seed&(1<<uint(i)) != 0 {
-				e.Neg(e)
+			if got.Cmp(naiveMultiExp(g, bases, exps)) != 0 {
+				t.Errorf("%d terms: MultiExp disagrees with the product of Exps", n)
 			}
-			if i == 0 && n%3 == 0 {
-				e.SetInt64(0) // force a zero-exponent term regularly
-			}
-			bases[i], exps[i] = b, e
 		}
-		got, err := g.MultiExp(bases, exps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got.Cmp(naiveMultiExp(g, bases, exps)) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
+	})
 }
 
 // TestMultiExpSingleTermMatchesExp: a 1-term multi-exp is exactly Exp.
@@ -135,6 +179,37 @@ func BenchmarkMultiExp64(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := g.MultiExp(bases, exps); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMultiExpBitFold288 is the fold engine_zk actually runs: one
+// group of 8 bound proofs at bound 40 is 8·2·6 = 96 bit proofs, each
+// contributing A0^ρ, A1^σ (128-bit coefficients) and C^(ρ·c0+σ·c1)
+// (257 bits) — 288 terms.
+func BenchmarkMultiExpBitFold288(b *testing.B) {
+	g := MODP2048()
+	bases := make([]*big.Int, 288)
+	exps := make([]*big.Int, 288)
+	for i := range bases {
+		x, err := rand.Int(rand.Reader, g.P)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bases[i] = g.Mul(x, x)
+		width := uint(128)
+		if i%3 == 2 {
+			width = 257
+		}
+		if exps[i], err = rand.Int(rand.Reader, new(big.Int).Lsh(one, width)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := g.MultiExp(bases, exps); err != nil {

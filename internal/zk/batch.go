@@ -160,15 +160,42 @@ func VerifyOpeningBatch(p *commit.Params, cs []commit.Commitment, prs []OpeningP
 // inverses). The challenge split c0 XOR c1 == H(ctx, C, A0, A1) is a
 // scalar identity, checked directly per proof before folding.
 func VerifyBitBatch(p *commit.Params, cs []commit.Commitment, prs []BitProof, ctxs []string, rng io.Reader) ([]error, error) {
-	n := len(prs)
-	if len(cs) != n || len(ctxs) != n {
+	if len(cs) != len(prs) || len(ctxs) != len(prs) {
 		return nil, errBatchLength
 	}
+	errs := checkMembers(p.Group, cs)
+	if err := verifyBitBatch(p, cs, prs, ctxs, rng, errs); err != nil {
+		return nil, err
+	}
+	return errs, nil
+}
+
+// checkMembers runs the subgroup membership pre-check on every
+// commitment of a batch and returns the per-proof error slots with the
+// non-members already marked. The unexported verifiers below take these
+// slots: a nil slot means "cs[i] has passed Contains", a non-nil slot is
+// skipped, so a commitment checked by an outer batch is not checked
+// again by the batch it is flattened into.
+func checkMembers(g *group.Group, cs []commit.Commitment) []error {
+	errs := make([]error, len(cs))
+	for i := range cs {
+		if cs[i].C == nil || !g.Contains(cs[i].C) {
+			errs[i] = ErrInvalidProof
+		}
+	}
+	return errs
+}
+
+// verifyBitBatch is VerifyBitBatch over already-checked commitments
+// (see checkMembers); it fills the remaining slots of errs.
+func verifyBitBatch(p *commit.Params, cs []commit.Commitment, prs []BitProof, ctxs []string, rng io.Reader, errs []error) error {
 	g := p.Group
-	errs := make([]error, n)
-	live := make([]int, 0, n)
+	live := make([]int, 0, len(prs))
 	for i := range prs {
-		if cs[i].C == nil || !g.Contains(cs[i].C) || bitShapeCheck(p, prs[i]) != nil {
+		if errs[i] != nil {
+			continue
+		}
+		if bitShapeCheck(p, prs[i]) != nil {
 			errs[i] = ErrInvalidProof
 			continue
 		}
@@ -208,10 +235,7 @@ func VerifyBitBatch(p *commit.Params, cs []commit.Commitment, prs []BitProof, ct
 		return ct.BigEqual(lhs, rhs), nil
 	}
 	single := func(i int) error { return VerifyBit(p, cs[i], prs[i], ctxs[i]) }
-	if err := batchCheck(live, errs, folded, single); err != nil {
-		return nil, err
-	}
-	return errs, nil
+	return batchCheck(live, errs, folded, single)
 }
 
 // VerifyRangeBatch checks N range proofs. The recomposition identity
@@ -221,19 +245,31 @@ func VerifyBitBatch(p *commit.Params, cs []commit.Commitment, prs []BitProof, ct
 // batch flatten into a single folded bit check (N·nBits statements, one
 // multi-exp).
 func VerifyRangeBatch(p *commit.Params, cs []commit.Commitment, nBits int, prs []RangeProof, ctxs []string, rng io.Reader) ([]error, error) {
-	n := len(prs)
-	if len(cs) != n || len(ctxs) != n {
+	if len(cs) != len(prs) || len(ctxs) != len(prs) {
 		return nil, errBatchLength
 	}
+	errs := checkMembers(p.Group, cs)
+	if err := verifyRangeBatch(p, cs, nBits, prs, ctxs, rng, errs); err != nil {
+		return nil, err
+	}
+	return errs, nil
+}
+
+// verifyRangeBatch is VerifyRangeBatch over already-checked commitments
+// (see checkMembers); it fills the remaining slots of errs. The bit
+// commitments it checks here go to verifyBitBatch as checked.
+func verifyRangeBatch(p *commit.Params, cs []commit.Commitment, nBits int, prs []RangeProof, ctxs []string, rng io.Reader, errs []error) error {
+	n := len(prs)
 	g := p.Group
-	errs := make([]error, n)
 	bitCs := make([]commit.Commitment, 0, n*nBits)
 	bitPrs := make([]BitProof, 0, n*nBits)
 	bitCtxs := make([]string, 0, n*nBits)
 	owner := make([]int, 0, n*nBits)
 	for i := range prs {
-		if nBits < 1 || nBits > 128 || len(prs[i].Bits) != nBits || len(prs[i].BitProofs) != nBits ||
-			cs[i].C == nil || !g.Contains(cs[i].C) {
+		if errs[i] != nil {
+			continue
+		}
+		if nBits < 1 || nBits > 128 || len(prs[i].Bits) != nBits || len(prs[i].BitProofs) != nBits {
 			errs[i] = ErrInvalidProof
 			continue
 		}
@@ -259,16 +295,16 @@ func VerifyRangeBatch(p *commit.Params, cs []commit.Commitment, nBits int, prs [
 			owner = append(owner, i)
 		}
 	}
-	bitErrs, err := VerifyBitBatch(p, bitCs, bitPrs, bitCtxs, rng)
-	if err != nil {
-		return nil, err
+	bitErrs := make([]error, len(bitCs))
+	if err := verifyBitBatch(p, bitCs, bitPrs, bitCtxs, rng, bitErrs); err != nil {
+		return err
 	}
 	for k, e := range bitErrs {
-		if e != nil && errs[owner[k]] == nil {
+		if e != nil {
 			errs[owner[k]] = ErrInvalidProof
 		}
 	}
-	return errs, nil
+	return nil
 }
 
 // VerifyBoundBatch checks N bound proofs (0 <= v_i <= bound). Each
@@ -299,13 +335,18 @@ func VerifyBoundBatch(p *commit.Params, cs []commit.Commitment, bound *big.Int, 
 			errs[i] = ErrInvalidProof
 			continue
 		}
+		high := p.Sub(cB, cs[i])
+		if !g.Contains(high.C) {
+			errs[i] = ErrInvalidProof
+			continue
+		}
 		live = append(live, i)
-		rCs = append(rCs, cs[i], p.Sub(cB, cs[i]))
+		rCs = append(rCs, cs[i], high)
 		rPrs = append(rPrs, prs[i].Low, prs[i].High)
 		rCtxs = append(rCtxs, ctxs[i]+"/low", ctxs[i]+"/high")
 	}
-	rErrs, err := VerifyRangeBatch(p, rCs, width, rPrs, rCtxs, rng)
-	if err != nil {
+	rErrs := make([]error, len(rCs))
+	if err := verifyRangeBatch(p, rCs, width, rPrs, rCtxs, rng, rErrs); err != nil {
 		return nil, err
 	}
 	for k, i := range live {

@@ -1,0 +1,221 @@
+package zk
+
+import (
+	"errors"
+	"math/big"
+	"testing"
+
+	"prever/internal/commit"
+)
+
+// negate returns P − x: x times the order-2 element. It satisfies every
+// equation x does up to a sign that an even exponent erases, which is
+// exactly what the membership pre-checks exist to stop.
+func negate(p *commit.Params, x *big.Int) *big.Int {
+	return new(big.Int).Sub(p.Group.P, x)
+}
+
+// makeBitBatch produces n honest (commitment, bit proof, ctx) triples:
+// the single bit of a width-1 range proof.
+func makeBitBatch(t *testing.T, p *commit.Params, n int) ([]commit.Commitment, []BitProof, []string) {
+	t.Helper()
+	_, rprs, ctxs := makeRangeBatch(t, p, n, 1)
+	cs := make([]commit.Commitment, n)
+	prs := make([]BitProof, n)
+	for i := range rprs {
+		cs[i], prs[i], ctxs[i] = rprs[i].Bits[0], rprs[i].BitProofs[0], ctxs[i]+"/bit0"
+	}
+	return cs, prs, ctxs
+}
+
+// TestVerifyEqualRejectsNonMembers: VerifyEqual divides one commitment
+// by the other, so a commitment with no inverse (0, P) used to reach a
+// nil dereference inside group.Div, and a twisted one (P − c) has a
+// quotient outside the subgroup. All are invalid proofs, not panics.
+func TestVerifyEqualRejectsNonMembers(t *testing.T) {
+	p := params()
+	c1, o1, _ := p.CommitInt(77, nil)
+	c2, o2, _ := p.CommitInt(77, nil)
+	pr, err := ProveEqual(p, c1, c2, o1, o2, "ctx", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := map[string]func(c *big.Int) *big.Int{
+		"zero":    func(*big.Int) *big.Int { return big.NewInt(0) },
+		"P":       func(*big.Int) *big.Int { return new(big.Int).Set(p.Group.P) },
+		"twisted": func(c *big.Int) *big.Int { return negate(p, c) },
+	}
+	for name, f := range bad {
+		if err := VerifyEqual(p, commit.Commitment{C: f(c1.C)}, c2, pr, "ctx"); !errors.Is(err, ErrInvalidProof) {
+			t.Errorf("c1 = %s: err = %v, want ErrInvalidProof", name, err)
+		}
+		if err := VerifyEqual(p, c1, commit.Commitment{C: f(c2.C)}, pr, "ctx"); !errors.Is(err, ErrInvalidProof) {
+			t.Errorf("c2 = %s: err = %v, want ErrInvalidProof", name, err)
+		}
+	}
+}
+
+// TestBatchEntryPointsCheckEveryElement: the exported batch verifiers
+// reject a proof with any one group element replaced by its negation,
+// whichever layer of the flattening holds it, and blame exactly that
+// proof, as the sequential verifier does. (A plain substitution also
+// breaks the Fiat–Shamir hash, so this pins batch ≡ sequential, not the
+// membership checks themselves; TestBatchRejectsTwistedProofs does that.)
+func TestBatchEntryPointsCheckEveryElement(t *testing.T) {
+	p := params()
+	const n, bad = 4, 2
+
+	t.Run("bit", func(t *testing.T) {
+		for _, twist := range []func(c *commit.Commitment, pr *BitProof){
+			func(c *commit.Commitment, _ *BitProof) { c.C = negate(p, c.C) },
+			func(_ *commit.Commitment, pr *BitProof) { pr.A0 = negate(p, pr.A0) },
+			func(_ *commit.Commitment, pr *BitProof) { pr.A1 = negate(p, pr.A1) },
+		} {
+			cs, prs, ctxs := makeBitBatch(t, p, n)
+			twist(&cs[bad], &prs[bad])
+			errs, err := VerifyBitBatch(p, cs, prs, ctxs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertBatchErrs(t, errs, map[int]bool{bad: true})
+			if VerifyBit(p, cs[bad], prs[bad], ctxs[bad]) == nil {
+				t.Error("sequential VerifyBit accepted the twisted proof")
+			}
+		}
+	})
+
+	twistRange := []func(c *commit.Commitment, pr *RangeProof){
+		func(c *commit.Commitment, _ *RangeProof) { c.C = negate(p, c.C) },
+		func(_ *commit.Commitment, pr *RangeProof) { pr.Bits[1].C = negate(p, pr.Bits[1].C) },
+		func(_ *commit.Commitment, pr *RangeProof) { pr.BitProofs[0].A0 = negate(p, pr.BitProofs[0].A0) },
+		func(_ *commit.Commitment, pr *RangeProof) { pr.BitProofs[2].A1 = negate(p, pr.BitProofs[2].A1) },
+	}
+	t.Run("range", func(t *testing.T) {
+		for _, twist := range twistRange {
+			cs, prs, ctxs := makeRangeBatch(t, p, n, 3)
+			twist(&cs[bad], &prs[bad])
+			errs, err := VerifyRangeBatch(p, cs, 3, prs, ctxs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertBatchErrs(t, errs, map[int]bool{bad: true})
+			if VerifyRange(p, cs[bad], 3, prs[bad], ctxs[bad]) == nil {
+				t.Error("sequential VerifyRange accepted the twisted proof")
+			}
+		}
+	})
+
+	t.Run("bound", func(t *testing.T) {
+		bound := big.NewInt(5)
+		for _, side := range []func(pr *BoundProof) *RangeProof{
+			func(pr *BoundProof) *RangeProof { return &pr.Low },
+			func(pr *BoundProof) *RangeProof { return &pr.High },
+		} {
+			for _, twist := range twistRange {
+				cs, prs, ctxs := makeBoundBatch(t, p, n, 5)
+				twist(&cs[bad], side(&prs[bad]))
+				errs, err := VerifyBoundBatch(p, cs, bound, prs, ctxs, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertBatchErrs(t, errs, map[int]bool{bad: true})
+				if VerifyBound(p, cs[bad], bound, prs[bad], ctxs[bad]) == nil {
+					t.Error("sequential VerifyBound accepted the twisted proof")
+				}
+			}
+		}
+	})
+}
+
+// twistedBitProof is a cheating prover: it commits to 0 as C = h^r and
+// runs ProveBit's protocol, but negates one of C, A0, A1 BEFORE the
+// Fiat–Shamir hash, so the challenge split and all scalars are
+// consistent with the twisted element and both verification equations
+// hold up to a factor of −1. Only a membership check rejects such a
+// proof for certain: a fold raises the −1 to a random exponent and
+// misses it whenever that exponent is even.
+func twistedBitProof(t *testing.T, p *commit.Params, ctx, which string) (commit.Commitment, BitProof) {
+	t.Helper()
+	g := p.Group
+	scalar := func() *big.Int {
+		v, err := g.RandScalar(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	r, k, simZ := scalar(), scalar(), scalar()
+	simC, err := randChallenge(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := commit.Commitment{C: p.ExpH(r)}
+	if which == "C" {
+		c.C = negate(p, c.C)
+	}
+	y1 := g.Mul(c.C, p.GInv())
+	pr := BitProof{
+		A0: p.ExpH(k),
+		A1: g.Mul(p.ExpH(simZ), g.Exp(y1, new(big.Int).Neg(simC))),
+		C1: simC, Z1: simZ,
+	}
+	switch which {
+	case "A0":
+		pr.A0 = negate(p, pr.A0)
+	case "A1":
+		pr.A1 = negate(p, pr.A1)
+	}
+	pr.C0 = new(big.Int).Xor(bitChallenge(p, c, pr.A0, pr.A1, ctx), simC)
+	pr.Z0 = new(big.Int).Mul(pr.C0, r)
+	pr.Z0.Add(pr.Z0, k).Mod(pr.Z0, g.Q)
+	return c, pr
+}
+
+// TestBatchRejectsTwistedProofs: proofs built around a negated element
+// are rejected on every attempt — by VerifyBitBatch for a twisted C, A0
+// or A1, and by VerifyRangeBatch for a twisted bit commitment, which
+// the range layer checks once and hands to the bit layer as checked
+// (its weight 2 squares the sign away, so recomposition cannot see it).
+func TestBatchRejectsTwistedProofs(t *testing.T) {
+	p := params()
+	const n, bad, attempts = 4, 1, 8
+
+	for _, which := range []string{"C", "A0", "A1"} {
+		cs, prs, ctxs := makeBitBatch(t, p, n)
+		cs[bad], prs[bad] = twistedBitProof(t, p, ctxs[bad], which)
+		for a := 0; a < attempts; a++ {
+			errs, err := VerifyBitBatch(p, cs, prs, ctxs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertBatchErrs(t, errs, map[int]bool{bad: true})
+		}
+	}
+
+	// A 2-bit range proof of 0 whose bit 1 is twisted: C = B0 · B1².
+	cs, prs, ctxs := makeRangeBatch(t, p, n, 2)
+	b0, o0, err := p.CommitInt(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr0, err := ProveBit(p, b0, o0, ctxs[bad]+"/bit0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b1, pr1 := twistedBitProof(t, p, ctxs[bad]+"/bit1", "C")
+	cs[bad] = commit.Commitment{C: p.Group.Mul(b0.C, p.Group.Mul(b1.C, b1.C))}
+	prs[bad] = RangeProof{Bits: []commit.Commitment{b0, b1}, BitProofs: []BitProof{pr0, pr1}}
+	if !p.Group.Contains(cs[bad].C) {
+		t.Fatal("test setup: the recomposed commitment should be a member")
+	}
+	for a := 0; a < attempts; a++ {
+		errs, err := VerifyRangeBatch(p, cs, 2, prs, ctxs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBatchErrs(t, errs, map[int]bool{bad: true})
+	}
+	if VerifyRange(p, cs[bad], 2, prs[bad], ctxs[bad]) == nil {
+		t.Error("sequential VerifyRange accepted a twisted bit commitment")
+	}
+}

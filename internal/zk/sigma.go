@@ -212,9 +212,11 @@ func ProveEqual(p *commit.Params, c1, c2 commit.Commitment, o1, o2 commit.Openin
 	return EqualProof{Proof: pr}, nil
 }
 
-// VerifyEqual checks an equality proof.
+// VerifyEqual checks an equality proof. Both commitments must be group
+// members: the quotient statement only means something inside the
+// subgroup, and a non-invertible c2 (0, P) has no quotient at all.
 func VerifyEqual(p *commit.Params, c1, c2 commit.Commitment, pr EqualProof, ctx string) error {
-	if c1.C == nil || c2.C == nil {
+	if c1.C == nil || c2.C == nil || !p.Group.Contains(c1.C) || !p.Group.Contains(c2.C) {
 		return ErrInvalidProof
 	}
 	y := p.Group.Div(c1.C, c2.C)
