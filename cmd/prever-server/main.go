@@ -64,7 +64,7 @@ func run() error {
 	inflightFlag := flag.Int("inflight", defaults.MaxInFlight, "pipelined consensus instances")
 	capFlag := flag.Int("mempool-cap", defaults.MempoolCap, "mempool admission-control cap")
 	lanesFlag := flag.Int("lanes", defaults.Lanes, "key-hashed mempool lanes")
-	maxTxFlag := flag.Int("max-tx-bytes", defaults.MaxTxBytes, "per-transaction size limit (HTTP 413 beyond)")
+	maxTxFlag := flag.Int("max-tx-bytes", defaults.MaxTxBytes, "per-transaction size limit on the binary-encoded transaction, not its JSON request body (HTTP 413 beyond)")
 	dataFlag := flag.String("data", "", "data directory for crash durability (empty = in-memory)")
 	snapEveryFlag := flag.Uint64("snap-every", defaults.SnapshotEvery, "executed sequences between durable snapshots (with -data)")
 	flag.Parse()

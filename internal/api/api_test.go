@@ -196,6 +196,9 @@ func TestSentinelRoundTrip(t *testing.T) {
 	if statusOf(CodeInvalid) != http.StatusBadRequest || statusOf(CodeInternal) != http.StatusInternalServerError {
 		t.Fatal("invalid/internal status mapping wrong")
 	}
+	if got := codeOf(fmt.Errorf("wrapped: %w", chain.ErrTxTooDeep)); got != CodeInvalid {
+		t.Fatalf("codeOf(ErrTxTooDeep) = %s: a malformed transaction is the client's error", got)
+	}
 }
 
 func TestDuplicateAckOverWire(t *testing.T) {
@@ -228,6 +231,20 @@ func TestTxTooLargeOverWire(t *testing.T) {
 	_, err := client.Submit(Tx{Kind: KindPut, Key: "big", Value: bytes.Repeat([]byte("x"), 2048)})
 	if !errors.Is(err, chain.ErrTxTooLarge) {
 		t.Fatalf("err = %v, want chain.ErrTxTooLarge", err)
+	}
+	// The bound is on the binary encoding the chain carries, not on the
+	// JSON body of the request: kind 1 + id 1+3 + collection 1 + key 1+1 +
+	// value 2+200 + hash 1 + xid 1 + writes 1 = 213 bytes for this put
+	// (its JSON is over 300). At the limit it commits; one value byte
+	// more is a 413.
+	conf.SetMaxTxBytes(213)
+	if _, err := client.Submit(Tx{ID: "fit", Kind: KindPut, Key: "k", Value: bytes.Repeat([]byte("x"), 200)}); err != nil {
+		t.Fatalf("a transaction of exactly MaxTxBytes: %v", err)
+	}
+	_, err = client.Submit(Tx{ID: "big", Kind: KindPut, Key: "k", Value: bytes.Repeat([]byte("x"), 201)})
+	var we *WireError
+	if !errors.As(err, &we) || we.Code != CodeTxTooLarge {
+		t.Fatalf("one byte over MaxTxBytes: %v, want code %q (HTTP 413)", err, CodeTxTooLarge)
 	}
 }
 

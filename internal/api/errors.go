@@ -45,6 +45,8 @@ func codeOf(err error) string {
 		return CodeShardDown
 	case errors.Is(err, chain.ErrTxTooLarge):
 		return CodeTxTooLarge
+	case errors.Is(err, chain.ErrTxTooDeep):
+		return CodeInvalid
 	default:
 		return CodeInternal
 	}

@@ -14,7 +14,6 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -65,21 +64,19 @@ type Block struct {
 	Hash     [32]byte `json:"hash"`
 }
 
-func txBytes(tx Tx) []byte {
-	b, err := json.Marshal(tx)
-	if err != nil {
-		panic(fmt.Sprintf("chain: marshal tx: %v", err))
+// txTree builds the Merkle tree over the transactions' encodings (see
+// codec.go), the leaves a block's TxRoot commits to.
+func txTree(txs []Tx) *merkle.Tree {
+	t := merkle.New()
+	var buf []byte
+	for i := range txs {
+		buf = appendTx(buf[:0], &txs[i])
+		t.Append(buf)
 	}
-	return b
+	return t
 }
 
-func txRoot(txs []Tx) [32]byte {
-	t := merkle.New()
-	for _, tx := range txs {
-		t.Append(txBytes(tx))
-	}
-	return [32]byte(t.Root())
-}
+func txRoot(txs []Tx) [32]byte { return [32]byte(txTree(txs).Root()) }
 
 func blockHash(b *Block) [32]byte {
 	h := sha256.New()
@@ -286,11 +283,7 @@ func (p *Peer) ProveTx(height uint64, txIdx int) (merkle.InclusionProof, Tx, err
 	if txIdx < 0 || txIdx >= len(blk.Txs) {
 		return merkle.InclusionProof{}, Tx{}, fmt.Errorf("chain: tx index %d out of range", txIdx)
 	}
-	t := merkle.New()
-	for _, tx := range blk.Txs {
-		t.Append(txBytes(tx))
-	}
-	proof, err := t.ProveInclusion(txIdx, len(blk.Txs))
+	proof, err := txTree(blk.Txs).ProveInclusion(txIdx, len(blk.Txs))
 	if err != nil {
 		return merkle.InclusionProof{}, Tx{}, err
 	}
@@ -371,16 +364,33 @@ func NewShard(net *netsim.Network, cfg ShardConfig) (*Shard, error) {
 		s.peers = append(s.peers, peer)
 		applier := func(_ uint64, batch []pbft.Request) {
 			var txs []Tx
+			undecodable := 0
 			for _, req := range batch {
 				// Every request the shard's client submits is one framed
 				// mempool batch; fan it back out into its transactions.
-				ops, _ := mempool.DecodeBatch(req.Op)
-				for _, op := range ops {
-					var tx Tx
-					if json.Unmarshal(op, &tx) == nil {
-						txs = append(txs, tx)
-					}
+				// Anything else that committed cannot be applied, and is
+				// counted rather than dropped unseen.
+				ops, ok := mempool.DecodeBatch(req.Op)
+				if !ok {
+					undecodable++
+					continue
 				}
+				if txs == nil {
+					txs = make([]Tx, 0, len(ops))
+				}
+				for _, op := range ops {
+					tx, err := decodeTx(op)
+					if err != nil {
+						undecodable++
+						continue
+					}
+					txs = append(txs, tx)
+				}
+			}
+			if undecodable > 0 {
+				s.statsMu.Lock()
+				s.stats.Undecodable += int64(undecodable)
+				s.statsMu.Unlock()
 			}
 			if len(txs) > 0 {
 				peer.applyBatch(txs)

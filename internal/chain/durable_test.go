@@ -1,11 +1,20 @@
 package chain
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"prever/internal/netsim"
+	"prever/internal/wal"
 )
 
 func durableShardCfg(dir string) ShardConfig {
@@ -106,4 +115,71 @@ func waitHeights(t *testing.T, s *Shard) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatal("peers did not converge on one height")
+}
+
+// TestOldFormatDirectoryRefused lays a data directory out by hand the way
+// binaries before the FORMAT stamp wrote it — JSON journal records
+// holding a pbB1 frame of JSON transactions, a v1 snapshot, no stamp —
+// and checks NewShard refuses it by name and leaves every byte alone.
+// Opening it would replay frames this binary's decoder rejects: an empty
+// chain, silently.
+func TestOldFormatDirectoryRefused(t *testing.T) {
+	dir := t.TempDir()
+	frame := func(payload string) []byte {
+		var hdr [8]byte
+		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum([]byte(payload), crc32.MakeTable(crc32.Castagnoli)))
+		return append(hdr[:], payload...)
+	}
+	// op is base64 of `pbB1["<base64 of {"id":"s0-tx-1","kind":1,"key":"k","value":"dg=="}>"]`.
+	const rec = `{"k":"ex","d":[1,2,3],"b":[{"client":"chain/s0/0a1b2c","seq":1,` +
+		`"op":"cGJCMVsiZXlKcFpDSTZJbk13TFhSNExURWlMQ0pyYVc1a0lqb3hMQ0pyWlhraU9pSnJJaXdpZG1Gc2RXVWlPaUprWnowOUluMD0iXQ=="}]}`
+	files := map[string][]byte{
+		"s0/peer0/seg-0000000000000001.wal": frame(rec),
+		"s0/peer1/seg-0000000000000001.wal": frame(rec),
+		"s0/peer1/snap-0000000000000001.snap": append(frame("\x02\x00\x00\x00\x00\x00\x00\x00"),
+			frame(`{"format":"prever/pbft/snap/v1","view":0,"execSeq":0,"stable":0}`)...),
+	}
+	for name, data := range files {
+		path := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	net := netsim.New(netsim.Config{})
+	defer net.Close()
+	_, err := NewShard(net, durableShardCfg(dir))
+	if !errors.Is(err, wal.ErrFormat) {
+		t.Fatalf("NewShard on a v1 directory: %v, want wal.ErrFormat", err)
+	}
+	for _, want := range []string{"unstamped", `reads "prever/pbft/data/v2"`, filepath.Join(dir, "s0", "peer0")} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not say %q", err, want)
+		}
+	}
+
+	found := 0
+	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		want, ok := files[filepath.ToSlash(rel)]
+		if !ok {
+			t.Errorf("refusal created %s", rel)
+			return nil
+		}
+		found++
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("refusal changed %s (%v)", rel, err)
+		}
+		return nil
+	})
+	if err != nil || found != len(files) {
+		t.Fatalf("walk: %v; %d of %d files left", err, found, len(files))
+	}
 }

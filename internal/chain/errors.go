@@ -26,6 +26,9 @@ var (
 	// ErrTxTooLarge reports that the encoded transaction exceeds the
 	// conf.MaxTxBytes bound (HTTP 413).
 	ErrTxTooLarge = errors.New("chain: transaction too large")
+	// ErrTxTooDeep reports that the transaction's Writes nest deeper than
+	// the codec's cap (HTTP 400).
+	ErrTxTooDeep = errors.New("chain: transaction writes nested too deep")
 )
 
 // sentinelErr lifts a mempool-level error onto the chain-level sentinel;

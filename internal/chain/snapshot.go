@@ -17,7 +17,7 @@ type peerSnapshot struct {
 	Blocks []Block `json:"blocks"`
 }
 
-const peerSnapFormat = "prever/chain/peer/v1"
+const peerSnapFormat = "prever/chain/peer/v2"
 
 // Snapshot encodes the peer's chain for a consensus-layer snapshot
 // (wal.Snapshotter). Private collection VALUES are not included: they

@@ -30,7 +30,7 @@ type Result struct {
 	// Err is nil once the transaction's batch committed. The typed
 	// sentinels in errors.go classify the failure: ErrPoolFull (back off
 	// and retry), ErrDuplicate (already committed — a success with a
-	// flag), ErrShardClosed, ErrTxTooLarge.
+	// flag), ErrShardClosed, ErrTxTooLarge, ErrTxTooDeep.
 	Err error
 }
 
@@ -54,6 +54,12 @@ type Stats struct {
 	// TotalCommitNanos accumulates wall time from submission to ack;
 	// divide by Accepted for the mean commit latency.
 	TotalCommitNanos int64 `json:"totalCommitNanos"`
+	// Undecodable counts committed requests that were not a decodable
+	// batch frame and framed ops that were not a decodable transaction,
+	// once per peer that met them: they cannot be applied, and a non-zero
+	// count means something other than this shard's client wrote into its
+	// consensus log.
+	Undecodable int64 `json:"undecodable"`
 	// Pool is the mempool snapshot (Depth, InFlight, dedup counters).
 	Pool mempool.PoolStats `json:"pool"`
 	// Batches is the proposed-batch histogram (size buckets, mean, max).
@@ -77,6 +83,7 @@ func (s *Stats) Merge(o Stats) {
 	s.Rejected += o.Rejected
 	s.Errors += o.Errors
 	s.TotalCommitNanos += o.TotalCommitNanos
+	s.Undecodable += o.Undecodable
 	s.Pool.Depth += o.Pool.Depth
 	s.Pool.InFlight += o.Pool.InFlight
 	s.Pool.Admitted += o.Pool.Admitted
@@ -119,13 +126,19 @@ func (s *Shard) SubmitAsync(tx Tx) <-chan Result {
 	s.stats.Submitted++
 	s.statsMu.Unlock()
 	data := txBytes(tx)
+	var err error
 	if max := conf.MaxTxBytes(); len(data) > max {
-		err := fmt.Errorf("%w: %d bytes (limit %d)", ErrTxTooLarge, len(data), max)
+		err = fmt.Errorf("%w: %d bytes (limit %d)", ErrTxTooLarge, len(data), max)
+	} else if d := writesDepth(&tx); d > maxWritesDepth {
+		// Every peer's decoder would refuse it after it committed.
+		err = fmt.Errorf("%w: %d levels (limit %d)", ErrTxTooDeep, d, maxWritesDepth)
+	}
+	if err != nil {
 		s.recordOutcome(start, err)
 		ch <- Result{TxID: id, Err: err}
 		return ch
 	}
-	err := s.pool.Add(mempool.Op{ID: id, Lane: laneOf(tx), Data: data}, func(err error) {
+	err = s.pool.Add(mempool.Op{ID: id, Lane: laneOf(tx), Data: data}, func(err error) {
 		err = sentinelErr(err)
 		s.recordOutcome(start, err)
 		ch <- Result{TxID: id, Err: err}
@@ -140,12 +153,14 @@ func (s *Shard) SubmitAsync(tx Tx) <-chan Result {
 
 // SubmitBatch admits transactions in order and waits for all of them,
 // returning results in input order. Transactions sharing a key keep their
-// relative order through consensus.
+// relative order through consensus. The caller is about to block, so the
+// pool is told not to linger over a partial batch while consensus is idle.
 func (s *Shard) SubmitBatch(txs []Tx) []Result {
 	chans := make([]<-chan Result, len(txs))
 	for i, tx := range txs {
 		chans[i] = s.SubmitAsync(tx)
 	}
+	s.pool.Flush()
 	out := make([]Result, len(txs))
 	for i, ch := range chans {
 		out[i] = <-ch
@@ -193,11 +208,18 @@ func (c *Sharded) Stats() Stats {
 }
 
 // SubmitBatch routes a batch of single-shard transactions to their home
-// shards and waits for all of them, returning results in input order.
+// shards and waits for all of them, returning results in input order. Like
+// Shard.SubmitBatch it does not linger in front of idle consensus.
 func (c *Sharded) SubmitBatch(txs []Tx) []Result {
 	chans := make([]<-chan Result, len(txs))
 	for i, tx := range txs {
 		chans[i] = c.ShardFor(tx.Key).SubmitAsync(tx)
+	}
+	// Every shard, not only the ones this batch touched: elsewhere there
+	// is nothing of ours queued, and cutting short another producer's
+	// linger costs at most some batch fill.
+	for _, s := range c.shards {
+		s.pool.Flush()
 	}
 	out := make([]Result, len(txs))
 	for i, ch := range chans {

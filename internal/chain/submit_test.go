@@ -172,6 +172,42 @@ func TestMempoolAdmissionControlRejects(t *testing.T) {
 	}
 }
 
+// A partial batch handed to an idle shard by SubmitBatch commits at once:
+// the flush interval is for filling batches while consensus is busy.
+func TestSubmitBatchDoesNotLingerWhenIdle(t *testing.T) {
+	net := netsim.New(netsim.Config{})
+	t.Cleanup(net.Close)
+	s, err := NewShard(net, ShardConfig{
+		Name:    "idle",
+		F:       1,
+		Timeout: 5 * time.Second,
+		Mempool: mempool.Config{BatchSize: 64, FlushInterval: time.Minute},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+	txs := make([]Tx, 16)
+	for i := range txs {
+		txs[i] = Tx{Kind: TxPut, Key: fmt.Sprintf("k%d", i), Value: []byte("v")}
+	}
+	done := make(chan []Result, 1)
+	go func() { done <- s.SubmitBatch(txs) }()
+	select {
+	case results := <-done:
+		for i, res := range results {
+			if res.Err != nil {
+				t.Fatalf("tx %d: %v", i, res.Err)
+			}
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("SubmitBatch waited out the flush interval on an idle shard")
+	}
+	if b := s.Stats().Batches; b.Batches != 1 || b.Ops != 16 {
+		t.Fatalf("proposed %d batches of %d ops in all, want one batch of 16", b.Batches, b.Ops)
+	}
+}
+
 // TestRetriedTxNotReproposed is the dup-suppression regression test: a
 // caller that resubmits the same transaction ID while the first copy is
 // pending (or just committed) must not get it proposed twice — under a

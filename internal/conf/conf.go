@@ -23,7 +23,8 @@ type Config struct {
 	// drains into one consensus instance.
 	BatchSize int
 	// FlushInterval is how long the batcher waits for a partial batch to
-	// fill before proposing it anyway. Zero proposes immediately.
+	// fill before proposing it anyway. Zero proposes immediately, and so
+	// does a batch submission that finds consensus idle (mempool.Pool.Flush).
 	FlushInterval time.Duration
 	// MaxInFlight is how many batched consensus instances may be
 	// pipelined concurrently (slots/sequence numbers assigned eagerly,
@@ -39,8 +40,9 @@ type Config struct {
 	// for duplicate suppression (retried ops inside the window are acked,
 	// not re-proposed). Entries survive between TTL and 2×TTL.
 	DedupTTL time.Duration
-	// MaxTxBytes bounds one encoded transaction on the submit path;
-	// larger submissions fail with chain.ErrTxTooLarge (HTTP 413 on the
+	// MaxTxBytes bounds one encoded transaction on the submit path — the
+	// binary encoding consensus carries (chain/codec.go: a 64-byte put is
+	// ~100 bytes), not the JSON of an HTTP request; larger submissions fail with chain.ErrTxTooLarge (HTTP 413 on the
 	// wire) instead of bloating consensus batches.
 	MaxTxBytes int
 	// SnapshotEvery is the executed-sequence cadence between durable

@@ -41,13 +41,47 @@ func errCriticalName(name string) bool {
 	return false
 }
 
+// isDecoderName matches the decoders at the trust boundaries (DecodeBatch,
+// decodeTx, decodePrePrepare, json's Decode, ...). Their last result —
+// an ok bool or an error — says whether the other results mean anything.
+func isDecoderName(name string) bool {
+	return strings.HasPrefix(name, "Decode") || strings.HasPrefix(name, "decode")
+}
+
+// decoderVerdict reports whether the call is to a decoder whose last
+// result is its verdict, and names that result's kind.
+func decoderVerdict(p *Package, call *ast.CallExpr) (string, bool) {
+	if !isDecoderName(calleeName(call)) {
+		return "", false
+	}
+	last := p.Info.TypeOf(call)
+	if tup, ok := last.(*types.Tuple); ok {
+		if tup.Len() == 0 {
+			return "", false
+		}
+		last = tup.At(tup.Len() - 1).Type()
+	}
+	switch {
+	case isErrorType(last):
+		return "error", true
+	case last != nil && last.String() == "bool":
+		return "ok", true
+	}
+	return "", false
+}
+
 // ErrIgnored reports calls to error-critical mutation methods whose error
 // result is silently discarded: a bare call statement, `defer x.Close()`,
 // or `go x.Submit(...)`. Assigning the error — including an explicit
 // `_ =`, which documents the decision at the call site — is accepted.
+//
+// Decoders are held to more: the verdict of a Decode*/decode* call (its
+// trailing ok or error) may not be dropped at all, not even into `_` —
+// `ops, _ := DecodeBatch(v)` goes on to use ops as if v had been a batch,
+// and input that is not one vanishes without a trace.
 var ErrIgnored = &Analyzer{
 	Name: "errignored",
-	Doc:  "discarded error from Submit/Close/store mutation calls",
+	Doc:  "discarded error from Submit/Close/store mutation calls; dropped ok/error of a decoder",
 	Run: func(p *Package) []Finding {
 		var out []Finding
 		check := func(call *ast.CallExpr, how string) {
@@ -61,12 +95,32 @@ var ErrIgnored = &Analyzer{
 			out = append(out, p.finding(call.Pos(), "errignored",
 				"%s of %s discards its error; assign and handle it (or discard explicitly with _ =)", how, name))
 		}
+		checkDecoder := func(call *ast.CallExpr, lhs []ast.Expr) {
+			verdict, ok := decoderVerdict(p, call)
+			if !ok {
+				return
+			}
+			if len(lhs) > 0 {
+				if id, ok := lhs[len(lhs)-1].(*ast.Ident); !ok || id.Name != "_" {
+					return
+				}
+			}
+			out = append(out, p.finding(call.Pos(), "errignored",
+				"%s result of %s is dropped; input that does not decode must be handled or counted", verdict, calleeName(call)))
+		}
 		for _, file := range p.Files {
 			ast.Inspect(file, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.ExprStmt:
 					if call, ok := n.X.(*ast.CallExpr); ok {
 						check(call, "call")
+						checkDecoder(call, nil)
+					}
+				case *ast.AssignStmt:
+					if len(n.Rhs) == 1 {
+						if call, ok := n.Rhs[0].(*ast.CallExpr); ok {
+							checkDecoder(call, n.Lhs)
+						}
 					}
 				case *ast.DeferStmt:
 					check(n.Call, "deferred call")

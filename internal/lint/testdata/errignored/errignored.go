@@ -156,3 +156,48 @@ func handlesBatchVerdicts(v verifier) error {
 func batchVoidLookalikes(g gauge) {
 	g.VerifyOpeningBatch(4)
 }
+
+// The decoders at the trust boundaries: the trailing ok or error is the
+// verdict on everything else they return.
+
+func DecodeBatch(v []byte) ([][]byte, bool) { return nil, false }
+func decodeTx(b []byte) (int, error)        { return 0, nil }
+
+type decoder struct{}
+
+func (decoder) Decode(v any) error { return nil }
+
+// decodeWidth has a decoder's name but no verdict to drop.
+func decodeWidth(b []byte) int { return len(b) }
+
+func dropsDecoderVerdict(d decoder, v []byte) int {
+	ops, _ := DecodeBatch(v) // want errignored
+	tx, _ := decodeTx(v)     // want errignored
+	_ = d.Decode(&tx)        // want errignored
+	DecodeBatch(v)           // want errignored
+	var n int
+	n, _ = decodeTx(v) // want errignored
+	return len(ops) + tx + n
+}
+
+func keepsDecoderVerdict(d decoder, v []byte) (int, error) {
+	ops, ok := DecodeBatch(v)
+	if !ok {
+		return 0, errors.New("not a batch")
+	}
+	if _, ok := DecodeBatch(v); !ok { // dropping the value is fine
+		return 0, nil
+	}
+	if err := d.Decode(&ops); err != nil {
+		return 0, err
+	}
+	_ = decodeWidth(v)
+	tx, err := decodeTx(v)
+	return tx + len(ops), err
+}
+
+func suppressedDecoder(v []byte) int {
+	//lint:ignore errignored fixture: v was produced by EncodeBatch two lines up
+	ops, _ := DecodeBatch(v)
+	return len(ops)
+}

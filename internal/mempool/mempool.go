@@ -150,6 +150,7 @@ type Pool struct {
 	states   map[string]*opState
 	queued   int
 	inFlight int
+	flush    bool // Flush was called since the last drain
 	executed *TTLFilter
 	notify   chan struct{}
 	closed   bool
@@ -232,10 +233,7 @@ func (p *Pool) Add(op Op, done func(error)) error {
 	p.queued++
 	p.stats.Admitted++
 	p.mu.Unlock()
-	select {
-	case p.notify <- struct{}{}:
-	default:
-	}
+	p.wake()
 	return nil
 }
 
@@ -246,6 +244,7 @@ func (p *Pool) drainLocked(max int) []Op {
 	if p.queued == 0 || max <= 0 {
 		return nil
 	}
+	p.flush = false
 	out := make([]Op, 0, min(max, p.queued))
 	n := len(p.lanes)
 	for len(out) < max && p.queued > 0 {
@@ -275,10 +274,33 @@ func (p *Pool) drainLocked(max int) []Op {
 	return out
 }
 
+// Flush marks the end of a producer's burst: what is queued now goes out
+// as soon as no drained batch is unresolved, instead of lingering for
+// FlushInterval. Lingering buys larger batches only while consensus is
+// busy; in front of an idle one it is latency for nothing (and more than
+// it says: a sub-millisecond timer in an otherwise idle Go process fires
+// on the poller's millisecond tick). Never later than without the call.
+func (p *Pool) Flush() {
+	p.mu.Lock()
+	p.flush = p.queued > 0
+	wake := p.flush && p.inFlight == 0
+	p.mu.Unlock()
+	if wake {
+		p.wake()
+	}
+}
+
+func (p *Pool) wake() {
+	select {
+	case p.notify <- struct{}{}:
+	default:
+	}
+}
+
 // WaitBatch blocks until a batch is ready and drains it: immediately once
-// BatchSize ops are queued, or after FlushInterval with whatever arrived.
-// It returns nil when stop closes or the pool closes. Single consumer —
-// the Batcher's dispatch loop.
+// BatchSize ops are queued, after FlushInterval with whatever arrived, or
+// after a Flush once nothing is in flight. It returns nil when stop closes
+// or the pool closes. Single consumer — the Batcher's dispatch loop.
 func (p *Pool) WaitBatch(stop <-chan struct{}) []Op {
 	var flush *time.Timer
 	var flushC <-chan time.Time
@@ -295,7 +317,7 @@ func (p *Pool) WaitBatch(stop <-chan struct{}) []Op {
 			p.mu.Unlock()
 			return nil
 		}
-		if p.queued >= cfg.BatchSize || (p.queued > 0 && (flushing || cfg.FlushInterval <= 0)) {
+		if p.queued >= cfg.BatchSize || (p.queued > 0 && (flushing || cfg.FlushInterval <= 0 || (p.flush && p.inFlight == 0))) {
 			ops := p.drainLocked(cfg.BatchSize)
 			p.mu.Unlock()
 			return ops
@@ -340,7 +362,11 @@ func (p *Pool) Resolve(ops []Op, err error) {
 			p.stats.Failed++
 		}
 	}
+	wake := p.flush && p.inFlight == 0
 	p.mu.Unlock()
+	if wake {
+		p.wake()
+	}
 	for _, ack := range acks {
 		ack(err)
 	}
@@ -369,10 +395,7 @@ func (p *Pool) Close() error {
 		p.lanes[lane] = nil
 	}
 	p.mu.Unlock()
-	select {
-	case p.notify <- struct{}{}:
-	default:
-	}
+	p.wake()
 	for _, ack := range acks {
 		ack(ErrClosed)
 	}

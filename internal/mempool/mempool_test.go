@@ -239,6 +239,70 @@ func TestPoolTracksConfLive(t *testing.T) {
 	}
 }
 
+// Flush cuts the linger short only in front of an idle pipeline, and only
+// for what was queued when it was called.
+func TestFlushDispatchesWhenNothingIsInFlight(t *testing.T) {
+	p := NewPool(Config{Cap: 100, Lanes: 2, BatchSize: 8, FlushInterval: time.Hour})
+	stop := make(chan struct{})
+	batches := make(chan []Op)
+	go func() {
+		defer close(batches)
+		for {
+			ops := p.WaitBatch(stop)
+			if ops == nil {
+				return
+			}
+			batches <- ops
+		}
+	}()
+	add := func(ids ...string) {
+		t.Helper()
+		for _, id := range ids {
+			if err := p.Add(Op{ID: id, Lane: id}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	next := func(want int) []Op {
+		t.Helper()
+		select {
+		case ops := <-batches:
+			if len(ops) != want {
+				t.Fatalf("drained %d ops, want %d", len(ops), want)
+			}
+			return ops
+		case <-time.After(5 * time.Second):
+			t.Fatalf("no batch of %d: the pool lingered", want)
+			return nil
+		}
+	}
+	lingers := func(why string) {
+		t.Helper()
+		select {
+		case ops := <-batches:
+			t.Fatalf("%s: drained %d ops early", why, len(ops))
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+
+	add("a", "b", "c")
+	p.Flush()
+	first := next(3)
+
+	add("d", "e")
+	p.Flush()
+	lingers("a batch is in flight")
+	p.Resolve(first, nil)
+	p.Resolve(next(2), nil)
+
+	p.Flush() // nothing queued: must not carry over to the next op
+	add("f")
+	lingers("no Flush since the op was queued")
+	close(stop)
+	for range batches {
+	}
+}
+
 func TestPoolFailedOpMayRetry(t *testing.T) {
 	p := NewPool(Config{Cap: 10, Lanes: 1, BatchSize: 10})
 	var failed atomic.Int64

@@ -57,7 +57,17 @@ type pbInstSnap struct {
 	CertBatch   []Request `json:"cb,omitempty"`
 }
 
-const pbSnapFormat = "prever/pbft/snap/v1"
+const pbSnapFormat = "prever/pbft/snap/v2"
+
+// dataFormat is the FORMAT stamp of a durable replica's directory. It
+// covers everything the journal and snapshots hold that is not JSON of
+// this package's own shapes: the request digest, the mempool's batch
+// frame inside Request.Op, and — through DurableOptions.App — the
+// application's encodings (chain's transaction and its Merkle leaf). A
+// change to any of them bumps it; there is no reading across versions.
+// v1 is the unstamped layout: JSON-hashed digests, "pbB1" frames, JSON
+// transactions.
+const dataFormat = "prever/pbft/data/v2"
 
 // DefaultSnapshotEvery is the executed-sequence cadence between
 // snapshots when DurableOptions leaves SnapshotEvery zero.
@@ -87,45 +97,24 @@ type DurableOptions struct {
 // periodic snapshots bounding the journal tail. Opening an existing
 // directory recovers — snapshot, then record replay (re-executing the
 // tail through apply), after which Sync() state-transfers only the
-// delta. If the network already knows id as a crashed node, the replica
+// delta. A directory written in another data format (see dataFormat) is
+// refused with an error wrapping wal.ErrFormat and left untouched. If
+// the network already knows id as a crashed node, the replica
 // reattaches in place of its previous incarnation.
 func NewDurableReplica(net *netsim.Network, id string, ids []string, f int, apply Applier, opts Options, d DurableOptions) (*Replica, error) {
 	if d.Dir == "" {
 		return nil, fmt.Errorf("pbft: durable replica %s needs a data dir", id)
 	}
-	opts.withDefaults()
-	if len(ids) < 3*f+1 {
-		return nil, fmt.Errorf("pbft: need at least 3f+1=%d replicas, have %d", 3*f+1, len(ids))
+	r, err := newReplica(net, id, ids, f, apply, opts)
+	if err != nil {
+		return nil, err
 	}
-	index := -1
-	for i, x := range ids {
-		if x == id {
-			index = i
-		}
-	}
-	if index < 0 {
-		return nil, fmt.Errorf("pbft: id %q not in replica list", id)
+	if err := wal.CheckFormat(d.Dir, dataFormat); err != nil {
+		return nil, fmt.Errorf("pbft: replica %s: %w", id, err)
 	}
 	log, rec, err := wal.Open(d.Dir, wal.Options{SegmentBytes: d.SegmentBytes, NoSync: d.NoSync})
 	if err != nil {
 		return nil, err
-	}
-	r := &Replica{
-		id:         id,
-		index:      index,
-		ids:        append([]string(nil), ids...),
-		f:          f,
-		net:        net,
-		apply:      apply,
-		opts:       opts,
-		insts:      make(map[uint64]*instState),
-		executedR:  make(map[string]bool),
-		waiters:    make(map[Digest][]chan struct{}),
-		ckpts:      make(map[uint64]map[string]bool),
-		vcs:        make(map[uint64]map[string]viewChangeMsg),
-		vcTimers:   make(map[Digest]*vcTimer),
-		execLog:    make(map[uint64]execEntry),
-		stateVotes: make(map[uint64]map[string]execEntry),
 	}
 	if err := r.recoverFromDisk(rec, d.App); err != nil {
 		_ = log.Close()

@@ -49,22 +49,6 @@ type Request struct {
 // Digest identifies a request batch.
 type Digest [32]byte
 
-func digestOf(batch []Request) Digest {
-	h := sha256.New()
-	for _, r := range batch {
-		b, _ := json.Marshal(r)
-		var n [8]byte
-		for i := 0; i < 8; i++ {
-			n[i] = byte(len(b) >> (8 * i))
-		}
-		h.Write(n[:])
-		h.Write(b)
-	}
-	var d Digest
-	h.Sum(d[:0])
-	return d
-}
-
 type prePrepareMsg struct {
 	View   uint64    `json:"view"`
 	Seq    uint64    `json:"seq"`
@@ -160,13 +144,6 @@ type stateRepMsg struct {
 	View uint64 `json:"view,omitempty"`
 }
 
-// envelope wraps every message with an HMAC tag keyed on the (sender,
-// receiver) pair, modelling PBFT's MAC-based authenticators.
-type envelope struct {
-	Body []byte `json:"body"`
-	Mac  []byte `json:"mac"`
-}
-
 // Applier is called once per executed batch, in sequence order.
 type Applier func(seq uint64, batch []Request)
 
@@ -248,6 +225,7 @@ type Replica struct {
 	net   *netsim.Network
 	apply Applier
 	opts  Options
+	keys  map[string][]byte // peer id -> pairwise MAC key; fixed after construction
 
 	mu         sync.Mutex
 	view       uint64
@@ -302,6 +280,18 @@ type vcTimer struct {
 // NewReplica creates and registers a PBFT replica. ids is the full ordered
 // replica list (len = 3f+1); id must appear in it.
 func NewReplica(net *netsim.Network, id string, ids []string, f int, apply Applier, opts Options) (*Replica, error) {
+	r, err := newReplica(net, id, ids, f, apply, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := net.Register(id, r.handle); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// newReplica validates the membership and builds an unregistered replica.
+func newReplica(net *netsim.Network, id string, ids []string, f int, apply Applier, opts Options) (*Replica, error) {
 	opts.withDefaults()
 	if len(ids) < 3*f+1 {
 		return nil, fmt.Errorf("pbft: need at least 3f+1=%d replicas, have %d", 3*f+1, len(ids))
@@ -331,9 +321,12 @@ func NewReplica(net *netsim.Network, id string, ids []string, f int, apply Appli
 		vcTimers:   make(map[Digest]*vcTimer),
 		execLog:    make(map[uint64]execEntry),
 		stateVotes: make(map[uint64]map[string]execEntry),
+		keys:       make(map[string][]byte, len(ids)),
 	}
-	if err := net.Register(id, r.handle); err != nil {
-		return nil, err
+	// Own id included: a replica that adopts a view it leads forwards its
+	// revived requests to that view's primary, itself.
+	for _, peer := range ids {
+		r.keys[peer] = pairKey(opts.AuthKey, id, peer)
 	}
 	return r, nil
 }
@@ -379,50 +372,31 @@ func (r *Replica) commitQuorum() int  { return 2*r.f + 1 }
 
 // --- authentication ---
 
-func (r *Replica) pairKey(a, b string) []byte {
+// pairKey derives the MAC key two replicas share from the cluster master
+// key, modelling PBFT's pairwise authenticators. Each replica derives
+// its keys once, at construction.
+func pairKey(master []byte, a, b string) []byte {
 	if a > b {
 		a, b = b, a
 	}
-	mac := hmac.New(sha256.New, r.opts.AuthKey)
+	mac := hmac.New(sha256.New, master)
 	mac.Write([]byte(a))
 	mac.Write([]byte{0})
 	mac.Write([]byte(b))
 	return mac.Sum(nil)
 }
 
-func (r *Replica) seal(to string, body []byte) []byte {
-	mac := hmac.New(sha256.New, r.pairKey(r.id, to))
-	mac.Write(body)
-	env := envelope{Body: body, Mac: mac.Sum(nil)}
-	out, _ := json.Marshal(env)
-	return out
-}
-
-func (r *Replica) open(from string, payload []byte) ([]byte, bool) {
-	var env envelope
-	if json.Unmarshal(payload, &env) != nil {
-		return nil, false
-	}
-	mac := hmac.New(sha256.New, r.pairKey(from, r.id))
-	mac.Write(env.Body)
-	if !hmac.Equal(mac.Sum(nil), env.Mac) {
-		return nil, false
-	}
-	return env.Body, true
-}
-
 func (r *Replica) send(to, msgType string, v any) {
-	body, _ := json.Marshal(v)
-	r.net.Send(netsim.Message{From: r.id, To: to, Type: msgType, Payload: r.seal(to, body)})
+	r.net.Send(netsim.Message{From: r.id, To: to, Type: msgType, Payload: seal(r.keys[to], encodeBody(v))})
 }
 
 func (r *Replica) broadcast(msgType string, v any) {
-	body, _ := json.Marshal(v)
+	body := encodeBody(v)
 	for _, id := range r.ids {
 		if id == r.id {
 			continue
 		}
-		r.net.Send(netsim.Message{From: r.id, To: id, Type: msgType, Payload: r.seal(id, body)})
+		r.net.Send(netsim.Message{From: r.id, To: id, Type: msgType, Payload: seal(r.keys[id], body)})
 	}
 }
 
@@ -467,11 +441,11 @@ func (r *Replica) SubmitAsync(client string, clientSeq uint64, op []byte) <-chan
 	// view whose quorum has collapsed (e.g. enough backups are wedged in a
 	// view change nobody else joins) would otherwise stall the request
 	// forever with no timer anywhere to force a view change.
-	r.armViewChangeTimerLocked(req)
+	r.armViewChangeTimerLocked(d, req)
 	isPrimary := r.primaryLocked(r.view) == r.id && !r.inVC
 	if isPrimary {
 		if !r.inFlightLocked(req) {
-			r.proposeLocked(req)
+			r.proposeLocked(d, req)
 		}
 		r.mu.Unlock()
 	} else {
@@ -487,9 +461,9 @@ func (r *Replica) SubmitAsync(client string, clientSeq uint64, op []byte) <-chan
 func reqKey(req Request) string { return fmt.Sprintf("%s/%d", req.Client, req.Seq) }
 
 // armViewChangeTimerLocked starts a timer that triggers a view change if
-// the request does not execute in time.
-func (r *Replica) armViewChangeTimerLocked(req Request) {
-	d := digestOf([]Request{req})
+// the request does not execute in time. d is digestOf([]Request{req}),
+// which every caller already holds.
+func (r *Replica) armViewChangeTimerLocked(d Digest, req Request) {
 	if _, ok := r.vcTimers[d]; ok {
 		return
 	}
@@ -522,7 +496,7 @@ func (r *Replica) onViewChangeTimeout(d Digest, req Request) {
 	// without the guard an abandoned request would keep a timer ticking
 	// forever after a crash or shutdown.
 	if r.net.Alive(r.id) && !r.net.Closed() {
-		r.armViewChangeTimerLocked(req)
+		r.armViewChangeTimerLocked(d, req)
 	}
 	if !r.inVC {
 		if r.primaryLocked(r.view) == r.id && !r.inFlightLocked(req) {
@@ -531,7 +505,7 @@ func (r *Replica) onViewChangeTimeout(d Digest, req Request) {
 			// away from itself. If the request IS in flight, the view's
 			// quorum has collapsed — re-proposing into the same dead view
 			// cannot help, so fall through to the view change.
-			r.proposeLocked(req)
+			r.proposeLocked(d, req)
 			r.mu.Unlock()
 			return
 		}
@@ -590,16 +564,17 @@ func (r *Replica) inFlightLocked(req Request) bool {
 	return false
 }
 
-// proposeLocked assigns req the next sequence and runs pre-prepare. The
-// primary proposes each request the moment it admits it: grouping
-// operations into one request is the mempool's job, upstream of the
-// client. (The wire and WAL shape stays a request list, which earlier
-// data directories hold and state transfer re-serves.)
-func (r *Replica) proposeLocked(req Request) {
+// proposeLocked assigns req the next sequence and runs pre-prepare; d is
+// digestOf([]Request{req}). The primary proposes each request the moment
+// it admits it: grouping operations into one request is the mempool's
+// job, upstream of the client. (The wire and WAL shape stays a request
+// list: a view change's null fill is the empty one, and state transfer
+// re-serves whatever list an instance committed.)
+func (r *Replica) proposeLocked(d Digest, req Request) {
 	batch := []Request{req}
 	seq := r.nextSeq
 	r.nextSeq++
-	pp := prePrepareMsg{View: r.view, Seq: seq, Digest: digestOf(batch), Batch: batch}
+	pp := prePrepareMsg{View: r.view, Seq: seq, Digest: d, Batch: batch}
 	inst := r.instLocked(seq)
 	inst.digest = pp.Digest
 	inst.batch = batch
@@ -632,41 +607,31 @@ func (r *Replica) instLocked(seq uint64) *instState {
 // --- message handling ---
 
 func (r *Replica) handle(m netsim.Message) {
-	body, ok := r.open(m.From, m.Payload)
+	body, ok := open(r.keys[m.From], m.Payload)
 	if !ok {
 		return // bad MAC: discard (Byzantine sender or corruption)
 	}
 	switch m.Type {
 	case msgRequest:
-		var req Request
-		if json.Unmarshal(body, &req) != nil {
-			return
+		if req, ok := decodeRequest(body); ok {
+			r.onRequest(req)
 		}
-		r.onRequest(req)
 	case msgPrePrepare:
-		var pp prePrepareMsg
-		if json.Unmarshal(body, &pp) != nil {
-			return
+		if pp, ok := decodePrePrepare(body); ok {
+			r.onPrePrepare(m.From, pp)
 		}
-		r.onPrePrepare(m.From, pp)
 	case msgPrepare:
-		var p prepareMsg
-		if json.Unmarshal(body, &p) != nil {
-			return
+		if p, ok := decodeVote(body); ok {
+			r.onPrepare(p)
 		}
-		r.onPrepare(p)
 	case msgCommit:
-		var c commitMsg
-		if json.Unmarshal(body, &c) != nil {
-			return
+		if c, ok := decodeVote(body); ok {
+			r.onCommit(commitMsg(c))
 		}
-		r.onCommit(c)
 	case msgCheckpoint:
-		var c checkpointMsg
-		if json.Unmarshal(body, &c) != nil {
-			return
+		if c, ok := decodeCheckpoint(body); ok {
+			r.onCheckpoint(c)
 		}
-		r.onCheckpoint(c)
 	case msgViewChange:
 		var vc viewChangeMsg
 		if json.Unmarshal(body, &vc) != nil {
@@ -695,26 +660,26 @@ func (r *Replica) handle(m netsim.Message) {
 }
 
 func (r *Replica) onRequest(req Request) {
+	d := digestOf([]Request{req})
 	r.mu.Lock()
 	if r.executedR[reqKey(req)] {
 		r.mu.Unlock()
 		return
 	}
+	r.armViewChangeTimerLocked(d, req)
 	if r.inVC || r.primaryLocked(r.view) != r.id {
-		// Backup (or mid-view-change): watch the request so a dead
-		// primary — or a stalled view change — triggers escalation from
-		// f+1 replicas, not just the submitting one.
-		r.armViewChangeTimerLocked(req)
+		// Backup (or mid-view-change): the request is only watched, so a
+		// dead primary — or a stalled view change — triggers escalation
+		// from f+1 replicas, not just the submitting one.
 		r.mu.Unlock()
 		return
 	}
-	r.armViewChangeTimerLocked(req)
 	// A client retry (same client seq) or a post-view-change revival can
 	// re-deliver a request that is already proposed and waiting on votes;
 	// a second instance would be a wasted consensus round (execution
 	// dedups it to a no-op).
 	if !r.inFlightLocked(req) {
-		r.proposeLocked(req)
+		r.proposeLocked(d, req)
 	}
 	r.mu.Unlock()
 }
@@ -1188,15 +1153,17 @@ func (r *Replica) enterViewLocked(view, nextSeq uint64) []Request {
 	// further view changes. Pending requests get a full fresh timeout
 	// under the new primary; executed ones are dropped outright.
 	var rearm []Request
+	var digests []Digest
 	for d, vt := range r.vcTimers {
 		vt.tmr.Stop()
 		delete(r.vcTimers, d)
 		if !r.executedR[reqKey(vt.req)] {
 			rearm = append(rearm, vt.req)
+			digests = append(digests, d)
 		}
 	}
-	for _, req := range rearm {
-		r.armViewChangeTimerLocked(req)
+	for i, req := range rearm {
+		r.armViewChangeTimerLocked(digests[i], req)
 	}
 	return rearm
 }
