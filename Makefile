@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race bench bench-check bench-json vet fmt fmt-check lint chaos fuzz-smoke serve-smoke serve-smoke-durable
+.PHONY: build test check race bench bench-check vet fmt fmt-check lint chaos fuzz-smoke serve-smoke serve-smoke-durable
 
 build:
 	$(GO) build ./...
@@ -48,62 +48,20 @@ fuzz-smoke:
 		$(GO) test -run '^$$' -fuzz "^$${fn#func }\$$" -fuzztime 10s ./$$(dirname $$file); \
 	done
 
-# serve-smoke is the deployment smoke test: boot a real prever-server
-# process on an ephemeral port, drive it with the remote open-loop bench
-# for 2 seconds at a low rate, and gate on committed > 0 with zero
-# errors (-check also probes /health and /stats). The multi-process
-# harness tests (internal/harness) cover the same path under `make
-# test`; this target is the standalone end-to-end gate.
+# serve-smoke is the deployment smoke test, run by the repository
+# benchmark's open-loop workload (benchmark/README.md): build the real
+# prever-server, drive single-op /submit on a schedule for 2 seconds, and
+# exit non-zero unless /audit is clean and converged, every acked write
+# reads back, and /stats accounts for every op.
 serve-smoke:
-	@set -e; \
-	tmp=$$(mktemp -d); \
-	trap 'kill $$pid 2>/dev/null; rm -rf $$tmp' EXIT; \
-	$(GO) build -o $$tmp/prever-server ./cmd/prever-server; \
-	$$tmp/prever-server -addr 127.0.0.1:0 > $$tmp/server.out 2>$$tmp/server.err & \
-	pid=$$!; \
-	addr=""; \
-	for i in $$(seq 1 100); do \
-		addr=$$(sed -n 's/.*listening on //p' $$tmp/server.out); \
-		[ -n "$$addr" ] && break; \
-		kill -0 $$pid 2>/dev/null || { echo "serve-smoke: server died:"; cat $$tmp/server.err; exit 1; }; \
-		sleep 0.1; \
-	done; \
-	[ -n "$$addr" ] || { echo "serve-smoke: server never printed its address"; exit 1; }; \
-	echo "serve-smoke: server at $$addr"; \
-	$(GO) run ./cmd/prever-bench remote -addr "$$addr" -limit 100 -conns 2 -duration 2s -check
+	bash benchmark/run.sh --workload serve_single --seconds 2 --trace 0
 
-# serve-smoke-durable is the crash-durability smoke test: boot a real
-# prever-server with a data directory, load it, SIGKILL it mid-flight
-# (no shutdown hook runs — only what fsync left on disk survives),
-# restart from the same directory, and gate on the recovered server
-# committing fresh load AND every peer chain re-verifying and
-# converging (-audit polls GET /audit).
+# serve-smoke-durable is the crash-durability smoke test: the same gate on
+# a server with a data directory that is SIGKILLed after the load (no
+# shutdown hook runs — only what fsync left on disk survives) and
+# restarted from the same directory before the checks.
 serve-smoke-durable:
-	@set -e; \
-	tmp=$$(mktemp -d); \
-	trap 'kill -9 $$pid 2>/dev/null; rm -rf $$tmp' EXIT; \
-	$(GO) build -o $$tmp/prever-server ./cmd/prever-server; \
-	boot() { \
-		$$tmp/prever-server -addr 127.0.0.1:0 -data $$tmp/data -snap-every 32 > $$tmp/server.out 2>$$tmp/server.err & \
-		pid=$$!; \
-		addr=""; \
-		for i in $$(seq 1 100); do \
-			addr=$$(sed -n 's/.*listening on //p' $$tmp/server.out); \
-			[ -n "$$addr" ] && break; \
-			kill -0 $$pid 2>/dev/null || { echo "serve-smoke-durable: server died:"; cat $$tmp/server.err; exit 1; }; \
-			sleep 0.1; \
-		done; \
-		[ -n "$$addr" ] || { echo "serve-smoke-durable: server never printed its address"; exit 1; }; \
-	}; \
-	boot; \
-	echo "serve-smoke-durable: server at $$addr (data $$tmp/data)"; \
-	$(GO) run ./cmd/prever-bench remote -addr "$$addr" -limit 100 -conns 2 -duration 2s -check; \
-	echo "serve-smoke-durable: SIGKILL $$pid"; \
-	kill -9 $$pid; wait $$pid 2>/dev/null || true; \
-	: > $$tmp/server.out; \
-	boot; \
-	echo "serve-smoke-durable: recovered server at $$addr"; \
-	$(GO) run ./cmd/prever-bench remote -addr "$$addr" -limit 100 -conns 2 -duration 2s -check -audit 30s
+	bash benchmark/run.sh --workload serve_durable --seconds 2 --trace 0
 
 # bench-check builds, vets and tests the repository benchmark.
 # benchmark/ is a module of its own, so the root `go build ./...` and
@@ -121,13 +79,3 @@ check: fmt-check vet lint race bench-check fuzz-smoke serve-smoke serve-smoke-du
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run xxx ./...
-
-# bench-json records a machine-readable snapshot of the experiment suite
-# as BENCH_<date>.json — the committed series tracks throughput across
-# PRs (first snapshot: the mempool/batched-consensus PR). A second run on
-# the same day suffixes .2, .3, ... instead of clobbering the earlier
-# snapshot.
-bench-json:
-	@out=BENCH_$$(date +%Y-%m-%d).json; n=2; \
-	while [ -e "$$out" ]; do out=BENCH_$$(date +%Y-%m-%d).$$n.json; n=$$((n+1)); done; \
-	$(GO) run ./cmd/prever-bench -json > "$$out" && echo "wrote $$out"

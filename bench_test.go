@@ -611,40 +611,6 @@ func BenchmarkE8_Adversary_DetectDoubleSpend(b *testing.B) {
 	}
 }
 
-// --- E9: latency under open-loop load over the HTTP API -------------------
-
-// BenchmarkE9_OpenLoad500 is the named regression benchmark behind
-// EXPERIMENTS.md E9: an in-process server driven open-loop at 500
-// requests/second over loopback HTTP for one second per iteration. The
-// reported metric to watch across PRs is the committed rate staying at
-// the offered rate with zero failures.
-func BenchmarkE9_OpenLoad500(b *testing.B) {
-	if testing.Short() {
-		b.Skip("open-loop load run is heavyweight")
-	}
-	base, stop, err := bench.StartLocalServer(1, 1, 10*time.Second)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer stop()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		report, err := bench.RunOpenLoad(base, bench.LoadConfig{
-			Rate:     500,
-			Conns:    4,
-			Duration: time.Second,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if report.Committed == 0 || report.Errors > 0 {
-			b.Fatalf("load run degenerate: %+v", report)
-		}
-		b.ReportMetric(report.AchievedRate(), "committed/s")
-		b.ReportMetric(report.Latency.P99.Seconds()*1000, "p99-ms")
-	}
-}
-
 // --- harness smoke: the full table generator compiles and runs quick ------
 
 func BenchmarkHarness_AllTablesQuick(b *testing.B) {

@@ -22,7 +22,7 @@
 //	prever-server: listening on http://HOST:PORT
 //
 // With -addr ending in :0 the kernel picks the port and that line is
-// how callers (the multi-process harness, serve-smoke) discover it.
+// how callers (the multi-process harness, the benchmark) discover it.
 // Batching knobs are also adjustable at runtime via POST /conf.
 // SIGINT/SIGTERM shut down gracefully: in-flight requests finish, the
 // mempool fails queued transactions with chain.ErrShardClosed.

@@ -393,7 +393,7 @@ func TestMethodAndRouteStrictness(t *testing.T) {
 }
 
 // TestStatsJSONShape pins the wire names of the unified stats document:
-// bench tooling (`make bench-json`) and dashboards key on these.
+// the repository benchmark (benchmark/) and dashboards key on these.
 func TestStatsJSONShape(t *testing.T) {
 	client, _ := newTestServer(t, nil)
 	if _, err := client.Submit(Tx{Kind: KindPut, Key: "k", Value: []byte("v")}); err != nil {
@@ -424,3 +424,89 @@ func TestStatsJSONShape(t *testing.T) {
 
 func intp(n int) *int       { return &n }
 func strp(s string) *string { return &s }
+
+// FuzzBatchRequest: POST /submit-batch bodies are the one place arbitrary
+// outside bytes become chain transactions. Whatever the handler's own
+// decode → Validate → ToChain path accepts respects the wire bounds and
+// re-encodes to a body that decodes to the same transactions; nothing
+// panics. `go test` runs the seed corpus; `make fuzz-smoke` mutates it.
+func FuzzBatchRequest(f *testing.F) {
+	parse := func(body []byte) ([]chain.Tx, error) {
+		r := httptest.NewRequest(http.MethodPost, "/submit-batch", bytes.NewReader(body))
+		return batchTxs(httptest.NewRecorder(), r)
+	}
+	// The batches api_test.go submits, accepted and rejected.
+	ordered := make([]Tx, 16)
+	for i := range ordered {
+		ordered[i] = Tx{ID: fmt.Sprintf("b-%d", i), Kind: KindPut, Key: fmt.Sprintf("k%d", i), Value: []byte("v")}
+	}
+	for _, txs := range [][]Tx{
+		ordered,
+		{{Kind: KindPut, Key: "ok", Value: []byte("v")}, {Kind: "bogus", Key: "k"}},
+		{{Kind: KindPutOnce, Key: "k", Value: []byte("v")}, {Kind: KindDelete, Key: "k"}},
+		{{Key: "k", Value: []byte("v")}},
+		{{Kind: KindPut, Key: "k"}},
+		{{Kind: KindDelete, Key: "k", Value: []byte("v")}},
+		{{Kind: KindPut, Key: strings.Repeat("k", MaxKeyBytes+1), Value: []byte("v")}},
+		{},
+	} {
+		body, err := json.Marshal(BatchRequest{Txs: txs})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Add([]byte(`{"txs":[{"kind":"put","key":"k","value":"dg==","surprise":1}]}`))
+	f.Add([]byte(`{"txs":[{"kind":"put","key":"k","value":"dg=="}]} {}`))
+	f.Add([]byte(`{"txs":[{"kind":"put","key":"\ud800","value":"dg=="}]}`))
+	f.Add([]byte(`{"txs":[{"kind":"delete","key":"k","value":""}]}`))
+	f.Add([]byte(`{"txs":null}`))
+	f.Add([]byte(nil))
+
+	wireKind := map[chain.TxKind]string{chain.TxPut: KindPut, chain.TxPutOnce: KindPutOnce, chain.TxDelete: KindDelete}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		txs, err := parse(body)
+		if err != nil {
+			if txs != nil {
+				t.Fatalf("rejected body still returned %d txs", len(txs))
+			}
+			return
+		}
+		if len(txs) == 0 || len(txs) > MaxBatchTxs {
+			t.Fatalf("accepted a batch of %d txs", len(txs))
+		}
+		again := BatchRequest{Txs: make([]Tx, len(txs))}
+		for i, tx := range txs {
+			kind, ok := wireKind[tx.Kind]
+			if !ok {
+				t.Fatalf("tx %d: kind %v is not a wire kind", i, tx.Kind)
+			}
+			if tx.Key == "" || len(tx.Key) > MaxKeyBytes || len(tx.ID) > MaxKeyBytes {
+				t.Fatalf("tx %d: key of %d bytes, id of %d bytes", i, len(tx.Key), len(tx.ID))
+			}
+			if (tx.Kind == chain.TxDelete) != (len(tx.Value) == 0) {
+				t.Fatalf("tx %d: %s with a value of %d bytes", i, kind, len(tx.Value))
+			}
+			again.Txs[i] = Tx{ID: tx.ID, Kind: kind, Key: tx.Key, Value: tx.Value}
+		}
+		body2, err := json.Marshal(again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		txs2, err := parse(body2)
+		if err != nil {
+			t.Fatalf("accepted %q, whose re-encoding %q is rejected: %v", body, body2, err)
+		}
+		if len(txs2) != len(txs) {
+			t.Fatalf("accepted %q (%d txs), which re-encodes to %d txs", body, len(txs), len(txs2))
+		}
+		for i, a := range txs {
+			// An empty value and an absent one are the same transaction
+			// (chain/codec.go), so Value is compared by content.
+			b := txs2[i]
+			if a.ID != b.ID || a.Kind != b.Kind || a.Key != b.Key || !bytes.Equal(a.Value, b.Value) {
+				t.Fatalf("accepted %q, whose tx %d re-encodes to a different transaction:\n%+v\n%+v", body, i, a, b)
+			}
+		}
+	})
+}

@@ -98,24 +98,32 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, SubmitResponse{TxID: res.TxID})
 }
 
-func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
+// batchTxs reads a POST /submit-batch body into chain transactions:
+// strict decode, then the batch's shape and every transaction validated.
+func batchTxs(w http.ResponseWriter, r *http.Request) ([]chain.Tx, error) {
 	var req BatchRequest
 	if err := decode(w, r, &req, int64(MaxBatchTxs)*singleBodyLimit()); err != nil {
-		writeErr(w, CodeInvalid, err.Error())
-		return
+		return nil, err
 	}
 	if err := req.Validate(); err != nil {
-		writeErr(w, CodeInvalid, err.Error())
-		return
+		return nil, err
 	}
 	txs := make([]chain.Tx, len(req.Txs))
 	for i, wt := range req.Txs {
 		tx, err := wt.ToChain()
 		if err != nil { // unreachable after Validate, but belt and braces
-			writeErr(w, CodeInvalid, fmt.Sprintf("tx %d: %v", i, err))
-			return
+			return nil, fmt.Errorf("tx %d: %w", i, err)
 		}
 		txs[i] = tx
+	}
+	return txs, nil
+}
+
+func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
+	txs, err := batchTxs(w, r)
+	if err != nil {
+		writeErr(w, CodeInvalid, err.Error())
+		return
 	}
 	results := s.chain.SubmitBatch(txs)
 	out := BatchResponse{Results: make([]BatchResult, len(results))}

@@ -1,9 +1,9 @@
 // Package api is the wire surface of a PReVer server: typed JSON
 // request/response structs, strict validation, and the mapping between
 // the chain submission sentinels and HTTP status codes. The same types
-// are used by the server (cmd/prever-server), the remote benchmark
-// client (cmd/prever-bench remote), and the multi-process test harness
-// (internal/harness), so the three can never drift apart.
+// are used by the server (cmd/prever-server), the multi-process test
+// harness (internal/harness) and the repository benchmark's load
+// generator (benchmark/), so the three can never drift apart.
 //
 // The API fronts exactly the batch-first chain surface:
 //
@@ -193,7 +193,7 @@ type GetResponse struct {
 
 // StatsResponse is the unified statistics document served at GET /stats:
 // the same JSON-tagged chain.Stats struct per shard and aggregated, plus
-// server uptime. `make bench-json` records exactly this shape.
+// server uptime. The repository benchmark reads exactly this shape.
 type StatsResponse struct {
 	UptimeSeconds float64                `json:"uptimeSeconds"`
 	Shards        map[string]chain.Stats `json:"shards"`

@@ -1,12 +1,11 @@
 // Package bench is the experiment harness: it regenerates every table the
 // evaluation methodology of the paper prescribes (see DESIGN.md §3 for the
-// experiment index E1–E8 and EXPERIMENTS.md for recorded results). Each
+// experiment index E1–E11 and EXPERIMENTS.md for recorded results). Each
 // experiment returns a Table; cmd/prever-bench prints them all, and the
 // root-level Go benchmarks wrap the same code paths as testing.B targets.
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -15,14 +14,13 @@ import (
 	"prever/internal/core"
 )
 
-// Table is one experiment's output, printable as an aligned text table or
-// as JSON (see FprintJSON / RunJSON).
+// Table is one experiment's output, printable as an aligned text table.
 type Table struct {
-	ID     string     `json:"id"`
-	Title  string     `json:"title"`
-	Notes  string     `json:"notes,omitempty"`
-	Header []string   `json:"header"`
-	Rows   [][]string `json:"rows"`
+	ID     string
+	Title  string
+	Notes  string
+	Header []string
+	Rows   [][]string
 }
 
 // AddRow appends a row.
@@ -75,13 +73,6 @@ func pad(s string, w int) string {
 		return s
 	}
 	return s + strings.Repeat(" ", w-len(s))
-}
-
-// FprintJSON renders the table as one indented JSON object.
-func (t *Table) FprintJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t)
 }
 
 // Scale selects experiment sizes.
@@ -137,9 +128,9 @@ func latencyCells(s core.Stats) []string {
 // naLatencyCells pads a row that has no engine behind it.
 func naLatencyCells() []string { return []string{"-", "-", "-"} }
 
-// Experiments is the full suite in E-number order.
-func Experiments() []func(Scale) (*Table, error) {
-	return []func(Scale) (*Table, error){
+// Run executes every experiment in E-number order and prints its table.
+func Run(w io.Writer, scale Scale) error {
+	for _, exp := range []func(Scale) (*Table, error){
 		E1YCSB,
 		E1TPCC,
 		E2Verify,
@@ -149,15 +140,9 @@ func Experiments() []func(Scale) (*Table, error) {
 		E6PIR,
 		E7DP,
 		E8Adversary,
-		E9OpenLoad,
 		E10Recovery,
 		E11Crypto,
-	}
-}
-
-// Run executes every experiment and prints its table.
-func Run(w io.Writer, scale Scale) error {
-	for _, exp := range Experiments() {
+	} {
 		t, err := exp(scale)
 		if err != nil {
 			return err
@@ -165,20 +150,4 @@ func Run(w io.Writer, scale Scale) error {
 		t.Fprint(w)
 	}
 	return nil
-}
-
-// RunJSON executes every experiment and emits one indented JSON array of
-// tables — the machine-readable form of Run for downstream tooling.
-func RunJSON(w io.Writer, scale Scale) error {
-	var tables []*Table
-	for _, exp := range Experiments() {
-		t, err := exp(scale)
-		if err != nil {
-			return err
-		}
-		tables = append(tables, t)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(tables)
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -26,29 +25,8 @@ func TestTableFormatting(t *testing.T) {
 	}
 }
 
-func TestTableJSONRoundTrip(t *testing.T) {
-	tbl := &Table{
-		ID:     "EX",
-		Title:  "example",
-		Header: []string{"a", "b"},
-	}
-	tbl.AddRow("1", "2")
-	var buf bytes.Buffer
-	if err := tbl.FprintJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var got Table
-	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
-	}
-	if got.ID != "EX" || len(got.Rows) != 1 || got.Rows[0][1] != "2" {
-		t.Fatalf("round trip mangled table: %+v", got)
-	}
-}
-
-// The E2 table must carry histogram percentiles for every row, and they
-// must survive the JSON path (the contract -json consumers rely on).
-func TestE2PercentilesInJSON(t *testing.T) {
+// The E2 table must carry histogram percentiles for every row.
+func TestE2Percentiles(t *testing.T) {
 	tbl, err := E2Verify(Quick)
 	if err != nil {
 		t.Fatal(err)
@@ -64,19 +42,11 @@ func TestE2PercentilesInJSON(t *testing.T) {
 			t.Fatalf("E2 header missing %q: %v", col, tbl.Header)
 		}
 	}
-	var buf bytes.Buffer
-	if err := tbl.FprintJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var got Table
-	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
-		t.Fatal(err)
-	}
 	// Every measured row (not an n/a or error placeholder) has real
 	// percentile cells, e.g. "12.3 µs", never empty.
-	for i, row := range got.Rows {
-		if len(row) != len(got.Header) {
-			t.Fatalf("row %d has %d cells for %d columns", i, len(row), len(got.Header))
+	for i, row := range tbl.Rows {
+		if len(row) != len(tbl.Header) {
+			t.Fatalf("row %d has %d cells for %d columns", i, len(row), len(tbl.Header))
 		}
 		measured := !strings.HasPrefix(row[2], "n/a") && !strings.HasPrefix(row[2], "error")
 		for _, cell := range row[3:] {

@@ -44,7 +44,7 @@ func submitWait(s *Shard, tx Tx) error { return (<-s.SubmitAsync(tx)).Err }
 // queue depth, admission rejections, and the proposed-batch size
 // histogram. Sharded aggregates it across shards with Merge. The JSON
 // tags are the wire shape: internal/api serves exactly this struct at
-// /stats (per shard and aggregated), and `make bench-json` records it.
+// /stats (per shard and aggregated), and the repository benchmark reads it.
 type Stats struct {
 	Submitted  int64 `json:"submitted"`  // transactions entering SubmitAsync
 	Accepted   int64 `json:"accepted"`   // transactions whose batch committed

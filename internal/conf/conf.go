@@ -2,13 +2,13 @@
 // (wavelet's conf/conf.go pattern): one immutable snapshot struct behind
 // an atomic pointer. Getters read the current snapshot — every field a
 // caller reads through one Snapshot() call is from the same generation —
-// and setters install a fresh copy (copy-on-write), so a bench sweep or a
-// live server can retune batch sizes, flush intervals and queue caps
+// and Set/Update install a fresh copy (copy-on-write), so a live server
+// can retune batch sizes, flush intervals and queue caps (POST /conf)
 // without rebuilds and without readers ever seeing a half-updated config.
 //
 // Consumers: internal/mempool (batch size, flush interval, in-flight cap,
-// pool cap, lane count), chain.Shard (its mempool defaults), and
-// cmd/prever-bench (flags map straight onto Set*).
+// pool cap, lane count), chain.Shard (its mempool defaults, WAL cadence,
+// transaction size bound) and internal/api (GET/POST /conf).
 package conf
 
 import (
@@ -140,43 +140,10 @@ func Update(f func(*Config)) {
 // Reset restores Defaults (test hygiene).
 func Reset() { Set(Defaults()) }
 
-// Individual getters and setters, for call sites that touch one knob.
+// Accessors for the call sites that touch one knob.
 
 // BatchSize returns the current batch size.
 func BatchSize() int { return Snapshot().BatchSize }
-
-// SetBatchSize updates the batch size.
-func SetBatchSize(n int) { Update(func(c *Config) { c.BatchSize = n }) }
-
-// FlushInterval returns the current partial-batch flush interval.
-func FlushInterval() time.Duration { return Snapshot().FlushInterval }
-
-// SetFlushInterval updates the partial-batch flush interval.
-func SetFlushInterval(d time.Duration) { Update(func(c *Config) { c.FlushInterval = d }) }
-
-// MaxInFlight returns the pipelining bound.
-func MaxInFlight() int { return Snapshot().MaxInFlight }
-
-// SetMaxInFlight updates the pipelining bound.
-func SetMaxInFlight(n int) { Update(func(c *Config) { c.MaxInFlight = n }) }
-
-// MempoolCap returns the mempool admission bound.
-func MempoolCap() int { return Snapshot().MempoolCap }
-
-// SetMempoolCap updates the mempool admission bound.
-func SetMempoolCap(n int) { Update(func(c *Config) { c.MempoolCap = n }) }
-
-// Lanes returns the mempool lane count.
-func Lanes() int { return Snapshot().Lanes }
-
-// SetLanes updates the mempool lane count.
-func SetLanes(n int) { Update(func(c *Config) { c.Lanes = n }) }
-
-// DedupTTL returns the executed-op dedup window.
-func DedupTTL() time.Duration { return Snapshot().DedupTTL }
-
-// SetDedupTTL updates the executed-op dedup window.
-func SetDedupTTL(d time.Duration) { Update(func(c *Config) { c.DedupTTL = d }) }
 
 // MaxTxBytes returns the encoded-transaction size bound.
 func MaxTxBytes() int { return Snapshot().MaxTxBytes }
@@ -187,11 +154,5 @@ func SetMaxTxBytes(n int) { Update(func(c *Config) { c.MaxTxBytes = n }) }
 // SnapshotEvery returns the durable-snapshot cadence.
 func SnapshotEvery() uint64 { return Snapshot().SnapshotEvery }
 
-// SetSnapshotEvery updates the durable-snapshot cadence.
-func SetSnapshotEvery(n uint64) { Update(func(c *Config) { c.SnapshotEvery = n }) }
-
 // WALSegmentBytes returns the WAL segment rotation threshold.
 func WALSegmentBytes() int64 { return Snapshot().WALSegmentBytes }
-
-// SetWALSegmentBytes updates the WAL segment rotation threshold.
-func SetWALSegmentBytes(n int64) { Update(func(c *Config) { c.WALSegmentBytes = n }) }

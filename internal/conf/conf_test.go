@@ -12,7 +12,7 @@ func TestDefaultsAndReset(t *testing.T) {
 	if got != Defaults() {
 		t.Fatalf("fresh snapshot %+v != defaults %+v", got, Defaults())
 	}
-	SetBatchSize(7)
+	Update(func(c *Config) { c.BatchSize = 7 })
 	if BatchSize() != 7 {
 		t.Fatalf("BatchSize = %d, want 7", BatchSize())
 	}
@@ -57,13 +57,13 @@ func TestConcurrentUpdatesLoseNothing(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			SetBatchSize(100)
+			Update(func(c *Config) { c.BatchSize = 100 })
 		}
 	}()
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			SetLanes(16)
+			Update(func(c *Config) { c.Lanes = 16 })
 		}
 	}()
 	wg.Wait()

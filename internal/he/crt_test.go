@@ -146,7 +146,7 @@ func TestDecryptWrongKey(t *testing.T) {
 	}
 }
 
-// --- benchmarks (wired into make bench / bench-json) ----------------------
+// --- benchmarks (wired into make bench) -----------------------------------
 
 var (
 	benchKeyOnce sync.Once

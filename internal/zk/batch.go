@@ -234,7 +234,7 @@ func verifyBitBatch(p *commit.Params, cs []commit.Commitment, prs []BitProof, ct
 		}
 		return ct.BigEqual(lhs, rhs), nil
 	}
-	single := func(i int) error { return VerifyBit(p, cs[i], prs[i], ctxs[i]) }
+	single := func(i int) error { return verifyBit(p, cs[i], prs[i], ctxs[i]) }
 	return batchCheck(live, errs, folded, single)
 }
 

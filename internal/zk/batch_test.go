@@ -353,7 +353,7 @@ func TestVerifyOpeningBatchSpeedup(t *testing.T) {
 	}
 }
 
-// --- regression benchmarks (wired into make bench / bench-json) -----------
+// --- regression benchmarks (wired into make bench) ------------------------
 
 // BenchmarkVerifyOpeningBatch64 and BenchmarkVerifyOpeningSeq64 bracket
 // the ISSUE 10 perf target: one iteration verifies the same 64 proofs,

@@ -2,6 +2,7 @@ package zk
 
 import (
 	"errors"
+	"fmt"
 	"math/big"
 	"testing"
 
@@ -28,6 +29,19 @@ func makeBitBatch(t *testing.T, p *commit.Params, n int) ([]commit.Commitment, [
 	return cs, prs, ctxs
 }
 
+// nonMembers maps a statement element c to the values no verifier may
+// take in its place: nil, the two residues with no inverse (0, P), the
+// order-2 element P − 1, and c times it (P − c).
+func nonMembers(p *commit.Params) map[string]func(c *big.Int) *big.Int {
+	return map[string]func(c *big.Int) *big.Int{
+		"nil":     func(*big.Int) *big.Int { return nil },
+		"zero":    func(*big.Int) *big.Int { return big.NewInt(0) },
+		"P":       func(*big.Int) *big.Int { return new(big.Int).Set(p.Group.P) },
+		"P-1":     func(*big.Int) *big.Int { return new(big.Int).Sub(p.Group.P, big.NewInt(1)) },
+		"twisted": func(c *big.Int) *big.Int { return negate(p, c) },
+	}
+}
+
 // TestVerifyEqualRejectsNonMembers: VerifyEqual divides one commitment
 // by the other, so a commitment with no inverse (0, P) used to reach a
 // nil dereference inside group.Div, and a twisted one (P − c) has a
@@ -40,18 +54,93 @@ func TestVerifyEqualRejectsNonMembers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := map[string]func(c *big.Int) *big.Int{
-		"zero":    func(*big.Int) *big.Int { return big.NewInt(0) },
-		"P":       func(*big.Int) *big.Int { return new(big.Int).Set(p.Group.P) },
-		"twisted": func(c *big.Int) *big.Int { return negate(p, c) },
-	}
-	for name, f := range bad {
+	for name, f := range nonMembers(p) {
 		if err := VerifyEqual(p, commit.Commitment{C: f(c1.C)}, c2, pr, "ctx"); !errors.Is(err, ErrInvalidProof) {
 			t.Errorf("c1 = %s: err = %v, want ErrInvalidProof", name, err)
 		}
 		if err := VerifyEqual(p, c1, commit.Commitment{C: f(c2.C)}, pr, "ctx"); !errors.Is(err, ErrInvalidProof) {
 			t.Errorf("c2 = %s: err = %v, want ErrInvalidProof", name, err)
 		}
+	}
+}
+
+// TestSingleVerifiersRejectNonMembers: VerifyDlog, VerifyOpening and
+// VerifyBit reject a statement element outside the subgroup before any
+// arithmetic. Each case has an honest proof whose statement is swapped
+// for every non-member (nil used to panic), and a cheating prover that
+// runs the protocol around the twisted statement P − y: its equation
+// holds up to (−1)^challenge, so without the membership check every
+// second such proof verifies.
+func TestSingleVerifiersRejectNonMembers(t *testing.T) {
+	p := params()
+	g := p.Group
+	x, err := g.RandScalar(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y := g.Exp(g.G, x)
+	dlogPr, err := ProveDlog(g, g.G, y, x, "ctx", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, o, _ := p.CommitInt(0, nil)
+	openPr, err := ProveOpening(p, c, o, "ctx", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitPr, err := ProveBit(p, c, o, "ctx", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name   string
+		stmt   *big.Int
+		verify func(stmt *big.Int) error // the honest proof against stmt
+		cheat  func(ctx string) error    // a fresh proof built around P − stmt
+	}{
+		{"dlog", y,
+			func(v *big.Int) error { return VerifyDlog(g, g.G, v, dlogPr, "ctx") },
+			func(ctx string) error {
+				bad := negate(p, y)
+				pr, err := ProveDlog(g, g.G, bad, x, ctx, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return VerifyDlog(g, g.G, bad, pr, ctx)
+			}},
+		{"opening", c.C,
+			func(v *big.Int) error { return VerifyOpening(p, commit.Commitment{C: v}, openPr, "ctx") },
+			func(ctx string) error {
+				bad := commit.Commitment{C: negate(p, c.C)}
+				pr, err := ProveOpening(p, bad, o, ctx, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return VerifyOpening(p, bad, pr, ctx)
+			}},
+		{"bit", c.C,
+			func(v *big.Int) error { return VerifyBit(p, commit.Commitment{C: v}, bitPr, "ctx") },
+			func(ctx string) error {
+				bad, pr := twistedBitProof(t, p, ctx, "C")
+				return VerifyBit(p, bad, pr, ctx)
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.verify(tc.stmt); err != nil {
+				t.Fatalf("honest proof rejected: %v", err)
+			}
+			for name, f := range nonMembers(p) {
+				if err := tc.verify(f(tc.stmt)); !errors.Is(err, ErrInvalidProof) {
+					t.Errorf("statement = %s: err = %v, want ErrInvalidProof", name, err)
+				}
+			}
+			for a := 0; a < 16; a++ {
+				if err := tc.cheat(fmt.Sprintf("ctx/%d", a)); !errors.Is(err, ErrInvalidProof) {
+					t.Errorf("attempt %d: proof around a twisted statement: err = %v, want ErrInvalidProof", a, err)
+				}
+			}
+		})
 	}
 }
 
@@ -156,7 +245,9 @@ func twistedBitProof(t *testing.T, p *commit.Params, ctx, which string) (commit.
 	y1 := g.Mul(c.C, p.GInv())
 	pr := BitProof{
 		A0: p.ExpH(k),
-		A1: g.Mul(p.ExpH(simZ), g.Exp(y1, new(big.Int).Neg(simC))),
+		// Div, not Exp with a negated exponent: Exp reduces exponents mod
+		// Q, which is off by a sign for a y1 outside the subgroup.
+		A1: g.Div(p.ExpH(simZ), g.Exp(y1, simC)),
 		C1: simC, Z1: simZ,
 	}
 	switch which {

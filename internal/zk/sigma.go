@@ -114,11 +114,17 @@ func proveDlogWith(g *group.Group, expBase func(*big.Int) *big.Int, base, y, x *
 	return DlogProof{A: a, Z: z}, nil
 }
 
-// VerifyDlog checks a Schnorr proof.
+// VerifyDlog checks a Schnorr proof. The statement y must be a group
+// member: outside the subgroup "y = base^x" has no witness to know.
 func VerifyDlog(g *group.Group, base, y *big.Int, p DlogProof, ctx string) error {
+	if y == nil || !g.Contains(y) {
+		return ErrInvalidProof
+	}
 	return verifyDlogWith(g, func(e *big.Int) *big.Int { return g.Exp(base, e) }, base, y, p, ctx)
 }
 
+// verifyDlogWith is VerifyDlog over a statement the caller has already
+// membership-checked, with the base exponentiation of proveDlogWith.
 func verifyDlogWith(g *group.Group, expBase func(*big.Int) *big.Int, base, y *big.Int, p DlogProof, ctx string) error {
 	if p.A == nil || !g.Contains(p.A) || !scalarOK(g, p.Z) {
 		return ErrInvalidProof
@@ -170,7 +176,8 @@ func ProveOpening(p *commit.Params, c commit.Commitment, o commit.Opening, ctx s
 // VerifyOpening checks an opening-knowledge proof.
 func VerifyOpening(p *commit.Params, c commit.Commitment, pr OpeningProof, ctx string) error {
 	g := p.Group
-	if pr.A == nil || !g.Contains(pr.A) || !scalarOK(g, pr.Z1) || !scalarOK(g, pr.Z2) {
+	if c.C == nil || !g.Contains(c.C) ||
+		pr.A == nil || !g.Contains(pr.A) || !scalarOK(g, pr.Z1) || !scalarOK(g, pr.Z2) {
 		return ErrInvalidProof
 	}
 	ch := openingChallenge(p, c, pr.A, ctx)
@@ -292,8 +299,19 @@ func ProveBit(p *commit.Params, c commit.Commitment, o commit.Opening, ctx strin
 	return proof, nil
 }
 
-// VerifyBit checks a bit proof.
+// VerifyBit checks a bit proof. The commitment must be a group member: a
+// twisted one (P − C) satisfies both branch equations up to a sign.
 func VerifyBit(p *commit.Params, c commit.Commitment, pr BitProof, ctx string) error {
+	if c.C == nil || !p.Group.Contains(c.C) {
+		return ErrInvalidProof
+	}
+	return verifyBit(p, c, pr, ctx)
+}
+
+// verifyBit is VerifyBit over a commitment the caller has already
+// membership-checked (VerifyRange and the batch verifiers check every bit
+// commitment themselves).
+func verifyBit(p *commit.Params, c commit.Commitment, pr BitProof, ctx string) error {
 	g := p.Group
 	if err := bitShapeCheck(p, pr); err != nil {
 		return err
@@ -419,7 +437,7 @@ func VerifyRange(p *commit.Params, c commit.Commitment, nBits int, pr RangeProof
 		if ci.C == nil || !g.Contains(ci.C) {
 			return ErrInvalidProof
 		}
-		if err := VerifyBit(p, ci, pr.BitProofs[i], fmt.Sprintf("%s/bit%d", ctx, i)); err != nil {
+		if err := verifyBit(p, ci, pr.BitProofs[i], fmt.Sprintf("%s/bit%d", ctx, i)); err != nil {
 			return ErrInvalidProof
 		}
 		weight := new(big.Int).Lsh(big.NewInt(1), uint(i))
