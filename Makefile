@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race bench bench-check vet fmt fmt-check lint chaos fuzz-smoke serve-smoke serve-smoke-durable
+.PHONY: build test check race bench bench-check vet fmt fmt-check lint chaos fuzz-smoke heap-smoke serve-smoke serve-smoke-durable
 
 build:
 	$(GO) build ./...
@@ -48,6 +48,13 @@ fuzz-smoke:
 		$(GO) test -run '^$$' -fuzz "^$${fn#func }\$$" -fuzztime 10s ./$$(dirname $$file); \
 	done
 
+# heap-smoke is the gate on what a chain peer retains per applied
+# transaction (its encoded bytes plus a few bytes, ~0.02 heap objects).
+# `make race` skips the test: the detector's shadow allocations would be
+# counted as the peer's.
+heap-smoke:
+	$(GO) test -count=1 -run '^TestPeerRetainedPerTx$$' -v ./internal/chain
+
 # serve-smoke is the deployment smoke test, run by the repository
 # benchmark's open-loop workload (benchmark/README.md): build the real
 # prever-server, drive single-op /submit on a schedule for 2 seconds, and
@@ -72,10 +79,11 @@ bench-check:
 
 # check is the CI gate: formatting, static analysis (go vet plus the
 # project analyzers), the full suite under the race detector (the batch
-# fan-out's concurrency contract is only proven with -race), the
-# benchmark module, ten seconds of fuzzing per Fuzz* target, the server
-# boot smoke test, and the kill -9 recovery smoke test.
-check: fmt-check vet lint race bench-check fuzz-smoke serve-smoke serve-smoke-durable
+# fan-out's concurrency contract is only proven with -race), the peer's
+# retained-heap gate (without -race), the benchmark module, ten seconds
+# of fuzzing per Fuzz* target, the server boot smoke test, and the
+# kill -9 recovery smoke test.
+check: fmt-check vet lint race heap-smoke bench-check fuzz-smoke serve-smoke serve-smoke-durable
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run xxx ./...

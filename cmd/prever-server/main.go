@@ -8,6 +8,7 @@
 //	prever-server [-addr 127.0.0.1:9473] [-shards N] [-f K] [-timeout D]
 //	              [-batch N] [-flush D] [-inflight K] [-mempool-cap N]
 //	              [-lanes N] [-max-tx-bytes N] [-data DIR] [-snap-every N]
+//	              [-pprof ADDR]
 //
 // With -data, every consensus replica journals its protocol state to a
 // write-ahead log under DIR (one subdirectory per peer) and snapshots
@@ -15,6 +16,11 @@
 // -data recovers the chain from disk: no acked transaction is lost, even
 // across a SIGKILL. Without -data the node is in-memory (state dies with
 // the process).
+//
+// With -pprof ADDR (off by default; the PREVER_PPROF environment
+// variable supplies it to a server something else launches, such as the
+// benchmark's) a second listener serves net/http/pprof under
+// /debug/pprof/ and nothing else; the API listener never does.
 //
 // The server prints exactly one line to stdout once it accepts
 // connections:
@@ -35,6 +41,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -67,6 +74,7 @@ func run() error {
 	maxTxFlag := flag.Int("max-tx-bytes", defaults.MaxTxBytes, "per-transaction size limit on the binary-encoded transaction, not its JSON request body (HTTP 413 beyond)")
 	dataFlag := flag.String("data", "", "data directory for crash durability (empty = in-memory)")
 	snapEveryFlag := flag.Uint64("snap-every", defaults.SnapshotEvery, "executed sequences between durable snapshots (with -data)")
+	pprofFlag := flag.String("pprof", os.Getenv("PREVER_PPROF"), "serve net/http/pprof on this address, its own listener (empty = off; default from $PREVER_PPROF)")
 	flag.Parse()
 
 	conf.Update(func(c *conf.Config) {
@@ -103,6 +111,16 @@ func run() error {
 	}
 	defer func() { _ = sharded.Close() }()
 
+	if *pprofFlag != "" {
+		pln, err := net.Listen("tcp", *pprofFlag)
+		if err != nil {
+			return fmt.Errorf("-pprof: %w", err)
+		}
+		defer func() { _ = pln.Close() }()
+		fmt.Fprintf(os.Stderr, "prever-server: pprof on http://%s/debug/pprof/\n", pln.Addr())
+		go func() { _ = http.Serve(pln, pprofMux()) }() // ends when pln closes
+	}
+
 	ln, err := net.Listen("tcp", *addrFlag)
 	if err != nil {
 		return err
@@ -132,4 +150,17 @@ func run() error {
 		}
 		return err
 	}
+}
+
+// pprofMux serves the profiling endpoints and only those: importing
+// net/http/pprof also registers them on http.DefaultServeMux, which
+// nothing in this process serves.
+func pprofMux() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }

@@ -211,20 +211,16 @@ func (s *Server) handleAudit(w http.ResponseWriter, _ *http.Request) {
 		audit := ShardAudit{Name: sh.Name, Clean: true, BadBlock: -1, Converged: true}
 		var tip [32]byte
 		for i, p := range sh.Peers() {
-			blocks := p.Blocks()
-			audit.Heights = append(audit.Heights, len(blocks))
-			if bad, err := chain.VerifyBlocks(blocks); bad != -1 && audit.Clean {
+			height, t, bad, err := p.Verify()
+			audit.Heights = append(audit.Heights, height)
+			if bad != -1 && audit.Clean {
 				audit.Clean = false
 				audit.BadBlock = bad
 				audit.Error = err.Error()
 			}
-			var t [32]byte
-			if len(blocks) > 0 {
-				t = blocks[len(blocks)-1].Hash
-			}
 			if i == 0 {
 				tip = t
-			} else if t != tip || len(blocks) != audit.Heights[0] {
+			} else if t != tip || height != audit.Heights[0] {
 				audit.Converged = false
 			}
 		}

@@ -11,6 +11,7 @@
 package chain
 
 import (
+	"bytes"
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/hex"
@@ -26,7 +27,7 @@ import (
 	"prever/internal/merkle"
 	"prever/internal/netsim"
 	"prever/internal/pbft"
-	"prever/internal/store"
+	"prever/internal/wire"
 )
 
 // TxKind is the transaction type.
@@ -64,65 +65,57 @@ type Block struct {
 	Hash     [32]byte `json:"hash"`
 }
 
-// txTree builds the Merkle tree over the transactions' encodings (see
+// txRoot is the Merkle root over the transactions' encodings (see
 // codec.go), the leaves a block's TxRoot commits to.
-func txTree(txs []Tx) *merkle.Tree {
-	t := merkle.New()
+func txRoot(txs []Tx) [32]byte {
+	var f merkle.Frontier
 	var buf []byte
 	for i := range txs {
 		buf = appendTx(buf[:0], &txs[i])
-		t.Append(buf)
+		f.Add(buf)
 	}
-	return t
+	return f.Root()
 }
 
-func txRoot(txs []Tx) [32]byte { return [32]byte(txTree(txs).Root()) }
-
-func blockHash(b *Block) [32]byte {
-	h := sha256.New()
-	var height [8]byte
-	for i := 0; i < 8; i++ {
-		height[i] = byte(b.Height >> (8 * i))
-	}
-	h.Write(height[:])
-	h.Write(b.PrevHash[:])
-	h.Write(b.TxRoot[:])
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
-}
+func blockHash(b *Block) [32]byte { return linkHash(b.Height, b.PrevHash, b.TxRoot) }
 
 // HashValue hashes a private value the way TxPrivatePut expects.
 func HashValue(v []byte) [32]byte { return sha256.Sum256(v) }
 
-// Peer is one organization's node: it holds the block chain, the public
-// world state, and the private collections it is a member of.
+// Peer is one organization's node: it holds the block chain (as encoded
+// heads and bodies, see blockstore.go), the public world state, and the
+// private collections it is a member of.
 type Peer struct {
 	id          string
 	collections map[string]bool
 
-	mu        sync.Mutex
-	blocks    []Block
-	state     *store.KV
-	private   map[string]*store.KV // collection -> private state
-	pendingP  map[string][]byte    // txID -> private value awaiting commit
-	prepared  map[string][]Tx      // xid -> prepared cross-shard writes
-	appliedTx map[string]bool      // txID -> already applied (exactly-once)
+	state   *worldState
+	private map[string]*worldState // collection -> private state; fixed after construction
+
+	mu       sync.Mutex
+	heads    []blockHead       // append-only: an element, once written, never changes
+	bodies   [][]byte          // likewise; bodies[i] belongs to heads[i]
+	pendingP map[string][]byte // txID -> private value awaiting commit
+	prepared map[string][]Tx   // xid -> prepared cross-shard writes
+	applied  idSet             // every applied tx id (exactly-once)
+	root     merkle.Frontier   // scratch for the block being built: its root,
+	fresh    []Tx              // its decoded transactions,
+	body     []byte            // and its body before it is cut to size
 }
 
 func newPeer(id string, collections []string) *Peer {
 	p := &Peer{
 		id:          id,
 		collections: make(map[string]bool),
-		state:       store.NewKV(),
-		private:     make(map[string]*store.KV),
+		state:       newWorldState(),
+		private:     make(map[string]*worldState),
 		pendingP:    make(map[string][]byte),
 		prepared:    make(map[string][]Tx),
-		appliedTx:   make(map[string]bool),
+		applied:     newIDSet(),
 	}
 	for _, c := range collections {
 		p.collections[c] = true
-		p.private[c] = store.NewKV()
+		p.private[c] = newWorldState()
 	}
 	return p
 }
@@ -134,32 +127,55 @@ func (p *Peer) ID() string { return p.id }
 func (p *Peer) Height() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.blocks)
+	return len(p.heads)
 }
 
-// Blocks exports a copy of the chain for auditing.
-func (p *Peer) Blocks() []Block {
+// chain returns the store as it stands. Both slices are append-only, so
+// the caller may read what it was handed without the lock.
+func (p *Peer) chain() ([]blockHead, [][]byte) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]Block, len(p.blocks))
-	copy(out, p.blocks)
+	return p.heads, p.bodies
+}
+
+// Blocks materialises a copy of the chain for auditing: every
+// transaction of every block is decoded. Verify audits the same chain
+// without building any of them.
+func (p *Peer) Blocks() []Block {
+	heads, bodies := p.chain()
+	out := make([]Block, len(heads))
+	for i := range out {
+		out[i] = materialise(heads, bodies, i)
+	}
 	return out
+}
+
+// Verify audits the peer's own chain in place, over the encoded bodies:
+// hash links, transaction roots and counts, as VerifyBlocks does for an
+// exported chain. It returns the number of blocks audited, the hash of
+// the last one (zero for an empty chain), and the height of the first
+// bad block, or -1 if clean.
+func (p *Peer) Verify() (height int, tip [32]byte, bad int, err error) {
+	heads, bodies := p.chain()
+	if len(heads) > 0 {
+		tip = heads[len(heads)-1].Hash
+	}
+	bad, err = verifyChain(heads, bodies)
+	return len(heads), tip, bad, err
 }
 
 // Get reads the public world state.
 func (p *Peer) Get(key string) ([]byte, error) {
-	return p.state.Get(key)
+	return p.state.get(key)
 }
 
 // GetPrivate reads a private collection this peer is a member of.
 func (p *Peer) GetPrivate(collection, key string) ([]byte, error) {
-	p.mu.Lock()
 	kv, ok := p.private[collection]
-	p.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("chain: peer %s is not a member of collection %q", p.id, collection)
 	}
-	return kv.Get(key)
+	return kv.get(key)
 }
 
 // StagePrivateValue pre-positions a private value (distributed off-chain
@@ -173,64 +189,82 @@ func (p *Peer) StagePrivateValue(txID string, value []byte) {
 	p.pendingP[txID] = cp
 }
 
-// applyBatch turns one executed PBFT batch into a block and applies it.
+// unstagePrivateValue drops a staged value whose transaction will not
+// commit.
+func (p *Peer) unstagePrivateValue(txID string) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	delete(p.pendingP, txID)
+}
+
+// applyBatch turns the framed operations of one executed PBFT batch into
+// a block and applies it, and reports how many were not transactions.
 // Transactions whose ID already applied are dropped first: a consensus
 // client that times out and retries can commit the same transaction into
 // two instances, and this filter is what keeps the chain exactly-once.
-// The dedup map is unbounded and keyed only by the executed sequence —
+// The id set is never pruned and depends only on the executed sequence —
 // every peer applies the same instances in the same order, so every peer
 // drops the same duplicates and the chains stay identical (a TTL filter
 // here would make the drop decision depend on wall-clock timing and let
 // replicas diverge).
-func (p *Peer) applyBatch(txs []Tx) {
+//
+// What the block keeps of a transaction is its encoding as committed,
+// copied out of ops into the block's body; the decoded form lives only
+// until the block is applied.
+func (p *Peer) applyBatch(ops [][]byte) (undecodable int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	fresh := make([]Tx, 0, len(txs))
-	for _, tx := range txs {
-		if tx.ID != "" {
-			if p.appliedTx[tx.ID] {
-				continue
-			}
-			p.appliedTx[tx.ID] = true
+	fresh, body := p.fresh[:0], p.body[:0]
+	p.root.Reset()
+	for _, op := range ops {
+		tx, err := decodeTx(op)
+		if err != nil {
+			undecodable++
+			continue
+		}
+		if tx.ID != "" && !p.applied.add(tx.ID) {
+			continue
 		}
 		fresh = append(fresh, tx)
+		p.root.Add(op)
+		body = wire.AppendBytes(body, op)
 	}
+	p.fresh, p.body = fresh[:0], body[:0]
 	if len(fresh) == 0 {
-		return
+		return undecodable
 	}
-	txs = fresh
-	blk := Block{
-		Height: uint64(len(p.blocks)),
-		TxRoot: txRoot(txs),
-		Txs:    txs,
+	head := blockHead{TxRoot: p.root.Root(), Txs: uint32(len(fresh))}
+	var prev [32]byte
+	if len(p.heads) > 0 {
+		prev = p.heads[len(p.heads)-1].Hash
 	}
-	if len(p.blocks) > 0 {
-		blk.PrevHash = p.blocks[len(p.blocks)-1].Hash
+	head.Hash = linkHash(uint64(len(p.heads)), prev, head.TxRoot)
+	p.heads = append(p.heads, head)
+	p.bodies = append(p.bodies, bytes.Clone(body))
+	for i := range fresh {
+		p.applyTxLocked(&fresh[i])
 	}
-	blk.Hash = blockHash(&blk)
-	p.blocks = append(p.blocks, blk)
-	for _, tx := range txs {
-		p.applyTxLocked(tx)
-	}
+	clear(fresh) // the scratch must not pin the decoded strings and values
+	return undecodable
 }
 
-func (p *Peer) applyTxLocked(tx Tx) {
+func (p *Peer) applyTxLocked(tx *Tx) {
 	switch tx.Kind {
 	case TxPut:
-		p.state.Put(tx.Key, tx.Value)
+		p.state.put(tx.Key, tx.Value)
 	case TxPutOnce:
-		if _, err := p.state.Get(tx.Key); err != nil {
-			p.state.Put(tx.Key, tx.Value)
+		if !p.state.has(tx.Key) {
+			p.state.put(tx.Key, tx.Value)
 		}
 	case TxDelete:
-		p.state.Delete(tx.Key)
+		p.state.delete(tx.Key)
 	case TxPrivatePut:
 		// On-chain: record the hash publicly so everyone can audit.
-		p.state.Put("hash/"+tx.Collection+"/"+tx.Key, tx.ValueHash[:])
+		p.state.put("hash/"+tx.Collection+"/"+tx.Key, tx.ValueHash[:])
 		// Members store the value if the staged copy matches the hash.
 		if p.collections[tx.Collection] {
 			if v, ok := p.pendingP[tx.ID]; ok && HashValue(v) == tx.ValueHash {
-				p.private[tx.Collection].Put(tx.Key, v)
+				p.private[tx.Collection].put(tx.Key, v)
 			}
 			delete(p.pendingP, tx.ID)
 		}
@@ -238,8 +272,8 @@ func (p *Peer) applyTxLocked(tx Tx) {
 		p.prepared[tx.XID] = tx.Writes
 	case TxCrossCommit:
 		if writes, ok := p.prepared[tx.XID]; ok {
-			for _, w := range writes {
-				p.applyTxLocked(w)
+			for i := range writes {
+				p.applyTxLocked(&writes[i])
 			}
 			delete(p.prepared, tx.XID)
 		}
@@ -272,22 +306,31 @@ func VerifyBlocks(blocks []Block) (int, error) {
 }
 
 // ProveTx builds a Merkle inclusion proof for transaction index txIdx of
-// block height h, verifiable against the block's TxRoot.
+// block height h, verifiable against the block's TxRoot. The tree is
+// rebuilt from the block's body for the occasion.
 func (p *Peer) ProveTx(height uint64, txIdx int) (merkle.InclusionProof, Tx, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if height >= uint64(len(p.blocks)) {
-		return merkle.InclusionProof{}, Tx{}, fmt.Errorf("chain: height %d beyond chain (%d)", height, len(p.blocks))
+	heads, bodies := p.chain()
+	if height >= uint64(len(heads)) {
+		return merkle.InclusionProof{}, Tx{}, fmt.Errorf("chain: height %d beyond chain (%d)", height, len(heads))
 	}
-	blk := p.blocks[height]
-	if txIdx < 0 || txIdx >= len(blk.Txs) {
+	n := int(heads[height].Txs)
+	if txIdx < 0 || txIdx >= n {
 		return merkle.InclusionProof{}, Tx{}, fmt.Errorf("chain: tx index %d out of range", txIdx)
 	}
-	proof, err := txTree(blk.Txs).ProveInclusion(txIdx, len(blk.Txs))
+	tree := merkle.New()
+	var leaf []byte
+	eachTx(bodies[height], func(enc []byte) bool {
+		if tree.Append(enc) == txIdx {
+			leaf = enc
+		}
+		return true
+	})
+	proof, err := tree.ProveInclusion(txIdx, n)
 	if err != nil {
 		return merkle.InclusionProof{}, Tx{}, err
 	}
-	return proof, blk.Txs[txIdx], nil
+	tx, err := decodeTx(leaf)
+	return proof, tx, err
 }
 
 // VerifyTxProof checks a transaction inclusion proof against a block.
@@ -363,37 +406,31 @@ func NewShard(net *netsim.Network, cfg ShardConfig) (*Shard, error) {
 		peer := newPeer(id, memberOf(id))
 		s.peers = append(s.peers, peer)
 		applier := func(_ uint64, batch []pbft.Request) {
-			var txs []Tx
+			var ops [][]byte
 			undecodable := 0
 			for _, req := range batch {
 				// Every request the shard's client submits is one framed
 				// mempool batch; fan it back out into its transactions.
 				// Anything else that committed cannot be applied, and is
 				// counted rather than dropped unseen.
-				ops, ok := mempool.DecodeBatch(req.Op)
+				framed, ok := mempool.DecodeBatch(req.Op)
 				if !ok {
 					undecodable++
 					continue
 				}
-				if txs == nil {
-					txs = make([]Tx, 0, len(ops))
+				if ops == nil {
+					ops = framed
+				} else {
+					ops = append(ops, framed...)
 				}
-				for _, op := range ops {
-					tx, err := decodeTx(op)
-					if err != nil {
-						undecodable++
-						continue
-					}
-					txs = append(txs, tx)
-				}
+			}
+			if len(ops) > 0 {
+				undecodable += peer.applyBatch(ops)
 			}
 			if undecodable > 0 {
 				s.statsMu.Lock()
 				s.stats.Undecodable += int64(undecodable)
 				s.statsMu.Unlock()
-			}
-			if len(txs) > 0 {
-				peer.applyBatch(txs)
 			}
 		}
 		var replica *pbft.Replica
@@ -432,8 +469,8 @@ func NewShard(net *netsim.Network, cfg ShardConfig) (*Shard, error) {
 	// The client name and tx IDs carry the boot nonce: a restarted process
 	// reuses the same client identity namespace otherwise, and its
 	// restarted sequence counter / tx counter would collide with the
-	// recovered dedup state (executedR, appliedTx) — silently dropping
-	// fresh transactions as "already executed".
+	// recovered dedup state (executedR, the peers' applied ids) — silently
+	// dropping fresh transactions as "already executed".
 	client, err := pbft.NewClient(net, s.replicas, "chain/"+cfg.Name+"/"+s.nonce, pbft.ClientOptions{})
 	if err != nil {
 		return nil, err
@@ -487,7 +524,9 @@ func (s *Shard) Replicas() []*pbft.Replica { return s.replicas }
 // SubmitPrivate distributes a private value to collection members
 // off-chain, then orders the on-chain hash through the mempool like any
 // other transaction: the returned channel resolves when the hash
-// transaction's batch commits.
+// transaction's batch commits. A submission that fails (pool full, shard
+// closed, too large, consensus timeout) takes the staged copies back, so
+// values that will never be claimed do not pile up on the members.
 func (s *Shard) SubmitPrivate(collection, key string, value []byte) <-chan Result {
 	tx := Tx{
 		ID:         fmt.Sprintf("%s-%s-ptx-%d", s.Name, s.nonce, s.seq.Add(1)),
@@ -501,7 +540,13 @@ func (s *Shard) SubmitPrivate(collection, key string, value []byte) <-chan Resul
 			p.StagePrivateValue(tx.ID, value)
 		}
 	}
-	return s.SubmitAsync(tx)
+	return s.submit(tx, func(res Result) {
+		if res.Err != nil && !errors.Is(res.Err, ErrDuplicate) {
+			for _, p := range s.peers {
+				p.unstagePrivateValue(tx.ID)
+			}
+		}
+	})
 }
 
 // Sharded is a SharPer-style multi-shard chain: the key space is

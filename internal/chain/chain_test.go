@@ -127,6 +127,16 @@ func TestVerifyBlocksCleanAndTampered(t *testing.T) {
 	if bad, _ := VerifyBlocks(blocks); bad != 3 {
 		t.Fatal("fully-relinked tamper not detected at the next block")
 	}
+	// The in-place audit reads the stored bytes: the export above was a
+	// copy, so the peer is still clean, until its own body is rewritten.
+	p := s.Peers()[0]
+	if height, _, bad, err := p.Verify(); height != 5 || bad != -1 {
+		t.Fatalf("Verify on an untouched peer: %d blocks, bad block %d: %v", height, bad, err)
+	}
+	p.bodies[2][len(p.bodies[2])-1] ^= 1
+	if _, _, bad, _ := p.Verify(); bad != 2 {
+		t.Fatalf("rewritten body not detected in place: bad = %d", bad)
+	}
 }
 
 func TestTxInclusionProof(t *testing.T) {

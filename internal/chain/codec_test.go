@@ -163,10 +163,14 @@ func TestGeneratedTxsGiveIdenticalChains(t *testing.T) {
 	if bad, err := VerifyBlocks(ref); err != nil {
 		t.Fatalf("block %d: %v", bad, err)
 	}
-	for _, p := range s.Peers()[1:] {
+	for _, p := range s.Peers() {
 		blocks := p.Blocks()
 		if len(blocks) != len(ref) {
 			t.Fatalf("peer %s has %d blocks, ref %d", p.ID(), len(blocks), len(ref))
+		}
+		// The in-place audit and the materialised one see one chain.
+		if height, tip, bad, err := p.Verify(); height != len(ref) || tip != ref[len(ref)-1].Hash || bad != -1 {
+			t.Fatalf("peer %s: Verify = %d blocks, tip %x, bad block %d: %v", p.ID(), height, tip, bad, err)
 		}
 		for i := range ref {
 			if blocks[i].Hash != ref[i].Hash {

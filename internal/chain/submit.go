@@ -115,7 +115,11 @@ func laneOf(tx Tx) string {
 // returned TxID so the mempool's duplicate suppression can collapse the
 // retry (a retried transaction that is still pending, or that committed
 // within the dedup TTL, is acked without being proposed again).
-func (s *Shard) SubmitAsync(tx Tx) <-chan Result {
+func (s *Shard) SubmitAsync(tx Tx) <-chan Result { return s.submit(tx, nil) }
+
+// submit is SubmitAsync; settled, when not nil, sees the Result just
+// before the channel does, on whichever goroutine settles it.
+func (s *Shard) submit(tx Tx, settled func(Result)) <-chan Result {
 	ch := make(chan Result, 1)
 	if tx.ID == "" {
 		tx.ID = fmt.Sprintf("%s-%s-tx-%d", s.Name, s.nonce, s.seq.Add(1))
@@ -125,28 +129,23 @@ func (s *Shard) SubmitAsync(tx Tx) <-chan Result {
 	s.statsMu.Lock()
 	s.stats.Submitted++
 	s.statsMu.Unlock()
+	done := func(err error) {
+		err = sentinelErr(err)
+		s.recordOutcome(start, err)
+		res := Result{TxID: id, Err: err}
+		if settled != nil {
+			settled(res)
+		}
+		ch <- res
+	}
 	data := txBytes(tx)
-	var err error
 	if max := conf.MaxTxBytes(); len(data) > max {
-		err = fmt.Errorf("%w: %d bytes (limit %d)", ErrTxTooLarge, len(data), max)
+		done(fmt.Errorf("%w: %d bytes (limit %d)", ErrTxTooLarge, len(data), max))
 	} else if d := writesDepth(&tx); d > maxWritesDepth {
 		// Every peer's decoder would refuse it after it committed.
-		err = fmt.Errorf("%w: %d levels (limit %d)", ErrTxTooDeep, d, maxWritesDepth)
-	}
-	if err != nil {
-		s.recordOutcome(start, err)
-		ch <- Result{TxID: id, Err: err}
-		return ch
-	}
-	err = s.pool.Add(mempool.Op{ID: id, Lane: laneOf(tx), Data: data}, func(err error) {
-		err = sentinelErr(err)
-		s.recordOutcome(start, err)
-		ch <- Result{TxID: id, Err: err}
-	})
-	if err != nil {
-		err = sentinelErr(err)
-		s.recordOutcome(start, err)
-		ch <- Result{TxID: id, Err: err}
+		done(fmt.Errorf("%w: %d levels (limit %d)", ErrTxTooDeep, d, maxWritesDepth))
+	} else if err := s.pool.Add(mempool.Op{ID: id, Lane: laneOf(tx), Data: data}, done); err != nil {
+		done(err)
 	}
 	return ch
 }

@@ -14,6 +14,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // HashSize is the size in bytes of every hash produced by this package.
@@ -25,15 +26,15 @@ type Hash [HashSize]byte
 // String renders the first 8 bytes in hex, enough to eyeball digests in logs.
 func (h Hash) String() string { return fmt.Sprintf("%x", h[:8]) }
 
-var (
-	leafPrefix = []byte{0x00}
-	nodePrefix = []byte{0x01}
+const (
+	leafPrefix = 0x00
+	nodePrefix = 0x01
 )
 
 // HashLeaf hashes a leaf entry with the leaf domain prefix.
 func HashLeaf(data []byte) Hash {
 	s := sha256.New()
-	s.Write(leafPrefix)
+	s.Write([]byte{leafPrefix})
 	s.Write(data)
 	var h Hash
 	s.Sum(h[:0])
@@ -42,13 +43,11 @@ func HashLeaf(data []byte) Hash {
 
 // HashChildren hashes two interior children with the node domain prefix.
 func HashChildren(left, right Hash) Hash {
-	s := sha256.New()
-	s.Write(nodePrefix)
-	s.Write(left[:])
-	s.Write(right[:])
-	var h Hash
-	s.Sum(h[:0])
-	return h
+	var b [1 + 2*HashSize]byte
+	b[0] = nodePrefix
+	copy(b[1:], left[:])
+	copy(b[1+HashSize:], right[:])
+	return sha256.Sum256(b[:])
 }
 
 // EmptyRoot is the root hash of an empty tree: SHA-256 of the empty string,
@@ -121,6 +120,54 @@ func (t *Tree) Root() Hash {
 	acc := t.frontier[len(t.frontier)-1].hash
 	for i := len(t.frontier) - 2; i >= 0; i-- {
 		acc = HashChildren(t.frontier[i].hash, acc)
+	}
+	return acc
+}
+
+// Frontier folds leaves into the root Tree would give them without
+// keeping any: only the perfect-subtree roots on the right edge, in a
+// fixed array indexed by height, so a root over n leaves costs no
+// allocation per leaf and retains nothing. It answers no proofs — a
+// caller that needs one rebuilds a Tree from the entries it stored. The
+// zero value is an empty tree.
+type Frontier struct {
+	n     uint64
+	roots [64]Hash // roots[i] is live iff bit i of n is set: a subtree of 2^i leaves
+	buf   []byte   // prefix | leaf, reused across Add calls
+}
+
+// Reset empties the frontier, keeping its scratch buffer.
+func (f *Frontier) Reset() { f.n = 0 }
+
+// Size returns the number of leaves added.
+func (f *Frontier) Size() int { return int(f.n) }
+
+// Add appends one entry. data is not retained.
+func (f *Frontier) Add(data []byte) {
+	f.buf = append(append(f.buf[:0], leafPrefix), data...)
+	h := Hash(sha256.Sum256(f.buf))
+	// A binary counter: adding a leaf carries through every trailing set
+	// bit, merging equal-sized subtrees on the way up.
+	i := 0
+	for ; f.n>>i&1 == 1; i++ {
+		h = HashChildren(f.roots[i], h)
+	}
+	f.roots[i] = h
+	f.n++
+}
+
+// Root returns the root over the leaves added so far, folding the
+// subtrees smallest first (RFC 6962's unbalanced combination).
+func (f *Frontier) Root() Hash {
+	if f.n == 0 {
+		return EmptyRoot()
+	}
+	i := bits.TrailingZeros64(f.n)
+	acc := f.roots[i]
+	for i++; f.n>>i != 0; i++ {
+		if f.n>>i&1 == 1 {
+			acc = HashChildren(f.roots[i], acc)
+		}
 	}
 	return acc
 }

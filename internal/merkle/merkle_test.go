@@ -382,6 +382,33 @@ func TestIncrementalRootMatchesRecursive(t *testing.T) {
 	}
 }
 
+// TestFrontierMatchesTree: the leaf-free fold gives the recursive
+// reference root at every size, across a Reset, and allocates nothing per
+// leaf once its scratch buffer has grown.
+func TestFrontierMatchesTree(t *testing.T) {
+	ref := New()
+	var f Frontier
+	for round := 0; round < 2; round++ {
+		f.Reset()
+		if f.Root() != EmptyRoot() || f.Size() != 0 {
+			t.Fatalf("round %d: reset frontier is not the empty tree", round)
+		}
+		for i := 0; i < 300; i++ {
+			if round == 0 {
+				ref.Append(leafData(i))
+			}
+			f.Add(leafData(i))
+			if f.Size() != i+1 || f.Root() != subtreeRootForTest(ref, i+1) {
+				t.Fatalf("round %d: frontier diverges at size %d", round, i+1)
+			}
+		}
+	}
+	data := leafData(7)
+	if n := testing.AllocsPerRun(100, func() { f.Add(data); _ = f.Root() }); n != 0 {
+		t.Fatalf("Add+Root allocates %.0f times per leaf", n)
+	}
+}
+
 // subtreeRootForTest computes the reference (recursive) root.
 func subtreeRootForTest(t *Tree, n int) Hash {
 	if n == 0 {

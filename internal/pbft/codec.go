@@ -5,6 +5,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
+	"hash"
+	"sync"
 
 	"prever/internal/wire"
 )
@@ -34,27 +36,47 @@ const macSize = sha256.Size
 // minRequestBytes is the encoded size of the zero Request.
 const minRequestBytes = 3
 
+// macKey is one pairwise MAC key. hmac.New runs two SHA-256 key
+// schedules, so each key keeps a pool of HMACs already keyed with it and
+// a message costs a Reset, not a New. The MAC bytes are what hmac.New
+// would give.
+type macKey struct {
+	pool sync.Pool
+}
+
+func newMACKey(key []byte) *macKey {
+	k := &macKey{}
+	k.pool.New = func() any { return hmac.New(sha256.New, key) }
+	return k
+}
+
+// sum appends HMAC-SHA256(key, body) to dst.
+func (k *macKey) sum(dst, body []byte) []byte {
+	mac := k.pool.Get().(hash.Hash)
+	mac.Reset()
+	mac.Write(body)
+	dst = mac.Sum(dst)
+	k.pool.Put(mac)
+	return dst
+}
+
 // seal wraps body in the envelope for one receiver.
-func seal(key, body []byte) []byte {
+func seal(key *macKey, body []byte) []byte {
 	out := make([]byte, macSize, macSize+len(body))
 	out = append(out, body...)
-	mac := hmac.New(sha256.New, key)
-	mac.Write(body)
-	mac.Sum(out[:0])
+	key.sum(out[:0], body)
 	return out
 }
 
 // open checks the envelope's MAC and returns the body, a sub-slice of
 // payload. Nothing in the body is looked at before the MAC verifies.
-func open(key, payload []byte) ([]byte, bool) {
+func open(key *macKey, payload []byte) ([]byte, bool) {
 	if key == nil || len(payload) < macSize {
 		return nil, false
 	}
 	body := payload[macSize:]
-	mac := hmac.New(sha256.New, key)
-	mac.Write(body)
 	var sum [macSize]byte
-	if !hmac.Equal(mac.Sum(sum[:0]), payload[:macSize]) {
+	if !hmac.Equal(key.sum(sum[:0], body), payload[:macSize]) {
 		return nil, false
 	}
 	return body, true

@@ -66,8 +66,9 @@ const pbSnapFormat = "prever/pbft/snap/v2"
 // application's encodings (chain's transaction and its Merkle leaf). A
 // change to any of them bumps it; there is no reading across versions.
 // v1 is the unstamped layout: JSON-hashed digests, "pbB1" frames, JSON
-// transactions.
-const dataFormat = "prever/pbft/data/v2"
+// transactions. v2 held chain's peer image as JSON blocks; v3 holds it
+// as the block store's own bytes (chain/snapshot.go).
+const dataFormat = "prever/pbft/data/v3"
 
 // DefaultSnapshotEvery is the executed-sequence cadence between
 // snapshots when DurableOptions leaves SnapshotEvery zero.

@@ -225,7 +225,7 @@ type Replica struct {
 	net   *netsim.Network
 	apply Applier
 	opts  Options
-	keys  map[string][]byte // peer id -> pairwise MAC key; fixed after construction
+	keys  map[string]*macKey // peer id -> pairwise MAC key; fixed after construction
 
 	mu         sync.Mutex
 	view       uint64
@@ -321,7 +321,7 @@ func newReplica(net *netsim.Network, id string, ids []string, f int, apply Appli
 		vcTimers:   make(map[Digest]*vcTimer),
 		execLog:    make(map[uint64]execEntry),
 		stateVotes: make(map[uint64]map[string]execEntry),
-		keys:       make(map[string][]byte, len(ids)),
+		keys:       make(map[string]*macKey, len(ids)),
 	}
 	// Own id included: a replica that adopts a view it leads forwards its
 	// revived requests to that view's primary, itself.
@@ -375,7 +375,7 @@ func (r *Replica) commitQuorum() int  { return 2*r.f + 1 }
 // pairKey derives the MAC key two replicas share from the cluster master
 // key, modelling PBFT's pairwise authenticators. Each replica derives
 // its keys once, at construction.
-func pairKey(master []byte, a, b string) []byte {
+func pairKey(master []byte, a, b string) *macKey {
 	if a > b {
 		a, b = b, a
 	}
@@ -383,7 +383,7 @@ func pairKey(master []byte, a, b string) []byte {
 	mac.Write([]byte(a))
 	mac.Write([]byte{0})
 	mac.Write([]byte(b))
-	return mac.Sum(nil)
+	return newMACKey(mac.Sum(nil))
 }
 
 func (r *Replica) send(to, msgType string, v any) {
