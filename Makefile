@@ -48,12 +48,13 @@ fuzz-smoke:
 		$(GO) test -run '^$$' -fuzz "^$${fn#func }\$$" -fuzztime 10s ./$$(dirname $$file); \
 	done
 
-# heap-smoke is the gate on what a chain peer retains per applied
-# transaction (its encoded bytes plus a few bytes, ~0.02 heap objects).
-# `make race` skips the test: the detector's shadow allocations would be
-# counted as the peer's.
+# heap-smoke is the gate on what history costs in memory: a chain peer
+# retains per applied transaction its encoded bytes plus a few bytes
+# (~0.02 heap objects), and the mempool retains nothing per resolved op.
+# `make race` skips both tests: the detector's shadow allocations would
+# be counted as theirs.
 heap-smoke:
-	$(GO) test -count=1 -run '^TestPeerRetainedPerTx$$' -v ./internal/chain
+	$(GO) test -count=1 -run '^(TestPeerRetainedPerTx|TestPoolRetainsNothingPerResolvedOp)$$' -v ./internal/chain ./internal/mempool
 
 # serve-smoke is the deployment smoke test, run by the repository
 # benchmark's open-loop workload (benchmark/README.md): build the real

@@ -372,6 +372,27 @@ func TestConfRejectsBadDuration(t *testing.T) {
 	}
 }
 
+// TestConfRejectsLanes: the lane count is fixed when a shard is built, so
+// it is reported by GET /conf but is not a field of POST /conf — the
+// strict decoder answers 400 rather than accept a setting no pool would
+// run with.
+func TestConfRejectsLanes(t *testing.T) {
+	conf.Reset()
+	t.Cleanup(conf.Reset)
+	client, _ := newTestServer(t, nil)
+	resp, err := http.Post(clientBase(client)+"/conf", "application/json", strings.NewReader(`{"lanes":4}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("POST /conf with lanes: HTTP %d, want 400", resp.StatusCode)
+	}
+	if view, err := client.Conf(); err != nil || view.Lanes != conf.Defaults().Lanes {
+		t.Fatalf("GET /conf = %+v, %v, want the boot lane count %d", view, err, conf.Defaults().Lanes)
+	}
+}
+
 func TestMethodAndRouteStrictness(t *testing.T) {
 	client, _ := newTestServer(t, nil)
 	resp, err := http.Get(clientBase(client) + "/submit")

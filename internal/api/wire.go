@@ -108,7 +108,7 @@ type SubmitRequest struct {
 type SubmitResponse struct {
 	TxID string `json:"txId"`
 	// Duplicate is set when the transaction had already committed and
-	// this submission was acked from the dedup filter — a success with
+	// this submission was acked without being proposed — a success with
 	// a flag, reported with HTTP 200, not an error.
 	Duplicate bool `json:"duplicate,omitempty"`
 }
@@ -239,7 +239,6 @@ type ConfView struct {
 	MaxInFlight   int    `json:"maxInFlight"`
 	MempoolCap    int    `json:"mempoolCap"`
 	Lanes         int    `json:"lanes"`
-	DedupTTL      string `json:"dedupTTL"`
 	MaxTxBytes    int    `json:"maxTxBytes"`
 }
 
@@ -251,24 +250,20 @@ func ViewOf(c conf.Config) ConfView {
 		MaxInFlight:   c.MaxInFlight,
 		MempoolCap:    c.MempoolCap,
 		Lanes:         c.Lanes,
-		DedupTTL:      c.DedupTTL.String(),
 		MaxTxBytes:    c.MaxTxBytes,
 	}
 }
 
 // ConfUpdate is the body of POST /conf: a partial update where only the
 // fields present in the JSON are applied (pointer fields distinguish
-// "absent" from "zero"). Structural knobs (Lanes, DedupTTL) take effect
-// for shards created afterwards; batching knobs (batchSize,
-// flushInterval, maxInFlight, mempoolCap, maxTxBytes) take effect on
-// running shards without restart.
+// "absent" from "zero"). Every field takes effect on running shards
+// without restart; the lane count is fixed when a shard is built and is
+// read-only here.
 type ConfUpdate struct {
 	BatchSize     *int    `json:"batchSize,omitempty"`
 	FlushInterval *string `json:"flushInterval,omitempty"`
 	MaxInFlight   *int    `json:"maxInFlight,omitempty"`
 	MempoolCap    *int    `json:"mempoolCap,omitempty"`
-	Lanes         *int    `json:"lanes,omitempty"`
-	DedupTTL      *string `json:"dedupTTL,omitempty"`
 	MaxTxBytes    *int    `json:"maxTxBytes,omitempty"`
 }
 
@@ -276,16 +271,11 @@ type ConfUpdate struct {
 // returns the resulting snapshot. Duration strings that fail to parse
 // reject the whole update.
 func (u ConfUpdate) Apply() (conf.Config, error) {
-	var flush, ttl time.Duration
+	var flush time.Duration
 	var err error
 	if u.FlushInterval != nil {
 		if flush, err = time.ParseDuration(*u.FlushInterval); err != nil {
 			return conf.Config{}, fmt.Errorf("flushInterval: %w", err)
-		}
-	}
-	if u.DedupTTL != nil {
-		if ttl, err = time.ParseDuration(*u.DedupTTL); err != nil {
-			return conf.Config{}, fmt.Errorf("dedupTTL: %w", err)
 		}
 	}
 	conf.Update(func(c *conf.Config) {
@@ -300,12 +290,6 @@ func (u ConfUpdate) Apply() (conf.Config, error) {
 		}
 		if u.MempoolCap != nil {
 			c.MempoolCap = *u.MempoolCap
-		}
-		if u.Lanes != nil {
-			c.Lanes = *u.Lanes
-		}
-		if u.DedupTTL != nil {
-			c.DedupTTL = ttl
 		}
 		if u.MaxTxBytes != nil {
 			c.MaxTxBytes = *u.MaxTxBytes

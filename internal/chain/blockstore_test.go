@@ -268,13 +268,19 @@ func FuzzIDSet(f *testing.F) {
 		s := newIDSet()
 		oracle := make(map[string]bool)
 		for _, id := range strings.Split(in, ",") {
+			if s.has(id) != oracle[id] {
+				t.Fatalf("has(%q) = %v before its add, but the map says present = %v", id, !oracle[id], oracle[id])
+			}
 			if fresh := s.add(id); fresh == oracle[id] {
 				t.Fatalf("add(%q) = %v, but the map says present = %v", id, fresh, oracle[id])
 			}
 			oracle[id] = true
+			if !s.has(id) {
+				t.Fatalf("has(%q) = false after its add", id)
+			}
 		}
 		for id := range oracle {
-			if s.add(id) {
+			if !s.has(id) || s.add(id) {
 				t.Fatalf("%q was added and is not in the set", id)
 			}
 		}

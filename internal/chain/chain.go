@@ -91,13 +91,13 @@ type Peer struct {
 
 	state   *worldState
 	private map[string]*worldState // collection -> private state; fixed after construction
+	applied *idSet                 // every applied tx id (exactly-once); written under mu, read without it
 
 	mu       sync.Mutex
 	heads    []blockHead       // append-only: an element, once written, never changes
 	bodies   [][]byte          // likewise; bodies[i] belongs to heads[i]
 	pendingP map[string][]byte // txID -> private value awaiting commit
 	prepared map[string][]Tx   // xid -> prepared cross-shard writes
-	applied  idSet             // every applied tx id (exactly-once)
 	root     merkle.Frontier   // scratch for the block being built: its root,
 	fresh    []Tx              // its decoded transactions,
 	body     []byte            // and its body before it is cut to size
@@ -476,6 +476,16 @@ func NewShard(net *netsim.Network, cfg ShardConfig) (*Shard, error) {
 		return nil, err
 	}
 	s.client = client
+	// The pool keeps no memory of executed ids; it asks the chain. A batch
+	// resolves only after f+1 peers applied it: its ids are in a set by then.
+	cfg.Mempool.Executed = func(id string) bool {
+		for _, p := range s.peers {
+			if p.applied.has(id) {
+				return true
+			}
+		}
+		return false
+	}
 	s.pool = mempool.NewPool(cfg.Mempool)
 	s.batcher = mempool.NewBatcher(s.pool, func(ops [][]byte) func() error {
 		// Start assigns the client sequence number and hands the batch to

@@ -97,6 +97,55 @@ func TestShardDurableRestart(t *testing.T) {
 	}
 }
 
+// TestCommittedIDIsDuplicateAfterRestart: exactly-once as the client
+// sees it outlives the process. A shard reopened on its data directory
+// rebuilds every peer's id set from the chain, so resubmitting an id
+// committed before the restart — one the caller chose, one SubmitAsync
+// minted — is ErrDuplicate and proposes nothing.
+func TestCommittedIDIsDuplicateAfterRestart(t *testing.T) {
+	dir := t.TempDir()
+	net1 := netsim.New(netsim.Config{})
+	t.Cleanup(net1.Close)
+	s, err := NewShard(net1, durableShardCfg(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := s.SubmitBatch([]Tx{
+		{ID: "client-chosen", Kind: TxPut, Key: "chosen", Value: []byte("first")},
+		{Kind: TxPut, Key: "minted", Value: []byte("first")},
+	})
+	for i, res := range first {
+		if res.Err != nil {
+			t.Fatalf("tx %d: %v", i, res.Err)
+		}
+	}
+	waitHeights(t, s)
+	height := s.Peers()[0].Height()
+	if err := s.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+
+	net2 := netsim.New(netsim.Config{})
+	t.Cleanup(net2.Close)
+	s2, err := NewShard(net2, durableShardCfg(dir))
+	if err != nil {
+		t.Fatalf("reopening shard from %s: %v", dir, err)
+	}
+	defer s2.Close()
+	if h := s2.Peers()[0].Height(); h != height {
+		t.Fatalf("recovered height %d, want %d", h, height)
+	}
+	wantDuplicates(t, s2,
+		Tx{ID: first[0].TxID, Kind: TxPut, Key: "chosen", Value: []byte("again")},
+		Tx{ID: first[1].TxID, Kind: TxPut, Key: "minted", Value: []byte("again")},
+	)
+	for _, key := range []string{"chosen", "minted"} {
+		if v, err := s2.Peers()[0].Get(key); err != nil || string(v) != "first" {
+			t.Fatalf("%s = %q, %v after the retries", key, v, err)
+		}
+	}
+}
+
 // waitHeights waits until every peer in the shard is at the same height.
 func waitHeights(t *testing.T, s *Shard) {
 	t.Helper()

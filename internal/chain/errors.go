@@ -16,9 +16,9 @@ var (
 	// ErrPoolFull reports that admission control refused the transaction:
 	// the mempool is at its cap. Back off and retry (HTTP 429).
 	ErrPoolFull = fmt.Errorf("chain: submission rejected: %w", mempool.ErrFull)
-	// ErrDuplicate reports that the transaction's ID already committed
-	// within the dedup TTL. The submission is acknowledged — the original
-	// is on chain — but nothing was proposed again (HTTP 409).
+	// ErrDuplicate reports that the transaction's ID is already in the
+	// chain. The submission is acknowledged — the original committed —
+	// but nothing was proposed again (HTTP 409).
 	ErrDuplicate = fmt.Errorf("chain: duplicate transaction: %w", mempool.ErrDuplicate)
 	// ErrShardClosed reports that the shard's submission front end has
 	// shut down (HTTP 503).

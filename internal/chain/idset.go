@@ -3,6 +3,7 @@ package chain
 import (
 	"sort"
 	"strings"
+	"sync"
 )
 
 // idSet is the exactly-once filter: the set of every transaction id a
@@ -20,7 +21,10 @@ import (
 // point extends or joins its neighbours, and a gap — an id that failed
 // admission and never committed — stays a gap. Every other id ("007",
 // "a-01", "a-", one past the largest uint64) is kept whole in others.
+// Like worldState it locks itself: the shard's mempool asks has at every
+// admission and must not wait for a whole block to apply.
 type idSet struct {
+	mu     sync.RWMutex
 	ranges map[string]*spans
 	others map[string]struct{}
 }
@@ -30,8 +34,8 @@ type span struct{ lo, hi uint64 }
 
 type spans []span
 
-func newIDSet() idSet {
-	return idSet{ranges: make(map[string]*spans), others: make(map[string]struct{})}
+func newIDSet() *idSet {
+	return &idSet{ranges: make(map[string]*spans), others: make(map[string]struct{})}
 }
 
 // splitID splits id at its last '-' into prefix and number when the
@@ -54,6 +58,8 @@ func splitID(id string) (prefix string, n uint64, ok bool) {
 
 // add inserts id and reports whether it was absent.
 func (s *idSet) add(id string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	prefix, n, ok := splitID(id)
 	if !ok {
 		if _, dup := s.others[id]; dup {
@@ -68,6 +74,30 @@ func (s *idSet) add(id string) bool {
 		s.ranges[strings.Clone(prefix)] = sp // prefix aliases the caller's id
 	}
 	return sp.add(n)
+}
+
+// has reports whether id was added.
+func (s *idSet) has(id string) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	prefix, n, ok := splitID(id)
+	if !ok {
+		_, in := s.others[id]
+		return in
+	}
+	sp := s.ranges[prefix]
+	if sp == nil {
+		return false
+	}
+	i := sp.after(n)
+	return i > 0 && n <= (*sp)[i-1].hi
+}
+
+// adopt replaces s's contents with o's; o must not be used afterwards.
+func (s *idSet) adopt(o *idSet) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.ranges, s.others = o.ranges, o.others
 }
 
 // after returns the index of the first span that starts above n.

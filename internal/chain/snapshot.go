@@ -110,7 +110,8 @@ func (p *Peer) Restore(data []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.heads, p.bodies = np.heads, np.bodies
-	p.pendingP, p.prepared, p.applied = np.pendingP, np.prepared, np.applied
+	p.pendingP, p.prepared = np.pendingP, np.prepared
+	p.applied.adopt(np.applied)
 	p.state.adopt(np.state)
 	for c, kv := range p.private {
 		kv.adopt(np.private[c])

@@ -113,8 +113,8 @@ func laneOf(tx Tx) string {
 // channel that receives its Result exactly once. An empty tx.ID is
 // assigned here; callers that retry a failed submission should reuse the
 // returned TxID so the mempool's duplicate suppression can collapse the
-// retry (a retried transaction that is still pending, or that committed
-// within the dedup TTL, is acked without being proposed again).
+// retry (a retried transaction that is still pending, or that is in the
+// chain already, is acked without being proposed again).
 func (s *Shard) SubmitAsync(tx Tx) <-chan Result { return s.submit(tx, nil) }
 
 // submit is SubmitAsync; settled, when not nil, sees the Result just

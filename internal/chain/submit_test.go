@@ -284,14 +284,14 @@ func TestRetriedTxNotReproposed(t *testing.T) {
 			}
 		}
 	}
-	// A late retry after commit is acked from the executed filter with the
+	// A late retry after commit is acked from the chain's id set with the
 	// ErrDuplicate sentinel.
 	late := <-s.SubmitAsync(Tx{ID: "retry-0", Kind: TxPut, Key: "k0", Value: []byte("v")})
 	if !errors.Is(late.Err, ErrDuplicate) {
 		t.Fatalf("late retry: err = %v, want ErrDuplicate", late.Err)
 	}
 	if st := s.Stats(); st.Pool.DupExecuted == 0 {
-		t.Fatal("late retry did not hit the executed filter")
+		t.Fatal("late retry was not counted as an executed duplicate")
 	}
 }
 
@@ -340,5 +340,172 @@ func TestShardedStatsAggregates(t *testing.T) {
 		if s.Stats().Submitted == 0 {
 			t.Fatalf("shard %s saw no traffic", s.Name)
 		}
+	}
+}
+
+// wantDuplicates resubmits transactions whose ids are in s's chain: each
+// must come back ErrDuplicate and be counted as one, and none may be
+// proposed — no batch, no block.
+func wantDuplicates(t *testing.T, s *Shard, txs ...Tx) {
+	t.Helper()
+	before := s.Stats()
+	height := s.Peers()[0].Height()
+	for _, tx := range txs {
+		if res := <-s.SubmitAsync(tx); !errors.Is(res.Err, ErrDuplicate) || res.TxID != tx.ID {
+			t.Fatalf("resubmitting %s: id %q, err = %v, want ErrDuplicate", tx.ID, res.TxID, res.Err)
+		}
+	}
+	after := s.Stats()
+	n := int64(len(txs))
+	if after.Duplicates-before.Duplicates != n || after.Pool.DupExecuted-before.Pool.DupExecuted != n {
+		t.Fatalf("counted %d duplicates (%d at the pool), want %d",
+			after.Duplicates-before.Duplicates, after.Pool.DupExecuted-before.Pool.DupExecuted, n)
+	}
+	if after.Batches.Ops != before.Batches.Ops || after.Accepted != before.Accepted {
+		t.Fatalf("a duplicate was proposed: %d ops in batches (was %d), %d accepted (was %d)",
+			after.Batches.Ops, before.Batches.Ops, after.Accepted, before.Accepted)
+	}
+	if h := s.Peers()[0].Height(); h != height {
+		t.Fatalf("height %d after the duplicates, was %d", h, height)
+	}
+}
+
+// TestCommittedIDIsDuplicateWithoutWindow: what the shard remembers of a
+// committed id is the chain itself, so a retry is a duplicate however
+// much was committed in between — an id the caller chose and one
+// SubmitAsync minted alike.
+func TestCommittedIDIsDuplicateWithoutWindow(t *testing.T) {
+	others := 100_000
+	if raceEnabled || testing.Short() {
+		others = 5_000
+	}
+	net := netsim.New(netsim.Config{})
+	t.Cleanup(net.Close)
+	s, err := NewShard(net, ShardConfig{Name: "nw", F: 1, Timeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+	first := s.SubmitBatch([]Tx{
+		{ID: "client-chosen", Kind: TxPut, Key: "chosen", Value: []byte("first")},
+		{Kind: TxPut, Key: "minted", Value: []byte("first")},
+	})
+	for i, res := range first {
+		if res.Err != nil {
+			t.Fatalf("tx %d: %v", i, res.Err)
+		}
+	}
+	retry := []Tx{
+		{ID: first[0].TxID, Kind: TxPut, Key: "chosen", Value: []byte("again")},
+		{ID: first[1].TxID, Kind: TxPut, Key: "minted", Value: []byte("again")},
+	}
+	wantDuplicates(t, s, retry...)
+	batch := make([]Tx, 1000) // ids are minted per submission, so one batch serves every round
+	for i := range batch {
+		batch[i] = Tx{Kind: TxDelete, Key: "k"}
+	}
+	for done := 0; done < others; done += len(batch) {
+		for i, res := range s.SubmitBatch(batch) {
+			if res.Err != nil {
+				t.Fatalf("commit %d: %v", done+i, res.Err)
+			}
+		}
+	}
+	wantDuplicates(t, s, retry...)
+	for _, key := range []string{"chosen", "minted"} {
+		if v, err := s.Peers()[0].Get(key); err != nil || string(v) != "first" {
+			t.Fatalf("%s = %q, %v after the retries", key, v, err)
+		}
+	}
+}
+
+// TestAdmissionDoesNotWaitForApply: the pool asks the chain about every
+// id that is not pending, and a peer holds its lock for a whole
+// applyBatch. The question must not queue behind that lock.
+func TestAdmissionDoesNotWaitForApply(t *testing.T) {
+	net := netsim.New(netsim.Config{})
+	t.Cleanup(net.Close)
+	s, err := NewShard(net, ShardConfig{Name: "nl", F: 1, Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+	tx := Tx{ID: "once", Kind: TxPut, Key: "k", Value: []byte("v")}
+	if res := <-s.SubmitAsync(tx); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	for _, p := range s.Peers() {
+		p.mu.Lock()
+	}
+	ch := s.SubmitAsync(tx)
+	var res Result
+	select {
+	case res = <-ch:
+	case <-time.After(2 * time.Second):
+	}
+	for _, p := range s.Peers() {
+		p.mu.Unlock()
+	}
+	if !errors.Is(res.Err, ErrDuplicate) {
+		t.Fatalf("with every peer's lock held the resubmission got %v, want ErrDuplicate at once", res.Err)
+	}
+}
+
+// TestClientChosenIDsDuringApply submits caller-chosen ids from several
+// goroutines while earlier batches are being applied, and retries each as
+// soon as it commits: admission reads the id set that applyBatch is
+// writing (run under -race), every retry is a duplicate, and each id is
+// in the chain once.
+func TestClientChosenIDsDuringApply(t *testing.T) {
+	net := netsim.New(netsim.Config{})
+	t.Cleanup(net.Close)
+	s, err := NewShard(net, ShardConfig{
+		Name: "cc", F: 1, Timeout: 10 * time.Second,
+		Mempool: mempool.Config{BatchSize: 8, FlushInterval: 200 * time.Microsecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+	const workers, each = 4, 100
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			for i := 0; i < each; i++ {
+				tx := Tx{ID: fmt.Sprintf("w%d:%d", w, i), Kind: TxPut, Key: fmt.Sprintf("k%d", w), Value: []byte("v")}
+				if res := <-s.SubmitAsync(tx); res.Err != nil {
+					errs <- fmt.Errorf("%s: %w", tx.ID, res.Err)
+					return
+				}
+				if res := <-s.SubmitAsync(tx); !errors.Is(res.Err, ErrDuplicate) {
+					errs <- fmt.Errorf("retry of %s: err = %v, want ErrDuplicate", tx.ID, res.Err)
+					return
+				}
+			}
+			errs <- nil
+		}(w)
+	}
+	for w := 0; w < workers; w++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitHeights(t, s)
+	for _, p := range s.Peers() {
+		seen := make(map[string]int)
+		for _, id := range appliedIDs(p) {
+			seen[id]++
+		}
+		if len(seen) != workers*each {
+			t.Fatalf("%s holds %d ids, want %d", p.ID(), len(seen), workers*each)
+		}
+		for id, c := range seen {
+			if c != 1 {
+				t.Fatalf("%s applied %s %d times", p.ID(), id, c)
+			}
+		}
+	}
+	if st := s.Stats(); st.Duplicates != workers*each || st.Accepted != workers*each {
+		t.Fatalf("stats: %d accepted, %d duplicates, want %d of each", st.Accepted, st.Duplicates, workers*each)
 	}
 }

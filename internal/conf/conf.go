@@ -36,10 +36,6 @@ type Config struct {
 	// Lanes is the number of key-hashed mempool lanes; operations with
 	// the same lane key keep their submission order through batching.
 	Lanes int
-	// DedupTTL is how long the mempool remembers executed operation IDs
-	// for duplicate suppression (retried ops inside the window are acked,
-	// not re-proposed). Entries survive between TTL and 2×TTL.
-	DedupTTL time.Duration
 	// MaxTxBytes bounds one encoded transaction on the submit path — the
 	// binary encoding consensus carries (chain/codec.go: a 64-byte put is
 	// ~100 bytes), not the JSON of an HTTP request; larger submissions fail with chain.ErrTxTooLarge (HTTP 413 on the
@@ -62,7 +58,6 @@ func Defaults() Config {
 		MaxInFlight:     4,
 		MempoolCap:      4096,
 		Lanes:           8,
-		DedupTTL:        time.Minute,
 		MaxTxBytes:      1 << 20,
 		SnapshotEvery:   256,
 		WALSegmentBytes: 4 << 20,
@@ -86,9 +81,6 @@ func (c *Config) sanitize() {
 	}
 	if c.Lanes < 1 {
 		c.Lanes = 1
-	}
-	if c.DedupTTL <= 0 {
-		c.DedupTTL = time.Minute
 	}
 	if c.MaxTxBytes < 1 {
 		c.MaxTxBytes = 1 << 20

@@ -44,7 +44,7 @@ func TestSanitizeClampsNonsense(t *testing.T) {
 	defer Reset()
 	Set(Config{BatchSize: -1, FlushInterval: -time.Second, MaxInFlight: 0, MempoolCap: -5, Lanes: 0})
 	c := Snapshot()
-	if c.BatchSize < 1 || c.MaxInFlight < 1 || c.MempoolCap < 1 || c.Lanes < 1 || c.FlushInterval < 0 || c.DedupTTL <= 0 {
+	if c.BatchSize < 1 || c.MaxInFlight < 1 || c.MempoolCap < 1 || c.Lanes < 1 || c.FlushInterval < 0 {
 		t.Fatalf("sanitize failed: %+v", c)
 	}
 }

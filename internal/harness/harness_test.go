@@ -159,14 +159,16 @@ func TestKillRecoverFromDisk(t *testing.T) {
 	const killAfter = 25
 	killed := make(chan struct{})
 	acked := make(map[string]string)
+	var ackedTx api.Tx // one acked write, under the id the server gave it
 	for i := 0; ; i++ {
 		key := fmt.Sprintf("durable/key%d", i)
 		val := fmt.Sprintf("v%d", i)
-		_, err := client.Submit(api.Tx{Kind: api.KindPut, Key: key, Value: []byte(val)})
+		id, err := client.Submit(api.Tx{Kind: api.KindPut, Key: key, Value: []byte(val)})
 		if err != nil {
 			break // the kill landed mid-load
 		}
 		acked[key] = val
+		ackedTx = api.Tx{ID: id, Kind: api.KindPut, Key: key, Value: []byte(val)}
 		if i == killAfter {
 			go func() { defer close(killed); _ = proc.Kill() }()
 		}
@@ -214,6 +216,13 @@ func TestKillRecoverFromDisk(t *testing.T) {
 		if string(got) != want {
 			t.Fatalf("acked key %s = %q after recovery, want %q", key, got, want)
 		}
+	}
+
+	// Exactly-once outlives the process: a client that never saw its ack
+	// and retries under the same id after the restart is told "already
+	// committed" (409), from the chain the replicas recovered.
+	if _, err := c2.Submit(ackedTx); !api.IsDuplicate(err) {
+		t.Fatalf("resubmitting acked tx %s after recovery: err = %v, want a duplicate", ackedTx.ID, err)
 	}
 }
 

@@ -7,10 +7,10 @@
 // Three properties the rest of the system leans on:
 //
 //   - Duplicate suppression. An op whose ID is already pending attaches to
-//     the existing entry (one proposal, many acks); an op whose ID executed
-//     within the dedup TTL is acked immediately. Both survive
-//     failover-client retries: a retried op is never proposed twice while
-//     the pool remembers it (dusk dupemap-style TTL filter).
+//     the existing entry (one proposal, many acks). The pool remembers
+//     nothing about a resolved op: whether a non-pending ID already
+//     executed is the application's fact (Config.Executed), and an ID it
+//     vouches for is acked immediately instead of being proposed again.
 //   - Admission control. The pool holds at most Cap unresolved ops
 //     (queued + in flight); beyond that Add returns ErrFull. This is the
 //     system's first overload shedding point — a caller that sees ErrFull
@@ -61,11 +61,11 @@ var (
 	ErrFull = errors.New("mempool: pool full")
 	// ErrClosed reports that the pool was closed.
 	ErrClosed = errors.New("mempool: pool closed")
-	// ErrDuplicate reports that the op's ID already executed within the
-	// dedup TTL: the original committed, so the add is acked with this
-	// sentinel instead of being proposed again. It marks success with a
-	// flag, not failure — callers branch on it to mean "already
-	// committed", and the HTTP layer maps it to 409.
+	// ErrDuplicate reports that the op's ID already executed
+	// (Config.Executed said so): the original committed, so the add is
+	// acked with this sentinel instead of being proposed again. It marks
+	// success with a flag, not failure — callers branch on it to mean
+	// "already committed", and the HTTP layer maps it to 409.
 	ErrDuplicate = errors.New("mempool: duplicate op (already executed)")
 )
 
@@ -73,15 +73,19 @@ var (
 // current conf snapshot (conf.Snapshot) — and keep tracking it: Cap,
 // BatchSize, FlushInterval and MaxInFlight re-resolve on every use, so a
 // runtime conf.Update (e.g. POST /conf on a running server) retunes live
-// pools without a restart. Lanes and DedupTTL are structural (the lane
-// slices and the TTL filter are built once) and resolve only at NewPool.
+// pools without a restart. Lanes resolves once, at NewPool.
 type Config struct {
 	Cap           int           // admission bound on unresolved ops
 	Lanes         int           // key-hashed lane count
 	BatchSize     int           // max ops per consensus instance
 	FlushInterval time.Duration // partial-batch linger
 	MaxInFlight   int           // pipelined consensus instances
-	DedupTTL      time.Duration // executed-ID memory window
+
+	// Executed reports whether the application already executed the op
+	// with this ID. Add calls it under the pool's lock for an ID that is
+	// not pending, so it must not block. Nil means no application to ask:
+	// a resolved ID is admitted again and the applier dedups by ID itself.
+	Executed func(id string) bool
 }
 
 // withDefaults fills zero fields from the runtime configuration.
@@ -101,9 +105,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = d.MaxInFlight
-	}
-	if c.DedupTTL <= 0 {
-		c.DedupTTL = d.DedupTTL
 	}
 	return c
 }
@@ -130,8 +131,8 @@ type PoolStats struct {
 	RejectedFull int64 `json:"rejectedFull"`
 	// DupPending counts adds that attached to an already-pending op.
 	DupPending int64 `json:"dupPending"`
-	// DupExecuted counts adds acked immediately because the ID executed
-	// within the dedup TTL.
+	// DupExecuted counts adds acked immediately because the ID had
+	// already executed.
 	DupExecuted int64 `json:"dupExecuted"`
 	// Acked / Failed count resolved ops by outcome.
 	Acked  int64 `json:"acked"`
@@ -141,17 +142,15 @@ type PoolStats struct {
 // Pool is the pending pool. One Batcher drains it; any number of
 // producers Add concurrently.
 type Pool struct {
-	raw Config // as passed to NewPool: zero fields mean "track conf live"
-	cfg Config // resolved at construction; source of the structural knobs
+	cfg Config // as passed to NewPool: zero fields mean "track conf live"
 
 	mu       sync.Mutex
-	lanes    [][]Op
-	rr       int // round-robin drain cursor
+	lanes    [][]Op // len(lanes) is the lane count for the pool's lifetime
+	rr       int    // round-robin drain cursor
 	states   map[string]*opState
 	queued   int
 	inFlight int
 	flush    bool // Flush was called since the last drain
-	executed *TTLFilter
 	notify   chan struct{}
 	closed   bool
 	stats    PoolStats
@@ -160,47 +159,30 @@ type Pool struct {
 // NewPool builds a pool; zero Config fields default from conf and keep
 // tracking later conf updates (see Config).
 func NewPool(cfg Config) *Pool {
-	resolved := cfg.withDefaults()
 	return &Pool{
-		raw:      cfg,
-		cfg:      resolved,
-		lanes:    make([][]Op, resolved.Lanes),
-		states:   make(map[string]*opState),
-		executed: NewTTLFilter(resolved.DedupTTL),
-		notify:   make(chan struct{}, 1),
+		cfg:    cfg,
+		lanes:  make([][]Op, cfg.withDefaults().Lanes),
+		states: make(map[string]*opState),
+		notify: make(chan struct{}, 1),
 	}
 }
 
-// Config returns the configuration the pool is running with right now.
-// Fields that were zero at NewPool re-resolve against the current conf
-// snapshot, so a runtime conf change shows up here — and in the pool's
-// behaviour — immediately; explicitly-set fields and the structural knobs
-// (Lanes, DedupTTL) stay pinned.
+// Config returns the configuration the pool is running with right now:
+// fields that were zero at NewPool re-resolve against the current conf
+// snapshot (a runtime conf change shows up here, and in the pool's
+// behaviour, immediately); explicit fields and the lane count stay pinned.
 func (p *Pool) Config() Config {
-	c := p.raw
-	d := conf.Snapshot()
-	if c.Cap <= 0 {
-		c.Cap = d.MempoolCap
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = d.BatchSize
-	}
-	if c.FlushInterval == 0 {
-		c.FlushInterval = d.FlushInterval
-	}
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = d.MaxInFlight
-	}
-	c.Lanes = p.cfg.Lanes
-	c.DedupTTL = p.cfg.DedupTTL
+	c := p.cfg.withDefaults()
+	c.Lanes = len(p.lanes)
 	return c
 }
 
 // Add admits op. done is invoked exactly once with the op's outcome (nil
 // when the op's batch committed). Duplicate IDs attach to the pending op
-// or — if the ID executed within the dedup TTL — are acked immediately;
-// neither is proposed again. Returns ErrFull at the admission cap and
-// ErrClosed after Close; done is not invoked on either error.
+// or — if Config.Executed knows the ID — are acked immediately with
+// ErrDuplicate; neither is proposed again. Returns ErrFull at the
+// admission cap and ErrClosed after Close; done is not invoked on either
+// error.
 func (p *Pool) Add(op Op, done func(error)) error {
 	if done == nil {
 		done = func(error) {}
@@ -216,7 +198,7 @@ func (p *Pool) Add(op Op, done func(error)) error {
 		p.mu.Unlock()
 		return nil
 	}
-	if p.executed.Has(op.ID) {
+	if p.cfg.Executed != nil && p.cfg.Executed(op.ID) {
 		p.stats.DupExecuted++
 		p.mu.Unlock()
 		done(ErrDuplicate)
@@ -340,10 +322,10 @@ func (p *Pool) WaitBatch(stop <-chan struct{}) []Op {
 	}
 }
 
-// Resolve completes a drained batch: every op's acks fire with err, and
-// on success the IDs enter the executed filter so late retries are
-// suppressed. On failure the ops leave the pool entirely — a retry
-// re-admits (and re-proposes) them.
+// Resolve completes a drained batch: every op's acks fire with err and
+// the ops leave the pool entirely. Whether a later retry is a duplicate
+// is then Config.Executed's answer: after a failure that did not execute
+// the op, the retry is re-admitted (and re-proposed).
 func (p *Pool) Resolve(ops []Op, err error) {
 	var acks []func(error)
 	p.mu.Lock()
@@ -356,7 +338,6 @@ func (p *Pool) Resolve(ops []Op, err error) {
 		p.inFlight--
 		acks = append(acks, st.acks...)
 		if err == nil {
-			p.executed.Add(op.ID)
 			p.stats.Acked++
 		} else {
 			p.stats.Failed++
@@ -410,11 +391,4 @@ func (p *Pool) Stats() PoolStats {
 	s.Depth = p.queued
 	s.InFlight = p.inFlight
 	return s
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

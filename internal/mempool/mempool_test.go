@@ -3,6 +3,7 @@ package mempool
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,78 +12,6 @@ import (
 	"prever/internal/conf"
 	"prever/internal/leaktest"
 )
-
-// --- TTLFilter -----------------------------------------------------------
-
-func TestTTLFilterDupAndEviction(t *testing.T) {
-	f := NewTTLFilter(time.Minute)
-	now := time.Unix(0, 0)
-	f.now = func() time.Time { return now }
-	f.rotated = now
-
-	if !f.Add("a") {
-		t.Fatal("first add of a reported duplicate")
-	}
-	if f.Add("a") {
-		t.Fatal("second add of a reported fresh")
-	}
-	if !f.Has("a") {
-		t.Fatal("a not remembered")
-	}
-
-	// One TTL later: a has rotated into the previous generation but is
-	// still visible.
-	now = now.Add(time.Minute)
-	if !f.Has("a") {
-		t.Fatal("a evicted before its TTL guarantee")
-	}
-	// Two TTLs after the last sighting: gone.
-	now = now.Add(time.Minute)
-	if f.Has("a") {
-		t.Fatal("a survived two full TTLs")
-	}
-	if !f.Add("a") {
-		t.Fatal("evicted key not re-addable")
-	}
-}
-
-func TestTTLFilterDuplicateRefreshesLifetime(t *testing.T) {
-	f := NewTTLFilter(time.Minute)
-	now := time.Unix(0, 0)
-	f.now = func() time.Time { return now }
-	f.rotated = now
-
-	f.Add("a")
-	now = now.Add(time.Minute) // a in prev generation
-	if f.Add("a") {
-		t.Fatal("still-live key reported fresh")
-	}
-	// The duplicate sighting promoted a into the current generation: two
-	// more TTLs from *now* must pass before it ages out.
-	now = now.Add(time.Minute)
-	if !f.Has("a") {
-		t.Fatal("refreshed key evicted too early")
-	}
-	now = now.Add(time.Minute)
-	if f.Has("a") {
-		t.Fatal("refreshed key never evicted")
-	}
-}
-
-func TestTTLFilterQuietPeriodClears(t *testing.T) {
-	f := NewTTLFilter(time.Minute)
-	now := time.Unix(0, 0)
-	f.now = func() time.Time { return now }
-	f.rotated = now
-	f.Add("a")
-	now = now.Add(time.Hour)
-	if f.Has("a") {
-		t.Fatal("key survived an hour with a one-minute TTL")
-	}
-	if f.Len() != 0 {
-		t.Fatalf("Len = %d after quiet period, want 0", f.Len())
-	}
-}
 
 // --- Pool ----------------------------------------------------------------
 
@@ -152,8 +81,17 @@ func TestPoolDrainOrderingPerLane(t *testing.T) {
 	}
 }
 
+// TestPoolDuplicateSuppression: a pending id joins the pending op's acks
+// whatever the application says; an id that is not pending is the
+// application's to judge, and one it has executed is acked ErrDuplicate
+// without being queued.
 func TestPoolDuplicateSuppression(t *testing.T) {
-	p := NewPool(Config{Cap: 10, Lanes: 1, BatchSize: 10})
+	executed := map[string]bool{}
+	asked := 0
+	p := NewPool(Config{Cap: 10, Lanes: 1, BatchSize: 10, Executed: func(id string) bool {
+		asked++
+		return executed[id]
+	}})
 	var acks atomic.Int64
 	ack := func(err error) {
 		if err != nil {
@@ -172,9 +110,14 @@ func TestPoolDuplicateSuppression(t *testing.T) {
 	if len(ops) != 1 {
 		t.Fatalf("duplicate was re-queued: drained %d ops", len(ops))
 	}
-	// In-flight duplicate: still attaches.
+	// In-flight duplicate: still attaches, even though the application
+	// applies before the batch resolves.
+	executed["x"] = true
 	if err := p.Add(Op{ID: "x", Lane: "a"}, ack); err != nil {
 		t.Fatal(err)
+	}
+	if asked != 1 {
+		t.Fatalf("Executed asked %d times, want once (the first add; pending ids are the pool's own)", asked)
 	}
 	p.Resolve(ops, nil)
 	if got := acks.Load(); got != 3 {
@@ -196,9 +139,98 @@ func TestPoolDuplicateSuppression(t *testing.T) {
 		t.Fatalf("executed duplicate re-queued: drained %d", got)
 	}
 	s := p.Stats()
-	if s.DupPending != 2 || s.DupExecuted != 1 {
-		t.Fatalf("stats = %+v, want DupPending 2 / DupExecuted 1", s)
+	if s.DupPending != 2 || s.DupExecuted != 1 || s.Admitted != 1 {
+		t.Fatalf("stats = %+v, want DupPending 2 / DupExecuted 1 / Admitted 1", s)
 	}
+}
+
+// TestPoolExecutedBeforeThePoolExisted: the pool holds no memory of its
+// own, so an id the application executed before this pool was built (a
+// restart) is a duplicate on first sight.
+func TestPoolExecutedBeforeThePoolExisted(t *testing.T) {
+	p := NewPool(Config{Cap: 10, Lanes: 1, BatchSize: 10, Executed: func(id string) bool { return id == "old" }})
+	var got error
+	if err := p.Add(Op{ID: "old", Lane: "a"}, func(err error) { got = err }); err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(got, ErrDuplicate) {
+		t.Fatalf("acked with %v, want ErrDuplicate", got)
+	}
+	if err := p.Add(Op{ID: "new", Lane: "a"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if ops := drainAll(p); len(ops) != 1 || ops[0].ID != "new" {
+		t.Fatalf("drained %v, want the fresh op only", ops)
+	}
+	if s := p.Stats(); s.DupExecuted != 1 || s.Admitted != 1 {
+		t.Fatalf("stats = %+v, want DupExecuted 1 / Admitted 1", s)
+	}
+}
+
+// TestPoolWithoutApplicationRemembersNothing: with no Executed hook a
+// resolved id is admitted and proposed again; the applier dedups.
+func TestPoolWithoutApplicationRemembersNothing(t *testing.T) {
+	p := NewPool(Config{Cap: 10, Lanes: 1, BatchSize: 10})
+	for round := 0; round < 2; round++ {
+		var got error = errors.New("not acked")
+		if err := p.Add(Op{ID: "x", Lane: "a"}, func(err error) { got = err }); err != nil {
+			t.Fatal(err)
+		}
+		ops := drainAll(p)
+		if len(ops) != 1 {
+			t.Fatalf("round %d: drained %d ops, want 1", round, len(ops))
+		}
+		p.Resolve(ops, nil)
+		if got != nil {
+			t.Fatalf("round %d: acked with %v", round, got)
+		}
+	}
+	if s := p.Stats(); s.Admitted != 2 || s.DupExecuted != 0 {
+		t.Fatalf("stats = %+v, want Admitted 2 / DupExecuted 0", s)
+	}
+}
+
+// TestPoolRetainsNothingPerResolvedOp: an op that resolved leaves nothing
+// behind in the pool — no map slot, no id — so the pool's heap does not
+// grow with history. Run by `make heap-smoke`.
+func TestPoolRetainsNothingPerResolvedOp(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations are not the pool's")
+	}
+	const n, perBatch = 100_000, 64
+	p := NewPool(Config{Cap: 4096, Lanes: 8, BatchSize: perBatch, Executed: func(string) bool { return false }})
+	next := 0
+	batch := func() {
+		for i := 0; i < perBatch; i++ {
+			next++
+			id := fmt.Sprintf("s0-a1b2c3-tx-%d", next)
+			if err := p.Add(Op{ID: id, Lane: id, Data: []byte(id)}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p.Resolve(drainAll(p), nil)
+	}
+	for next < 10*perBatch { // the lanes and the states map have grown
+		batch()
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for from := next; next-from < n; {
+		batch()
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	bytesGrown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	objsGrown := int64(after.HeapObjects) - int64(before.HeapObjects)
+	t.Logf("%d resolved ops: heap %+d bytes, %+d objects", n, bytesGrown, objsGrown)
+	if bytesGrown >= 8*n {
+		t.Errorf("heap grew %d bytes over %d resolved ops, limit %d (8 per op)", bytesGrown, n, 8*n)
+	}
+	if objsGrown >= n/100 {
+		t.Errorf("heap grew %d objects over %d resolved ops, limit %d (0.01 per op)", objsGrown, n, n/100)
+	}
+	runtime.KeepAlive(p)
 }
 
 // TestPoolTracksConfLive pins the runtime-retuning contract: knobs left
@@ -387,7 +419,7 @@ func (s *stubProposer) batchCount() int {
 
 func TestBatcherBatchesAndPipelines(t *testing.T) {
 	defer leaktest.Check(t)()
-	p := NewPool(Config{Cap: 1000, Lanes: 4, BatchSize: 8, FlushInterval: time.Millisecond, MaxInFlight: 3, DedupTTL: time.Minute})
+	p := NewPool(Config{Cap: 1000, Lanes: 4, BatchSize: 8, FlushInterval: time.Millisecond, MaxInFlight: 3})
 	prop := newStubProposer(1000)
 	b := NewBatcher(p, prop.propose)
 	defer b.Stop()
@@ -430,7 +462,7 @@ func TestBatcherBatchesAndPipelines(t *testing.T) {
 
 func TestBatcherRespectsMaxInFlight(t *testing.T) {
 	defer leaktest.Check(t)()
-	p := NewPool(Config{Cap: 1000, Lanes: 1, BatchSize: 1, FlushInterval: 0, MaxInFlight: 2, DedupTTL: time.Minute})
+	p := NewPool(Config{Cap: 1000, Lanes: 1, BatchSize: 1, FlushInterval: 0, MaxInFlight: 2})
 	prop := newStubProposer(0) // unbuffered: proposals block until released
 	b := NewBatcher(p, prop.propose)
 
@@ -460,7 +492,7 @@ func TestBatcherRespectsMaxInFlight(t *testing.T) {
 
 func TestBatcherDispatchOrderPerLane(t *testing.T) {
 	defer leaktest.Check(t)()
-	p := NewPool(Config{Cap: 1000, Lanes: 2, BatchSize: 4, FlushInterval: time.Millisecond, MaxInFlight: 4, DedupTTL: time.Minute})
+	p := NewPool(Config{Cap: 1000, Lanes: 2, BatchSize: 4, FlushInterval: time.Millisecond, MaxInFlight: 4})
 	prop := newStubProposer(1000)
 	b := NewBatcher(p, prop.propose)
 	defer b.Stop()

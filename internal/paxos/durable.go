@@ -59,8 +59,6 @@ type DurableOptions struct {
 	SnapshotEvery uint64
 	// SegmentBytes overrides the WAL segment rotation threshold.
 	SegmentBytes int64
-	// NoSync disables fsync (tests/benches only).
-	NoSync bool
 }
 
 // NewDurableReplica creates a replica whose acceptor and learner state
@@ -76,7 +74,7 @@ func NewDurableReplica(net *netsim.Network, id string, peers []string, apply App
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("paxos: durable replica %s needs a data dir", id)
 	}
-	log, rec, err := wal.Open(opts.Dir, wal.Options{SegmentBytes: opts.SegmentBytes, NoSync: opts.NoSync})
+	log, rec, err := wal.Open(opts.Dir, wal.Options{SegmentBytes: opts.SegmentBytes})
 	if err != nil {
 		return nil, err
 	}

@@ -87,8 +87,6 @@ type DurableOptions struct {
 	SnapshotEvery uint64
 	// SegmentBytes overrides the WAL segment rotation threshold.
 	SegmentBytes int64
-	// NoSync disables fsync (tests/benches only).
-	NoSync bool
 }
 
 // NewDurableReplica creates a PBFT replica whose protocol-critical state
@@ -113,7 +111,7 @@ func NewDurableReplica(net *netsim.Network, id string, ids []string, f int, appl
 	if err := wal.CheckFormat(d.Dir, dataFormat); err != nil {
 		return nil, fmt.Errorf("pbft: replica %s: %w", id, err)
 	}
-	log, rec, err := wal.Open(d.Dir, wal.Options{SegmentBytes: d.SegmentBytes, NoSync: d.NoSync})
+	log, rec, err := wal.Open(d.Dir, wal.Options{SegmentBytes: d.SegmentBytes})
 	if err != nil {
 		return nil, err
 	}

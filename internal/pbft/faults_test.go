@@ -149,3 +149,53 @@ func TestClientFailsOverOnPrimaryCrash(t *testing.T) {
 		}
 	}
 }
+
+// TestLatePrePrepareBelowStableCheckpoint: the primary sends a
+// pre-prepare to one backup at a time, so a backup can hold every vote
+// for sequence s — and see the others' checkpoint past s go stable —
+// before s's pre-prepare reaches it. The checkpoint must not collect the
+// votes of an instance this replica has not executed: the late
+// pre-prepare would land in an empty instance and the replica would sit
+// at s for good. One replica, fed by hand in exactly that order.
+func TestLatePrePrepareBelowStableCheckpoint(t *testing.T) {
+	net := netsim.New(netsim.Config{})
+	t.Cleanup(net.Close)
+	ids := []string{"p0", "p1", "p2", "p3"}
+	r, err := newReplica(net, "p3", ids, 1, nil, Options{CheckpointEvery: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed := func(from, msgType string, m any) {
+		r.handle(netsim.Message{From: from, To: "p3", Type: msgType, Payload: seal(r.keys[from], encodeBody(m))})
+	}
+	prePrepare := func(seq uint64) prePrepareMsg {
+		pp := prePrepareMsg{Seq: seq, Batch: []Request{{Client: "c", Seq: seq, Op: []byte("op")}}}
+		pp.Digest = digestOf(pp.Batch)
+		return pp
+	}
+	votes := func(pp prePrepareMsg) {
+		for _, from := range []string{"p1", "p2"} {
+			feed(from, msgPrepare, prepareMsg{Seq: pp.Seq, Digest: pp.Digest, Replica: from})
+		}
+		for _, from := range []string{"p0", "p1", "p2"} {
+			feed(from, msgCommit, commitMsg{Seq: pp.Seq, Digest: pp.Digest, Replica: from})
+		}
+	}
+	for seq := uint64(0); seq < 3; seq++ {
+		pp := prePrepare(seq)
+		feed("p0", msgPrePrepare, pp)
+		votes(pp)
+	}
+	if got := r.Executed(); got != 3 {
+		t.Fatalf("executed %d after three full rounds, want 3", got)
+	}
+	late := prePrepare(3)
+	votes(late)
+	for _, from := range []string{"p0", "p1", "p2"} {
+		feed(from, msgCheckpoint, checkpointMsg{Seq: 4, Replica: from})
+	}
+	feed("p0", msgPrePrepare, late)
+	if got := r.Executed(); got != 4 {
+		t.Fatalf("executed %d: the checkpoint dropped the votes the late pre-prepare needed", got)
+	}
+}

@@ -151,7 +151,6 @@ type Applier func(seq uint64, batch []Request)
 type Options struct {
 	CheckpointEvery uint64        // checkpoint period in sequences (default 128)
 	ViewTimeout     time.Duration // request execution timeout before view change (default 2s)
-	AuthKey         []byte        // cluster MAC master key (default fixed)
 }
 
 func (o *Options) withDefaults() {
@@ -160,9 +159,6 @@ func (o *Options) withDefaults() {
 	}
 	if o.ViewTimeout == 0 {
 		o.ViewTimeout = 2 * time.Second
-	}
-	if o.AuthKey == nil {
-		o.AuthKey = []byte("prever/pbft/default-cluster-key")
 	}
 }
 
@@ -326,7 +322,7 @@ func newReplica(net *netsim.Network, id string, ids []string, f int, apply Appli
 	// Own id included: a replica that adopts a view it leads forwards its
 	// revived requests to that view's primary, itself.
 	for _, peer := range ids {
-		r.keys[peer] = pairKey(opts.AuthKey, id, peer)
+		r.keys[peer] = pairKey(clusterKey, id, peer)
 	}
 	return r, nil
 }
@@ -371,6 +367,9 @@ func (r *Replica) prepareQuorum() int { return 2 * r.f } // prepares from others
 func (r *Replica) commitQuorum() int  { return 2*r.f + 1 }
 
 // --- authentication ---
+
+// clusterKey is the MAC master key; the simulated cluster distributes none.
+var clusterKey = []byte("prever/pbft/default-cluster-key")
 
 // pairKey derives the MAC key two replicas share from the cluster master
 // key, modelling PBFT's pairwise authenticators. Each replica derives
@@ -892,9 +891,11 @@ func (r *Replica) recordCheckpointLocked(c checkpointMsg) {
 	r.ckpts[c.Seq][c.Replica] = true
 	if len(r.ckpts[c.Seq]) >= r.commitQuorum() {
 		r.stable = c.Seq
-		// Garbage-collect instances below the stable checkpoint.
+		// Garbage-collect the executed instances below the stable
+		// checkpoint. An unexecuted one may already hold the votes for a
+		// pre-prepare still on its way here; without them it never commits.
 		for seq := range r.insts {
-			if seq < r.stable {
+			if seq < r.stable && seq < r.execSeq {
 				delete(r.insts, seq)
 			}
 		}
