@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race bench bench-check vet fmt fmt-check lint chaos fuzz-smoke heap-smoke serve-smoke serve-smoke-durable
+.PHONY: build test check race bench bench-check deps-check vet fmt fmt-check lint chaos fuzz-smoke heap-smoke serve-smoke serve-smoke-durable
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,15 @@ vet:
 # analyzer -> invariant table.
 lint:
 	$(GO) run ./cmd/prever-lint ./...
+
+# deps-check keeps the engines free of the served stack: internal/core
+# (and so the root prever package's engines) must not reach consensus, the
+# mempool, the WAL or the boot configuration, directly or transitively.
+deps-check:
+	@bad="$$($(GO) list -deps ./internal/core | grep -E '^prever/internal/(chain|pbft|mempool|wal|conf)$$' || true)"; \
+	if [ -n "$$bad" ]; then \
+		echo "deps-check: internal/core reaches:"; echo "$$bad"; exit 1; \
+	fi
 
 fmt:
 	gofmt -w .
@@ -79,12 +88,12 @@ bench-check:
 	cd benchmark && $(GO) vet . && $(GO) test -count=1 .
 
 # check is the CI gate: formatting, static analysis (go vet plus the
-# project analyzers), the full suite under the race detector (the batch
+# project analyzers), core's dependency boundary, the full suite under the race detector (the batch
 # fan-out's concurrency contract is only proven with -race), the peer's
 # retained-heap gate (without -race), the benchmark module, ten seconds
 # of fuzzing per Fuzz* target, the server boot smoke test, and the
 # kill -9 recovery smoke test.
-check: fmt-check vet lint race heap-smoke bench-check fuzz-smoke serve-smoke serve-smoke-durable
+check: fmt-check vet lint deps-check race heap-smoke bench-check fuzz-smoke serve-smoke serve-smoke-durable
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run xxx ./...

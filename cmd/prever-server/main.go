@@ -7,8 +7,7 @@
 //
 //	prever-server [-addr 127.0.0.1:9473] [-shards N] [-f K] [-timeout D]
 //	              [-batch N] [-flush D] [-inflight K] [-mempool-cap N]
-//	              [-lanes N] [-max-tx-bytes N] [-data DIR] [-snap-every N]
-//	              [-pprof ADDR]
+//	              [-max-tx-bytes N] [-data DIR] [-snap-every N] [-pprof ADDR]
 //
 // With -data, every consensus replica journals its protocol state to a
 // write-ahead log under DIR (one subdirectory per peer) and snapshots
@@ -29,7 +28,8 @@
 //
 // With -addr ending in :0 the kernel picks the port and that line is
 // how callers (the multi-process harness, the benchmark) discover it.
-// Batching knobs are also adjustable at runtime via POST /conf.
+// The flags are the whole configuration: they are read once, before any
+// shard is built, and nothing served over the wire changes them.
 // SIGINT/SIGTERM shut down gracefully: in-flight requests finish, the
 // mempool fails queued transactions with chain.ErrShardClosed.
 package main
@@ -70,7 +70,6 @@ func run() error {
 	flushFlag := flag.Duration("flush", defaults.FlushInterval, "partial-batch flush interval")
 	inflightFlag := flag.Int("inflight", defaults.MaxInFlight, "pipelined consensus instances")
 	capFlag := flag.Int("mempool-cap", defaults.MempoolCap, "mempool admission-control cap")
-	lanesFlag := flag.Int("lanes", defaults.Lanes, "key-hashed mempool lanes")
 	maxTxFlag := flag.Int("max-tx-bytes", defaults.MaxTxBytes, "per-transaction size limit on the binary-encoded transaction, not its JSON request body (HTTP 413 beyond)")
 	dataFlag := flag.String("data", "", "data directory for crash durability (empty = in-memory)")
 	snapEveryFlag := flag.Uint64("snap-every", defaults.SnapshotEvery, "executed sequences between durable snapshots (with -data)")
@@ -82,7 +81,6 @@ func run() error {
 		c.FlushInterval = *flushFlag
 		c.MaxInFlight = *inflightFlag
 		c.MempoolCap = *capFlag
-		c.Lanes = *lanesFlag
 		c.MaxTxBytes = *maxTxFlag
 		c.SnapshotEvery = *snapEveryFlag
 	})

@@ -226,7 +226,9 @@ func TestDuplicateAckOverWire(t *testing.T) {
 func TestTxTooLargeOverWire(t *testing.T) {
 	conf.Reset()
 	t.Cleanup(conf.Reset)
-	conf.SetMaxTxBytes(512)
+	// The bound is read when the shard and the server are built.
+	setMax := func(n int) { conf.Update(func(c *conf.Config) { c.MaxTxBytes = n }) }
+	setMax(512)
 	client, _ := newTestServer(t, nil)
 	_, err := client.Submit(Tx{Kind: KindPut, Key: "big", Value: bytes.Repeat([]byte("x"), 2048)})
 	if !errors.Is(err, chain.ErrTxTooLarge) {
@@ -237,7 +239,8 @@ func TestTxTooLargeOverWire(t *testing.T) {
 	// value 2+200 + hash 1 + xid 1 + writes 1 = 213 bytes for this put
 	// (its JSON is over 300). At the limit it commits; one value byte
 	// more is a 413.
-	conf.SetMaxTxBytes(213)
+	setMax(213)
+	client, _ = newTestServer(t, nil)
 	if _, err := client.Submit(Tx{ID: "fit", Kind: KindPut, Key: "k", Value: bytes.Repeat([]byte("x"), 200)}); err != nil {
 		t.Fatalf("a transaction of exactly MaxTxBytes: %v", err)
 	}
@@ -295,61 +298,12 @@ func waitConverged(t *testing.T, client *Client) AuditResponse {
 	}
 }
 
-// TestConfPropagatesToRunningServer is the runtime-reconfiguration
-// contract: POST /conf changes batching knobs on a server that is
-// already running, effective for the next batch, no restart.
-func TestConfPropagatesToRunningServer(t *testing.T) {
-	conf.Reset()
-	t.Cleanup(conf.Reset)
-	client, _ := newTestServer(t, nil)
-
-	// Phase 1: force singleton batches.
-	if _, err := client.SetConf(ConfUpdate{BatchSize: intp(1), FlushInterval: strp("1ms")}); err != nil {
-		t.Fatal(err)
-	}
-	txs := make([]Tx, 6)
-	for i := range txs {
-		txs[i] = Tx{Kind: KindPut, Key: fmt.Sprintf("p1-%d", i), Value: []byte("v")}
-	}
-	if _, err := client.SubmitBatch(txs); err != nil {
-		t.Fatal(err)
-	}
-	st, err := client.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Total.Batches.MaxSize != 1 {
-		t.Fatalf("with batchSize=1, max proposed batch = %d, want 1", st.Total.Batches.MaxSize)
-	}
-
-	// Phase 2: open the batch size back up — the SAME server now
-	// coalesces, proving the knob reached the running batcher.
-	if _, err := client.SetConf(ConfUpdate{BatchSize: intp(64), FlushInterval: strp("100ms")}); err != nil {
-		t.Fatal(err)
-	}
-	view, err := client.Conf()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if view.BatchSize != 64 || view.FlushInterval != "100ms" {
-		t.Fatalf("conf view = %+v, want batchSize 64, flushInterval 100ms", view)
-	}
-	for i := range txs {
-		txs[i] = Tx{Kind: KindPut, Key: fmt.Sprintf("p2-%d", i), Value: []byte("v")}
-	}
-	if _, err := client.SubmitBatch(txs); err != nil {
-		t.Fatal(err)
-	}
-	st, err = client.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Total.Batches.MaxSize < 2 {
-		t.Fatalf("after raising batchSize, max proposed batch = %d, want >= 2", st.Total.Batches.MaxSize)
-	}
-}
-
-func TestConfRejectsBadDuration(t *testing.T) {
+// TestConfIsFixedAtBoot: a server's configuration is what conf held when
+// it was built. POST /conf does not exist, and a conf change behind a
+// built server — here one that would force singleton batches, a pool of
+// one op and a one-byte transaction bound — reaches neither its pool nor
+// its size check.
+func TestConfIsFixedAtBoot(t *testing.T) {
 	conf.Reset()
 	t.Cleanup(conf.Reset)
 	client, _ := newTestServer(t, nil)
@@ -357,39 +311,41 @@ func TestConfRejectsBadDuration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = client.SetConf(ConfUpdate{BatchSize: intp(3), FlushInterval: strp("soon")})
-	var we *WireError
-	if !errors.As(err, &we) || we.Code != CodeInvalid {
-		t.Fatalf("err = %v, want WireError code %s", err, CodeInvalid)
+	if before != ViewOf(conf.Defaults()) {
+		t.Fatalf("GET /conf = %+v, want the boot configuration %+v", before, ViewOf(conf.Defaults()))
 	}
-	// The whole update was rejected — batchSize did not change either.
-	after, err := client.Conf()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after != before {
-		t.Fatalf("rejected update mutated conf: %+v -> %+v", before, after)
-	}
-}
-
-// TestConfRejectsLanes: the lane count is fixed when a shard is built, so
-// it is reported by GET /conf but is not a field of POST /conf — the
-// strict decoder answers 400 rather than accept a setting no pool would
-// run with.
-func TestConfRejectsLanes(t *testing.T) {
-	conf.Reset()
-	t.Cleanup(conf.Reset)
-	client, _ := newTestServer(t, nil)
-	resp, err := http.Post(clientBase(client)+"/conf", "application/json", strings.NewReader(`{"lanes":4}`))
+	resp, err := http.Post(clientBase(client)+"/conf", "application/json", strings.NewReader(`{"mempoolCap":1}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("POST /conf with lanes: HTTP %d, want 400", resp.StatusCode)
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("POST /conf: HTTP %d, want 405", resp.StatusCode)
 	}
-	if view, err := client.Conf(); err != nil || view.Lanes != conf.Defaults().Lanes {
-		t.Fatalf("GET /conf = %+v, %v, want the boot lane count %d", view, err, conf.Defaults().Lanes)
+	if after, err := client.Conf(); err != nil || after != before {
+		t.Fatalf("GET /conf after the refused POST = %+v, %v, want %+v", after, err, before)
+	}
+
+	conf.Update(func(c *conf.Config) { c.BatchSize, c.MempoolCap, c.MaxTxBytes = 1, 1, 1 })
+	txs := make([]Tx, 8)
+	for i := range txs {
+		txs[i] = Tx{Kind: KindPut, Key: fmt.Sprintf("k%d", i), Value: []byte("v")}
+	}
+	results, err := client.SubmitBatch(txs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range results {
+		if res.Error != "" {
+			t.Fatalf("tx %d after the conf change: %s (%s)", i, res.Error, res.Code)
+		}
+	}
+	st, err := client.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Total.Batches.MaxSize < 2 || st.Total.Rejected != 0 {
+		t.Fatalf("largest batch %d, %d rejected; want a batch of >= 2 and nothing rejected", st.Total.Batches.MaxSize, st.Total.Rejected)
 	}
 }
 
@@ -443,18 +399,16 @@ func TestStatsJSONShape(t *testing.T) {
 	}
 }
 
-func intp(n int) *int       { return &n }
-func strp(s string) *string { return &s }
-
 // FuzzBatchRequest: POST /submit-batch bodies are the one place arbitrary
 // outside bytes become chain transactions. Whatever the handler's own
 // decode → Validate → ToChain path accepts respects the wire bounds and
 // re-encodes to a body that decodes to the same transactions; nothing
 // panics. `go test` runs the seed corpus; `make fuzz-smoke` mutates it.
 func FuzzBatchRequest(f *testing.F) {
+	limit := int64(MaxBatchTxs) * NewServer(nil).singleBody
 	parse := func(body []byte) ([]chain.Tx, error) {
 		r := httptest.NewRequest(http.MethodPost, "/submit-batch", bytes.NewReader(body))
-		return batchTxs(httptest.NewRecorder(), r)
+		return batchTxs(httptest.NewRecorder(), r, limit)
 	}
 	// The batches api_test.go submits, accepted and rejected.
 	ordered := make([]Tx, 16)

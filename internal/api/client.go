@@ -141,18 +141,10 @@ func (c *Client) Audit() (AuditResponse, error) {
 	return resp, err
 }
 
-// Conf reads the server's runtime configuration.
+// Conf reads the server's boot configuration.
 func (c *Client) Conf() (ConfView, error) {
 	var resp ConfView
 	err := c.do(http.MethodGet, "/conf", nil, &resp)
-	return resp, err
-}
-
-// SetConf applies a partial configuration update and returns the
-// resulting snapshot. Batching knobs take effect without restart.
-func (c *Client) SetConf(u ConfUpdate) (ConfView, error) {
-	var resp ConfView
-	err := c.do(http.MethodPost, "/conf", u, &resp)
 	return resp, err
 }
 

@@ -12,16 +12,19 @@ import (
 )
 
 // Server serves the wire API over a Sharded chain. It holds no state of
-// its own beyond the start time — every answer is computed from the
-// chain, so N servers over N chains need no coordination.
+// its own beyond the start time and its body limit — every answer is
+// computed from the chain, so N servers over N chains need no coordination.
 type Server struct {
 	chain *chain.Sharded
 	start time.Time
+	// singleBody bounds one-transaction request bodies: the encoded value
+	// (base64 inflates by 4/3) plus headroom for the envelope.
+	singleBody int64
 }
 
 // NewServer wraps a sharded chain in the HTTP API.
 func NewServer(c *chain.Sharded) *Server {
-	return &Server{chain: c, start: time.Now()}
+	return &Server{chain: c, start: time.Now(), singleBody: int64(conf.MaxTxBytes())*2 + 64<<10}
 }
 
 // Handler returns the route table. Method routing is strict: a GET on a
@@ -36,7 +39,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /health", s.handleHealth)
 	mux.HandleFunc("GET /audit", s.handleAudit)
 	mux.HandleFunc("GET /conf", s.handleConfGet)
-	mux.HandleFunc("POST /conf", s.handleConfPost)
 	return mux
 }
 
@@ -73,15 +75,9 @@ func decode(w http.ResponseWriter, r *http.Request, v any, limit int64) error {
 	return nil
 }
 
-// singleBodyLimit bounds one-transaction request bodies: the encoded
-// value (base64 inflates by 4/3) plus headroom for the envelope.
-func singleBodyLimit() int64 {
-	return int64(conf.MaxTxBytes())*2 + 64<<10
-}
-
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := decode(w, r, &req, singleBodyLimit()); err != nil {
+	if err := decode(w, r, &req, s.singleBody); err != nil {
 		writeErr(w, CodeInvalid, err.Error())
 		return
 	}
@@ -100,9 +96,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // batchTxs reads a POST /submit-batch body into chain transactions:
 // strict decode, then the batch's shape and every transaction validated.
-func batchTxs(w http.ResponseWriter, r *http.Request) ([]chain.Tx, error) {
+func batchTxs(w http.ResponseWriter, r *http.Request, limit int64) ([]chain.Tx, error) {
 	var req BatchRequest
-	if err := decode(w, r, &req, int64(MaxBatchTxs)*singleBodyLimit()); err != nil {
+	if err := decode(w, r, &req, limit); err != nil {
 		return nil, err
 	}
 	if err := req.Validate(); err != nil {
@@ -120,7 +116,7 @@ func batchTxs(w http.ResponseWriter, r *http.Request) ([]chain.Tx, error) {
 }
 
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
-	txs, err := batchTxs(w, r)
+	txs, err := batchTxs(w, r, int64(MaxBatchTxs)*s.singleBody)
 	if err != nil {
 		writeErr(w, CodeInvalid, err.Error())
 		return
@@ -146,7 +142,7 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSubmitPrivate(w http.ResponseWriter, r *http.Request) {
 	var req PrivateSubmitRequest
-	if err := decode(w, r, &req, singleBodyLimit()); err != nil {
+	if err := decode(w, r, &req, s.singleBody); err != nil {
 		writeErr(w, CodeInvalid, err.Error())
 		return
 	}
@@ -231,20 +227,8 @@ func (s *Server) handleAudit(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// handleConfGet reports the boot configuration. There is no POST /conf: a
+// server's configuration is fixed when it is built.
 func (s *Server) handleConfGet(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, ViewOf(conf.Snapshot()))
-}
-
-func (s *Server) handleConfPost(w http.ResponseWriter, r *http.Request) {
-	var u ConfUpdate
-	if err := decode(w, r, &u, 64<<10); err != nil {
-		writeErr(w, CodeInvalid, err.Error())
-		return
-	}
-	c, err := u.Apply()
-	if err != nil {
-		writeErr(w, CodeInvalid, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, ViewOf(c))
 }

@@ -14,8 +14,7 @@
 //	GET  /stats          unified chain.Stats    -> StatsResponse
 //	GET  /health         liveness               -> HealthResponse
 //	GET  /audit          per-peer chain audit   -> AuditResponse
-//	GET  /conf           runtime config         -> ConfView
-//	POST /conf           partial config update  -> ConfView
+//	GET  /conf           boot configuration     -> ConfView
 //
 // Failures are WireError bodies; Code round-trips to the chain
 // sentinels (see errors.go) so clients branch on errors.Is, never on
@@ -25,7 +24,6 @@ package api
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"prever/internal/chain"
 	"prever/internal/conf"
@@ -230,15 +228,13 @@ type AuditResponse struct {
 	Converged bool         `json:"converged"`
 }
 
-// ConfView is the wire form of the runtime configuration (GET /conf and
-// the response of POST /conf). Durations are Go duration strings
-// ("500µs", "1m") so the document stays human-editable.
+// ConfView is the wire form of the boot configuration (GET /conf).
+// Durations are Go duration strings ("500µs", "1m").
 type ConfView struct {
 	BatchSize     int    `json:"batchSize"`
 	FlushInterval string `json:"flushInterval"`
 	MaxInFlight   int    `json:"maxInFlight"`
 	MempoolCap    int    `json:"mempoolCap"`
-	Lanes         int    `json:"lanes"`
 	MaxTxBytes    int    `json:"maxTxBytes"`
 }
 
@@ -249,51 +245,6 @@ func ViewOf(c conf.Config) ConfView {
 		FlushInterval: c.FlushInterval.String(),
 		MaxInFlight:   c.MaxInFlight,
 		MempoolCap:    c.MempoolCap,
-		Lanes:         c.Lanes,
 		MaxTxBytes:    c.MaxTxBytes,
 	}
-}
-
-// ConfUpdate is the body of POST /conf: a partial update where only the
-// fields present in the JSON are applied (pointer fields distinguish
-// "absent" from "zero"). Every field takes effect on running shards
-// without restart; the lane count is fixed when a shard is built and is
-// read-only here.
-type ConfUpdate struct {
-	BatchSize     *int    `json:"batchSize,omitempty"`
-	FlushInterval *string `json:"flushInterval,omitempty"`
-	MaxInFlight   *int    `json:"maxInFlight,omitempty"`
-	MempoolCap    *int    `json:"mempoolCap,omitempty"`
-	MaxTxBytes    *int    `json:"maxTxBytes,omitempty"`
-}
-
-// Apply merges the update into the global runtime configuration and
-// returns the resulting snapshot. Duration strings that fail to parse
-// reject the whole update.
-func (u ConfUpdate) Apply() (conf.Config, error) {
-	var flush time.Duration
-	var err error
-	if u.FlushInterval != nil {
-		if flush, err = time.ParseDuration(*u.FlushInterval); err != nil {
-			return conf.Config{}, fmt.Errorf("flushInterval: %w", err)
-		}
-	}
-	conf.Update(func(c *conf.Config) {
-		if u.BatchSize != nil {
-			c.BatchSize = *u.BatchSize
-		}
-		if u.FlushInterval != nil {
-			c.FlushInterval = flush
-		}
-		if u.MaxInFlight != nil {
-			c.MaxInFlight = *u.MaxInFlight
-		}
-		if u.MempoolCap != nil {
-			c.MempoolCap = *u.MempoolCap
-		}
-		if u.MaxTxBytes != nil {
-			c.MaxTxBytes = *u.MaxTxBytes
-		}
-	})
-	return conf.Snapshot(), nil
 }

@@ -860,7 +860,6 @@ func E4Consensus(scale Scale) (*Table, error) {
 func mempoolDrive[P any](n int, start func([][]byte) P, wait func(P) error) (time.Duration, error) {
 	pool := mempool.NewPool(mempool.Config{
 		Cap:           2 * n,
-		Lanes:         8,
 		BatchSize:     64,
 		FlushInterval: 200 * time.Microsecond,
 		MaxInFlight:   4,

@@ -354,6 +354,7 @@ type Shard struct {
 	batcher  *mempool.Batcher
 	seq      atomic.Uint64
 	timeout  time.Duration
+	maxTx    int // bound on one encoded transaction, read from conf at NewShard
 
 	statsMu sync.Mutex
 	stats   Stats
@@ -366,7 +367,7 @@ type ShardConfig struct {
 	Collections map[string][]string // collection -> member peer ids
 	PBFT        pbft.Options
 	Timeout     time.Duration  // per-transaction commit timeout
-	Mempool     mempool.Config // zero fields default from conf.Snapshot
+	Mempool     mempool.Config // zero fields default from conf.Snapshot, at NewShard
 	// DataDir, when set, makes every peer's PBFT replica crash-durable:
 	// consensus state is journaled to a WAL under DataDir/<peerID> and
 	// the peer's chain is snapshot-restored on reopen. Empty means
@@ -401,7 +402,7 @@ func NewShard(net *netsim.Network, cfg ShardConfig) (*Shard, error) {
 		}
 		return out
 	}
-	s := &Shard{Name: cfg.Name, nonce: bootNonce(), durable: cfg.DataDir != "", timeout: cfg.Timeout}
+	s := &Shard{Name: cfg.Name, nonce: bootNonce(), durable: cfg.DataDir != "", timeout: cfg.Timeout, maxTx: conf.MaxTxBytes()}
 	for _, id := range ids {
 		peer := newPeer(id, memberOf(id))
 		s.peers = append(s.peers, peer)
@@ -477,7 +478,9 @@ func NewShard(net *netsim.Network, cfg ShardConfig) (*Shard, error) {
 	}
 	s.client = client
 	// The pool keeps no memory of executed ids; it asks the chain. A batch
-	// resolves only after f+1 peers applied it: its ids are in a set by then.
+	// resolves when the replica the client handed it to has executed it
+	// (2f+1 commit votes) and applied it to its own peer, and only then
+	// wakes the waiter: some peer's id set has its ids by then.
 	cfg.Mempool.Executed = func(id string) bool {
 		for _, p := range s.peers {
 			if p.applied.has(id) {

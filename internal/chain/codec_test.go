@@ -122,9 +122,9 @@ func TestTxWritesDepthCap(t *testing.T) {
 func TestMaxTxBytesBoundary(t *testing.T) {
 	conf.Reset()
 	t.Cleanup(conf.Reset)
-	_, s := newShard(t, "s0", nil)
 	tx := Tx{ID: "at-limit", Kind: TxPut, Key: "k", Value: bytes.Repeat([]byte("v"), 64)}
-	conf.SetMaxTxBytes(len(txBytes(tx)))
+	conf.Update(func(c *conf.Config) { c.MaxTxBytes = len(txBytes(tx)) })
+	_, s := newShard(t, "s0", nil) // the bound is read when the shard is built
 	if err := submitWait(s, tx); err != nil {
 		t.Fatalf("a transaction of exactly MaxTxBytes: %v", err)
 	}

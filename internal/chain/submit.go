@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"prever/internal/conf"
 	"prever/internal/mempool"
 )
 
@@ -139,8 +138,8 @@ func (s *Shard) submit(tx Tx, settled func(Result)) <-chan Result {
 		ch <- res
 	}
 	data := txBytes(tx)
-	if max := conf.MaxTxBytes(); len(data) > max {
-		done(fmt.Errorf("%w: %d bytes (limit %d)", ErrTxTooLarge, len(data), max))
+	if len(data) > s.maxTx {
+		done(fmt.Errorf("%w: %d bytes (limit %d)", ErrTxTooLarge, len(data), s.maxTx))
 	} else if d := writesDepth(&tx); d > maxWritesDepth {
 		// Every peer's decoder would refuse it after it committed.
 		done(fmt.Errorf("%w: %d levels (limit %d)", ErrTxTooDeep, d, maxWritesDepth))

@@ -93,7 +93,6 @@ func TestChaosPaxosBatched(t *testing.T) {
 
 	pool := mempool.NewPool(mempool.Config{
 		Cap:           1024,
-		Lanes:         4,
 		BatchSize:     8,
 		FlushInterval: 2 * time.Millisecond,
 		MaxInFlight:   4,

@@ -1,14 +1,11 @@
-// Package conf centralizes the runtime-tunable consensus/batching knobs
-// (wavelet's conf/conf.go pattern): one immutable snapshot struct behind
-// an atomic pointer. Getters read the current snapshot — every field a
-// caller reads through one Snapshot() call is from the same generation —
-// and Set/Update install a fresh copy (copy-on-write), so a live server
-// can retune batch sizes, flush intervals and queue caps (POST /conf)
-// without rebuilds and without readers ever seeing a half-updated config.
-//
-// Consumers: internal/mempool (batch size, flush interval, in-flight cap,
-// pool cap, lane count), chain.Shard (its mempool defaults, WAL cadence,
-// transaction size bound) and internal/api (GET/POST /conf).
+// Package conf is the boot configuration of the consensus/batching
+// stack (wavelet's conf/conf.go pattern): one immutable snapshot struct
+// behind an atomic pointer. main sets it from its flags before any shard
+// exists; constructors read it once and keep what they read (chain.NewShard,
+// mempool.NewPool, api.NewServer), so nothing built follows a later
+// Set/Update — a running server cannot be retuned, least of all over the
+// wire. Set/Update install a fresh copy (copy-on-write): every field a
+// caller reads through one Snapshot() call is from the same generation.
 package conf
 
 import (
@@ -17,7 +14,7 @@ import (
 	"time"
 )
 
-// Config is one snapshot of every runtime knob.
+// Config is one snapshot of every knob.
 type Config struct {
 	// BatchSize is the maximum number of operations the mempool batcher
 	// drains into one consensus instance.
@@ -33,9 +30,6 @@ type Config struct {
 	// MempoolCap is the admission-control bound on unresolved mempool
 	// operations (queued + in flight); additions beyond it are rejected.
 	MempoolCap int
-	// Lanes is the number of key-hashed mempool lanes; operations with
-	// the same lane key keep their submission order through batching.
-	Lanes int
 	// MaxTxBytes bounds one encoded transaction on the submit path — the
 	// binary encoding consensus carries (chain/codec.go: a 64-byte put is
 	// ~100 bytes), not the JSON of an HTTP request; larger submissions fail with chain.ErrTxTooLarge (HTTP 413 on the
@@ -57,7 +51,6 @@ func Defaults() Config {
 		FlushInterval:   500 * time.Microsecond,
 		MaxInFlight:     4,
 		MempoolCap:      4096,
-		Lanes:           8,
 		MaxTxBytes:      1 << 20,
 		SnapshotEvery:   256,
 		WALSegmentBytes: 4 << 20,
@@ -78,9 +71,6 @@ func (c *Config) sanitize() {
 	}
 	if c.MempoolCap < 1 {
 		c.MempoolCap = 1
-	}
-	if c.Lanes < 1 {
-		c.Lanes = 1
 	}
 	if c.MaxTxBytes < 1 {
 		c.MaxTxBytes = 1 << 20
@@ -134,14 +124,8 @@ func Reset() { Set(Defaults()) }
 
 // Accessors for the call sites that touch one knob.
 
-// BatchSize returns the current batch size.
-func BatchSize() int { return Snapshot().BatchSize }
-
 // MaxTxBytes returns the encoded-transaction size bound.
 func MaxTxBytes() int { return Snapshot().MaxTxBytes }
-
-// SetMaxTxBytes updates the encoded-transaction size bound.
-func SetMaxTxBytes(n int) { Update(func(c *Config) { c.MaxTxBytes = n }) }
 
 // SnapshotEvery returns the durable-snapshot cadence.
 func SnapshotEvery() uint64 { return Snapshot().SnapshotEvery }

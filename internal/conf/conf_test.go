@@ -13,11 +13,11 @@ func TestDefaultsAndReset(t *testing.T) {
 		t.Fatalf("fresh snapshot %+v != defaults %+v", got, Defaults())
 	}
 	Update(func(c *Config) { c.BatchSize = 7 })
-	if BatchSize() != 7 {
-		t.Fatalf("BatchSize = %d, want 7", BatchSize())
+	if got := Snapshot().BatchSize; got != 7 {
+		t.Fatalf("BatchSize = %d, want 7", got)
 	}
 	Reset()
-	if BatchSize() != Defaults().BatchSize {
+	if Snapshot().BatchSize != Defaults().BatchSize {
 		t.Fatalf("Reset did not restore batch size")
 	}
 }
@@ -42,9 +42,9 @@ func TestSettersAreSnapshotConsistent(t *testing.T) {
 
 func TestSanitizeClampsNonsense(t *testing.T) {
 	defer Reset()
-	Set(Config{BatchSize: -1, FlushInterval: -time.Second, MaxInFlight: 0, MempoolCap: -5, Lanes: 0})
+	Set(Config{BatchSize: -1, FlushInterval: -time.Second, MaxInFlight: 0, MempoolCap: -5})
 	c := Snapshot()
-	if c.BatchSize < 1 || c.MaxInFlight < 1 || c.MempoolCap < 1 || c.Lanes < 1 || c.FlushInterval < 0 {
+	if c.BatchSize < 1 || c.MaxInFlight < 1 || c.MempoolCap < 1 || c.FlushInterval < 0 {
 		t.Fatalf("sanitize failed: %+v", c)
 	}
 }
@@ -63,12 +63,12 @@ func TestConcurrentUpdatesLoseNothing(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			Update(func(c *Config) { c.Lanes = 16 })
+			Update(func(c *Config) { c.MempoolCap = 16 })
 		}
 	}()
 	wg.Wait()
 	c := Snapshot()
-	if c.BatchSize != 100 || c.Lanes != 16 {
+	if c.BatchSize != 100 || c.MempoolCap != 16 {
 		t.Fatalf("concurrent single-field updates interfered: %+v", c)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"prever/internal/blind"
-	"prever/internal/chain"
 	"prever/internal/he"
 	"prever/internal/ledger"
 	"prever/internal/mpc"
@@ -101,7 +100,7 @@ type TaskSubmission struct {
 // single-use pseudonymous tokens per period; a task of h hours costs h
 // tokens; platforms verify tokens against the authority's public key and
 // record spent serials in a SHARED spent store (in production the
-// permissioned blockchain — see ChainSpentStore). Platforms learn nothing
+// permissioned blockchain — see internal/separ). Platforms learn nothing
 // about a worker's activity elsewhere; the regulation holds because the
 // budget is enforced at issuance and double spends are caught at the
 // shared store.
@@ -213,42 +212,6 @@ func (f *TokenFederation) SubmitTasks(subs []TaskSubmission, wallets map[string]
 		}
 		return f.SubmitTask(sub, w)
 	}), TaskLane, subs)
-}
-
-// ChainSpentStore is a token.SpentStore backed by the permissioned
-// blockchain: every spend is ordered by consensus with first-writer-wins
-// semantics, so mutually distrustful platforms share one tamper-evident
-// double-spend registry (Research Challenge 4 applied to tokens — exactly
-// Separ's use of SharPer).
-type ChainSpentStore struct {
-	shard *chain.Shard
-	node  string // this platform's claim identity
-	seq   sync.Mutex
-	n     uint64
-}
-
-// NewChainSpentStore wraps a shard. node identifies the claiming platform.
-func NewChainSpentStore(shard *chain.Shard, node string) *ChainSpentStore {
-	return &ChainSpentStore{shard: shard, node: node}
-}
-
-// MarkSpent implements token.SpentStore: it orders a put-once transaction
-// and then reads back who won.
-func (c *ChainSpentStore) MarkSpent(serial string) (bool, error) {
-	c.seq.Lock()
-	c.n++
-	claim := fmt.Sprintf("%s/%d", c.node, c.n)
-	c.seq.Unlock()
-	key := "spent/" + serial
-	if res := <-c.shard.SubmitAsync(chain.Tx{Kind: chain.TxPutOnce, Key: key, Value: []byte(claim)}); res.Err != nil {
-		return false, res.Err
-	}
-	// Read back from a local peer: by commit time the winner is fixed.
-	winner, err := c.shard.Peers()[0].Get(key)
-	if err != nil {
-		return false, fmt.Errorf("core: spent read-back: %w", err)
-	}
-	return string(winner) != claim, nil
 }
 
 // MPCFederation is the decentralized RC2 engine: no token authority. When

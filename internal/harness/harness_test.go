@@ -4,7 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -226,51 +229,30 @@ func TestKillRecoverFromDisk(t *testing.T) {
 	}
 }
 
-// TestRemoteConfUpdate reconfigures a running server process over the
-// wire and checks the change is live without restart.
-func TestRemoteConfUpdate(t *testing.T) {
+// TestServerFlags pins prever-server's flag set, so a new knob arrives as
+// a diff of this list.
+func TestServerFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process harness is not -short")
 	}
-	t.Cleanup(leaktest.Check(t))
 	bin, err := BuildServer(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	proc, err := Start(bin)
+	usage, err := exec.Command(bin, "-h").CombinedOutput()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("prever-server -h: %v\n%s", err, usage)
 	}
-	t.Cleanup(func() { _ = proc.Stop() })
-	if err := proc.WaitHealthy(startTimeout); err != nil {
-		t.Fatal(err)
+	var got []string
+	for _, m := range regexp.MustCompile(`(?m)^  -([a-z-]+)`).FindAllSubmatch(usage, -1) {
+		got = append(got, string(m[1]))
 	}
-	client := proc.Client()
-	view, err := client.SetConf(api.ConfUpdate{BatchSize: intp(1), FlushInterval: strp("1ms")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if view.BatchSize != 1 {
-		t.Fatalf("batchSize = %d after update, want 1", view.BatchSize)
-	}
-	txs := make([]api.Tx, 6)
-	for i := range txs {
-		txs[i] = api.Tx{Kind: api.KindPut, Key: fmt.Sprintf("k%d", i), Value: []byte("v")}
-	}
-	if _, err := client.SubmitBatch(txs); err != nil {
-		t.Fatal(err)
-	}
-	st, err := client.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Total.Batches.MaxSize != 1 {
-		t.Fatalf("max proposed batch = %d with batchSize=1 set over the wire, want 1", st.Total.Batches.MaxSize)
+	// flag prints its usage in lexical order.
+	want := strings.Fields("addr batch data f flush inflight max-tx-bytes mempool-cap pprof shards snap-every timeout")
+	if !slices.Equal(got, want) {
+		t.Fatalf("prever-server flags:\n got %v\nwant %v", got, want)
 	}
 }
-
-func intp(n int) *int       { return &n }
-func strp(s string) *string { return &s }
 
 // TestStartTimesOutOnSilentServer: a process that never prints its
 // "listening on" line must trip Start's deadline (a stoppable timer

@@ -70,13 +70,7 @@ type Batcher struct {
 	mu    sync.Mutex
 	stats BatchStats
 
-	// The in-flight gate: a counter guarded by a cond instead of a fixed
-	// semaphore, because the MaxInFlight bound re-resolves from the pool's
-	// live config on every acquire (a runtime conf change applies to the
-	// next batch, no restart).
-	flMu     sync.Mutex
-	flCond   *sync.Cond
-	inFlight int
+	slots chan struct{} // in-flight gate: one token per started instance
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -90,39 +84,30 @@ func NewBatcher(pool *Pool, propose Proposer) *Batcher {
 	b := &Batcher{
 		pool:    pool,
 		propose: propose,
+		slots:   make(chan struct{}, pool.Config().MaxInFlight),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	b.flCond = sync.NewCond(&b.flMu)
 	go b.run()
 	return b
 }
 
-// acquireSlot blocks until an in-flight slot frees up under the current
-// MaxInFlight (re-read on every wakeup). Returns false when the batcher
-// is stopping.
+// acquireSlot blocks until an in-flight slot frees up. Returns false when
+// the batcher is stopping: stop is checked first, because a select with a
+// free slot and a closed stop picks either, and a stopping batcher must
+// never start another instance.
 func (b *Batcher) acquireSlot() bool {
-	b.flMu.Lock()
-	defer b.flMu.Unlock()
-	for {
-		select {
-		case <-b.stop:
-			return false
-		default:
-		}
-		if b.inFlight < b.pool.Config().MaxInFlight {
-			b.inFlight++
-			return true
-		}
-		b.flCond.Wait()
+	select {
+	case <-b.stop:
+		return false
+	default:
 	}
-}
-
-func (b *Batcher) releaseSlot() {
-	b.flMu.Lock()
-	b.inFlight--
-	b.flMu.Unlock()
-	b.flCond.Broadcast()
+	select {
+	case <-b.stop:
+		return false
+	case b.slots <- struct{}{}:
+		return true
+	}
 }
 
 func (b *Batcher) run() {
@@ -156,7 +141,7 @@ func (b *Batcher) run() {
 		b.wg.Add(1)
 		go func(ops []Op) {
 			defer b.wg.Done()
-			defer b.releaseSlot()
+			defer func() { <-b.slots }()
 			b.pool.Resolve(ops, wait())
 		}(ops)
 	}
@@ -165,10 +150,7 @@ func (b *Batcher) run() {
 // Stop halts dispatch and waits for in-flight instances to resolve. The
 // pool stays open: a new Batcher may take over (leader turnover).
 func (b *Batcher) Stop() {
-	b.stopOnce.Do(func() {
-		close(b.stop)
-		b.flCond.Broadcast()
-	})
+	b.stopOnce.Do(func() { close(b.stop) })
 	<-b.done
 	b.wg.Wait()
 }

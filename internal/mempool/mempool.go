@@ -45,14 +45,14 @@ type Op struct {
 	Data []byte
 }
 
-// laneIndex maps an ordering key onto one of width lanes with fnv-1a.
-func laneIndex(key string, width int) int {
-	if width <= 1 {
-		return 0
-	}
+// lanes is the number of key-hashed lanes of every pool.
+const lanes = 8
+
+// laneIndex maps an ordering key onto one of the lanes with fnv-1a.
+func laneIndex(key string) int {
 	h := fnv.New32a()
 	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(width))
+	return int(h.Sum32() % lanes)
 }
 
 // Errors returned by Add (directly or through the ack callback).
@@ -69,14 +69,10 @@ var (
 	ErrDuplicate = errors.New("mempool: duplicate op (already executed)")
 )
 
-// Config sizes a Pool and its Batcher. Zero fields default from the
-// current conf snapshot (conf.Snapshot) — and keep tracking it: Cap,
-// BatchSize, FlushInterval and MaxInFlight re-resolve on every use, so a
-// runtime conf.Update (e.g. POST /conf on a running server) retunes live
-// pools without a restart. Lanes resolves once, at NewPool.
+// Config sizes a Pool and its Batcher. NewPool fills zero fields from the
+// conf snapshot of that moment; a pool never changes its configuration.
 type Config struct {
 	Cap           int           // admission bound on unresolved ops
-	Lanes         int           // key-hashed lane count
 	BatchSize     int           // max ops per consensus instance
 	FlushInterval time.Duration // partial-batch linger
 	MaxInFlight   int           // pipelined consensus instances
@@ -88,14 +84,11 @@ type Config struct {
 	Executed func(id string) bool
 }
 
-// withDefaults fills zero fields from the runtime configuration.
+// withDefaults fills zero fields from the boot configuration.
 func (c Config) withDefaults() Config {
 	d := conf.Snapshot()
 	if c.Cap <= 0 {
 		c.Cap = d.MempoolCap
-	}
-	if c.Lanes <= 0 {
-		c.Lanes = d.Lanes
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = d.BatchSize
@@ -142,11 +135,11 @@ type PoolStats struct {
 // Pool is the pending pool. One Batcher drains it; any number of
 // producers Add concurrently.
 type Pool struct {
-	cfg Config // as passed to NewPool: zero fields mean "track conf live"
+	cfg Config // resolved at NewPool, never written after
 
 	mu       sync.Mutex
-	lanes    [][]Op // len(lanes) is the lane count for the pool's lifetime
-	rr       int    // round-robin drain cursor
+	lanes    [lanes][]Op
+	rr       int // round-robin drain cursor
 	states   map[string]*opState
 	queued   int
 	inFlight int
@@ -156,26 +149,18 @@ type Pool struct {
 	stats    PoolStats
 }
 
-// NewPool builds a pool; zero Config fields default from conf and keep
-// tracking later conf updates (see Config).
+// NewPool builds a pool; zero Config fields default from conf, once.
 func NewPool(cfg Config) *Pool {
 	return &Pool{
-		cfg:    cfg,
-		lanes:  make([][]Op, cfg.withDefaults().Lanes),
+		cfg:    cfg.withDefaults(),
 		states: make(map[string]*opState),
 		notify: make(chan struct{}, 1),
 	}
 }
 
-// Config returns the configuration the pool is running with right now:
-// fields that were zero at NewPool re-resolve against the current conf
-// snapshot (a runtime conf change shows up here, and in the pool's
-// behaviour, immediately); explicit fields and the lane count stay pinned.
-func (p *Pool) Config() Config {
-	c := p.cfg.withDefaults()
-	c.Lanes = len(p.lanes)
-	return c
-}
+// Config returns the configuration the pool was built with, defaults
+// resolved.
+func (p *Pool) Config() Config { return p.cfg }
 
 // Add admits op. done is invoked exactly once with the op's outcome (nil
 // when the op's batch committed). Duplicate IDs attach to the pending op
@@ -204,12 +189,12 @@ func (p *Pool) Add(op Op, done func(error)) error {
 		done(ErrDuplicate)
 		return nil
 	}
-	if p.queued+p.inFlight >= p.Config().Cap {
+	if p.queued+p.inFlight >= p.cfg.Cap {
 		p.stats.RejectedFull++
 		p.mu.Unlock()
 		return ErrFull
 	}
-	lane := laneIndex(op.Lane, len(p.lanes))
+	lane := laneIndex(op.Lane)
 	p.lanes[lane] = append(p.lanes[lane], op)
 	p.states[op.ID] = &opState{acks: []func(error){done}, queued: true}
 	p.queued++
@@ -228,16 +213,15 @@ func (p *Pool) drainLocked(max int) []Op {
 	}
 	p.flush = false
 	out := make([]Op, 0, min(max, p.queued))
-	n := len(p.lanes)
 	for len(out) < max && p.queued > 0 {
-		for i := 0; i < n; i++ {
-			lane := (p.rr + i) % n
+		for i := 0; i < lanes; i++ {
+			lane := (p.rr + i) % lanes
 			if len(p.lanes[lane]) == 0 {
 				continue
 			}
 			op := p.lanes[lane][0]
 			p.lanes[lane] = p.lanes[lane][1:]
-			p.rr = (lane + 1) % n
+			p.rr = (lane + 1) % lanes
 			p.queued--
 			p.inFlight++
 			if st, ok := p.states[op.ID]; ok {
@@ -293,21 +277,20 @@ func (p *Pool) WaitBatch(stop <-chan struct{}) []Op {
 	}()
 	flushing := false
 	for {
-		cfg := p.Config() // re-resolved each pass: conf changes apply live
 		p.mu.Lock()
 		if p.closed {
 			p.mu.Unlock()
 			return nil
 		}
-		if p.queued >= cfg.BatchSize || (p.queued > 0 && (flushing || cfg.FlushInterval <= 0 || (p.flush && p.inFlight == 0))) {
-			ops := p.drainLocked(cfg.BatchSize)
+		if p.queued >= p.cfg.BatchSize || (p.queued > 0 && (flushing || p.cfg.FlushInterval <= 0 || (p.flush && p.inFlight == 0))) {
+			ops := p.drainLocked(p.cfg.BatchSize)
 			p.mu.Unlock()
 			return ops
 		}
 		armed := p.queued > 0
 		p.mu.Unlock()
 		if armed && flushC == nil {
-			flush = time.NewTimer(cfg.FlushInterval)
+			flush = time.NewTimer(p.cfg.FlushInterval)
 			flushC = flush.C
 		}
 		select {

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"prever/internal/conf"
 	"prever/internal/leaktest"
 )
 
@@ -23,7 +22,7 @@ func drainAll(p *Pool) []Op {
 }
 
 func TestPoolCapRejection(t *testing.T) {
-	p := NewPool(Config{Cap: 2, Lanes: 1, BatchSize: 64})
+	p := NewPool(Config{Cap: 2, BatchSize: 64})
 	if err := p.Add(Op{ID: "1", Lane: "a"}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +51,7 @@ func TestPoolCapRejection(t *testing.T) {
 }
 
 func TestPoolDrainOrderingPerLane(t *testing.T) {
-	p := NewPool(Config{Cap: 100, Lanes: 4, BatchSize: 100})
+	p := NewPool(Config{Cap: 100, BatchSize: 100})
 	var want []string
 	for producer := 0; producer < 5; producer++ {
 		for i := 0; i < 6; i++ {
@@ -88,7 +87,7 @@ func TestPoolDrainOrderingPerLane(t *testing.T) {
 func TestPoolDuplicateSuppression(t *testing.T) {
 	executed := map[string]bool{}
 	asked := 0
-	p := NewPool(Config{Cap: 10, Lanes: 1, BatchSize: 10, Executed: func(id string) bool {
+	p := NewPool(Config{Cap: 10, BatchSize: 10, Executed: func(id string) bool {
 		asked++
 		return executed[id]
 	}})
@@ -148,7 +147,7 @@ func TestPoolDuplicateSuppression(t *testing.T) {
 // own, so an id the application executed before this pool was built (a
 // restart) is a duplicate on first sight.
 func TestPoolExecutedBeforeThePoolExisted(t *testing.T) {
-	p := NewPool(Config{Cap: 10, Lanes: 1, BatchSize: 10, Executed: func(id string) bool { return id == "old" }})
+	p := NewPool(Config{Cap: 10, BatchSize: 10, Executed: func(id string) bool { return id == "old" }})
 	var got error
 	if err := p.Add(Op{ID: "old", Lane: "a"}, func(err error) { got = err }); err != nil {
 		t.Fatal(err)
@@ -170,7 +169,7 @@ func TestPoolExecutedBeforeThePoolExisted(t *testing.T) {
 // TestPoolWithoutApplicationRemembersNothing: with no Executed hook a
 // resolved id is admitted and proposed again; the applier dedups.
 func TestPoolWithoutApplicationRemembersNothing(t *testing.T) {
-	p := NewPool(Config{Cap: 10, Lanes: 1, BatchSize: 10})
+	p := NewPool(Config{Cap: 10, BatchSize: 10})
 	for round := 0; round < 2; round++ {
 		var got error = errors.New("not acked")
 		if err := p.Add(Op{ID: "x", Lane: "a"}, func(err error) { got = err }); err != nil {
@@ -198,7 +197,7 @@ func TestPoolRetainsNothingPerResolvedOp(t *testing.T) {
 		t.Skip("the race detector's own allocations are not the pool's")
 	}
 	const n, perBatch = 100_000, 64
-	p := NewPool(Config{Cap: 4096, Lanes: 8, BatchSize: perBatch, Executed: func(string) bool { return false }})
+	p := NewPool(Config{Cap: 4096, BatchSize: perBatch, Executed: func(string) bool { return false }})
 	next := 0
 	batch := func() {
 		for i := 0; i < perBatch; i++ {
@@ -233,48 +232,10 @@ func TestPoolRetainsNothingPerResolvedOp(t *testing.T) {
 	runtime.KeepAlive(p)
 }
 
-// TestPoolTracksConfLive pins the runtime-retuning contract: knobs left
-// zero at NewPool re-resolve against the live conf snapshot on every use,
-// while explicitly-set knobs and the structural ones stay pinned.
-func TestPoolTracksConfLive(t *testing.T) {
-	conf.Reset()
-	t.Cleanup(conf.Reset)
-	p := NewPool(Config{Cap: 7}) // Cap pinned; everything else tracks conf
-	if got := p.Config(); got.Cap != 7 || got.BatchSize != conf.BatchSize() {
-		t.Fatalf("initial config = %+v", got)
-	}
-	conf.Update(func(c *conf.Config) {
-		c.BatchSize = 3
-		c.FlushInterval = 42 * time.Millisecond
-		c.MaxInFlight = 9
-		c.MempoolCap = 1
-		c.Lanes = 99 // structural: must NOT apply to a live pool
-	})
-	got := p.Config()
-	if got.BatchSize != 3 || got.FlushInterval != 42*time.Millisecond || got.MaxInFlight != 9 {
-		t.Fatalf("conf change not visible: %+v", got)
-	}
-	if got.Cap != 7 {
-		t.Fatalf("explicit Cap drifted to %d", got.Cap)
-	}
-	if got.Lanes == 99 {
-		t.Fatal("structural Lanes knob re-resolved on a live pool")
-	}
-	// The new BatchSize applies to the next drain: queue 5, drain one batch.
-	for i := 0; i < 5; i++ {
-		if err := p.Add(Op{ID: fmt.Sprintf("c%d", i), Lane: "a"}, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ops := p.WaitBatch(nil); len(ops) != 3 {
-		t.Fatalf("drained %d ops, want the live BatchSize of 3", len(ops))
-	}
-}
-
 // Flush cuts the linger short only in front of an idle pipeline, and only
 // for what was queued when it was called.
 func TestFlushDispatchesWhenNothingIsInFlight(t *testing.T) {
-	p := NewPool(Config{Cap: 100, Lanes: 2, BatchSize: 8, FlushInterval: time.Hour})
+	p := NewPool(Config{Cap: 100, BatchSize: 8, FlushInterval: time.Hour})
 	stop := make(chan struct{})
 	batches := make(chan []Op)
 	go func() {
@@ -336,7 +297,7 @@ func TestFlushDispatchesWhenNothingIsInFlight(t *testing.T) {
 }
 
 func TestPoolFailedOpMayRetry(t *testing.T) {
-	p := NewPool(Config{Cap: 10, Lanes: 1, BatchSize: 10})
+	p := NewPool(Config{Cap: 10, BatchSize: 10})
 	var failed atomic.Int64
 	if err := p.Add(Op{ID: "x", Lane: "a"}, func(err error) {
 		if err != nil {
@@ -361,7 +322,7 @@ func TestPoolFailedOpMayRetry(t *testing.T) {
 
 func TestPoolCloseFailsQueuedOps(t *testing.T) {
 	defer leaktest.Check(t)()
-	p := NewPool(Config{Cap: 10, Lanes: 2, BatchSize: 10})
+	p := NewPool(Config{Cap: 10, BatchSize: 10})
 	var got atomic.Value
 	if err := p.Add(Op{ID: "x", Lane: "a"}, func(err error) { got.Store(err) }); err != nil {
 		t.Fatal(err)
@@ -419,7 +380,7 @@ func (s *stubProposer) batchCount() int {
 
 func TestBatcherBatchesAndPipelines(t *testing.T) {
 	defer leaktest.Check(t)()
-	p := NewPool(Config{Cap: 1000, Lanes: 4, BatchSize: 8, FlushInterval: time.Millisecond, MaxInFlight: 3})
+	p := NewPool(Config{Cap: 1000, BatchSize: 8, FlushInterval: time.Millisecond, MaxInFlight: 3})
 	prop := newStubProposer(1000)
 	b := NewBatcher(p, prop.propose)
 	defer b.Stop()
@@ -462,7 +423,7 @@ func TestBatcherBatchesAndPipelines(t *testing.T) {
 
 func TestBatcherRespectsMaxInFlight(t *testing.T) {
 	defer leaktest.Check(t)()
-	p := NewPool(Config{Cap: 1000, Lanes: 1, BatchSize: 1, FlushInterval: 0, MaxInFlight: 2})
+	p := NewPool(Config{Cap: 1000, BatchSize: 1, FlushInterval: 0, MaxInFlight: 2})
 	prop := newStubProposer(0) // unbuffered: proposals block until released
 	b := NewBatcher(p, prop.propose)
 
@@ -490,9 +451,46 @@ func TestBatcherRespectsMaxInFlight(t *testing.T) {
 	}
 }
 
+// TestStoppingBatcherStartsNoInstance: a batch drained by a batcher that
+// is already stopping fails with ErrClosed instead of being proposed, even
+// with a slot free — a select over stop and the slot alone would propose
+// it about every other time.
+func TestStoppingBatcherStartsNoInstance(t *testing.T) {
+	defer leaktest.Check(t)()
+	for i := 0; i < 100; i++ {
+		p := NewPool(Config{Cap: 10, BatchSize: 1, MaxInFlight: 2})
+		entered, resume := make(chan struct{}), make(chan struct{})
+		var proposals atomic.Int64
+		b := NewBatcher(p, func([][]byte) func() error {
+			if proposals.Add(1) == 1 {
+				close(entered)
+				<-resume // hold the dispatch loop inside its first proposal
+			}
+			return func() error { return nil }
+		})
+		if err := p.Add(Op{ID: "first"}, nil); err != nil {
+			t.Fatal(err)
+		}
+		<-entered
+		second := make(chan error, 1)
+		if err := p.Add(Op{ID: "second"}, func(err error) { second <- err }); err != nil {
+			t.Fatal(err)
+		}
+		b.stopOnce.Do(func() { close(b.stop) })
+		close(resume)
+		b.Stop()
+		if err := <-second; !errors.Is(err, ErrClosed) {
+			t.Fatalf("iteration %d: op drained after stop resolved with %v, want ErrClosed", i, err)
+		}
+		if n := proposals.Load(); n != 1 {
+			t.Fatalf("iteration %d: %d instances started, want 1", i, n)
+		}
+	}
+}
+
 func TestBatcherDispatchOrderPerLane(t *testing.T) {
 	defer leaktest.Check(t)()
-	p := NewPool(Config{Cap: 1000, Lanes: 2, BatchSize: 4, FlushInterval: time.Millisecond, MaxInFlight: 4})
+	p := NewPool(Config{Cap: 1000, BatchSize: 4, FlushInterval: time.Millisecond, MaxInFlight: 4})
 	prop := newStubProposer(1000)
 	b := NewBatcher(p, prop.propose)
 	defer b.Stop()

@@ -61,17 +61,11 @@ func EmptyRoot() Hash {
 // callers (the ledger, the blockchain) serialize access.
 //
 // Alongside the full leaf list (needed for proofs), the tree maintains a
-// frontier of perfect-subtree roots so that the current root costs
-// O(log n) instead of O(n) — the property that keeps ledger appends fast.
+// Frontier so that the current root costs O(log n) instead of O(n) — the
+// property that keeps ledger appends fast.
 type Tree struct {
 	leaves   []Hash
-	frontier []frontierNode // perfect subtrees, strictly decreasing sizes
-}
-
-// frontierNode is one perfect subtree on the tree's right frontier.
-type frontierNode struct {
-	size int // power of two
-	hash Hash
+	frontier Frontier
 }
 
 // New returns an empty tree.
@@ -89,17 +83,7 @@ func (t *Tree) Append(data []byte) int {
 // elsewhere and only tracks their hashes.
 func (t *Tree) AppendLeafHash(h Hash) int {
 	t.leaves = append(t.leaves, h)
-	// Merge equal-sized perfect subtrees on the frontier (binary counter).
-	t.frontier = append(t.frontier, frontierNode{size: 1, hash: h})
-	for len(t.frontier) >= 2 {
-		a := t.frontier[len(t.frontier)-2]
-		b := t.frontier[len(t.frontier)-1]
-		if a.size != b.size {
-			break
-		}
-		t.frontier = t.frontier[:len(t.frontier)-2]
-		t.frontier = append(t.frontier, frontierNode{size: a.size * 2, hash: HashChildren(a.hash, b.hash)})
-	}
+	t.frontier.addHash(h)
 	return len(t.leaves) - 1
 }
 
@@ -111,18 +95,8 @@ func (t *Tree) LeafHash(i int) (Hash, error) {
 	return t.leaves[i], nil
 }
 
-// Root returns the root hash over all current leaves in O(log n), folding
-// the frontier right to left (RFC 6962's unbalanced combination).
-func (t *Tree) Root() Hash {
-	if len(t.frontier) == 0 {
-		return EmptyRoot()
-	}
-	acc := t.frontier[len(t.frontier)-1].hash
-	for i := len(t.frontier) - 2; i >= 0; i-- {
-		acc = HashChildren(t.frontier[i].hash, acc)
-	}
-	return acc
-}
+// Root returns the root hash over all current leaves in O(log n).
+func (t *Tree) Root() Hash { return t.frontier.Root() }
 
 // Frontier folds leaves into the root Tree would give them without
 // keeping any: only the perfect-subtree roots on the right edge, in a
@@ -145,7 +119,11 @@ func (f *Frontier) Size() int { return int(f.n) }
 // Add appends one entry. data is not retained.
 func (f *Frontier) Add(data []byte) {
 	f.buf = append(append(f.buf[:0], leafPrefix), data...)
-	h := Hash(sha256.Sum256(f.buf))
+	f.addHash(sha256.Sum256(f.buf))
+}
+
+// addHash appends one pre-hashed leaf.
+func (f *Frontier) addHash(h Hash) {
 	// A binary counter: adding a leaf carries through every trailing set
 	// bit, merging equal-sized subtrees on the way up.
 	i := 0

@@ -108,7 +108,7 @@ func New(cfg Config) (*System, error) {
 			return nil, err
 		}
 		s.shard = shard
-		spent = core.NewChainSpentStore(shard, "separ-client")
+		spent = &chainSpentStore{shard: shard, node: "separ-client"}
 	} else {
 		spent = token.NewMemorySpentStore()
 	}
@@ -273,4 +273,35 @@ func (s *System) AuditChain() error {
 		}
 	}
 	return nil
+}
+
+// chainSpentStore is a token.SpentStore backed by the permissioned
+// blockchain: every spend is ordered by consensus with first-writer-wins
+// semantics, so mutually distrustful platforms share one tamper-evident
+// double-spend registry (Research Challenge 4 applied to tokens — exactly
+// Separ's use of SharPer).
+type chainSpentStore struct {
+	shard *chain.Shard
+	node  string // this platform's claim identity
+	seq   sync.Mutex
+	n     uint64
+}
+
+// MarkSpent implements token.SpentStore: it orders a put-once transaction
+// and then reads back who won.
+func (c *chainSpentStore) MarkSpent(serial string) (bool, error) {
+	c.seq.Lock()
+	c.n++
+	claim := fmt.Sprintf("%s/%d", c.node, c.n)
+	c.seq.Unlock()
+	key := "spent/" + serial
+	if res := <-c.shard.SubmitAsync(chain.Tx{Kind: chain.TxPutOnce, Key: key, Value: []byte(claim)}); res.Err != nil {
+		return false, res.Err
+	}
+	// Read back from a local peer: by commit time the winner is fixed.
+	winner, err := c.shard.Peers()[0].Get(key)
+	if err != nil {
+		return false, fmt.Errorf("separ: spent read-back: %w", err)
+	}
+	return string(winner) != claim, nil
 }
