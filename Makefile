@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race bench bench-check deps-check vet fmt fmt-check lint chaos fuzz-smoke heap-smoke serve-smoke serve-smoke-durable
+.PHONY: build test check race bench bench-check deps-check vet fmt fmt-check lint chaos fuzz-smoke heap-smoke cost-smoke serve-smoke serve-smoke-durable
 
 build:
 	$(GO) build ./...
@@ -65,6 +65,14 @@ fuzz-smoke:
 heap-smoke:
 	$(GO) test -count=1 -run '^(TestPeerRetainedPerTx|TestPoolRetainsNothingPerResolvedOp)$$' -v ./internal/chain ./internal/mempool
 
+# cost-smoke is the gate on what one encrypted bound check costs: on a
+# 1024-bit key, mpc.CheckBound on one input is at most 1.25x the
+# Encrypt(0) + Decrypt the protocol cannot avoid, both measured in the
+# same test. `make race` skips it: a timing ratio under the detector
+# measures the detector.
+cost-smoke:
+	$(GO) test -count=1 -run '^TestCheckBoundCost$$' ./internal/mpc
+
 # serve-smoke is the deployment smoke test, run by the repository
 # benchmark's open-loop workload (benchmark/README.md): build the real
 # prever-server, drive single-op /submit on a schedule for 2 seconds, and
@@ -90,10 +98,10 @@ bench-check:
 # check is the CI gate: formatting, static analysis (go vet plus the
 # project analyzers), core's dependency boundary, the full suite under the race detector (the batch
 # fan-out's concurrency contract is only proven with -race), the peer's
-# retained-heap gate (without -race), the benchmark module, ten seconds
-# of fuzzing per Fuzz* target, the server boot smoke test, and the
-# kill -9 recovery smoke test.
-check: fmt-check vet lint deps-check race heap-smoke bench-check fuzz-smoke serve-smoke serve-smoke-durable
+# retained-heap gate and the encrypted bound check's cost gate (both
+# without -race), the benchmark module, ten seconds of fuzzing per Fuzz*
+# target, the server boot smoke test, and the kill -9 recovery smoke test.
+check: fmt-check vet lint deps-check race heap-smoke cost-smoke bench-check fuzz-smoke serve-smoke serve-smoke-durable
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run xxx ./...

@@ -29,7 +29,8 @@ func prodParams() *commit.Params {
 // random-linear-combination batch verification of Σ-proofs against the
 // sequential baseline, the Straus multi-exponentiation against
 // one-at-a-time exponentiation, the subgroup-membership kernel against
-// math/big.Jacobi, and Paillier CRT decryption on its own.
+// math/big.Jacobi, Paillier CRT decryption on its own, and Paillier
+// negation by inverse against the n-sized exponent it replaced.
 // Each pair shares its inputs, so the speedup column is a like-for-like
 // ratio.
 func E11Crypto(scale Scale) (*Table, error) {
@@ -143,6 +144,32 @@ func E11Crypto(scale Scale) (*Table, error) {
 	}
 	crt := time.Since(crtStart)
 	t.AddRow("paillier decrypt", "CRT (mod p², q²)", fmt.Sprint(nDec), fmtDur(crt), perOp(nDec, crt), "—")
+
+	// Paillier negation: the exponent n-1 that encoding -1 into Z_n used
+	// to cost against the modular inverse Neg takes now; both encrypt -m.
+	nm1 := new(big.Int).Sub(sk.N, big.NewInt(1))
+	expStart := time.Now()
+	var viaExp *big.Int
+	for i := 0; i < nDec; i++ {
+		viaExp = new(big.Int).Exp(ct.C, nm1, sk.N2)
+	}
+	expD := time.Since(expStart)
+	invStart := time.Now()
+	var viaInv *he.Ciphertext
+	for i := 0; i < nDec; i++ {
+		if viaInv, err = sk.Neg(ct); err != nil {
+			return nil, err
+		}
+	}
+	invD := time.Since(invStart)
+	want, err := sk.Decrypt(&he.Ciphertext{C: viaExp})
+	if err != nil {
+		return nil, err
+	}
+	if got, err := sk.Decrypt(viaInv); err != nil || got.Cmp(want) != 0 {
+		return nil, fmt.Errorf("bench: Neg decrypts to %v (%v), exponent n-1 to %v", got, err, want)
+	}
+	addPair("paillier negate", "exponent n−1", "inverse mod n²", nDec, expD, invD)
 
 	// Multi-exponentiation: n independent Exp+Mul vs one Straus pass over
 	// the same bases and exponents — at the RLC width, and in the shape

@@ -18,15 +18,20 @@ import (
 // Paillier-encrypted under the data owner's key; the manager never sees
 // plaintext. Bound-shaped constraints (Σ terms <= B) are verified
 // homomorphically: the manager aggregates ciphertexts, forms the masked
-// difference Enc(k·(B - total)), and a sign oracle (the owner, or a
-// semi-trusted helper — never the manager) reveals only whether the bound
-// holds. Accepted ciphertexts are anchored in a centralized ledger, so the
-// owner can audit that the manager incorporated exactly the accepted
-// updates (Research Challenge 4).
+// difference Enc(k·(total - B)), and a sign oracle (the owner, or a
+// semi-trusted helper — never the manager) reveals only its sign: an upper
+// bound holds on sign <= 0, a lower bound on sign >= 0. Accepted
+// ciphertexts are anchored in a centralized ledger, so the owner can audit
+// that the manager incorporated exactly the accepted updates (Research
+// Challenge 4).
 //
 // Leakage: the manager learns the verdict bit per update and the grouping
-// field (needed for routing); the oracle learns the verdict and a masked
-// magnitude. Neither learns any plaintext value.
+// field (needed for routing); the oracle learns sign(total - B) and the
+// masked magnitude k·|total - B|. Neither learns any plaintext value.
+//
+// The producer is untrusted too: every ciphertext of an update must be
+// well formed under the key (he.PublicKey.Valid) before the manager
+// computes on it or anchors it.
 type EncryptedManager struct {
 	name   string
 	stats  statsRecorder
@@ -210,6 +215,11 @@ func (m *EncryptedManager) Stats() Stats { return m.stats.snapshot() }
 func (m *EncryptedManager) SubmitEncrypted(u EncryptedUpdate) (r Receipt, err error) {
 	start := time.Now()
 	defer func() { m.stats.record(start, r, err) }()
+	for field, ct := range u.Enc {
+		if verr := m.pk.Valid(ct); verr != nil {
+			return Receipt{}, fmt.Errorf("core: update %q field %q: %w", u.ID, field, verr)
+		}
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	type pendingFold struct {
@@ -263,14 +273,17 @@ func (m *EncryptedManager) SubmitEncryptedBatch(us []EncryptedUpdate) ([]Receipt
 func (m *EncryptedManager) checkSpecLocked(spec *BoundSpec, u *EncryptedUpdate) (pass bool, contribution *he.Ciphertext, groupKey string, err error) {
 	var inputs []*he.Ciphertext
 	scale := func(ct *he.Ciphertext, coeff int64) error {
-		if coeff == 0 {
-			return nil
+		switch coeff {
+		case 0:
+		case 1:
+			inputs = append(inputs, ct)
+		default:
+			scaled, serr := m.pk.MulPlain(ct, big.NewInt(coeff))
+			if serr != nil {
+				return serr
+			}
+			inputs = append(inputs, scaled)
 		}
-		scaled, serr := m.pk.MulPlain(ct, big.NewInt(coeff))
-		if serr != nil {
-			return serr
-		}
-		inputs = append(inputs, scaled)
 		return nil
 	}
 	// Aggregate history term.
@@ -319,16 +332,12 @@ func (m *EncryptedManager) checkSpecLocked(spec *BoundSpec, u *EncryptedUpdate) 
 			return false, nil, "", err
 		}
 	}
-	// Effective bound folds the constant term; lower bounds negate.
-	bound := spec.Bound - spec.Const
+	// Effective bound folds the constant term.
+	check := mpc.CheckBound
 	if !spec.Upper {
-		// total >= B  <=>  -total <= -B: negate every input.
-		for i, ct := range inputs {
-			inputs[i] = m.pk.Neg(ct)
-		}
-		bound = -bound
+		check = mpc.CheckFloor
 	}
-	ok, err := mpc.CheckBound(m.pk, m.oracle, inputs, bound)
+	ok, err := check(m.pk, m.oracle, inputs, spec.Bound-spec.Const)
 	if err != nil {
 		return false, nil, "", fmt.Errorf("core: bound check %q: %w", spec.Name, err)
 	}

@@ -20,7 +20,7 @@ func mustKey(t testing.TB, bits int) *PrivateKey {
 // single-modulus path L(c^λ mod n²)·μ mod n: the oracle the CRT path
 // must agree with bit-for-bit.
 func (sk *PrivateKey) DecryptLegacy(ct *Ciphertext) (*big.Int, error) {
-	if err := sk.checkCiphertext(ct); err != nil {
+	if err := sk.Valid(ct); err != nil {
 		return nil, err
 	}
 	return sk.decode(sk.legacyResidue(ct)), nil
@@ -116,7 +116,10 @@ func TestDecryptCRTAfterHomomorphicOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	final := sk.Sub(scaled, a) // 3·(1000-250) - 1000 = 1250
+	final, err := sk.Sub(scaled, a) // 3·(1000-250) - 1000 = 1250
+	if err != nil {
+		t.Fatal(err)
+	}
 	got, err := sk.DecryptInt(final)
 	if err != nil {
 		t.Fatal(err)
@@ -187,6 +190,30 @@ func BenchmarkPaillierDecryptLegacy(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sk.DecryptLegacy(ct); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPaillierNeg is negation as the engines pay it: one modular
+// inverse mod n². BenchmarkPaillierNegLegacy is what it replaced, the
+// exponent n - 1.
+func BenchmarkPaillierNeg(b *testing.B) {
+	sk, ct := benchSetup(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sk.Neg(ct); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkPaillierNegLegacy(b *testing.B) {
+	sk, ct := benchSetup(b)
+	minusOne := big.NewInt(-1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sk.mulPlainLegacy(ct, minusOne); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,9 +10,13 @@
 //	AddPlain(c, k)     Enc(m)  ⊕ k            = Enc(m + k)
 //	MulPlain(c, k)     Enc(m)  ⊗ k            = Enc(m · k)
 //	Neg(c)             = Enc(-m)
+//	Sub(c1, c2)        Enc(m1) ⊖ Enc(m2)      = Enc(m1 - m2)
 //
 // Messages are signed: values in [0, n/2) are positive, values in
 // (n/2, n) decode as negative, so bounded subtraction works naturally.
+// A signed scalar costs its magnitude: c⁻¹ mod n² encrypts -m, so
+// multiplying by k < 0 is one modular inverse and an exponentiation as
+// long as |k|, never the n-sized exponent n - |k|.
 package he
 
 import (
@@ -141,10 +145,20 @@ func (pk *PublicKey) MaxMagnitude() *big.Int {
 	return m.Rsh(m, 1)
 }
 
+// magnitude returns |m|, or an error when the key's signed range cannot
+// hold m.
+func (pk *PublicKey) magnitude(m *big.Int) (*big.Int, error) {
+	mag := new(big.Int).Abs(m)
+	if mag.Cmp(pk.MaxMagnitude()) > 0 {
+		return nil, errors.New("he: message magnitude exceeds key capacity")
+	}
+	return mag, nil
+}
+
 // encode maps a signed message into Z_n.
 func (pk *PublicKey) encode(m *big.Int) (*big.Int, error) {
-	if new(big.Int).Abs(m).Cmp(pk.MaxMagnitude()) > 0 {
-		return nil, fmt.Errorf("he: message magnitude exceeds key capacity")
+	if _, err := pk.magnitude(m); err != nil {
+		return nil, err
 	}
 	return new(big.Int).Mod(m, pk.N), nil
 }
@@ -200,7 +214,7 @@ func (pk *PublicKey) EncryptInt(m int64, rng io.Reader) (*Ciphertext, error) {
 // bit-for-bit identical to the textbook path (legacyResidue) on every
 // valid ciphertext; crt_test.go holds it to that.
 func (sk *PrivateKey) Decrypt(ct *Ciphertext) (*big.Int, error) {
-	if err := sk.checkCiphertext(ct); err != nil {
+	if err := sk.Valid(ct); err != nil {
 		return nil, err
 	}
 	if sk.crt == nil {
@@ -240,11 +254,16 @@ func (sk *PrivateKey) legacyResidue(ct *Ciphertext) *big.Int {
 	return u.Mod(u, sk.N)
 }
 
-func (sk *PrivateKey) checkCiphertext(ct *Ciphertext) error {
+// Valid reports whether ct is well formed under this key: present and in
+// (0, n²). It is the check for ciphertexts arriving from outside — range
+// only, so a non-unit (a multiple of p or q, which nobody can produce
+// without the factorization) passes here and fails where it is inverted
+// or decrypted.
+func (pk *PublicKey) Valid(ct *Ciphertext) error {
 	if ct == nil || ct.C == nil {
 		return errors.New("he: nil ciphertext")
 	}
-	if ct.C.Sign() <= 0 || ct.C.Cmp(sk.N2) >= 0 {
+	if ct.C.Sign() <= 0 || ct.C.Cmp(pk.N2) >= 0 {
 		return errors.New("he: ciphertext out of range")
 	}
 	return nil
@@ -285,28 +304,41 @@ func (pk *PublicKey) AddPlain(a *Ciphertext, k *big.Int) (*Ciphertext, error) {
 	return &Ciphertext{C: c}, nil
 }
 
-// MulPlain homomorphically multiplies by a plaintext constant.
+// MulPlain homomorphically multiplies by a plaintext constant. The
+// exponent is |k|: for k < 0 the ciphertext is inverted first (see Neg),
+// so a small negative coefficient costs what its positive twin does.
 func (pk *PublicKey) MulPlain(a *Ciphertext, k *big.Int) (*Ciphertext, error) {
-	enc, err := pk.encode(k)
+	mag, err := pk.magnitude(k)
 	if err != nil {
 		return nil, err
 	}
-	return &Ciphertext{C: new(big.Int).Exp(a.C, enc, pk.N2)}, nil
+	if k.Sign() < 0 {
+		if a, err = pk.Neg(a); err != nil {
+			return nil, err
+		}
+	}
+	return &Ciphertext{C: new(big.Int).Exp(a.C, mag, pk.N2)}, nil
 }
 
-// Neg homomorphically negates.
-func (pk *PublicKey) Neg(a *Ciphertext) *Ciphertext {
-	c, err := pk.MulPlain(a, big.NewInt(-1))
-	if err != nil {
-		// -1 always encodes; unreachable.
-		panic(err)
+// Neg homomorphically negates: with c = (1+n)^m·r^n, the inverse
+// c⁻¹ = (1+n)^(-m)·(r⁻¹)^n mod n² is an encryption of -m under randomness
+// r⁻¹. Only a unit has one; a ciphertext sharing a factor with n is an
+// error.
+func (pk *PublicKey) Neg(a *Ciphertext) (*Ciphertext, error) {
+	inv := new(big.Int).ModInverse(a.C, pk.N2)
+	if inv == nil {
+		return nil, errors.New("he: ciphertext is not a unit mod n²")
 	}
-	return c
+	return &Ciphertext{C: inv}, nil
 }
 
 // Sub computes Enc(a - b).
-func (pk *PublicKey) Sub(a, b *Ciphertext) *Ciphertext {
-	return pk.Add(a, pk.Neg(b))
+func (pk *PublicKey) Sub(a, b *Ciphertext) (*Ciphertext, error) {
+	nb, err := pk.Neg(b)
+	if err != nil {
+		return nil, err
+	}
+	return pk.Add(a, nb), nil
 }
 
 // Rerandomize refreshes a ciphertext's randomness so that two occurrences

@@ -126,11 +126,19 @@ func TestHomomorphicNegAndSub(t *testing.T) {
 	sk := key(t)
 	a, _ := sk.EncryptInt(30, nil)
 	b, _ := sk.EncryptInt(72, nil)
-	got, _ := sk.DecryptInt(sk.Sub(a, b))
+	diff, err := sk.Sub(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := sk.DecryptInt(diff)
 	if got != -42 {
 		t.Fatalf("Enc(30)-Enc(72) = %d", got)
 	}
-	got, _ = sk.DecryptInt(sk.Neg(a))
+	neg, err := sk.Neg(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ = sk.DecryptInt(neg)
 	if got != -30 {
 		t.Fatalf("-Enc(30) = %d", got)
 	}

@@ -10,17 +10,17 @@
 //     is revealed. Against honest-but-curious parties, any coalition of
 //     fewer than n-1 parties learns nothing beyond the total.
 //
-//   - Bounded check (CheckBound with a Helper): decides total <= bound
-//     WITHOUT revealing the total, using a semi-trusted helper holding a
-//     Paillier key. Parties encrypt inputs under the helper's key; the
-//     aggregator homomorphically computes Enc(k·(bound - total)) for a
-//     random large mask k and the helper reports only the sign. Leakage:
-//     the helper learns sign(bound - total) and the masked magnitude
-//     k·(bound-total); the aggregator learns only the boolean. This is the
-//     classic multiplicative-masking comparison; the paper's own
-//     discussion accepts a designated authority in the loop (Separ's
-//     trusted third party) and this weakens it to "helper that never sees
-//     raw values".
+//   - Bounded check (CheckBound / CheckFloor with a Helper): decides
+//     total <= bound (or total >= bound) WITHOUT revealing the total, using
+//     a semi-trusted helper holding a Paillier key. Parties encrypt inputs
+//     under the helper's key; the aggregator homomorphically computes
+//     Enc(k·(total - bound)) for a random large mask k, re-randomises it,
+//     and the helper reports only the sign. Leakage: the helper learns
+//     sign(total - bound) and the masked magnitude k·|total - bound|; the
+//     aggregator learns only the boolean. This is the classic
+//     multiplicative-masking comparison; the paper's own discussion accepts
+//     a designated authority in the loop (Separ's trusted third party) and
+//     this weakens it to "helper that never sees raw values".
 package mpc
 
 import (
@@ -359,41 +359,59 @@ const maskBits = 40
 
 // CheckBound is the aggregator-side step: given the parties' encrypted
 // inputs, decide whether their sum is <= bound without learning the sum.
-// Returns true iff sum(inputs) <= bound.
+// The helper is handed one ciphertext, a fresh encryption of
+// k·(total - bound), and learns its sign and k·|total - bound|; the
+// aggregator learns the boolean. Returns true iff sum(inputs) <= bound; no
+// inputs sum to zero.
 func CheckBound(pk *he.PublicKey, oracle SignOracle, inputs []*he.Ciphertext, bound int64) (bool, error) {
+	sign, err := signOfDifference(pk, oracle, inputs, bound)
+	return err == nil && sign <= 0, err
+}
+
+// CheckFloor is CheckBound for a lower bound: true iff sum(inputs) >=
+// bound. Same protocol, same leakage; only the accepted sign differs.
+func CheckFloor(pk *he.PublicKey, oracle SignOracle, inputs []*he.Ciphertext, bound int64) (bool, error) {
+	sign, err := signOfDifference(pk, oracle, inputs, bound)
+	return err == nil && sign >= 0, err
+}
+
+// signOfDifference returns sign(sum(inputs) - bound) as the oracle reports
+// it. Forming total - bound rather than bound - total keeps negation out
+// of the protocol: one AddPlain of -bound, no ciphertext inverted.
+func signOfDifference(pk *he.PublicKey, oracle SignOracle, inputs []*he.Ciphertext, bound int64) (int, error) {
+	// -bound as a big.Int: math.MinInt64 has no int64 negation.
+	negBound := new(big.Int).Neg(big.NewInt(bound))
 	if len(inputs) == 0 {
-		return true, nil
+		return negBound.Sign(), nil
 	}
 	total := pk.EncryptZeroDeterministic()
 	for _, ct := range inputs {
 		if ct == nil {
-			return false, errors.New("mpc: nil encrypted input")
+			return 0, errors.New("mpc: nil encrypted input")
 		}
 		total = pk.Add(total, ct)
 	}
-	// d = bound - total
-	d, err := pk.AddPlain(pk.Neg(total), big.NewInt(bound))
+	d, err := pk.AddPlain(total, negBound)
 	if err != nil {
-		return false, err
+		return 0, err
 	}
-	// Mask: k·d for random k in [1, 2^maskBits).
+	// Mask: k·d for random k in [1, 2^maskBits].
 	k, err := rand.Int(rand.Reader, new(big.Int).Lsh(big.NewInt(1), maskBits))
 	if err != nil {
-		return false, err
+		return 0, err
 	}
 	k.Add(k, big.NewInt(1))
 	masked, err := pk.MulPlain(d, k)
 	if err != nil {
-		return false, err
+		return 0, err
 	}
-	// Rerandomize so the helper cannot correlate with earlier ciphertexts.
+	// Rerandomize: d^k carries the inputs' randomness raised to k, and the
+	// key holder can extract a ciphertext's randomness. A fresh r^n leaves
+	// the helper nothing to correlate with earlier ciphertexts or to solve
+	// for k.
 	masked, err = pk.Rerandomize(masked, nil)
 	if err != nil {
-		return false, err
+		return 0, err
 	}
-	sign, err := oracle.SignOfMasked(masked)
-	if err != nil {
-		return false, err
-	}
-	return sign >= 0, nil
+	return oracle.SignOfMasked(masked)
 }
