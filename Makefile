@@ -65,13 +65,16 @@ fuzz-smoke:
 heap-smoke:
 	$(GO) test -count=1 -run '^(TestPeerRetainedPerTx|TestPoolRetainsNothingPerResolvedOp)$$' -v ./internal/chain ./internal/mempool
 
-# cost-smoke is the gate on what one encrypted bound check costs: on a
-# 1024-bit key, mpc.CheckBound on one input is at most 1.25x the
-# Encrypt(0) + Decrypt the protocol cannot avoid, both measured in the
-# same test. `make race` skips it: a timing ratio under the detector
-# measures the detector.
+# cost-smoke runs the cost gates: ratios of two timings taken interleaved
+# in one test, so they hold on a host of any speed. On a 1024-bit key,
+# mpc.CheckBound on one input is at most 1.25x the Encrypt(0) + Decrypt
+# the protocol cannot avoid; at MODP2048, group's mulMod (Barrett, three
+# multiplications) is at most 0.8x the Mul + QuoRem it replaced. `make
+# race` skips both: a timing ratio under the detector measures the
+# detector. -p 1: one package at a time, so neither gate is timed while
+# the other's test binary compiles or runs.
 cost-smoke:
-	$(GO) test -count=1 -run '^TestCheckBoundCost$$' ./internal/mpc
+	$(GO) test -p 1 -count=1 -run '^(TestCheckBoundCost|TestMulModCost)$$' ./internal/mpc ./internal/group
 
 # serve-smoke is the deployment smoke test, run by the repository
 # benchmark's open-loop workload (benchmark/README.md): build the real
@@ -98,7 +101,7 @@ bench-check:
 # check is the CI gate: formatting, static analysis (go vet plus the
 # project analyzers), core's dependency boundary, the full suite under the race detector (the batch
 # fan-out's concurrency contract is only proven with -race), the peer's
-# retained-heap gate and the encrypted bound check's cost gate (both
+# retained-heap gate and the cost gates (both
 # without -race), the benchmark module, ten seconds of fuzzing per Fuzz*
 # target, the server boot smoke test, and the kill -9 recovery smoke test.
 check: fmt-check vet lint deps-check race heap-smoke cost-smoke bench-check fuzz-smoke serve-smoke serve-smoke-durable

@@ -19,8 +19,11 @@ const multiExpWindow = 4
 // terms of b-bit exponents the cost is ~b squarings + n·(8 + b/5)
 // multiplications — 34 per 128-bit term — versus n·(b + b/2) for n
 // independent big.Int.Exp calls: the amortization that makes batch
-// Σ-proof verification pay off. The main loop reuses three big.Ints,
-// so it allocates nothing per multiplication.
+// Σ-proof verification pay off. Every product, in the tables and in the
+// fold, is reduced by the group's Barrett reducer (reduce.go) — three
+// big.Int.Mul and no division — into one scratch this call owns, so
+// the main loop allocates nothing per multiplication and concurrent
+// folds share only the reducer's constants.
 //
 // Exponents are reduced mod Q (negative exponents are interpreted mod
 // Q, as in Exp). Bases are reduced mod P. Terms with a zero exponent
@@ -32,7 +35,7 @@ func (g *Group) MultiExp(bases, exps []*big.Int) (*big.Int, error) {
 	// byPos[p] lists the table entries to multiply in once the shared
 	// accumulator stands at bit p of the exponents.
 	var byPos [][]*big.Int
-	var prod, quo big.Int // scratch: product before reduction, quotient
+	var s reduceScratch
 	for i := range bases {
 		if bases[i] == nil || exps[i] == nil {
 			return nil, errors.New("group: nil multiexp term")
@@ -46,10 +49,10 @@ func (g *Group) MultiExp(bases, exps []*big.Int) (*big.Int, error) {
 		}
 		// table[k] = base^(2k+1) mod P.
 		var table [1 << (multiExpWindow - 1)]*big.Int
-		table[0] = new(big.Int).Mod(bases[i], g.P)
-		sq := g.Mul(table[0], table[0])
+		table[0] = g.red.normalise(bases[i])
+		sq := g.red.mulMod(new(big.Int), table[0], table[0], &s)
 		for k := 1; k < len(table); k++ {
-			table[k] = g.Mul(table[k-1], sq)
+			table[k] = g.red.mulMod(new(big.Int), table[k-1], sq, &s)
 		}
 		// Right-to-left sliding windows: skip zero bits; at a one bit
 		// take the next multiExpWindow bits as an odd digit.
@@ -69,12 +72,10 @@ func (g *Group) MultiExp(bases, exps []*big.Int) (*big.Int, error) {
 	result := big.NewInt(1)
 	for p := len(byPos) - 1; p >= 0; p-- {
 		if p != len(byPos)-1 {
-			prod.Mul(result, result)
-			quo.QuoRem(&prod, g.P, result)
+			g.red.mulMod(result, result, result, &s)
 		}
 		for _, t := range byPos[p] {
-			prod.Mul(result, t)
-			quo.QuoRem(&prod, g.P, result)
+			g.red.mulMod(result, result, t, &s)
 		}
 	}
 	return result, nil

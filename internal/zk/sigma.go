@@ -260,8 +260,6 @@ func ProveBit(p *commit.Params, c commit.Commitment, o commit.Opening, ctx strin
 	if !o.M.IsInt64() || (o.M.Int64() != 0 && o.M.Int64() != 1) {
 		return BitProof{}, fmt.Errorf("zk: message %v is not a bit", o.M)
 	}
-	y0 := new(big.Int).Set(c.C) // statement for bit 0: y0 = h^r
-	y1 := g.Mul(c.C, p.GInv())  // statement for bit 1: y1 = C/g = h^r
 	var proof BitProof
 	// Simulate the false branch, run the real protocol on the true branch.
 	simC, err := randChallenge(g, rng)
@@ -276,15 +274,25 @@ func ProveBit(p *commit.Params, c commit.Commitment, o commit.Opening, ctx strin
 	if err != nil {
 		return BitProof{}, err
 	}
+	// The simulated announcement is h^z · y^{-c} for the false branch's
+	// statement y: C (bit 0) or C/g (bit 1). y is a subgroup member, so
+	// y^{-c} = (y^{-1})^c — one inversion and an exponent as short as the
+	// challenge, where Exp(y, -c) reduces -c mod Q to full width.
+	yInv := g.Inv(c.C)
+	if yInv == nil {
+		return BitProof{}, errors.New("zk: commitment has no inverse")
+	}
 	if bit == 0 {
-		// Real branch 0, simulated branch 1: A1 = h^z1 · y1^{-c1}.
-		proof.A0 = p.ExpH(k)
+		yInv = g.Mul(yInv, p.G) // (C/g)^{-1}
+	}
+	aReal := p.ExpH(k)
+	aSim := g.Mul(p.ExpH(simZ), g.Exp(yInv, simC))
+	if bit == 0 {
+		proof.A0, proof.A1 = aReal, aSim
 		proof.C1, proof.Z1 = simC, simZ
-		proof.A1 = g.Mul(p.ExpH(simZ), g.Exp(y1, new(big.Int).Neg(simC)))
 	} else {
-		proof.A1 = p.ExpH(k)
+		proof.A0, proof.A1 = aSim, aReal
 		proof.C0, proof.Z0 = simC, simZ
-		proof.A0 = g.Mul(p.ExpH(simZ), g.Exp(y0, new(big.Int).Neg(simC)))
 	}
 	ch := bitChallenge(p, c, proof.A0, proof.A1, ctx)
 	real := new(big.Int).Xor(ch, simC)
@@ -423,33 +431,45 @@ func ProveRange(p *commit.Params, c commit.Commitment, o commit.Opening, nBits i
 
 // VerifyRange checks that c hides a value in [0, 2^nBits).
 func VerifyRange(p *commit.Params, c commit.Commitment, nBits int, pr RangeProof, ctx string) error {
-	g := p.Group
 	// The width cap mirrors ProveRange: no honest proof exceeds 128 bits,
 	// and bounding it here keeps attacker-chosen nBits from driving
 	// unbounded verification work.
 	if len(pr.Bits) != nBits || len(pr.BitProofs) != nBits || nBits < 1 || nBits > 128 {
 		return ErrInvalidProof
 	}
-	// Each bit commitment must be well-formed and prove to a bit.
-	recomposed := big.NewInt(1)
-	for i := 0; i < nBits; i++ {
-		ci := pr.Bits[i]
-		if ci.C == nil || !g.Contains(ci.C) {
-			return ErrInvalidProof
-		}
-		if err := verifyBit(p, ci, pr.BitProofs[i], fmt.Sprintf("%s/bit%d", ctx, i)); err != nil {
-			return ErrInvalidProof
-		}
-		weight := new(big.Int).Lsh(big.NewInt(1), uint(i))
-		recomposed = g.Mul(recomposed, g.Exp(ci.C, weight))
-	}
-	// The weighted product must equal the target commitment exactly.
-	// Constant-time: the recomposition check runs on attacker-supplied bit
-	// commitments (see VerifyDlog).
-	if !ct.BigEqual(recomposed, c.C) {
+	// The bit commitments must be well-formed and their weighted product
+	// must equal the target commitment exactly. Constant-time: the
+	// recomposition check runs on attacker-supplied bit commitments (see
+	// VerifyDlog).
+	recomposed, ok := recompose(p.Group, pr.Bits)
+	if !ok || !ct.BigEqual(recomposed, c.C) {
 		return ErrInvalidProof
 	}
+	// Each bit commitment must prove to a bit.
+	for i := 0; i < nBits; i++ {
+		if err := verifyBit(p, pr.Bits[i], pr.BitProofs[i], fmt.Sprintf("%s/bit%d", ctx, i)); err != nil {
+			return ErrInvalidProof
+		}
+	}
 	return nil
+}
+
+// recompose checks that every bit commitment (LSB first, at least one)
+// is a subgroup member and returns the weighted product Π bits[j]^(2^j)
+// by Horner's rule from the top bit down — acc ← acc²·bits[j], n−1
+// squarings and n−1 products for n bits. ok is false if any commitment
+// is nil or a non-member.
+func recompose(g *group.Group, bits []commit.Commitment) (product *big.Int, ok bool) {
+	for _, b := range bits {
+		if b.C == nil || !g.Contains(b.C) {
+			return nil, false
+		}
+	}
+	acc := bits[len(bits)-1].C
+	for j := len(bits) - 2; j >= 0; j-- {
+		acc = g.Mul(g.Mul(acc, acc), bits[j].C)
+	}
+	return acc, true
 }
 
 // BoundProof proves a commitment hides a value v with 0 <= v <= B for a
@@ -472,6 +492,9 @@ func boundWidth(b *big.Int) int {
 
 // ProveBound proves 0 <= v <= B for the value committed in c.
 func ProveBound(p *commit.Params, c commit.Commitment, o commit.Opening, bound *big.Int, ctx string, rng io.Reader) (BoundProof, error) {
+	if bound == nil {
+		return BoundProof{}, errors.New("zk: nil bound")
+	}
 	if bound.Sign() < 0 {
 		return BoundProof{}, errors.New("zk: negative bound")
 	}
@@ -498,7 +521,7 @@ func ProveBound(p *commit.Params, c commit.Commitment, o commit.Opening, bound *
 
 // VerifyBound checks that c hides a value in [0, bound].
 func VerifyBound(p *commit.Params, c commit.Commitment, bound *big.Int, pr BoundProof, ctx string) error {
-	if bound.Sign() < 0 || pr.NBits != boundWidth(bound) {
+	if bound == nil || bound.Sign() < 0 || pr.NBits != boundWidth(bound) {
 		return ErrInvalidProof
 	}
 	if err := VerifyRange(p, c, pr.NBits, pr.Low, ctx+"/low"); err != nil {
