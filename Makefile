@@ -69,12 +69,15 @@ heap-smoke:
 # in one test, so they hold on a host of any speed. On a 1024-bit key,
 # mpc.CheckBound on one input is at most 1.25x the Encrypt(0) + Decrypt
 # the protocol cannot avoid; at MODP2048, group's mulMod (Barrett, three
-# multiplications) is at most 0.8x the Mul + QuoRem it replaced. `make
-# race` skips both: a timing ratio under the detector measures the
-# detector. -p 1: one package at a time, so neither gate is timed while
-# the other's test binary compiles or runs.
+# multiplications) is at most 0.8x the Mul + QuoRem it replaced, and
+# MultiExp (a Bos–Coster chain) costs at most 11 000 mulMods on the
+# verifier's 288-term fold and at most 0.6x the per-term Exp product on
+# the exponent vectors that make every step of the chain a division.
+# `make race` skips all three: a timing ratio under the detector measures
+# the detector. -p 1: one package at a time, so no gate is timed while
+# another's test binary compiles or runs.
 cost-smoke:
-	$(GO) test -p 1 -count=1 -run '^(TestCheckBoundCost|TestMulModCost)$$' ./internal/mpc ./internal/group
+	$(GO) test -p 1 -count=1 -run '^(TestCheckBoundCost|TestMulModCost|TestMultiExpCost)$$' ./internal/mpc ./internal/group
 
 # serve-smoke is the deployment smoke test, run by the repository
 # benchmark's open-loop workload (benchmark/README.md): build the real

@@ -27,7 +27,7 @@ func prodParams() *commit.Params {
 
 // E11Crypto measures the amortized-verification primitives (ISSUE 10):
 // random-linear-combination batch verification of Σ-proofs against the
-// sequential baseline, the Straus multi-exponentiation against
+// sequential baseline, the Bos–Coster multi-exponentiation against
 // one-at-a-time exponentiation, the subgroup-membership kernel against
 // math/big.Jacobi, Paillier CRT decryption on its own, and Paillier
 // negation by inverse against the n-sized exponent it replaced.
@@ -171,8 +171,8 @@ func E11Crypto(scale Scale) (*Table, error) {
 	}
 	addPair("paillier negate", "exponent n−1", "inverse mod n²", nDec, expD, invD)
 
-	// Multi-exponentiation: n independent Exp+Mul vs one Straus pass over
-	// the same bases and exponents — at the RLC width, and in the shape
+	// Multi-exponentiation: n independent Exp+Mul vs one Bos–Coster chain
+	// over the same bases and exponents — at the RLC width, and in the shape
 	// the engine's bit fold really has (per bit proof A0^ρ, A1^σ with
 	// 128-bit coefficients and C^(ρ·c0+σ·c1) at 257 bits).
 	g := p.Group
@@ -196,16 +196,16 @@ func E11Crypto(scale Scale) (*Table, error) {
 			naive = g.Mul(naive, g.Exp(bases[i], exps[i]))
 		}
 		naiveD := time.Since(naiveStart)
-		strausStart := time.Now()
-		straus, err := g.MultiExp(bases, exps)
+		chainStart := time.Now()
+		chain, err := g.MultiExp(bases, exps)
 		if err != nil {
 			return err
 		}
-		strausD := time.Since(strausStart)
-		if naive.Cmp(straus) != 0 {
+		chainD := time.Since(chainStart)
+		if naive.Cmp(chain) != 0 {
 			return fmt.Errorf("bench: MultiExp disagrees with naive product")
 		}
-		addPair(name, "per-term Exp", "Straus sliding-window", n, naiveD, strausD)
+		addPair(name, "per-term Exp", "Bos–Coster chain", n, naiveD, chainD)
 		return nil
 	}
 	if err := multiExpPair("multi-exp (128-bit exps)", nExp, func(int) uint { return 128 }); err != nil {

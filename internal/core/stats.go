@@ -24,8 +24,8 @@ type Stats struct {
 	Errors    int64
 	// BatchVerified counts submissions whose proof was checked on an
 	// amortized batch path (one folded verification for a whole drained
-	// lane) rather than individually. It is a subset of Submitted; a
-	// batch that falls back to sequential verification contributes
+	// lane) rather than individually. It is a subset of Submitted;
+	// updates that fall back to sequential verification contribute
 	// nothing here.
 	BatchVerified int64
 	// TotalVerifyNanos accumulates wall time spent inside submissions;

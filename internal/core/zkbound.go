@@ -132,12 +132,7 @@ func (m *ZKBoundManager) SubmitZK(u ZKUpdate) (r Receipt, err error) {
 	}
 	if verr != nil {
 		m.mu.Unlock()
-		return Receipt{
-			UpdateID: u.ID,
-			Accepted: false,
-			Violated: m.name,
-			Reason:   "bound proof invalid or bound exceeded",
-		}, nil
+		return m.rejection(u.ID), nil
 	}
 	m.running[u.Group] = combined
 	m.mu.Unlock()
@@ -147,6 +142,17 @@ func (m *ZKBoundManager) SubmitZK(u ZKUpdate) (r Receipt, err error) {
 		return Receipt{}, fmt.Errorf("core: ledger: %w", err)
 	}
 	return Receipt{UpdateID: u.ID, Accepted: true, LedgerSeq: rcpt.Seq}, nil
+}
+
+// rejection is the receipt for an update whose bound proof did not
+// verify against the fold it would have produced.
+func (m *ZKBoundManager) rejection(updateID string) Receipt {
+	return Receipt{
+		UpdateID: updateID,
+		Accepted: false,
+		Violated: m.name,
+		Reason:   "bound proof invalid or bound exceeded",
+	}
 }
 
 // ZKLane is the batch ordering key for proof-carrying updates: proofs
@@ -164,13 +170,17 @@ func (m *ZKBoundManager) SubmitZKBatch(us []ZKUpdate) ([]Receipt, error) {
 }
 
 // submitZKGroup is the amortized verify path for one group's ordered
-// updates. It optimistically assumes the happy case — every proof valid
-// and no concurrent submission advancing the group's fold — and checks
-// all proofs against the prospective chain of folded commitments with
-// one batched verification. If any proof fails, any update is
-// structurally malformed, or the fold moved mid-verify, it falls back
-// to SubmitZK per update, which reproduces the sequential semantics
-// exactly (later updates re-verify against the post-rejection fold).
+// updates. It optimistically assumes no concurrent submission advances
+// the group's fold, and checks all proofs against the prospective chain
+// of folded commitments with one batched verification, which bisects a
+// failed fold down to exact per-proof verdicts. The updates before the
+// first rejected one were verified against the very chain SubmitZK
+// would have built, so they are incorporated as verified; the rejected
+// one gets SubmitZK's rejection receipt; only the updates after it —
+// checked against a chain that includes the rejected value — go through
+// SubmitZK, against the fold as it then stands. If any update is
+// structurally malformed, verification fails operationally, or the
+// fold moved mid-verify, the whole group replays through SubmitZK.
 func (m *ZKBoundManager) submitZKGroup(us []ZKUpdate) (rs []Receipt, err error) {
 	if len(us) < 2 {
 		return SubmitSequential(m.SubmitZK, us)
@@ -201,12 +211,10 @@ func (m *ZKBoundManager) submitZKGroup(us []ZKUpdate) (rs []Receipt, err error) 
 	if verr != nil {
 		return SubmitSequential(m.SubmitZK, us)
 	}
-	for _, e := range verrs {
-		if e != nil {
-			// At least one rejection: the chain past it is against the
-			// wrong fold, so the whole group replays sequentially.
-			return SubmitSequential(m.SubmitZK, us)
-		}
+	// us[:k] verified; us[k], if there is one, did not.
+	k := 0
+	for k < len(us) && verrs[k] == nil {
+		k++
 	}
 	// Incorporate: only if the fold is still where verification left it.
 	m.mu.Lock()
@@ -214,12 +222,14 @@ func (m *ZKBoundManager) submitZKGroup(us []ZKUpdate) (rs []Receipt, err error) 
 		m.mu.Unlock()
 		return SubmitSequential(m.SubmitZK, us)
 	}
-	m.running[group] = combined[len(us)-1]
+	if k > 0 {
+		m.running[group] = combined[k-1]
+	}
 	m.mu.Unlock()
-	m.stats.recordBatch(len(us))
+	m.stats.recordBatch(k)
 	rs = make([]Receipt, len(us))
 	var firstErr error
-	for i, u := range us {
+	for i, u := range us[:k] {
 		payload := append(u.C.Bytes(), combined[i].Bytes()...)
 		rcpt, lerr := m.ledger.Put("zk/"+group+"/"+u.ID, payload, u.Producer, u.ID)
 		if lerr != nil {
@@ -232,6 +242,15 @@ func (m *ZKBoundManager) submitZKGroup(us []ZKUpdate) (rs []Receipt, err error) 
 		}
 		rs[i] = Receipt{UpdateID: u.ID, Accepted: true, LedgerSeq: rcpt.Seq}
 		m.stats.record(start, rs[i], nil)
+	}
+	if k < len(us) {
+		rs[k] = m.rejection(us[k].ID)
+		m.stats.record(start, rs[k], nil)
+		rest, rerr := SubmitSequential(m.SubmitZK, us[k+1:])
+		copy(rs[k+1:], rest)
+		if firstErr == nil {
+			firstErr = rerr
+		}
 	}
 	return rs, firstErr
 }

@@ -76,10 +76,10 @@ func TestSubmitZKBatchAmortized(t *testing.T) {
 }
 
 // TestSubmitZKBatchBadProofFallsBack: one corrupted proof sends the
-// whole group through the sequential fallback, whose semantics the
+// updates after it through the sequential fallback, whose semantics the
 // amortized path must match: the bad update is rejected, and every
 // later update in the group — whose proof chains on the rejected fold —
-// is rejected too. Nothing from the fallback counts as batch-verified.
+// is rejected too. Only the updates before it count as batch-verified.
 func TestSubmitZKBatchBadProofFallsBack(t *testing.T) {
 	m, owner := newZKBatchFixture(t, 1000)
 	us := produceZK(t, owner, "g0", 5, 7)
@@ -99,8 +99,72 @@ func TestSubmitZKBatchBadProofFallsBack(t *testing.T) {
 	if s.Submitted != 5 || s.Accepted != int64(bad) || s.Rejected != int64(5-bad) {
 		t.Fatalf("stats = %+v", s)
 	}
-	if s.BatchVerified != 0 {
-		t.Fatalf("BatchVerified = %d on the fallback path, want 0", s.BatchVerified)
+	if s.BatchVerified != bad {
+		t.Fatalf("BatchVerified = %d, want %d (the updates before the bad one)", s.BatchVerified, bad)
+	}
+}
+
+// requireSameZKState fails unless two managers hold the same running
+// commitment for grp and the same ledger, entry for entry.
+func requireSameZKState(t *testing.T, batch, seq *ZKBoundManager, grp string) {
+	t.Helper()
+	if !batch.Running(grp).Equal(seq.Running(grp)) {
+		t.Fatal("running commitments differ")
+	}
+	eb, es := batch.Ledger().Export(), seq.Ledger().Export()
+	if len(eb) != len(es) {
+		t.Fatalf("ledger sizes differ: batch %d, sequential %d", len(eb), len(es))
+	}
+	for i := range eb {
+		if eb[i].Key != es[i].Key || !bytes.Equal(eb[i].Value, es[i].Value) ||
+			eb[i].Author != es[i].Author || eb[i].TxID != es[i].TxID {
+			t.Fatalf("ledger entry %d differs: batch %+v, sequential %+v", i, eb[i], es[i])
+		}
+	}
+}
+
+// TestSubmitZKBatchKeepsProvedPrefix: a failed fold keeps what it
+// proved. With the first, a middle or the last of a group of 8 forged,
+// the batch path incorporates the k updates before the forgery from the
+// fold's own per-proof verdicts (BatchVerified == k) and replays only
+// the ones after it, and nothing observable tells it from a manager fed
+// the same updates one SubmitZK at a time.
+func TestSubmitZKBatchKeepsProvedPrefix(t *testing.T) {
+	const n = 8
+	for _, k := range []int{0, 3, n - 1} {
+		t.Run(fmt.Sprintf("forged@%d", k), func(t *testing.T) {
+			batch, owner := newZKBatchFixture(t, 1000)
+			seq, _ := newZKBatchFixture(t, 1000)
+			us := produceZK(t, owner, "g", n, 7)
+			us[k].Proof = us[(k+1)%n].Proof // well formed, wrong statement
+			rsBatch, err := batch.SubmitZKBatch(us)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rsSeq, err := SubmitSequential(seq.SubmitZK, us)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(rsBatch, rsSeq) {
+				t.Fatalf("receipts differ:\nbatch      %+v\nsequential %+v", rsBatch, rsSeq)
+			}
+			for i, r := range rsBatch {
+				if r.Accepted != (i < k) {
+					t.Fatalf("receipt %d accepted = %v with update %d forged (%s)", i, r.Accepted, k, r.Reason)
+				}
+			}
+			requireSameZKState(t, batch, seq, "g")
+			sb, ss := batch.Stats(), seq.Stats()
+			if sb.Submitted != ss.Submitted || sb.Accepted != ss.Accepted || sb.Rejected != ss.Rejected || sb.Errors != ss.Errors {
+				t.Fatalf("stats differ: batch %+v, sequential %+v", sb, ss)
+			}
+			if sb.Latency.Count != n {
+				t.Fatalf("batch recorded %d latencies, want %d", sb.Latency.Count, n)
+			}
+			if sb.BatchVerified != int64(k) || ss.BatchVerified != 0 {
+				t.Fatalf("BatchVerified = %d (sequential %d), want %d (0)", sb.BatchVerified, ss.BatchVerified, k)
+			}
+		})
 	}
 }
 
@@ -216,19 +280,7 @@ func TestZKBatchEqualsSequentialOnNonMembers(t *testing.T) {
 				if rsSeq[pos].Accepted {
 					t.Fatalf("update %d accepted with a twisted %s", pos, name)
 				}
-				if !batch.Running("g").Equal(seq.Running("g")) {
-					t.Fatal("running commitments differ")
-				}
-				eb, es := batch.Ledger().Export(), seq.Ledger().Export()
-				if len(eb) != len(es) {
-					t.Fatalf("ledger sizes differ: batch %d, sequential %d", len(eb), len(es))
-				}
-				for i := range eb {
-					if eb[i].Key != es[i].Key || !bytes.Equal(eb[i].Value, es[i].Value) ||
-						eb[i].Author != es[i].Author || eb[i].TxID != es[i].TxID {
-						t.Fatalf("ledger entry %d differs: batch %+v, sequential %+v", i, eb[i], es[i])
-					}
-				}
+				requireSameZKState(t, batch, seq, "g")
 			})
 		}
 	}

@@ -123,11 +123,16 @@ func TestGroupMulNormalisesOperands(t *testing.T) {
 
 // TestSharedGroupConcurrentUse: goroutines folding and exponentiating
 // on the one shared MODP2048 group (one reducer, one pair of window
-// tables) all get the oracle's answers. Run under -race.
+// tables) all get the oracle's answers — also when they all fold the
+// same bases and exps slices, which MultiExp's chain must only read
+// (it multiplies and subtracts in place, on copies). Run under -race.
 func TestSharedGroupConcurrentUse(t *testing.T) {
 	g := MODP2048()
 	fb := g.NewFixedBase(g.G)
 	const workers, terms = 8, 6
+	sharedBases, sharedExps := bitFoldTerms(t, 12)
+	sharedBases[3], sharedExps[7] = sharedBases[4], sharedExps[1] // one Int, two positions
+	sharedWant := naiveMultiExp(g, sharedBases, sharedExps)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -149,6 +154,9 @@ func TestSharedGroupConcurrentUse(t *testing.T) {
 			got, err := g.MultiExp(bases, exps)
 			if err != nil || got.Cmp(naiveMultiExp(g, bases, exps)) != 0 {
 				t.Errorf("concurrent MultiExp disagrees with the product of Exps (err %v)", err)
+			}
+			if got, err = g.MultiExp(sharedBases, sharedExps); err != nil || got.Cmp(sharedWant) != 0 {
+				t.Errorf("concurrent MultiExp on shared slices disagrees with the product of Exps (err %v)", err)
 			}
 			for _, e := range exps {
 				if fb.Exp(e).Cmp(new(big.Int).Exp(g.G, e, g.P)) != 0 {
@@ -209,6 +217,26 @@ func modp2048Operands(tb testing.TB, n int) (as, bs []*big.Int) {
 	return as, bs
 }
 
+// costRatio times a and b interleaved, samples times each, and returns
+// median(a) / median(b): one reading, a ratio that holds on a host of
+// any speed.
+func costRatio(samples int, a, b func()) float64 {
+	median := func(ds []time.Duration) float64 {
+		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+		return float64(ds[len(ds)/2])
+	}
+	as, bs := make([]time.Duration, samples), make([]time.Duration, samples)
+	for i := range as {
+		start := time.Now()
+		a()
+		as[i] = time.Since(start)
+		start = time.Now()
+		b()
+		bs[i] = time.Since(start)
+	}
+	return median(as) / median(bs)
+}
+
 // TestMulModCost is the gate on what one modular multiplication costs,
 // independent of the host's speed: at MODP2048 the median mulMod is at
 // most 0.8x the median Mul + QuoRem it replaced, both timed interleaved
@@ -222,32 +250,20 @@ func TestMulModCost(t *testing.T) {
 		t.Skip("timing gate; skipped under -race")
 	}
 	g := MODP2048()
-	const samples, perSample = 41, 256
-	as, bs := modp2048Operands(t, perSample)
-	barrett := make([]time.Duration, samples)
-	divide := make([]time.Duration, samples)
+	as, bs := modp2048Operands(t, 256)
 	var s reduceScratch
 	var dst, prod, quo big.Int
-	for i := 0; i < samples; i++ {
-		start := time.Now()
+	ratio := costRatio(41, func() {
 		for k := range as {
 			g.red.mulMod(&dst, as[k], bs[k], &s)
 		}
-		barrett[i] = time.Since(start)
-		start = time.Now()
+	}, func() {
 		for k := range as {
 			prod.Mul(as[k], bs[k])
 			quo.QuoRem(&prod, g.P, &dst)
 		}
-		divide[i] = time.Since(start)
-	}
-	median := func(ds []time.Duration) time.Duration {
-		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-		return ds[len(ds)/2]
-	}
-	m, d := median(barrett), median(divide)
-	ratio := float64(m) / float64(d)
-	t.Logf("mulMod %v, Mul+QuoRem %v per %d: %.2fx", m, d, perSample, ratio)
+	})
+	t.Logf("mulMod costs %.2fx Mul + QuoRem", ratio)
 	if ratio > 0.8 {
 		t.Errorf("mulMod costs %.2fx Mul + QuoRem (limit 0.8x): the reduction is dividing again, or doing more than three multiplications", ratio)
 	}
