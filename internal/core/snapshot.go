@@ -17,7 +17,11 @@ type zkBoundSnapshot struct {
 	Running map[string][]byte `json:"running,omitempty"` // group -> element big-endian bytes
 }
 
-const zkBoundSnapFormat = "prever/core/zkbound/v1"
+// zkBoundSnapFormat names the encoding of the running commitments: v2
+// stores each as its group element's one encoding in [1, Q]
+// (group.Contains). v1 stored quadratic residues in [1, P), which this
+// version refuses rather than reinterprets.
+const zkBoundSnapFormat = "prever/core/zkbound/v2"
 
 // Snapshot encodes the per-group running commitments (wal.Snapshotter).
 func (m *ZKBoundManager) Snapshot() ([]byte, error) {
@@ -31,15 +35,16 @@ func (m *ZKBoundManager) Snapshot() ([]byte, error) {
 }
 
 // Restore replaces the running commitments with a snapshot's. Every
-// element is re-checked for group membership before any state changes: a
-// corrupt or tampered snapshot is rejected whole.
+// element is re-checked for group membership before any state changes —
+// the other encoding P − c of a commitment fails it too — so a corrupt,
+// tampered or older-format snapshot is rejected whole.
 func (m *ZKBoundManager) Restore(data []byte) error {
 	var snap zkBoundSnapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
 		return fmt.Errorf("core: decoding zkbound snapshot: %w", err)
 	}
 	if snap.Format != zkBoundSnapFormat {
-		return fmt.Errorf("core: unknown zkbound snapshot format %q", snap.Format)
+		return fmt.Errorf("core: zkbound snapshot format %q, want %q", snap.Format, zkBoundSnapFormat)
 	}
 	running := make(map[string]commit.Commitment, len(snap.Running))
 	for group, raw := range snap.Running {

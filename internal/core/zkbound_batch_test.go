@@ -244,11 +244,11 @@ func TestSubmitGroupedPropagatesError(t *testing.T) {
 
 // TestZKBatchEqualsSequentialOnNonMembers: SubmitZKBatch must be
 // indistinguishable from per-update SubmitZK when an update carries an
-// element outside the subgroup. In a group of 8 honest updates one
-// element at a time — the update's commitment, a bit commitment, an A0,
-// an A1, on either side of the bound proof — is replaced by its
-// negation P − x, the small-order twist the membership checks exist to
-// stop (an RLC fold with an even coefficient would not notice it).
+// element outside [1, Q]. In a group of 8 honest updates one element at
+// a time — the update's commitment, a bit commitment, an A0, an A1, on
+// either side of the bound proof — is replaced by its negation P − x,
+// the other encoding the membership checks exist to refuse (an RLC fold
+// maps its product to [1, Q] and would not notice it).
 // Receipts, the operational error, the running commitment and the
 // ledger must match at every position.
 func TestZKBatchEqualsSequentialOnNonMembers(t *testing.T) {

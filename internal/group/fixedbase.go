@@ -40,8 +40,8 @@ func (g *Group) NewFixedBase(base *big.Int) *FixedBase {
 	return fb
 }
 
-// Exp computes base^e mod P. Negative exponents are reduced mod Q, as in
-// Group.Exp.
+// Exp computes |base^e mod P|. Negative exponents are reduced mod Q, as
+// in Group.Exp; the tables stay in Z_P*.
 func (fb *FixedBase) Exp(e *big.Int) *big.Int {
 	exp := new(big.Int).Mod(e, fb.g.Q)
 	result := big.NewInt(1)
@@ -58,7 +58,7 @@ func (fb *FixedBase) Exp(e *big.Int) *big.Int {
 			fb.g.red.mulMod(result, result, fb.tables[w][d], &s)
 		}
 	}
-	return result
+	return fb.g.abs(result)
 }
 
 // nibbleAt extracts the w-th 4-bit window from a big.Int word slice.

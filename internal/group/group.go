@@ -1,7 +1,16 @@
-// Package group implements a Schnorr group: the prime-order subgroup of
-// quadratic residues modulo a safe prime p = 2q + 1. It is the algebraic
-// foundation for PReVer's Pedersen commitments and Σ-protocol
-// zero-knowledge proofs (Research Challenges 1 and 4).
+// Package group implements a Schnorr group of prime order q: the signed
+// quadratic residues modulo a safe prime p = 2q + 1 (Hofheinz–Kiltz).
+// It is the algebraic foundation for PReVer's Pedersen commitments and
+// Σ-protocol zero-knowledge proofs (Research Challenges 1 and 4).
+//
+// For a safe prime, −1 is a non-residue, so the quadratic residues QR_p
+// are isomorphic to Z_p* / {±1}. An element is the class {x, p − x},
+// written as its representative |x| = min(x, p − x) in [1, q]; x ↦ |x| is
+// the isomorphism, so discrete logarithms are exactly as hard as in QR_p.
+// Every operation takes |·| of its result — one comparison and at most
+// one subtraction — while its inner arithmetic stays in Z_p*. Membership
+// is then a range check, and the other representative p − x of an
+// element is not a member: each element has one encoding.
 //
 // Two parameter sources are provided: Generate produces fresh safe-prime
 // parameters of a requested size (tests use small, fast groups), and
@@ -25,12 +34,13 @@ var (
 	two = big.NewInt(2)
 )
 
-// Group is a cyclic group of prime order Q, realized as the quadratic
-// residues modulo the safe prime P = 2Q + 1, generated by G.
+// Group is a cyclic group of prime order Q, realized as the signed
+// quadratic residues [1, Q] modulo the safe prime P = 2Q + 1, generated
+// by G.
 type Group struct {
 	P *big.Int // safe prime modulus
-	Q *big.Int // subgroup order, (P-1)/2
-	G *big.Int // generator of the order-Q subgroup
+	Q *big.Int // group order, (P-1)/2
+	G *big.Int // generator, in [2, Q]
 
 	red *reducer // division-free reduction mod P (reduce.go)
 }
@@ -55,8 +65,8 @@ func New(p, q, g *big.Int) (*Group, error) {
 		return nil, errors.New("group: p or q not prime")
 	}
 	gr := newGroup(p, q, g)
-	if g.Cmp(one) <= 0 || g.Cmp(p) >= 0 || !gr.Contains(g) {
-		return nil, errors.New("group: g does not generate the order-q subgroup")
+	if g.Cmp(one) <= 0 || !gr.Contains(g) {
+		return nil, errors.New("group: g is not in [2, q]")
 	}
 	return gr, nil
 }
@@ -81,13 +91,8 @@ func Generate(bits int, rng io.Reader) (*Group, error) {
 		if !p.ProbablyPrime(20) {
 			continue
 		}
-		// Any quadratic residue != 1 generates the order-q subgroup. Square
-		// a small candidate.
-		g := new(big.Int).Exp(two, two, p) // 4 mod p
-		if g.Cmp(one) == 0 {
-			continue
-		}
-		return newGroup(p, q, g), nil
+		// Any element other than 1 generates a group of prime order.
+		return newGroup(p, q, big.NewInt(4)), nil
 	}
 }
 
@@ -110,7 +115,7 @@ var (
 )
 
 // MODP2048 returns the fixed 2048-bit group from RFC 3526 (group 14), with
-// generator 4 (a quadratic residue, so it generates the order-q subgroup).
+// generator 4.
 func MODP2048() *Group {
 	modpOnce.Do(func() {
 		p, ok := new(big.Int).SetString(modp2048Hex, 16)
@@ -127,54 +132,59 @@ func MODP2048() *Group {
 // Bits returns the modulus size in bits.
 func (g *Group) Bits() int { return g.P.BitLen() }
 
-// Contains reports whether x is a member of the order-Q subgroup:
-// 0 < x < P and (x/P) = 1. For a safe prime p = 2q+1 the order-q
-// subgroup is exactly the quadratic residues, so membership is decided
-// by the Jacobi symbol — a GCD-like computation, ~25 µs at MODP2048
-// with the word-batched kernel in jacobi.go, against ~4 ms for the
-// x^Q == 1 exponentiation. Verifiers call Contains on every
-// prover-supplied element, so this is hot-path work.
-//
-// Contains is variable-time in x by design: its inputs are public.
-// Never call it on a secret.
+// Contains reports whether x is a group element: 1 <= x <= Q. That is
+// the whole test. Every element of Z_P* but 0 has a representative in
+// [1, Q], and every x in [1, Q] is one, so a verifier needs no symbol
+// and no exponentiation to know that a prover-supplied x lies in the
+// prime-order group. The other encoding P − x of the same element is
+// rejected, not canonicalised: Fiat–Shamir transcripts, ledger payloads
+// and snapshots hash and compare bytes, so an element must have one.
 func (g *Group) Contains(x *big.Int) bool {
-	if x.Sign() <= 0 || x.Cmp(g.P) >= 0 {
-		return false
-	}
-	return jacobi(x, g.P) == 1
+	return x.Sign() > 0 && x.Cmp(g.Q) <= 0
 }
 
-// Exp computes base^exp mod P. Negative exponents are interpreted mod Q,
-// so a negative exponent costs a full-width exponentiation however
-// short its magnitude: base^-c is base^(Q-c). When |exp| is short and
-// base is a subgroup member, invert the base once (Inv) and raise the
-// inverse to |exp| instead — the same element at |exp|'s cost. For a
-// non-member the two differ (its order does not divide Q), which is why
-// Exp cannot make that substitution itself.
+// abs sets x, a residue in [0, P), to its representative min(x, P − x)
+// and returns it. Every exported operation ends here.
+func (g *Group) abs(x *big.Int) *big.Int {
+	if x.Cmp(g.Q) > 0 {
+		x.Sub(g.P, x)
+	}
+	return x
+}
+
+// Exp computes |base^exp mod P|. Exponents are reduced mod Q (b^Q = ±1
+// vanishes under |·|), so a negative exponent costs a full-width
+// exponentiation however short its magnitude: base^-c is base^(Q-c).
+// When |exp| is short, invert the base once (Inv) and raise the inverse
+// to |exp| instead — the same element at |exp|'s cost.
 func (g *Group) Exp(base, exp *big.Int) *big.Int {
 	e := new(big.Int).Mod(exp, g.Q)
-	return new(big.Int).Exp(base, e, g.P)
+	return g.abs(new(big.Int).Exp(base, e, g.P))
 }
 
-// ExpG computes G^exp mod P.
+// ExpG computes |G^exp mod P|.
 func (g *Group) ExpG(exp *big.Int) *big.Int { return g.Exp(g.G, exp) }
 
-// Mul computes a*b mod P, in [0, P) for any a and b: operands outside
-// that range (negative, or >= P) are reduced first.
+// Mul computes |a*b mod P| for any a and b: operands outside [0, P)
+// (negative, or >= P) are reduced first.
 func (g *Group) Mul(a, b *big.Int) *big.Int {
 	var s reduceScratch
-	return g.red.mulMod(new(big.Int), g.red.normalise(a), g.red.normalise(b), &s)
+	return g.abs(g.red.mulMod(new(big.Int), g.red.normalise(a), g.red.normalise(b), &s))
 }
 
-// Div computes a * b^-1 mod P.
+// Div computes |a * b^-1 mod P|.
 func (g *Group) Div(a, b *big.Int) *big.Int {
 	inv := new(big.Int).ModInverse(b, g.P)
 	return g.Mul(a, inv)
 }
 
-// Inv computes the group inverse of a.
+// Inv computes the group inverse of a, or nil if a has none (a ≡ 0).
 func (g *Group) Inv(a *big.Int) *big.Int {
-	return new(big.Int).ModInverse(a, g.P)
+	inv := new(big.Int).ModInverse(a, g.P)
+	if inv == nil {
+		return nil
+	}
+	return g.abs(inv)
 }
 
 // RandScalar samples a uniform exponent in [0, Q).
@@ -185,7 +195,7 @@ func (g *Group) RandScalar(rng io.Reader) (*big.Int, error) {
 	return rand.Int(rng, g.Q)
 }
 
-// RandElement samples a uniform element of the subgroup (G^r for random r).
+// RandElement samples a uniform group element (G^r for random r).
 func (g *Group) RandElement(rng io.Reader) (*big.Int, error) {
 	r, err := g.RandScalar(rng)
 	if err != nil {
@@ -194,10 +204,10 @@ func (g *Group) RandElement(rng io.Reader) (*big.Int, error) {
 	return g.ExpG(r), nil
 }
 
-// DeriveElement hash-maps a label to a subgroup element with an unknown
-// discrete log relative to G: it hashes the label into Z_P* and squares the
-// result (squares are exactly the order-Q subgroup for a safe prime).
-// Pedersen commitments use this for their second generator.
+// DeriveElement hash-maps a label to a group element other than 1 with
+// an unknown discrete log relative to G: it hashes the label into Z_P*
+// and takes |·| of the result, which is uniform in [1, Q]. Pedersen
+// commitments use this for their second generator.
 func (g *Group) DeriveElement(label string) *big.Int {
 	counter := uint64(0)
 	for {
@@ -214,17 +224,12 @@ func (g *Group) DeriveElement(label string) *big.Int {
 			buf = append(buf, h2[:]...)
 		}
 		x := new(big.Int).SetBytes(buf)
-		x.Mod(x, g.P)
-		if x.Sign() == 0 {
+		g.abs(x.Mod(x, g.P))
+		if x.Cmp(one) <= 0 {
 			counter++
 			continue
 		}
-		e := new(big.Int).Exp(x, two, g.P)
-		if e.Cmp(one) == 0 {
-			counter++
-			continue
-		}
-		return e
+		return x
 	}
 }
 

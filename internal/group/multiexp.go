@@ -9,7 +9,7 @@ import (
 // term is one factor b^e of a product in the making.
 type term struct{ e, b *big.Int }
 
-// MultiExp computes the product Π bases[i]^exps[i] mod P with a
+// MultiExp computes the element |Π bases[i]^exps[i] mod P| with a
 // Bos–Coster vector-addition chain (de Rooij 1994). The terms sit in a
 // max-heap ordered by exponent, and since
 //
@@ -28,8 +28,9 @@ type term struct{ e, b *big.Int }
 // makes a fold dearer than its terms exponentiated one by one.
 //
 // Every product is reduced by the group's Barrett reducer (reduce.go)
-// into one scratch this call owns. The chain multiplies bases in place,
-// so it works on copies: the caller's slices and Ints come back
+// into one scratch this call owns; the chain stays in Z_P* and only its
+// result is mapped to a representative. The chain multiplies bases in
+// place, so it works on copies: the caller's slices and Ints come back
 // untouched, one *big.Int may sit at several positions, and concurrent
 // folds share only the reducer's constants. Exponents are reduced mod Q
 // (negative ones are interpreted mod Q, as in Exp), bases mod P; a term
@@ -79,7 +80,7 @@ func (g *Group) MultiExp(bases, exps []*big.Int) (*big.Int, error) {
 		}
 		sink(h)
 	}
-	return g.red.exp(h[0].b, h[0].e, &s), nil
+	return g.abs(g.red.exp(h[0].b, h[0].e, &s)), nil
 }
 
 // sink restores heap order after the root has shrunk. The new root

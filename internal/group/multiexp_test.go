@@ -77,7 +77,7 @@ func TestMultiExpErrors(t *testing.T) {
 // coefficients, 257-bit coefficient·challenge sums) next to 1-bit and
 // full-width ones — windows that start, end and straddle every limb
 // boundary — with zero and negative exponents, repeated bases, and
-// bases that are arbitrary residues rather than subgroup members.
+// bases that are arbitrary residues rather than group members.
 func TestMultiExpMatchesNaive(t *testing.T) {
 	t.Run("reduce", func(t *testing.T) {
 		g := TestGroup()
@@ -220,10 +220,7 @@ func degenerateFolds(tb testing.TB, g *Group) map[string]fold {
 	folds["aliasedExps"] = fold{randResidues(tb, g, 5), []*big.Int{e, randBits(tb, 128), e, e, equal[0]}}
 	folds["aliasedBoth"] = fold{[]*big.Int{b[0], b[0], b[0]}, []*big.Int{e, e, e}}
 
-	nonMember := big.NewInt(2)
-	for g.Contains(nonMember) {
-		nonMember.Add(nonMember, one)
-	}
+	nonMember := new(big.Int).Sub(g.P, two) // the other encoding of 2
 	edge := []*big.Int{
 		big.NewInt(1), new(big.Int).Sub(g.P, one), nonMember, big.NewInt(-1),
 		new(big.Int).Add(g.P, one), neg(nonMember), new(big.Int).Lsh(g.P, 3),

@@ -174,7 +174,7 @@ func VerifyBitBatch(p *commit.Params, cs []commit.Commitment, prs []BitProof, ct
 	return errs, nil
 }
 
-// checkMembers runs the subgroup membership pre-check on every
+// checkMembers runs the membership pre-check (Contains) on every
 // commitment of a batch and returns the per-proof error slots with the
 // non-members already marked. The unexported verifiers below take these
 // slots: a nil slot means "cs[i] has passed Contains", a non-nil slot is

@@ -9,9 +9,10 @@ import (
 	"prever/internal/commit"
 )
 
-// negate returns P − x: x times the order-2 element. It satisfies every
-// equation x does up to a sign that an even exponent erases, which is
-// exactly what the membership pre-checks exist to stop.
+// negate returns P − x: the other encoding of x's element, which
+// Contains refuses. It satisfies every equation x does once results are
+// mapped to [1, Q], so a verifier that took it would give one proof a
+// second byte string.
 func negate(p *commit.Params, x *big.Int) *big.Int {
 	return new(big.Int).Sub(p.Group.P, x)
 }
@@ -30,8 +31,8 @@ func makeBitBatch(t *testing.T, p *commit.Params, n int) ([]commit.Commitment, [
 }
 
 // nonMembers maps a statement element c to the values no verifier may
-// take in its place: nil, the two residues with no inverse (0, P), the
-// order-2 element P − 1, and c times it (P − c).
+// take in its place: nil, the two residues with no inverse (0, P), P − 1
+// (the other encoding of 1), and P − c (the other encoding of c).
 func nonMembers(p *commit.Params) map[string]func(c *big.Int) *big.Int {
 	return map[string]func(c *big.Int) *big.Int{
 		"nil":     func(*big.Int) *big.Int { return nil },
@@ -44,8 +45,8 @@ func nonMembers(p *commit.Params) map[string]func(c *big.Int) *big.Int {
 
 // TestVerifyEqualRejectsNonMembers: VerifyEqual divides one commitment
 // by the other, so a commitment with no inverse (0, P) used to reach a
-// nil dereference inside group.Div, and a twisted one (P − c) has a
-// quotient outside the subgroup. All are invalid proofs, not panics.
+// nil dereference inside group.Div, and a twisted one (P − c) is an
+// encoding outside [1, Q]. All are invalid proofs, not panics.
 func TestVerifyEqualRejectsNonMembers(t *testing.T) {
 	p := params()
 	c1, o1, _ := p.CommitInt(77, nil)
@@ -65,12 +66,11 @@ func TestVerifyEqualRejectsNonMembers(t *testing.T) {
 }
 
 // TestSingleVerifiersRejectNonMembers: VerifyDlog, VerifyOpening and
-// VerifyBit reject a statement element outside the subgroup before any
+// VerifyBit reject a statement element outside [1, Q] before any
 // arithmetic. Each case has an honest proof whose statement is swapped
-// for every non-member (nil used to panic), and a cheating prover that
-// runs the protocol around the twisted statement P − y: its equation
-// holds up to (−1)^challenge, so without the membership check every
-// second such proof verifies.
+// for every non-member (nil used to panic), and a prover that runs the
+// protocol around the twisted statement P − y, whose equations hold once
+// mapped to [1, Q]: only the membership check refuses it.
 func TestSingleVerifiersRejectNonMembers(t *testing.T) {
 	p := params()
 	g := p.Group
@@ -219,10 +219,9 @@ func TestBatchEntryPointsCheckEveryElement(t *testing.T) {
 // twistedBitProof is a cheating prover: it commits to 0 as C = h^r and
 // runs ProveBit's protocol, but negates one of C, A0, A1 BEFORE the
 // Fiat–Shamir hash, so the challenge split and all scalars are
-// consistent with the twisted element and both verification equations
-// hold up to a factor of −1. Only a membership check rejects such a
-// proof for certain: a fold raises the −1 to a random exponent and
-// misses it whenever that exponent is even.
+// consistent with the twisted encoding and both verification equations
+// hold once mapped to [1, Q]. Only the membership check rejects such a
+// proof: a fold's products are mapped to [1, Q] too.
 func twistedBitProof(t *testing.T, p *commit.Params, ctx, which string) (commit.Commitment, BitProof) {
 	t.Helper()
 	g := p.Group
@@ -245,8 +244,6 @@ func twistedBitProof(t *testing.T, p *commit.Params, ctx, which string) (commit.
 	y1 := g.Mul(c.C, p.GInv())
 	pr := BitProof{
 		A0: p.ExpH(k),
-		// Div, not Exp with a negated exponent: Exp reduces exponents mod
-		// Q, which is off by a sign for a y1 outside the subgroup.
 		A1: g.Div(p.ExpH(simZ), g.Exp(y1, simC)),
 		C1: simC, Z1: simZ,
 	}
@@ -266,7 +263,7 @@ func twistedBitProof(t *testing.T, p *commit.Params, ctx, which string) (commit.
 // are rejected on every attempt — by VerifyBitBatch for a twisted C, A0
 // or A1, and by VerifyRangeBatch for a twisted bit commitment, which
 // the range layer checks once and hands to the bit layer as checked
-// (its weight 2 squares the sign away, so recomposition cannot see it).
+// (recomposition maps its product to [1, Q], so only Contains sees it).
 func TestBatchRejectsTwistedProofs(t *testing.T) {
 	p := params()
 	const n, bad, attempts = 4, 1, 8

@@ -93,7 +93,7 @@ type DlogProof struct {
 	Z *big.Int // response k + c·x mod q
 }
 
-// ProveDlog proves knowledge of x with y = base^x in g's order-q subgroup.
+// ProveDlog proves knowledge of x with y = base^x in g's prime-order group.
 func ProveDlog(g *group.Group, base, y, x *big.Int, ctx string, rng io.Reader) (DlogProof, error) {
 	return proveDlogWith(g, func(e *big.Int) *big.Int { return g.Exp(base, e) }, base, y, x, ctx, rng)
 }
@@ -115,7 +115,8 @@ func proveDlogWith(g *group.Group, expBase func(*big.Int) *big.Int, base, y, x *
 }
 
 // VerifyDlog checks a Schnorr proof. The statement y must be a group
-// member: outside the subgroup "y = base^x" has no witness to know.
+// member: 0 and P have no witness to know, and P − y is y's element in
+// an encoding no honest prover produces.
 func VerifyDlog(g *group.Group, base, y *big.Int, p DlogProof, ctx string) error {
 	if y == nil || !g.Contains(y) {
 		return ErrInvalidProof
@@ -220,8 +221,8 @@ func ProveEqual(p *commit.Params, c1, c2 commit.Commitment, o1, o2 commit.Openin
 }
 
 // VerifyEqual checks an equality proof. Both commitments must be group
-// members: the quotient statement only means something inside the
-// subgroup, and a non-invertible c2 (0, P) has no quotient at all.
+// members: each commitment has one encoding in [1, Q], and a
+// non-invertible c2 (0, P) has no quotient at all.
 func VerifyEqual(p *commit.Params, c1, c2 commit.Commitment, pr EqualProof, ctx string) error {
 	if c1.C == nil || c2.C == nil || !p.Group.Contains(c1.C) || !p.Group.Contains(c2.C) {
 		return ErrInvalidProof
@@ -275,7 +276,7 @@ func ProveBit(p *commit.Params, c commit.Commitment, o commit.Opening, ctx strin
 		return BitProof{}, err
 	}
 	// The simulated announcement is h^z · y^{-c} for the false branch's
-	// statement y: C (bit 0) or C/g (bit 1). y is a subgroup member, so
+	// statement y: C (bit 0) or C/g (bit 1). y is a group member, so
 	// y^{-c} = (y^{-1})^c — one inversion and an exponent as short as the
 	// challenge, where Exp(y, -c) reduces -c mod Q to full width.
 	yInv := g.Inv(c.C)
@@ -307,8 +308,9 @@ func ProveBit(p *commit.Params, c commit.Commitment, o commit.Opening, ctx strin
 	return proof, nil
 }
 
-// VerifyBit checks a bit proof. The commitment must be a group member: a
-// twisted one (P − C) satisfies both branch equations up to a sign.
+// VerifyBit checks a bit proof. The commitment must be a group member:
+// its other encoding P − C names the same element and satisfies both
+// branch equations, so only Contains keeps one proof to one byte string.
 func VerifyBit(p *commit.Params, c commit.Commitment, pr BitProof, ctx string) error {
 	if c.C == nil || !p.Group.Contains(c.C) {
 		return ErrInvalidProof
@@ -348,9 +350,9 @@ func verifyBit(p *commit.Params, c commit.Commitment, pr BitProof, ctx string) e
 }
 
 // bitShapeCheck rejects structurally malformed bit proofs before any
-// equation is evaluated: announcements must live in the order-Q
-// subgroup (an order-2 element would let a cheater flip signs) and all
-// scalars must be canonical Z_Q elements (see scalarOK). Shared by
+// equation is evaluated: announcements must be group elements in their
+// one encoding (group.Contains) and all scalars must be canonical Z_Q
+// elements (see scalarOK). Shared by
 // VerifyBit and the batch verifier, which folds equations and therefore
 // never re-discovers shape problems on its own.
 func bitShapeCheck(p *commit.Params, pr BitProof) error {
@@ -455,7 +457,7 @@ func VerifyRange(p *commit.Params, c commit.Commitment, nBits int, pr RangeProof
 }
 
 // recompose checks that every bit commitment (LSB first, at least one)
-// is a subgroup member and returns the weighted product Π bits[j]^(2^j)
+// is a group member and returns the weighted product Π bits[j]^(2^j)
 // by Horner's rule from the top bit down — acc ← acc²·bits[j], n−1
 // squarings and n−1 products for n bits. ok is false if any commitment
 // is nil or a non-member.

@@ -7,8 +7,8 @@ import (
 	"prever/internal/commit"
 )
 
-// nonMember returns an element outside the order-Q subgroup: for a safe
-// prime p = 2q+1 with q odd, p-1 = -1 has order 2.
+// nonMember returns P − 1, the other encoding of 1: outside [1, Q], so
+// no verifier may accept it.
 func nonMember(p *commit.Params) *big.Int {
 	return new(big.Int).Sub(p.Group.P, big.NewInt(1))
 }
@@ -79,8 +79,8 @@ func TestVerifiersRejectNonCanonicalScalars(t *testing.T) {
 }
 
 // TestVerifyBitRejectsOutOfGroupAnnouncements: announcements must be
-// members of the order-Q subgroup; an order-2 element is not a valid
-// transcript element even if the equations happen to balance.
+// group elements in [1, Q]; P − 1 is not a valid transcript element even
+// if the equations happen to balance.
 func TestVerifyBitRejectsOutOfGroupAnnouncements(t *testing.T) {
 	p := params()
 	c, o, err := p.CommitInt(0, nil)
