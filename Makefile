@@ -21,10 +21,16 @@ lint:
 # deps-check keeps the engines free of the served stack: internal/core
 # (and so the root prever package's engines) must not reach consensus, the
 # mempool, the WAL or the boot configuration, directly or transitively.
+# It also keeps Paxos the in-memory comparator: internal/paxos must not
+# reach the WAL.
 deps-check:
 	@bad="$$($(GO) list -deps ./internal/core | grep -E '^prever/internal/(chain|pbft|mempool|wal|conf)$$' || true)"; \
 	if [ -n "$$bad" ]; then \
 		echo "deps-check: internal/core reaches:"; echo "$$bad"; exit 1; \
+	fi
+	@bad="$$($(GO) list -deps ./internal/paxos | grep -E '^prever/internal/wal$$' || true)"; \
+	if [ -n "$$bad" ]; then \
+		echo "deps-check: internal/paxos reaches:"; echo "$$bad"; exit 1; \
 	fi
 
 fmt:

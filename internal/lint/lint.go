@@ -104,8 +104,7 @@ var concurrencyPackages = map[string]bool{
 // speak on the network (DESIGN §4e durable-before-send). WalOrder scopes
 // to them.
 var durabilityPackages = map[string]bool{
-	"prever/internal/paxos": true,
-	"prever/internal/pbft":  true,
+	"prever/internal/pbft": true,
 }
 
 // Run applies the analyzers to every package (and the program-level

@@ -211,7 +211,7 @@ func TestFindingString(t *testing.T) {
 }
 
 func TestWalOrder(t *testing.T) {
-	checkFixture(t, "walorder", "walorder", "prever/internal/paxos")
+	checkFixture(t, "walorder", "walorder", "prever/internal/pbft")
 }
 
 func TestWalOrderOutOfScope(t *testing.T) {

@@ -103,16 +103,6 @@ func (c *Client) Propose(value []byte, budget time.Duration) (uint64, error) {
 	}
 }
 
-// SetReplicas swaps the replica set the client fails over across —
-// needed when a crashed replica is rebuilt from its data directory (the
-// recovered object replaces the dead one). Any cached leader is dropped.
-func (c *Client) SetReplicas(replicas []*Replica) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.replicas = append([]*Replica(nil), replicas...)
-	c.leader = nil
-}
-
 // leaderFor returns a replica believed to lead, electing one if none
 // does. Crashed replicas are skipped; election candidates rotate with the
 // attempt number so a persistently failing candidate does not wedge the

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"prever/internal/netsim"
-	"prever/internal/wal"
 )
 
 // ErrSlotLost reports that the slot a Propose call was waiting on was
@@ -63,16 +62,13 @@ type prepareMsg struct {
 	Ballot Ballot `json:"ballot"`
 }
 
+// promiseMsg answers a prepare with the ballot the acceptor has promised:
+// the prepare's own, or a higher one as a refusal (see onPrepare).
+// Accepted lists everything the acceptor ever accepted; acceptors never
+// forget, so a chosen slot appears in every promise quorum.
 type promiseMsg struct {
 	Ballot   Ballot      `json:"ballot"`
 	Accepted []slotValue `json:"accepted,omitempty"`
-	// Applied is the acceptor's contiguous-applied floor: every slot
-	// below it is chosen cluster-wide. Durable acceptors prune accepted
-	// entries below their snapshot floor, so the classical "no promise
-	// reported an accept, therefore nothing was chosen" inference is only
-	// valid at or above the quorum's highest Applied — the new leader
-	// must treat slots below it as chosen-elsewhere, never as free.
-	Applied uint64 `json:"applied,omitempty"`
 }
 
 type acceptMsg struct {
@@ -99,17 +95,6 @@ type syncReqMsg struct {
 
 type syncRepMsg struct {
 	Entries []learnMsg `json:"entries,omitempty"`
-	// Snap carries a full state image when the requester's floor is below
-	// the slots this peer still retains (compaction discarded the prefix
-	// the requester needs); see onSyncReq.
-	Snap *pxImage `json:"snap,omitempty"`
-}
-
-// pxImage is a checkpoint offered over sync when per-slot catch-up is
-// impossible: the application state as of a contiguous-applied floor.
-type pxImage struct {
-	Applied uint64 `json:"applied"`
-	App     []byte `json:"app,omitempty"`
 }
 
 // Applier is called with each chosen value, in slot order, exactly once
@@ -166,21 +151,6 @@ type Replica struct {
 	applied  uint64
 	waiters  map[uint64]*slotWaiter
 	lastSeen Ballot // highest ballot observed anywhere (for election)
-	// chosenFloor is the lowest slot the chosen map is guaranteed to
-	// cover: snapshot restore (and image adoption) prune everything
-	// below it, so sync requests from further back need a state image
-	// rather than per-slot entries. Zero for in-memory replicas.
-	chosenFloor uint64
-
-	// Durability (nil log == in-memory mode; see durable.go). walFailed
-	// is sticky: once a journal write fails the replica refuses to vote
-	// (an acceptor whose promises aren't durable is unsafe to count) but
-	// keeps learning in memory.
-	log       *wal.Log
-	logApp    wal.Snapshotter
-	snapEvery uint64
-	lastSnap  uint64 // applied floor at the last snapshot (applyMu)
-	walFailed bool
 }
 
 // NewReplica creates and registers a replica on the network. peers must
@@ -219,28 +189,13 @@ func (r *Replica) quorum() int { return len(r.peers)/2 + 1 }
 
 // BecomeLeader runs phase 1: it picks a ballot above anything seen,
 // collects a majority of promises, re-proposes any previously accepted
-// values, and switches to steady-state leadership. Blocks up to timeout.
+// values, and switches to steady-state leadership. A refusal naming a
+// higher ballot restarts phase 1 above it. Blocks up to timeout.
 func (r *Replica) BecomeLeader(timeout time.Duration) error {
 	r.mu.Lock()
-	n := r.lastSeen.N + 1
-	r.ballot = Ballot{N: n, ID: r.id}
-	r.lastSeen = r.ballot
-	r.promises = map[string]promiseMsg{}
-	r.promiseCh = make(chan struct{}, len(r.peers))
-	// Self-promise. Durable mode journals it before it is counted: a
-	// promise that wouldn't survive a crash must not join the quorum.
-	if r.promised.Less(r.ballot) {
-		r.promised = r.ballot
-		if !r.journalLocked(pxRecord{K: pxPromise, B: r.ballot}) {
-			r.mu.Unlock()
-			return errors.New("paxos: journaling self-promise failed")
-		}
-	}
-	r.promises[r.id] = promiseMsg{Ballot: r.ballot, Accepted: r.acceptedListLocked(), Applied: r.applied}
-	ballot := r.ballot
+	prep := r.campaignLocked()
 	r.mu.Unlock()
-
-	r.broadcast(msgPrepare, prepareMsg{Ballot: ballot})
+	r.broadcast(msgPrepare, prep)
 
 	deadlineTmr := time.NewTimer(timeout)
 	defer deadlineTmr.Stop()
@@ -252,14 +207,6 @@ func (r *Replica) BecomeLeader(timeout time.Duration) error {
 			// re-propose under the new ballot.
 			adopt := map[uint64]slotValue{}
 			maxSlot := uint64(0)
-			// floor: the quorum's highest contiguous-applied slot. Every
-			// slot below it is already chosen cluster-wide, but durable
-			// acceptors prune accepted entries below their snapshot
-			// floors — so for those slots the promise quorum's silence
-			// (or a stale lower-ballot leftover) proves nothing. The
-			// leader must neither re-propose nor no-op fill below floor;
-			// it learn-syncs those values instead.
-			floor := r.applied
 			for _, p := range r.promises {
 				for _, sv := range p.Accepted {
 					cur, ok := adopt[sv.Slot]
@@ -270,46 +217,25 @@ func (r *Replica) BecomeLeader(timeout time.Duration) error {
 						maxSlot = sv.Slot + 1
 					}
 				}
-				if p.Applied > floor {
-					floor = p.Applied
-				}
 			}
 			if maxSlot > r.nextSlot {
 				r.nextSlot = maxSlot
 			}
-			// New proposals must land above every already-chosen slot,
-			// even when the accepts that chose them have been pruned.
-			if floor > r.nextSlot {
-				r.nextSlot = floor
-			}
 			r.leading = true
-			reproposals := make([]acceptMsg, 0, len(adopt))
-			for slot, sv := range adopt {
-				if slot < floor {
-					continue // chosen elsewhere; sync, don't re-propose
+			// Every slot in [applied, nextSlot) not known chosen here gets
+			// its adopted value, or a no-op if no promise carried one: such
+			// a slot was never accepted by anyone in the promise quorum, so
+			// no quorum chose it (a choosing quorum would have left a trace
+			// in every intersecting promise quorum). The fill keeps
+			// contiguous application from stalling on a gap left by a
+			// crashed leader; the re-proposals are how a lagging leader
+			// catches up.
+			var reproposals []acceptMsg
+			for slot := r.applied; slot < r.nextSlot; slot++ {
+				if _, done := r.chosen[slot]; !done {
+					reproposals = append(reproposals, acceptMsg{Ballot: r.ballot, Slot: slot, Value: adopt[slot].Value})
 				}
-				if _, done := r.chosen[slot]; done {
-					continue
-				}
-				reproposals = append(reproposals, acceptMsg{Ballot: r.ballot, Slot: slot, Value: sv.Value})
 			}
-			// No-op fill: a slot in [floor, nextSlot) with no adopted
-			// value and no chosen value was never accepted by anyone in
-			// the promise quorum (at or above floor nothing has been
-			// pruned, so a choosing quorum would have left a trace in
-			// every intersecting promise quorum). Fill it with an empty
-			// value so contiguous application never stalls on a gap left
-			// by a crashed leader.
-			for slot := floor; slot < r.nextSlot; slot++ {
-				if _, ok := adopt[slot]; ok {
-					continue
-				}
-				if _, done := r.chosen[slot]; done {
-					continue
-				}
-				reproposals = append(reproposals, acceptMsg{Ballot: r.ballot, Slot: slot, Value: nil})
-			}
-			needSync := floor > r.applied
 			// Re-announce values this replica knows are chosen above its
 			// applied floor: peers that missed the original learn converge
 			// without waiting for an explicit Sync.
@@ -326,13 +252,15 @@ func (r *Replica) BecomeLeader(timeout time.Duration) error {
 			for _, l := range relearn {
 				r.broadcast(msgLearn, l)
 			}
-			if needSync {
-				// Slots in [applied, floor) are chosen but unknown here;
-				// pull them (or a state image, if peers compacted them
-				// away) so local application can pass the gap.
-				r.Sync()
-			}
 			return nil
+		}
+		if r.ballot.Less(r.lastSeen) {
+			// A peer has promised a higher ballot, so this one can never
+			// gather a quorum: campaign again above it.
+			prep := r.campaignLocked()
+			r.mu.Unlock()
+			r.broadcast(msgPrepare, prep)
+			continue
 		}
 		ch := r.promiseCh
 		r.mu.Unlock()
@@ -342,6 +270,19 @@ func (r *Replica) BecomeLeader(timeout time.Duration) error {
 			return errors.New("paxos: leader election timed out")
 		}
 	}
+}
+
+// campaignLocked opens phase 1 at a ballot above every ballot seen and
+// counts this replica's own promise. The caller holds mu and broadcasts
+// the returned prepare after releasing it.
+func (r *Replica) campaignLocked() prepareMsg {
+	r.ballot = Ballot{N: r.lastSeen.N + 1, ID: r.id}
+	r.lastSeen = r.ballot
+	r.promises = map[string]promiseMsg{}
+	r.promiseCh = make(chan struct{}, len(r.peers))
+	r.promised = r.ballot // above lastSeen, so above any ballot promised
+	r.promises[r.id] = promiseMsg{Ballot: r.ballot, Accepted: r.acceptedListLocked()}
+	return prepareMsg{Ballot: r.ballot}
 }
 
 // IsLeader reports whether this replica currently believes it leads.
@@ -466,10 +407,10 @@ func (r *Replica) Chosen(slot uint64) ([]byte, bool) {
 }
 
 // Applied returns the number of contiguous slots the Applier has been
-// handed and has returned from. onLearn and adoptImage advance r.applied
-// under mu and run the Applier afterwards, outside mu but still under
-// applyMu; taking applyMu first keeps a mid-apply floor — slot n counted,
-// n-1 values in the application — from being observed.
+// handed and has returned from. onLearn advances r.applied under mu and
+// runs the Applier afterwards, outside mu but still under applyMu; taking
+// applyMu first keeps a mid-apply floor — slot n counted, n-1 values in
+// the application — from being observed.
 func (r *Replica) Applied() uint64 {
 	r.applyMu.Lock()
 	defer r.applyMu.Unlock()
@@ -553,22 +494,14 @@ func (r *Replica) handle(m netsim.Message) {
 		if json.Unmarshal(m.Payload, &s) != nil {
 			return
 		}
-		if s.Snap != nil {
-			r.adoptImage(s.Snap)
-		}
 		for _, l := range s.Entries {
 			r.onLearn(l)
 		}
 	}
 }
 
-// onSyncReq serves chosen values at or above the requester's floor. When
-// the requester is below this replica's own retained floor (compaction
-// discarded the prefix it needs), per-slot catch-up cannot work — the
-// reply carries a state image instead. applyMu keeps the applier
-// quiescent so the image is exactly the applied floor.
+// onSyncReq serves chosen values at or above the requester's floor.
 func (r *Replica) onSyncReq(from string, s syncReqMsg) {
-	r.applyMu.Lock()
 	r.mu.Lock()
 	rep := syncRepMsg{}
 	for slot, v := range r.chosen {
@@ -576,14 +509,8 @@ func (r *Replica) onSyncReq(from string, s syncReqMsg) {
 			rep.Entries = append(rep.Entries, learnMsg{Slot: slot, Value: v})
 		}
 	}
-	if s.From < r.chosenFloor && r.applied > s.From && r.logApp != nil {
-		if blob, err := r.logApp.Snapshot(); err == nil {
-			rep.Snap = &pxImage{Applied: r.applied, App: blob}
-		}
-	}
 	r.mu.Unlock()
-	r.applyMu.Unlock()
-	if len(rep.Entries) > 0 || rep.Snap != nil {
+	if len(rep.Entries) > 0 {
 		r.send(from, msgSyncRep, rep)
 	}
 }
@@ -593,34 +520,42 @@ func (r *Replica) onPrepare(from string, p prepareMsg) {
 	if r.lastSeen.Less(p.Ballot) {
 		r.lastSeen = p.Ballot
 	}
+	if p.Ballot == r.promised {
+		r.mu.Unlock()
+		return // a duplicate prepare: its promise has been sent
+	}
 	if r.promised.Less(p.Ballot) {
 		r.promised = p.Ballot
 		// A higher ballot demotes any current leadership.
 		if r.leading && r.ballot.Less(p.Ballot) {
 			r.leading = false
 		}
-		// fsync point: the promise must be on stable storage before the
-		// vote is sent — a recovered acceptor that forgot it could
-		// promise a lower ballot and split the log.
-		if !r.journalLocked(pxRecord{K: pxPromise, B: p.Ballot}) {
-			r.mu.Unlock()
-			return
-		}
-		reply := promiseMsg{Ballot: p.Ballot, Accepted: r.acceptedListLocked(), Applied: r.applied}
-		r.mu.Unlock()
-		r.send(from, msgPromise, reply)
-		return
 	}
+	// A prepare below the promised ballot is refused by promising the
+	// promised one instead: the candidate learns what to outbid rather
+	// than waiting out its timeout.
+	reply := promiseMsg{Ballot: r.promised, Accepted: r.acceptedListLocked()}
 	r.mu.Unlock()
+	r.send(from, msgPromise, reply)
 }
 
 func (r *Replica) onPromise(from string, p promiseMsg) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.promises == nil || p.Ballot != r.ballot {
+	if r.promises == nil {
 		return
 	}
-	r.promises[from] = p
+	switch {
+	case p.Ballot == r.ballot:
+		r.promises[from] = p
+	case r.ballot.Less(p.Ballot):
+		// A refusal: wake the campaign so it re-ballots above p.Ballot.
+		if r.lastSeen.Less(p.Ballot) {
+			r.lastSeen = p.Ballot
+		}
+	default:
+		return // a reply to an earlier campaign of this replica
+	}
 	select {
 	case r.promiseCh <- struct{}{}:
 	default:
@@ -643,13 +578,6 @@ func (r *Replica) onAccept(from string, a acceptMsg) {
 		r.leading = false
 	}
 	r.accepted[a.Slot] = slotValue{Slot: a.Slot, Ballot: a.Ballot, Value: a.Value}
-	// fsync point: the accept (which doubles as a promise for a.Ballot)
-	// must be durable before the accepted vote is sent — choosing quorums
-	// count on it surviving a crash.
-	if !r.journalLocked(pxRecord{K: pxAccept, B: a.Ballot, S: a.Slot, V: a.Value}) {
-		r.mu.Unlock()
-		return
-	}
 	r.mu.Unlock()
 	if from == r.id {
 		// Leader's self-vote.
@@ -697,23 +625,11 @@ func (r *Replica) onLearn(l learnMsg) {
 	r.applyMu.Lock()
 	defer r.applyMu.Unlock()
 	r.mu.Lock()
-	if l.Slot < r.applied {
-		// Already applied; after an image adoption the chosen entry
-		// itself may be gone, so the done-check below wouldn't catch it.
-		r.mu.Unlock()
-		return
-	}
 	if _, done := r.chosen[l.Slot]; done {
 		r.mu.Unlock()
 		return
 	}
 	r.chosen[l.Slot] = l.Value
-	// fsync point: the chosen value is journaled before any waiter is
-	// woken — an acked op is on this replica's disk (and, having been
-	// chosen, on a durable quorum of acceptor journals). A journal
-	// failure here degrades to in-memory learning: the value is already
-	// chosen cluster-wide and recoverable by learn-sync from peers.
-	_ = r.journalLocked(pxRecord{K: pxChosen, S: l.Slot, V: l.Value})
 	// Apply contiguous prefix.
 	type applyItem struct {
 		slot  uint64
@@ -743,11 +659,5 @@ func (r *Replica) onLearn(l learnMsg) {
 	}
 	if toWake != nil {
 		toWake.finish(toWakeLost)
-	}
-	if len(toApply) > 0 {
-		// Still under applyMu: no concurrent apply can run, so the
-		// application state observed by maybeSnapshot is exactly the
-		// applied floor.
-		r.maybeSnapshot()
 	}
 }
