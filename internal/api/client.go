@@ -33,42 +33,56 @@ func NewClient(base string) *Client {
 	}
 }
 
-// do runs one round trip and decodes the response into out. Non-2xx
-// responses decode into *WireError, which unwraps to the chain sentinel
-// behind its code.
-func (c *Client) do(method, path string, in, out any) error {
-	var body io.Reader
-	if in != nil {
-		b, err := json.Marshal(in)
-		if err != nil {
-			return fmt.Errorf("api: encode %s: %w", path, err)
-		}
-		body = bytes.NewReader(b)
+// do runs one round trip: body, when not nil, is sent as contentType,
+// and a 2xx reply's body is returned whole. Non-2xx responses decode into
+// *WireError, which unwraps to the chain sentinel behind its code.
+func (c *Client) do(method, path, contentType string, body []byte) ([]byte, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequest(method, c.base+path, body)
+	req, err := http.NewRequest(method, c.base+path, rd)
 	if err != nil {
-		return fmt.Errorf("api: %s: %w", path, err)
+		return nil, fmt.Errorf("api: %s: %w", path, err)
 	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
+	if body != nil {
+		req.Header.Set("Content-Type", contentType)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return fmt.Errorf("api: %s: %w", path, err)
+		return nil, fmt.Errorf("api: %s: %w", path, err)
 	}
 	defer func() { _ = resp.Body.Close() }()
 	if resp.StatusCode/100 != 2 {
 		data, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
 		var we WireError
 		if json.Unmarshal(data, &we) == nil && we.Code != "" {
-			return &we
+			return nil, &we
 		}
-		return fmt.Errorf("api: %s: HTTP %d: %s", path, resp.StatusCode, bytes.TrimSpace(data))
+		return nil, fmt.Errorf("api: %s: HTTP %d: %s", path, resp.StatusCode, bytes.TrimSpace(data))
 	}
-	if out == nil {
-		return nil
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, fmt.Errorf("api: %s: %w", path, err)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	return data, nil
+}
+
+// doJSON is do for the JSON routes: in, when not nil, is the request
+// body and out receives the reply.
+func (c *Client) doJSON(method, path string, in, out any) error {
+	var body []byte
+	if in != nil {
+		var err error
+		if body, err = json.Marshal(in); err != nil {
+			return fmt.Errorf("api: encode %s: %w", path, err)
+		}
+	}
+	data, err := c.do(method, path, "application/json", body)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(data, out); err != nil {
 		return fmt.Errorf("api: decode %s: %w", path, err)
 	}
 	return nil
@@ -80,31 +94,39 @@ func (c *Client) do(method, path string, in, out any) error {
 // errors.Is before treating the error as failure.
 func (c *Client) Submit(tx Tx) (string, error) {
 	var resp SubmitResponse
-	if err := c.do(http.MethodPost, "/submit", SubmitRequest{Tx: tx}, &resp); err != nil {
+	if err := c.doJSON(http.MethodPost, "/submit", SubmitRequest{Tx: tx}, &resp); err != nil {
 		return tx.ID, err
 	}
 	return resp.TxID, nil
 }
 
 // SubmitBatch commits transactions in order and returns per-transaction
-// results in input order. The error covers the transport only; check
-// each BatchResult's Code for per-transaction failures.
+// results in input order. It sends them in the chain's binary encoding
+// (frame.go), so a transaction the server would refuse as invalid is
+// refused here, with the same CodeInvalid WireError and no round trip.
+// The error covers the request as a whole; check each BatchResult's Code
+// for per-transaction failures.
 func (c *Client) SubmitBatch(txs []Tx) ([]BatchResult, error) {
-	var resp BatchResponse
-	if err := c.do(http.MethodPost, "/submit-batch", BatchRequest{Txs: txs}, &resp); err != nil {
+	ctxs := make([]chain.Tx, len(txs))
+	for i, tx := range txs {
+		ctx, err := tx.ToChain()
+		if err != nil {
+			return nil, &WireError{Code: CodeInvalid, Message: fmt.Sprintf("tx %d: %v", i, err)}
+		}
+		ctxs[i] = ctx
+	}
+	data, err := c.do(http.MethodPost, "/submit-batch", frameType, appendBatch(nil, ctxs))
+	if err != nil {
 		return nil, err
 	}
-	if len(resp.Results) != len(txs) {
-		return nil, fmt.Errorf("api: submit-batch returned %d results for %d txs", len(resp.Results), len(txs))
-	}
-	return resp.Results, nil
+	return decodeResults(data, len(txs))
 }
 
 // SubmitPrivate writes a value into a private data collection.
 func (c *Client) SubmitPrivate(collection, key string, value []byte) (string, error) {
 	var resp SubmitResponse
 	req := PrivateSubmitRequest{Collection: collection, Key: key, Value: value}
-	if err := c.do(http.MethodPost, "/submit-private", req, &resp); err != nil {
+	if err := c.doJSON(http.MethodPost, "/submit-private", req, &resp); err != nil {
 		return "", err
 	}
 	return resp.TxID, nil
@@ -114,7 +136,7 @@ func (c *Client) SubmitPrivate(collection, key string, value []byte) (string, er
 // means the key is absent (deleted or never written), not an error.
 func (c *Client) Get(key string) (value []byte, found bool, err error) {
 	var resp GetResponse
-	if err := c.do(http.MethodGet, "/get?key="+url.QueryEscape(key), nil, &resp); err != nil {
+	if err := c.doJSON(http.MethodGet, "/get?key="+url.QueryEscape(key), nil, &resp); err != nil {
 		return nil, false, err
 	}
 	return resp.Value, resp.Found, nil
@@ -123,28 +145,28 @@ func (c *Client) Get(key string) (value []byte, found bool, err error) {
 // Stats fetches the unified statistics document.
 func (c *Client) Stats() (StatsResponse, error) {
 	var resp StatsResponse
-	err := c.do(http.MethodGet, "/stats", nil, &resp)
+	err := c.doJSON(http.MethodGet, "/stats", nil, &resp)
 	return resp, err
 }
 
 // Health checks liveness.
 func (c *Client) Health() (HealthResponse, error) {
 	var resp HealthResponse
-	err := c.do(http.MethodGet, "/health", nil, &resp)
+	err := c.doJSON(http.MethodGet, "/health", nil, &resp)
 	return resp, err
 }
 
 // Audit fetches the server's per-peer chain integrity report.
 func (c *Client) Audit() (AuditResponse, error) {
 	var resp AuditResponse
-	err := c.do(http.MethodGet, "/audit", nil, &resp)
+	err := c.doJSON(http.MethodGet, "/audit", nil, &resp)
 	return resp, err
 }
 
 // Conf reads the server's boot configuration.
 func (c *Client) Conf() (ConfView, error) {
 	var resp ConfView
-	err := c.do(http.MethodGet, "/conf", nil, &resp)
+	err := c.doJSON(http.MethodGet, "/conf", nil, &resp)
 	return resp, err
 }
 

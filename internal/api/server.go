@@ -1,10 +1,13 @@
 package api
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"strconv"
 	"time"
 
 	"prever/internal/chain"
@@ -17,14 +20,23 @@ import (
 type Server struct {
 	chain *chain.Sharded
 	start time.Time
-	// singleBody bounds one-transaction request bodies: the encoded value
-	// (base64 inflates by 4/3) plus headroom for the envelope.
+	// singleBody bounds one-transaction JSON request bodies: the encoded
+	// value (base64 inflates by 4/3) plus headroom for the envelope.
 	singleBody int64
+	// batchBody bounds a batch frame: MaxBatchTxs transactions of
+	// conf.MaxTxBytes and their length prefixes.
+	batchBody int64
 }
 
 // NewServer wraps a sharded chain in the HTTP API.
 func NewServer(c *chain.Sharded) *Server {
-	return &Server{chain: c, start: time.Now(), singleBody: int64(conf.MaxTxBytes())*2 + 64<<10}
+	maxTx := int64(conf.MaxTxBytes())
+	return &Server{
+		chain:      c,
+		start:      time.Now(),
+		singleBody: maxTx*2 + 64<<10,
+		batchBody:  MaxBatchTxs*(maxTx+binary.MaxVarintLen64) + binary.MaxVarintLen64,
+	}
 }
 
 // Handler returns the route table. Method routing is strict: a GET on a
@@ -94,50 +106,51 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, SubmitResponse{TxID: res.TxID})
 }
 
-// batchTxs reads a POST /submit-batch body into chain transactions:
-// strict decode, then the batch's shape and every transaction validated.
-func batchTxs(w http.ResponseWriter, r *http.Request, limit int64) ([]chain.Tx, error) {
-	var req BatchRequest
-	if err := decode(w, r, &req, limit); err != nil {
-		return nil, err
+// presizeBody is the largest declared body length readBody allocates for
+// before the bytes arrive: ten times a 64-transaction batch of 64-byte
+// values.
+const presizeBody = 64 << 10
+
+// readBody reads a request body whole, refusing more than limit bytes. A
+// declared length up to presizeBody sizes the buffer once: growing it
+// from io.ReadAll's 512 bytes cost as much as decoding the batch. A
+// longer one is not trusted to size anything, so the buffer grows only
+// as bytes arrive.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, limit)
+	if n := r.ContentLength; n > 0 && n <= presizeBody {
+		b := make([]byte, n)
+		_, err := io.ReadFull(body, b)
+		return b, err
 	}
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	txs := make([]chain.Tx, len(req.Txs))
-	for i, wt := range req.Txs {
-		tx, err := wt.ToChain()
-		if err != nil { // unreachable after Validate, but belt and braces
-			return nil, fmt.Errorf("tx %d: %w", i, err)
-		}
-		txs[i] = tx
-	}
-	return txs, nil
+	return io.ReadAll(body)
 }
 
+// handleSubmitBatch serves the binary batch route (frame.go): the body is
+// decoded once into chain transactions, which go to the chain as they are,
+// and the results go back as one reply frame in input order.
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
-	txs, err := batchTxs(w, r, int64(MaxBatchTxs)*s.singleBody)
+	body, err := readBody(w, r, s.batchBody)
 	if err != nil {
 		writeErr(w, CodeInvalid, err.Error())
 		return
 	}
-	results := s.chain.SubmitBatch(txs)
-	out := BatchResponse{Results: make([]BatchResult, len(results))}
-	for i, res := range results {
-		br := BatchResult{TxID: res.TxID}
-		switch {
-		case res.Err == nil:
-		case errors.Is(res.Err, chain.ErrDuplicate):
-			br.Duplicate = true
-			br.Code = CodeDuplicate
-			br.Error = res.Err.Error()
-		default:
-			br.Code = codeOf(res.Err)
-			br.Error = res.Err.Error()
-		}
-		out.Results[i] = br
+	txs, err := decodeBatch(body)
+	if err != nil {
+		writeErr(w, CodeInvalid, err.Error())
+		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	results := make([]BatchResult, len(txs))
+	for i, res := range s.chain.SubmitBatch(txs) {
+		results[i].TxID = res.TxID
+		if res.Err != nil {
+			results[i].Code, results[i].Error = codeOf(res.Err), res.Err.Error()
+		}
+	}
+	out := appendResults(make([]byte, 0, 1+48*len(results)), results)
+	w.Header().Set("Content-Type", frameType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(out)))
+	_, _ = w.Write(out)
 }
 
 func (s *Server) handleSubmitPrivate(w http.ResponseWriter, r *http.Request) {

@@ -1,24 +1,27 @@
-// Package api is the wire surface of a PReVer server: typed JSON
-// request/response structs, strict validation, and the mapping between
-// the chain submission sentinels and HTTP status codes. The same types
-// are used by the server (cmd/prever-server), the multi-process test
-// harness (internal/harness) and the repository benchmark's load
-// generator (benchmark/), so the three can never drift apart.
+// Package api is the wire surface of a PReVer server: the request and
+// response shapes, strict validation, and the mapping between the chain
+// submission sentinels and HTTP status codes. The same code is used by
+// the server (cmd/prever-server), the multi-process test harness
+// (internal/harness) and the repository benchmark's load generator
+// (benchmark/), so the three can never drift apart.
 //
-// The API fronts exactly the batch-first chain surface:
+// The batch route is the machine route: POST /submit-batch takes and
+// returns binary frames (frame.go) whose transactions are in the chain's
+// own encoding, the bytes that become the Merkle leaf. The single-op and
+// read routes, the ones a person types with curl, are JSON:
 //
-//	POST /submit         one transaction        -> SubmitResponse
-//	POST /submit-batch   many transactions      -> BatchResponse
-//	POST /submit-private private collection put -> SubmitResponse
-//	GET  /get            world-state read       -> GetResponse
-//	GET  /stats          unified chain.Stats    -> StatsResponse
-//	GET  /health         liveness               -> HealthResponse
-//	GET  /audit          per-peer chain audit   -> AuditResponse
-//	GET  /conf           boot configuration     -> ConfView
+//	POST /submit         one transaction (JSON)  -> SubmitResponse
+//	POST /submit-batch   count | (len | tx)*     -> count | (code | id | error)*
+//	POST /submit-private private collection put  -> SubmitResponse
+//	GET  /get            world-state read        -> GetResponse
+//	GET  /stats          unified chain.Stats     -> StatsResponse
+//	GET  /health         liveness                -> HealthResponse
+//	GET  /audit          per-peer chain audit    -> AuditResponse
+//	GET  /conf           boot configuration      -> ConfView
 //
-// Failures are WireError bodies; Code round-trips to the chain
-// sentinels (see errors.go) so clients branch on errors.Is, never on
-// message strings.
+// Failures of a whole request are JSON WireError bodies on every route;
+// Code round-trips to the chain sentinels (see errors.go) so clients
+// branch on errors.Is, never on message strings.
 package api
 
 import (
@@ -43,8 +46,9 @@ const (
 	KindDelete  = "delete"
 )
 
-// Tx is one transaction on the wire. Value is base64 in JSON (Go's
-// []byte convention).
+// Tx is one transaction as a client writes it. On POST /submit it is
+// JSON, Value in base64 (Go's []byte convention); Client.SubmitBatch
+// sends it in the chain's binary encoding (frame.go).
 type Tx struct {
 	// ID is optional; the server assigns one when empty. Clients that
 	// retry a timed-out submission should resend the same ID so the
@@ -55,45 +59,78 @@ type Tx struct {
 	Value []byte `json:"value,omitempty"`
 }
 
-// Validate enforces the wire rules: a recognized kind, a non-empty key
-// within MaxKeyBytes, a value present exactly when the kind writes one.
-func (t Tx) Validate() error {
-	switch t.Kind {
-	case KindPut, KindPutOnce:
-		if len(t.Value) == 0 {
-			return fmt.Errorf("%s requires a value", t.Kind)
+// wireKinds is the one table between the wire's kind names and the chain
+// kinds they stand for: the JSON Tx and the binary batch frame are both
+// checked against it. The chain's other kinds never cross the wire.
+var wireKinds = [...]struct {
+	name string
+	kind chain.TxKind
+}{{KindPut, chain.TxPut}, {KindPutOnce, chain.TxPutOnce}, {KindDelete, chain.TxDelete}}
+
+// kindNamed maps a wire kind name to its chain kind.
+func kindNamed(name string) (chain.TxKind, error) {
+	for _, k := range wireKinds {
+		if k.name == name {
+			return k.kind, nil
 		}
-	case KindDelete:
-		if len(t.Value) != 0 {
+	}
+	if name == "" {
+		return 0, errors.New("missing kind")
+	}
+	return 0, fmt.Errorf("unknown kind %q (want %s, %s or %s)", name, KindPut, KindPutOnce, KindDelete)
+}
+
+// kindName is kindNamed's inverse; ok is false for a kind the wire does
+// not carry.
+func kindName(kind chain.TxKind) (name string, ok bool) {
+	for _, k := range wireKinds {
+		if k.kind == kind {
+			return k.name, true
+		}
+	}
+	return "", false
+}
+
+// checkFields enforces the wire rules on a transaction of a wire kind: a
+// non-empty key within MaxKeyBytes, an id within MaxKeyBytes, a value
+// present exactly when the kind writes one.
+func checkFields(kind chain.TxKind, id, key string, value []byte) error {
+	if kind == chain.TxDelete {
+		if len(value) != 0 {
 			return errors.New("delete must not carry a value")
 		}
-	case "":
-		return errors.New("missing kind")
-	default:
-		return fmt.Errorf("unknown kind %q (want %s, %s or %s)", t.Kind, KindPut, KindPutOnce, KindDelete)
+	} else if len(value) == 0 {
+		name, _ := kindName(kind)
+		return fmt.Errorf("%s requires a value", name)
 	}
-	if t.Key == "" {
+	if key == "" {
 		return errors.New("missing key")
 	}
-	if len(t.Key) > MaxKeyBytes {
-		return fmt.Errorf("key is %d bytes (limit %d)", len(t.Key), MaxKeyBytes)
+	if len(key) > MaxKeyBytes {
+		return fmt.Errorf("key is %d bytes (limit %d)", len(key), MaxKeyBytes)
 	}
-	if len(t.ID) > MaxKeyBytes {
-		return fmt.Errorf("id is %d bytes (limit %d)", len(t.ID), MaxKeyBytes)
+	if len(id) > MaxKeyBytes {
+		return fmt.Errorf("id is %d bytes (limit %d)", len(id), MaxKeyBytes)
 	}
 	return nil
 }
 
-// ToChain converts a validated wire transaction to the chain type.
+// Validate enforces the wire rules: a recognized kind, a non-empty key
+// within MaxKeyBytes, a value present exactly when the kind writes one.
+func (t Tx) Validate() error {
+	_, err := t.ToChain()
+	return err
+}
+
+// ToChain converts a wire transaction to the chain type, validating it.
 func (t Tx) ToChain() (chain.Tx, error) {
-	if err := t.Validate(); err != nil {
+	kind, err := kindNamed(t.Kind)
+	if err != nil {
 		return chain.Tx{}, err
 	}
-	kind := map[string]chain.TxKind{
-		KindPut:     chain.TxPut,
-		KindPutOnce: chain.TxPutOnce,
-		KindDelete:  chain.TxDelete,
-	}[t.Kind]
+	if err := checkFields(kind, t.ID, t.Key, t.Value); err != nil {
+		return chain.Tx{}, err
+	}
 	return chain.Tx{ID: t.ID, Kind: kind, Key: t.Key, Value: t.Value}, nil
 }
 
@@ -114,7 +151,11 @@ type SubmitResponse struct {
 // MaxBatchTxs bounds one POST /submit-batch request.
 const MaxBatchTxs = 4096
 
-// BatchRequest is the body of POST /submit-batch.
+// BatchRequest is the JSON rendering of a batch. No route reads it: POST
+// /submit-batch takes the binary frame (frame.go). Its only user is the
+// benchmark's wire leaf (benchmark/layers.go), which still times this
+// codec, until ROADMAP item 3g retargets the leaf and deletes it along
+// with BatchResponse.
 type BatchRequest struct {
 	Txs []Tx `json:"txs"`
 }
@@ -135,18 +176,22 @@ func (r BatchRequest) Validate() error {
 	return nil
 }
 
-// BatchResult is the per-transaction outcome inside a BatchResponse.
-// The batch endpoint returns HTTP 200 whenever the batch was accepted
-// for processing; individual failures are reported here by Code.
+// BatchResult is the per-transaction outcome of a batch, what
+// Client.SubmitBatch returns from the binary reply. The batch endpoint
+// returns HTTP 200 whenever the batch was accepted for processing;
+// individual failures are reported here by Code.
 type BatchResult struct {
 	TxID      string `json:"txId"`
 	Duplicate bool   `json:"duplicate,omitempty"`
-	// Code is empty on success, otherwise one of the Code* constants.
+	// Code is empty on success, otherwise one of the Code* constants (or,
+	// from a newer server, a code this package does not define).
 	Code  string `json:"code,omitempty"`
 	Error string `json:"error,omitempty"`
 }
 
-// BatchResponse is the body of a successful POST /submit-batch.
+// BatchResponse is the JSON rendering of a batch's results. Like
+// BatchRequest, no route writes it; benchmark/layers.go is its only user
+// until ROADMAP item 3g.
 type BatchResponse struct {
 	Results []BatchResult `json:"results"`
 }

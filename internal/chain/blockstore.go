@@ -19,7 +19,7 @@ import (
 //	body: (uvarint len | tx)*                  the committed encodings
 //
 // and the body's transactions are the very bytes that went through
-// consensus. decodeTx accepts only what appendTx writes (FuzzDecodeTx
+// consensus. DecodeTx accepts only what AppendTx writes (FuzzDecodeTx
 // pins encode(decode(b)) == b), so those bytes are the Merkle leaf under
 // TxRoot as they stand: nothing is re-encoded on the apply path, and a
 // Block, a Tx or an inclusion proof is materialised from them only when
@@ -89,14 +89,14 @@ func verifyChain(heads []blockHead, bodies [][]byte) (int, error) {
 }
 
 // materialise decodes block i of a store whose bodies hold only what
-// decodeTx accepted (the applier and Restore both see to that).
+// DecodeTx accepted (the applier and Restore both see to that).
 func materialise(heads []blockHead, bodies [][]byte, i int) Block {
 	b := Block{Height: uint64(i), TxRoot: heads[i].TxRoot, Hash: heads[i].Hash, Txs: make([]Tx, 0, heads[i].Txs)}
 	if i > 0 {
 		b.PrevHash = heads[i-1].Hash
 	}
 	eachTx(bodies[i], func(enc []byte) bool {
-		tx, err := decodeTx(enc)
+		tx, err := DecodeTx(enc)
 		if err != nil {
 			panic(fmt.Sprintf("chain: block %d holds an undecodable transaction: %v", i, err))
 		}

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,7 +72,7 @@ func txRoot(txs []Tx) [32]byte {
 	var f merkle.Frontier
 	var buf []byte
 	for i := range txs {
-		buf = appendTx(buf[:0], &txs[i])
+		buf = AppendTx(buf[:0], &txs[i])
 		f.Add(buf)
 	}
 	return f.Root()
@@ -217,7 +218,7 @@ func (p *Peer) applyBatch(ops [][]byte) (undecodable int) {
 	fresh, body := p.fresh[:0], p.body[:0]
 	p.root.Reset()
 	for _, op := range ops {
-		tx, err := decodeTx(op)
+		tx, err := DecodeTx(op)
 		if err != nil {
 			undecodable++
 			continue
@@ -329,7 +330,7 @@ func (p *Peer) ProveTx(height uint64, txIdx int) (merkle.InclusionProof, Tx, err
 	if err != nil {
 		return merkle.InclusionProof{}, Tx{}, err
 	}
-	tx, err := decodeTx(leaf)
+	tx, err := DecodeTx(leaf)
 	return proof, tx, err
 }
 
@@ -353,6 +354,8 @@ type Shard struct {
 	pool     *mempool.Pool
 	batcher  *mempool.Batcher
 	seq      atomic.Uint64
+	txIDs    string // "<name>-<nonce>-tx-": what an assigned id is, before its sequence number
+	ptxIDs   string // likewise "<name>-<nonce>-ptx-" for private puts
 	timeout  time.Duration
 	maxTx    int // bound on one encoded transaction, read from conf at NewShard
 
@@ -403,6 +406,7 @@ func NewShard(net *netsim.Network, cfg ShardConfig) (*Shard, error) {
 		return out
 	}
 	s := &Shard{Name: cfg.Name, nonce: bootNonce(), durable: cfg.DataDir != "", timeout: cfg.Timeout, maxTx: conf.MaxTxBytes()}
+	s.txIDs, s.ptxIDs = s.Name+"-"+s.nonce+"-tx-", s.Name+"-"+s.nonce+"-ptx-"
 	for _, id := range ids {
 		peer := newPeer(id, memberOf(id))
 		s.peers = append(s.peers, peer)
@@ -542,7 +546,7 @@ func (s *Shard) Replicas() []*pbft.Replica { return s.replicas }
 // values that will never be claimed do not pile up on the members.
 func (s *Shard) SubmitPrivate(collection, key string, value []byte) <-chan Result {
 	tx := Tx{
-		ID:         fmt.Sprintf("%s-%s-ptx-%d", s.Name, s.nonce, s.seq.Add(1)),
+		ID:         s.nextID(s.ptxIDs),
 		Kind:       TxPrivatePut,
 		Collection: collection,
 		Key:        key,
@@ -560,6 +564,14 @@ func (s *Shard) SubmitPrivate(collection, key string, value []byte) <-chan Resul
 			}
 		}
 	})
+}
+
+// nextID assigns an id: prefix, then the shard's next sequence number in
+// decimal. The ids sit inside committed transaction bytes, so their form
+// is fixed (TestAssignedIDFormat).
+func (s *Shard) nextID(prefix string) string {
+	var buf [64]byte
+	return string(strconv.AppendUint(append(buf[:0], prefix...), s.seq.Add(1), 10))
 }
 
 // Sharded is a SharPer-style multi-shard chain: the key space is

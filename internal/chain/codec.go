@@ -7,9 +7,10 @@ import (
 	"prever/internal/wire"
 )
 
-// The transaction's one encoding: what the mempool carries, what rides
-// through consensus inside the batch frame, and the Merkle leaf under a
-// block's TxRoot. Fixed field order, every field always present:
+// The transaction's one encoding: what a client posts to the batch route
+// (internal/api), what the mempool carries, what rides through consensus
+// inside the batch frame, and the Merkle leaf under a block's TxRoot.
+// Fixed field order, every field always present:
 //
 //	kind u8 | id str | collection str | key str | value bytes |
 //	hash (uvarint 0, or uvarint 32 | 32 bytes) | xid str |
@@ -18,7 +19,7 @@ import (
 // str and bytes are uvarint(len) | bytes. The form is canonical — the
 // leaf hash depends on it — so an empty Value and an absent one encode
 // alike (and decode as nil), the all-zero ValueHash is the zero-length
-// form only, and decodeTx refuses anything appendTx would not have
+// form only, and DecodeTx refuses anything AppendTx would not have
 // written, trailing bytes included.
 
 // maxWritesDepth bounds how deep Writes may nest. A cross-shard prepare
@@ -32,8 +33,8 @@ const minTxBytes = 8
 
 var errBadTx = errors.New("chain: malformed transaction encoding")
 
-// appendTx appends tx's encoding to b.
-func appendTx(b []byte, tx *Tx) []byte {
+// AppendTx appends tx's encoding to b.
+func AppendTx(b []byte, tx *Tx) []byte {
 	b = append(b, byte(tx.Kind))
 	b = wire.AppendString(b, tx.ID)
 	b = wire.AppendString(b, tx.Collection)
@@ -47,14 +48,14 @@ func appendTx(b []byte, tx *Tx) []byte {
 	b = wire.AppendString(b, tx.XID)
 	b = binary.AppendUvarint(b, uint64(len(tx.Writes)))
 	for i := range tx.Writes {
-		b = appendTx(b, &tx.Writes[i])
+		b = AppendTx(b, &tx.Writes[i])
 	}
 	return b
 }
 
 // txBytes encodes one transaction.
 func txBytes(tx Tx) []byte {
-	return appendTx(make([]byte, 0, minTxBytes+len(tx.ID)+len(tx.Key)+len(tx.Value)+40), &tx)
+	return AppendTx(make([]byte, 0, minTxBytes+len(tx.ID)+len(tx.Key)+len(tx.Value)+40), &tx)
 }
 
 // writesDepth reports how deep tx.Writes nests (0 for a plain write).
@@ -68,9 +69,9 @@ func writesDepth(tx *Tx) int {
 	return d
 }
 
-// decodeTx is the strict inverse of txBytes. Nothing in the result
+// DecodeTx is the strict inverse of AppendTx. Nothing in the result
 // aliases b.
-func decodeTx(b []byte) (Tx, error) {
+func DecodeTx(b []byte) (Tx, error) {
 	r := wire.NewReader(b)
 	var tx Tx
 	readTx(&r, &tx, 0)

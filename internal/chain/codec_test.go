@@ -73,7 +73,7 @@ func TestTxRoundTrip(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		tx := genTx(rng, fmt.Sprintf("tx-%d", i), rng.Intn(maxWritesDepth+1))
 		enc := txBytes(tx)
-		got, err := decodeTx(enc)
+		got, err := DecodeTx(enc)
 		if err != nil {
 			t.Fatalf("tx %d: decode: %v\n%+v", i, err, tx)
 		}
@@ -100,10 +100,10 @@ func nested(depth int) Tx {
 }
 
 func TestTxWritesDepthCap(t *testing.T) {
-	if _, err := decodeTx(txBytes(nested(maxWritesDepth))); err != nil {
+	if _, err := DecodeTx(txBytes(nested(maxWritesDepth))); err != nil {
 		t.Fatalf("Writes nested to the cap refused: %v", err)
 	}
-	if _, err := decodeTx(txBytes(nested(maxWritesDepth + 1))); err == nil {
+	if _, err := DecodeTx(txBytes(nested(maxWritesDepth + 1))); err == nil {
 		t.Fatal("Writes nested past the cap decoded")
 	}
 	// The submit path turns the same transaction away before it can
@@ -210,7 +210,7 @@ func TestTxGolden(t *testing.T) {
 		},
 	}
 	want := wiretest.Golden(t, "testdata/tx.hex", txBytes(tx))
-	if got, err := decodeTx(want); err != nil || !reflect.DeepEqual(got, tx) {
+	if got, err := DecodeTx(want); err != nil || !reflect.DeepEqual(got, tx) {
 		t.Fatalf("golden bytes decode to %+v, %v", got, err)
 	}
 }
@@ -225,15 +225,15 @@ func put64() Tx {
 func TestDecodeTxAllocs(t *testing.T) {
 	enc := txBytes(put64())
 	if n := testing.AllocsPerRun(100, func() {
-		if _, err := decodeTx(enc); err != nil {
+		if _, err := DecodeTx(enc); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 3 {
-		t.Fatalf("decodeTx of a put allocates %.0f times, want <= 3", n)
+		t.Fatalf("DecodeTx of a put allocates %.0f times, want <= 3", n)
 	}
 }
 
-// FuzzDecodeTx: ops reach decodeTx from the consensus log. It must never
+// FuzzDecodeTx: ops reach DecodeTx from the consensus log. It must never
 // panic, never allocate beyond a multiple of its input, and accept only
 // what txBytes writes — so whatever it accepts re-encodes to the same
 // bytes, which also rules out trailing input.
@@ -257,7 +257,7 @@ func FuzzDecodeTx(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var tx Tx
 		var err error
-		if got, limit := wiretest.AllocBytes(func() { tx, err = decodeTx(b) }), uint64(64*len(b)+1024); got > limit {
+		if got, limit := wiretest.AllocBytes(func() { tx, err = DecodeTx(b) }), uint64(64*len(b)+1024); got > limit {
 			t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(b), got, limit)
 		}
 		if err != nil {
@@ -287,7 +287,7 @@ func BenchmarkTxCodec(b *testing.B) {
 		b.SetBytes(int64(len(enc)))
 		for i := 0; i < b.N; i++ {
 			var err error
-			if sinkTx, err = decodeTx(enc); err != nil {
+			if sinkTx, err = DecodeTx(enc); err != nil {
 				b.Fatal(err)
 			}
 		}

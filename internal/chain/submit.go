@@ -121,7 +121,7 @@ func (s *Shard) SubmitAsync(tx Tx) <-chan Result { return s.submit(tx, nil) }
 func (s *Shard) submit(tx Tx, settled func(Result)) <-chan Result {
 	ch := make(chan Result, 1)
 	if tx.ID == "" {
-		tx.ID = fmt.Sprintf("%s-%s-tx-%d", s.Name, s.nonce, s.seq.Add(1))
+		tx.ID = s.nextID(s.txIDs)
 	}
 	id := tx.ID
 	start := time.Now()

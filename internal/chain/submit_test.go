@@ -3,6 +3,9 @@ package chain
 import (
 	"errors"
 	"fmt"
+	"math"
+	"regexp"
+	"slices"
 	"testing"
 	"time"
 
@@ -507,5 +510,42 @@ func TestClientChosenIDsDuringApply(t *testing.T) {
 	}
 	if st := s.Stats(); st.Duplicates != workers*each || st.Accepted != workers*each {
 		t.Fatalf("stats: %d accepted, %d duplicates, want %d of each", st.Accepted, st.Duplicates, workers*each)
+	}
+}
+
+// TestAssignedIDFormat pins the ids a shard assigns: "<shard>-<nonce>-tx-<n>"
+// for a transaction submitted without one and "<shard>-<nonce>-ptx-<n>" for
+// a private put, n the shard's sequence in plain decimal. They are inside
+// committed transaction bytes, so they may not change form.
+func TestAssignedIDFormat(t *testing.T) {
+	_, s := newShard(t, "idfmt", map[string][]string{"c": {"idfmt/peer0"}})
+	if !regexp.MustCompile(`^[0-9a-f]{12}$`).MatchString(s.nonce) {
+		t.Fatalf("boot nonce %q is not 12 hex digits", s.nonce)
+	}
+	var got []string
+	for _, res := range s.SubmitBatch([]Tx{
+		{Kind: TxPut, Key: "a", Value: []byte("1")},
+		{ID: "mine", Kind: TxPut, Key: "b", Value: []byte("2")},
+		{Kind: TxDelete, Key: "a"},
+	}) {
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		got = append(got, res.TxID)
+	}
+	res := <-s.SubmitPrivate("c", "p", []byte("secret"))
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	got = append(got, res.TxID)
+	want := []string{"idfmt-" + s.nonce + "-tx-1", "mine", "idfmt-" + s.nonce + "-tx-2", "idfmt-" + s.nonce + "-ptx-3"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("assigned ids %q, want %q", got, want)
+	}
+	for _, n := range []uint64{9, 99, 1 << 32, math.MaxUint64 - 1} {
+		s.seq.Store(n)
+		if id, want := s.nextID(s.txIDs), fmt.Sprintf("%s-%s-tx-%d", s.Name, s.nonce, n+1); id != want {
+			t.Fatalf("id after sequence %d = %q, want %q", n, id, want)
+		}
 	}
 }

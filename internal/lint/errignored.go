@@ -42,7 +42,7 @@ func errCriticalName(name string) bool {
 }
 
 // isDecoderName matches the decoders at the trust boundaries (DecodeBatch,
-// decodeTx, decodePrePrepare, json's Decode, ...). Their last result —
+// DecodeTx, decodePrePrepare, json's Decode, ...). Their last result —
 // an ok bool or an error — says whether the other results mean anything.
 func isDecoderName(name string) bool {
 	return strings.HasPrefix(name, "Decode") || strings.HasPrefix(name, "decode")

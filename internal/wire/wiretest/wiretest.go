@@ -14,7 +14,8 @@ import (
 // and returns the file's bytes: the format as committed, so a change to it
 // cannot land without a diff that shows it. The tx, the batch frame and
 // the PBFT messages are all on disk in every durable peer directory under
-// one stamp, which a format change must bump along with the golden file.
+// one stamp, which a format change must bump along with the golden file;
+// the HTTP batch frames (internal/api) are on the wire only.
 func Golden(t testing.TB, path string, got []byte) []byte {
 	t.Helper()
 	text, err := os.ReadFile(path)
@@ -26,7 +27,7 @@ func Golden(t testing.TB, path string, got []byte) []byte {
 		t.Fatalf("%s: %v", path, err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("encoded %x\n%s holds %x\nif the format is meant to change, bump pbft.dataFormat (internal/pbft/durable.go) so older -data directories are refused, then update the golden file", got, path, want)
+		t.Fatalf("encoded %x\n%s holds %x\nif the format is meant to change and is on disk, bump pbft.dataFormat (internal/pbft/durable.go) so older -data directories are refused; then update the golden file", got, path, want)
 	}
 	return want
 }
