@@ -11,6 +11,7 @@ import (
 
 	"prever/internal/mempool"
 	"prever/internal/netsim"
+	"prever/internal/wire"
 	"prever/internal/wire/wiretest"
 )
 
@@ -28,7 +29,7 @@ func TestPeerSnapshotRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := newPeer("s0/peer1", []string{"coll"})
-	q.applyBatch(encodeAll([]Tx{{ID: "before", Kind: TxPut, Key: "before", Value: []byte("restore")}}))
+	q.applyBatch(runOf([]Tx{{ID: "before", Kind: TxPut, Key: "before", Value: []byte("restore")}}))
 	before, _ := q.Snapshot()
 
 	bad := map[string][]byte{
@@ -72,7 +73,7 @@ func TestPeerSnapshotRestore(t *testing.T) {
 	}
 	// The dedup set is rebuilt from the bodies: range ids and odd ones.
 	height := q.Height()
-	q.applyBatch(encodeAll([]Tx{
+	q.applyBatch(runOf([]Tx{
 		{ID: seqID(7), Kind: TxPut, Key: "dup", Value: []byte("x")},
 		{ID: seqID(231), Kind: TxPut, Key: "dup", Value: []byte("x")},
 		{ID: "a-01", Kind: TxPut, Key: "dup", Value: []byte("x")},
@@ -95,9 +96,9 @@ func TestDuplicateDroppedAfterManyCommits(t *testing.T) {
 	}
 	peers := []*Peer{newPeer("p0", nil), newPeer("p1", nil), newPeer("p2", nil), newPeer("p3", nil)}
 	apply := func(txs []Tx) {
-		ops := encodeAll(txs)
+		run := runOf(txs)
 		for _, p := range peers {
-			if n := p.applyBatch(ops); n != 0 {
+			if n := p.applyBatch(run); n != 0 {
 				t.Fatalf("%d undecodable", n)
 			}
 		}
@@ -144,6 +145,53 @@ func TestDuplicateDroppedAfterManyCommits(t *testing.T) {
 	}
 }
 
+// TestFrameIsTheBlockBody: a batch whose every op is fresh keeps the
+// committed frame's run as its block body, capacity-clipped so nothing
+// appends past it; a duplicate or an undecodable op sends the batch down
+// the copy path. Either way the body is byte for byte the kept
+// transactions re-encoded.
+func TestFrameIsTheBlockBody(t *testing.T) {
+	p := newPeer("s0/peer0", []string{"coll"})
+	batches := append(goldenSequence(), nil)
+	paths := map[bool]int{}
+	for round, b := range batches {
+		run := runOf(b)
+		if b == nil { // one undecodable op after a fresh one
+			run = wire.AppendBytes(wire.AppendBytes(nil, txBytes(Tx{ID: seqID(900), Kind: TxPut, Key: "a"})), []byte("not a tx"))
+		}
+		from := p.Height()
+		undecodable := p.applyBatch(run)
+		if p.Height() == from {
+			continue // nothing fresh: no block
+		}
+		body := p.bodies[from]
+		var want []byte
+		for _, tx := range p.Blocks()[from].Txs {
+			want = wire.AppendBytes(want, txBytes(tx))
+		}
+		if !bytes.Equal(body, want) {
+			t.Fatalf("batch %d: the body is %x, its transactions encode to %x", round, body, want)
+		}
+		kept := &body[0] == &run[0]
+		if kept != bytes.Equal(want, run) {
+			t.Fatalf("batch %d: body is the run %v, every op fresh %v", round, kept, !kept)
+		}
+		paths[kept]++
+		if kept && cap(body) != len(body) {
+			t.Fatalf("batch %d: the body has room to grow past the run", round)
+		}
+		if b == nil && (kept || undecodable != 1) {
+			t.Fatalf("a batch with an undecodable op kept the run %v, counted %d undecodable", kept, undecodable)
+		}
+	}
+	if paths[true] == 0 || paths[false] < 2 {
+		t.Fatalf("%d bodies kept the run, %d were copied: a path went untested", paths[true], paths[false])
+	}
+	if _, _, bad, err := p.Verify(); bad != -1 {
+		t.Fatalf("block %d: %v", bad, err)
+	}
+}
+
 // TestPeerRetainedPerTx: what a peer keeps per applied transaction is its
 // encoded bytes and next to nothing else — no Tx, no map entry, no
 // version — and a negligible number of heap objects, so the collector's
@@ -162,7 +210,7 @@ func TestPeerRetainedPerTx(t *testing.T) {
 			next++
 			txs[i] = Tx{ID: seqID(next), Kind: TxPut, Key: fmt.Sprintf("key-%08d", next%keys), Value: value}
 		}
-		p.applyBatch(encodeAll(txs))
+		p.applyBatch(runOf(txs))
 	}
 	for next < 2*keys { // every key exists, the scratch buffers have grown
 		block()
@@ -192,6 +240,82 @@ func TestPeerRetainedPerTx(t *testing.T) {
 		t.Errorf("heap grew %d objects over %d txs, limit %d (0.1 per tx)", objsGrown, applied, limit)
 	}
 	runtime.KeepAlive(p)
+}
+
+// TestShardRetainedPerBodyByte: what a four-replica shard retains per
+// committed byte of history. Each peer's body is the committed frame's
+// run, so the primary's frame and the one pre-prepare envelope its
+// backups share hold every copy of a batch: about two of one peer's
+// body bytes in all, plus heads, PBFT's per-batch bookkeeping and
+// nothing per tx. A per-receiver envelope or a body copied out of the
+// frame would be one more body per replica. Run by `make heap-smoke`.
+func TestShardRetainedPerBodyByte(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations are not the shard's")
+	}
+	const batches, perBatch, keys = 1000, 64, 256
+	net := netsim.New(netsim.Config{})
+	defer net.Close()
+	s, err := NewShard(net, ShardConfig{Name: "s0", F: 1, Timeout: 10 * time.Second, Mempool: mempool.Config{BatchSize: perBatch}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = s.Close() }()
+	value := bytes.Repeat([]byte("v"), 64)
+	next := 0
+	commit := func() {
+		txs := make([]Tx, perBatch)
+		for i := range txs {
+			next++
+			txs[i] = Tx{Kind: TxPut, Key: fmt.Sprintf("user%010d", next%keys), Value: value}
+		}
+		for _, res := range s.SubmitBatch(txs) {
+			if res.Err != nil {
+				t.Fatal(res.Err)
+			}
+		}
+	}
+	settled := func() int { // every peer has applied every committed tx
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			h := s.peers[0].Height()
+			same := true
+			for _, p := range s.peers[1:] {
+				same = same && p.Height() == h
+			}
+			if same || time.Now().After(deadline) {
+				return h
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for next < 2*keys { // every key exists, the scratch buffers have grown
+		commit()
+	}
+	from := settled()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < batches; i++ {
+		commit()
+	}
+	to := settled()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	body, txs := 0, 0
+	for i := from; i < to; i++ {
+		body += len(s.peers[0].bodies[i])
+		txs += int(s.peers[0].heads[i].Txs)
+	}
+	grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("%d blocks, %d txs: one peer's bodies %d bytes, heap +%d bytes (%.2fx)", to-from, txs, body, grown, float64(grown)/float64(body))
+	if txs != batches*perBatch {
+		t.Fatalf("%d txs applied, want %d", txs, batches*perBatch)
+	}
+	if limit := int64(3 * body); grown > limit {
+		t.Errorf("heap grew %d bytes over %d committed body bytes, limit %d (3x)", grown, body, limit)
+	}
+	runtime.KeepAlive(s)
 }
 
 // TestSubmitPrivateUnstagesOnFailure: SubmitPrivate hands the value to
@@ -320,14 +444,14 @@ func FuzzPeerRestore(f *testing.F) {
 	for i := range many {
 		many[i] = Tx{Kind: TxPut, Key: string(rune('a' + i))}
 	}
-	small.applyBatch(encodeAll(many)) // the most decoded state per image byte
+	small.applyBatch(runOf(many)) // the most decoded state per image byte
 	dense, _ := small.Snapshot()
 	f.Add(dense)
 	f.Add([]byte(nil))
 	f.Add([]byte(`{"format":"prever/chain/peer/v2","blocks":[]}`))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		p := newPeer("s0/peer0", []string{"coll"})
-		p.applyBatch(encodeAll([]Tx{{ID: "before", Kind: TxPut, Key: "before", Value: []byte("restore")}}))
+		p.applyBatch(runOf([]Tx{{ID: "before", Kind: TxPut, Key: "before", Value: []byte("restore")}}))
 		before, _ := p.Snapshot()
 		var err error
 		if got, limit := wiretest.AllocBytes(func() { err = p.Restore(b) }), uint64(64*len(b)+8192); got > limit {

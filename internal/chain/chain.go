@@ -198,8 +198,8 @@ func (p *Peer) unstagePrivateValue(txID string) {
 	delete(p.pendingP, txID)
 }
 
-// applyBatch turns the framed operations of one executed PBFT batch into
-// a block and applies it, and reports how many were not transactions.
+// applyBatch turns the operations of one executed PBFT batch into a
+// block and applies it, and reports how many were not transactions.
 // Transactions whose ID already applied are dropped first: a consensus
 // client that times out and retries can commit the same transaction into
 // two instances, and this filter is what keeps the chain exactly-once.
@@ -209,30 +209,52 @@ func (p *Peer) unstagePrivateValue(txID string) {
 // here would make the drop decision depend on wall-clock timing and let
 // replicas diverge).
 //
-// What the block keeps of a transaction is its encoding as committed,
-// copied out of ops into the block's body; the decoded form lives only
-// until the block is applied.
-func (p *Peer) applyBatch(ops [][]byte) (undecodable int) {
+// run holds the operations as they sit in the committed frame, each
+// behind its uvarint length (mempool.DecodeBatch): a block body already.
+// What the block keeps of a transaction is its encoding as committed, so
+// when every operation is fresh run is the body, kept as it stands;
+// otherwise the fresh ones are copied into a body of their own. Either
+// way the peer keeps run's bytes, and nothing may change them after.
+// The decoded form lives only until the block is applied. run must be
+// well framed; a framing error ends the batch as one more undecodable.
+func (p *Peer) applyBatch(run []byte) (undecodable int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	fresh, body := p.fresh[:0], p.body[:0]
+	whole := true
 	p.root.Reset()
-	for _, op := range ops {
-		tx, err := DecodeTx(op)
+	r := wire.NewReader(run)
+	for !r.Done() {
+		at := len(run) - r.Len()
+		op := r.Bytes()
+		tx, err := decodeTx(op, false)
 		if err != nil {
 			undecodable++
-			continue
 		}
-		if tx.ID != "" && !p.applied.add(tx.ID) {
+		if err != nil || (tx.ID != "" && !p.applied.add(tx.ID)) {
+			if whole { // run is not the body: copy what it kept so far
+				whole = false
+				body = append(body, run[:at]...)
+			}
+			if !r.OK() {
+				break
+			}
 			continue
 		}
 		fresh = append(fresh, tx)
 		p.root.Add(op)
-		body = wire.AppendBytes(body, op)
+		if !whole {
+			body = wire.AppendBytes(body, op)
+		}
 	}
 	p.fresh, p.body = fresh[:0], body[:0]
 	if len(fresh) == 0 {
 		return undecodable
+	}
+	if whole {
+		body = run[:len(run):len(run)] // an append to it must not reach past the run
+	} else {
+		body = bytes.Clone(body)
 	}
 	head := blockHead{TxRoot: p.root.Root(), Txs: uint32(len(fresh))}
 	var prev [32]byte
@@ -241,7 +263,7 @@ func (p *Peer) applyBatch(ops [][]byte) (undecodable int) {
 	}
 	head.Hash = linkHash(uint64(len(p.heads)), prev, head.TxRoot)
 	p.heads = append(p.heads, head)
-	p.bodies = append(p.bodies, bytes.Clone(body))
+	p.bodies = append(p.bodies, body)
 	for i := range fresh {
 		p.applyTxLocked(&fresh[i])
 	}
@@ -411,26 +433,26 @@ func NewShard(net *netsim.Network, cfg ShardConfig) (*Shard, error) {
 		peer := newPeer(id, memberOf(id))
 		s.peers = append(s.peers, peer)
 		applier := func(_ uint64, batch []pbft.Request) {
-			var ops [][]byte
+			var run []byte
 			undecodable := 0
 			for _, req := range batch {
 				// Every request the shard's client submits is one framed
-				// mempool batch; fan it back out into its transactions.
-				// Anything else that committed cannot be applied, and is
-				// counted rather than dropped unseen.
-				framed, ok := mempool.DecodeBatch(req.Op)
+				// mempool batch, whose op run is applied as it sits in the
+				// committed request. Anything else that committed cannot be
+				// applied, and is counted rather than dropped unseen.
+				ops, ok := mempool.DecodeBatch(req.Op)
 				if !ok {
 					undecodable++
 					continue
 				}
-				if ops == nil {
-					ops = framed
-				} else {
-					ops = append(ops, framed...)
+				if run == nil {
+					run = ops
+				} else { // a second frame: the block joins copies of both runs
+					run = append(run[:len(run):len(run)], ops...)
 				}
 			}
-			if len(ops) > 0 {
-				undecodable += peer.applyBatch(ops)
+			if len(run) > 0 {
+				undecodable += peer.applyBatch(run)
 			}
 			if undecodable > 0 {
 				s.statsMu.Lock()

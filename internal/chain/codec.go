@@ -71,23 +71,30 @@ func writesDepth(tx *Tx) int {
 
 // DecodeTx is the strict inverse of AppendTx. Nothing in the result
 // aliases b.
-func DecodeTx(b []byte) (Tx, error) {
+func DecodeTx(b []byte) (Tx, error) { return decodeTx(b, true) }
+
+// decodeTx is DecodeTx; with own false every Value in the result is a
+// sub-slice of b, for a caller that keeps b unchanged for as long as it
+// keeps the result (the applier: committed bytes nothing rewrites).
+func decodeTx(b []byte, own bool) (Tx, error) {
 	r := wire.NewReader(b)
 	var tx Tx
-	readTx(&r, &tx, 0)
+	readTx(&r, &tx, 0, own)
 	if !r.Done() {
 		return Tx{}, errBadTx
 	}
 	return tx, nil
 }
 
-func readTx(r *wire.Reader, tx *Tx, depth int) {
+func readTx(r *wire.Reader, tx *Tx, depth int, own bool) {
 	tx.Kind = TxKind(r.Byte())
 	tx.ID = r.String()
 	tx.Collection = r.String()
 	tx.Key = r.String()
-	if v := r.Bytes(); v != nil {
+	if v := r.Bytes(); v != nil && own {
 		tx.Value = append([]byte(nil), v...)
+	} else {
+		tx.Value = v
 	}
 	if h := r.Bytes(); h != nil {
 		copy(tx.ValueHash[:], h)
@@ -108,6 +115,6 @@ func readTx(r *wire.Reader, tx *Tx, depth int) {
 	// Tx in memory is ~20x its smallest encoding.
 	for i := 0; i < n && r.OK(); i++ {
 		tx.Writes = append(tx.Writes, Tx{})
-		readTx(r, &tx.Writes[i], depth+1)
+		readTx(r, &tx.Writes[i], depth+1, own)
 	}
 }

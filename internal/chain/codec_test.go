@@ -221,15 +221,22 @@ func put64() Tx {
 }
 
 // TestDecodeTxAllocs: a put decodes into its ID, its Key and its Value —
-// three allocations, none per field.
+// three allocations, none per field — and the applier's decode, whose
+// Value stays in the committed bytes, into its ID and its Key.
 func TestDecodeTxAllocs(t *testing.T) {
 	enc := txBytes(put64())
-	if n := testing.AllocsPerRun(100, func() {
-		if _, err := DecodeTx(enc); err != nil {
-			t.Fatal(err)
+	for own, want := range map[bool]float64{true: 3, false: 2} {
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := decodeTx(enc, own); err != nil {
+				t.Fatal(err)
+			}
+		}); n > want {
+			t.Fatalf("decoding a put (own=%v) allocates %.0f times, want <= %.0f", own, n, want)
 		}
-	}); n > 3 {
-		t.Fatalf("DecodeTx of a put allocates %.0f times, want <= 3", n)
+	}
+	// The value's bytes are followed by a byte each of hash, xid and count.
+	if tx, _ := decodeTx(enc, false); &tx.Value[0] != &enc[len(enc)-len(tx.Value)-3] {
+		t.Fatal("the applier's decode copied the value out of the committed bytes")
 	}
 }
 

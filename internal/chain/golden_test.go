@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"prever/internal/mempool"
 	"prever/internal/store"
 	"prever/internal/wire/wiretest"
 )
@@ -80,7 +81,7 @@ func goldenSequence() [][]Tx {
 	return batches
 }
 
-// encodeAll is what consensus hands the applier for txs.
+// encodeAll encodes each of txs.
 func encodeAll(txs []Tx) [][]byte {
 	ops := make([][]byte, len(txs))
 	for i := range txs {
@@ -89,12 +90,22 @@ func encodeAll(txs []Tx) [][]byte {
 	return ops
 }
 
+// runOf is what the shard's applier hands a peer for txs: their run in
+// one committed mempool frame.
+func runOf(txs []Tx) []byte {
+	run, ok := mempool.DecodeBatch(mempool.EncodeBatch(encodeAll(txs)))
+	if !ok {
+		panic("chain: a frame EncodeBatch wrote does not decode")
+	}
+	return run
+}
+
 // goldenPeer runs goldenSequence through one peer's applier.
 func goldenPeer() *Peer {
 	p := newPeer("s0/peer0", []string{"coll"})
 	p.StagePrivateValue("s0-a1b2c3-ptx-1", []byte("staged secret"))
 	for _, b := range goldenSequence() {
-		p.applyBatch(encodeAll(b))
+		p.applyBatch(runOf(b))
 	}
 	return p
 }

@@ -85,9 +85,10 @@ func (p *Peer) Snapshot() ([]byte, error) {
 // world state, prepared cross-shard writes, the applied-id set — and the
 // heads. Unless every rebuilt head and body equals the image's (so every
 // link and root verifies, every transaction decodes, and no id repeats),
-// the snapshot is rejected and p is left as it was.
+// the snapshot is rejected and p is left as it was. The peer keeps a
+// copy of data, not data: its bodies are that copy's sub-slices.
 func (p *Peer) Restore(data []byte) error {
-	heads, bodies, err := decodeImage(data)
+	heads, bodies, err := decodeImage(bytes.Clone(data))
 	if err != nil {
 		return err
 	}
@@ -96,13 +97,8 @@ func (p *Peer) Restore(data []byte) error {
 		collections = append(collections, c)
 	}
 	np := newPeer(p.id, collections)
-	var ops [][]byte
 	for i, body := range bodies {
-		ops = ops[:0]
-		framed := eachTx(body, func(enc []byte) bool { ops = append(ops, enc); return true })
-		if framed {
-			np.applyBatch(ops)
-		}
+		np.applyBatch(body)
 		if len(np.heads) != i+1 || np.heads[i] != heads[i] || !bytes.Equal(np.bodies[i], body) {
 			return fmt.Errorf("chain: snapshot chain invalid at block %d", i)
 		}

@@ -11,6 +11,7 @@ import (
 	"prever/internal/netsim"
 	"prever/internal/paxos"
 	"prever/internal/pbft"
+	"prever/internal/wire/wiretest"
 )
 
 // batchChecker verifies the paxos apply contract when slots carry
@@ -39,9 +40,9 @@ func (c *batchChecker) apply(slot uint64, value []byte) {
 		return
 	}
 	c.next++
-	ops, ok := mempool.DecodeBatch(value)
-	if !ok {
-		ops = [][]byte{value} // no-op gap fill or bare value
+	ops := [][]byte{value} // no-op gap fill or bare value
+	if run, ok := mempool.DecodeBatch(value); ok {
+		ops = wiretest.Split(run)
 	}
 	for _, op := range ops {
 		id := string(op)

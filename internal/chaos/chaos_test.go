@@ -376,6 +376,7 @@ func TestChaosChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer func() { _ = shard.Close() }()
 	var targets []Target
 	for _, r := range shard.Replicas() {
 		r := r

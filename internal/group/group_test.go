@@ -319,7 +319,7 @@ func containsSeeds(g *Group) []*big.Int {
 }
 
 // FuzzContains is the fuzz of the membership check at the trust
-// boundary (ROADMAP 5d): on both shipped groups Contains accepts exactly
+// boundary (ROADMAP 4e): on both shipped groups Contains accepts exactly
 // [1, Q]; of x and P − x in (0, P) it accepts exactly one; and an
 // accepted x is the encoding every operation gives its element.
 func FuzzContains(f *testing.F) {

@@ -35,22 +35,24 @@ func EncodeBatch(ops [][]byte) []byte {
 	return b
 }
 
-// DecodeBatch unframes a consensus value. ok is false when v is not a
-// batch (a no-op fill, a bare value some other client proposed) or is a
-// damaged one: short, over-long or followed by trailing bytes. The ops
-// are sub-slices of v.
-func DecodeBatch(v []byte) (ops [][]byte, ok bool) {
+// DecodeBatch unframes a consensus value. It returns the ops where they
+// sit in v: the (uvarint len | op)* run after the count, which is how a
+// chain block body frames its transactions (wire.Reader walks it). ok is
+// false when v is not a batch (a no-op fill, a bare value some other
+// client proposed) or is a damaged one: short, over-long or followed by
+// trailing bytes. It allocates nothing.
+func DecodeBatch(v []byte) (run []byte, ok bool) {
 	if !bytes.HasPrefix(v, batchMagic) {
 		return nil, false
 	}
 	r := wire.NewReader(v[len(batchMagic):])
 	n := r.Count(1) // an op costs at least its length byte
-	ops = make([][]byte, n)
-	for i := range ops {
-		ops[i] = r.Bytes()
+	run = v[len(v)-r.Len():]
+	for i := 0; i < n; i++ {
+		r.Bytes()
 	}
 	if !r.Done() {
 		return nil, false
 	}
-	return ops, true
+	return run, true
 }

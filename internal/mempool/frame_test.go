@@ -10,7 +10,8 @@ import (
 func TestBatchFrameGolden(t *testing.T) {
 	ops := [][]byte{[]byte("a"), []byte(""), []byte("op-3")}
 	want := wiretest.Golden(t, "testdata/frame3.hex", EncodeBatch(ops))
-	got, ok := DecodeBatch(want)
+	run, ok := DecodeBatch(want)
+	got := wiretest.Split(run)
 	if !ok || len(got) != len(ops) {
 		t.Fatalf("golden frame decoded to %d ops (ok=%v), want %d", len(got), ok, len(ops))
 	}
@@ -30,31 +31,33 @@ func ops64() [][]byte {
 	return ops
 }
 
-// TestDecodeBatchAllocs: the ops are sub-slices of the frame, so a decode
-// allocates the slice of them and nothing per op.
+// TestDecodeBatchAllocs: a decode hands out the ops' run inside the
+// frame, so it allocates nothing.
 func TestDecodeBatchAllocs(t *testing.T) {
 	frame := EncodeBatch(ops64())
 	if n := testing.AllocsPerRun(100, func() {
 		if _, ok := DecodeBatch(frame); !ok {
 			t.Fatal("frame rejected")
 		}
-	}); n > 2 {
-		t.Fatalf("DecodeBatch of 64 ops allocates %.0f times, want <= 2", n)
+	}); n != 0 {
+		t.Fatalf("DecodeBatch of 64 ops allocates %.0f times, want 0", n)
 	}
 }
 
 // FuzzDecodeBatch: DecodeBatch sits where replicated bytes re-enter the
 // application, so it must never panic, must refuse anything that is not
 // exactly one framed batch, must not let a forged count size an
-// allocation, and whatever it accepts must re-encode to the same bytes.
+// allocation, and what it accepts must be the tail of v, and the ops
+// split from it must re-encode to v: the run is the ops' own
+// (len | op)*, the block body a chain peer keeps of it.
 // `go test` runs the seed corpus; `go test -fuzz FuzzDecodeBatch` mutates it.
 func FuzzDecodeBatch(f *testing.F) {
 	// The JSON frame earlier binaries wrote. It is not a batch any more:
 	// directories that hold it are refused by their FORMAT stamp, and a
 	// stray one must not half-decode.
 	const v1 = `pbB1["YQ==","","b3AtMw=="]`
-	if ops, ok := DecodeBatch([]byte(v1)); ok || ops != nil {
-		f.Fatalf("the pbB1 frame decoded (ok=%v, %d ops)", ok, len(ops))
+	if run, ok := DecodeBatch([]byte(v1)); ok || run != nil {
+		f.Fatalf("the pbB1 frame decoded (ok=%v, run %x)", ok, run)
 	}
 	good := EncodeBatch([][]byte{[]byte("a"), []byte(""), []byte("op-3")})
 
@@ -73,18 +76,21 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte("pbB2\x01\x81\x00x"))                            // op length 1 spelled in two bytes
 	f.Add([]byte("pbB2\xff\xff\xff\xff\xff\xff\xff\xff\xff\x7f")) // uvarint overflow
 	f.Fuzz(func(t *testing.T, v []byte) {
-		var ops [][]byte
+		var run []byte
 		var ok bool
-		if got, limit := wiretest.AllocBytes(func() { ops, ok = DecodeBatch(v) }), uint64(64*len(v)+1024); got > limit {
+		if got, limit := wiretest.AllocBytes(func() { run, ok = DecodeBatch(v) }), uint64(64*len(v)+1024); got > limit {
 			t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(v), got, limit)
 		}
 		if !ok {
-			if ops != nil {
-				t.Fatalf("rejected value still returned %d ops", len(ops))
+			if run != nil {
+				t.Fatalf("rejected value still returned run %x", run)
 			}
 			return
 		}
-		if again := EncodeBatch(ops); !bytes.Equal(again, v) {
+		if len(run) > 0 && &run[len(run)-1] != &v[len(v)-1] {
+			t.Fatalf("DecodeBatch(%x) = %x: not the tail of the frame", v, run)
+		}
+		if again := EncodeBatch(wiretest.Split(run)); !bytes.Equal(again, v) {
 			t.Fatalf("accepted %x, which re-encodes to %x", v, again)
 		}
 	})
@@ -105,7 +111,7 @@ func BenchmarkBatchFrame64(b *testing.B) {
 		b.SetBytes(int64(len(frame)))
 		for i := 0; i < b.N; i++ {
 			var ok bool
-			if sinkOps, ok = DecodeBatch(frame); !ok {
+			if sinkRun, ok = DecodeBatch(frame); !ok {
 				b.Fatal("frame rejected")
 			}
 		}
@@ -114,5 +120,5 @@ func BenchmarkBatchFrame64(b *testing.B) {
 
 var (
 	sinkFrame []byte
-	sinkOps   [][]byte
+	sinkRun   []byte
 )

@@ -10,7 +10,8 @@ import (
 // Batched proposals: the mempool's Batcher packs many operations into one
 // log slot. A batch is an ordinary opaque value at the consensus layer,
 // framed by mempool.EncodeBatch; the applier fans the slot back out into
-// its operations with mempool.DecodeBatch.
+// its operations with mempool.DecodeBatch, which returns the operations
+// in place.
 
 // Pending is an in-flight client proposal started by Start: the fast path
 // holds an eager slot on the trusted leader; Wait falls back to the full

@@ -7,6 +7,7 @@ import (
 
 	"prever/internal/mempool"
 	"prever/internal/netsim"
+	"prever/internal/wire/wiretest"
 )
 
 func TestProposeAsyncPipelinesInOrder(t *testing.T) {
@@ -77,7 +78,8 @@ func TestClientProposeBatchCommitsOneSlot(t *testing.T) {
 	if !ok {
 		t.Fatalf("slot %d not chosen on r0", slot)
 	}
-	got, ok := mempool.DecodeBatch(v)
+	run, ok := mempool.DecodeBatch(v)
+	got := wiretest.Split(run)
 	if !ok || len(got) != 3 {
 		t.Fatalf("chosen value did not decode as 3-op batch (ok=%v len=%d)", ok, len(got))
 	}
@@ -109,8 +111,8 @@ func TestClientStartWaitFallsBackOnLeaderCrash(t *testing.T) {
 	var committed bool
 	for _, r := range c.replicas[1:] {
 		if v, ok := r.Chosen(slot); ok {
-			ops, isBatch := mempool.DecodeBatch(v)
-			if isBatch && len(ops) == 1 && string(ops[0]) == "survivor" {
+			run, isBatch := mempool.DecodeBatch(v)
+			if ops := wiretest.Split(run); isBatch && len(ops) == 1 && string(ops[0]) == "survivor" {
 				committed = true
 			}
 		}

@@ -10,10 +10,10 @@ import (
 // Batched submission: the mempool's Batcher packs many operations into a
 // single PBFT request (framed by mempool.EncodeBatch), so one three-phase
 // instance orders the whole batch and the apply callback fans it back
-// out with mempool.DecodeBatch. The batch rides the normal client path —
-// one client sequence number per batch — so the cluster's
-// executed-request dedup gives the entire batch exactly-once semantics
-// across retries.
+// out with mempool.DecodeBatch, which returns the operations in place.
+// The batch rides the normal client path — one client sequence number
+// per batch — so the cluster's executed-request dedup gives the entire
+// batch exactly-once semantics across retries.
 
 // Pending is an in-flight client submission started by Start: the fast
 // path has already handed the request to a replica; Wait falls back to

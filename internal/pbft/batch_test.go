@@ -8,6 +8,7 @@ import (
 
 	"prever/internal/mempool"
 	"prever/internal/netsim"
+	"prever/internal/wire/wiretest"
 )
 
 func TestSubmitAsyncDuplicateGetsClosedChannel(t *testing.T) {
@@ -67,7 +68,8 @@ func TestClientSubmitBatchOneInstanceExactlyOnce(t *testing.T) {
 		if len(got) != 1 {
 			t.Fatalf("%s applied %d requests, want 1 batch request", r.ID(), len(got))
 		}
-		decoded, ok := mempool.DecodeBatch([]byte(got[0]))
+		run, ok := mempool.DecodeBatch([]byte(got[0]))
+		decoded := wiretest.Split(run)
 		if !ok || len(decoded) != n {
 			t.Fatalf("%s: applied request did not decode as a %d-op batch (ok=%v, %d ops)", r.ID(), n, ok, len(decoded))
 		}
@@ -109,7 +111,8 @@ func TestClientStartPipelinedKeepsOrder(t *testing.T) {
 			t.Fatalf("%s applied %d requests, want %d", r.ID(), len(got), n)
 		}
 		for i, raw := range got {
-			ops, ok := mempool.DecodeBatch([]byte(raw))
+			run, ok := mempool.DecodeBatch([]byte(raw))
+			ops := wiretest.Split(run)
 			if !ok || len(ops) != 1 {
 				t.Fatalf("%s request %d not a 1-op batch", r.ID(), i)
 			}

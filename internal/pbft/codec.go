@@ -6,94 +6,164 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"hash"
+	"slices"
 	"sync"
 
 	"prever/internal/wire"
 )
 
-// Wire formats. Every message travels in one envelope,
+// Wire formats. Every message travels in one envelope, encoded once per
+// broadcast and handed to every receiver as it stands:
 //
-//	mac[32] | body        mac = HMAC-SHA256(pairwise key, body)
+//	mac[32] × len(ids) | body
+//	slot i = HMAC-SHA256(key from the sender to ids[i], tag | header)
 //
-// and the five normal-case message types — the ones paid per request on
+// tag is the message type (netsim.Message.Type as a str), so a body
+// relabelled as another type does not open. header is what the MACs
+// cover: a pre-prepare's view | seq | digest, and every other type's
+// whole body. This is Castro & Liskov's authenticator — a vector of MACs
+// over a digest, one per receiver — so a pre-prepare's requests are
+// hashed once per replica, by the receiver that checks them against the
+// authenticated digest (onPrePrepare), and MAC'd by nobody. A receiver
+// checks its own slot before it decodes a single request; a slot the
+// sender did not fill (every slot but the receiver's, on a send to one
+// replica) is zero and opens nowhere. Keys are per direction (linkKey):
+// every receiver sees every slot, and with one key per pair a replica
+// could copy the slot a peer filled for it into the peer's own index and
+// hand it back as that peer's vote.
+//
+// The five normal-case message types — the ones paid per request on
 // every replica — have binary bodies (str and bytes are uvarint(len) |
 // bytes, view and seq are uvarints, a digest is 32 raw bytes):
 //
 //	request:     client str | seq | op bytes
 //	pre-prepare: view | seq | digest | uvarint count | request*
-//	prepare:     view | seq | digest | replica str
-//	commit:      view | seq | digest | replica str
-//	checkpoint:  seq | state digest | replica str
+//	prepare:     view | seq | digest
+//	commit:      view | seq | digest
+//	checkpoint:  seq | state digest
 //
-// The receiver knows which decoder to run from netsim.Message.Type, so no
-// body carries a tag. Decoders are strict: short, over-long and trailing
-// input is refused. The four cold types (view-change, new-view, state
-// request, state reply: nested certificates and state images, a handful
-// per run) keep JSON bodies, as do WAL records and snapshots.
+// A vote names no replica: it counts for the sender whose key its MAC
+// opened under. The receiver knows which decoder to run from
+// netsim.Message.Type, so no body carries a tag. Decoders are strict:
+// short, over-long and trailing input is refused. The four cold types
+// (view-change, new-view, state request, state reply: nested
+// certificates and state images, a handful per run) keep JSON bodies, as
+// do WAL records and snapshots. No durable record holds an envelope.
 
 const macSize = sha256.Size
 
 // minRequestBytes is the encoded size of the zero Request.
 const minRequestBytes = 3
 
-// macKey is one pairwise MAC key. hmac.New runs two SHA-256 key
+// macTags maps each message type to the tag its MACs begin with.
+var macTags = func() map[string][]byte {
+	tags := make(map[string][]byte)
+	for _, t := range []string{msgRequest, msgPrePrepare, msgPrepare, msgCommit, msgCheckpoint, msgViewChange, msgNewView, msgStateReq, msgStateRep} {
+		tags[t] = wire.AppendString(nil, t)
+	}
+	return tags
+}()
+
+// macKey is one directional MAC key. hmac.New runs two SHA-256 key
 // schedules, so each key keeps a pool of HMACs already keyed with it and
-// a message costs a Reset, not a New. The MAC bytes are what hmac.New
-// would give.
+// a message costs a Reset, not a New; the MAC bytes are what hmac.New
+// would give. Each pooled HMAC carries the buffer its sum lands in, so
+// checking a MAC allocates nothing.
 type macKey struct {
 	pool sync.Pool
 }
 
+type macState struct {
+	h   hash.Hash
+	sum [macSize]byte
+}
+
 func newMACKey(key []byte) *macKey {
 	k := &macKey{}
-	k.pool.New = func() any { return hmac.New(sha256.New, key) }
+	k.pool.New = func() any { return &macState{h: hmac.New(sha256.New, key)} }
 	return k
 }
 
-// sum appends HMAC-SHA256(key, body) to dst.
-func (k *macKey) sum(dst, body []byte) []byte {
-	mac := k.pool.Get().(hash.Hash)
-	mac.Reset()
-	mac.Write(body)
-	dst = mac.Sum(dst)
-	k.pool.Put(mac)
-	return dst
+// mac is HMAC-SHA256(key, tag | header), valid until s goes back to its pool.
+func (s *macState) mac(tag, header []byte) []byte {
+	s.h.Reset()
+	s.h.Write(tag)
+	s.h.Write(header)
+	return s.h.Sum(s.sum[:0])
 }
 
-// seal wraps body in the envelope for one receiver.
-func seal(key *macKey, body []byte) []byte {
-	out := make([]byte, macSize, macSize+len(body))
-	out = append(out, body...)
-	key.sum(out[:0], body)
-	return out
+// put writes the MAC over tag | header into dst.
+func (k *macKey) put(dst, tag, header []byte) {
+	s := k.pool.Get().(*macState)
+	copy(dst, s.mac(tag, header))
+	k.pool.Put(s)
 }
 
-// open checks the envelope's MAC and returns the body, a sub-slice of
-// payload. Nothing in the body is looked at before the MAC verifies.
-func open(key *macKey, payload []byte) ([]byte, bool) {
-	if key == nil || len(payload) < macSize {
+// check reports whether want is the MAC over tag | header.
+func (k *macKey) check(want, tag, header []byte) bool {
+	s := k.pool.Get().(*macState)
+	ok := hmac.Equal(s.mac(tag, header), want)
+	k.pool.Put(s)
+	return ok
+}
+
+// macInput returns what the MACs of a msgType body cover: the type's
+// tag and the body's header. It is false for a type this package never
+// sends and for a pre-prepare too short to hold its header.
+func macInput(msgType string, body []byte) (tag, header []byte, ok bool) {
+	tag, ok = macTags[msgType]
+	if !ok || msgType != msgPrePrepare {
+		return tag, body, ok
+	}
+	r := wire.NewReader(body)
+	r.Uvarint()
+	r.Uvarint()
+	r.Fixed(len(Digest{}))
+	if !r.OK() {
+		return nil, nil, false
+	}
+	return tag, body[:len(body)-r.Len()], true
+}
+
+// envelope is v encoded behind slots empty MAC slots.
+func envelope(slots int, v any) []byte {
+	return appendBody(make([]byte, slots*macSize), v)
+}
+
+// sign fills slot i of payload, an envelope of slots slots, with key's
+// MAC over its msgType header.
+func sign(key *macKey, slots, i int, msgType string, payload []byte) {
+	tag, hdr, _ := macInput(msgType, payload[slots*macSize:])
+	key.put(payload[i*macSize:(i+1)*macSize], tag, hdr)
+}
+
+// open checks slot i of payload, an envelope of slots slots, against
+// key and returns the body, a sub-slice of payload. Nothing in the body
+// but a pre-prepare's header is looked at before the MAC verifies.
+func open(key *macKey, slots, i int, msgType string, payload []byte) ([]byte, bool) {
+	if key == nil || len(payload) < slots*macSize {
 		return nil, false
 	}
-	body := payload[macSize:]
-	var sum [macSize]byte
-	if !hmac.Equal(key.sum(sum[:0], body), payload[:macSize]) {
+	body := payload[slots*macSize:]
+	tag, hdr, ok := macInput(msgType, body)
+	if !ok || !key.check(payload[i*macSize:(i+1)*macSize], tag, hdr) {
 		return nil, false
 	}
 	return body, true
 }
 
-// encodeBody renders one message body: binary for the normal-case types,
-// JSON for the cold ones.
-func encodeBody(v any) []byte {
+// appendBody appends one message body to b: binary for the normal-case
+// types, JSON for the cold ones.
+func appendBody(b []byte, v any) []byte {
 	switch m := v.(type) {
 	case Request:
-		return appendRequest(make([]byte, 0, len(m.Client)+len(m.Op)+16), &m)
+		return appendRequest(slices.Grow(b, len(m.Client)+len(m.Op)+16), &m)
 	case prePrepareMsg:
 		size := 64
 		for i := range m.Batch {
 			size += len(m.Batch[i].Client) + len(m.Batch[i].Op) + 16
 		}
-		b := make([]byte, 0, size)
+		b = slices.Grow(b, size)
 		b = binary.AppendUvarint(b, m.View)
 		b = binary.AppendUvarint(b, m.Seq)
 		b = append(b, m.Digest[:]...)
@@ -103,17 +173,15 @@ func encodeBody(v any) []byte {
 		}
 		return b
 	case prepareMsg:
-		return appendVote(m)
+		return appendVote(b, m)
 	case commitMsg:
-		return appendVote(prepareMsg(m))
+		return appendVote(b, prepareMsg(m))
 	case checkpointMsg:
-		b := make([]byte, 0, 48+len(m.Replica))
-		b = binary.AppendUvarint(b, m.Seq)
-		b = append(b, m.State[:]...)
-		return wire.AppendString(b, m.Replica)
+		b = binary.AppendUvarint(slices.Grow(b, 48), m.Seq)
+		return append(b, m.State[:]...)
 	}
-	b, _ := json.Marshal(v)
-	return b
+	js, _ := json.Marshal(v)
+	return append(b, js...)
 }
 
 func appendRequest(b []byte, r *Request) []byte {
@@ -123,12 +191,11 @@ func appendRequest(b []byte, r *Request) []byte {
 }
 
 // appendVote encodes a prepare; a commit has the same layout.
-func appendVote(p prepareMsg) []byte {
-	b := make([]byte, 0, 56+len(p.Replica))
+func appendVote(b []byte, p prepareMsg) []byte {
+	b = slices.Grow(b, 56)
 	b = binary.AppendUvarint(b, p.View)
 	b = binary.AppendUvarint(b, p.Seq)
-	b = append(b, p.Digest[:]...)
-	return wire.AppendString(b, p.Replica)
+	return append(b, p.Digest[:]...)
 }
 
 // readRequest consumes one request; Op is a sub-slice of the input.
@@ -162,13 +229,13 @@ func decodePrePrepare(body []byte) (prePrepareMsg, bool) {
 // decodeVote reads a prepare; a commit has the same layout.
 func decodeVote(body []byte) (prepareMsg, bool) {
 	r := wire.NewReader(body)
-	p := prepareMsg{View: r.Uvarint(), Seq: r.Uvarint(), Digest: readDigest(&r), Replica: r.String()}
+	p := prepareMsg{View: r.Uvarint(), Seq: r.Uvarint(), Digest: readDigest(&r)}
 	return p, r.Done()
 }
 
 func decodeCheckpoint(body []byte) (checkpointMsg, bool) {
 	r := wire.NewReader(body)
-	c := checkpointMsg{Seq: r.Uvarint(), State: readDigest(&r), Replica: r.String()}
+	c := checkpointMsg{Seq: r.Uvarint(), State: readDigest(&r)}
 	return c, r.Done()
 }
 

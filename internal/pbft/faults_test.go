@@ -166,7 +166,7 @@ func TestLatePrePrepareBelowStableCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	feed := func(from, msgType string, m any) {
-		r.handle(netsim.Message{From: from, To: "p3", Type: msgType, Payload: seal(r.keys[from], encodeBody(m))})
+		r.handle(netsim.Message{From: from, To: "p3", Type: msgType, Payload: sealFrom(clusterKey, ids, from, msgType, m)})
 	}
 	prePrepare := func(seq uint64) prePrepareMsg {
 		pp := prePrepareMsg{Seq: seq, Batch: []Request{{Client: "c", Seq: seq, Op: []byte("op")}}}
@@ -175,10 +175,10 @@ func TestLatePrePrepareBelowStableCheckpoint(t *testing.T) {
 	}
 	votes := func(pp prePrepareMsg) {
 		for _, from := range []string{"p1", "p2"} {
-			feed(from, msgPrepare, prepareMsg{Seq: pp.Seq, Digest: pp.Digest, Replica: from})
+			feed(from, msgPrepare, prepareMsg{Seq: pp.Seq, Digest: pp.Digest})
 		}
 		for _, from := range []string{"p0", "p1", "p2"} {
-			feed(from, msgCommit, commitMsg{Seq: pp.Seq, Digest: pp.Digest, Replica: from})
+			feed(from, msgCommit, commitMsg{Seq: pp.Seq, Digest: pp.Digest})
 		}
 	}
 	for seq := uint64(0); seq < 3; seq++ {
@@ -192,7 +192,7 @@ func TestLatePrePrepareBelowStableCheckpoint(t *testing.T) {
 	late := prePrepare(3)
 	votes(late)
 	for _, from := range []string{"p0", "p1", "p2"} {
-		feed(from, msgCheckpoint, checkpointMsg{Seq: 4, Replica: from})
+		feed(from, msgCheckpoint, checkpointMsg{Seq: 4})
 	}
 	feed("p0", msgPrePrepare, late)
 	if got := r.Executed(); got != 4 {

@@ -1,10 +1,18 @@
 // Package pbft implements Practical Byzantine Fault Tolerance
 // (Castro & Liskov, OSDI '99) over the simulated network: the three-phase
-// pre-prepare / prepare / commit protocol, HMAC message authentication,
-// checkpointing, and a view-change protocol that recovers
-// prepared-but-unexecuted requests under a new primary. The primary
-// proposes one request per instance; batching happens upstream, in
-// internal/mempool, whose framed batch rides as one request.
+// pre-prepare / prepare / commit protocol, checkpointing, and a
+// view-change protocol that recovers prepared-but-unexecuted requests
+// under a new primary. The primary proposes one request per instance;
+// batching happens upstream, in internal/mempool, whose framed batch
+// rides as one request.
+//
+// Messages are authenticated as the paper does it: each broadcast is
+// encoded once into an envelope carrying one HMAC per receiver over the
+// message type and header (for a pre-prepare, the digest, not the
+// batch), and every receiver gets the same bytes. A vote counts for the
+// replica whose key authenticated it, never for a name in its body. A
+// backup hashes a pre-prepare's batch once, against the authenticated
+// digest, and that digest is what the instance carries to execution.
 //
 // PReVer uses PBFT twice: as the standard BFT baseline the paper prescribes
 // for evaluation (experiment E4), and as the ordering service underneath
@@ -18,6 +26,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -56,24 +65,22 @@ type prePrepareMsg struct {
 	Batch  []Request `json:"batch"`
 }
 
+// The votes name no replica: each counts for its authenticated sender.
 type prepareMsg struct {
-	View    uint64 `json:"view"`
-	Seq     uint64 `json:"seq"`
-	Digest  Digest `json:"digest"`
-	Replica string `json:"replica"`
+	View   uint64 `json:"view"`
+	Seq    uint64 `json:"seq"`
+	Digest Digest `json:"digest"`
 }
 
 type commitMsg struct {
-	View    uint64 `json:"view"`
-	Seq     uint64 `json:"seq"`
-	Digest  Digest `json:"digest"`
-	Replica string `json:"replica"`
+	View   uint64 `json:"view"`
+	Seq    uint64 `json:"seq"`
+	Digest Digest `json:"digest"`
 }
 
 type checkpointMsg struct {
-	Seq     uint64 `json:"seq"`
-	State   Digest `json:"state"`
-	Replica string `json:"replica"`
+	Seq   uint64 `json:"seq"`
+	State Digest `json:"state"`
 }
 
 // preparedEntry carries a prepared batch inside a view-change message so
@@ -89,7 +96,6 @@ type viewChangeMsg struct {
 	NewView  uint64          `json:"newView"`
 	Stable   uint64          `json:"stable"`
 	Prepared []preparedEntry `json:"prepared,omitempty"`
-	Replica  string          `json:"replica"`
 	// Exec is the sender's executed floor. A recovered replica holds no
 	// prepared certificates below its snapshot floor (they were compacted
 	// into the snapshot), so the new primary cannot take an absent
@@ -136,7 +142,6 @@ type stateImage struct {
 type stateRepMsg struct {
 	Entries []execEntry `json:"entries,omitempty"`
 	Snap    *stateImage `json:"snap,omitempty"`
-	Replica string      `json:"replica"`
 	// View is the sender's current view: state transfer doubles as view
 	// synchronization. A replica that was down when a new-view message
 	// was broadcast has no other way to learn the cluster moved on — it
@@ -221,7 +226,11 @@ type Replica struct {
 	net   *netsim.Network
 	apply Applier
 	opts  Options
-	keys  map[string]*macKey // peer id -> pairwise MAC key; fixed after construction
+	// Per-direction MAC keys, by peer id: sendKeys[p] signs what this
+	// replica sends p, recvKeys[p] checks what p sends it. Fixed after
+	// construction.
+	sendKeys map[string]*macKey
+	recvKeys map[string]*macKey
 
 	mu         sync.Mutex
 	view       uint64
@@ -317,12 +326,14 @@ func newReplica(net *netsim.Network, id string, ids []string, f int, apply Appli
 		vcTimers:   make(map[Digest]*vcTimer),
 		execLog:    make(map[uint64]execEntry),
 		stateVotes: make(map[uint64]map[string]execEntry),
-		keys:       make(map[string]*macKey, len(ids)),
+		sendKeys:   make(map[string]*macKey, len(ids)),
+		recvKeys:   make(map[string]*macKey, len(ids)),
 	}
 	// Own id included: a replica that adopts a view it leads forwards its
 	// revived requests to that view's primary, itself.
 	for _, peer := range ids {
-		r.keys[peer] = pairKey(clusterKey, id, peer)
+		r.sendKeys[peer] = linkKey(clusterKey, id, peer)
+		r.recvKeys[peer] = linkKey(clusterKey, peer, id)
 	}
 	return r, nil
 }
@@ -341,10 +352,12 @@ func (r *Replica) View() uint64 {
 func (r *Replica) Primary() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.primaryLocked(r.view)
+	return r.primaryOf(r.view)
 }
 
-func (r *Replica) primaryLocked(view uint64) string {
+// primaryOf is view's primary. It reads only ids, fixed after
+// construction, so it needs no lock.
+func (r *Replica) primaryOf(view uint64) string {
 	return r.ids[int(view)%len(r.ids)]
 }
 
@@ -352,7 +365,7 @@ func (r *Replica) primaryLocked(view uint64) string {
 func (r *Replica) IsPrimary() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.primaryLocked(r.view) == r.id
+	return r.primaryOf(r.view) == r.id
 }
 
 // Executed returns how many sequences this replica has executed.
@@ -371,31 +384,41 @@ func (r *Replica) commitQuorum() int  { return 2*r.f + 1 }
 // clusterKey is the MAC master key; the simulated cluster distributes none.
 var clusterKey = []byte("prever/pbft/default-cluster-key")
 
-// pairKey derives the MAC key two replicas share from the cluster master
-// key, modelling PBFT's pairwise authenticators. Each replica derives
-// its keys once, at construction.
-func pairKey(master []byte, a, b string) *macKey {
-	if a > b {
-		a, b = b, a
-	}
+// linkKey derives the key that authenticates messages from one replica
+// to another, modelling PBFT's session keys: k(from, to) and k(to, from)
+// differ, so a MAC a replica sent can never be handed back to it as a
+// message from its receiver. Each replica derives its keys once, at
+// construction.
+func linkKey(master []byte, from, to string) *macKey {
 	mac := hmac.New(sha256.New, master)
-	mac.Write([]byte(a))
+	mac.Write([]byte(from))
 	mac.Write([]byte{0})
-	mac.Write([]byte(b))
+	mac.Write([]byte(to))
 	return newMACKey(mac.Sum(nil))
 }
 
+// send authenticates v to one replica, to, always a member of ids: only
+// its slot is filled.
 func (r *Replica) send(to, msgType string, v any) {
-	r.net.Send(netsim.Message{From: r.id, To: to, Type: msgType, Payload: seal(r.keys[to], encodeBody(v))})
+	payload := envelope(len(r.ids), v)
+	sign(r.sendKeys[to], len(r.ids), slices.Index(r.ids, to), msgType, payload)
+	r.net.Send(netsim.Message{From: r.id, To: to, Type: msgType, Payload: payload})
 }
 
+// broadcast encodes v once, fills every other replica's slot, and hands
+// each of them the same payload — only once every slot is filled: from
+// the first Send on, a receiver may be reading it.
 func (r *Replica) broadcast(msgType string, v any) {
-	body := encodeBody(v)
-	for _, id := range r.ids {
-		if id == r.id {
-			continue
+	payload := envelope(len(r.ids), v)
+	for i, id := range r.ids {
+		if id != r.id {
+			sign(r.sendKeys[id], len(r.ids), i, msgType, payload)
 		}
-		r.net.Send(netsim.Message{From: r.id, To: id, Type: msgType, Payload: seal(r.keys[id], body)})
+	}
+	for _, id := range r.ids {
+		if id != r.id {
+			r.net.Send(netsim.Message{From: r.id, To: id, Type: msgType, Payload: payload})
+		}
 	}
 }
 
@@ -441,7 +464,7 @@ func (r *Replica) SubmitAsync(client string, clientSeq uint64, op []byte) <-chan
 	// view change nobody else joins) would otherwise stall the request
 	// forever with no timer anywhere to force a view change.
 	r.armViewChangeTimerLocked(d, req)
-	isPrimary := r.primaryLocked(r.view) == r.id && !r.inVC
+	isPrimary := r.primaryOf(r.view) == r.id && !r.inVC
 	if isPrimary {
 		if !r.inFlightLocked(req) {
 			r.proposeLocked(d, req)
@@ -498,7 +521,7 @@ func (r *Replica) onViewChangeTimeout(d Digest, req Request) {
 		r.armViewChangeTimerLocked(d, req)
 	}
 	if !r.inVC {
-		if r.primaryLocked(r.view) == r.id && !r.inFlightLocked(req) {
+		if r.primaryOf(r.view) == r.id && !r.inFlightLocked(req) {
 			// This replica became primary after the request was armed
 			// and never proposed it: propose it rather than view-changing
 			// away from itself. If the request IS in flight, the view's
@@ -540,7 +563,7 @@ func (r *Replica) onViewChangeTimeout(d Digest, req Request) {
 		return
 	}
 	r.vcSolo++
-	vc := viewChangeMsg{NewView: target, Stable: r.stable, Prepared: r.preparedSetLocked(), Replica: r.id, Exec: r.execSeq}
+	vc := viewChangeMsg{NewView: target, Stable: r.stable, Prepared: r.preparedSetLocked(), Exec: r.execSeq}
 	r.mu.Unlock()
 	r.broadcast(msgViewChange, vc)
 }
@@ -588,7 +611,7 @@ func (r *Replica) proposeLocked(d Digest, req Request) {
 	view := r.view
 	r.mu.Unlock()
 	r.broadcast(msgPrePrepare, pp)
-	r.broadcast(msgPrepare, prepareMsg{View: view, Seq: seq, Digest: pp.Digest, Replica: r.id})
+	r.broadcast(msgPrepare, prepareMsg{View: view, Seq: seq, Digest: pp.Digest})
 	r.mu.Lock()
 	inst.prepares[r.id] = true
 	r.maybeCommitLocked(seq)
@@ -606,7 +629,7 @@ func (r *Replica) instLocked(seq uint64) *instState {
 // --- message handling ---
 
 func (r *Replica) handle(m netsim.Message) {
-	body, ok := open(r.keys[m.From], m.Payload)
+	body, ok := open(r.recvKeys[m.From], len(r.ids), r.index, m.Type, m.Payload)
 	if !ok {
 		return // bad MAC: discard (Byzantine sender or corruption)
 	}
@@ -621,22 +644,22 @@ func (r *Replica) handle(m netsim.Message) {
 		}
 	case msgPrepare:
 		if p, ok := decodeVote(body); ok {
-			r.onPrepare(p)
+			r.onPrepare(m.From, p)
 		}
 	case msgCommit:
 		if c, ok := decodeVote(body); ok {
-			r.onCommit(commitMsg(c))
+			r.onCommit(m.From, commitMsg(c))
 		}
 	case msgCheckpoint:
 		if c, ok := decodeCheckpoint(body); ok {
-			r.onCheckpoint(c)
+			r.onCheckpoint(m.From, c)
 		}
 	case msgViewChange:
 		var vc viewChangeMsg
 		if json.Unmarshal(body, &vc) != nil {
 			return
 		}
-		r.onViewChange(vc)
+		r.onViewChange(m.From, vc)
 	case msgNewView:
 		var nv newViewMsg
 		if json.Unmarshal(body, &nv) != nil {
@@ -666,7 +689,7 @@ func (r *Replica) onRequest(req Request) {
 		return
 	}
 	r.armViewChangeTimerLocked(d, req)
-	if r.inVC || r.primaryLocked(r.view) != r.id {
+	if r.inVC || r.primaryOf(r.view) != r.id {
 		// Backup (or mid-view-change): the request is only watched, so a
 		// dead primary — or a stalled view change — triggers escalation
 		// from f+1 replicas, not just the submitting one.
@@ -683,19 +706,27 @@ func (r *Replica) onRequest(req Request) {
 	r.mu.Unlock()
 }
 
+// onPrePrepare accepts a pre-prepare whose MAC authenticated its header
+// only: the batch is hashed here, once, against the digest, and from
+// then on the instance's digest stands for the batch.
 func (r *Replica) onPrePrepare(from string, pp prePrepareMsg) {
+	// The cheap checks come before the hash, so a replica that is not the
+	// current primary cannot make its peers hash batches for nothing.
+	// The view is checked again under the lock below: it may move while
+	// the batch is hashed.
+	r.mu.Lock()
+	current := pp.View == r.view && !r.inVC
+	r.mu.Unlock()
+	if !current || from != r.primaryOf(pp.View) {
+		return // only the current view's primary may pre-prepare
+	}
+	if digestOf(pp.Batch) != pp.Digest {
+		return // digest mismatch: Byzantine primary, or a batch altered in flight
+	}
 	r.mu.Lock()
 	if pp.View != r.view || r.inVC {
 		r.mu.Unlock()
 		return
-	}
-	if from != r.primaryLocked(pp.View) {
-		r.mu.Unlock()
-		return // only the primary may pre-prepare
-	}
-	if digestOf(pp.Batch) != pp.Digest {
-		r.mu.Unlock()
-		return // digest mismatch: Byzantine primary
 	}
 	inst := r.instLocked(pp.Seq)
 	if inst.prePrepared && inst.digest != pp.Digest {
@@ -716,14 +747,14 @@ func (r *Replica) onPrePrepare(from string, pp prePrepareMsg) {
 	}
 	view := r.view
 	r.mu.Unlock()
-	r.broadcast(msgPrepare, prepareMsg{View: view, Seq: pp.Seq, Digest: pp.Digest, Replica: r.id})
+	r.broadcast(msgPrepare, prepareMsg{View: view, Seq: pp.Seq, Digest: pp.Digest})
 	r.mu.Lock()
 	inst.prepares[r.id] = true
 	r.maybeCommitLocked(pp.Seq)
 	r.mu.Unlock()
 }
 
-func (r *Replica) onPrepare(p prepareMsg) {
+func (r *Replica) onPrepare(from string, p prepareMsg) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if p.View != r.view || r.inVC {
@@ -733,7 +764,7 @@ func (r *Replica) onPrepare(p prepareMsg) {
 	if inst.prePrepared && inst.digest != p.Digest {
 		return
 	}
-	inst.prepares[p.Replica] = true
+	inst.prepares[from] = true
 	r.maybeCommitLocked(p.Seq)
 }
 
@@ -755,7 +786,7 @@ func (r *Replica) maybeCommitLocked(seq uint64) {
 	if !r.journalLocked(pbRecord{K: pbCM, View: r.view, Seq: seq, Digest: inst.digest}) {
 		return
 	}
-	c := commitMsg{View: r.view, Seq: seq, Digest: inst.digest, Replica: r.id}
+	c := commitMsg{View: r.view, Seq: seq, Digest: inst.digest}
 	r.mu.Unlock()
 	r.broadcast(msgCommit, c)
 	r.mu.Lock()
@@ -764,7 +795,7 @@ func (r *Replica) maybeCommitLocked(seq uint64) {
 	r.maybeExecuteLocked()
 }
 
-func (r *Replica) onCommit(c commitMsg) {
+func (r *Replica) onCommit(from string, c commitMsg) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if c.View != r.view || r.inVC {
@@ -774,7 +805,7 @@ func (r *Replica) onCommit(c commitMsg) {
 	if inst.prePrepared && inst.digest != c.Digest {
 		return
 	}
-	inst.commits[c.Replica] = true
+	inst.commits[from] = true
 	r.markDecidedLocked(inst)
 	r.maybeExecuteLocked()
 }
@@ -812,7 +843,10 @@ func (r *Replica) maybeExecuteLocked() {
 // peers), dedups against executed client requests, applies, and wakes
 // waiters. The mutex is released around the Applier call and re-held on
 // return. Both the normal commit path and state-transfer catch-up land
-// here, so a sequence can never execute twice.
+// here, so a sequence can never execute twice. digest is digestOf(batch)
+// on every path (computed by the proposer, checked by onPrePrepare,
+// onViewChange and onStateRep, or read back from this replica's own
+// journal), so a one-request batch's digest is its request's.
 func (r *Replica) executeInstanceLocked(seq uint64, digest Digest, batch []Request) {
 	inst := r.instLocked(seq)
 	inst.executed = true
@@ -831,7 +865,10 @@ func (r *Replica) executeInstanceLocked(seq uint64, digest Digest, batch []Reque
 		}
 		r.executedR[reqKey(req)] = true
 		fresh = append(fresh, req)
-		d := digestOf([]Request{req})
+		d := digest
+		if len(batch) > 1 {
+			d = digestOf([]Request{req})
+		}
 		wake = append(wake, r.waiters[d]...)
 		delete(r.waiters, d)
 		if vt, ok := r.vcTimers[d]; ok {
@@ -866,29 +903,29 @@ func (r *Replica) executeInstanceLocked(seq uint64, digest Digest, batch []Reque
 	// record, and a checkpoint quorum it joined would have let peers
 	// discard the very entries needed to re-feed it.
 	if durable && r.execSeq%r.opts.CheckpointEvery == 0 {
-		ck := checkpointMsg{Seq: r.execSeq, Replica: r.id}
+		ck := checkpointMsg{Seq: r.execSeq}
 		r.mu.Unlock()
 		r.broadcast(msgCheckpoint, ck)
 		r.mu.Lock()
-		r.recordCheckpointLocked(ck)
+		r.recordCheckpointLocked(r.id, ck)
 	}
 	r.maybeSnapshotLocked(seq)
 }
 
-func (r *Replica) onCheckpoint(c checkpointMsg) {
+func (r *Replica) onCheckpoint(from string, c checkpointMsg) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.recordCheckpointLocked(c)
+	r.recordCheckpointLocked(from, c)
 }
 
-func (r *Replica) recordCheckpointLocked(c checkpointMsg) {
+func (r *Replica) recordCheckpointLocked(from string, c checkpointMsg) {
 	if c.Seq <= r.stable {
 		return
 	}
 	if r.ckpts[c.Seq] == nil {
 		r.ckpts[c.Seq] = map[string]bool{}
 	}
-	r.ckpts[c.Seq][c.Replica] = true
+	r.ckpts[c.Seq][from] = true
 	if len(r.ckpts[c.Seq]) >= r.commitQuorum() {
 		r.stable = c.Seq
 		// Garbage-collect the executed instances below the stable
@@ -925,12 +962,11 @@ func (r *Replica) StartViewChange(newView uint64) {
 		NewView:  newView,
 		Stable:   r.stable,
 		Prepared: r.preparedSetLocked(),
-		Replica:  r.id,
 		Exec:     r.execSeq,
 	}
 	r.mu.Unlock()
 	r.broadcast(msgViewChange, vc)
-	r.onViewChange(vc) // count own vote
+	r.onViewChange(r.id, vc) // count own vote
 }
 
 // preparedSetLocked collects the prepared certificates above the stable
@@ -954,7 +990,7 @@ func (r *Replica) preparedSetLocked() []preparedEntry {
 	return out
 }
 
-func (r *Replica) onViewChange(vc viewChangeMsg) {
+func (r *Replica) onViewChange(from string, vc viewChangeMsg) {
 	r.mu.Lock()
 	if vc.NewView <= r.view {
 		r.mu.Unlock()
@@ -963,10 +999,10 @@ func (r *Replica) onViewChange(vc viewChangeMsg) {
 	if r.vcs[vc.NewView] == nil {
 		r.vcs[vc.NewView] = map[string]viewChangeMsg{}
 	}
-	r.vcs[vc.NewView][vc.Replica] = vc
+	r.vcs[vc.NewView][from] = vc
 	count := len(r.vcs[vc.NewView])
 	target := r.vcTarget
-	iAmNewPrimary := r.primaryLocked(vc.NewView) == r.id
+	iAmNewPrimary := r.primaryOf(vc.NewView) == r.id
 	r.mu.Unlock()
 
 	// Join a view change once f+1 replicas vote for a view beyond any
@@ -1010,6 +1046,9 @@ func (r *Replica) onViewChange(vc viewChangeMsg) {
 			base = v.Exec
 		}
 		for _, pe := range v.Prepared {
+			if digestOf(pe.Batch) != pe.Digest {
+				continue // not a certificate for any batch: a Byzantine voter's
+			}
 			cur, ok := adopt[pe.Seq]
 			if !ok || cur.View < pe.View {
 				adopt[pe.Seq] = pe
@@ -1076,7 +1115,7 @@ func (r *Replica) reproposeAsPrimary(pp prePrepareMsg) {
 	view := r.view
 	r.mu.Unlock()
 	r.broadcast(msgPrePrepare, pp)
-	r.broadcast(msgPrepare, prepareMsg{View: view, Seq: pp.Seq, Digest: pp.Digest, Replica: r.id})
+	r.broadcast(msgPrepare, prepareMsg{View: view, Seq: pp.Seq, Digest: pp.Digest})
 	r.mu.Lock()
 	inst.prepares[r.id] = true
 	r.maybeCommitLocked(pp.Seq)
@@ -1085,7 +1124,7 @@ func (r *Replica) reproposeAsPrimary(pp prePrepareMsg) {
 
 func (r *Replica) onNewView(from string, nv newViewMsg) {
 	r.mu.Lock()
-	if nv.View <= r.view || from != r.primaryLocked(nv.View) {
+	if nv.View <= r.view || from != r.primaryOf(nv.View) {
 		r.mu.Unlock()
 		return
 	}
@@ -1226,7 +1265,7 @@ func (r *Replica) Sync() {
 		if !ok || inst.executed || !inst.certSet {
 			continue
 		}
-		revotes = append(revotes, commitMsg{View: r.view, Seq: seq, Digest: inst.certDigest, Replica: r.id})
+		revotes = append(revotes, commitMsg{View: r.view, Seq: seq, Digest: inst.certDigest})
 		inst.commits[r.id] = true
 	}
 	view := r.view
@@ -1239,7 +1278,7 @@ func (r *Replica) Sync() {
 
 func (r *Replica) onStateReq(from string, s stateReqMsg) {
 	r.mu.Lock()
-	rep := stateRepMsg{Replica: r.id, View: r.view}
+	rep := stateRepMsg{View: r.view}
 	// Alongside each served entry goes a fresh commit vote: this replica
 	// executed (or decided) the sequence, so re-attesting it is sound,
 	// and it lets a straggler whose own certificate plus peer re-votes
@@ -1250,7 +1289,7 @@ func (r *Replica) onStateReq(from string, s stateReqMsg) {
 	for seq := s.Have; seq < r.execSeq; seq++ {
 		if e, ok := r.execLog[seq]; ok {
 			rep.Entries = append(rep.Entries, e)
-			revotes = append(revotes, commitMsg{View: r.view, Seq: seq, Digest: e.Digest, Replica: r.id})
+			revotes = append(revotes, commitMsg{View: r.view, Seq: seq, Digest: e.Digest})
 		}
 	}
 	// Decided-but-unexecuted instances (above a local execution gap) are
@@ -1321,7 +1360,7 @@ func (r *Replica) onStateRep(from string, s stateRepMsg) {
 			sort.Slice(claims, func(i, j int) bool { return claims[i] > claims[j] })
 			if v := claims[r.f]; v > r.view { // f+1 senders claim ≥ v
 				revive := r.enterViewLocked(v, r.nextSeq)
-				primary := r.primaryLocked(v)
+				primary := r.primaryOf(v)
 				r.mu.Unlock()
 				for _, req := range revive {
 					r.send(primary, msgRequest, req)

@@ -40,6 +40,9 @@ func (r *Reader) Done() bool { return !r.bad && len(r.b) == 0 }
 // OK reports whether every field so far decoded.
 func (r *Reader) OK() bool { return !r.bad }
 
+// Len reports how many bytes are left to read.
+func (r *Reader) Len() int { return len(r.b) }
+
 // Fail marks the input malformed (a decoder's own range check failed).
 func (r *Reader) Fail() { r.bad = true }
 

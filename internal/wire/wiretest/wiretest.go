@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"prever/internal/wire"
 )
 
 // Golden checks got against a hex golden file (whitespace is layout only)
@@ -49,4 +51,20 @@ func AllocBytes(f func()) uint64 {
 		}
 	}
 	return best
+}
+
+// Split walks a (uvarint len | item)* run — a batch frame's ops as
+// mempool.DecodeBatch returns them, or a block body — and returns the
+// items as sub-slices of it. It panics if run is not well framed: a
+// decoder that accepted it is wrong.
+func Split(run []byte) [][]byte {
+	var items [][]byte
+	r := wire.NewReader(run)
+	for r.Len() > 0 {
+		items = append(items, r.Bytes())
+	}
+	if !r.Done() {
+		panic("wiretest: run is not well framed")
+	}
+	return items
 }
