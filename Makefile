@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race bench bench-check deps-check vet fmt fmt-check lint chaos fuzz-smoke heap-smoke cost-smoke serve-smoke serve-smoke-durable
+.PHONY: build test check race bench bench-check deps-check vet fmt fmt-check lint chaos chaos-sim chaos-regress fuzz-smoke heap-smoke cost-smoke serve-smoke serve-smoke-durable
 
 build:
 	$(GO) build ./...
@@ -49,6 +49,27 @@ race:
 # run with CHAOS_SEED=<seed> make chaos.
 chaos:
 	$(GO) test -race -count=1 -v ./internal/chaos
+
+# chaos-sim runs the same schedules on virtual time, one per seed of
+# SEEDS (seeds and lo-hi ranges, comma-separated), for the schedules
+# named in SIM (comma-separated; empty means all six). GOEXPERIMENT=synctest
+# builds internal/chaos/chaos_sim_test.go, which runs each schedule in a
+# testing/synctest bubble, so a schedule that waits seconds takes
+# milliseconds. On one CPU a seed names one interleaving, so a failing
+# seed replays; the run ends by listing every failing seed with the
+# command that replays it, e.g.
+#   make chaos-sim SIM=PBFTRecoverFromDisk SEEDS=116
+SIM ?=
+SEEDS ?= 0-449
+chaos-sim:
+	GOEXPERIMENT=synctest CHAOS_SIM=$(SIM) CHAOS_SEEDS=$(SEEDS) $(GO) test -cpu 1 -count=1 -timeout 60m -run '^TestChaosSim$$' ./internal/chaos
+
+# chaos-regress replays the durable-recovery seeds 217 and 255 on
+# virtual time. Their replicas never converged while each up-to-date
+# peer offered an image of its own tip, which no two peers shared; with
+# images taken at multiples of SnapshotEvery both must converge.
+chaos-regress:
+	@$(MAKE) --no-print-directory chaos-sim SIM=PBFTRecoverFromDisk SEEDS=217,255
 
 # fuzz-smoke runs every Fuzz* target of the root module for 10 s (plain
 # `go test` only replays a target's seed corpus). Go fuzzes one target of
@@ -114,8 +135,10 @@ bench-check:
 # fan-out's concurrency contract is only proven with -race), the peer's
 # retained-heap gate and the cost gates (both
 # without -race), the benchmark module, ten seconds of fuzzing per Fuzz*
-# target, the server boot smoke test, and the kill -9 recovery smoke test.
-check: fmt-check vet lint deps-check race heap-smoke cost-smoke bench-check fuzz-smoke serve-smoke serve-smoke-durable
+# target, the server boot smoke test, the kill -9 recovery smoke test, and
+# the virtual-time replay of the durable chaos seeds that once never
+# converged.
+check: fmt-check vet lint deps-check race heap-smoke cost-smoke bench-check fuzz-smoke serve-smoke serve-smoke-durable chaos-regress
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run xxx ./...

@@ -8,6 +8,9 @@
 // logs its seed and honours the CHAOS_SEED environment variable. The
 // replay is best-effort — the action sequence is deterministic in the
 // seed, but which node an action hits also depends on cluster timing.
+// `make chaos-sim` runs the same schedules on virtual time instead
+// (chaos_sim_test.go), hundreds of seeds a minute, where a failing seed
+// replays.
 package chaos
 
 import (

@@ -64,8 +64,9 @@ func (c *batchChecker) snapshot() (ops, bad []string) {
 // failover client while the injector crashes and isolates replicas:
 // every acked op must survive into a contiguous, exactly-once,
 // replica-identical applied stream.
-func TestChaosPaxosBatched(t *testing.T) {
-	seed := chaosSeed(t)
+func TestChaosPaxosBatched(t *testing.T) { chaosPaxosBatched(t, chaosSeed(t)) }
+
+func chaosPaxosBatched(t *testing.T, seed int64) {
 	logSeed(t, seed)
 	net := netsim.New(faultyConfig(seed, 0.01))
 	defer net.Close()
@@ -107,9 +108,8 @@ func TestChaosPaxosBatched(t *testing.T) {
 	})
 
 	inj := NewInjector(net, targets, Options{MaxDown: 2, Seed: seed})
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() { defer close(done); inj.Run(stop, 20*time.Millisecond) }()
+	halt := startInjector(inj, 20*time.Millisecond)
+	defer halt()
 
 	const ops = 60
 	var acked []string
@@ -141,8 +141,7 @@ func TestChaosPaxosBatched(t *testing.T) {
 	for err := range errs {
 		t.Fatalf("%v (seed %d, events %v)", err, seed, inj.Events())
 	}
-	close(stop)
-	<-done
+	halt()
 	batcher.Stop()
 	if err := inj.HealAll(); err != nil {
 		t.Fatalf("%v (seed %d)", err, seed)
@@ -235,8 +234,9 @@ func TestChaosPaxosBatched(t *testing.T) {
 // crash/isolation schedule, with every transaction also submitted a
 // second time to exercise duplicate suppression under faults. Chains
 // must stay identical, audit-clean, and exactly-once.
-func TestChaosShardBatched(t *testing.T) {
-	seed := chaosSeed(t)
+func TestChaosShardBatched(t *testing.T) { chaosShardBatched(t, chaosSeed(t)) }
+
+func chaosShardBatched(t *testing.T, seed int64) {
 	logSeed(t, seed)
 	net := netsim.New(faultyConfig(seed, 0))
 	defer net.Close()
@@ -263,9 +263,8 @@ func TestChaosShardBatched(t *testing.T) {
 		targets = append(targets, Target{ID: r.ID(), Crash: r.Crash, Restart: r.Restart})
 	}
 	inj := NewInjector(net, targets, Options{MaxDown: 1, Seed: seed})
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() { defer close(done); inj.Run(stop, 25*time.Millisecond) }()
+	halt := startInjector(inj, 25*time.Millisecond)
+	defer halt()
 
 	// Unique keys: under failover retries a delayed batch may commit
 	// after a younger one, so cross-batch per-key write order is only
@@ -296,8 +295,7 @@ func TestChaosShardBatched(t *testing.T) {
 			t.Fatalf("submission %d never resolved (seed %d, events %v)", i, seed, inj.Events())
 		}
 	}
-	close(stop)
-	<-done
+	halt()
 	if err := inj.HealAll(); err != nil {
 		t.Fatalf("%v (seed %d)", err, seed)
 	}

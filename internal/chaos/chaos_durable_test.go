@@ -75,8 +75,9 @@ func (n *durablePBFTChaosNode) checker() *durableSeqChecker {
 	return n.sc
 }
 
-func TestChaosPBFTRecoverFromDisk(t *testing.T) {
-	seed := chaosSeed(t)
+func TestChaosPBFTRecoverFromDisk(t *testing.T) { chaosPBFTRecoverFromDisk(t, chaosSeed(t)) }
+
+func chaosPBFTRecoverFromDisk(t *testing.T, seed int64) {
 	logSeed(t, seed)
 	// DropRate 0 as in TestChaosPBFT: no retransmission layer.
 	net := netsim.New(faultyConfig(seed, 0))
@@ -148,9 +149,8 @@ func TestChaosPBFTRecoverFromDisk(t *testing.T) {
 	}
 
 	inj := NewInjector(net, targets, Options{MaxDown: 1, Seed: seed})
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() { defer close(done); inj.Run(stop, 20*time.Millisecond) }()
+	halt := startInjector(inj, 20*time.Millisecond)
+	defer halt()
 
 	const ops = 30
 	var acked []string
@@ -162,8 +162,7 @@ func TestChaosPBFTRecoverFromDisk(t *testing.T) {
 		acked = append(acked, op)
 		time.Sleep(5 * time.Millisecond)
 	}
-	close(stop)
-	<-done
+	halt()
 	if err := inj.HealAll(); err != nil {
 		t.Fatalf("%v (seed %d)", err, seed)
 	}

@@ -28,6 +28,20 @@ func chaosSeed(t *testing.T) int64 {
 	return time.Now().UnixNano()
 }
 
+// startInjector runs inj's schedule every interval until halt is called.
+// halt waits for the schedule to stop and may be called more than once,
+// so a test both defers it (a failing test must not leave the schedule
+// running) and calls it where the schedule ends.
+func startInjector(inj *Injector, every time.Duration) (halt func()) {
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() { defer close(done); inj.Run(stop, every) }()
+	return sync.OnceFunc(func() {
+		close(stop)
+		<-done
+	})
+}
+
 func logSeed(t *testing.T, seed int64) {
 	t.Helper()
 	t.Logf("chaos seed: %d (replay with CHAOS_SEED=%d)", seed, seed)
@@ -72,8 +86,9 @@ func (c *slotChecker) snapshot() (values, bad []string) {
 	return append([]string(nil), c.values...), append([]string(nil), c.bad...)
 }
 
-func TestChaosPaxos(t *testing.T) {
-	seed := chaosSeed(t)
+func TestChaosPaxos(t *testing.T) { chaosPaxos(t, chaosSeed(t)) }
+
+func chaosPaxos(t *testing.T, seed int64) {
 	logSeed(t, seed)
 	net := netsim.New(faultyConfig(seed, 0.01))
 	defer net.Close()
@@ -101,9 +116,8 @@ func TestChaosPaxos(t *testing.T) {
 	}
 
 	inj := NewInjector(net, targets, Options{MaxDown: 2, Seed: seed})
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() { defer close(done); inj.Run(stop, 20*time.Millisecond) }()
+	halt := startInjector(inj, 20*time.Millisecond)
+	defer halt()
 
 	const ops = 40
 	var acked []string
@@ -115,8 +129,7 @@ func TestChaosPaxos(t *testing.T) {
 		acked = append(acked, v)
 		time.Sleep(5 * time.Millisecond)
 	}
-	close(stop)
-	<-done
+	halt()
 	if err := inj.HealAll(); err != nil {
 		t.Fatalf("%v (seed %d)", err, seed)
 	}
@@ -238,8 +251,9 @@ func (c *seqChecker) snapshot() (ops, bad []string) {
 	return append([]string(nil), c.ops...), append([]string(nil), c.bad...)
 }
 
-func TestChaosPBFT(t *testing.T) {
-	seed := chaosSeed(t)
+func TestChaosPBFT(t *testing.T) { chaosPBFT(t, chaosSeed(t)) }
+
+func chaosPBFT(t *testing.T, seed int64) {
 	logSeed(t, seed)
 	// DropRate 0: PBFT has no retransmission layer, so chaos comes from
 	// crashes, isolation, duplicates, and reordering instead of loss.
@@ -269,9 +283,8 @@ func TestChaosPBFT(t *testing.T) {
 	}
 
 	inj := NewInjector(net, targets, Options{MaxDown: 1, Seed: seed})
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() { defer close(done); inj.Run(stop, 20*time.Millisecond) }()
+	halt := startInjector(inj, 20*time.Millisecond)
+	defer halt()
 
 	const ops = 30
 	var acked []string
@@ -283,8 +296,7 @@ func TestChaosPBFT(t *testing.T) {
 		acked = append(acked, op)
 		time.Sleep(5 * time.Millisecond)
 	}
-	close(stop)
-	<-done
+	halt()
 	if err := inj.HealAll(); err != nil {
 		t.Fatalf("%v (seed %d)", err, seed)
 	}
@@ -361,8 +373,9 @@ func TestChaosPBFT(t *testing.T) {
 	}
 }
 
-func TestChaosChain(t *testing.T) {
-	seed := chaosSeed(t)
+func TestChaosChain(t *testing.T) { chaosChain(t, chaosSeed(t)) }
+
+func chaosChain(t *testing.T, seed int64) {
 	logSeed(t, seed)
 	net := netsim.New(faultyConfig(seed, 0))
 	defer net.Close()
@@ -383,9 +396,8 @@ func TestChaosChain(t *testing.T) {
 		targets = append(targets, Target{ID: r.ID(), Crash: r.Crash, Restart: r.Restart})
 	}
 	inj := NewInjector(net, targets, Options{MaxDown: 1, Seed: seed})
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() { defer close(done); inj.Run(stop, 25*time.Millisecond) }()
+	halt := startInjector(inj, 25*time.Millisecond)
+	defer halt()
 
 	const ops = 20
 	for i := 0; i < ops; i++ {
@@ -395,8 +407,7 @@ func TestChaosChain(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	close(stop)
-	<-done
+	halt()
 	if err := inj.HealAll(); err != nil {
 		t.Fatalf("%v (seed %d)", err, seed)
 	}

@@ -14,6 +14,7 @@ import (
 // three ids are sinks on the network that record what p3 sends them.
 type loneReplica struct {
 	r    *Replica
+	net  *netsim.Network
 	ids  []string
 	mu   sync.Mutex
 	sent []netsim.Message // what p3 sent, one entry per receiver
@@ -23,7 +24,7 @@ func newLoneReplica(t *testing.T) *loneReplica {
 	t.Helper()
 	net := netsim.New(netsim.Config{})
 	t.Cleanup(net.Close)
-	l := &loneReplica{ids: []string{"p0", "p1", "p2", "p3"}}
+	l := &loneReplica{net: net, ids: []string{"p0", "p1", "p2", "p3"}}
 	for _, id := range l.ids[:3] {
 		if err := net.Register(id, func(m netsim.Message) {
 			l.mu.Lock()

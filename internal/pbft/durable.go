@@ -30,13 +30,15 @@ type pbRecord struct {
 	Batch  []Request `json:"b,omitempty"`
 }
 
+// pbSnapshot is a durable replica's snapshot: its state image, which
+// state transfer serves (embedded, so its fields stay top-level in the
+// JSON and the image decodes from the snapshot alone), and what only
+// this replica holds.
 type pbSnapshot struct {
-	Format   string   `json:"format"`
-	View     uint64   `json:"view"`
-	ExecSeq  uint64   `json:"execSeq"`
-	Stable   uint64   `json:"stable"`
-	Executed []string `json:"executed,omitempty"` // executedR dedup keys
-	App      []byte   `json:"app,omitempty"`
+	Format string `json:"format"`
+	View   uint64 `json:"view"`
+	stateImage
+	Stable uint64 `json:"stable"`
 	// In-flight instances at snapshot time. Snapshotting compacts the
 	// journal segments that held these instances' pbPP/pbCM records, so
 	// without carrying them here a snapshot would silently destroy
@@ -115,19 +117,18 @@ func NewDurableReplica(net *netsim.Network, id string, ids []string, f int, appl
 	if err != nil {
 		return nil, err
 	}
-	if err := r.recoverFromDisk(rec, d.App); err != nil {
+	r.logApp = d.App
+	r.snapEvery = d.SnapshotEvery
+	if r.snapEvery == 0 {
+		r.snapEvery = DefaultSnapshotEvery
+	}
+	if err := r.recoverFromDisk(rec); err != nil {
 		_ = log.Close()
 		return nil, err
 	}
 	// Journaling turns on only after replay; re-journaling recovered
 	// records would duplicate the tail on every restart.
 	r.log = log
-	r.logApp = d.App
-	r.snapEvery = d.SnapshotEvery
-	if r.snapEvery == 0 {
-		r.snapEvery = DefaultSnapshotEvery
-	}
-	r.lastSnap = r.execSeq
 
 	if err := net.Register(id, r.handle); err != nil {
 		if rerr := net.Restart(id, r.handle); rerr != nil {
@@ -141,7 +142,7 @@ func NewDurableReplica(net *netsim.Network, id string, ids []string, f int, appl
 // recoverFromDisk rebuilds replica state from a WAL recovery: snapshot
 // floor first, then the record tail in append order. Runs before the
 // replica is registered, so no locking is needed.
-func (r *Replica) recoverFromDisk(rec *wal.Recovery, app wal.Snapshotter) error {
+func (r *Replica) recoverFromDisk(rec *wal.Recovery) error {
 	if rec.Snapshot != nil {
 		var snap pbSnapshot
 		if err := json.Unmarshal(rec.Snapshot, &snap); err != nil {
@@ -150,19 +151,11 @@ func (r *Replica) recoverFromDisk(rec *wal.Recovery, app wal.Snapshotter) error 
 		if snap.Format != pbSnapFormat {
 			return fmt.Errorf("pbft: unknown snapshot format %q", snap.Format)
 		}
+		if err := r.installLocked(&snap.stateImage); err != nil {
+			return fmt.Errorf("pbft: restoring application state: %w", err)
+		}
 		r.view = snap.View
-		r.execSeq = snap.ExecSeq
-		r.nextSeq = snap.ExecSeq
-		r.execFloor = snap.ExecSeq
 		r.stable = snap.Stable
-		for _, k := range snap.Executed {
-			r.executedR[k] = true
-		}
-		if app != nil && snap.App != nil {
-			if err := app.Restore(snap.App); err != nil {
-				return fmt.Errorf("pbft: restoring application state: %w", err)
-			}
-		}
 		for _, is := range snap.Insts {
 			if is.Seq < r.execSeq {
 				continue
@@ -299,33 +292,41 @@ func (r *Replica) journalLocked(rec pbRecord) bool {
 	return true
 }
 
-// maybeSnapshotLocked captures replica + application state and compacts
-// the journal once snapEvery sequences have executed since the last
-// snapshot. Called with mu held at the end of executeInstanceLocked; the
-// applying==0 && execSeq==seq+1 guard proves the applier is quiescent
-// AND no execution beyond seq+1 happened, so the application state
-// corresponds exactly to execSeq. mu stays held across the write so no
-// concurrent journal append can land in a segment the snapshot is about
-// to supersede.
-func (r *Replica) maybeSnapshotLocked(seq uint64) {
+// maybeSnapshotLocked snapshots at every multiple of snapEvery, so all
+// honest replicas' snapshots at one sequence hold the same image. It is
+// called with mu held in executeInstanceLocked as soon as the apply
+// returns, so the snapshot is on disk before the checkpoint vote. Only
+// the last apply in flight to return takes it: the application state is
+// then exactly the state at execSeq, and maybeExecuteLocked has let
+// nothing execute past it.
+func (r *Replica) maybeSnapshotLocked() {
+	if r.log == nil || r.walFailed || r.applying != 0 || r.execSeq%r.snapEvery != 0 {
+		return
+	}
+	img := stateImage{ExecSeq: r.execSeq}
+	for k := range r.executedR {
+		img.Executed = append(img.Executed, k)
+	}
+	sort.Strings(img.Executed)
+	if r.logApp != nil {
+		blob, err := r.logApp.Snapshot()
+		if err != nil {
+			return // keep journaling; the tail still covers everything
+		}
+		img.App = blob
+	}
+	r.writeSnapshotLocked(img)
+}
+
+// writeSnapshotLocked stores img as this replica's snapshot, together
+// with its view, stable checkpoint and in-flight instances, and compacts
+// the journal. mu stays held across the write so no journal append can
+// land in a segment the snapshot supersedes.
+func (r *Replica) writeSnapshotLocked(img stateImage) {
 	if r.log == nil || r.walFailed {
 		return
 	}
-	if r.applying != 0 || r.execSeq != seq+1 {
-		return
-	}
-	if r.execSeq-r.lastSnap < r.snapEvery {
-		return
-	}
-	snap := pbSnapshot{
-		Format:  pbSnapFormat,
-		View:    r.view,
-		ExecSeq: r.execSeq,
-		Stable:  r.stable,
-	}
-	for k := range r.executedR {
-		snap.Executed = append(snap.Executed, k)
-	}
+	snap := pbSnapshot{Format: pbSnapFormat, View: r.view, stateImage: img, Stable: r.stable}
 	for seq, inst := range r.insts {
 		if inst.executed || seq < r.execSeq || (!inst.prePrepared && !inst.certSet) {
 			continue
@@ -343,22 +344,64 @@ func (r *Replica) maybeSnapshotLocked(seq uint64) {
 		})
 	}
 	sort.Slice(snap.Insts, func(i, j int) bool { return snap.Insts[i].Seq < snap.Insts[j].Seq })
-	if r.logApp != nil {
-		blob, err := r.logApp.Snapshot()
-		if err != nil {
-			return // keep journaling; the tail still covers everything
-		}
-		snap.App = blob
-	}
 	b, err := json.Marshal(snap)
 	if err != nil {
 		panic(fmt.Sprintf("pbft: marshal snapshot: %v", err))
 	}
 	if err := r.log.Snapshot(b); err != nil {
 		r.walFailed = true
-		return
 	}
-	r.lastSnap = snap.ExecSeq
+}
+
+// installLocked makes img this replica's state: the application restored
+// from its blob, the dedup set replaced by its keys, execution moved to
+// its sequence and everything below that dropped. Recovery installs the
+// image in the replica's own snapshot, adoption one f+1 peers offered.
+// On error nothing has changed.
+func (r *Replica) installLocked(img *stateImage) error {
+	if r.logApp != nil {
+		if err := r.logApp.Restore(img.App); err != nil {
+			return err
+		}
+	}
+	r.execSeq = img.ExecSeq
+	if r.nextSeq < img.ExecSeq {
+		r.nextSeq = img.ExecSeq
+	}
+	r.executedR = make(map[string]bool, len(img.Executed))
+	for _, k := range img.Executed {
+		r.executedR[k] = true
+	}
+	r.execLog = make(map[uint64]execEntry)
+	for seq := range r.insts {
+		if seq < r.execSeq {
+			delete(r.insts, seq)
+		}
+	}
+	for seq := range r.stateVotes {
+		if seq < r.execSeq {
+			delete(r.stateVotes, seq)
+		}
+	}
+	for d, vt := range r.vcTimers {
+		if r.executedR[reqKey(vt.req)] {
+			vt.tmr.Stop()
+			delete(r.vcTimers, d)
+		}
+	}
+	r.imgVotes = nil
+	return nil
+}
+
+// storedImage is the image in log's newest snapshot, nil if there is
+// none above have.
+func storedImage(log *wal.Log, have uint64) *stateImage {
+	b, err := log.ReadSnapshot()
+	var img stateImage
+	if err != nil || b == nil || json.Unmarshal(b, &img) != nil || img.ExecSeq <= have {
+		return nil
+	}
+	return &img
 }
 
 // CloseStorage syncs and closes the WAL. The replica keeps running in

@@ -1,6 +1,7 @@
 package pbft
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -88,6 +89,15 @@ func waitExecuted(t *testing.T, r *Replica, want uint64, timeout time.Duration) 
 	t.Fatalf("%s executed %d < %d after %s", r.ID(), r.Executed(), want, timeout)
 }
 
+// waitOps waits for app to hold at least n ops: Executed counts a batch
+// from the moment it executes, before its apply has returned.
+func waitOps(t *testing.T, app *durableSeqApp, n int, timeout time.Duration) {
+	t.Helper()
+	for deadline := time.Now().Add(timeout); len(app.ops()) < n && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestPBFTDurableRecoverFromDisk: a crashed replica rebuilt from its
 // data directory holds the pre-crash history from disk alone (including
 // the client-seq dedup marks), then state-transfers only the delta.
@@ -141,6 +151,7 @@ func TestPBFTDurableRecoverFromDisk(t *testing.T) {
 	// State transfer pulls only the delta.
 	rec.r.Sync()
 	waitExecuted(t, rec.r, before+during, 3*time.Second)
+	waitOps(t, rec.app, before+during, 3*time.Second)
 	want := make([]string, 0, before+during)
 	for i := 0; i < before; i++ {
 		want = append(want, fmt.Sprintf("op-%02d", i))
@@ -266,6 +277,7 @@ func TestPBFTDurableCorruptTail(t *testing.T) {
 	}
 	rec.r.Sync()
 	waitExecuted(t, rec.r, total, 3*time.Second)
+	waitOps(t, rec.app, total, 3*time.Second)
 	got := rec.app.ops()
 	if len(got) != total {
 		t.Fatalf("recovered %d ops, want %d", len(got), total)
@@ -275,4 +287,214 @@ func TestPBFTDurableCorruptTail(t *testing.T) {
 			t.Fatalf("op[%d] = %q after corrupt-tail recovery", i, got[i])
 		}
 	}
+}
+
+// TestStoredImagesIdentical: snapshots fall on multiples of
+// SnapshotEvery, so the four replicas of a cluster that executed six
+// sequences each hold the image at four, and the four images are the
+// same bytes — what a straggler needs f+1 of to adopt one.
+func TestStoredImagesIdentical(t *testing.T) {
+	net := netsim.New(netsim.Config{})
+	base := t.TempDir()
+	ids := []string{"r0", "r1", "r2", "r3"}
+	var replicas []*Replica
+	for _, id := range ids {
+		replicas = append(replicas, startDurablePBFT(t, net, id, ids, filepath.Join(base, id), 4).r)
+	}
+	client, err := NewClient(net, replicas, "cli", ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const total = 6
+	for i := 0; i < total; i++ {
+		if err := client.Submit([]byte(fmt.Sprintf("v%02d", i)), 3*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var want []byte
+	for _, r := range replicas {
+		waitExecuted(t, r, total, 3*time.Second)
+		img := storedImage(r.log, 0)
+		if img == nil || img.ExecSeq != 4 {
+			t.Fatalf("%s stores image %+v, want one at 4", r.ID(), img)
+		}
+		got, _ := json.Marshal(img)
+		if want == nil {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Fatalf("%s stores image %s, r0 %s", r.ID(), got, want)
+		}
+	}
+}
+
+// snapAtApp is durableSeqApp that records how many ops it held at each
+// snapshot.
+type snapAtApp struct {
+	durableSeqApp
+	at []int
+}
+
+func (a *snapAtApp) Snapshot() ([]byte, error) {
+	b, err := a.durableSeqApp.Snapshot()
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.at = append(a.at, len(a.Ops))
+	return b, err
+}
+
+// TestSnapshotAtEveryAlignedPoint: with SnapshotEvery equal to
+// CheckpointEvery every aligned point is also a checkpoint, whose vote
+// is sent with mu released. p3 is prepared on 64 sequences and p1's and
+// p2's commits arrive on a goroutine each, so executions start on many
+// goroutines at once; p3 must still snapshot at every multiple of two
+// (one op per sequence, so at every even op count).
+func TestSnapshotAtEveryAlignedPoint(t *testing.T) {
+	const every, total = 2, 64
+	l := newLoneReplica(t)
+	app := &snapAtApp{}
+	r, err := NewDurableReplica(l.net, "p3", l.ids, 1, app.apply, Options{CheckpointEvery: every}, DurableOptions{Dir: t.TempDir(), App: app, SnapshotEvery: every})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = r.CloseStorage() })
+	l.r = r
+	for seq := uint64(0); seq < total; seq++ {
+		l.prepare(onePrePrepare(seq))
+	}
+	var wg sync.WaitGroup
+	for seq := uint64(0); seq < total; seq++ {
+		for _, from := range []string{"p1", "p2"} {
+			wg.Add(1)
+			go func(pp prePrepareMsg, from string) {
+				defer wg.Done()
+				l.feed(from, msgCommit, commitMsg{View: pp.View, Seq: pp.Seq, Digest: pp.Digest})
+			}(onePrePrepare(seq), from)
+		}
+	}
+	wg.Wait()
+	app.mu.Lock()
+	defer app.mu.Unlock()
+	if r.Executed() != total || len(app.at) != total/every {
+		t.Fatalf("p3 executed %d and snapshotted at op counts %v, want %d and every multiple of %d", r.Executed(), app.at, total, every)
+	}
+	for k, n := range app.at {
+		if n != every*(k+1) {
+			t.Fatalf("p3 snapshotted at op counts %v, want every multiple of %d", app.at, every)
+		}
+	}
+}
+
+// newLoneDurable is newLoneReplica with p3 crash-durable in dir.
+func newLoneDurable(t *testing.T, dir string, snapEvery uint64) (*loneReplica, *durableSeqApp) {
+	t.Helper()
+	l := newLoneReplica(t)
+	app := &durableSeqApp{}
+	r, err := NewDurableReplica(l.net, "p3", l.ids, 1, app.apply, Options{}, DurableOptions{Dir: dir, App: app, SnapshotEvery: snapEvery})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = r.CloseStorage() })
+	l.r = r
+	return l, app
+}
+
+// prepare feeds p3 pp from p0 and prepares from p1 and p2: p3 is then
+// prepared and has sent its commit.
+func (l *loneReplica) prepare(pp prePrepareMsg) {
+	l.feed("p0", msgPrePrepare, pp)
+	for _, from := range []string{"p1", "p2"} {
+		l.feed(from, msgPrepare, prepareMsg{View: pp.View, Seq: pp.Seq, Digest: pp.Digest})
+	}
+}
+
+// TestStateReplyServesSnapshotNotTip: a replica that executed six
+// sequences past its snapshot at four offers the image at four, read
+// from disk, not a fresh image of its tip.
+func TestStateReplyServesSnapshotNotTip(t *testing.T) {
+	l, app := newLoneDurable(t, t.TempDir(), 4)
+	for seq := uint64(0); seq < 6; seq++ {
+		pp := onePrePrepare(seq)
+		l.prepare(pp)
+		for _, from := range []string{"p1", "p2"} {
+			l.feed(from, msgCommit, commitMsg{View: pp.View, Seq: pp.Seq, Digest: pp.Digest})
+		}
+	}
+	if got := l.r.Executed(); got != 6 || len(app.ops()) != 6 {
+		t.Fatalf("p3 executed %d, applied %d ops; want 6", got, len(app.ops()))
+	}
+	l.feed("p1", msgStateReq, stateReqMsg{Have: 0})
+	var rep stateRepMsg
+	if err := json.Unmarshal(l.waitSent(t, msgStateRep)[len(l.ids)*macSize:], &rep); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(struct {
+		Ops []string `json:"ops"`
+	}{[]string{"op", "op", "op", "op"}})
+	if rep.Snap == nil || rep.Snap.ExecSeq != 4 || len(rep.Snap.Executed) != 4 || !bytes.Equal(rep.Snap.App, want) {
+		t.Fatalf("p3 at 6 offered image %+v, want its snapshot at 4", rep.Snap)
+	}
+}
+
+// TestAdoptedImageKeepsPreparedCert: p3 prepares sequence 5, then adopts
+// an image at 4 that p0 and p1 offer. Storing the image compacts the
+// journal that held the certificate, so the snapshot must carry it: a
+// recovered p3 still holds the certificate it voted on.
+func TestAdoptedImageKeepsPreparedCert(t *testing.T) {
+	dir := t.TempDir()
+	l, app := newLoneDurable(t, dir, 4)
+	pp := onePrePrepare(5)
+	l.prepare(pp)
+	img := stateImage{ExecSeq: 4, Executed: []string{"c/1", "c/2"}, App: []byte(`{"ops":["a","b"]}`)}
+	for _, from := range []string{"p0", "p1"} {
+		l.feed(from, msgStateRep, stateRepMsg{Snap: &img})
+	}
+	if got := l.r.Executed(); got != 4 || len(app.ops()) != 2 {
+		t.Fatalf("p3 at %d with %d ops after the image, want 4 and 2", got, len(app.ops()))
+	}
+	if err := l.r.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.r.CloseStorage(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewDurableReplica(l.net, "p3", l.ids, 1, nil, Options{}, DurableOptions{Dir: dir, App: &durableSeqApp{}, SnapshotEvery: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = r.CloseStorage() }()
+	r.mu.Lock()
+	inst := r.insts[5]
+	r.mu.Unlock()
+	if r.Executed() != 4 || inst == nil || !inst.certSet || inst.certDigest != pp.Digest {
+		t.Fatalf("recovered p3 at %d holds instance 5 as %+v, want its prepared certificate", r.Executed(), inst)
+	}
+}
+
+// FuzzStateRep: a state reply is whatever an authenticated peer sends.
+// No body from one sender, p1, may panic p3, or make it execute or adopt
+// anything: both take f+1 = 2 senders.
+func FuzzStateRep(f *testing.F) {
+	img := stateImage{ExecSeq: 4, Executed: []string{"c/1"}, App: []byte(`{"ops":["a"]}`)}
+	pp := onePrePrepare(0)
+	for _, rep := range []stateRepMsg{
+		{Snap: &img, View: 2},
+		{Entries: []execEntry{{Seq: 0, Digest: pp.Digest, Batch: pp.Batch}}},
+		{Snap: &stateImage{ExecSeq: 4, App: []byte("not json")}},
+	} {
+		f.Add(appendBody(nil, rep))
+	}
+	f.Add([]byte(`{"entries":[{"seq":0,"batch":null}],"snap":{"execSeq":18446744073709551615}}`))
+	f.Add([]byte(`{"snap":null,"view":1}`))
+	f.Add([]byte("{"))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		l, app := newLoneDurable(t, t.TempDir(), 4)
+		for i := 0; i < 2; i++ { // one sender, twice
+			payload := append(make([]byte, len(l.ids)*macSize), body...)
+			sign(linkKey(clusterKey, "p1", "p3"), len(l.ids), 3, msgStateRep, payload)
+			l.deliver("p1", msgStateRep, payload)
+		}
+		if got := l.r.Executed(); got != 0 || len(app.ops()) != 0 {
+			t.Fatalf("one sender moved p3 to %d with %d ops", got, len(app.ops()))
+		}
+	})
 }

@@ -125,14 +125,15 @@ type execEntry struct {
 	Batch  []Request `json:"batch"`
 }
 
-// stateImage is a full-state checkpoint offered in a state-transfer
-// reply when the sender's retained history no longer reaches the
-// requester's floor — a recovered replica only holds executed batches
-// above its own snapshot, so a peer further behind cannot be caught up
-// entry by entry. The image is deterministic for a given ExecSeq
-// (sorted dedup keys, canonical application blob), so f+1 senders
-// agreeing on its digest proves at least one honest replica holds this
-// exact state.
+// stateImage is a replica's state at ExecSeq: its client-dedup keys and
+// its application's blob. A durable replica's snapshot holds one
+// (pbSnapshot embeds it), and state transfer offers it to a replica too
+// far behind to be caught up entry by entry — a recovered replica holds
+// executed batches only above its own snapshot. Snapshots fall on
+// multiples of SnapshotEvery and both parts are deterministic (sorted
+// keys, canonical blob), so honest replicas' images at one sequence are
+// the same bytes, and f+1 senders agreeing on one prove that at least
+// one honest replica holds exactly that state.
 type stateImage struct {
 	ExecSeq  uint64   `json:"execSeq"`
 	Executed []string `json:"executed,omitempty"` // sorted client-dedup keys
@@ -247,7 +248,6 @@ type Replica struct {
 	vcSolo     int    // timeouts spent in a view change without f+1 support
 	vcTimers   map[Digest]*vcTimer
 	execLog    map[uint64]execEntry            // executed batches, served to restarted peers
-	execFloor  uint64                          // lowest seq execLog covers (recovery trims history)
 	stateVotes map[uint64]map[string]execEntry // state-transfer replies per seq, per sender
 	imgVotes   map[string]*imgVote             // state-image offers per image digest
 	viewClaims map[string]uint64               // views peers advertised in state replies (view sync)
@@ -262,7 +262,6 @@ type Replica struct {
 	log       *wal.Log
 	logApp    wal.Snapshotter
 	snapEvery uint64
-	lastSnap  uint64
 	applying  int
 	walFailed bool
 }
@@ -824,18 +823,40 @@ func (r *Replica) markDecidedLocked(inst *instState) {
 	}
 }
 
-// maybeExecuteLocked executes committed instances in sequence order.
+// maybeExecuteLocked executes, in sequence order, each next instance
+// that committed here or that f+1 state-transfer senders agree on (at
+// least one of them is honest, so the batch is the one the cluster
+// committed). A durable replica executes nothing past a multiple of
+// snapEvery while an apply is in flight: the last apply to return takes
+// that point's snapshot (maybeSnapshotLocked), so none is skipped.
 func (r *Replica) maybeExecuteLocked() {
-	for {
-		inst, ok := r.insts[r.execSeq]
-		if !ok || inst.executed || !inst.prePrepared {
+	for r.log == nil || r.applying == 0 || r.execSeq%r.snapEvery != 0 {
+		if inst, ok := r.insts[r.execSeq]; ok && !inst.executed && inst.prePrepared && len(inst.commits) >= r.commitQuorum() {
+			r.executeInstanceLocked(r.execSeq, inst.digest, inst.batch)
+		} else if e, ok := r.vouchedLocked(); ok {
+			r.executeInstanceLocked(e.Seq, e.Digest, e.Batch)
+		} else {
 			return
 		}
-		if len(inst.commits) < r.commitQuorum() {
-			return
-		}
-		r.executeInstanceLocked(r.execSeq, inst.digest, inst.batch)
 	}
+}
+
+// vouchedLocked returns the state-transfer entry for execSeq that f+1
+// senders agree on.
+func (r *Replica) vouchedLocked() (execEntry, bool) {
+	votes := r.stateVotes[r.execSeq]
+	for _, e := range votes {
+		n := 0
+		for _, o := range votes {
+			if o.Digest == e.Digest {
+				n++
+			}
+		}
+		if n >= r.f+1 {
+			return e, true
+		}
+	}
+	return execEntry{}, false
 }
 
 // executeInstanceLocked executes one batch at r.execSeq: it records the
@@ -896,6 +917,9 @@ func (r *Replica) executeInstanceLocked(seq uint64, digest Digest, batch []Reque
 	}
 	r.mu.Lock()
 	r.applying--
+	// Snapshot before the checkpoint vote releases mu: an execution that
+	// slipped in then would move execSeq past the aligned point.
+	r.maybeSnapshotLocked()
 	// Checkpointing. The vote asserts "my state through execSeq is on
 	// disk" to peers who will truncate their logs on a quorum of such
 	// votes — so a replica whose journal append failed must stay
@@ -909,7 +933,6 @@ func (r *Replica) executeInstanceLocked(seq uint64, digest Digest, batch []Reque
 		r.mu.Lock()
 		r.recordCheckpointLocked(r.id, ck)
 	}
-	r.maybeSnapshotLocked(seq)
 }
 
 func (r *Replica) onCheckpoint(from string, c checkpointMsg) {
@@ -1301,28 +1324,21 @@ func (r *Replica) onStateReq(from string, s stateReqMsg) {
 			rep.Entries = append(rep.Entries, execEntry{Seq: seq, Digest: inst.digest, Batch: inst.batch})
 		}
 	}
-	// Every up-to-date replica offers its state image alongside whatever
-	// entries it retains. Offering eagerly — not just when the requester
-	// is below this replica's compaction floor — is what makes catch-up
-	// live: adoption needs f+1 byte-identical images and execution needs
-	// f+1 matching entry vouchers, so under mixed retention (one tip peer
-	// compacted to an image, another still holding entries) a straggler
-	// counting one vote in each mechanism would starve forever. Eager
-	// images guarantee that any f+1 peers at the same tip clear the image
-	// threshold regardless of what each has pruned. Only offered when no
-	// apply is in flight — the blob must correspond exactly to execSeq or
-	// its digest will never match a peer's.
-	if r.logApp != nil && r.applying == 0 && r.execSeq > s.Have {
-		if blob, err := r.logApp.Snapshot(); err == nil {
-			img := &stateImage{ExecSeq: r.execSeq, App: blob}
-			for k := range r.executedR {
-				img.Executed = append(img.Executed, k)
-			}
-			sort.Strings(img.Executed)
-			rep.Snap = img
-		}
-	}
+	// Alongside whatever entries it retains, a durable replica offers the
+	// image in its newest snapshot, whatever the requester's floor:
+	// adoption needs f+1 byte-identical images and execution f+1
+	// matching entries, so under mixed retention (one peer compacted to
+	// its snapshot, another still holding entries) a straggler counting
+	// one vote in each would starve. Snapshots fall on multiples of
+	// snapEvery, so any f+1 peers past the same one offer the same image.
+	// None can be above have unless the last multiple at or below
+	// execSeq is; the image is read back from disk outside mu.
+	log := r.log
+	serve := r.logApp != nil && r.execSeq-r.execSeq%r.snapEvery > s.Have
 	r.mu.Unlock()
+	if serve {
+		rep.Snap = storedImage(log, s.Have)
+	}
 	if len(rep.Entries) > 0 || rep.Snap != nil || rep.View > s.View {
 		r.send(from, msgStateRep, rep)
 	}
@@ -1381,27 +1397,6 @@ func (r *Replica) onStateRep(from string, s stateRepMsg) {
 		}
 		r.stateVotes[e.Seq][from] = e
 	}
-	// Advance: execute each next sequence once f+1 senders agree on its
-	// digest (at least one of them is honest, so the batch is the one the
-	// cluster committed).
-	for {
-		votes := r.stateVotes[r.execSeq]
-		counts := make(map[Digest]int)
-		var pick *execEntry
-		for _, e := range votes {
-			counts[e.Digest]++
-			if counts[e.Digest] >= r.f+1 {
-				e := e
-				pick = &e
-				break
-			}
-		}
-		if pick == nil {
-			break
-		}
-		r.executeInstanceLocked(pick.Seq, pick.Digest, pick.Batch)
-	}
-	// Catch-up may have unblocked normally-committed successors.
 	r.maybeExecuteLocked()
 	r.mu.Unlock()
 }
@@ -1435,65 +1430,16 @@ func (r *Replica) recordImageLocked(from string, img *stateImage) {
 	r.adoptImageLocked(&v.img)
 }
 
-// adoptImageLocked jumps this replica to a peer-certified state image:
-// application state is restored wholesale, the dedup set replaced (the
-// image's set corresponds exactly to its state), and everything below
-// the new execution point discarded. The image is journaled as this
-// replica's own snapshot so the jump survives a further crash.
+// adoptImageLocked jumps this replica to a peer-certified state image
+// and stores it as its own snapshot, so the jump survives a further
+// crash. The image is refused if the application cannot restore it;
+// entry-based transfer may still work.
 func (r *Replica) adoptImageLocked(img *stateImage) {
-	if img.ExecSeq <= r.execSeq {
+	if r.installLocked(img) != nil {
 		return
-	}
-	if err := r.logApp.Restore(img.App); err != nil {
-		return // refuse the image; entry-based transfer may still work
-	}
-	r.execSeq = img.ExecSeq
-	r.execFloor = img.ExecSeq
-	if r.nextSeq < img.ExecSeq {
-		r.nextSeq = img.ExecSeq
 	}
 	if r.stable < img.ExecSeq {
 		r.stable = img.ExecSeq
 	}
-	r.executedR = make(map[string]bool, len(img.Executed))
-	for _, k := range img.Executed {
-		r.executedR[k] = true
-	}
-	r.execLog = make(map[uint64]execEntry)
-	for seq := range r.insts {
-		if seq < r.execSeq {
-			delete(r.insts, seq)
-		}
-	}
-	for seq := range r.stateVotes {
-		if seq < r.execSeq {
-			delete(r.stateVotes, seq)
-		}
-	}
-	for d, vt := range r.vcTimers {
-		if r.executedR[reqKey(vt.req)] {
-			vt.tmr.Stop()
-			delete(r.vcTimers, d)
-		}
-	}
-	r.imgVotes = nil
-	if r.log != nil && !r.walFailed {
-		snap := pbSnapshot{
-			Format:   pbSnapFormat,
-			View:     r.view,
-			ExecSeq:  img.ExecSeq,
-			Stable:   r.stable,
-			Executed: img.Executed,
-			App:      img.App,
-		}
-		b, err := json.Marshal(snap)
-		if err != nil {
-			panic(fmt.Sprintf("pbft: marshal adopted snapshot: %v", err))
-		}
-		if err := r.log.Snapshot(b); err != nil {
-			r.walFailed = true
-		} else {
-			r.lastSnap = img.ExecSeq
-		}
-	}
+	r.writeSnapshotLocked(*img)
 }

@@ -281,7 +281,7 @@ func (l *Log) Snapshot(data []byte) error {
 	horizon := l.segIdx // first segment NOT covered by the snapshot
 	seq := l.snapSeq + 1
 
-	final := filepath.Join(l.dir, fmt.Sprintf("%s%016d%s", snapPrefix, seq, snapSuffix))
+	final := l.snapPath(seq)
 	tmp := final + tmpSuffix
 	if err := writeSnapshotFile(tmp, horizon, data, l.opts.NoSync); err != nil {
 		return err
@@ -308,6 +308,38 @@ func (l *Log) Snapshot(data []byte) error {
 	return nil
 }
 
+// ReadSnapshot returns the payload of the newest snapshot, nil if the
+// log holds none. The file is opened under the lock and read outside
+// it, so a large snapshot does not hold up appends, and a Snapshot call
+// meanwhile cannot take it away: the cleanup's unlink leaves an open
+// file readable.
+func (l *Log) ReadSnapshot() ([]byte, error) {
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		return nil, ErrClosed
+	}
+	if l.snapSeq == 0 {
+		l.mu.Unlock()
+		return nil, nil
+	}
+	f, err := os.Open(l.snapPath(l.snapSeq))
+	l.mu.Unlock()
+	if err != nil {
+		return nil, fmt.Errorf("wal: %w", err)
+	}
+	defer func() { _ = f.Close() }() // read only: nothing to lose
+	b, err := io.ReadAll(f)
+	if err != nil {
+		return nil, fmt.Errorf("wal: %w", err)
+	}
+	_, data, ok := parseSnapshot(b)
+	if !ok {
+		return nil, fmt.Errorf("wal: snapshot %s is corrupt", f.Name())
+	}
+	return data, nil
+}
+
 // Close syncs and closes the active segment. Further operations return
 // ErrClosed.
 func (l *Log) Close() error {
@@ -326,6 +358,10 @@ func (l *Log) Close() error {
 
 // Dir returns the directory this log lives in.
 func (l *Log) Dir() string { return l.dir }
+
+func (l *Log) snapPath(seq uint64) string {
+	return filepath.Join(l.dir, fmt.Sprintf("%s%016d%s", snapPrefix, seq, snapSuffix))
+}
 
 // writeSnapshotFile writes horizon + data as two framed records into
 // path and fsyncs it.
@@ -375,8 +411,9 @@ func loadSnapshot(dir string, rec *Recovery) (seq, horizon uint64, err error) {
 	// Newest first.
 	for i := len(snaps) - 1; i >= 0; i-- {
 		path := filepath.Join(dir, snaps[i].name)
-		h, data, ok := readSnapshotFile(path)
-		if !ok {
+		b, err := os.ReadFile(path)
+		h, data, ok := parseSnapshot(b)
+		if err != nil || !ok {
 			// Torn or corrupt: unusable, and keeping it would shadow
 			// the good one on the next open.
 			_ = os.Remove(path)
@@ -393,13 +430,9 @@ func loadSnapshot(dir string, rec *Recovery) (seq, horizon uint64, err error) {
 	return 0, 0, nil
 }
 
-// readSnapshotFile parses one snapshot file; ok is false on any framing
-// or CRC failure.
-func readSnapshotFile(path string) (horizon uint64, data []byte, ok bool) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return 0, nil, false
-	}
+// parseSnapshot parses the bytes of one snapshot file; ok is false on
+// any framing or CRC failure.
+func parseSnapshot(b []byte) (horizon uint64, data []byte, ok bool) {
 	hdr, rest, ok := nextFrame(b)
 	if !ok || len(hdr) != 8 {
 		return 0, nil, false

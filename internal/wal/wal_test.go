@@ -252,6 +252,33 @@ func TestSnapshotCompactsTail(t *testing.T) {
 	}
 }
 
+// TestReadSnapshot: ReadSnapshot serves the newest snapshot, from a
+// live log and from a reopened one, and nil before there is any.
+func TestReadSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openT(t, dir, Options{})
+	if b, err := l.ReadSnapshot(); b != nil || err != nil {
+		t.Fatalf("ReadSnapshot before any snapshot = %q, %v; want nil, nil", b, err)
+	}
+	for _, state := range []string{"state@1", "state@2"} {
+		appendAll(t, l, "r")
+		if err := l.Snapshot([]byte(state)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if b, err := l.ReadSnapshot(); string(b) != "state@2" || err != nil {
+		t.Fatalf("ReadSnapshot = %q, %v; want state@2", b, err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, _ = openT(t, dir, Options{})
+	defer func() { _ = l.Close() }()
+	if b, err := l.ReadSnapshot(); string(b) != "state@2" || err != nil {
+		t.Fatalf("ReadSnapshot after reopen = %q, %v; want state@2", b, err)
+	}
+}
+
 // TestSnapshotCrashBeforeRename: a leftover .tmp never shadows the real
 // state — recovery sees the previous snapshot plus the full tail.
 func TestSnapshotCrashBeforeRename(t *testing.T) {
@@ -367,6 +394,9 @@ func TestClosedLogRejectsOps(t *testing.T) {
 	}
 	if err := l.Snapshot(nil); err != ErrClosed {
 		t.Fatalf("Snapshot on closed = %v, want ErrClosed", err)
+	}
+	if _, err := l.ReadSnapshot(); err != ErrClosed {
+		t.Fatalf("ReadSnapshot on closed = %v, want ErrClosed", err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("double Close = %v, want nil", err)
