@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race bench bench-check deps-check vet fmt fmt-check lint chaos chaos-sim chaos-regress fuzz-smoke heap-smoke cost-smoke serve-smoke serve-smoke-durable
+.PHONY: build test check race bench bench-check deps-check vet fmt fmt-check lint chaos chaos-sim chaos-regress fuzz-smoke heap-smoke cost-smoke serve-smoke serve-smoke-durable profile-serve
 
 build:
 	$(GO) build ./...
@@ -122,6 +122,14 @@ serve-smoke:
 # restarted from the same directory before the checks.
 serve-smoke-durable:
 	bash benchmark/run.sh --workload serve_durable --seconds 2 --trace 0
+
+# profile-serve runs the benchmark's serve_batch workload with the
+# server's pprof listener on and, over 10 s of the timed section, saves a
+# CPU profile under .profile/ and prints its top functions and the heap
+# allocations per accepted op (the MemStats Mallocs delta over the /stats
+# accepted delta), at seed 22.
+profile-serve:
+	bash scripts/profile-serve.sh
 
 # bench-check builds, vets and tests the repository benchmark.
 # benchmark/ is a module of its own, so the root `go build ./...` and

@@ -199,6 +199,9 @@ func TestSentinelRoundTrip(t *testing.T) {
 	if got := codeOf(fmt.Errorf("wrapped: %w", chain.ErrTxTooDeep)); got != CodeInvalid {
 		t.Fatalf("codeOf(ErrTxTooDeep) = %s: a malformed transaction is the client's error", got)
 	}
+	if got := codeOf(fmt.Errorf("wrapped: %w", chain.ErrUnmintedID)); got != CodeInvalid {
+		t.Fatalf("codeOf(ErrUnmintedID) = %s: an id the shard never minted is the client's error", got)
+	}
 }
 
 func TestDuplicateAckOverWire(t *testing.T) {
@@ -220,6 +223,72 @@ func TestDuplicateAckOverWire(t *testing.T) {
 	}
 	if st.Total.Duplicates != 1 {
 		t.Fatalf("duplicates = %d, want 1", st.Total.Duplicates)
+	}
+}
+
+// TestBatchDedupOverWire: one /submit-batch mixes the three kinds of id a
+// client can send. Id-less transactions get distinct minted ids and
+// commit; a chosen id that already committed is CodeDuplicate and is not
+// proposed; a chosen id twice in the batch is proposed once and acked in
+// both slots.
+func TestBatchDedupOverWire(t *testing.T) {
+	client, sharded := newTestServer(t, nil)
+	if _, err := client.Submit(Tx{ID: "committed", Kind: KindPut, Key: "c", Value: []byte("first")}); err != nil {
+		t.Fatal(err)
+	}
+	before, err := client.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := client.SubmitBatch([]Tx{
+		{Kind: KindPut, Key: "a", Value: []byte("1")},
+		{ID: "committed", Kind: KindPut, Key: "c", Value: []byte("again")},
+		{ID: "twice", Kind: KindPut, Key: "t", Value: []byte("2")},
+		{Kind: KindPut, Key: "b", Value: []byte("3")},
+		{ID: "twice", Kind: KindPut, Key: "t", Value: []byte("2")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{"", CodeDuplicate, "", "", ""} {
+		if results[i].Code != want {
+			t.Fatalf("tx %d: code %q (%s), want %q", i, results[i].Code, results[i].Error, want)
+		}
+	}
+	if results[0].TxID == "" || results[3].TxID == "" || results[0].TxID == results[3].TxID {
+		t.Fatalf("id-less txs got ids %q and %q, want two distinct ones", results[0].TxID, results[3].TxID)
+	}
+	if results[1].TxID != "committed" || results[2].TxID != "twice" || results[4].TxID != "twice" {
+		t.Fatalf("chosen ids came back as %q, %q, %q", results[1].TxID, results[2].TxID, results[4].TxID)
+	}
+	after, err := client.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := after.Total, before.Total
+	if ops := a.Batches.Ops - b.Batches.Ops; ops != 3 {
+		t.Fatalf("%d ops proposed, want 3 (two minted, \"twice\" once)", ops)
+	}
+	if a.Accepted-b.Accepted != 4 || a.Duplicates-b.Duplicates != 1 ||
+		a.Pool.DupPending-b.Pool.DupPending != 1 || a.Pool.DupExecuted-b.Pool.DupExecuted != 1 {
+		t.Fatalf("stats moved by %d accepted, %d duplicates, %d pending and %d executed duplicates; want 4, 1, 1, 1",
+			a.Accepted-b.Accepted, a.Duplicates-b.Duplicates, a.Pool.DupPending-b.Pool.DupPending, a.Pool.DupExecuted-b.Pool.DupExecuted)
+	}
+	waitConverged(t, client)
+	peer := sharded.Shards()[0].Peers()[0]
+	seen := 0
+	for _, blk := range peer.Blocks() {
+		for _, tx := range blk.Txs {
+			if tx.ID == "twice" {
+				seen++
+			}
+		}
+	}
+	if seen != 1 {
+		t.Fatalf("\"twice\" is in the chain %d times, want once", seen)
+	}
+	if v, err := peer.Get("c"); err != nil || string(v) != "first" {
+		t.Fatalf("c = %q, %v after its duplicate", v, err)
 	}
 }
 

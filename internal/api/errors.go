@@ -45,7 +45,7 @@ func codeOf(err error) string {
 		return CodeShardDown
 	case errors.Is(err, chain.ErrTxTooLarge):
 		return CodeTxTooLarge
-	case errors.Is(err, chain.ErrTxTooDeep):
+	case errors.Is(err, chain.ErrTxTooDeep), errors.Is(err, chain.ErrUnmintedID):
 		return CodeInvalid
 	default:
 		return CodeInternal

@@ -98,10 +98,11 @@ type Peer struct {
 	heads    []blockHead       // append-only: an element, once written, never changes
 	bodies   [][]byte          // likewise; bodies[i] belongs to heads[i]
 	pendingP map[string][]byte // txID -> private value awaiting commit
-	prepared map[string][]Tx   // xid -> prepared cross-shard writes
+	prepared map[string]txView // xid -> the prepare, whose Writes are its writes
 	root     merkle.Frontier   // scratch for the block being built: its root,
-	fresh    []Tx              // its decoded transactions,
-	body     []byte            // and its body before it is cut to size
+	fresh    []txView          // its transactions, read in place,
+	body     []byte            // its body before it is cut to size,
+	key      []byte            // and a private put's public key
 }
 
 func newPeer(id string, collections []string) *Peer {
@@ -111,7 +112,7 @@ func newPeer(id string, collections []string) *Peer {
 		state:       newWorldState(),
 		private:     make(map[string]*worldState),
 		pendingP:    make(map[string][]byte),
-		prepared:    make(map[string][]Tx),
+		prepared:    make(map[string]txView),
 		applied:     newIDSet(),
 	}
 	for _, c := range collections {
@@ -215,8 +216,10 @@ func (p *Peer) unstagePrivateValue(txID string) {
 // when every operation is fresh run is the body, kept as it stands;
 // otherwise the fresh ones are copied into a body of their own. Either
 // way the peer keeps run's bytes, and nothing may change them after.
-// The decoded form lives only until the block is applied. run must be
-// well framed; a framing error ends the batch as one more undecodable.
+// Each transaction is read in place (txView) and applied from there: a
+// block of overwrites to existing keys under known id prefixes allocates
+// nothing per transaction. run must be well framed; a framing error ends
+// the batch as one more undecodable.
 func (p *Peer) applyBatch(run []byte) (undecodable int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -227,11 +230,11 @@ func (p *Peer) applyBatch(run []byte) (undecodable int) {
 	for !r.Done() {
 		at := len(run) - r.Len()
 		op := r.Bytes()
-		tx, err := decodeTx(op, false)
-		if err != nil {
+		v, ok := viewTx(op)
+		if !ok {
 			undecodable++
 		}
-		if err != nil || (tx.ID != "" && !p.applied.add(tx.ID)) {
+		if !ok || (len(v.ID) != 0 && !p.applied.add(v.ID)) {
 			if whole { // run is not the body: copy what it kept so far
 				whole = false
 				body = append(body, run[:at]...)
@@ -241,7 +244,7 @@ func (p *Peer) applyBatch(run []byte) (undecodable int) {
 			}
 			continue
 		}
-		fresh = append(fresh, tx)
+		fresh = append(fresh, v)
 		p.root.Add(op)
 		if !whole {
 			body = wire.AppendBytes(body, op)
@@ -267,11 +270,11 @@ func (p *Peer) applyBatch(run []byte) (undecodable int) {
 	for i := range fresh {
 		p.applyTxLocked(&fresh[i])
 	}
-	clear(fresh) // the scratch must not pin the decoded strings and values
+	clear(fresh) // the scratch must not pin the committed bytes
 	return undecodable
 }
 
-func (p *Peer) applyTxLocked(tx *Tx) {
+func (p *Peer) applyTxLocked(tx *txView) {
 	switch tx.Kind {
 	case TxPut:
 		p.state.put(tx.Key, tx.Value)
@@ -283,25 +286,26 @@ func (p *Peer) applyTxLocked(tx *Tx) {
 		p.state.delete(tx.Key)
 	case TxPrivatePut:
 		// On-chain: record the hash publicly so everyone can audit.
-		p.state.put("hash/"+tx.Collection+"/"+tx.Key, tx.ValueHash[:])
+		h := tx.valueHash()
+		p.key = append(append(append(append(p.key[:0], "hash/"...), tx.Collection...), '/'), tx.Key...)
+		p.state.put(p.key, h[:])
 		// Members store the value if the staged copy matches the hash.
-		if p.collections[tx.Collection] {
-			if v, ok := p.pendingP[tx.ID]; ok && HashValue(v) == tx.ValueHash {
-				p.private[tx.Collection].put(tx.Key, v)
+		if p.collections[string(tx.Collection)] {
+			if v, ok := p.pendingP[string(tx.ID)]; ok && HashValue(v) == h {
+				p.private[string(tx.Collection)].put(tx.Key, v)
 			}
-			delete(p.pendingP, tx.ID)
+			delete(p.pendingP, string(tx.ID))
 		}
 	case TxCrossPrepare:
-		p.prepared[tx.XID] = tx.Writes
+		// The writes stay where they were committed, as a view of them.
+		p.prepared[string(tx.XID)] = *tx
 	case TxCrossCommit:
-		if writes, ok := p.prepared[tx.XID]; ok {
-			for i := range writes {
-				p.applyTxLocked(&writes[i])
-			}
-			delete(p.prepared, tx.XID)
+		if prep, ok := p.prepared[string(tx.XID)]; ok {
+			prep.eachWrite(p.applyTxLocked)
+			delete(p.prepared, string(tx.XID))
 		}
 	case TxCrossAbort:
-		delete(p.prepared, tx.XID)
+		delete(p.prepared, string(tx.XID))
 	}
 }
 
@@ -375,6 +379,7 @@ type Shard struct {
 	client   *pbft.Client
 	pool     *mempool.Pool
 	batcher  *mempool.Batcher
+	mint     sync.RWMutex // read-held while minting and admitting; a claim of a minted id write-locks it once, as a barrier (vetClaims)
 	seq      atomic.Uint64
 	txIDs    string // "<name>-<nonce>-tx-": what an assigned id is, before its sequence number
 	ptxIDs   string // likewise "<name>-<nonce>-ptx-" for private puts
@@ -516,14 +521,16 @@ func NewShard(net *netsim.Network, cfg ShardConfig) (*Shard, error) {
 		return false
 	}
 	s.pool = mempool.NewPool(cfg.Mempool)
-	s.batcher = mempool.NewBatcher(s.pool, func(ops [][]byte) func() error {
-		// Start assigns the client sequence number and hands the batch to
-		// the primary before returning, fixing the commit order of
-		// pipelined batches at dispatch time.
-		p := s.client.StartBatch(ops)
-		return func() error { return p.Wait(s.timeout) }
-	})
+	s.batcher = mempool.NewBatcher(s.pool, s.propose)
 	return s, nil
+}
+
+// propose is the shard's mempool.Proposer. StartBatch assigns the client
+// sequence number and hands the batch to the primary before returning,
+// fixing the commit order of pipelined batches at dispatch time.
+func (s *Shard) propose(ops [][]byte) func() error {
+	p := s.client.StartBatch(ops)
+	return func() error { return p.Wait(s.timeout) }
 }
 
 // bootNonce returns a short random token unique to this process
@@ -567,25 +574,21 @@ func (s *Shard) Replicas() []*pbft.Replica { return s.replicas }
 // closed, too large, consensus timeout) takes the staged copies back, so
 // values that will never be claimed do not pile up on the members.
 func (s *Shard) SubmitPrivate(collection, key string, value []byte) <-chan Result {
-	tx := Tx{
-		ID:         s.nextID(s.ptxIDs),
-		Kind:       TxPrivatePut,
-		Collection: collection,
-		Key:        key,
-		ValueHash:  HashValue(value),
-	}
-	for _, p := range s.peers {
-		if p.collections[collection] {
-			p.StagePrivateValue(tx.ID, value)
-		}
-	}
-	return s.submit(tx, func(res Result) {
-		if res.Err != nil && !errors.Is(res.Err, ErrDuplicate) {
-			for _, p := range s.peers {
-				p.unstagePrivateValue(tx.ID)
+	tx := Tx{Kind: TxPrivatePut, Collection: collection, Key: key, ValueHash: HashValue(value)}
+	stage := func(id string) {
+		for _, p := range s.peers {
+			if p.collections[collection] {
+				p.StagePrivateValue(id, value)
 			}
 		}
-	})
+	}
+	return s.submit([]Tx{tx}, s.ptxIDs, stage, func(res Result) {
+		if res.Err != nil && !errors.Is(res.Err, ErrDuplicate) {
+			for _, p := range s.peers {
+				p.unstagePrivateValue(res.TxID)
+			}
+		}
+	}).done
 }
 
 // nextID assigns an id: prefix, then the shard's next sequence number in
@@ -618,10 +621,17 @@ func NewSharded(shards ...*Shard) (*Sharded, error) {
 func (c *Sharded) Shards() []*Shard { return c.shards }
 
 // ShardFor maps a key to its home shard.
-func (c *Sharded) ShardFor(key string) *Shard {
+func (c *Sharded) ShardFor(key string) *Shard { return c.shards[c.shardIndex(key)] }
+
+// shardIndex is the home shard's index, sha256(key)[0] mod the shard
+// count; existing data directories depend on it (TestShardPlacement). One
+// shard is every key's home, with no hash taken.
+func (c *Sharded) shardIndex(key string) int {
+	if len(c.shards) == 1 {
+		return 0
+	}
 	h := sha256.Sum256([]byte(key))
-	idx := int(h[0]) % len(c.shards)
-	return c.shards[idx]
+	return int(h[0]) % len(c.shards)
 }
 
 // SubmitAsync routes a single-shard transaction to its home shard's

@@ -2,6 +2,7 @@ package chain
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"testing"
 	"time"
@@ -317,6 +318,31 @@ func BenchmarkShardSubmit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := submitWait(s, Tx{Kind: TxPut, Key: fmt.Sprintf("k%d", i), Value: val}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestShardPlacement pins where a key lives: shard sha256(key)[0] mod the
+// shard count, which data directories written by earlier builds depend
+// on; one shard holds every key.
+func TestShardPlacement(t *testing.T) {
+	shards := []*Shard{{Name: "a"}, {Name: "b"}, {Name: "c"}}
+	three, err := NewSharded(shards...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := NewSharded(shards[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		key := fmt.Sprintf("user%010d", i)
+		h := sha256.Sum256([]byte(key))
+		if got, want := three.ShardFor(key), shards[int(h[0])%3]; got != want {
+			t.Fatalf("%s lives on %s, want %s", key, got.Name, want.Name)
+		}
+		if one.ShardFor(key) != shards[1] {
+			t.Fatalf("%s is not on the only shard", key)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package chain
 import (
 	"encoding/binary"
 	"errors"
+	"math/bits"
 
 	"prever/internal/wire"
 )
@@ -55,8 +56,27 @@ func AppendTx(b []byte, tx *Tx) []byte {
 
 // txBytes encodes one transaction.
 func txBytes(tx Tx) []byte {
-	return AppendTx(make([]byte, 0, minTxBytes+len(tx.ID)+len(tx.Key)+len(tx.Value)+40), &tx)
+	return AppendTx(make([]byte, 0, txSize(&tx)), &tx)
 }
+
+// txSize is the length of tx's encoding.
+func txSize(tx *Tx) int {
+	n := 1 + strSize(len(tx.ID)) + strSize(len(tx.Collection)) + strSize(len(tx.Key)) +
+		strSize(len(tx.Value)) + strSize(len(tx.XID)) + uvarintSize(uint64(len(tx.Writes)))
+	if tx.ValueHash == ([32]byte{}) {
+		n++
+	} else {
+		n += strSize(len(tx.ValueHash))
+	}
+	for i := range tx.Writes {
+		n += txSize(&tx.Writes[i])
+	}
+	return n
+}
+
+func strSize(n int) int { return uvarintSize(uint64(n)) + n }
+
+func uvarintSize(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // writesDepth reports how deep tx.Writes nests (0 for a plain write).
 func writesDepth(tx *Tx) int {
@@ -69,52 +89,104 @@ func writesDepth(tx *Tx) int {
 	return d
 }
 
-// DecodeTx is the strict inverse of AppendTx. Nothing in the result
-// aliases b.
-func DecodeTx(b []byte) (Tx, error) { return decodeTx(b, true) }
-
-// decodeTx is DecodeTx; with own false every Value in the result is a
-// sub-slice of b, for a caller that keeps b unchanged for as long as it
-// keeps the result (the applier: committed bytes nothing rewrites).
-func decodeTx(b []byte, own bool) (Tx, error) {
-	r := wire.NewReader(b)
-	var tx Tx
-	readTx(&r, &tx, 0, own)
-	if !r.Done() {
-		return Tx{}, errBadTx
-	}
-	return tx, nil
+// txView is a transaction read in place: every field is a sub-slice of
+// the encoding it was read from (nil when empty), so reading one
+// allocates nothing. The applier reads committed transactions this way;
+// DecodeTx is a view made into a Tx. Writes is the nested transactions'
+// encodings back to back, NWrites of them, each already checked.
+type txView struct {
+	Kind                                  TxKind
+	ID, Collection, Key, Value, Hash, XID []byte
+	Writes                                []byte
+	NWrites                               int
 }
 
-func readTx(r *wire.Reader, tx *Tx, depth int, own bool) {
-	tx.Kind = TxKind(r.Byte())
-	tx.ID = r.String()
-	tx.Collection = r.String()
-	tx.Key = r.String()
-	if v := r.Bytes(); v != nil && own {
-		tx.Value = append([]byte(nil), v...)
-	} else {
-		tx.Value = v
+// viewTx reads b as one transaction. It accepts exactly what DecodeTx
+// accepts (FuzzViewTx).
+func viewTx(b []byte) (txView, bool) {
+	r := wire.NewReader(b)
+	var v txView
+	readView(&r, b, &v, 0)
+	if !r.Done() {
+		return txView{}, false
 	}
-	if h := r.Bytes(); h != nil {
-		copy(tx.ValueHash[:], h)
-		if len(h) != len(tx.ValueHash) || tx.ValueHash == ([32]byte{}) {
-			r.Fail()
-		}
+	return v, true
+}
+
+// readView reads one transaction from r, which reads from b, and checks
+// every nested one; the fields of v are sub-slices of b.
+func readView(r *wire.Reader, b []byte, v *txView, depth int) {
+	v.Kind = TxKind(r.Byte())
+	v.ID = r.Bytes()
+	v.Collection = r.Bytes()
+	v.Key = r.Bytes()
+	v.Value = r.Bytes()
+	if v.Hash = r.Bytes(); v.Hash != nil && (len(v.Hash) != 32 || [32]byte(v.Hash) == [32]byte{}) {
+		r.Fail()
 	}
-	tx.XID = r.String()
-	n := r.Count(minTxBytes)
-	if n == 0 {
+	v.XID = r.Bytes()
+	v.NWrites = r.Count(minTxBytes)
+	v.Writes = nil
+	if v.NWrites == 0 {
 		return
 	}
 	if depth == maxWritesDepth {
 		r.Fail()
 		return
 	}
-	// Grown one decoded element at a time, not sized from the count: a
-	// Tx in memory is ~20x its smallest encoding.
-	for i := 0; i < n && r.OK(); i++ {
-		tx.Writes = append(tx.Writes, Tx{})
-		readTx(r, &tx.Writes[i], depth+1, own)
+	at := len(b) - r.Len()
+	var w txView
+	for i := 0; i < v.NWrites && r.OK(); i++ {
+		readView(r, b, &w, depth+1)
 	}
+	v.Writes = b[at : len(b)-r.Len()]
+}
+
+// eachWrite calls fn with a view of each of v's nested transactions, in
+// order.
+func (v *txView) eachWrite(fn func(w *txView)) {
+	r := wire.NewReader(v.Writes)
+	var w txView
+	for i := 0; i < v.NWrites; i++ {
+		readView(&r, v.Writes, &w, 0) // checked to its depth when v was read
+		fn(&w)
+	}
+}
+
+// valueHash is the view's ValueHash.
+func (v *txView) valueHash() (h [32]byte) {
+	copy(h[:], v.Hash)
+	return h
+}
+
+// tx makes the view into a Tx that aliases nothing of the encoding.
+func (v *txView) tx() Tx {
+	tx := Tx{
+		Kind:       v.Kind,
+		ID:         string(v.ID),
+		Collection: string(v.Collection),
+		Key:        string(v.Key),
+		XID:        string(v.XID),
+	}
+	if v.Value != nil {
+		tx.Value = append([]byte(nil), v.Value...)
+	}
+	tx.ValueHash = v.valueHash()
+	if v.NWrites > 0 {
+		// Sized from the count, which viewTx checked against the bytes
+		// that are really there.
+		tx.Writes = make([]Tx, 0, v.NWrites)
+		v.eachWrite(func(w *txView) { tx.Writes = append(tx.Writes, w.tx()) })
+	}
+	return tx
+}
+
+// DecodeTx is the strict inverse of AppendTx. Nothing in the result
+// aliases b.
+func DecodeTx(b []byte) (Tx, error) {
+	v, ok := viewTx(b)
+	if !ok {
+		return Tx{}, errBadTx
+	}
+	return v.tx(), nil
 }

@@ -221,22 +221,27 @@ func put64() Tx {
 }
 
 // TestDecodeTxAllocs: a put decodes into its ID, its Key and its Value —
-// three allocations, none per field — and the applier's decode, whose
-// Value stays in the committed bytes, into its ID and its Key.
+// three allocations, none per field — and the applier's view of it, whose
+// fields stay in the committed bytes, allocates nothing.
 func TestDecodeTxAllocs(t *testing.T) {
 	enc := txBytes(put64())
-	for own, want := range map[bool]float64{true: 3, false: 2} {
-		if n := testing.AllocsPerRun(100, func() {
-			if _, err := decodeTx(enc, own); err != nil {
-				t.Fatal(err)
-			}
-		}); n > want {
-			t.Fatalf("decoding a put (own=%v) allocates %.0f times, want <= %.0f", own, n, want)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := DecodeTx(enc); err != nil {
+			t.Fatal(err)
 		}
+	}); n > 3 {
+		t.Fatalf("decoding a put allocates %.0f times, want <= 3", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok := viewTx(enc); !ok {
+			t.Fatal("the view refused a put")
+		}
+	}); n != 0 {
+		t.Fatalf("viewing a put allocates %.0f times, want 0", n)
 	}
 	// The value's bytes are followed by a byte each of hash, xid and count.
-	if tx, _ := decodeTx(enc, false); &tx.Value[0] != &enc[len(enc)-len(tx.Value)-3] {
-		t.Fatal("the applier's decode copied the value out of the committed bytes")
+	if v, _ := viewTx(enc); &v.Value[0] != &enc[len(enc)-len(v.Value)-3] {
+		t.Fatal("the view copied the value out of the committed bytes")
 	}
 }
 
@@ -275,6 +280,63 @@ func FuzzDecodeTx(f *testing.F) {
 		}
 		if again := txBytes(tx); !bytes.Equal(again, b) {
 			t.Fatalf("accepted %x, which re-encodes to %x", b, again)
+		}
+	})
+}
+
+// FuzzViewTx: the applier reads committed transactions through viewTx,
+// so the view and DecodeTx are two readers of one trust boundary. They
+// must accept the same inputs, agree on every field, and txSize must
+// measure what AppendTx writes. Seeded from the golden sequence.
+func FuzzViewTx(f *testing.F) {
+	for _, batch := range goldenSequence() {
+		for _, op := range encodeAll(batch) {
+			f.Add(op)
+		}
+	}
+	good := txBytes(put64())
+	f.Add(good[:len(good)-1])
+	f.Add(append(append([]byte{}, good...), 0))
+	f.Add(txBytes(nested(maxWritesDepth)))
+	f.Add(txBytes(nested(maxWritesDepth + 1)))
+	f.Add([]byte(nil))
+	f.Add(append([]byte{1, 0, 0, 0, 0, 32}, make([]byte, 34)...)) // the zero hash spelled out
+	f.Fuzz(func(t *testing.T, b []byte) {
+		v, ok := viewTx(b)
+		tx, err := DecodeTx(b)
+		if ok != (err == nil) {
+			t.Fatalf("view accepted %v, DecodeTx err %v", ok, err)
+		}
+		if !ok {
+			if !reflect.DeepEqual(v, txView{}) {
+				t.Fatalf("refused input still viewed as %+v", v)
+			}
+			return
+		}
+		wantHash := tx.ValueHash[:]
+		if tx.ValueHash == ([32]byte{}) {
+			wantHash = nil
+		}
+		for _, f := range []struct {
+			name      string
+			got, want []byte
+		}{
+			{"id", v.ID, []byte(tx.ID)},
+			{"collection", v.Collection, []byte(tx.Collection)},
+			{"key", v.Key, []byte(tx.Key)},
+			{"value", v.Value, tx.Value},
+			{"hash", v.Hash, wantHash},
+			{"xid", v.XID, []byte(tx.XID)},
+		} {
+			if !bytes.Equal(f.got, f.want) || (f.got == nil) != (len(f.want) == 0) {
+				t.Fatalf("%s: view %q, DecodeTx %q", f.name, f.got, f.want)
+			}
+		}
+		if v.Kind != tx.Kind || v.NWrites != len(tx.Writes) {
+			t.Fatalf("view kind %d with %d writes, DecodeTx kind %d with %d", v.Kind, v.NWrites, tx.Kind, len(tx.Writes))
+		}
+		if n := txSize(&tx); n != len(b) {
+			t.Fatalf("txSize = %d for %d encoded bytes", n, len(b))
 		}
 	})
 }

@@ -29,6 +29,9 @@ var (
 	// ErrTxTooDeep reports that the transaction's Writes nest deeper than
 	// the codec's cap (HTTP 400).
 	ErrTxTooDeep = errors.New("chain: transaction writes nested too deep")
+	// ErrUnmintedID reports that a caller chose an id of the form the
+	// shard mints, with a sequence number it has not minted yet (HTTP 400).
+	ErrUnmintedID = errors.New("chain: transaction id in the shard's minted form was never minted")
 )
 
 // sentinelErr lifts a mempool-level error onto the chain-level sentinel;

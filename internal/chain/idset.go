@@ -2,7 +2,6 @@ package chain
 
 import (
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -39,39 +38,45 @@ func newIDSet() *idSet {
 }
 
 // splitID splits id at its last '-' into prefix and number when the
-// suffix is a canonical decimal that fits a uint64.
-func splitID(id string) (prefix string, n uint64, ok bool) {
-	i := strings.LastIndexByte(id, '-')
+// suffix is a canonical decimal that fits a uint64. prefix is a
+// sub-slice of id.
+func splitID[T string | []byte](id T) (prefix T, n uint64, ok bool) {
+	i := len(id) - 1
+	for i >= 0 && id[i] != '-' {
+		i--
+	}
 	d := id[i+1:]
 	if i < 0 || len(d) == 0 || (d[0] == '0' && len(d) > 1) {
-		return "", 0, false
+		return prefix, 0, false
 	}
 	for j := 0; j < len(d); j++ {
 		c := uint64(d[j]) - '0'
 		if c > 9 || n > (^uint64(0)-c)/10 {
-			return "", 0, false
+			return prefix, 0, false
 		}
 		n = n*10 + c
 	}
 	return id[:i], n, true
 }
 
-// add inserts id and reports whether it was absent.
-func (s *idSet) add(id string) bool {
+// add inserts id and reports whether it was absent. It takes the id as
+// the applier reads it, in the committed bytes: only an id kept whole
+// and a new prefix are copied out.
+func (s *idSet) add(id []byte) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	prefix, n, ok := splitID(id)
 	if !ok {
-		if _, dup := s.others[id]; dup {
+		if _, dup := s.others[string(id)]; dup {
 			return false
 		}
-		s.others[id] = struct{}{}
+		s.others[string(id)] = struct{}{}
 		return true
 	}
-	sp := s.ranges[prefix]
+	sp := s.ranges[string(prefix)]
 	if sp == nil {
 		sp = new(spans)
-		s.ranges[strings.Clone(prefix)] = sp // prefix aliases the caller's id
+		s.ranges[string(prefix)] = sp
 	}
 	return sp.add(n)
 }

@@ -30,29 +30,32 @@ func (s *worldState) get(key string) ([]byte, error) {
 	return append(make([]byte, 0, len(v)), v...), nil
 }
 
-func (s *worldState) has(key string) bool {
+// has, put and delete take the key as the applier reads it, in the
+// committed bytes; a key is copied out only when it is new to the map or
+// its value changes length.
+func (s *worldState) has(key []byte) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	_, ok := s.m[key]
+	_, ok := s.m[string(key)]
 	return ok
 }
 
 // put copies value under key.
-func (s *worldState) put(key string, value []byte) {
+func (s *worldState) put(key, value []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v, ok := s.m[key]
+	v, ok := s.m[string(key)]
 	if ok && len(v) == len(value) {
 		copy(v, value) // no map assign: the entry already holds this slice
 		return
 	}
-	s.m[key] = append(v[:0], value...)
+	s.m[string(key)] = append(v[:0], value...)
 }
 
-func (s *worldState) delete(key string) {
+func (s *worldState) delete(key []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.m, key)
+	delete(s.m, string(key))
 }
 
 // adopt replaces s's contents with o's; o must not be used afterwards.

@@ -3,6 +3,7 @@ package chain
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"prever/internal/mempool"
@@ -29,7 +30,7 @@ type Result struct {
 	// Err is nil once the transaction's batch committed. The typed
 	// sentinels in errors.go classify the failure: ErrPoolFull (back off
 	// and retry), ErrDuplicate (already committed — a success with a
-	// flag), ErrShardClosed, ErrTxTooLarge, ErrTxTooDeep.
+	// flag), ErrShardClosed, ErrTxTooLarge, ErrTxTooDeep, ErrUnmintedID.
 	Err error
 }
 
@@ -45,12 +46,14 @@ func submitWait(s *Shard, tx Tx) error { return (<-s.SubmitAsync(tx)).Err }
 // tags are the wire shape: internal/api serves exactly this struct at
 // /stats (per shard and aggregated), and the repository benchmark reads it.
 type Stats struct {
-	Submitted  int64 `json:"submitted"`  // transactions entering SubmitAsync
+	Submitted  int64 `json:"submitted"`  // transactions entering SubmitAsync, SubmitBatch or SubmitPrivate
 	Accepted   int64 `json:"accepted"`   // transactions whose batch committed
 	Duplicates int64 `json:"duplicates"` // dedup-acked resubmissions (ErrDuplicate)
 	Rejected   int64 `json:"rejected"`   // admission-control rejections (ErrPoolFull)
 	Errors     int64 `json:"errors"`     // submission failures (budget exhausted, shard closed, oversized)
-	// TotalCommitNanos accumulates wall time from submission to ack;
+	// TotalCommitNanos accumulates, for every accepted transaction, the
+	// wall time of the submission it came in, from admission to its last
+	// settle (a transaction's result reaches its caller with its batch's);
 	// divide by Accepted for the mean commit latency.
 	TotalCommitNanos int64 `json:"totalCommitNanos"`
 	// Undecodable counts committed requests that were not a decodable
@@ -113,40 +116,10 @@ func laneOf(tx Tx) string {
 // assigned here; callers that retry a failed submission should reuse the
 // returned TxID so the mempool's duplicate suppression can collapse the
 // retry (a retried transaction that is still pending, or that is in the
-// chain already, is acked without being proposed again).
-func (s *Shard) SubmitAsync(tx Tx) <-chan Result { return s.submit(tx, nil) }
-
-// submit is SubmitAsync; settled, when not nil, sees the Result just
-// before the channel does, on whichever goroutine settles it.
-func (s *Shard) submit(tx Tx, settled func(Result)) <-chan Result {
-	ch := make(chan Result, 1)
-	if tx.ID == "" {
-		tx.ID = s.nextID(s.txIDs)
-	}
-	id := tx.ID
-	start := time.Now()
-	s.statsMu.Lock()
-	s.stats.Submitted++
-	s.statsMu.Unlock()
-	done := func(err error) {
-		err = sentinelErr(err)
-		s.recordOutcome(start, err)
-		res := Result{TxID: id, Err: err}
-		if settled != nil {
-			settled(res)
-		}
-		ch <- res
-	}
-	data := txBytes(tx)
-	if len(data) > s.maxTx {
-		done(fmt.Errorf("%w: %d bytes (limit %d)", ErrTxTooLarge, len(data), s.maxTx))
-	} else if d := writesDepth(&tx); d > maxWritesDepth {
-		// Every peer's decoder would refuse it after it committed.
-		done(fmt.Errorf("%w: %d levels (limit %d)", ErrTxTooDeep, d, maxWritesDepth))
-	} else if err := s.pool.Add(mempool.Op{ID: id, Lane: laneOf(tx), Data: data}, done); err != nil {
-		done(err)
-	}
-	return ch
+// chain already, is acked without being proposed again). It is
+// SubmitBatch for one transaction, without the wait.
+func (s *Shard) SubmitAsync(tx Tx) <-chan Result {
+	return s.submit([]Tx{tx}, s.txIDs, nil, nil).done
 }
 
 // SubmitBatch admits transactions in order and waits for all of them,
@@ -154,35 +127,189 @@ func (s *Shard) submit(tx Tx, settled func(Result)) <-chan Result {
 // relative order through consensus. The caller is about to block, so the
 // pool is told not to linger over a partial batch while consensus is idle.
 func (s *Shard) SubmitBatch(txs []Tx) []Result {
-	chans := make([]<-chan Result, len(txs))
-	for i, tx := range txs {
-		chans[i] = s.SubmitAsync(tx)
+	if len(txs) == 0 {
+		return []Result{}
 	}
+	b := s.submit(txs, s.txIDs, nil, nil)
 	s.pool.Flush()
-	out := make([]Result, len(txs))
-	for i, ch := range chans {
-		out[i] = <-ch
-	}
-	return out
+	<-b.done
+	return b.out
 }
 
-func (s *Shard) recordOutcome(start time.Time, err error) {
-	ns := time.Since(start).Nanoseconds()
+// submission is one call's transactions on their way through the pool:
+// their results in input order, how many are still unsettled, and the
+// channel the last settle sends on — out[0], which is SubmitAsync's
+// Result, and for a batch the word that out is complete.
+type submission struct {
+	s       *Shard
+	start   time.Time
+	out     []Result
+	left    atomic.Int64
+	done    chan Result
+	settled func(Result)
+}
+
+// settle records tx i's outcome; the last one records the submission's
+// stats and sends on done.
+func (b *submission) settle(i int, err error) {
+	err = sentinelErr(err)
+	b.out[i].Err = err
+	if b.settled != nil {
+		b.settled(b.out[i])
+	}
+	if b.left.Add(-1) == 0 {
+		b.s.record(b)
+		b.done <- b.out[0]
+	}
+}
+
+// submit is the one admission path, under SubmitAsync, SubmitBatch and
+// SubmitPrivate. It mints an id, prefix and the shard's next sequence
+// number, for every transaction without one, encodes all of them into
+// one buffer and admits them to the pool in one AddBatch. The pool looks
+// a minted id up neither among pending ops nor in the peers' id sets:
+// see vetClaims for why it can be in neither. minted, when not nil,
+// sees each minted id before anything is admitted; settled, when not nil,
+// sees each Result on whichever goroutine settles it, before the caller
+// does.
+func (s *Shard) submit(txs []Tx, prefix string, minted func(id string), settled func(Result)) *submission {
+	b := &submission{s: s, start: time.Now(), out: make([]Result, len(txs)), done: make(chan Result, 1), settled: settled}
+	b.left.Store(int64(len(txs)))
+	s.statsMu.Lock()
+	s.stats.Submitted += int64(len(txs))
+	s.statsMu.Unlock()
+
+	if s.vetClaims(b, txs) {
+		// A barrier, held for no work: it waits out every submission that
+		// was minting when the claim was vetted, since one of them may
+		// hold the claimed id and not have admitted it yet.
+		s.mint.Lock()
+		s.mint.Unlock()
+	}
+	s.mint.RLock()
+	defer s.mint.RUnlock()
+	size, admit := 0, 0
+	for i := range txs {
+		if b.out[i].Err != nil { // refused by vetClaims
+			continue
+		}
+		tx := txs[i]
+		if tx.ID == "" {
+			tx.ID = s.nextID(prefix)
+			if minted != nil {
+				minted(tx.ID)
+			}
+		}
+		b.out[i].TxID = tx.ID
+		if n := txSize(&tx); n > s.maxTx {
+			b.settle(i, fmt.Errorf("%w: %d bytes (limit %d)", ErrTxTooLarge, n, s.maxTx))
+		} else if d := writesDepth(&tx); d > maxWritesDepth {
+			// Every peer's decoder would refuse it after it committed.
+			b.settle(i, fmt.Errorf("%w: %d levels (limit %d)", ErrTxTooDeep, d, maxWritesDepth))
+		} else {
+			size += n
+			admit++
+		}
+	}
+	if admit == 0 {
+		return b
+	}
+	var at []int // each op's tx index, when some tx was refused above
+	if admit < len(txs) {
+		at = make([]int, 0, admit)
+	}
+	buf := make([]byte, 0, size)
+	ops := make([]mempool.Op, 0, admit)
+	for i := range txs {
+		if b.out[i].Err != nil {
+			continue
+		}
+		tx := txs[i]
+		tx.ID = b.out[i].TxID
+		from := len(buf)
+		buf = AppendTx(buf, &tx)
+		ops = append(ops, mempool.Op{ID: tx.ID, Lane: laneOf(tx), Data: buf[from:len(buf):len(buf)], Minted: txs[i].ID == ""})
+		if at != nil {
+			at = append(at, i)
+		}
+	}
+	settle := b.settle
+	if at != nil {
+		settle = func(i int, err error) { b.settle(at[i], err) }
+	}
+	s.pool.AddBatch(ops, settle)
+	return b
+}
+
+// vetClaims vets every caller-chosen id that has the form of an id this
+// shard mints, and reports whether one of them is an id it has minted.
+//
+// Skipping the dedup lookups for a minted id is exact because no earlier
+// submission of this process can have carried it: the id is the shard's
+// boot nonce and a sequence number the counter never hands out twice, and
+// ids from before a restart carry another nonce. A caller can learn the
+// nonce from any reply, though, and choose an id of the same form. One
+// whose number the counter has not reached is refused (ErrUnmintedID): the
+// shard never handed it out, so no honest caller holds it, and admitting
+// it would let the shard mint it again later. One at or below the counter
+// is a retry of a minted id, or a guess at one. Its minted op is in the
+// pool or resolved once the submission that minted it has admitted: all
+// minting holds Shard.mint for reading from the counter to the end of
+// AddBatch, so taking the write lock once, after vetting, waits that
+// submission out, and the claimer's own two lookups then see its op.
+func (s *Shard) vetClaims(b *submission, txs []Tx) (minted bool) {
+	for i := range txs {
+		n, ok := s.mintedNumber(txs[i].ID)
+		if !ok {
+			continue
+		}
+		if n > s.seq.Load() {
+			b.out[i].TxID = txs[i].ID
+			b.settle(i, fmt.Errorf("%w: %s", ErrUnmintedID, txs[i].ID))
+			continue
+		}
+		minted = true
+	}
+	return minted
+}
+
+// mintedNumber reports whether id has the form of an id this shard
+// mints, and its sequence number.
+func (s *Shard) mintedNumber(id string) (uint64, bool) {
+	prefix, n, ok := splitID(id)
+	if !ok || (prefix != s.txIDs[:len(s.txIDs)-1] && prefix != s.ptxIDs[:len(s.ptxIDs)-1]) {
+		return 0, false
+	}
+	return n, true
+}
+
+// record adds a settled submission to the shard's stats. Every accepted
+// transaction is charged the submission's wall time: its result reaches
+// the caller only when the last one settles.
+func (s *Shard) record(b *submission) {
+	var accepted, dups, rejected, errs int64
+	for i := range b.out {
+		switch err := b.out[i].Err; {
+		case err == nil:
+			accepted++
+		case errors.Is(err, ErrDuplicate):
+			// The original committed; this resubmission was only acked, so it
+			// neither counts as a fresh commit nor pollutes commit latency.
+			dups++
+		case errors.Is(err, ErrPoolFull):
+			rejected++
+		default:
+			errs++
+		}
+	}
+	ns := time.Since(b.start).Nanoseconds()
 	s.statsMu.Lock()
 	defer s.statsMu.Unlock()
-	switch {
-	case err == nil:
-		s.stats.Accepted++
-		s.stats.TotalCommitNanos += ns
-	case errors.Is(err, ErrDuplicate):
-		// The original committed; this resubmission was only acked, so it
-		// neither counts as a fresh commit nor pollutes commit latency.
-		s.stats.Duplicates++
-	case errors.Is(err, mempool.ErrFull):
-		s.stats.Rejected++
-	default:
-		s.stats.Errors++
-	}
+	s.stats.Accepted += accepted
+	s.stats.TotalCommitNanos += ns * accepted
+	s.stats.Duplicates += dups
+	s.stats.Rejected += rejected
+	s.stats.Errors += errs
 }
 
 // Stats snapshots the shard's submission counters, mempool state, and
@@ -206,12 +333,24 @@ func (c *Sharded) Stats() Stats {
 }
 
 // SubmitBatch routes a batch of single-shard transactions to their home
-// shards and waits for all of them, returning results in input order. Like
-// Shard.SubmitBatch it does not linger in front of idle consensus.
+// shards, each of which admits its share as one batch, and waits for all
+// of them, returning results in input order. Like Shard.SubmitBatch it
+// does not linger in front of idle consensus.
 func (c *Sharded) SubmitBatch(txs []Tx) []Result {
-	chans := make([]<-chan Result, len(txs))
-	for i, tx := range txs {
-		chans[i] = c.ShardFor(tx.Key).SubmitAsync(tx)
+	if len(c.shards) == 1 {
+		return c.shards[0].SubmitBatch(txs)
+	}
+	home := make([]int, len(txs))
+	per := make([][]Tx, len(c.shards))
+	for i := range txs {
+		home[i] = c.shardIndex(txs[i].Key)
+		per[home[i]] = append(per[home[i]], txs[i])
+	}
+	subs := make([]*submission, len(c.shards))
+	for k, part := range per {
+		if len(part) > 0 {
+			subs[k] = c.shards[k].submit(part, c.shards[k].txIDs, nil, nil)
+		}
 	}
 	// Every shard, not only the ones this batch touched: elsewhere there
 	// is nothing of ours queued, and cutting short another producer's
@@ -219,9 +358,16 @@ func (c *Sharded) SubmitBatch(txs []Tx) []Result {
 	for _, s := range c.shards {
 		s.pool.Flush()
 	}
+	for _, b := range subs {
+		if b != nil {
+			<-b.done
+		}
+	}
 	out := make([]Result, len(txs))
-	for i, ch := range chans {
-		out[i] = <-ch
+	next := make([]int, len(c.shards))
+	for i, k := range home {
+		out[i] = subs[k].out[next[k]]
+		next[k]++
 	}
 	return out
 }

@@ -1,14 +1,19 @@
 package chain
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
 	"regexp"
 	"slices"
+	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"prever/internal/conf"
 	"prever/internal/mempool"
 	"prever/internal/netsim"
 )
@@ -547,5 +552,225 @@ func TestAssignedIDFormat(t *testing.T) {
 		if id, want := s.nextID(s.txIDs), fmt.Sprintf("%s-%s-tx-%d", s.Name, s.nonce, n+1); id != want {
 			t.Fatalf("id after sequence %d = %q, want %q", n, id, want)
 		}
+	}
+}
+
+// countExecuted rebuilds s's pool with an Executed hook that counts its
+// calls before asking the peers, as the shard's own hook does. Call it
+// before anything is submitted.
+func countExecuted(s *Shard) *atomic.Int64 {
+	s.batcher.Stop()
+	_ = s.pool.Close()
+	var calls atomic.Int64
+	cfg := s.pool.Config()
+	ask := cfg.Executed
+	cfg.Executed = func(id string) bool {
+		calls.Add(1)
+		return ask(id)
+	}
+	s.pool = mempool.NewPool(cfg)
+	s.batcher = mempool.NewBatcher(s.pool, s.propose)
+	return &calls
+}
+
+// TestMintedIDsAreNotLookedUp: the peers' id sets are asked about the
+// ids callers chose and never about the ones the shard minted, and a
+// caller's id is still a duplicate once it committed.
+func TestMintedIDsAreNotLookedUp(t *testing.T) {
+	_, s := newShard(t, "nolook", map[string][]string{"c": {"nolook/peer0"}})
+	calls := countExecuted(s)
+	txs := make([]Tx, 64)
+	for i := range txs {
+		txs[i] = Tx{Kind: TxPut, Key: fmt.Sprintf("k%d", i), Value: []byte("v")}
+	}
+	for _, res := range s.SubmitBatch(txs) {
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	if res := <-s.SubmitAsync(txs[0]); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if res := <-s.SubmitPrivate("c", "p", []byte("secret")); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("Executed was asked %d times about minted ids, want 0", n)
+	}
+	chosen := Tx{ID: "chosen", Kind: TxPut, Key: "c", Value: []byte("v")}
+	if res := <-s.SubmitAsync(chosen); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if res := <-s.SubmitAsync(chosen); !errors.Is(res.Err, ErrDuplicate) {
+		t.Fatalf("resubmitting a committed chosen id: %v, want ErrDuplicate", res.Err)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("Executed was asked %d times about the chosen id, want 2", n)
+	}
+}
+
+// TestUnmintedIDIsRefused: a caller may choose an id in the form the
+// shard mints. One whose number the shard has not minted yet is refused,
+// however large, and moves nothing: the ids minted after it are fresh,
+// each write lands, and a retry of one of them is a duplicate.
+func TestUnmintedIDIsRefused(t *testing.T) {
+	_, s := newShard(t, "claim", nil)
+	for _, n := range []uint64{1, 5, math.MaxUint64} {
+		id := s.txIDs + strconv.FormatUint(n, 10)
+		if res := <-s.SubmitAsync(Tx{ID: id, Kind: TxPut, Key: "mine", Value: []byte("caller")}); !errors.Is(res.Err, ErrUnmintedID) || res.TxID != id {
+			t.Fatalf("claiming %s: %+v, want ErrUnmintedID", id, res)
+		}
+	}
+	if n := s.seq.Load(); n != 0 {
+		t.Fatalf("refused claims moved the sequence to %d", n)
+	}
+	txs := make([]Tx, 64)
+	for i := range txs {
+		txs[i] = Tx{Kind: TxPut, Key: fmt.Sprintf("k%d", i), Value: []byte(fmt.Sprint(i))}
+	}
+	for i, res := range s.SubmitBatch(txs) {
+		if res.Err != nil {
+			t.Fatalf("tx %d: %v", i, res.Err)
+		}
+		if want := fmt.Sprintf("%s%d", s.txIDs, 1+i); res.TxID != want {
+			t.Fatalf("tx %d minted %q, want %q", i, res.TxID, want)
+		}
+	}
+	retry := Tx{ID: s.txIDs + "5", Kind: TxPut, Key: "k4", Value: []byte("again")}
+	if res := <-s.SubmitAsync(retry); !errors.Is(res.Err, ErrDuplicate) {
+		t.Fatalf("retrying a minted id: %v, want ErrDuplicate", res.Err)
+	}
+	waitHeights(t, s)
+	for _, p := range s.Peers() {
+		for i := range txs {
+			if v, err := p.Get(txs[i].Key); err != nil || string(v) != fmt.Sprint(i) {
+				t.Fatalf("%s: %s = %q, %v", p.ID(), txs[i].Key, v, err)
+			}
+		}
+		if _, err := p.Get("mine"); err == nil {
+			t.Fatalf("%s applied a refused claim", p.ID())
+		}
+	}
+}
+
+// TestSubmitBatchAllocs: admitting n minted puts and settling them costs
+// one allocation per transaction, its id, and a constant per call that
+// does not grow with n: one encode buffer, one op slice, one settle.
+func TestSubmitBatchAllocs(t *testing.T) {
+	value := bytes.Repeat([]byte("v"), 64)
+	allocs := func(n int) float64 {
+		s := &Shard{Name: "s0", nonce: "a1b2c3d4e5f6", maxTx: conf.MaxTxBytes()}
+		s.txIDs, s.ptxIDs = s.Name+"-"+s.nonce+"-tx-", s.Name+"-"+s.nonce+"-ptx-"
+		s.pool = mempool.NewPool(mempool.Config{Cap: 4096, BatchSize: 64, Executed: func(string) bool { return false }})
+		txs := make([]Tx, n)
+		for i := range txs {
+			txs[i] = Tx{Kind: TxPut, Key: fmt.Sprintf("key-%08d", i), Value: value}
+		}
+		return testing.AllocsPerRun(50, func() {
+			b := s.submit(txs, s.txIDs, nil, nil)
+			s.pool.Flush()
+			s.pool.Resolve(s.pool.WaitBatch(nil), nil)
+			if res := <-b.done; res.Err != nil {
+				t.Fatal(res.Err)
+			}
+		})
+	}
+	a16, a64 := allocs(16), allocs(64)
+	t.Logf("allocations per call: %.1f at n=16, %.1f at n=64", a16, a64)
+	if perTx := (a64 - a16) / 48; perTx > 1 {
+		t.Fatalf("%.2f allocations per transaction, want <= 1 (its id)", perTx)
+	}
+	for n, a := range map[int]float64{16: a16, 64: a64} {
+		if fixed := a - float64(n); fixed > 10 {
+			t.Fatalf("n=%d: %.1f allocations per call beyond the ids, want <= 10", n, fixed)
+		}
+	}
+}
+
+// TestClaimsRaceMinting: a caller keeps claiming the id the shard minted
+// last, or the one it will mint next, while others submit id-less
+// batches. A claim of a minted id waits for the submission that minted it
+// to admit it, and meets the minted op like any retry; a claim of an id
+// not yet minted is refused. Either way every submission settles, every
+// id is in the chain once, and no minted id carries the claimer's
+// transaction (run under -race).
+func TestClaimsRaceMinting(t *testing.T) {
+	_, s := newShard(t, "race", nil)
+	const minters, rounds, per = 3, 20, 8
+	var wg sync.WaitGroup
+	minted := make([][]string, minters)
+	for m := 0; m < minters; m++ {
+		wg.Add(1)
+		go func(m int) {
+			defer wg.Done()
+			txs := make([]Tx, per)
+			for i := range txs {
+				txs[i] = Tx{Kind: TxPut, Key: fmt.Sprintf("m%d-%d", m, i), Value: []byte("v")}
+			}
+			for r := 0; r < rounds; r++ {
+				for _, res := range s.SubmitBatch(txs) {
+					if res.Err != nil {
+						t.Errorf("minted submission: %v", res.Err)
+						return
+					}
+					minted[m] = append(minted[m], res.TxID)
+				}
+			}
+		}(m)
+	}
+	accepted := make(map[string]bool)
+	for r := 0; r < 2*rounds; r++ {
+		id := fmt.Sprintf("%s%d", s.txIDs, s.seq.Load()+uint64(r%2))
+		var res Result
+		select {
+		case res = <-s.SubmitAsync(Tx{ID: id, Kind: TxPut, Key: "claims", Value: []byte("v")}):
+		case <-time.After(30 * time.Second):
+			t.Fatalf("claim %s never settled", id)
+		}
+		switch {
+		case res.Err == nil:
+			accepted[id] = true
+		case errors.Is(res.Err, ErrDuplicate), errors.Is(res.Err, ErrUnmintedID):
+		default:
+			t.Fatalf("claim %s: %v", id, res.Err)
+		}
+	}
+	settled := make(chan struct{})
+	go func() { wg.Wait(); close(settled) }()
+	select {
+	case <-settled:
+	case <-time.After(30 * time.Second):
+		t.Fatal("a minted submission never settled: a claim and a mint of one id met in the pool as two ops")
+	}
+	mine := make(map[string]bool)
+	for _, ids := range minted {
+		for _, id := range ids {
+			if mine[id] {
+				t.Fatalf("%s minted twice", id)
+			}
+			mine[id] = true
+		}
+	}
+	want := len(mine)
+	for id := range accepted {
+		if !mine[id] {
+			want++ // "-tx-0", claimed before any mint: a number never minted
+		}
+	}
+	waitHeights(t, s)
+	got := make(map[string]bool)
+	for _, b := range s.Peers()[0].Blocks() {
+		for _, tx := range b.Txs {
+			if got[tx.ID] {
+				t.Fatalf("%s applied twice", tx.ID)
+			}
+			got[tx.ID] = true
+			if mine[tx.ID] && tx.Key == "claims" {
+				t.Fatalf("%s was minted and acked, but the chain holds the claimer's transaction under it", tx.ID)
+			}
+		}
+	}
+	if len(got) != want {
+		t.Fatalf("%d ids applied, want %d", len(got), want)
 	}
 }

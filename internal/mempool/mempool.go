@@ -11,8 +11,11 @@
 //     nothing about a resolved op: whether a non-pending ID already
 //     executed is the application's fact (Config.Executed), and an ID it
 //     vouches for is acked immediately instead of being proposed again.
+//     An op the producer marks Minted skips both lookups: its ID was
+//     made up for this add, so it can be neither.
 //   - Admission control. The pool holds at most Cap unresolved ops
-//     (queued + in flight); beyond that Add returns ErrFull. This is the
+//     (queued + in flight); beyond that Add returns ErrFull (AddBatch
+//     settles the op with it). This is the
 //     system's first overload shedding point — a caller that sees ErrFull
 //     backs off instead of growing an unbounded queue.
 //   - Per-lane ordering. Ops are queued on key-hashed lanes (fnv-1a of
@@ -26,7 +29,6 @@ package mempool
 
 import (
 	"errors"
-	"hash/fnv"
 	"sync"
 	"time"
 
@@ -43,6 +45,11 @@ type Op struct {
 	Lane string
 	// Data is the opaque payload handed to consensus.
 	Data []byte
+	// Minted says the producer made ID up for this add and never handed
+	// it out before: it can be neither pending nor executed, so the pool
+	// looks it up in neither place. An ID that a caller chose, or one
+	// handed back on a retry, is never Minted.
+	Minted bool
 }
 
 // lanes is the number of key-hashed lanes of every pool.
@@ -50,9 +57,38 @@ const lanes = 8
 
 // laneIndex maps an ordering key onto one of the lanes with fnv-1a.
 func laneIndex(key string) int {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % lanes)
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint32(key[i])) * 16777619
+	}
+	return int(h % lanes)
+}
+
+// lane is one FIFO of queued ops. A drained slot is cleared, so the lane
+// pins nothing of an op that left it, and the slice is reused from the
+// front, so a lane allocates only when it outgrows its longest backlog.
+type lane struct {
+	ops  []Op
+	head int // ops[head:] are queued
+}
+
+func (l *lane) push(op Op) { l.ops = append(l.ops, op) }
+
+func (l *lane) empty() bool { return l.head == len(l.ops) }
+
+func (l *lane) pop() Op {
+	op := l.ops[l.head]
+	l.ops[l.head] = Op{}
+	l.head++
+	switch {
+	case l.head == len(l.ops):
+		l.ops, l.head = l.ops[:0], 0
+	case 2*l.head >= len(l.ops): // never dry: move the backlog to the front
+		n := copy(l.ops, l.ops[l.head:])
+		clear(l.ops[n:])
+		l.ops, l.head = l.ops[:n], 0
+	}
+	return op
 }
 
 // Errors returned by Add (directly or through the ack callback).
@@ -78,8 +114,8 @@ type Config struct {
 	MaxInFlight   int           // pipelined consensus instances
 
 	// Executed reports whether the application already executed the op
-	// with this ID. Add calls it under the pool's lock for an ID that is
-	// not pending, so it must not block. Nil means no application to ask:
+	// with this ID. Add and AddBatch call it under the pool's lock for an
+	// ID that is neither pending nor Minted, so it must not block. Nil means no application to ask:
 	// a resolved ID is admitted again and the applier dedups by ID itself.
 	Executed func(id string) bool
 }
@@ -102,11 +138,24 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// opState tracks one unresolved op: its ack fan-out and whether it is
-// still queued (false once drained into an in-flight batch).
+// ack is one outcome owed: index i of the batch settle belongs to.
+type ack struct {
+	settle func(i int, err error)
+	i      int
+}
+
+// opState is an unresolved op's ack fan-out: the add that admitted it and
+// any that attached to it while it was pending. It is a map value, so an
+// admitted op costs the pool no allocation of its own.
 type opState struct {
-	acks   []func(error)
-	queued bool
+	first ack
+	more  []ack
+}
+
+// refusal is an op that admit neither queued nor attached, and why.
+type refusal struct {
+	i   int
+	err error // ErrDuplicate, ErrFull or ErrClosed
 }
 
 // PoolStats is a snapshot of the pool's admission and dedup counters.
@@ -138,9 +187,9 @@ type Pool struct {
 	cfg Config // resolved at NewPool, never written after
 
 	mu       sync.Mutex
-	lanes    [lanes][]Op
-	rr       int // round-robin drain cursor
-	states   map[string]*opState
+	lanes    [lanes]lane
+	rr       int                // round-robin drain cursor
+	states   map[string]opState // every unresolved op, queued or in flight
 	queued   int
 	inFlight int
 	flush    bool // Flush was called since the last drain
@@ -153,7 +202,7 @@ type Pool struct {
 func NewPool(cfg Config) *Pool {
 	return &Pool{
 		cfg:    cfg.withDefaults(),
-		states: make(map[string]*opState),
+		states: make(map[string]opState),
 		notify: make(chan struct{}, 1),
 	}
 }
@@ -167,41 +216,80 @@ func (p *Pool) Config() Config { return p.cfg }
 // or — if Config.Executed knows the ID — are acked immediately with
 // ErrDuplicate; neither is proposed again. Returns ErrFull at the
 // admission cap and ErrClosed after Close; done is not invoked on either
-// error.
+// error. It is AddBatch for one op.
 func (p *Pool) Add(op Op, done func(error)) error {
 	if done == nil {
 		done = func(error) {}
 	}
+	refused := p.admit([]Op{op}, func(_ int, err error) { done(err) })
+	if len(refused) == 0 {
+		return nil
+	}
+	if err := refused[0].err; err != ErrDuplicate {
+		return err
+	}
+	done(ErrDuplicate)
+	return nil
+}
+
+// AddBatch admits ops in order under one hold of the pool's lock, each as
+// Add would. settle(i, err) is invoked exactly once for every index of
+// ops with that op's outcome: nil when its batch committed, ErrDuplicate,
+// ErrFull, ErrClosed, or the error its batch resolved with. Refusals are
+// settled before AddBatch returns, the rest when their batches resolve.
+// One settle function serves the whole batch: the pool allocates nothing
+// per op for its acks.
+func (p *Pool) AddBatch(ops []Op, settle func(i int, err error)) {
+	for _, r := range p.admit(ops, settle) {
+		settle(r.i, r.err)
+	}
+}
+
+// admit queues ops or attaches them to their pending twins, and returns
+// the ones it did neither to, unsettled.
+func (p *Pool) admit(ops []Op, settle func(int, error)) (refused []refusal) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		return ErrClosed
+		refused = make([]refusal, len(ops))
+		for i := range refused {
+			refused[i] = refusal{i, ErrClosed}
+		}
+		return refused
 	}
-	if st, ok := p.states[op.ID]; ok {
-		st.acks = append(st.acks, done)
-		p.stats.DupPending++
-		p.mu.Unlock()
-		return nil
+	queued := false
+	for i := range ops {
+		op := &ops[i]
+		a := ack{settle, i}
+		if !op.Minted {
+			if st, ok := p.states[op.ID]; ok {
+				st.more = append(st.more, a)
+				p.states[op.ID] = st
+				p.stats.DupPending++
+				continue
+			}
+			if p.cfg.Executed != nil && p.cfg.Executed(op.ID) {
+				p.stats.DupExecuted++
+				refused = append(refused, refusal{i, ErrDuplicate})
+				continue
+			}
+		}
+		if p.queued+p.inFlight >= p.cfg.Cap {
+			p.stats.RejectedFull++
+			refused = append(refused, refusal{i, ErrFull})
+			continue
+		}
+		p.lanes[laneIndex(op.Lane)].push(*op)
+		p.states[op.ID] = opState{first: a}
+		p.queued++
+		p.stats.Admitted++
+		queued = true
 	}
-	if p.cfg.Executed != nil && p.cfg.Executed(op.ID) {
-		p.stats.DupExecuted++
-		p.mu.Unlock()
-		done(ErrDuplicate)
-		return nil
-	}
-	if p.queued+p.inFlight >= p.cfg.Cap {
-		p.stats.RejectedFull++
-		p.mu.Unlock()
-		return ErrFull
-	}
-	lane := laneIndex(op.Lane)
-	p.lanes[lane] = append(p.lanes[lane], op)
-	p.states[op.ID] = &opState{acks: []func(error){done}, queued: true}
-	p.queued++
-	p.stats.Admitted++
 	p.mu.Unlock()
-	p.wake()
-	return nil
+	if queued {
+		p.wake()
+	}
+	return refused
 }
 
 // drainLocked removes up to max ops, round-robin across lanes one op at a
@@ -214,27 +302,20 @@ func (p *Pool) drainLocked(max int) []Op {
 	p.flush = false
 	out := make([]Op, 0, min(max, p.queued))
 	for len(out) < max && p.queued > 0 {
+		n := len(out)
 		for i := 0; i < lanes; i++ {
-			lane := (p.rr + i) % lanes
-			if len(p.lanes[lane]) == 0 {
+			l := &p.lanes[(p.rr+i)%lanes]
+			if l.empty() {
 				continue
 			}
-			op := p.lanes[lane][0]
-			p.lanes[lane] = p.lanes[lane][1:]
-			p.rr = (lane + 1) % lanes
+			out = append(out, l.pop())
+			p.rr = (p.rr + i + 1) % lanes
 			p.queued--
 			p.inFlight++
-			if st, ok := p.states[op.ID]; ok {
-				st.queued = false
-			}
-			out = append(out, op)
 			break
 		}
-		if len(out) == 0 {
+		if len(out) == n {
 			break // all lanes empty despite queued>0: unreachable guard
-		}
-		if p.queued == 0 || len(out) == max {
-			break
 		}
 	}
 	return out
@@ -310,16 +391,16 @@ func (p *Pool) WaitBatch(stop <-chan struct{}) []Op {
 // is then Config.Executed's answer: after a failure that did not execute
 // the op, the retry is re-admitted (and re-proposed).
 func (p *Pool) Resolve(ops []Op, err error) {
-	var acks []func(error)
+	acks := make([]ack, 0, len(ops))
 	p.mu.Lock()
-	for _, op := range ops {
-		st, ok := p.states[op.ID]
-		if !ok || st.queued {
+	for i := range ops {
+		st, ok := p.states[ops[i].ID]
+		if !ok {
 			continue // not this batch's op (defensive)
 		}
-		delete(p.states, op.ID)
+		delete(p.states, ops[i].ID)
 		p.inFlight--
-		acks = append(acks, st.acks...)
+		acks = append(append(acks, st.first), st.more...)
 		if err == nil {
 			p.stats.Acked++
 		} else {
@@ -331,8 +412,8 @@ func (p *Pool) Resolve(ops []Op, err error) {
 	if wake {
 		p.wake()
 	}
-	for _, ack := range acks {
-		ack(err)
+	for _, a := range acks {
+		a.settle(a.i, err)
 	}
 }
 
@@ -346,22 +427,22 @@ func (p *Pool) Close() error {
 		return nil
 	}
 	p.closed = true
-	var acks []func(error)
-	for lane, ops := range p.lanes {
-		for _, op := range ops {
-			if st, ok := p.states[op.ID]; ok && st.queued {
-				delete(p.states, op.ID)
-				p.queued--
-				acks = append(acks, st.acks...)
-				p.stats.Failed++
-			}
+	var acks []ack
+	for i := range p.lanes {
+		l := &p.lanes[i]
+		for _, op := range l.ops[l.head:] {
+			st := p.states[op.ID]
+			delete(p.states, op.ID)
+			p.queued--
+			acks = append(append(acks, st.first), st.more...)
+			p.stats.Failed++
 		}
-		p.lanes[lane] = nil
+		*l = lane{}
 	}
 	p.mu.Unlock()
 	p.wake()
-	for _, ack := range acks {
-		ack(ErrClosed)
+	for _, a := range acks {
+		a.settle(a.i, ErrClosed)
 	}
 	return nil
 }

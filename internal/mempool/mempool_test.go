@@ -3,6 +3,7 @@ package mempool
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -335,6 +336,100 @@ func TestPoolCloseFailsQueuedOps(t *testing.T) {
 	}
 	if err := p.Add(Op{ID: "y", Lane: "a"}, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("add after close: %v, want ErrClosed", err)
+	}
+}
+
+// TestAddBatchSettlesEveryIndexOnce: one AddBatch meets every admission
+// outcome — queued, attached to a pending twin in the same batch and in an
+// earlier one, acked as executed, refused at the cap — and settles each
+// index exactly once, refusals before it returns.
+func TestAddBatchSettlesEveryIndexOnce(t *testing.T) {
+	p := NewPool(Config{Cap: 3, BatchSize: 64, Executed: func(id string) bool { return id == "old" }})
+	if err := p.Add(Op{ID: "earlier", Lane: "a"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	ops := []Op{
+		{ID: "a", Lane: "a"},
+		{ID: "a", Lane: "a"}, // its twin is this batch's op 0
+		{ID: "earlier", Lane: "a"},
+		{ID: "old", Lane: "a"},
+		{ID: "b", Lane: "b"},
+		{ID: "c", Lane: "c"}, // over the cap of 3
+	}
+	var mu sync.Mutex
+	got := make(map[int][]error)
+	p.AddBatch(ops, func(i int, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		got[i] = append(got[i], err)
+	})
+	want := map[int][]error{3: {ErrDuplicate}, 5: {ErrFull}}
+	mu.Lock()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("settled before the batch resolved: %v, want %v", got, want)
+	}
+	mu.Unlock()
+	drained := drainAll(p)
+	if len(drained) != 3 {
+		t.Fatalf("drained %d ops, want 3 (earlier, a, b)", len(drained))
+	}
+	p.Resolve(drained, nil)
+	for i := range ops {
+		if want[i] == nil {
+			want[i] = []error{nil}
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("settled %v, want %v", got, want)
+	}
+	if s := p.Stats(); s.Admitted != 3 || s.DupPending != 2 || s.DupExecuted != 1 || s.RejectedFull != 1 {
+		t.Fatalf("stats = %+v", s)
+	}
+	var closed []error
+	_ = p.Close()
+	p.AddBatch([]Op{{ID: "d"}, {ID: "e"}}, func(_ int, err error) { closed = append(closed, err) })
+	if len(closed) != 2 || !errors.Is(closed[0], ErrClosed) || !errors.Is(closed[1], ErrClosed) {
+		t.Fatalf("a closed pool settled %v, want ErrClosed twice", closed)
+	}
+}
+
+// TestMintedOpsAreLookedUpNowhere: the application is not asked about a
+// Minted op, and an op that is not Minted is asked about as before.
+func TestMintedOpsAreLookedUpNowhere(t *testing.T) {
+	var asked []string
+	p := NewPool(Config{Cap: 64, BatchSize: 64, Executed: func(id string) bool {
+		asked = append(asked, id)
+		return false
+	}})
+	p.AddBatch([]Op{{ID: "m1", Minted: true}, {ID: "chosen"}, {ID: "m2", Minted: true}}, func(int, error) {})
+	if !reflect.DeepEqual(asked, []string{"chosen"}) {
+		t.Fatalf("Executed asked about %q, want only the chosen id", asked)
+	}
+	if got := len(drainAll(p)); got != 3 {
+		t.Fatalf("drained %d ops, want 3", got)
+	}
+}
+
+// TestLaneReusesItsSlots: a lane that keeps a backlog moves it to the
+// front instead of growing, and a drained slot holds nothing.
+func TestLaneReusesItsSlots(t *testing.T) {
+	var l lane
+	for i := 0; i < 4; i++ {
+		l.push(Op{ID: fmt.Sprint(i)})
+	}
+	for next := 0; next < 1000; next++ {
+		if op := l.pop(); op.ID != fmt.Sprint(next) {
+			t.Fatalf("popped %q, want %d", op.ID, next)
+		}
+		l.push(Op{ID: fmt.Sprint(next + 4)})
+	}
+	if cap(l.ops) > 8 {
+		t.Fatalf("a lane of 4 queued ops grew to %d slots", cap(l.ops))
+	}
+	for _, op := range l.ops[:l.head] {
+		if op.ID != "" {
+			t.Fatalf("a drained slot still holds %q", op.ID)
+		}
 	}
 }
 
