@@ -125,9 +125,10 @@ serve-smoke-durable:
 
 # profile-serve runs the benchmark's serve_batch workload with the
 # server's pprof listener on and, over 10 s of the timed section, saves a
-# CPU profile under .profile/ and prints its top functions and the heap
+# CPU profile under .profile/ and prints its top functions, the heap
 # allocations per accepted op (the MemStats Mallocs delta over the /stats
-# accepted delta), at seed 22.
+# accepted delta) and the server's CPU µs per accepted op (its utime +
+# stime delta over the same accepted delta), at seed 22.
 profile-serve:
 	bash scripts/profile-serve.sh
 

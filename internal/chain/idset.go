@@ -1,9 +1,6 @@
 package chain
 
-import (
-	"sort"
-	"sync"
-)
+import "sort"
 
 // idSet is the exactly-once filter: the set of every transaction id a
 // peer has applied, never pruned (see applyBatch for why it cannot be).
@@ -20,10 +17,10 @@ import (
 // point extends or joins its neighbours, and a gap — an id that failed
 // admission and never committed — stays a gap. Every other id ("007",
 // "a-01", "a-", one past the largest uint64) is kept whole in others.
-// Like worldState it locks itself: the shard's mempool asks has at every
-// admission and must not wait for a whole block to apply.
+// Like worldState it holds no lock: its peer's view lock guards it, so
+// the shard's mempool can ask has at admission without waiting on the
+// peer's own mutex.
 type idSet struct {
-	mu     sync.RWMutex
 	ranges map[string]*spans
 	others map[string]struct{}
 }
@@ -63,8 +60,6 @@ func splitID[T string | []byte](id T) (prefix T, n uint64, ok bool) {
 // the applier reads it, in the committed bytes: only an id kept whole
 // and a new prefix are copied out.
 func (s *idSet) add(id []byte) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	prefix, n, ok := splitID(id)
 	if !ok {
 		if _, dup := s.others[string(id)]; dup {
@@ -83,8 +78,6 @@ func (s *idSet) add(id []byte) bool {
 
 // has reports whether id was added.
 func (s *idSet) has(id string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	prefix, n, ok := splitID(id)
 	if !ok {
 		_, in := s.others[id]
@@ -96,13 +89,6 @@ func (s *idSet) has(id string) bool {
 	}
 	i := sp.after(n)
 	return i > 0 && n <= (*sp)[i-1].hi
-}
-
-// adopt replaces s's contents with o's; o must not be used afterwards.
-func (s *idSet) adopt(o *idSet) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ranges, s.others = o.ranges, o.others
 }
 
 // after returns the index of the first span that starts above n.

@@ -86,7 +86,9 @@ func (p *Peer) Snapshot() ([]byte, error) {
 // heads. Unless every rebuilt head and body equals the image's (so every
 // link and root verifies, every transaction decodes, and no id repeats),
 // the snapshot is rejected and p is left as it was. The peer keeps a
-// copy of data, not data: its bodies are that copy's sub-slices.
+// copy of data, not data: its bodies are that copy's sub-slices. The id
+// set, the state and the private states are swapped in one critical
+// section of view, so no reader sees restored ids beside the old state.
 func (p *Peer) Restore(data []byte) error {
 	heads, bodies, err := decodeImage(bytes.Clone(data))
 	if err != nil {
@@ -107,10 +109,8 @@ func (p *Peer) Restore(data []byte) error {
 	defer p.mu.Unlock()
 	p.heads, p.bodies = np.heads, np.bodies
 	p.pendingP, p.prepared = np.pendingP, np.prepared
-	p.applied.adopt(np.applied)
-	p.state.adopt(np.state)
-	for c, kv := range p.private {
-		kv.adopt(np.private[c])
-	}
+	p.view.Lock()
+	defer p.view.Unlock()
+	p.applied, p.state, p.private = np.applied, np.state, np.private
 	return nil
 }

@@ -1,8 +1,6 @@
 package chain
 
 import (
-	"sync"
-
 	"prever/internal/store"
 )
 
@@ -10,20 +8,13 @@ import (
 // nothing else. The chain is the history — nothing reads a peer's past
 // versions — so a put to a key that exists overwrites its value in place
 // instead of appending a version (store.KV keeps every version, which is
-// what the ledger and the engines need and a peer does not). It has its
-// own lock so reads do not wait for a whole block to apply.
-type worldState struct {
-	mu sync.RWMutex
-	m  map[string][]byte
-}
-
-func newWorldState() *worldState { return &worldState{m: make(map[string][]byte)} }
+// what the ledger and the engines need and a peer does not). It holds no
+// lock: its peer's view lock guards it (see Peer).
+type worldState map[string][]byte
 
 // get returns a copy of key's value, or store.ErrNotFound.
-func (s *worldState) get(key string) ([]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	v, ok := s.m[key]
+func (s worldState) get(key string) ([]byte, error) {
+	v, ok := s[key]
 	if !ok {
 		return nil, store.ErrNotFound
 	}
@@ -33,34 +24,19 @@ func (s *worldState) get(key string) ([]byte, error) {
 // has, put and delete take the key as the applier reads it, in the
 // committed bytes; a key is copied out only when it is new to the map or
 // its value changes length.
-func (s *worldState) has(key []byte) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.m[string(key)]
+func (s worldState) has(key []byte) bool {
+	_, ok := s[string(key)]
 	return ok
 }
 
 // put copies value under key.
-func (s *worldState) put(key, value []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.m[string(key)]
+func (s worldState) put(key, value []byte) {
+	v, ok := s[string(key)]
 	if ok && len(v) == len(value) {
 		copy(v, value) // no map assign: the entry already holds this slice
 		return
 	}
-	s.m[string(key)] = append(v[:0], value...)
+	s[string(key)] = append(v[:0], value...)
 }
 
-func (s *worldState) delete(key []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.m, string(key))
-}
-
-// adopt replaces s's contents with o's; o must not be used afterwards.
-func (s *worldState) adopt(o *worldState) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.m = o.m
-}
+func (s worldState) delete(key []byte) { delete(s, string(key)) }

@@ -114,8 +114,11 @@ type Config struct {
 	MaxInFlight   int           // pipelined consensus instances
 
 	// Executed reports whether the application already executed the op
-	// with this ID. Add and AddBatch call it under the pool's lock for an
-	// ID that is neither pending nor Minted, so it must not block. Nil means no application to ask:
+	// with this ID. Add and AddBatch ask it about an ID that is neither
+	// pending nor Minted, as a rule without the pool's lock held, so it
+	// may wait on the application's own locks; when an op resolved while
+	// it answered, they ask again under the lock, so it must not call
+	// back into the pool. Nil means no application to ask:
 	// a resolved ID is admitted again and the applier dedups by ID itself.
 	Executed func(id string) bool
 }
@@ -192,7 +195,8 @@ type Pool struct {
 	states   map[string]opState // every unresolved op, queued or in flight
 	queued   int
 	inFlight int
-	flush    bool // Flush was called since the last drain
+	flush    bool   // Flush was called since the last drain
+	resolved uint64 // Resolve and Close calls so far: an op can leave the pool only through one
 	notify   chan struct{}
 	closed   bool
 	stats    PoolStats
@@ -245,10 +249,50 @@ func (p *Pool) AddBatch(ops []Op, settle func(i int, err error)) {
 	}
 }
 
+// Answers of Config.Executed, asked before admission.
+const (
+	unasked int8 = iota
+	notExecuted
+	executed
+)
+
 // admit queues ops or attaches them to their pending twins, and returns
 // the ones it did neither to, unsettled.
+//
+// The application is asked about the IDs that are neither Minted nor
+// pending between two holds of the lock, so that no other admission, no
+// drain and no Resolve waits while it answers. An answer is used only if
+// no op left the pool in between: an ID not pending at the first hold
+// and still not pending at the second then never was in between, so it
+// had executed, if ever, before the question was put. Otherwise, and
+// for an ID pending at the first hold and not at the second, the
+// application is asked again under the lock.
 func (p *Pool) admit(ops []Op, settle func(int, error)) (refused []refusal) {
 	p.mu.Lock()
+	var answers []int8 // by op index, valid while fresh
+	fresh := false
+	if p.cfg.Executed != nil && !p.closed {
+		for i := range ops {
+			if _, pending := p.states[ops[i].ID]; ops[i].Minted || pending {
+				continue
+			}
+			if answers == nil {
+				answers = make([]int8, len(ops))
+			}
+			answers[i] = notExecuted
+		}
+		if answers != nil {
+			resolved := p.resolved
+			p.mu.Unlock()
+			for i := range ops {
+				if answers[i] != unasked && p.cfg.Executed(ops[i].ID) {
+					answers[i] = executed
+				}
+			}
+			p.mu.Lock()
+			fresh = p.resolved == resolved
+		}
+	}
 	if p.closed {
 		p.mu.Unlock()
 		refused = make([]refusal, len(ops))
@@ -268,7 +312,11 @@ func (p *Pool) admit(ops []Op, settle func(int, error)) (refused []refusal) {
 				p.stats.DupPending++
 				continue
 			}
-			if p.cfg.Executed != nil && p.cfg.Executed(op.ID) {
+			answer := unasked
+			if fresh {
+				answer = answers[i]
+			}
+			if answer == executed || answer == unasked && p.cfg.Executed != nil && p.cfg.Executed(op.ID) {
 				p.stats.DupExecuted++
 				refused = append(refused, refusal{i, ErrDuplicate})
 				continue
@@ -393,6 +441,7 @@ func (p *Pool) WaitBatch(stop <-chan struct{}) []Op {
 func (p *Pool) Resolve(ops []Op, err error) {
 	acks := make([]ack, 0, len(ops))
 	p.mu.Lock()
+	p.resolved++
 	for i := range ops {
 		st, ok := p.states[ops[i].ID]
 		if !ok {
@@ -427,6 +476,7 @@ func (p *Pool) Close() error {
 		return nil
 	}
 	p.closed = true
+	p.resolved++
 	var acks []ack
 	for i := range p.lanes {
 		l := &p.lanes[i]

@@ -410,6 +410,67 @@ func TestMintedOpsAreLookedUpNowhere(t *testing.T) {
 	}
 }
 
+// TestExecutedIsAskedWithoutTheLock: the application may wait while it
+// answers, and nothing of the pool waits with it. The hook takes the
+// pool's lock itself (through Stats), which would deadlock had admission
+// held it. (Config.Executed may not do that: with an op resolving
+// meanwhile, the pool asks again under its lock.)
+func TestExecutedIsAskedWithoutTheLock(t *testing.T) {
+	var p *Pool
+	p = NewPool(Config{Cap: 64, BatchSize: 64, Executed: func(string) bool {
+		_ = p.Stats()
+		return false
+	}})
+	done := make(chan error, 1)
+	go func() { done <- p.Add(Op{ID: "chosen", Lane: "a"}, nil) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Add held the pool's lock while asking the application")
+	}
+	if got := len(drainAll(p)); got != 1 {
+		t.Fatalf("drained %d ops, want 1", got)
+	}
+}
+
+// TestResolvedWhileAskingIsAskedAgain: while the application answers
+// "not executed" about x, another add of x is admitted, executes and
+// resolves. The answer is then stale, and the pool asks again under its
+// lock: the first add is a duplicate, not a second proposal of x.
+func TestResolvedWhileAskingIsAskedAgain(t *testing.T) {
+	var p *Pool
+	var ran atomic.Bool
+	var applied atomic.Bool
+	p = NewPool(Config{Cap: 64, BatchSize: 64, Executed: func(id string) bool {
+		if ran.CompareAndSwap(false, true) { // the first question: race it
+			if err := p.Add(Op{ID: id, Lane: "a"}, nil); err != nil {
+				t.Error(err)
+			}
+			ops := drainAll(p)
+			applied.Store(true)
+			p.Resolve(ops, nil)
+			return false // what the application saw before it applied x
+		}
+		return applied.Load()
+	}})
+	var got error
+	if err := p.Add(Op{ID: "x", Lane: "a"}, func(err error) { got = err }); err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(got, ErrDuplicate) {
+		t.Fatalf("the add whose answer went stale settled with %v, want ErrDuplicate", got)
+	}
+	if n := len(drainAll(p)); n != 0 {
+		t.Fatalf("x was queued again: %d ops", n)
+	}
+	if s := p.Stats(); s.Admitted != 1 || s.DupExecuted != 1 {
+		t.Fatalf("stats = %+v, want Admitted 1 / DupExecuted 1", s)
+	}
+}
+
 // TestLaneReusesItsSlots: a lane that keeps a backlog moves it to the
 // front instead of growing, and a drained slot holds nothing.
 func TestLaneReusesItsSlots(t *testing.T) {

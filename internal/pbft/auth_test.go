@@ -47,6 +47,14 @@ func (l *loneReplica) deliver(from, msgType string, payload []byte) {
 	l.r.handle(netsim.Message{From: from, To: "p3", Type: msgType, Payload: payload})
 }
 
+// deliverBody hands p3 body, any bytes, under msgType in an envelope
+// whose p3 slot from signed.
+func (l *loneReplica) deliverBody(from, msgType string, body []byte) {
+	payload := append(make([]byte, len(l.ids)*macSize), body...)
+	sign(linkKey(clusterKey, from, "p3"), len(l.ids), 3, msgType, payload)
+	l.deliver(from, msgType, payload)
+}
+
 // feed delivers v as from would broadcast it.
 func (l *loneReplica) feed(from, msgType string, v any) {
 	l.deliver(from, msgType, sealFrom(clusterKey, l.ids, from, msgType, v))
@@ -100,9 +108,7 @@ func TestVotesCountForAuthenticatedSender(t *testing.T) {
 	l.feed("p2", msgPrepare, prepareMsg{Seq: 0, Digest: pp.Digest}) // p3 is prepared: it commits
 	commit := appendBody(nil, commitMsg{Seq: 0, Digest: pp.Digest})
 	for _, body := range [][]byte{commit, commit, commit, wire.AppendString(commit, "p0"), wire.AppendString(commit, "p2")} {
-		payload := append(make([]byte, len(l.ids)*macSize), body...)
-		sign(linkKey(clusterKey, "p1", "p3"), len(l.ids), 3, msgCommit, payload)
-		l.deliver("p1", msgCommit, payload)
+		l.deliverBody("p1", msgCommit, body)
 	}
 	if got := l.r.Executed(); got != 0 {
 		t.Fatalf("p1's commits alone made p3 execute (%d)", got)
@@ -145,6 +151,36 @@ func TestVotesCountForAuthenticatedSender(t *testing.T) {
 	l.r.mu.Unlock()
 	if !inVC {
 		t.Fatal("view changes from p1 and p2 (f+1) did not pull p3 along")
+	}
+}
+
+// TestNewViewBeforeVotes: votes and the new view come from different
+// senders, so p1's new view for view 1 can reach p3 before the second
+// vote for that view. p3 does not move on it and one vote, but holds it:
+// once p2's vote makes f+1, p3 enters view 1 and prepares p1's
+// re-proposal, so prepares from p0 and p2 and commits from p0, p1 and p2
+// make it execute.
+func TestNewViewBeforeVotes(t *testing.T) {
+	l := newLoneReplica(t)
+	pp := onePrePrepare(0)
+	pp.View = 1
+	l.feed("p0", msgViewChange, viewChangeMsg{NewView: 1})
+	l.feed("p1", msgNewView, newViewMsg{View: 1, PrePrepares: []prePrepareMsg{pp}, NextSeq: 1})
+	if v := l.r.View(); v != 0 {
+		t.Fatalf("a new view and one vote moved p3 to view %d", v)
+	}
+	l.feed("p2", msgViewChange, viewChangeMsg{NewView: 1})
+	if v := l.r.View(); v != 1 {
+		t.Fatalf("p3 in view %d after f+1 votes for view 1", v)
+	}
+	for _, from := range []string{"p0", "p2"} {
+		l.feed(from, msgPrepare, prepareMsg{View: 1, Seq: 0, Digest: pp.Digest})
+	}
+	for _, from := range []string{"p0", "p1", "p2"} {
+		l.feed(from, msgCommit, commitMsg{View: 1, Seq: 0, Digest: pp.Digest})
+	}
+	if got := l.r.Executed(); got != 1 {
+		t.Fatalf("executed %d: p3 did not prepare the held new view's re-proposal", got)
 	}
 }
 

@@ -489,12 +489,45 @@ func FuzzStateRep(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		l, app := newLoneDurable(t, t.TempDir(), 4)
 		for i := 0; i < 2; i++ { // one sender, twice
-			payload := append(make([]byte, len(l.ids)*macSize), body...)
-			sign(linkKey(clusterKey, "p1", "p3"), len(l.ids), 3, msgStateRep, payload)
-			l.deliver("p1", msgStateRep, payload)
+			l.deliverBody("p1", msgStateRep, body)
 		}
 		if got := l.r.Executed(); got != 0 || len(app.ops()) != 0 {
 			t.Fatalf("one sender moved p3 to %d with %d ops", got, len(app.ops()))
+		}
+	})
+}
+
+// FuzzColdBodies: a view-change, new-view or state request is whatever
+// an authenticated peer sends. No body from one sender, delivered under
+// each of the three types, may panic p3, move its view, or make it
+// execute anything: a view moves on f+1 = 2 voters, and a request for
+// state serves it, never changes it. from picks the sender among p0–p2,
+// so a body can name a view whose primary sent it.
+func FuzzColdBodies(f *testing.F) {
+	pp := onePrePrepare(0)
+	pp.View = 1
+	for _, v := range []any{
+		viewChangeMsg{NewView: 1, Exec: 3, Prepared: []preparedEntry{{Digest: pp.Digest, Batch: pp.Batch}}},
+		newViewMsg{View: 1, PrePrepares: []prePrepareMsg{pp}, NextSeq: 1},
+		stateReqMsg{View: 5},
+	} {
+		f.Add(byte(1), appendBody(nil, v))
+	}
+	f.Add(byte(2), []byte(`{"view":2,"newView":2,"nextSeq":18446744073709551615}`))
+	f.Add(byte(0), []byte(`{"newView":3,"prepared":[{"seq":1,"batch":null}]}`))
+	f.Add(byte(1), []byte(`{"view":1,"preprepares":[null]}`))
+	f.Add(byte(1), []byte("null"))
+	f.Add(byte(1), []byte("{"))
+	f.Fuzz(func(t *testing.T, from byte, body []byte) {
+		l, app := newLoneDurable(t, t.TempDir(), 4)
+		sender := l.ids[int(from)%3]
+		for _, msgType := range []string{msgViewChange, msgNewView, msgStateReq} {
+			for i := 0; i < 2; i++ { // one sender, twice
+				l.deliverBody(sender, msgType, body)
+			}
+		}
+		if v, got := l.r.View(), l.r.Executed(); v != 0 || got != 0 || len(app.ops()) != 0 {
+			t.Fatalf("one sender, %s, moved p3 to view %d, executed %d with %d ops", sender, v, got, len(app.ops()))
 		}
 	})
 }

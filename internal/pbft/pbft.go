@@ -243,6 +243,7 @@ type Replica struct {
 	waiters    map[Digest][]chan struct{}
 	ckpts      map[uint64]map[string]bool
 	vcs        map[uint64]map[string]viewChangeMsg
+	nvHeld     map[string]newViewMsg // per sender: its latest new view that arrived before f+1 votes for it
 	inVC       bool
 	vcTarget   uint64 // highest view this replica has voted a view change for
 	vcSolo     int    // timeouts spent in a view change without f+1 support
@@ -322,6 +323,7 @@ func newReplica(net *netsim.Network, id string, ids []string, f int, apply Appli
 		waiters:    make(map[Digest][]chan struct{}),
 		ckpts:      make(map[uint64]map[string]bool),
 		vcs:        make(map[uint64]map[string]viewChangeMsg),
+		nvHeld:     make(map[string]newViewMsg),
 		vcTimers:   make(map[Digest]*vcTimer),
 		execLog:    make(map[uint64]execEntry),
 		stateVotes: make(map[uint64]map[string]execEntry),
@@ -1025,7 +1027,13 @@ func (r *Replica) onViewChange(from string, vc viewChangeMsg) {
 	r.vcs[vc.NewView][from] = vc
 	count := len(r.vcs[vc.NewView])
 	target := r.vcTarget
-	iAmNewPrimary := r.primaryOf(vc.NewView) == r.id
+	primary := r.primaryOf(vc.NewView)
+	iAmNewPrimary := primary == r.id
+	held, replay := r.nvHeld[primary]
+	replay = replay && held.View == vc.NewView && count >= r.f+1
+	if replay {
+		delete(r.nvHeld, primary)
+	}
 	r.mu.Unlock()
 
 	// Join a view change once f+1 replicas vote for a view beyond any
@@ -1033,6 +1041,9 @@ func (r *Replica) onViewChange(from string, vc viewChangeMsg) {
 	// replica stuck in a lower stalled view change gets pulled forward).
 	if vc.NewView > target && count >= r.f+1 {
 		r.StartViewChange(vc.NewView)
+	}
+	if replay { // the view's new view came before the votes that let it count
+		r.onNewView(primary, held)
 	}
 	if !iAmNewPrimary {
 		return
@@ -1145,10 +1156,32 @@ func (r *Replica) reproposeAsPrimary(pp prePrepareMsg) {
 	r.mu.Unlock()
 }
 
+// onNewView enters the view a new primary announces. The announcement
+// counts only once this replica holds view-change votes for that view
+// from f+1 replicas (its own among them, if it voted), so at least one
+// honest replica wanted it: as with view claims in
+// state replies (onStateRep), one sender, even the view's primary, cannot
+// move a replica into a view of its choosing. Votes and the new view
+// come from different senders, so the new view may arrive first: it is
+// then held, the latest one per sender, and onViewChange replays it when
+// the votes for its view reach f+1. The first time a sender's new view
+// for a view is held, the replica also syncs, in case it missed the
+// votes for good: its peers' view claims then move it once f+1 of them
+// are in the new view. One sync per sender and view, so a primary cannot
+// make a replica broadcast by repeating its message.
 func (r *Replica) onNewView(from string, nv newViewMsg) {
 	r.mu.Lock()
 	if nv.View <= r.view || from != r.primaryOf(nv.View) {
 		r.mu.Unlock()
+		return
+	}
+	if len(r.vcs[nv.View]) < r.f+1 {
+		first := r.nvHeld[from].View != nv.View
+		r.nvHeld[from] = nv
+		r.mu.Unlock()
+		if first {
+			r.Sync()
+		}
 		return
 	}
 	revive := r.enterViewLocked(nv.View, nv.NextSeq)
@@ -1199,6 +1232,11 @@ func (r *Replica) enterViewLocked(view, nextSeq uint64) []Request {
 	// a gap nobody fills.
 	r.nextSeq = nextSeq
 	delete(r.vcs, view)
+	for from, nv := range r.nvHeld {
+		if nv.View <= view {
+			delete(r.nvHeld, from)
+		}
+	}
 	// Drop un-executed per-view votes; they are invalid in the new view.
 	// Prepared certificates persist (resetVotesLocked leaves them) — they
 	// must keep appearing in view-change messages until checkpointed.
