@@ -15,8 +15,9 @@ import (
 //
 // count in [1, MaxBatchTxs], each tx in the chain's own encoding
 // (chain.AppendTx): the bytes the mempool carries and the Merkle leaf
-// commits to, so the server decodes each transaction once and never
-// renders it in another form. A reply is
+// commits to, so the server checks each transaction in place and copies
+// it once, into the mempool, never decoding it into another form. A
+// reply is
 //
 //	uvarint count | (code str | id str | error str)*
 //
@@ -46,10 +47,12 @@ func appendBatch(b []byte, txs []chain.Tx) []byte {
 	return b
 }
 
-// decodeBatch is the server's side of the request frame: every
-// transaction decoded once, and held to the wire rules. A count that the
-// body is too short to hold is refused before anything is sized from it.
-func decodeBatch(body []byte) ([]chain.Tx, error) {
+// checkBatch is the server's side of the request frame: every
+// transaction checked against the wire rules where it sits in body, and
+// handed back as a sub-slice of it, so nothing is allocated per
+// transaction. A count that the body is too short to hold is refused
+// before anything is sized from it.
+func checkBatch(body []byte) ([][]byte, error) {
 	r := wire.NewReader(body)
 	n := r.Count(minFramedTx)
 	switch {
@@ -60,20 +63,20 @@ func decodeBatch(body []byte) ([]chain.Tx, error) {
 	case n > MaxBatchTxs:
 		return nil, fmt.Errorf("batch of %d txs (limit %d)", n, MaxBatchTxs)
 	}
-	txs := make([]chain.Tx, n)
+	txs := make([][]byte, n)
 	for i := range txs {
 		enc := r.Bytes()
 		if !r.OK() {
 			return nil, fmt.Errorf("malformed batch frame: tx %d overruns the body; %s", i, frameLayout)
 		}
-		tx, err := chain.DecodeTx(enc)
-		if err != nil {
-			return nil, fmt.Errorf("malformed batch frame: tx %d: %v; %s", i, err, frameLayout)
+		v, ok := chain.ViewTx(enc)
+		if !ok {
+			return nil, fmt.Errorf("malformed batch frame: tx %d is not a transaction in the chain's encoding; %s", i, frameLayout)
 		}
-		if err := checkTx(&tx); err != nil {
+		if err := checkTx(&v); err != nil {
 			return nil, fmt.Errorf("tx %d: %w", i, err)
 		}
-		txs[i] = tx
+		txs[i] = enc
 	}
 	if !r.Done() {
 		return nil, fmt.Errorf("malformed batch frame: trailing bytes after %d txs; %s", n, frameLayout)
@@ -81,28 +84,40 @@ func decodeBatch(body []byte) ([]chain.Tx, error) {
 	return txs, nil
 }
 
-// checkTx holds a decoded transaction to the rules Tx.Validate applies to
-// a JSON one. The chain encoding can also spell the coordinator's
-// cross-shard phases and private puts; none of that crosses the wire.
-func checkTx(tx *chain.Tx) error {
-	if _, ok := kindName(tx.Kind); !ok {
-		return fmt.Errorf("kind %d is not put, put-once or delete", tx.Kind)
+// checkTx holds a transaction read in place to the rules Tx.Validate
+// applies to a JSON one. The chain encoding can also spell the
+// coordinator's cross-shard phases and private puts; none of that
+// crosses the wire.
+func checkTx(v *chain.TxView) error {
+	if _, ok := kindName(v.Kind); !ok {
+		return fmt.Errorf("kind %d is not put, put-once or delete", v.Kind)
 	}
-	if tx.Collection != "" || tx.XID != "" || tx.ValueHash != ([32]byte{}) || len(tx.Writes) != 0 {
+	if len(v.Collection) != 0 || len(v.XID) != 0 || len(v.Hash) != 0 || v.NWrites != 0 {
 		return errors.New("collection, xid, value hash and writes are not wire fields")
 	}
-	return checkFields(tx.Kind, tx.ID, tx.Key, tx.Value)
+	return checkFields(v.Kind, v.ID, v.Key, v.Value)
 }
 
-// appendResults frames a reply. Duplicate is not sent: it is Code.
-func appendResults(b []byte, results []BatchResult) []byte {
+// appendResults frames a reply from the chain's results, in input order:
+// an error's code and message, none on success. Duplicate is not sent: it
+// is Code.
+func appendResults(b []byte, results []chain.Result) []byte {
 	b = binary.AppendUvarint(b, uint64(len(results)))
 	for _, r := range results {
-		b = wire.AppendString(b, r.Code)
-		b = wire.AppendString(b, r.TxID)
-		b = wire.AppendString(b, r.Error)
+		var code, msg string
+		if r.Err != nil {
+			code, msg = codeOf(r.Err), r.Err.Error()
+		}
+		b = appendEntry(b, code, r.TxID, msg)
 	}
 	return b
+}
+
+// appendEntry frames one reply entry.
+func appendEntry(b []byte, code, id, msg string) []byte {
+	b = wire.AppendString(b, code)
+	b = wire.AppendString(b, id)
+	return wire.AppendString(b, msg)
 }
 
 // decodeResults is the client's side of the reply frame: want entries,

@@ -19,6 +19,7 @@ import (
 
 	"prever/internal/chain"
 	"prever/internal/conf"
+	"prever/internal/wire"
 	"prever/internal/wire/wiretest"
 )
 
@@ -35,21 +36,100 @@ func frameTxs() []chain.Tx {
 func TestBatchFrameGolden(t *testing.T) {
 	txs := frameTxs()
 	want := wiretest.Golden(t, "testdata/batch.hex", appendBatch(nil, txs))
-	if got, err := decodeBatch(want); err != nil || !reflect.DeepEqual(got, txs) {
-		t.Fatalf("golden bytes decode to %+v, %v", got, err)
+	encs, err := checkBatch(want)
+	if err != nil || len(encs) != len(txs) {
+		t.Fatalf("golden bytes check as %d txs, %v", len(encs), err)
+	}
+	for i := range txs {
+		if got, err := chain.DecodeTx(encs[i]); err != nil || !reflect.DeepEqual(got, txs[i]) {
+			t.Fatalf("golden tx %d decodes to %+v, %v", i, got, err)
+		}
 	}
 }
 
+// sentinelMsg is a chain error with the message a test chooses.
+type sentinelMsg struct {
+	sentinel error
+	msg      string
+}
+
+func (e sentinelMsg) Error() string { return e.msg }
+func (e sentinelMsg) Unwrap() error { return e.sentinel }
+
 func TestResultsFrameGolden(t *testing.T) {
-	results := []BatchResult{
+	results := []chain.Result{
+		{TxID: "api-0123456789ab-tx-1"},
+		{TxID: "c-1", Err: sentinelMsg{chain.ErrDuplicate, "dup"}},
+		{TxID: "big", Err: sentinelMsg{chain.ErrTxTooLarge, "large"}},
+	}
+	want := []BatchResult{
 		{TxID: "api-0123456789ab-tx-1"},
 		{TxID: "c-1", Duplicate: true, Code: CodeDuplicate, Error: "dup"},
 		{TxID: "big", Code: CodeTxTooLarge, Error: "large"},
 	}
-	want := wiretest.Golden(t, "testdata/results.hex", appendResults(nil, results))
-	if got, err := decodeResults(want, len(results)); err != nil || !reflect.DeepEqual(got, results) {
+	golden := wiretest.Golden(t, "testdata/results.hex", appendResults(nil, results))
+	if !bytes.Equal(golden, frameResults(nil, want)) {
+		t.Fatalf("the chain's results and the wire's frame differently")
+	}
+	if got, err := decodeResults(golden, len(want)); err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("golden bytes decode to %+v, %v", got, err)
 	}
+}
+
+// frameResults frames wire results as a reply, codes and messages as
+// they are: what a server of any version may send.
+func frameResults(b []byte, results []BatchResult) []byte {
+	b = binary.AppendUvarint(b, uint64(len(results)))
+	for _, r := range results {
+		b = appendEntry(b, r.Code, r.TxID, r.Error)
+	}
+	return b
+}
+
+// decodeBatch is the request frame decoded into chain transactions, each
+// held to the wire rules as a Tx: the reading checkBatch must agree with
+// (FuzzBatchRequest). The server never runs it.
+func decodeBatch(body []byte) ([]chain.Tx, error) {
+	r := wire.NewReader(body)
+	n := r.Count(minFramedTx)
+	switch {
+	case !r.OK():
+		return nil, errors.New("bad count")
+	case n == 0:
+		return nil, errors.New("empty batch")
+	case n > MaxBatchTxs:
+		return nil, errors.New("over MaxBatchTxs")
+	}
+	txs := make([]chain.Tx, n)
+	for i := range txs {
+		enc := r.Bytes()
+		if !r.OK() {
+			return nil, errors.New("overrun")
+		}
+		tx, err := chain.DecodeTx(enc)
+		if err != nil {
+			return nil, err
+		}
+		if err := checkDecoded(&tx); err != nil {
+			return nil, err
+		}
+		txs[i] = tx
+	}
+	if !r.Done() {
+		return nil, errors.New("trailing bytes")
+	}
+	return txs, nil
+}
+
+// checkDecoded is checkTx for a decoded transaction.
+func checkDecoded(tx *chain.Tx) error {
+	if _, ok := kindName(tx.Kind); !ok {
+		return errors.New("not a wire kind")
+	}
+	if tx.Collection != "" || tx.XID != "" || tx.ValueHash != ([32]byte{}) || len(tx.Writes) != 0 {
+		return errors.New("not wire fields")
+	}
+	return checkFields(tx.Kind, tx.ID, tx.Key, tx.Value)
 }
 
 // put64s is the benchmark's request: n puts of a 64-byte value, ids
@@ -68,7 +148,7 @@ func put64s(n int) []chain.Tx {
 // transactions as failed.
 func TestResultsPassUnknownCodes(t *testing.T) {
 	want := []BatchResult{{TxID: "x", Code: "teapot", Error: "short and stout"}}
-	got, err := decodeResults(appendResults(nil, want), 1)
+	got, err := decodeResults(frameResults(nil, want), 1)
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("a reply with an unknown code decodes to %+v, %v", got, err)
 	}
@@ -77,18 +157,18 @@ func TestResultsPassUnknownCodes(t *testing.T) {
 	}
 }
 
-// TestDecodeBatchAllocs: the server decodes a batch into one slice and,
-// per transaction, its ID, Key and Value — nothing per field beyond
-// those, and no reflection.
+// TestDecodeBatchAllocs: the server checks a batch where it sits and
+// allocates one slice of views into the body for it, nothing per
+// transaction.
 func TestDecodeBatchAllocs(t *testing.T) {
 	const n = 64
 	body := appendBatch(nil, put64s(n))
 	if allocs := testing.AllocsPerRun(100, func() {
-		if _, err := decodeBatch(body); err != nil {
+		if _, err := checkBatch(body); err != nil {
 			t.Fatal(err)
 		}
-	}); allocs > 3*n+1 {
-		t.Fatalf("decoding a batch of %d puts allocates %.0f times, want <= %d", n, allocs, 3*n+1)
+	}); allocs > 1 {
+		t.Fatalf("checking a batch of %d puts allocates %.0f times, want <= 1", n, allocs)
 	}
 }
 
@@ -118,15 +198,15 @@ func TestDecodeBatchRefuses(t *testing.T) {
 		"a tx of zero bytes": {1, 0},
 	}
 	for name, body := range cases {
-		if txs, err := decodeBatch(body); err == nil || txs != nil {
+		if txs, err := checkBatch(body); err == nil || txs != nil {
 			t.Errorf("%s: accepted %d txs", name, len(txs))
 		}
 	}
 	claim := cases["4096 claimed"]
-	if n := wiretest.AllocBytes(func() { _, _ = decodeBatch(claim) }); n >= MaxBatchTxs {
+	if n := wiretest.AllocBytes(func() { _, _ = checkBatch(claim) }); n >= MaxBatchTxs {
 		t.Fatalf("a %d-byte body claiming %d txs allocated %d bytes before it was refused", len(claim), MaxBatchTxs, n)
 	}
-	if _, err := decodeBatch(cases["JSON"]); err == nil || !strings.Contains(err.Error(), "count | (len | tx)*") {
+	if _, err := checkBatch(cases["JSON"]); err == nil || !strings.Contains(err.Error(), "count | (len | tx)*") {
 		t.Fatalf("a JSON body is refused with %v, which does not name the frame", err)
 	}
 }
@@ -138,10 +218,15 @@ func allocCeiling(n int, elem uintptr, minEntry int) uint64 {
 }
 
 // FuzzBatchRequest: POST /submit-batch bodies are the one place arbitrary
-// outside bytes become chain transactions in bulk. The decoder never
-// panics and never sizes an allocation from a count the body cannot
-// hold; whatever it accepts obeys the wire rules and re-encodes to the
-// same bytes. `go test` runs the seed corpus; `make fuzz-smoke` mutates it.
+// outside bytes become chain transactions in bulk. The check never panics
+// and never sizes an allocation from a count the body cannot hold. It
+// accepts exactly the bodies that decodeBatch, which decodes every
+// transaction and holds it to the wire rules, accepts, and hands back
+// each transaction's bytes as they sit in the body, which are what
+// AppendTx writes for the decoded transaction. (What the chain admits
+// from those bytes, the id it mints spliced in, is chain.FuzzViewTx's
+// to check.) `go test` runs the seed corpus; `make fuzz-smoke` mutates
+// it.
 func FuzzBatchRequest(f *testing.F) {
 	good := appendBatch(nil, frameTxs())
 	one := func(tx chain.Tx) []byte { return appendBatch(nil, []chain.Tx{tx}) }
@@ -160,38 +245,49 @@ func FuzzBatchRequest(f *testing.F) {
 		append(binary.AppendUvarint(nil, MaxBatchTxs), good[1:]...),
 		[]byte(`{"txs":[{"kind":"put","key":"k","value":"dg=="}]}`),
 		nil,
+		// Caller ids, one in the form the shard mints, and ones it has
+		// not minted yet.
+		appendBatch(nil, []chain.Tx{
+			{ID: "caller", Kind: chain.TxPut, Key: "a", Value: []byte("1")},
+			{ID: "fuzz-0123456789ab-tx-1", Kind: chain.TxPut, Key: "b", Value: []byte("2")},
+			{ID: "fuzz-0123456789ab-ptx-99", Kind: chain.TxDelete, Key: "c"},
+			{Kind: chain.TxPut, Key: "d", Value: []byte("4")},
+		}),
+		// The longest key and id the wire takes, and one byte past each.
+		one(chain.Tx{ID: strings.Repeat("i", MaxKeyBytes), Kind: chain.TxPut, Key: strings.Repeat("k", MaxKeyBytes), Value: []byte("v")}),
+		one(chain.Tx{ID: strings.Repeat("i", MaxKeyBytes+1), Kind: chain.TxPut, Key: "k", Value: []byte("v")}),
+		// Deletes and put-once beside puts, with and without ids.
+		appendBatch(nil, []chain.Tx{
+			{Kind: chain.TxDelete, Key: "a"},
+			{ID: "d-1", Kind: chain.TxDelete, Key: "b"},
+			{Kind: chain.TxPutOnce, Key: "a", Value: []byte("first")},
+			{ID: "o-1", Kind: chain.TxPutOnce, Key: "c", Value: bytes.Repeat([]byte("v"), 200)},
+		}),
 	} {
 		f.Add(body)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		txs, err := decodeBatch(body)
-		if n := wiretest.AllocBytes(func() { _, _ = decodeBatch(body) }); n > allocCeiling(len(body), unsafe.Sizeof(chain.Tx{}), minFramedTx) {
-			t.Fatalf("decoding %d bytes allocated %d", len(body), n)
+		encs, err := checkBatch(body)
+		if n := wiretest.AllocBytes(func() { _, _ = checkBatch(body) }); n > allocCeiling(len(body), unsafe.Sizeof([]byte(nil)), minFramedTx) {
+			t.Fatalf("checking %d bytes allocated %d", len(body), n)
+		}
+		txs, oracleErr := decodeBatch(body)
+		if (err == nil) != (oracleErr == nil) {
+			t.Fatalf("check says %v, decoding says %v", err, oracleErr)
 		}
 		if err != nil {
-			if txs != nil {
-				t.Fatalf("rejected body still returned %d txs", len(txs))
+			if encs != nil {
+				t.Fatalf("rejected body still returned %d txs", len(encs))
 			}
 			return
 		}
-		if len(txs) == 0 || len(txs) > MaxBatchTxs {
-			t.Fatalf("accepted a batch of %d txs", len(txs))
+		if len(encs) != len(txs) {
+			t.Fatalf("check returned %d txs, decoding %d", len(encs), len(txs))
 		}
 		for i := range txs {
-			tx := &txs[i]
-			name, ok := kindName(tx.Kind)
-			if !ok || tx.Collection != "" || tx.XID != "" || tx.ValueHash != ([32]byte{}) || tx.Writes != nil {
-				t.Fatalf("tx %d is not a wire transaction: %+v", i, tx)
+			if want := chain.AppendTx(nil, &txs[i]); !bytes.Equal(encs[i], want) {
+				t.Fatalf("tx %d is %x in the body, but decodes to %+v", i, encs[i], txs[i])
 			}
-			if tx.Key == "" || len(tx.Key) > MaxKeyBytes || len(tx.ID) > MaxKeyBytes {
-				t.Fatalf("tx %d: key of %d bytes, id of %d bytes", i, len(tx.Key), len(tx.ID))
-			}
-			if (tx.Kind == chain.TxDelete) != (len(tx.Value) == 0) {
-				t.Fatalf("tx %d: %s with a value of %d bytes", i, name, len(tx.Value))
-			}
-		}
-		if again := appendBatch(nil, txs); !bytes.Equal(again, body) {
-			t.Fatalf("accepted %x, which re-encodes to %x", body, again)
 		}
 	})
 }
@@ -208,14 +304,14 @@ func FuzzBatchResults(f *testing.F) {
 		{TxID: "big", Code: CodeTxTooLarge, Error: "large"},
 		{TxID: "p", Code: CodePoolFull, Error: "full"},
 	}
-	good := appendResults(nil, results)
+	good := frameResults(nil, results)
 	f.Add(good, uint16(len(results)))
 	f.Add(good, uint16(len(results)+1))
 	f.Add(good[:len(good)-1], uint16(len(results)))
 	f.Add(append(append([]byte{}, good...), 0), uint16(len(results)))
-	f.Add(appendResults(nil, []BatchResult{{TxID: "x", Code: "teapot", Error: "?"}}), uint16(1))
-	f.Add(appendResults(nil, []BatchResult{{TxID: "x", Code: CodeInvalid}}), uint16(1))
-	f.Add(appendResults(nil, []BatchResult{{TxID: "x", Error: "no code"}}), uint16(1))
+	f.Add(frameResults(nil, []BatchResult{{TxID: "x", Code: "teapot", Error: "?"}}), uint16(1))
+	f.Add(frameResults(nil, []BatchResult{{TxID: "x", Code: CodeInvalid}}), uint16(1))
+	f.Add(frameResults(nil, []BatchResult{{TxID: "x", Error: "no code"}}), uint16(1))
 	f.Add(binary.AppendUvarint(nil, 60000), uint16(60000))
 	f.Add([]byte(`{"results":[]}`), uint16(0))
 	f.Fuzz(func(t *testing.T, body []byte, want uint16) {
@@ -237,7 +333,7 @@ func FuzzBatchResults(f *testing.F) {
 				t.Fatalf("result %d: %+v", i, r)
 			}
 		}
-		if again := appendResults(nil, got); !bytes.Equal(again, body) {
+		if again := frameResults(nil, got); !bytes.Equal(again, body) {
 			t.Fatalf("accepted %x, which re-encodes to %x", body, again)
 		}
 	})

@@ -126,28 +126,22 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, erro
 	return io.ReadAll(body)
 }
 
-// handleSubmitBatch serves the binary batch route (frame.go): the body is
-// decoded once into chain transactions, which go to the chain as they are,
-// and the results go back as one reply frame in input order.
+// handleSubmitBatch serves the binary batch route (frame.go): the body's
+// transactions are checked in place and go to the chain as sub-slices of
+// it, which copies each once, into the mempool; the results go back as
+// one reply frame in input order.
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	body, err := readBody(w, r, s.batchBody)
 	if err != nil {
 		writeErr(w, CodeInvalid, err.Error())
 		return
 	}
-	txs, err := decodeBatch(body)
+	txs, err := checkBatch(body)
 	if err != nil {
 		writeErr(w, CodeInvalid, err.Error())
 		return
 	}
-	results := make([]BatchResult, len(txs))
-	for i, res := range s.chain.SubmitBatch(txs) {
-		results[i].TxID = res.TxID
-		if res.Err != nil {
-			results[i].Code, results[i].Error = codeOf(res.Err), res.Err.Error()
-		}
-	}
-	out := appendResults(make([]byte, 0, 1+48*len(results)), results)
+	out := appendResults(make([]byte, 0, 1+48*len(txs)), s.chain.SubmitEncoded(txs))
 	w.Header().Set("Content-Type", frameType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(out)))
 	_, _ = w.Write(out)

@@ -93,8 +93,10 @@ func kindName(kind chain.TxKind) (name string, ok bool) {
 
 // checkFields enforces the wire rules on a transaction of a wire kind: a
 // non-empty key within MaxKeyBytes, an id within MaxKeyBytes, a value
-// present exactly when the kind writes one.
-func checkFields(kind chain.TxKind, id, key string, value []byte) error {
+// present exactly when the kind writes one. The JSON route passes its
+// decoded strings, the batch route views of its body's bytes: one rule
+// set for both.
+func checkFields[T string | []byte](kind chain.TxKind, id, key T, value []byte) error {
 	if kind == chain.TxDelete {
 		if len(value) != 0 {
 			return errors.New("delete must not carry a value")
@@ -103,7 +105,7 @@ func checkFields(kind chain.TxKind, id, key string, value []byte) error {
 		name, _ := kindName(kind)
 		return fmt.Errorf("%s requires a value", name)
 	}
-	if key == "" {
+	if len(key) == 0 {
 		return errors.New("missing key")
 	}
 	if len(key) > MaxKeyBytes {

@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -106,9 +105,9 @@ type Peer struct {
 	heads    []blockHead       // append-only: an element, once written, never changes
 	bodies   [][]byte          // likewise; bodies[i] belongs to heads[i]
 	pendingP map[string][]byte // txID -> private value awaiting commit
-	prepared map[string]txView // xid -> the prepare, whose Writes are its writes
+	prepared map[string]TxView // xid -> the prepare, whose Writes are its writes
 	root     merkle.Frontier   // scratch for the block being built: its root,
-	fresh    []txView          // its transactions, read in place,
+	fresh    []TxView          // its transactions, read in place,
 	ops      [][]byte          // their committed bytes,
 	body     []byte            // its body before it is cut to size,
 	key      []byte            // and a private put's public key
@@ -121,7 +120,7 @@ func newPeer(id string, collections []string) *Peer {
 		state:       make(worldState),
 		private:     make(map[string]worldState),
 		pendingP:    make(map[string][]byte),
-		prepared:    make(map[string]txView),
+		prepared:    make(map[string]TxView),
 		applied:     newIDSet(),
 	}
 	for _, c := range collections {
@@ -235,7 +234,7 @@ func (p *Peer) unstagePrivateValue(txID string) {
 // when every operation is fresh run is the body, kept as it stands;
 // otherwise the fresh ones are copied into a body of their own. Either
 // way the peer keeps run's bytes, and nothing may change them after.
-// Each transaction is read in place (txView) and applied from there: a
+// Each transaction is read in place (TxView) and applied from there: a
 // block of overwrites to existing keys under known id prefixes allocates
 // nothing per transaction. run must be well framed; a framing error ends
 // the batch as one more undecodable.
@@ -257,7 +256,7 @@ func (p *Peer) applyBatch(run []byte) (undecodable int) {
 	r := wire.NewReader(run)
 	for !r.Done() {
 		op := r.Bytes()
-		v, ok := viewTx(op)
+		v, ok := ViewTx(op)
 		if !ok {
 			undecodable++
 		}
@@ -314,7 +313,7 @@ func (p *Peer) appendBlock(run []byte, ops [][]byte, whole bool) {
 
 // applyTxLocked applies one fresh transaction. The caller holds mu and
 // holds view for writing.
-func (p *Peer) applyTxLocked(tx *txView) {
+func (p *Peer) applyTxLocked(tx *TxView) {
 	switch tx.Kind {
 	case TxPut:
 		p.state.put(tx.Key, tx.Value)
@@ -419,7 +418,7 @@ type Shard struct {
 	client   *pbft.Client
 	pool     *mempool.Pool
 	batcher  *mempool.Batcher
-	mint     sync.RWMutex // read-held while minting and admitting; a claim of a minted id write-locks it once, as a barrier (vetClaims)
+	mint     sync.RWMutex // read-held while minting and admitting; a claim of a minted id write-locks it once, as a barrier (submit)
 	seq      atomic.Uint64
 	txIDs    string // "<name>-<nonce>-tx-": what an assigned id is, before its sequence number
 	ptxIDs   string // likewise "<name>-<nonce>-ptx-" for private puts
@@ -629,21 +628,13 @@ func (s *Shard) SubmitPrivate(collection, key string, value []byte) <-chan Resul
 			}
 		}
 	}
-	return s.submit([]Tx{tx}, s.ptxIDs, stage, func(res Result) {
+	return s.submit(encodeTxs([]Tx{tx}), s.ptxIDs, stage, func(res Result) {
 		if res.Err != nil && !errors.Is(res.Err, ErrDuplicate) {
 			for _, p := range s.peers {
 				p.unstagePrivateValue(res.TxID)
 			}
 		}
 	}).done
-}
-
-// nextID assigns an id: prefix, then the shard's next sequence number in
-// decimal. The ids sit inside committed transaction bytes, so their form
-// is fixed (TestAssignedIDFormat).
-func (s *Shard) nextID(prefix string) string {
-	var buf [64]byte
-	return string(strconv.AppendUint(append(buf[:0], prefix...), s.seq.Add(1), 10))
 }
 
 // Sharded is a SharPer-style multi-shard chain: the key space is
@@ -668,17 +659,17 @@ func NewSharded(shards ...*Shard) (*Sharded, error) {
 func (c *Sharded) Shards() []*Shard { return c.shards }
 
 // ShardFor maps a key to its home shard.
-func (c *Sharded) ShardFor(key string) *Shard { return c.shards[c.shardIndex(key)] }
+func (c *Sharded) ShardFor(key string) *Shard { return c.shards[shardIndex(key, len(c.shards))] }
 
-// shardIndex is the home shard's index, sha256(key)[0] mod the shard
-// count; existing data directories depend on it (TestShardPlacement). One
-// shard is every key's home, with no hash taken.
-func (c *Sharded) shardIndex(key string) int {
-	if len(c.shards) == 1 {
+// shardIndex is the index of key's home among shards, sha256(key)[0] mod
+// the shard count; existing data directories depend on it
+// (TestShardPlacement). One shard is every key's home, with no hash taken.
+func shardIndex[T string | []byte](key T, shards int) int {
+	if shards == 1 {
 		return 0
 	}
 	h := sha256.Sum256([]byte(key))
-	return int(h[0]) % len(c.shards)
+	return int(h[0]) % shards
 }
 
 // SubmitAsync routes a single-shard transaction to its home shard's

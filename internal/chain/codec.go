@@ -78,44 +78,34 @@ func strSize(n int) int { return uvarintSize(uint64(n)) + n }
 
 func uvarintSize(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
-// writesDepth reports how deep tx.Writes nests (0 for a plain write).
-func writesDepth(tx *Tx) int {
-	d := 0
-	for i := range tx.Writes {
-		if wd := writesDepth(&tx.Writes[i]) + 1; wd > d {
-			d = wd
-		}
-	}
-	return d
-}
-
-// txView is a transaction read in place: every field is a sub-slice of
+// TxView is a transaction read in place: every field is a sub-slice of
 // the encoding it was read from (nil when empty), so reading one
-// allocates nothing. The applier reads committed transactions this way;
-// DecodeTx is a view made into a Tx. Writes is the nested transactions'
-// encodings back to back, NWrites of them, each already checked.
-type txView struct {
+// allocates nothing. The applier reads committed transactions this way,
+// the submit path reads what it admits this way, and internal/api checks
+// a batch body's transactions this way; DecodeTx is a view made into a
+// Tx. Writes is the nested transactions' encodings back to back,
+// NWrites of them, each already checked.
+type TxView struct {
 	Kind                                  TxKind
 	ID, Collection, Key, Value, Hash, XID []byte
 	Writes                                []byte
 	NWrites                               int
 }
 
-// viewTx reads b as one transaction. It accepts exactly what DecodeTx
-// accepts (FuzzViewTx).
-func viewTx(b []byte) (txView, bool) {
+// ViewTx reads b as one transaction. It accepts exactly what DecodeTx
+// accepts (FuzzViewTx), Writes nested at most maxWritesDepth.
+func ViewTx(b []byte) (v TxView, ok bool) {
 	r := wire.NewReader(b)
-	var v txView
 	readView(&r, b, &v, 0)
 	if !r.Done() {
-		return txView{}, false
+		return TxView{}, false
 	}
 	return v, true
 }
 
 // readView reads one transaction from r, which reads from b, and checks
 // every nested one; the fields of v are sub-slices of b.
-func readView(r *wire.Reader, b []byte, v *txView, depth int) {
+func readView(r *wire.Reader, b []byte, v *TxView, depth int) {
 	v.Kind = TxKind(r.Byte())
 	v.ID = r.Bytes()
 	v.Collection = r.Bytes()
@@ -135,7 +125,7 @@ func readView(r *wire.Reader, b []byte, v *txView, depth int) {
 		return
 	}
 	at := len(b) - r.Len()
-	var w txView
+	var w TxView
 	for i := 0; i < v.NWrites && r.OK(); i++ {
 		readView(r, b, &w, depth+1)
 	}
@@ -144,23 +134,33 @@ func readView(r *wire.Reader, b []byte, v *txView, depth int) {
 
 // eachWrite calls fn with a view of each of v's nested transactions, in
 // order.
-func (v *txView) eachWrite(fn func(w *txView)) {
+func (v *TxView) eachWrite(fn func(w *TxView)) {
 	r := wire.NewReader(v.Writes)
-	var w txView
+	var w TxView
 	for i := 0; i < v.NWrites; i++ {
 		readView(&r, v.Writes, &w, 0) // checked to its depth when v was read
 		fn(&w)
 	}
 }
 
+// lane is the view's mempool ordering key: the row key (per-key
+// submission order survives batching), else the cross-shard id of a
+// keyless 2PC phase; empty means the transaction's own id.
+func (v *TxView) lane() []byte {
+	if len(v.Key) > 0 {
+		return v.Key
+	}
+	return v.XID
+}
+
 // valueHash is the view's ValueHash.
-func (v *txView) valueHash() (h [32]byte) {
+func (v *TxView) valueHash() (h [32]byte) {
 	copy(h[:], v.Hash)
 	return h
 }
 
 // tx makes the view into a Tx that aliases nothing of the encoding.
-func (v *txView) tx() Tx {
+func (v *TxView) tx() Tx {
 	tx := Tx{
 		Kind:       v.Kind,
 		ID:         string(v.ID),
@@ -173,10 +173,10 @@ func (v *txView) tx() Tx {
 	}
 	tx.ValueHash = v.valueHash()
 	if v.NWrites > 0 {
-		// Sized from the count, which viewTx checked against the bytes
+		// Sized from the count, which ViewTx checked against the bytes
 		// that are really there.
 		tx.Writes = make([]Tx, 0, v.NWrites)
-		v.eachWrite(func(w *txView) { tx.Writes = append(tx.Writes, w.tx()) })
+		v.eachWrite(func(w *TxView) { tx.Writes = append(tx.Writes, w.tx()) })
 	}
 	return tx
 }
@@ -184,7 +184,7 @@ func (v *txView) tx() Tx {
 // DecodeTx is the strict inverse of AppendTx. Nothing in the result
 // aliases b.
 func DecodeTx(b []byte) (Tx, error) {
-	v, ok := viewTx(b)
+	v, ok := ViewTx(b)
 	if !ok {
 		return Tx{}, errBadTx
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -233,14 +234,14 @@ func TestDecodeTxAllocs(t *testing.T) {
 		t.Fatalf("decoding a put allocates %.0f times, want <= 3", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		if _, ok := viewTx(enc); !ok {
+		if _, ok := ViewTx(enc); !ok {
 			t.Fatal("the view refused a put")
 		}
 	}); n != 0 {
 		t.Fatalf("viewing a put allocates %.0f times, want 0", n)
 	}
 	// The value's bytes are followed by a byte each of hash, xid and count.
-	if v, _ := viewTx(enc); &v.Value[0] != &enc[len(enc)-len(v.Value)-3] {
+	if v, _ := ViewTx(enc); &v.Value[0] != &enc[len(enc)-len(v.Value)-3] {
 		t.Fatal("the view copied the value out of the committed bytes")
 	}
 }
@@ -284,16 +285,26 @@ func FuzzDecodeTx(f *testing.F) {
 	})
 }
 
-// FuzzViewTx: the applier reads committed transactions through viewTx,
+// FuzzViewTx: the applier reads committed transactions through ViewTx,
 // so the view and DecodeTx are two readers of one trust boundary. They
 // must accept the same inputs, agree on every field, and txSize must
-// measure what AppendTx writes. Seeded from the golden sequence.
+// measure what AppendTx writes. The submit path reads what it admits
+// through the view too: what it queues is what AppendTx writes for the
+// decoded transaction with the id it got, on the transaction's lane, and
+// it refuses only a claim of an id not minted yet or a transaction over
+// MaxTxBytes. Seeded from the golden sequence.
 func FuzzViewTx(f *testing.F) {
 	for _, batch := range goldenSequence() {
 		for _, op := range encodeAll(batch) {
 			f.Add(op)
 		}
 	}
+	shard := newBareShard()
+	for _, id := range []string{"", "caller", shard.txIDs + "0", shard.txIDs + "99", shard.ptxIDs + "1", strings.Repeat("i", 1024)} {
+		f.Add(txBytes(Tx{ID: id, Kind: TxPut, Key: "k", Value: []byte("v")}))
+	}
+	f.Add(txBytes(Tx{Kind: TxCrossCommit, XID: "x"}))
+	f.Add(txBytes(Tx{Kind: TxPut, Key: "k", Value: bytes.Repeat([]byte("v"), shard.maxTx)}))
 	good := txBytes(put64())
 	f.Add(good[:len(good)-1])
 	f.Add(append(append([]byte{}, good...), 0))
@@ -302,13 +313,13 @@ func FuzzViewTx(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add(append([]byte{1, 0, 0, 0, 0, 32}, make([]byte, 34)...)) // the zero hash spelled out
 	f.Fuzz(func(t *testing.T, b []byte) {
-		v, ok := viewTx(b)
+		v, ok := ViewTx(b)
 		tx, err := DecodeTx(b)
 		if ok != (err == nil) {
 			t.Fatalf("view accepted %v, DecodeTx err %v", ok, err)
 		}
 		if !ok {
-			if !reflect.DeepEqual(v, txView{}) {
+			if !reflect.DeepEqual(v, TxView{}) {
 				t.Fatalf("refused input still viewed as %+v", v)
 			}
 			return
@@ -337,6 +348,40 @@ func FuzzViewTx(f *testing.F) {
 		}
 		if n := txSize(&tx); n != len(b) {
 			t.Fatalf("txSize = %d for %d encoded bytes", n, len(b))
+		}
+
+		seq := shard.seq.Load()
+		op, res := admitOne(shard, b)
+		want := tx
+		if want.ID == "" {
+			want.ID = res.TxID
+		}
+		if res.TxID != want.ID {
+			t.Fatalf("caller id %q came back as %q", tx.ID, res.TxID)
+		}
+		n, claim := shard.mintedNumber(v.ID)
+		if unminted := claim && n > seq; unminted != errors.Is(res.Err, ErrUnmintedID) {
+			t.Fatalf("id %q at sequence %d: %v", tx.ID, seq, res.Err)
+		}
+		switch {
+		case errors.Is(res.Err, ErrUnmintedID):
+		case errors.Is(res.Err, ErrTxTooLarge):
+			if txSize(&want) <= shard.maxTx {
+				t.Fatalf("%d bytes refused as too large", txSize(&want))
+			}
+		case res.Err != nil:
+			t.Fatalf("admission: %v", res.Err)
+		default:
+			lane := tx.Key
+			if lane == "" {
+				lane = tx.XID
+			}
+			if lane == "" {
+				lane = want.ID
+			}
+			if !bytes.Equal(op.Data, txBytes(want)) || op.ID != want.ID || op.Lane != lane || op.Minted != (tx.ID == "") {
+				t.Fatalf("admitted %+v, want the encoding %x of %+v on lane %q", op, txBytes(want), want, lane)
+			}
 		}
 	})
 }

@@ -3,10 +3,13 @@ package chain
 import (
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
 	"prever/internal/mempool"
+	"prever/internal/wire"
 )
 
 // The asynchronous batch-first submission surface — the ONE submission
@@ -17,6 +20,7 @@ import (
 //
 //	SubmitAsync(tx)  → <-chan Result   one tx, resolve later
 //	SubmitBatch(txs) → []Result        many txs, resolved in input order
+//	SubmitEncoded    → []Result        SubmitBatch for encoded txs (Sharded)
 //
 // Per-producer ordering: transactions with the same key share a mempool
 // lane and are proposed — and, with ordered batch dispatch, applied — in
@@ -46,7 +50,7 @@ func submitWait(s *Shard, tx Tx) error { return (<-s.SubmitAsync(tx)).Err }
 // tags are the wire shape: internal/api serves exactly this struct at
 // /stats (per shard and aggregated), and the repository benchmark reads it.
 type Stats struct {
-	Submitted  int64 `json:"submitted"`  // transactions entering SubmitAsync, SubmitBatch or SubmitPrivate
+	Submitted  int64 `json:"submitted"`  // transactions entering SubmitAsync, SubmitBatch, SubmitEncoded or SubmitPrivate
 	Accepted   int64 `json:"accepted"`   // transactions whose batch committed
 	Duplicates int64 `json:"duplicates"` // dedup-acked resubmissions (ErrDuplicate)
 	Rejected   int64 `json:"rejected"`   // admission-control rejections (ErrPoolFull)
@@ -97,20 +101,6 @@ func (s *Stats) Merge(o Stats) {
 	s.Batches.Merge(o.Batches)
 }
 
-// laneOf picks the mempool ordering key for a transaction: the row key
-// (per-key submission order survives batching), the cross-shard id for
-// keyless 2PC phases, the transaction id as a last resort.
-func laneOf(tx Tx) string {
-	switch {
-	case tx.Key != "":
-		return tx.Key
-	case tx.XID != "":
-		return tx.XID
-	default:
-		return tx.ID
-	}
-}
-
 // SubmitAsync admits a transaction to the mempool and returns a buffered
 // channel that receives its Result exactly once. An empty tx.ID is
 // assigned here; callers that retry a failed submission should reuse the
@@ -119,14 +109,18 @@ func laneOf(tx Tx) string {
 // chain already, is acked without being proposed again). It is
 // SubmitBatch for one transaction, without the wait.
 func (s *Shard) SubmitAsync(tx Tx) <-chan Result {
-	return s.submit([]Tx{tx}, s.txIDs, nil, nil).done
+	return s.submit(encodeTxs([]Tx{tx}), s.txIDs, nil, nil).done
 }
 
 // SubmitBatch admits transactions in order and waits for all of them,
 // returning results in input order. Transactions sharing a key keep their
-// relative order through consensus. The caller is about to block, so the
-// pool is told not to linger over a partial batch while consensus is idle.
-func (s *Shard) SubmitBatch(txs []Tx) []Result {
+// relative order through consensus.
+func (s *Shard) SubmitBatch(txs []Tx) []Result { return s.submitAll(encodeTxs(txs)) }
+
+// submitAll admits encoded transactions as one submission and waits for
+// all of them. The caller is about to block, so the pool is told not to
+// linger over a partial batch while consensus is idle.
+func (s *Shard) submitAll(txs [][]byte) []Result {
 	if len(txs) == 0 {
 		return []Result{}
 	}
@@ -134,6 +128,23 @@ func (s *Shard) SubmitBatch(txs []Tx) []Result {
 	s.pool.Flush()
 	<-b.done
 	return b.out
+}
+
+// encodeTxs encodes txs back to back into one buffer and returns each
+// one's encoding, the form submit takes.
+func encodeTxs(txs []Tx) [][]byte {
+	size := 0
+	for i := range txs {
+		size += txSize(&txs[i])
+	}
+	buf := make([]byte, 0, size)
+	encs := make([][]byte, len(txs))
+	for i := range txs {
+		from := len(buf)
+		buf = AppendTx(buf, &txs[i])
+		encs[i] = buf[from:]
+	}
+	return encs
 }
 
 // submission is one call's transactions on their way through the pool:
@@ -163,87 +174,25 @@ func (b *submission) settle(i int, err error) {
 	}
 }
 
-// submit is the one admission path, under SubmitAsync, SubmitBatch and
-// SubmitPrivate. It mints an id, prefix and the shard's next sequence
-// number, for every transaction without one, encodes all of them into
-// one buffer and admits them to the pool in one AddBatch. The pool looks
-// a minted id up neither among pending ops nor in the peers' id sets:
-// see vetClaims for why it can be in neither. minted, when not nil,
-// sees each minted id before anything is admitted; settled, when not nil,
-// sees each Result on whichever goroutine settles it, before the caller
-// does.
-func (s *Shard) submit(txs []Tx, prefix string, minted func(id string), settled func(Result)) *submission {
-	b := &submission{s: s, start: time.Now(), out: make([]Result, len(txs)), done: make(chan Result, 1), settled: settled}
-	b.left.Store(int64(len(txs)))
-	s.statsMu.Lock()
-	s.stats.Submitted += int64(len(txs))
-	s.statsMu.Unlock()
-
-	if s.vetClaims(b, txs) {
-		// A barrier, held for no work: it waits out every submission that
-		// was minting when the claim was vetted, since one of them may
-		// hold the claimed id and not have admitted it yet.
-		s.mint.Lock()
-		s.mint.Unlock()
-	}
-	s.mint.RLock()
-	defer s.mint.RUnlock()
-	size, admit := 0, 0
-	for i := range txs {
-		if b.out[i].Err != nil { // refused by vetClaims
-			continue
-		}
-		tx := txs[i]
-		if tx.ID == "" {
-			tx.ID = s.nextID(prefix)
-			if minted != nil {
-				minted(tx.ID)
-			}
-		}
-		b.out[i].TxID = tx.ID
-		if n := txSize(&tx); n > s.maxTx {
-			b.settle(i, fmt.Errorf("%w: %d bytes (limit %d)", ErrTxTooLarge, n, s.maxTx))
-		} else if d := writesDepth(&tx); d > maxWritesDepth {
-			// Every peer's decoder would refuse it after it committed.
-			b.settle(i, fmt.Errorf("%w: %d levels (limit %d)", ErrTxTooDeep, d, maxWritesDepth))
-		} else {
-			size += n
-			admit++
-		}
-	}
-	if admit == 0 {
-		return b
-	}
-	var at []int // each op's tx index, when some tx was refused above
-	if admit < len(txs) {
-		at = make([]int, 0, admit)
-	}
-	buf := make([]byte, 0, size)
-	ops := make([]mempool.Op, 0, admit)
-	for i := range txs {
-		if b.out[i].Err != nil {
-			continue
-		}
-		tx := txs[i]
-		tx.ID = b.out[i].TxID
-		from := len(buf)
-		buf = AppendTx(buf, &tx)
-		ops = append(ops, mempool.Op{ID: tx.ID, Lane: laneOf(tx), Data: buf[from:len(buf):len(buf)], Minted: txs[i].ID == ""})
-		if at != nil {
-			at = append(at, i)
-		}
-	}
-	settle := b.settle
-	if at != nil {
-		settle = func(i int, err error) { b.settle(at[i], err) }
-	}
-	s.pool.AddBatch(ops, settle)
-	return b
-}
-
-// vetClaims vets every caller-chosen id that has the form of an id this
-// shard mints, and reports whether one of them is an id it has minted.
+// submit is the one admission path, under SubmitAsync, SubmitBatch,
+// Sharded.SubmitEncoded and SubmitPrivate. txs are transactions in
+// AppendTx's encoding; submit reads each where it sits, never as a Tx,
+// and copies it once, into one buffer for the whole submission. A
+// transaction without an id gets the shard's next sequence number under
+// prefix, spliced into its copy in place of the empty id field:
 //
+//	kind | 0x00 | rest  →  kind | uvarint(len) | id | rest
+//
+// which is byte for byte what AppendTx writes for it with that id, so
+// its Merkle leaf is the same. Every id and ordering lane of the
+// submission is a substring of one string. All of it is admitted to the
+// pool in one AddBatch, which looks a minted id up neither among pending
+// ops nor in the peers' id sets (see the claims below for why it can be
+// in neither). minted, when not nil, sees each minted id before anything
+// is admitted; settled, when not nil, sees each Result on whichever
+// goroutine settles it, before the caller does.
+//
+// A caller may choose an id that has the form of one this shard mints.
 // Skipping the dedup lookups for a minted id is exact because no earlier
 // submission of this process can have carried it: the id is the shard's
 // boot nonce and a sequence number the counter never hands out twice, and
@@ -257,27 +206,129 @@ func (s *Shard) submit(txs []Tx, prefix string, minted func(id string), settled 
 // minting holds Shard.mint for reading from the counter to the end of
 // AddBatch, so taking the write lock once, after vetting, waits that
 // submission out, and the claimer's own two lookups then see its op.
-func (s *Shard) vetClaims(b *submission, txs []Tx) (minted bool) {
-	for i := range txs {
-		n, ok := s.mintedNumber(txs[i].ID)
+func (s *Shard) submit(txs [][]byte, prefix string, minted func(id string), settled func(Result)) *submission {
+	b := &submission{s: s, start: time.Now(), out: make([]Result, len(txs)), done: make(chan Result, 1), settled: settled}
+	b.left.Store(int64(len(txs)))
+	s.statsMu.Lock()
+	s.stats.Submitted += int64(len(txs))
+	s.statsMu.Unlock()
+
+	// Read each tx once: refuse what no peer could apply, vet the claims,
+	// note its id and lane, and size the id string and the buffer.
+	refs := make([]struct{ id, lane []byte }, len(txs))
+	admit, fresh, strBytes, encBytes, claimed := 0, 0, 0, 0, false
+	for i, enc := range txs {
+		v, ok := ViewTx(enc)
 		if !ok {
+			// AppendTx wrote it, so only its nesting can be at fault:
+			// every peer's decoder would refuse it after it committed.
+			b.settle(i, fmt.Errorf("%w: deeper than %d levels, or not a transaction", ErrTxTooDeep, maxWritesDepth))
 			continue
 		}
-		if n > s.seq.Load() {
-			b.out[i].TxID = txs[i].ID
-			b.settle(i, fmt.Errorf("%w: %s", ErrUnmintedID, txs[i].ID))
-			continue
+		if len(v.ID) == 0 {
+			fresh++
+		} else if n, ok := s.mintedNumber(v.ID); ok {
+			if n > s.seq.Load() {
+				b.out[i].TxID = string(v.ID)
+				b.settle(i, fmt.Errorf("%w: %s", ErrUnmintedID, v.ID))
+				continue
+			}
+			claimed = true
 		}
-		minted = true
+		admit++
+		refs[i].id, refs[i].lane = v.ID, v.lane()
+		strBytes += len(v.ID) + len(refs[i].lane)
+		encBytes += len(enc)
 	}
-	return minted
+	if admit == 0 {
+		return b
+	}
+	if claimed {
+		// A barrier, held for no work: it waits out every submission that
+		// was minting when the claim was vetted, since one of them may
+		// hold the claimed id and not have admitted it yet.
+		s.mint.Lock()
+		s.mint.Unlock()
+	}
+	s.mint.RLock()
+	defer s.mint.RUnlock()
+	var digits [20]byte
+	next, idMax := uint64(0), 0 // the first number minted here; the longest id it can make
+	if fresh > 0 {
+		last := s.seq.Add(uint64(fresh))
+		next = last - uint64(fresh) + 1
+		idMax = len(prefix) + len(strconv.AppendUint(digits[:0], last, 10))
+	}
+	var ids strings.Builder
+	ids.Grow(strBytes + fresh*idMax)
+	buf := make([]byte, 0, encBytes+fresh*(uvarintSize(uint64(idMax))+idMax-1))
+	ops := make([]mempool.Op, 0, admit)
+	for i, enc := range txs {
+		if b.out[i].Err != nil { // refused above
+			continue
+		}
+		// ids never outgrows what Grow gave it, and a Builder never
+		// rewrites what its strings hold, so each substring is final.
+		from := ids.Len()
+		assign := len(refs[i].id) == 0
+		if assign {
+			ids.WriteString(prefix)
+			ids.Write(strconv.AppendUint(digits[:0], next, 10))
+			next++
+		} else {
+			ids.Write(refs[i].id)
+		}
+		id := ids.String()[from:]
+		lane := id
+		if len(refs[i].lane) > 0 {
+			from = ids.Len()
+			ids.Write(refs[i].lane)
+			lane = ids.String()[from:]
+		}
+		b.out[i].TxID = id
+		n := len(enc)
+		if assign {
+			n += uvarintSize(uint64(len(id))) + len(id) - 1
+			if minted != nil {
+				minted(id)
+			}
+		}
+		if n > s.maxTx {
+			b.settle(i, fmt.Errorf("%w: %d bytes (limit %d)", ErrTxTooLarge, n, s.maxTx))
+			continue
+		}
+		from = len(buf)
+		if assign {
+			buf = append(wire.AppendString(append(buf, enc[0]), id), enc[2:]...)
+		} else {
+			buf = append(buf, enc...)
+		}
+		ops = append(ops, mempool.Op{ID: id, Lane: lane, Data: buf[from:len(buf):len(buf)], Minted: assign})
+	}
+	if len(ops) == 0 {
+		return b
+	}
+	settle := b.settle
+	if len(ops) < len(txs) {
+		// Each op's tx index. Nothing admitted has settled yet, so the
+		// txs without an error are exactly the ops.
+		at := make([]int, 0, len(ops))
+		for i := range b.out {
+			if b.out[i].Err == nil {
+				at = append(at, i)
+			}
+		}
+		settle = func(i int, err error) { b.settle(at[i], err) }
+	}
+	s.pool.AddBatch(ops, settle)
+	return b
 }
 
 // mintedNumber reports whether id has the form of an id this shard
 // mints, and its sequence number.
-func (s *Shard) mintedNumber(id string) (uint64, bool) {
+func (s *Shard) mintedNumber(id []byte) (uint64, bool) {
 	prefix, n, ok := splitID(id)
-	if !ok || (prefix != s.txIDs[:len(s.txIDs)-1] && prefix != s.ptxIDs[:len(s.ptxIDs)-1]) {
+	if !ok || (string(prefix) != s.txIDs[:len(s.txIDs)-1] && string(prefix) != s.ptxIDs[:len(s.ptxIDs)-1]) {
 		return 0, false
 	}
 	return n, true
@@ -336,15 +387,25 @@ func (c *Sharded) Stats() Stats {
 // shards, each of which admits its share as one batch, and waits for all
 // of them, returning results in input order. Like Shard.SubmitBatch it
 // does not linger in front of idle consensus.
-func (c *Sharded) SubmitBatch(txs []Tx) []Result {
+func (c *Sharded) SubmitBatch(txs []Tx) []Result { return c.SubmitEncoded(encodeTxs(txs)) }
+
+// SubmitEncoded is SubmitBatch for transactions already in AppendTx's
+// encoding, an empty id field where the shard is to mint one: the batch
+// route hands its body's transactions over as they sit in it. Each is
+// copied once, during the call; nothing of txs is kept after it returns.
+func (c *Sharded) SubmitEncoded(txs [][]byte) []Result {
 	if len(c.shards) == 1 {
-		return c.shards[0].SubmitBatch(txs)
+		return c.shards[0].submitAll(txs)
+	}
+	if len(txs) == 0 {
+		return []Result{}
 	}
 	home := make([]int, len(txs))
-	per := make([][]Tx, len(c.shards))
-	for i := range txs {
-		home[i] = c.shardIndex(txs[i].Key)
-		per[home[i]] = append(per[home[i]], txs[i])
+	per := make([][][]byte, len(c.shards))
+	for i, enc := range txs {
+		v, _ := ViewTx(enc) // one that does not read is refused wherever it goes
+		home[i] = shardIndex(v.Key, len(c.shards))
+		per[home[i]] = append(per[home[i]], enc)
 	}
 	subs := make([]*submission, len(c.shards))
 	for k, part := range per {

@@ -1,0 +1,23 @@
+//go:build linux
+
+package mpc
+
+import (
+	"syscall"
+	"time"
+	"unsafe"
+)
+
+// clockThreadCPUTime is Linux's CLOCK_THREAD_CPUTIME_ID.
+const clockThreadCPUTime = 3
+
+// threadCPU returns the CPU time the calling OS thread has used. Only
+// the difference of two reads on one thread means anything: the caller
+// holds runtime.LockOSThread between them.
+func threadCPU() time.Duration {
+	var ts syscall.Timespec
+	if _, _, errno := syscall.Syscall(syscall.SYS_CLOCK_GETTIME, clockThreadCPUTime, uintptr(unsafe.Pointer(&ts)), 0); errno != 0 {
+		panic("clock_gettime(CLOCK_THREAD_CPUTIME_ID): " + errno.Error())
+	}
+	return time.Duration(ts.Nano())
+}

@@ -175,3 +175,25 @@ func TestPendingWaitBudgetExhausted(t *testing.T) {
 		t.Fatalf("Wait returned after %v, before its %v budget", since, budget)
 	}
 }
+
+// TestPickPrimaryAllocatesNothing: a first attempt goes to the live
+// primary without building the list of live replicas a retry rotates
+// over; a retry still rotates over every live replica in order.
+func TestPickPrimaryAllocatesNothing(t *testing.T) {
+	c := newCluster(t, 1, Options{}, netsim.Config{})
+	client, err := NewClient(c.net, c.replicas, "picker", ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := client.pick(0); r != c.replicas[0] {
+		t.Fatalf("first attempt went to %v, want the primary %s", r, c.replicas[0].ID())
+	}
+	if n := testing.AllocsPerRun(100, func() { client.pick(0) }); n != 0 {
+		t.Fatalf("picking the primary allocates %.0f times, want 0", n)
+	}
+	for attempt := 1; attempt < 2*len(c.replicas); attempt++ {
+		if r, want := client.pick(attempt), c.replicas[attempt%len(c.replicas)]; r != want {
+			t.Fatalf("attempt %d went to %s, want %s", attempt, r.ID(), want.ID())
+		}
+	}
+}

@@ -120,21 +120,21 @@ func (c *Client) pick(attempt int) *Replica {
 	c.mu.Lock()
 	replicas := c.replicas
 	c.mu.Unlock()
+	if attempt == 0 {
+		for _, r := range replicas {
+			if c.net.Alive(r.ID()) && r.IsPrimary() {
+				return r
+			}
+		}
+	}
 	var alive []*Replica
-	var primary *Replica
 	for _, r := range replicas {
 		if c.net.Alive(r.ID()) {
-			if primary == nil && r.IsPrimary() {
-				primary = r
-			}
 			alive = append(alive, r)
 		}
 	}
 	if len(alive) == 0 {
 		return nil
-	}
-	if primary != nil && attempt == 0 {
-		return primary
 	}
 	return alive[attempt%len(alive)]
 }

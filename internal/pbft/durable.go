@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 
 	"prever/internal/netsim"
 	"prever/internal/wal"
@@ -257,10 +259,10 @@ func (r *Replica) reexecuteRecovered(pr pbRecord) {
 	r.execLog[pr.Seq] = execEntry{Seq: pr.Seq, Digest: pr.Digest, Batch: pr.Batch}
 	fresh := pr.Batch[:0:0]
 	for _, req := range pr.Batch {
-		if r.executedR[reqKey(req)] {
+		if r.executedR[req.key()] {
 			continue
 		}
-		r.executedR[reqKey(req)] = true
+		r.executedR[req.key()] = true
 		fresh = append(fresh, req)
 	}
 	if r.apply != nil && len(fresh) > 0 {
@@ -305,7 +307,7 @@ func (r *Replica) maybeSnapshotLocked() {
 	}
 	img := stateImage{ExecSeq: r.execSeq}
 	for k := range r.executedR {
-		img.Executed = append(img.Executed, k)
+		img.Executed = append(img.Executed, k.String())
 	}
 	sort.Strings(img.Executed)
 	if r.logApp != nil {
@@ -359,6 +361,14 @@ func (r *Replica) writeSnapshotLocked(img stateImage) {
 // image in the replica's own snapshot, adoption one f+1 peers offered.
 // On error nothing has changed.
 func (r *Replica) installLocked(img *stateImage) error {
+	executed := make(map[reqKey]bool, len(img.Executed))
+	for _, s := range img.Executed {
+		k, err := parseReqKey(s)
+		if err != nil {
+			return err
+		}
+		executed[k] = true
+	}
 	if r.logApp != nil {
 		if err := r.logApp.Restore(img.App); err != nil {
 			return err
@@ -368,10 +378,7 @@ func (r *Replica) installLocked(img *stateImage) error {
 	if r.nextSeq < img.ExecSeq {
 		r.nextSeq = img.ExecSeq
 	}
-	r.executedR = make(map[string]bool, len(img.Executed))
-	for _, k := range img.Executed {
-		r.executedR[k] = true
-	}
+	r.executedR = executed
 	r.execLog = make(map[uint64]execEntry)
 	for seq := range r.insts {
 		if seq < r.execSeq {
@@ -384,7 +391,7 @@ func (r *Replica) installLocked(img *stateImage) error {
 		}
 	}
 	for d, vt := range r.vcTimers {
-		if r.executedR[reqKey(vt.req)] {
+		if r.executedR[vt.req.key()] {
 			vt.tmr.Stop()
 			delete(r.vcTimers, d)
 		}
@@ -417,4 +424,21 @@ func (r *Replica) CloseStorage() error {
 	err := r.log.Close()
 	r.walFailed = true
 	return err
+}
+
+// String is the key as a snapshot holds it: "client/seq", seq in decimal.
+func (k reqKey) String() string { return k.client + "/" + strconv.FormatUint(k.seq, 10) }
+
+// parseReqKey reads a key String wrote. A client name may hold '/', so
+// the sequence number is what follows the last one.
+func parseReqKey(s string) (reqKey, error) {
+	i := strings.LastIndexByte(s, '/')
+	if i < 0 {
+		return reqKey{}, fmt.Errorf("pbft: executed-request key %q has no sequence number", s)
+	}
+	seq, err := strconv.ParseUint(s[i+1:], 10, 64)
+	if err != nil {
+		return reqKey{}, fmt.Errorf("pbft: executed-request key %q: %w", s, err)
+	}
+	return reqKey{s[:i], seq}, nil
 }

@@ -531,3 +531,24 @@ func FuzzColdBodies(f *testing.F) {
 		}
 	})
 }
+
+// TestReqKeyRoundTrip: a snapshot spells an executed request's key
+// "client/seq", as builds that keyed the dedup set by that string did, so
+// their snapshots and the goldens hold; it reads back at the last '/',
+// since a client name may hold '/' (the chain's are "chain/<shard>/<nonce>").
+func TestReqKeyRoundTrip(t *testing.T) {
+	for _, k := range []reqKey{{"chain/s0/0123456789ab", 7}, {"", 0}, {"a/b/", 1<<64 - 1}} {
+		s := k.String()
+		if want := fmt.Sprintf("%s/%d", k.client, k.seq); s != want {
+			t.Fatalf("%+v is spelled %q, want %q", k, s, want)
+		}
+		if got, err := parseReqKey(s); err != nil || got != k {
+			t.Fatalf("%q reads back as %+v, %v", s, got, err)
+		}
+	}
+	for _, bad := range []string{"no-slash", "c/", "c/x", "c/-1", "c/18446744073709551616"} {
+		if k, err := parseReqKey(bad); err == nil {
+			t.Fatalf("%q read as %+v", bad, k)
+		}
+	}
+}

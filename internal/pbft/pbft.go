@@ -239,7 +239,7 @@ type Replica struct {
 	execSeq    uint64 // next sequence to execute
 	stable     uint64 // last stable checkpoint
 	insts      map[uint64]*instState
-	executedR  map[string]bool // client:seq dedup of executed requests
+	executedR  map[reqKey]bool // dedup of executed requests
 	waiters    map[Digest][]chan struct{}
 	ckpts      map[uint64]map[string]bool
 	vcs        map[uint64]map[string]viewChangeMsg
@@ -319,7 +319,7 @@ func newReplica(net *netsim.Network, id string, ids []string, f int, apply Appli
 		apply:      apply,
 		opts:       opts,
 		insts:      make(map[uint64]*instState),
-		executedR:  make(map[string]bool),
+		executedR:  make(map[reqKey]bool),
 		waiters:    make(map[Digest][]chan struct{}),
 		ckpts:      make(map[uint64]map[string]bool),
 		vcs:        make(map[uint64]map[string]viewChangeMsg),
@@ -454,7 +454,7 @@ func (r *Replica) SubmitAsync(client string, clientSeq uint64, op []byte) <-chan
 	done := make(chan struct{})
 
 	r.mu.Lock()
-	if r.executedR[reqKey(req)] {
+	if r.executedR[req.key()] {
 		r.mu.Unlock()
 		close(done) // duplicate of an executed request
 		return done
@@ -481,7 +481,14 @@ func (r *Replica) SubmitAsync(client string, clientSeq uint64, op []byte) <-chan
 	return done
 }
 
-func reqKey(req Request) string { return fmt.Sprintf("%s/%d", req.Client, req.Seq) }
+// reqKey identifies a request for dedup: its client and that client's
+// sequence number. A snapshot spells it "client/seq" (String).
+type reqKey struct {
+	client string
+	seq    uint64
+}
+
+func (req Request) key() reqKey { return reqKey{req.Client, req.Seq} }
 
 // armViewChangeTimerLocked starts a timer that triggers a view change if
 // the request does not execute in time. d is digestOf([]Request{req}),
@@ -511,7 +518,7 @@ func (r *Replica) armViewChangeTimerLocked(d Digest, req Request) {
 func (r *Replica) onViewChangeTimeout(d Digest, req Request) {
 	r.mu.Lock()
 	delete(r.vcTimers, d)
-	if r.executedR[reqKey(req)] {
+	if r.executedR[req.key()] {
 		r.mu.Unlock()
 		return
 	}
@@ -573,13 +580,13 @@ func (r *Replica) onViewChangeTimeout(d Digest, req Request) {
 // instance — i.e. it has been proposed and is waiting on votes, so
 // proposing it again would be futile.
 func (r *Replica) inFlightLocked(req Request) bool {
-	k := reqKey(req)
+	k := req.key()
 	for _, inst := range r.insts {
 		if inst.executed || !inst.prePrepared {
 			continue
 		}
 		for _, b := range inst.batch {
-			if reqKey(b) == k {
+			if b.key() == k {
 				return true
 			}
 		}
@@ -685,7 +692,7 @@ func (r *Replica) handle(m netsim.Message) {
 func (r *Replica) onRequest(req Request) {
 	d := digestOf([]Request{req})
 	r.mu.Lock()
-	if r.executedR[reqKey(req)] {
+	if r.executedR[req.key()] {
 		r.mu.Unlock()
 		return
 	}
@@ -883,10 +890,10 @@ func (r *Replica) executeInstanceLocked(seq uint64, digest Digest, batch []Reque
 	var wake []chan struct{}
 	fresh := batch[:0:0]
 	for _, req := range batch {
-		if r.executedR[reqKey(req)] {
+		if r.executedR[req.key()] {
 			continue
 		}
-		r.executedR[reqKey(req)] = true
+		r.executedR[req.key()] = true
 		fresh = append(fresh, req)
 		d := digest
 		if len(batch) > 1 {
@@ -1258,7 +1265,7 @@ func (r *Replica) enterViewLocked(view, nextSeq uint64) []Request {
 	for d, vt := range r.vcTimers {
 		vt.tmr.Stop()
 		delete(r.vcTimers, d)
-		if !r.executedR[reqKey(vt.req)] {
+		if !r.executedR[vt.req.key()] {
 			rearm = append(rearm, vt.req)
 			digests = append(digests, d)
 		}

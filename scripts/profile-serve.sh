@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Profiles prever-server under the benchmark's serve_batch workload:
-# a CPU profile, the heap allocations per accepted op and the server's
-# CPU time per accepted op, all taken over the same window of the timed
-# section. Run from the repository root:
+# a CPU profile, the heap allocations and heap bytes allocated per
+# accepted op and the server's CPU time per accepted op, all taken over
+# the same window of the timed section. Run from the repository root:
 #
 #   bash scripts/profile-serve.sh          (or: make profile-serve)
 #
@@ -47,15 +47,17 @@ done
 [ -n "$api" ] && [ -n "$pid" ] || { echo "profile-serve: cannot find the server's API listener" >&2; exit 1; }
 sleep 4 # preload and warm-up
 
-mallocs() { curl -sf "http://$pprof/debug/pprof/heap?debug=1" | sed -n 's/^# Mallocs = //p'; }
+# heapstat reads one "# Name = value" line of the runtime's MemStats from
+# the heap profile's text form: Mallocs (objects) or TotalAlloc (bytes).
+heapstat() { curl -sf "http://$pprof/debug/pprof/heap?debug=1" | sed -n "s/^# $1 = //p"; }
 accepted() { curl -sf "http://$api/stats" | grep -o '"total":{[^}]*' | grep -o '"accepted":[0-9]*' | cut -d: -f2; }
 # cputicks is the server's utime + stime in clock ticks (fields 14 and 15
 # of /proc/<pid>/stat, counted after the parenthesised command name).
 cputicks() { sed 's/.*) //' "/proc/$pid/stat" | awk '{print $12 + $13}'; }
 
-m0=$(mallocs) a0=$(accepted) c0=$(cputicks)
+m0=$(heapstat Mallocs) b0=$(heapstat TotalAlloc) a0=$(accepted) c0=$(cputicks)
 curl -sf -o "$out/serve_batch.cpu.pprof" "http://$pprof/debug/pprof/profile?seconds=$secs"
-m1=$(mallocs) a1=$(accepted) c1=$(cputicks)
+m1=$(heapstat Mallocs) b1=$(heapstat TotalAlloc) a1=$(accepted) c1=$(cputicks)
 wait $run || true
 trap - EXIT
 
@@ -63,5 +65,6 @@ PPROF_TMPDIR="$out" go tool pprof -top -nodecount 30 "$out/serve_batch.cpu.pprof
 echo
 echo "profile-serve: seed $seed, ${secs} s window: $((a1 - a0)) ops accepted, $((m1 - m0)) heap allocations"
 awk -v m=$((m1 - m0)) -v a=$((a1 - a0)) 'BEGIN { if (a > 0) printf "profile-serve: %.1f mallocs per accepted op\n", m / a }'
+awk -v b=$((b1 - b0)) -v a=$((a1 - a0)) 'BEGIN { if (a > 0) printf "profile-serve: %.0f heap bytes allocated per accepted op\n", b / a }'
 awk -v c=$((c1 - c0)) -v hz="$(getconf CLK_TCK)" -v a=$((a1 - a0)) 'BEGIN { if (a > 0) printf "profile-serve: %.2f server CPU us per accepted op\n", c * 1e6 / hz / a }'
 echo "profile-serve: profile in $out/serve_batch.cpu.pprof, benchmark record in $out/run.json"
