@@ -94,19 +94,22 @@ fuzz-smoke:
 heap-smoke:
 	$(GO) test -count=1 -run '^(TestPeerRetainedPerTx|TestShardRetainedPerBodyByte|TestPoolRetainsNothingPerResolvedOp)$$' -v ./internal/chain ./internal/mempool
 
-# cost-smoke runs the cost gates: ratios of two timings taken interleaved
-# in one test, so they hold on a host of any speed. On a 1024-bit key,
-# mpc.CheckBound on one input is at most 1.25x the Encrypt(0) + Decrypt
-# the protocol cannot avoid; at MODP2048, group's mulMod (Barrett, three
-# multiplications) is at most 0.8x the Mul + QuoRem it replaced, and
-# MultiExp (a Bos–Coster chain) costs at most 11 000 mulMods on the
-# verifier's 288-term fold and at most 0.6x the per-term Exp product on
-# the exponent vectors that make every step of the chain a division.
-# `make race` skips all three: a timing ratio under the detector measures
-# the detector. -p 1: one package at a time, so no gate is timed while
-# another's test binary compiles or runs.
+# cost-smoke runs the cost gates: ratios of two timings taken in one
+# test, the median over back-to-back pairs of thread CPU time
+# (internal/costtest), so they hold on a host of any speed. On a
+# 1024-bit key, mpc.CheckBound on one input is at most 1.25x the
+# Encrypt(0) + Decrypt the protocol cannot avoid; at MODP2048, group's
+# mulMod (Barrett, three multiplications) is at most 0.8x the Mul +
+# QuoRem it replaced, FixedBase.Exp (a Lim–Lee comb) at most 0.75x the
+# 4-bit window exponentiation it replaced, and MultiExp (a Bos–Coster
+# chain) costs at most 11 000 mulMods on the verifier's 288-term fold
+# and at most 0.6x the per-term Exp product on the exponent vectors that
+# make every step of the chain a division. `make race` skips all four: a
+# timing ratio under the detector measures the detector. -p 1: one
+# package at a time, so no gate is timed while another's test binary
+# compiles or runs.
 cost-smoke:
-	$(GO) test -p 1 -count=1 -run '^(TestCheckBoundCost|TestMulModCost|TestMultiExpCost)$$' ./internal/mpc ./internal/group
+	$(GO) test -p 1 -count=1 -run '^(TestCheckBoundCost|TestMulModCost|TestFixedBaseCost|TestMultiExpCost)$$' ./internal/mpc ./internal/group
 
 # serve-smoke is the deployment smoke test, run by the repository
 # benchmark's open-loop workload (benchmark/README.md): build the real

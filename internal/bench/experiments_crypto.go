@@ -18,7 +18,7 @@ var (
 )
 
 // prodParams returns commitment parameters over the production-sized
-// MODP2048 group (cached: the fixed-base window tables are the
+// MODP2048 group (cached: the fixed-base comb tables are the
 // expensive part of construction).
 func prodParams() *commit.Params {
 	prodParamsOnce.Do(func() { prodParamsVal = commit.NewParams(group.MODP2048()) })

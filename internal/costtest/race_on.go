@@ -1,6 +1,6 @@
 //go:build race
 
-package mpc
+package costtest
 
 // raceEnabled reports whether the race detector instruments this build.
 const raceEnabled = true

@@ -1,6 +1,6 @@
 //go:build linux
 
-package mpc
+package costtest
 
 import (
 	"syscall"
@@ -12,8 +12,8 @@ import (
 const clockThreadCPUTime = 3
 
 // threadCPU returns the CPU time the calling OS thread has used. Only
-// the difference of two reads on one thread means anything: the caller
-// holds runtime.LockOSThread between them.
+// the difference of two reads on one thread means anything: Ratio
+// holds runtime.LockOSThread over the whole run.
 func threadCPU() time.Duration {
 	var ts syscall.Timespec
 	if _, _, errno := syscall.Syscall(syscall.SYS_CLOCK_GETTIME, clockThreadCPUTime, uintptr(unsafe.Pointer(&ts)), 0); errno != 0 {

@@ -1,11 +1,11 @@
 //go:build !linux
 
-package mpc
+package costtest
 
 import "time"
 
 var clockStart = time.Now()
 
 // threadCPU falls back to the wall clock where no per-thread CPU clock
-// is read: the cost gate then sees time the thread spent descheduled.
+// is read: a ratio then counts time the thread spent descheduled.
 func threadCPU() time.Duration { return time.Since(clockStart) }

@@ -446,13 +446,3 @@ func BenchmarkContainsMODP2048(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkFixedBaseExp(b *testing.B) {
-	g := TestGroup()
-	fb := g.NewFixedBase(g.G)
-	e, _ := g.RandScalar(nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fb.Exp(e)
-	}
-}

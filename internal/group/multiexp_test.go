@@ -5,6 +5,8 @@ import (
 	"math/big"
 	"testing"
 	"testing/quick"
+
+	"prever/internal/costtest"
 )
 
 // naiveMultiExp is the reference: independent Exp calls multiplied
@@ -19,7 +21,7 @@ func naiveMultiExp(g *Group, bases, exps []*big.Int) *big.Int {
 
 // TestFixedBaseExpEdgeCases pins the exponent edge cases the batch
 // verifiers rely on: zero, Q-1, exactly Q, above Q (must reduce, not
-// index past the window tables) and negative (interpreted mod Q).
+// index past the comb tables) and negative (interpreted mod Q).
 func TestFixedBaseExpEdgeCases(t *testing.T) {
 	g := TestGroup()
 	fb := g.NewFixedBase(g.G)
@@ -349,20 +351,13 @@ func FuzzMultiExp(f *testing.F) {
 // a step never costs more than square-and-multiply over the bits it
 // removes, so no input makes a fold dearer than verifying term by term.
 //
-// Each ratio is the fastest of many interleaved samples (costRatio), as
+// Each ratio is the median over back-to-back pairs (costtest.Ratio), as
 // in TestMulModCost: the fold against 101 batches of 8 192 mulMods, a
-// batch about as long as one fold, so both sides of a pair meet the same
-// spells of a busy host. 21 batches of 1 000 read 11 221 and 12 412 on a
-// two-CPU host while other packages' tests ran. The dominated shape is
-// cheap and takes 101 samples too (5 read 0.60x there); the falling
-// widths cost ~0.4 s a sample and sit far below the bound, so 5 do.
+// batch about as long as one fold. The dominated shape is cheap and
+// takes 101 pairs too; the falling widths cost ~0.4 s a pair and sit
+// far below the bound, so 5 do.
 func TestMultiExpCost(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing gate; skipped in -short")
-	}
-	if raceEnabled {
-		t.Skip("timing gate; skipped under -race")
-	}
+	costtest.Skip(t)
 	g := MODP2048()
 	multiExp := func(bases, exps []*big.Int) func() {
 		return func() {
@@ -377,12 +372,13 @@ func TestMultiExpCost(t *testing.T) {
 	as, bs := modp2048Operands(t, 256)
 	var s reduceScratch
 	var dst big.Int
-	mults := mulMods * costRatio(101, multiExp(bases, exps), func() {
+	r := costtest.Ratio(101, multiExp(bases, exps), func() {
 		for k := 0; k < mulMods; k++ {
 			g.red.mulMod(&dst, as[k%256], bs[k%256], &s)
 		}
 	})
-	t.Logf("288-term bit fold: %.0f mulMods", mults)
+	mults := mulMods * r.Median
+	t.Logf("288-term bit fold: %.0f mulMods (%v %d mulMods)", mults, r, mulMods)
 	if mults > limit {
 		t.Errorf("the 288-term bit fold costs %.0f mulMods (limit 11 000): the chain is doing more multiplications than one per step, or its bookkeeping has grown", mults)
 	}
@@ -394,15 +390,15 @@ func TestMultiExpCost(t *testing.T) {
 	}
 	dominated[100] = randBits(t, 2040)
 	for _, shape := range []struct {
-		name    string
-		exps    []*big.Int
-		samples int
+		name  string
+		exps  []*big.Int
+		pairs int
 	}{{"widths falling by 7 bits", falling, 5}, {"one 2040-bit exponent", dominated, 101}} {
 		name, exps := shape.name, shape.exps
-		r := costRatio(shape.samples, multiExp(bases, exps), func() { naiveMultiExp(g, bases, exps) })
-		t.Logf("%s: %.2fx the per-term Exp product", name, r)
-		if r > 0.6 {
-			t.Errorf("%s: MultiExp costs %.2fx the per-term Exp product (limit 0.6x): a division step is costing more than square-and-multiply over the bits it removes", name, r)
+		r := costtest.Ratio(shape.pairs, multiExp(bases, exps), func() { naiveMultiExp(g, bases, exps) })
+		t.Logf("%s: %v the per-term Exp product", name, r)
+		if r.Median > 0.6 {
+			t.Errorf("%s: MultiExp costs %.2fx the per-term Exp product (limit 0.6x): a division step is costing more than square-and-multiply over the bits it removes", name, r.Median)
 		}
 	}
 }

@@ -5,10 +5,10 @@ import (
 	"math"
 	"math/big"
 	"math/bits"
-	"slices"
 	"sync"
 	"testing"
-	"time"
+
+	"prever/internal/costtest"
 )
 
 // mulModOracle is the multiply-then-Mod route mulMod replaced.
@@ -123,7 +123,7 @@ func TestGroupMulNormalisesOperands(t *testing.T) {
 }
 
 // TestSharedGroupConcurrentUse: goroutines folding and exponentiating
-// on the one shared MODP2048 group (one reducer, one pair of window
+// on the one shared MODP2048 group (one reducer, one set of comb
 // tables) all get the oracle's answers — also when they all fold the
 // same bases and exps slices, which MultiExp's chain must only read
 // (it multiplies and subtracts in place, on copies). Run under -race.
@@ -218,48 +218,22 @@ func modp2048Operands(tb testing.TB, n int) (as, bs []*big.Int) {
 	return as, bs
 }
 
-// costRatio times a and b interleaved, samples times each, and returns
-// min(a) / min(b): one reading, a ratio that holds on a host of any
-// speed. The fastest run of each is its cost on the host at its
-// quietest. A median is not: on a core shared with busy neighbours the
-// host stays slow for seconds at a time, every sample of a run can fall
-// in such a spell, and there the two routines slow by different factors.
-func costRatio(samples int, a, b func()) float64 {
-	as, bs := make([]time.Duration, samples), make([]time.Duration, samples)
-	for i := range as {
-		start := time.Now()
-		a()
-		as[i] = time.Since(start)
-		start = time.Now()
-		b()
-		bs[i] = time.Since(start)
-	}
-	return float64(slices.Min(as)) / float64(slices.Min(bs))
-}
-
 // TestMulModCost is the gate on what one modular multiplication costs,
-// independent of the host's speed: at MODP2048 the fastest of 4001
-// batches of mulMod is at most 0.8x the fastest batch of the Mul +
-// QuoRem it replaced, both timed interleaved here over five to ten
-// seconds (≈ 0.73x measured; 1.0x means a division is back under the
-// kernel). Medians read 0.72–0.84x over 41 batches and still 0.81–0.82x
-// in 2 of 30 runs over 1001: in a busy spell on a shared core mulMod
-// slows more than Mul + QuoRem does (≈ 0.78x when every batch falls in
-// one). The fastest of 1001, about two seconds, still read 0.80x once in
-// ten `go test ./...` runs on a two-CPU host, where another package's
-// tests kept the other CPU busy for the whole window.
+// independent of the host's speed: at MODP2048 a batch of mulMods costs
+// at most 0.8x a batch of the Mul + QuoRem it replaced, the median over
+// 1001 back-to-back pairs of batches (costtest.Ratio). It read
+// 0.74–0.80x in ten `go test ./...` runs on a two-CPU host, where
+// mulMod slows more than Mul + QuoRem when a neighbour keeps the core
+// busy (the fastest sample of each side, the statistic this gate used
+// to take, read ≈ 0.73x); 1.0x means a division is back under the
+// kernel.
 func TestMulModCost(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing gate; skipped in -short")
-	}
-	if raceEnabled {
-		t.Skip("timing gate; skipped under -race")
-	}
+	costtest.Skip(t)
 	g := MODP2048()
 	as, bs := modp2048Operands(t, 256)
 	var s reduceScratch
 	var dst, prod, quo big.Int
-	ratio := costRatio(4001, func() {
+	r := costtest.Ratio(1001, func() {
 		for k := range as {
 			g.red.mulMod(&dst, as[k], bs[k], &s)
 		}
@@ -269,9 +243,9 @@ func TestMulModCost(t *testing.T) {
 			quo.QuoRem(&prod, g.P, &dst)
 		}
 	})
-	t.Logf("mulMod costs %.2fx Mul + QuoRem", ratio)
-	if ratio > 0.8 {
-		t.Errorf("mulMod costs %.2fx Mul + QuoRem (limit 0.8x): the reduction is dividing again, or doing more than three multiplications", ratio)
+	t.Logf("mulMod costs %v Mul + QuoRem", r)
+	if r.Median > 0.8 {
+		t.Errorf("mulMod costs %.2fx Mul + QuoRem (limit 0.8x): the reduction is dividing again, or doing more than three multiplications", r.Median)
 	}
 }
 

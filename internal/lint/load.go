@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -122,6 +123,15 @@ func (l *Loader) loadDir(dir, importPath string) (*Package, error) {
 	for _, e := range entries {
 		fn := e.Name()
 		if e.IsDir() || !strings.HasSuffix(fn, ".go") || strings.HasSuffix(fn, "_test.go") {
+			continue
+		}
+		// Type-check the files a default build compiles: a file behind a
+		// build constraint (//go:build race, a _linux suffix) is left out
+		// when the constraint does not hold, or its declarations would
+		// clash with the file the build takes instead.
+		if ok, err := build.Default.MatchFile(dir, fn); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, fn), nil, parser.ParseComments)

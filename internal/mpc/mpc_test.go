@@ -4,13 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/big"
-	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"prever/internal/costtest"
 	"prever/internal/he"
 	"prever/internal/netsim"
 )
@@ -451,24 +450,13 @@ func BenchmarkCheckBound1024(b *testing.B) {
 // read ≈ 1.8; the mask's 40-bit exponent and the fold leave ≈ 1.08.
 //
 // The gate is the median, over 201 back-to-back pairs, of each pair's
-// ratio, and a sample is the CPU time of the test's own OS thread
-// (threadCPU, the goroutine locked to it). Under `go test ./...` other
-// packages' test binaries share the CPUs, and the fastest sample of each
-// side, which this gate used to compare, is then an extreme taken from
-// two different moments: on a 2-CPU host it read 0.81x–1.36x (3 of 41
-// runs over the limit). A pair's two samples are taken within a few
-// milliseconds of each other, so what slows the host for a while slows
-// both and cancels in their ratio; the median drops the pairs that one
-// interruption hit; and time the thread spent descheduled is not its CPU
-// time. Under the same load this statistic read 1.07x–1.08x, and 1.81x–
-// 1.84x with an n-sized exponent added to CheckBound's path.
+// ratio of thread CPU time (costtest.Ratio). The fastest sample of each
+// side, which this gate used to compare, read 0.81x–1.36x on a 2-CPU
+// host under `go test ./...` (3 of 41 runs over the limit); the median
+// of pairs read 1.07x–1.08x under the same load, and 1.81x–1.84x with an
+// n-sized exponent added to CheckBound's path.
 func TestCheckBoundCost(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing gate; skipped in -short")
-	}
-	if raceEnabled {
-		t.Skip("timing gate; skipped under -race")
-	}
+	costtest.Skip(t)
 	h, err := checkBoundCostKey()
 	if err != nil {
 		t.Fatal(err)
@@ -479,18 +467,11 @@ func TestCheckBoundCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	inputs := []*he.Ciphertext{ct}
-	const samples = 201
-	ratios := make([]float64, samples)
-	runtime.LockOSThread()
-	defer runtime.UnlockOSThread()
-	for i := range ratios {
-		start := threadCPU()
-		ok, err := CheckBound(pk, h, inputs, 40)
-		check := threadCPU() - start
-		if err != nil || !ok {
+	r := costtest.Ratio(201, func() {
+		if ok, err := CheckBound(pk, h, inputs, 40); err != nil || !ok {
 			t.Fatalf("CheckBound(30 <= 40) = %v, %v", ok, err)
 		}
-		start = threadCPU()
+	}, func() {
 		zero, err := pk.EncryptInt(0, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -498,13 +479,10 @@ func TestCheckBoundCost(t *testing.T) {
 		if _, err := h.SignOfMasked(zero); err != nil {
 			t.Fatal(err)
 		}
-		ratios[i] = float64(check) / float64(threadCPU()-start)
-	}
-	slices.Sort(ratios)
-	ratio := ratios[samples/2]
-	t.Logf("CheckBound over Encrypt(0)+Decrypt, median of %d pairs: %.2fx (pairs %.2fx to %.2fx)", samples, ratio, ratios[0], ratios[samples-1])
-	if ratio > 1.25 {
-		t.Errorf("CheckBound costs %.2fx the re-randomisation and decryption it cannot avoid (limit 1.25x): something on its path raises to an n-sized exponent again", ratio)
+	})
+	t.Logf("CheckBound over Encrypt(0)+Decrypt: %v", r)
+	if r.Median > 1.25 {
+		t.Errorf("CheckBound costs %.2fx the re-randomisation and decryption it cannot avoid (limit 1.25x): something on its path raises to an n-sized exponent again", r.Median)
 	}
 }
 

@@ -154,6 +154,27 @@ func TestVotesCountForAuthenticatedSender(t *testing.T) {
 	}
 }
 
+// TestPrimaryPrepareDoesNotCount: the pre-prepare stands for the
+// primary's prepare, so a prepare from p0, the primary of view 0, adds
+// nothing. On the pre-prepare, p0's prepare and its own, p3 has heard
+// from two replicas, f+1, and sends no commit; p1's prepare makes 2f+1
+// and it commits.
+func TestPrimaryPrepareDoesNotCount(t *testing.T) {
+	l := newLoneReplica(t)
+	pp := onePrePrepare(0)
+	l.feed("p0", msgPrePrepare, pp)
+	l.feed("p0", msgPrepare, prepareMsg{Seq: 0, Digest: pp.Digest})
+	l.waitSent(t, msgPrepare)
+	time.Sleep(20 * time.Millisecond)
+	for _, typ := range l.sentTypes() {
+		if typ == msgCommit {
+			t.Fatal("p3 committed on the pre-prepare, the primary's prepare and its own")
+		}
+	}
+	l.feed("p1", msgPrepare, prepareMsg{Seq: 0, Digest: pp.Digest})
+	l.waitSent(t, msgCommit)
+}
+
 // TestNewViewBeforeVotes: votes and the new view come from different
 // senders, so p1's new view for view 1 can reach p3 before the second
 // vote for that view. p3 does not move on it and one vote, but holds it:

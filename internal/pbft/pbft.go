@@ -376,8 +376,11 @@ func (r *Replica) Executed() uint64 {
 	return r.execSeq
 }
 
-// quorum sizes.
-func (r *Replica) prepareQuorum() int { return 2 * r.f } // prepares from others + preprepare
+// quorum sizes. An instance is prepared on its pre-prepare, which
+// stands for the primary's prepare, plus 2f prepares from distinct
+// backups (a backup's own among them): 2f+1 replicas (Castro–Liskov
+// §4.2). The primary sends no prepare, and none from it is counted.
+func (r *Replica) prepareQuorum() int { return 2 * r.f }
 func (r *Replica) commitQuorum() int  { return 2*r.f + 1 }
 
 // --- authentication ---
@@ -615,14 +618,11 @@ func (r *Replica) proposeLocked(d Digest, req Request) {
 	if !r.journalLocked(pbRecord{K: pbPP, View: r.view, Seq: seq, Digest: pp.Digest, Batch: batch}) {
 		return
 	}
-	// Broadcast pre-prepare, then treat self as prepared.
-	view := r.view
+	// The pre-prepare is the primary's prepare: it sends no other.
 	r.mu.Unlock()
 	r.broadcast(msgPrePrepare, pp)
-	r.broadcast(msgPrepare, prepareMsg{View: view, Seq: seq, Digest: pp.Digest})
 	r.mu.Lock()
-	inst.prepares[r.id] = true
-	r.maybeCommitLocked(seq)
+	r.maybeCommitLocked(seq) // prepared at once only when f = 0
 }
 
 func (r *Replica) instLocked(seq uint64) *instState {
@@ -768,6 +768,9 @@ func (r *Replica) onPrepare(from string, p prepareMsg) {
 	if p.View != r.view || r.inVC {
 		return
 	}
+	if from == r.primaryOf(p.View) {
+		return // the pre-prepare already counts for the primary
+	}
 	inst := r.instLocked(p.Seq)
 	if inst.prePrepared && inst.digest != p.Digest {
 		return
@@ -777,7 +780,7 @@ func (r *Replica) onPrepare(from string, p prepareMsg) {
 }
 
 // maybeCommitLocked sends a commit once the instance is "prepared":
-// pre-prepare plus 2f prepares (counting self).
+// pre-prepare plus 2f prepares from backups (counting self, if a backup).
 func (r *Replica) maybeCommitLocked(seq uint64) {
 	inst := r.instLocked(seq)
 	if !inst.prePrepared || inst.committed {
@@ -1153,12 +1156,9 @@ func (r *Replica) reproposeAsPrimary(pp prePrepareMsg) {
 		r.mu.Unlock()
 		return
 	}
-	view := r.view
 	r.mu.Unlock()
 	r.broadcast(msgPrePrepare, pp)
-	r.broadcast(msgPrepare, prepareMsg{View: view, Seq: pp.Seq, Digest: pp.Digest})
 	r.mu.Lock()
-	inst.prepares[r.id] = true
 	r.maybeCommitLocked(pp.Seq)
 	r.mu.Unlock()
 }
