@@ -20,9 +20,11 @@ lint:
 
 # deps-check keeps the engines free of the served stack: internal/core
 # (and so the root prever package's engines) must not reach consensus, the
-# mempool, the WAL or the boot configuration, directly or transitively.
+# mempool, the WAL or internal/conf, directly or transitively.
 # It also keeps Paxos the in-memory comparator: internal/paxos must not
-# reach the WAL.
+# reach the WAL. And it keeps configuration a value a shard is built
+# with: no package of this module, tests included, imports internal/conf,
+# whose shims only the benchmark module still calls.
 deps-check:
 	@bad="$$($(GO) list -deps ./internal/core | grep -E '^prever/internal/(chain|pbft|mempool|wal|conf)$$' || true)"; \
 	if [ -n "$$bad" ]; then \
@@ -31,6 +33,10 @@ deps-check:
 	@bad="$$($(GO) list -deps ./internal/paxos | grep -E '^prever/internal/wal$$' || true)"; \
 	if [ -n "$$bad" ]; then \
 		echo "deps-check: internal/paxos reaches:"; echo "$$bad"; exit 1; \
+	fi
+	@bad="$$($(GO) list -f '{{.ImportPath}} {{join .Imports " "}} {{join .TestImports " "}} {{join .XTestImports " "}}' ./... | grep -E ' prever/internal/conf( |$$)' | cut -d' ' -f1 || true)"; \
+	if [ -n "$$bad" ]; then \
+		echo "deps-check: these packages import prever/internal/conf:"; echo "$$bad"; exit 1; \
 	fi
 
 fmt:

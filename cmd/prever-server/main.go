@@ -28,8 +28,10 @@
 //
 // With -addr ending in :0 the kernel picks the port and that line is
 // how callers (the multi-process harness, the benchmark) discover it.
-// The flags are the whole configuration: they are read once, before any
-// shard is built, and nothing served over the wire changes them.
+// The flags are the whole configuration: every shard is built from them,
+// and nothing served over the wire changes them. A count or size below 1,
+// or a negative -flush, ends startup with an error; -flush 0 proposes a
+// partial batch at once.
 // SIGINT/SIGTERM shut down gracefully: in-flight requests finish, the
 // mempool fails queued transactions with chain.ErrShardClosed.
 package main
@@ -49,8 +51,9 @@ import (
 
 	"prever/internal/api"
 	"prever/internal/chain"
-	"prever/internal/conf"
+	"prever/internal/mempool"
 	"prever/internal/netsim"
+	"prever/internal/pbft"
 )
 
 func main() {
@@ -61,32 +64,40 @@ func main() {
 }
 
 func run() error {
-	defaults := conf.Defaults()
 	addrFlag := flag.String("addr", "127.0.0.1:9473", "listen address (use :0 for an ephemeral port)")
 	shardsFlag := flag.Int("shards", 1, "number of chain shards")
 	fFlag := flag.Int("f", 1, "tolerated Byzantine peers per shard (3f+1 peers)")
 	timeoutFlag := flag.Duration("timeout", 10*time.Second, "per-transaction commit timeout")
-	batchFlag := flag.Int("batch", defaults.BatchSize, "mempool batch size (ops per consensus instance)")
-	flushFlag := flag.Duration("flush", defaults.FlushInterval, "partial-batch flush interval")
-	inflightFlag := flag.Int("inflight", defaults.MaxInFlight, "pipelined consensus instances")
-	capFlag := flag.Int("mempool-cap", defaults.MempoolCap, "mempool admission-control cap")
-	maxTxFlag := flag.Int("max-tx-bytes", defaults.MaxTxBytes, "per-transaction size limit on the binary-encoded transaction, not its JSON request body (HTTP 413 beyond)")
+	batchFlag := flag.Int("batch", mempool.DefaultBatchSize, "mempool batch size (ops per consensus instance)")
+	flushFlag := flag.Duration("flush", mempool.DefaultFlushInterval, "partial-batch flush interval")
+	inflightFlag := flag.Int("inflight", mempool.DefaultMaxInFlight, "pipelined consensus instances")
+	capFlag := flag.Int("mempool-cap", mempool.DefaultCap, "mempool admission-control cap")
+	maxTxFlag := flag.Int("max-tx-bytes", chain.DefaultMaxTxBytes, "per-transaction size limit on the binary-encoded transaction, not its JSON request body (HTTP 413 beyond)")
 	dataFlag := flag.String("data", "", "data directory for crash durability (empty = in-memory)")
-	snapEveryFlag := flag.Uint64("snap-every", defaults.SnapshotEvery, "executed sequences between durable snapshots (with -data)")
+	snapEveryFlag := flag.Uint64("snap-every", pbft.DefaultSnapshotEvery, "executed sequences between durable snapshots (with -data)")
 	pprofFlag := flag.String("pprof", os.Getenv("PREVER_PPROF"), "serve net/http/pprof on this address, its own listener (empty = off; default from $PREVER_PPROF)")
 	flag.Parse()
 
-	conf.Update(func(c *conf.Config) {
-		c.BatchSize = *batchFlag
-		c.FlushInterval = *flushFlag
-		c.MaxInFlight = *inflightFlag
-		c.MempoolCap = *capFlag
-		c.MaxTxBytes = *maxTxFlag
-		c.SnapshotEvery = *snapEveryFlag
-	})
-
-	if *shardsFlag < 1 {
-		return fmt.Errorf("-shards must be >= 1 (got %d)", *shardsFlag)
+	for _, c := range []struct {
+		name string
+		v    int
+	}{
+		{"shards", *shardsFlag}, {"batch", *batchFlag}, {"inflight", *inflightFlag},
+		{"mempool-cap", *capFlag}, {"max-tx-bytes", *maxTxFlag},
+	} {
+		if c.v < 1 {
+			return fmt.Errorf("-%s must be >= 1 (got %d)", c.name, c.v)
+		}
+	}
+	if *snapEveryFlag < 1 {
+		return errors.New("-snap-every must be >= 1 (got 0)")
+	}
+	if *flushFlag < 0 {
+		return fmt.Errorf("-flush must be >= 0 (got %s)", *flushFlag)
+	}
+	flush := *flushFlag
+	if flush == 0 {
+		flush = -1 // mempool.Config's zero is its default; a negative interval lingers not at all
 	}
 	simnet := netsim.New(netsim.Config{})
 	defer simnet.Close()
@@ -96,7 +107,15 @@ func run() error {
 			Name:    fmt.Sprintf("shard%d", i),
 			F:       *fFlag,
 			Timeout: *timeoutFlag,
-			DataDir: *dataFlag,
+			Mempool: mempool.Config{
+				Cap:           *capFlag,
+				BatchSize:     *batchFlag,
+				FlushInterval: flush,
+				MaxInFlight:   *inflightFlag,
+			},
+			MaxTxBytes:    *maxTxFlag,
+			DataDir:       *dataFlag,
+			SnapshotEvery: *snapEveryFlag,
 		})
 		if err != nil {
 			return err

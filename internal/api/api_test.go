@@ -12,8 +12,8 @@ import (
 	"time"
 
 	"prever/internal/chain"
-	"prever/internal/conf"
 	"prever/internal/leaktest"
+	"prever/internal/mempool"
 	"prever/internal/netsim"
 )
 
@@ -21,17 +21,21 @@ import (
 // returns a client for it. Collections configure private data access.
 func newTestServer(t *testing.T, collections map[string][]string) (*Client, *chain.Sharded) {
 	t.Helper()
+	client, srv := serve(t, chain.ShardConfig{Collections: collections})
+	return client, srv.chain
+}
+
+// serve boots a one-shard chain built from cfg (named "api", f = 1 and a
+// 10 s timeout) behind an httptest server.
+func serve(t *testing.T, cfg chain.ShardConfig) (*Client, *Server) {
+	t.Helper()
 	// Registered before the Close cleanups so (LIFO) it verifies after
 	// every component has shut down.
 	t.Cleanup(leaktest.Check(t))
 	net := netsim.New(netsim.Config{})
 	t.Cleanup(net.Close)
-	s, err := chain.NewShard(net, chain.ShardConfig{
-		Name:        "api",
-		F:           1,
-		Collections: collections,
-		Timeout:     10 * time.Second,
-	})
+	cfg.Name, cfg.F, cfg.Timeout = "api", 1, 10*time.Second
+	s, err := chain.NewShard(net, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,9 +44,10 @@ func newTestServer(t *testing.T, collections map[string][]string) (*Client, *cha
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = c.Close() })
-	ts := httptest.NewServer(NewServer(c).Handler())
+	srv := NewServer(c)
+	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	return NewClient(ts.URL), c
+	return NewClient(ts.URL), srv
 }
 
 func TestSubmitRoundTrip(t *testing.T) {
@@ -293,12 +298,7 @@ func TestBatchDedupOverWire(t *testing.T) {
 }
 
 func TestTxTooLargeOverWire(t *testing.T) {
-	conf.Reset()
-	t.Cleanup(conf.Reset)
-	// The bound is read when the shard and the server are built.
-	setMax := func(n int) { conf.Update(func(c *conf.Config) { c.MaxTxBytes = n }) }
-	setMax(512)
-	client, _ := newTestServer(t, nil)
+	client, _ := serve(t, chain.ShardConfig{MaxTxBytes: 512})
 	_, err := client.Submit(Tx{Kind: KindPut, Key: "big", Value: bytes.Repeat([]byte("x"), 2048)})
 	if !errors.Is(err, chain.ErrTxTooLarge) {
 		t.Fatalf("err = %v, want chain.ErrTxTooLarge", err)
@@ -308,8 +308,7 @@ func TestTxTooLargeOverWire(t *testing.T) {
 	// value 2+200 + hash 1 + xid 1 + writes 1 = 213 bytes for this put
 	// (its JSON is over 300). At the limit it commits; one value byte
 	// more is a 413.
-	setMax(213)
-	client, _ = newTestServer(t, nil)
+	client, _ = serve(t, chain.ShardConfig{MaxTxBytes: 213})
 	if _, err := client.Submit(Tx{ID: "fit", Kind: KindPut, Key: "k", Value: bytes.Repeat([]byte("x"), 200)}); err != nil {
 		t.Fatalf("a transaction of exactly MaxTxBytes: %v", err)
 	}
@@ -367,54 +366,83 @@ func waitConverged(t *testing.T, client *Client) AuditResponse {
 	}
 }
 
-// TestConfIsFixedAtBoot: a server's configuration is what conf held when
-// it was built. POST /conf does not exist, and a conf change behind a
-// built server — here one that would force singleton batches, a pool of
-// one op and a one-byte transaction bound — reaches neither its pool nor
-// its size check.
-func TestConfIsFixedAtBoot(t *testing.T) {
-	conf.Reset()
-	t.Cleanup(conf.Reset)
-	client, _ := newTestServer(t, nil)
-	before, err := client.Conf()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if before != ViewOf(conf.Defaults()) {
-		t.Fatalf("GET /conf = %+v, want the boot configuration %+v", before, ViewOf(conf.Defaults()))
-	}
-	resp, err := http.Post(clientBase(client)+"/conf", "application/json", strings.NewReader(`{"mempoolCap":1}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("POST /conf: HTTP %d, want 405", resp.StatusCode)
-	}
-	if after, err := client.Conf(); err != nil || after != before {
-		t.Fatalf("GET /conf after the refused POST = %+v, %v, want %+v", after, err, before)
+// TestServersKeepTheirOwnConf: two servers in one process, built with
+// different configurations, each enforce and report their own. A server
+// built for singleton batches, a pool of one op and 213-byte transactions
+// refuses what the default one admits, and neither takes a POST /conf.
+func TestServersKeepTheirOwnConf(t *testing.T) {
+	small, _ := serve(t, chain.ShardConfig{MaxTxBytes: 213, Mempool: mempool.Config{BatchSize: 1, Cap: 1}})
+	large, _ := serve(t, chain.ShardConfig{})
+	for _, c := range []struct {
+		name   string
+		client *Client
+		want   ConfView
+	}{
+		{"small", small, ConfView{BatchSize: 1, FlushInterval: "500µs", MaxInFlight: 4, MempoolCap: 1, MaxTxBytes: 213}},
+		{"large", large, ConfView{BatchSize: 64, FlushInterval: "500µs", MaxInFlight: 4, MempoolCap: 4096, MaxTxBytes: 1 << 20}},
+	} {
+		got, err := c.client.Conf()
+		if err != nil || got != c.want {
+			t.Fatalf("%s: GET /conf = %+v, %v, want %+v", c.name, got, err, c.want)
+		}
+		resp, err := http.Post(clientBase(c.client)+"/conf", "application/json", strings.NewReader(`{"mempoolCap":1}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Fatalf("%s: POST /conf: HTTP %d, want 405", c.name, resp.StatusCode)
+		}
 	}
 
-	conf.Update(func(c *conf.Config) { c.BatchSize, c.MempoolCap, c.MaxTxBytes = 1, 1, 1 })
+	// The 213-byte put of TestTxTooLargeOverWire fits the small server;
+	// one more byte fits only the large one.
+	big := Tx{Kind: KindPut, Key: "k", Value: bytes.Repeat([]byte("x"), 201)}
+	var we *WireError
+	if _, err := small.Submit(big); !errors.As(err, &we) || we.Code != CodeTxTooLarge {
+		t.Fatalf("small server, 214 bytes: %v, want %s", err, CodeTxTooLarge)
+	}
+	if _, err := large.Submit(big); err != nil {
+		t.Fatalf("large server, 214 bytes: %v", err)
+	}
+
+	// One batch of eight: the small pool admits one op and refuses the
+	// rest; the large one admits all eight and batches them together.
 	txs := make([]Tx, 8)
 	for i := range txs {
 		txs[i] = Tx{Kind: KindPut, Key: fmt.Sprintf("k%d", i), Value: []byte("v")}
 	}
-	results, err := client.SubmitBatch(txs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range results {
-		if res.Error != "" {
-			t.Fatalf("tx %d after the conf change: %s (%s)", i, res.Error, res.Code)
+	for _, c := range []struct {
+		name               string
+		client             *Client
+		wantFull           int
+		minBatch, maxBatch int
+	}{
+		{"small", small, 7, 1, 1},
+		{"large", large, 0, 2, 64},
+	} {
+		results, err := c.client.SubmitBatch(txs)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	st, err := client.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Total.Batches.MaxSize < 2 || st.Total.Rejected != 0 {
-		t.Fatalf("largest batch %d, %d rejected; want a batch of >= 2 and nothing rejected", st.Total.Batches.MaxSize, st.Total.Rejected)
+		full := 0
+		for i, res := range results {
+			switch res.Code {
+			case "":
+			case CodePoolFull:
+				full++
+			default:
+				t.Fatalf("%s: tx %d: %s (%s)", c.name, i, res.Error, res.Code)
+			}
+		}
+		st, err := c.client.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if largest := st.Total.Batches.MaxSize; full != c.wantFull || largest < c.minBatch || largest > c.maxBatch {
+			t.Fatalf("%s: %d refused as full, largest batch %d; want %d refused and a largest batch in [%d, %d]",
+				c.name, full, largest, c.wantFull, c.minBatch, c.maxBatch)
+		}
 	}
 }
 

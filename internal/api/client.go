@@ -163,7 +163,7 @@ func (c *Client) Audit() (AuditResponse, error) {
 	return resp, err
 }
 
-// Conf reads the server's boot configuration.
+// Conf reads the configuration the server was built with.
 func (c *Client) Conf() (ConfView, error) {
 	var resp ConfView
 	err := c.doJSON(http.MethodGet, "/conf", nil, &resp)

@@ -16,7 +16,7 @@ const (
 	CodePoolFull   = "pool-full"    // 429: mempool admission control; back off and retry
 	CodeDuplicate  = "duplicate"    // 409: already committed; treat as success
 	CodeShardDown  = "shard-closed" // 503: submission front end shut down
-	CodeTxTooLarge = "tx-too-large" // 413: encoded tx exceeds conf.MaxTxBytes
+	CodeTxTooLarge = "tx-too-large" // 413: encoded tx exceeds its shard's MaxTxBytes
 	CodeInvalid    = "invalid"      // 400: request failed validation
 	CodeInternal   = "internal"     // 500: anything else
 )

@@ -18,7 +18,6 @@ import (
 	"unsafe"
 
 	"prever/internal/chain"
-	"prever/internal/conf"
 	"prever/internal/wire"
 	"prever/internal/wire/wiretest"
 )
@@ -370,10 +369,7 @@ func submitted(t *testing.T, client *Client) int64 {
 // back is a 400, and the server does not allocate for it before the
 // bytes arrive.
 func TestDeclaredLengthSizesNothing(t *testing.T) {
-	conf.Reset()
-	t.Cleanup(conf.Reset)
-	conf.Update(func(c *conf.Config) { c.MaxTxBytes = 2048 }) // a body limit of about 8 MiB
-	srv := NewServer(nil)
+	_, srv := serve(t, chain.ShardConfig{MaxTxBytes: 2048}) // a body limit of about 8 MiB
 	body := appendBatch(nil, frameTxs())
 	var rec *httptest.ResponseRecorder
 	n := wiretest.AllocBytes(func() {
@@ -421,12 +417,9 @@ func postDeclared(t *testing.T, client *Client, body []byte, declared int64) int
 // TestBatchFrameOverWire: a body that is not a well-formed batch frame is
 // a 400 invalid, and none of its transactions is admitted.
 func TestBatchFrameOverWire(t *testing.T) {
-	conf.Reset()
-	t.Cleanup(conf.Reset)
-	conf.Update(func(c *conf.Config) { c.MaxTxBytes = 64 }) // a body limit small enough to cross
-	client, _ := newTestServer(t, nil)
+	client, srv := serve(t, chain.ShardConfig{MaxTxBytes: 64}) // a body limit small enough to cross
 	good := appendBatch(nil, frameTxs())
-	over := make([]byte, NewServer(nil).batchBody+1)
+	over := make([]byte, srv.batchBody+1)
 	copy(over, good)
 	for name, body := range map[string][]byte{
 		"JSON":          []byte(`{"txs":[{"kind":"put","key":"k","value":"dg=="}]}`),
@@ -446,7 +439,7 @@ func TestBatchFrameOverWire(t *testing.T) {
 			t.Fatalf("%s: %d transactions admitted from a refused body", name, n)
 		}
 	}
-	if status := postDeclared(t, client, good, NewServer(nil).batchBody); status != http.StatusBadRequest {
+	if status := postDeclared(t, client, good, srv.batchBody); status != http.StatusBadRequest {
 		t.Fatalf("a %d-byte body declared at the limit: HTTP %d, want 400", len(good), status)
 	}
 	if n := submitted(t, client); n != 0 {
@@ -464,11 +457,8 @@ func TestBatchFrameOverWire(t *testing.T) {
 // reply intact — a duplicate is flagged and keeps its id, an oversized
 // transaction fails alone with tx-too-large.
 func TestBatchResultsOverWire(t *testing.T) {
-	conf.Reset()
-	t.Cleanup(conf.Reset)
 	// The 213-byte put of TestTxTooLargeOverWire fits; one more byte does not.
-	conf.Update(func(c *conf.Config) { c.MaxTxBytes = 213 })
-	client, _ := newTestServer(t, nil)
+	client, _ := serve(t, chain.ShardConfig{MaxTxBytes: 213})
 	fit := Tx{ID: "fit", Kind: KindPut, Key: "k", Value: bytes.Repeat([]byte("x"), 200)}
 	big := Tx{ID: "big", Kind: KindPut, Key: "k", Value: bytes.Repeat([]byte("x"), 201)}
 	first, err := client.SubmitBatch([]Tx{fit})

@@ -11,29 +11,38 @@ import (
 	"time"
 
 	"prever/internal/chain"
-	"prever/internal/conf"
 )
 
 // Server serves the wire API over a Sharded chain. It holds no state of
-// its own beyond the start time and its body limit — every answer is
-// computed from the chain, so N servers over N chains need no coordination.
+// its own beyond the start time and what it read from the shards'
+// configurations when it was built — every answer is computed from the
+// chain, so N servers over N chains need no coordination.
 type Server struct {
 	chain *chain.Sharded
 	start time.Time
+	// conf is GET /conf's answer: the first shard's configuration.
+	// prever-server builds every shard from the same flags.
+	conf ConfView
 	// singleBody bounds one-transaction JSON request bodies: the encoded
 	// value (base64 inflates by 4/3) plus headroom for the envelope.
 	singleBody int64
-	// batchBody bounds a batch frame: MaxBatchTxs transactions of
-	// conf.MaxTxBytes and their length prefixes.
+	// batchBody bounds a batch frame: MaxBatchTxs transactions of the
+	// largest MaxTxBytes among the shards, and their length prefixes.
 	batchBody int64
 }
 
-// NewServer wraps a sharded chain in the HTTP API.
+// NewServer wraps a sharded chain in the HTTP API. It reads the shards'
+// configurations once.
 func NewServer(c *chain.Sharded) *Server {
-	maxTx := int64(conf.MaxTxBytes())
+	shards := c.Shards()
+	var maxTx int64
+	for _, sh := range shards {
+		maxTx = max(maxTx, int64(sh.Config().MaxTxBytes))
+	}
 	return &Server{
 		chain:      c,
 		start:      time.Now(),
+		conf:       viewOf(shards[0].Config()),
 		singleBody: maxTx*2 + 64<<10,
 		batchBody:  MaxBatchTxs*(maxTx+binary.MaxVarintLen64) + binary.MaxVarintLen64,
 	}
@@ -72,8 +81,8 @@ func writeSubmitErr(w http.ResponseWriter, err error) {
 
 // decode reads a strict JSON body: unknown fields, trailing garbage and
 // oversized bodies are validation errors. The size limit is generous —
-// per-transaction bounds are enforced semantically (conf.MaxTxBytes →
-// 413), this one only stops a runaway request body.
+// per-transaction bounds are enforced semantically (ShardConfig.MaxTxBytes
+// → 413), this one only stops a runaway request body.
 func decode(w http.ResponseWriter, r *http.Request, v any, limit int64) error {
 	r.Body = http.MaxBytesReader(w, r.Body, limit)
 	dec := json.NewDecoder(r.Body)
@@ -234,8 +243,9 @@ func (s *Server) handleAudit(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleConfGet reports the boot configuration. There is no POST /conf: a
-// server's configuration is fixed when it is built.
+// handleConfGet reports the configuration the server was built with.
+// There is no POST /conf: a server's configuration is fixed when it is
+// built.
 func (s *Server) handleConfGet(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, ViewOf(conf.Snapshot()))
+	writeJSON(w, http.StatusOK, s.conf)
 }

@@ -17,7 +17,7 @@
 //	GET  /stats          unified chain.Stats     -> StatsResponse
 //	GET  /health         liveness                -> HealthResponse
 //	GET  /audit          per-peer chain audit    -> AuditResponse
-//	GET  /conf           boot configuration      -> ConfView
+//	GET  /conf           shard configuration     -> ConfView
 //
 // Failures of a whole request are JSON WireError bodies on every route;
 // Code round-trips to the chain sentinels (see errors.go) so clients
@@ -29,11 +29,10 @@ import (
 	"fmt"
 
 	"prever/internal/chain"
-	"prever/internal/conf"
 )
 
 // MaxKeyBytes bounds key and collection names on the wire. Values are
-// bounded end-to-end by conf.MaxTxBytes (HTTP 413), keys by this much
+// bounded end-to-end by ShardConfig.MaxTxBytes (HTTP 413), keys by this much
 // tighter lexical limit (HTTP 400): a key is an index entry replicated
 // into every peer's world state, not a payload.
 const MaxKeyBytes = 1024
@@ -275,7 +274,7 @@ type AuditResponse struct {
 	Converged bool         `json:"converged"`
 }
 
-// ConfView is the wire form of the boot configuration (GET /conf).
+// ConfView is the wire form of a shard's configuration (GET /conf).
 // Durations are Go duration strings ("500µs", "1m").
 type ConfView struct {
 	BatchSize     int    `json:"batchSize"`
@@ -285,13 +284,14 @@ type ConfView struct {
 	MaxTxBytes    int    `json:"maxTxBytes"`
 }
 
-// ViewOf renders a config snapshot for the wire.
-func ViewOf(c conf.Config) ConfView {
+// viewOf renders a shard's resolved configuration for the wire. A
+// negative flush interval, which means no linger, reads as "0s".
+func viewOf(c chain.ShardConfig) ConfView {
 	return ConfView{
-		BatchSize:     c.BatchSize,
-		FlushInterval: c.FlushInterval.String(),
-		MaxInFlight:   c.MaxInFlight,
-		MempoolCap:    c.MempoolCap,
+		BatchSize:     c.Mempool.BatchSize,
+		FlushInterval: max(c.Mempool.FlushInterval, 0).String(),
+		MaxInFlight:   c.Mempool.MaxInFlight,
+		MempoolCap:    c.Mempool.Cap,
 		MaxTxBytes:    c.MaxTxBytes,
 	}
 }

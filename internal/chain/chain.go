@@ -22,7 +22,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"prever/internal/conf"
 	"prever/internal/mempool"
 	"prever/internal/merkle"
 	"prever/internal/netsim"
@@ -420,30 +419,38 @@ type Shard struct {
 	batcher  *mempool.Batcher
 	mint     sync.RWMutex // read-held while minting and admitting; a claim of a minted id write-locks it once, as a barrier (submit)
 	seq      atomic.Uint64
-	txIDs    string // "<name>-<nonce>-tx-": what an assigned id is, before its sequence number
-	ptxIDs   string // likewise "<name>-<nonce>-ptx-" for private puts
-	timeout  time.Duration
-	maxTx    int // bound on one encoded transaction, read from conf at NewShard
+	txIDs    string      // "<name>-<nonce>-tx-": what an assigned id is, before its sequence number
+	ptxIDs   string      // likewise "<name>-<nonce>-ptx-" for private puts
+	cfg      ShardConfig // resolved at NewShard, never written after
 
 	statsMu sync.Mutex
 	stats   Stats
 }
 
-// ShardConfig configures one shard.
+// DefaultMaxTxBytes is ShardConfig.MaxTxBytes when it is left zero.
+const DefaultMaxTxBytes = 1 << 20
+
+// ShardConfig configures one shard. NewShard resolves its zero fields to
+// their defaults; a shard never changes its configuration.
 type ShardConfig struct {
 	Name        string
 	F           int                 // tolerated Byzantine peers (n = 3f+1)
 	Collections map[string][]string // collection -> member peer ids
 	PBFT        pbft.Options
-	Timeout     time.Duration  // per-transaction commit timeout
-	Mempool     mempool.Config // zero fields default from conf.Snapshot, at NewShard
+	Timeout     time.Duration  // per-transaction commit timeout; zero means 10 s
+	Mempool     mempool.Config // zero fields take the mempool package's defaults
+	// MaxTxBytes bounds one transaction in its binary encoding, the one
+	// consensus carries (a 64-byte put is about 100 bytes), not the JSON
+	// of an HTTP request. A larger submission fails with ErrTxTooLarge.
+	// Zero means DefaultMaxTxBytes.
+	MaxTxBytes int
 	// DataDir, when set, makes every peer's PBFT replica crash-durable:
 	// consensus state is journaled to a WAL under DataDir/<peerID> and
 	// the peer's chain is snapshot-restored on reopen. Empty means
 	// in-memory (state dies with the process).
 	DataDir string
 	// SnapshotEvery is the executed-sequence cadence between durable
-	// snapshots. Zero defaults from conf.Snapshot().SnapshotEvery.
+	// snapshots. Zero means pbft.DefaultSnapshotEvery.
 	SnapshotEvery uint64
 }
 
@@ -454,6 +461,12 @@ func NewShard(net *netsim.Network, cfg ShardConfig) (*Shard, error) {
 	}
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 10 * time.Second
+	}
+	if cfg.MaxTxBytes <= 0 {
+		cfg.MaxTxBytes = DefaultMaxTxBytes
+	}
+	if cfg.SnapshotEvery == 0 {
+		cfg.SnapshotEvery = pbft.DefaultSnapshotEvery
 	}
 	n := 3*cfg.F + 1
 	ids := make([]string, n)
@@ -471,7 +484,7 @@ func NewShard(net *netsim.Network, cfg ShardConfig) (*Shard, error) {
 		}
 		return out
 	}
-	s := &Shard{Name: cfg.Name, nonce: bootNonce(), durable: cfg.DataDir != "", timeout: cfg.Timeout, maxTx: conf.MaxTxBytes()}
+	s := &Shard{Name: cfg.Name, nonce: bootNonce(), durable: cfg.DataDir != ""}
 	s.txIDs, s.ptxIDs = s.Name+"-"+s.nonce+"-tx-", s.Name+"-"+s.nonce+"-ptx-"
 	for _, id := range ids {
 		peer := newPeer(id, memberOf(id))
@@ -507,16 +520,11 @@ func NewShard(net *netsim.Network, cfg ShardConfig) (*Shard, error) {
 		var replica *pbft.Replica
 		var err error
 		if cfg.DataDir != "" {
-			snapEvery := cfg.SnapshotEvery
-			if snapEvery == 0 {
-				snapEvery = conf.SnapshotEvery()
-			}
 			// Peer IDs like "shard0/peer3" nest naturally as directories.
 			replica, err = pbft.NewDurableReplica(net, id, ids, cfg.F, applier, cfg.PBFT, pbft.DurableOptions{
 				Dir:           filepath.Join(cfg.DataDir, id),
 				App:           peer,
-				SnapshotEvery: snapEvery,
-				SegmentBytes:  conf.WALSegmentBytes(),
+				SnapshotEvery: cfg.SnapshotEvery,
 			})
 		} else {
 			replica, err = pbft.NewReplica(net, id, ids, cfg.F, applier, cfg.PBFT)
@@ -553,6 +561,8 @@ func NewShard(net *netsim.Network, cfg ShardConfig) (*Shard, error) {
 	// wakes the waiter: some peer's id set has its ids by then.
 	cfg.Mempool.Executed = s.executed
 	s.pool = mempool.NewPool(cfg.Mempool)
+	cfg.Mempool = s.pool.Config()
+	s.cfg = cfg
 	s.batcher = mempool.NewBatcher(s.pool, s.propose)
 	return s, nil
 }
@@ -576,7 +586,7 @@ func (s *Shard) executed(id string) bool {
 // fixing the commit order of pipelined batches at dispatch time.
 func (s *Shard) propose(ops [][]byte) func() error {
 	p := s.client.StartBatch(ops)
-	return func() error { return p.Wait(s.timeout) }
+	return func() error { return p.Wait(s.cfg.Timeout) }
 }
 
 // bootNonce returns a short random token unique to this process
@@ -605,6 +615,10 @@ func (s *Shard) Close() error {
 	}
 	return err
 }
+
+// Config returns the configuration the shard was built with, defaults
+// resolved.
+func (s *Shard) Config() ShardConfig { return s.cfg }
 
 // Peers returns the shard's peers.
 func (s *Shard) Peers() []*Peer { return s.peers }

@@ -14,18 +14,19 @@ import (
 
 func newShard(t testing.TB, name string, collections map[string][]string) (*netsim.Network, *Shard) {
 	t.Helper()
+	return newShardWith(t, ShardConfig{Name: name, F: 1, Collections: collections, Timeout: 5 * time.Second})
+}
+
+// newShardWith builds a shard from cfg on a network of its own.
+func newShardWith(t testing.TB, cfg ShardConfig) (*netsim.Network, *Shard) {
+	t.Helper()
 	// Registered before the Close cleanups so (LIFO) it verifies after
 	// the shard and network have shut down. Close is idempotent, so
 	// tests that close explicitly are fine.
 	t.Cleanup(leaktest.Check(t))
 	net := netsim.New(netsim.Config{})
 	t.Cleanup(net.Close)
-	s, err := NewShard(net, ShardConfig{
-		Name:        name,
-		F:           1,
-		Collections: collections,
-		Timeout:     5 * time.Second,
-	})
+	s, err := NewShard(net, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"prever/internal/conf"
 	"prever/internal/wire/wiretest"
 )
 
@@ -118,14 +117,11 @@ func TestTxWritesDepthCap(t *testing.T) {
 	}
 }
 
-// TestMaxTxBytesBoundary: conf.MaxTxBytes bounds the encoded size, and
-// the encoding is the binary one.
+// TestMaxTxBytesBoundary: ShardConfig.MaxTxBytes bounds the encoded
+// size, and the encoding is the binary one.
 func TestMaxTxBytesBoundary(t *testing.T) {
-	conf.Reset()
-	t.Cleanup(conf.Reset)
 	tx := Tx{ID: "at-limit", Kind: TxPut, Key: "k", Value: bytes.Repeat([]byte("v"), 64)}
-	conf.Update(func(c *conf.Config) { c.MaxTxBytes = len(txBytes(tx)) })
-	_, s := newShard(t, "s0", nil) // the bound is read when the shard is built
+	_, s := newShardWith(t, ShardConfig{Name: "s0", F: 1, Timeout: 5 * time.Second, MaxTxBytes: len(txBytes(tx))})
 	if err := submitWait(s, tx); err != nil {
 		t.Fatalf("a transaction of exactly MaxTxBytes: %v", err)
 	}
@@ -189,11 +185,11 @@ func TestGeneratedTxsGiveIdenticalChains(t *testing.T) {
 // peer instead of vanishing.
 func TestApplierCountsUndecodable(t *testing.T) {
 	_, s := newShard(t, "s0", nil)
-	if err := s.client.Submit([]byte(`pbB1["e30="]`), s.timeout); err != nil {
+	if err := s.client.Submit([]byte(`pbB1["e30="]`), s.cfg.Timeout); err != nil {
 		t.Fatal(err)
 	}
 	good := txBytes(Tx{ID: "ok", Kind: TxPut, Key: "k", Value: []byte("v")})
-	if err := s.client.SubmitBatch([][]byte{good, []byte(`{"id":"json","kind":1}`)}, s.timeout); err != nil {
+	if err := s.client.SubmitBatch([][]byte{good, []byte(`{"id":"json","kind":1}`)}, s.cfg.Timeout); err != nil {
 		t.Fatal(err)
 	}
 	eventually(t, "two undecodables per peer", func() bool { return s.Stats().Undecodable == int64(2*len(s.Peers())) })
@@ -304,7 +300,7 @@ func FuzzViewTx(f *testing.F) {
 		f.Add(txBytes(Tx{ID: id, Kind: TxPut, Key: "k", Value: []byte("v")}))
 	}
 	f.Add(txBytes(Tx{Kind: TxCrossCommit, XID: "x"}))
-	f.Add(txBytes(Tx{Kind: TxPut, Key: "k", Value: bytes.Repeat([]byte("v"), shard.maxTx)}))
+	f.Add(txBytes(Tx{Kind: TxPut, Key: "k", Value: bytes.Repeat([]byte("v"), shard.cfg.MaxTxBytes)}))
 	good := txBytes(put64())
 	f.Add(good[:len(good)-1])
 	f.Add(append(append([]byte{}, good...), 0))
@@ -366,7 +362,7 @@ func FuzzViewTx(f *testing.F) {
 		switch {
 		case errors.Is(res.Err, ErrUnmintedID):
 		case errors.Is(res.Err, ErrTxTooLarge):
-			if txSize(&want) <= shard.maxTx {
+			if txSize(&want) <= shard.cfg.MaxTxBytes {
 				t.Fatalf("%d bytes refused as too large", txSize(&want))
 			}
 		case res.Err != nil:

@@ -24,7 +24,7 @@ var (
 	// shut down (HTTP 503).
 	ErrShardClosed = fmt.Errorf("chain: shard closed: %w", mempool.ErrClosed)
 	// ErrTxTooLarge reports that the encoded transaction exceeds the
-	// conf.MaxTxBytes bound (HTTP 413).
+	// shard's ShardConfig.MaxTxBytes (HTTP 413).
 	ErrTxTooLarge = errors.New("chain: transaction too large")
 	// ErrTxTooDeep reports that the transaction's Writes nest deeper than
 	// the codec's cap (HTTP 400).

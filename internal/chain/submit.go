@@ -293,8 +293,8 @@ func (s *Shard) submit(txs [][]byte, prefix string, minted func(id string), sett
 				minted(id)
 			}
 		}
-		if n > s.maxTx {
-			b.settle(i, fmt.Errorf("%w: %d bytes (limit %d)", ErrTxTooLarge, n, s.maxTx))
+		if n > s.cfg.MaxTxBytes {
+			b.settle(i, fmt.Errorf("%w: %d bytes (limit %d)", ErrTxTooLarge, n, s.cfg.MaxTxBytes))
 			continue
 		}
 		from = len(buf)

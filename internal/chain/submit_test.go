@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"prever/internal/conf"
 	"prever/internal/mempool"
 	"prever/internal/netsim"
 )
@@ -665,7 +664,7 @@ func TestUnmintedIDIsRefused(t *testing.T) {
 // newBareShard is a shard with a pool and nothing behind it: no peers,
 // no consensus and no batcher. A test drains and resolves the pool.
 func newBareShard() *Shard {
-	s := &Shard{Name: "s0", nonce: "a1b2c3d4e5f6", maxTx: conf.MaxTxBytes()}
+	s := &Shard{Name: "s0", nonce: "a1b2c3d4e5f6", cfg: ShardConfig{MaxTxBytes: DefaultMaxTxBytes}}
 	s.txIDs, s.ptxIDs = s.Name+"-"+s.nonce+"-tx-", s.Name+"-"+s.nonce+"-ptx-"
 	s.pool = mempool.NewPool(mempool.Config{Cap: 4096, BatchSize: 64, Executed: func(string) bool { return false }})
 	return s

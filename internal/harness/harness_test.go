@@ -230,7 +230,8 @@ func TestKillRecoverFromDisk(t *testing.T) {
 }
 
 // TestServerFlags pins prever-server's flag set, so a new knob arrives as
-// a diff of this list.
+// a diff of this list, and checks that a value no shard can be built with
+// ends startup instead of being clamped.
 func TestServerFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process harness is not -short")
@@ -251,6 +252,13 @@ func TestServerFlags(t *testing.T) {
 	want := strings.Fields("addr batch data f flush inflight max-tx-bytes mempool-cap pprof shards snap-every timeout")
 	if !slices.Equal(got, want) {
 		t.Fatalf("prever-server flags:\n got %v\nwant %v", got, want)
+	}
+	for _, bad := range []string{"-shards=0", "-batch=0", "-inflight=-1", "-mempool-cap=0", "-max-tx-bytes=0", "-snap-every=0", "-flush=-1ms"} {
+		name := strings.SplitN(bad, "=", 2)[0]
+		out, err := exec.Command(bin, "-addr", "127.0.0.1:0", bad).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), name+" must be") {
+			t.Fatalf("prever-server %s: %v\n%s", bad, err, out)
+		}
 	}
 }
 

@@ -31,8 +31,6 @@ import (
 	"errors"
 	"sync"
 	"time"
-
-	"prever/internal/conf"
 )
 
 // Op is one operation awaiting consensus.
@@ -105,13 +103,23 @@ var (
 	ErrDuplicate = errors.New("mempool: duplicate op (already executed)")
 )
 
-// Config sizes a Pool and its Batcher. NewPool fills zero fields from the
-// conf snapshot of that moment; a pool never changes its configuration.
+// The defaults NewPool resolves zero Config fields to.
+const (
+	DefaultCap           = 4096
+	DefaultBatchSize     = 64
+	DefaultFlushInterval = 500 * time.Microsecond
+	DefaultMaxInFlight   = 4
+)
+
+// Config sizes a Pool and its Batcher. NewPool resolves zero fields to
+// the defaults above; a pool never changes its configuration.
 type Config struct {
-	Cap           int           // admission bound on unresolved ops
-	BatchSize     int           // max ops per consensus instance
-	FlushInterval time.Duration // partial-batch linger
-	MaxInFlight   int           // pipelined consensus instances
+	Cap       int // admission bound on unresolved ops
+	BatchSize int // max ops per consensus instance
+	// FlushInterval is how long a partial batch lingers for more ops; a
+	// negative one proposes it at once.
+	FlushInterval time.Duration
+	MaxInFlight   int // pipelined consensus instances
 
 	// Executed reports whether the application already executed the op
 	// with this ID. Add and AddBatch ask it about an ID that is neither
@@ -123,20 +131,19 @@ type Config struct {
 	Executed func(id string) bool
 }
 
-// withDefaults fills zero fields from the boot configuration.
+// withDefaults resolves zero fields to the package defaults.
 func (c Config) withDefaults() Config {
-	d := conf.Snapshot()
 	if c.Cap <= 0 {
-		c.Cap = d.MempoolCap
+		c.Cap = DefaultCap
 	}
 	if c.BatchSize <= 0 {
-		c.BatchSize = d.BatchSize
+		c.BatchSize = DefaultBatchSize
 	}
 	if c.FlushInterval == 0 {
-		c.FlushInterval = d.FlushInterval
+		c.FlushInterval = DefaultFlushInterval
 	}
 	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = d.MaxInFlight
+		c.MaxInFlight = DefaultMaxInFlight
 	}
 	return c
 }
@@ -202,7 +209,7 @@ type Pool struct {
 	stats    PoolStats
 }
 
-// NewPool builds a pool; zero Config fields default from conf, once.
+// NewPool builds a pool; zero Config fields take the defaults.
 func NewPool(cfg Config) *Pool {
 	return &Pool{
 		cfg:    cfg.withDefaults(),

@@ -164,7 +164,10 @@ func TestRevivedRequestsReachSelfAsNewPrimary(t *testing.T) {
 	}
 	p1 := c.replicas[1]                               // primary of view 1
 	done := p1.SubmitAsync("c", 1, []byte("revived")) // forwarded to dead p0, watched by p1
-	for _, r := range c.replicas[1:] {
+	// The backups enter view 1 before its primary does: a pre-prepare p1
+	// sent while p2 or p3 was still in view 0 would be dropped there, and
+	// the instance would wait out the view timer.
+	for _, r := range []*Replica{c.replicas[3], c.replicas[2], p1} {
 		for _, from := range []string{"p2", "p3"} { // f+1 claims of view 1
 			r.onStateRep(from, stateRepMsg{View: 1})
 		}

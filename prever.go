@@ -211,20 +211,10 @@ func NewTable(name string, cols ...Column) (*Table, error) {
 	return store.NewTable(name, schema), nil
 }
 
-// NewLedger builds an empty centralized ledger database.
-func NewLedger() *Ledger { return ledger.New() }
-
 // AuditLedger re-verifies an exported journal against a trusted digest.
 func AuditLedger(entries []ledger.Entry, d LedgerDigest) ledger.AuditReport {
 	return ledger.Audit(entries, d)
 }
-
-// SaveLedger persists a ledger's journal (plus digest) to a file.
-func SaveLedger(l *Ledger, path string) error { return l.SaveFile(path) }
-
-// LoadLedger restores a ledger from a journal file, refusing files that
-// fail the audit against their embedded digest.
-func LoadLedger(path string) (*Ledger, error) { return ledger.LoadFile(path) }
 
 // EncryptedSetup bundles everything the RC1 Paillier engine needs.
 type EncryptedSetup struct {
@@ -428,21 +418,9 @@ func NewPublicPIRSetup(name, event string, blockSize, authorityKeyBits int) (*Pu
 // NewSepar boots the §5 Separ instantiation.
 func NewSepar(cfg SeparConfig) (*SeparSystem, error) { return separ.New(cfg) }
 
-// Lower-bound settlement (Separ footnote 4): platforms issue signed work
-// receipts per accepted unit; the authority settles "at least L units per
-// period" regulations from them at period end.
-type (
-	// WorkReceipt certifies one accepted regulated unit.
-	WorkReceipt = separ.WorkReceipt
-	// LowerBoundSettlement verifies workers' receipts against a minimum.
-	LowerBoundSettlement = separ.LowerBoundSettlement
-)
-
-// NewLowerBoundSettlement creates a period-end settlement requiring at
-// least min verified units per worker.
-func NewLowerBoundSettlement(period string, min int, platformKeys map[string]BlindPublicKey) *LowerBoundSettlement {
-	return separ.NewLowerBoundSettlement(period, min, platformKeys)
-}
+// WorkReceipt certifies one accepted regulated unit (Separ footnote 4):
+// what SeparSystem.WorkerReceipts returns.
+type WorkReceipt = separ.WorkReceipt
 
 // Column kind constants for NewTable.
 const (
@@ -496,10 +474,8 @@ func NewNetwork(cfg NetworkConfig) *Network { return netsim.New(cfg) }
 type (
 	// Shard is one permissioned-chain shard (3f+1 PBFT replicas).
 	Shard = chain.Shard
-	// Sharded groups shards into one logical key-routed chain.
-	Sharded = chain.Sharded
 	// ShardConfig configures one chain shard (name, f, collections,
-	// timeout, mempool knobs).
+	// timeout, mempool sizes, transaction size bound).
 	ShardConfig = chain.ShardConfig
 	// ChainTx is one blockchain transaction.
 	ChainTx = chain.Tx
@@ -536,13 +512,6 @@ var (
 // NewShard builds a permissioned-blockchain shard over a network.
 func NewShard(n *netsim.Network, cfg ShardConfig) (*chain.Shard, error) {
 	return chain.NewShard(n, cfg)
-}
-
-// NewSharded groups shards into one logical chain (SharPer-style
-// cross-shard 2PC, key-routed SubmitAsync/SubmitBatch) — the surface
-// prever-server fronts over HTTP.
-func NewSharded(shards ...*chain.Shard) (*chain.Sharded, error) {
-	return chain.NewSharded(shards...)
 }
 
 // NewWallet prepares blinded token requests for a period (producer side
