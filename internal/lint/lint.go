@@ -90,23 +90,6 @@ var cryptoPackages = map[string]bool{
 	"prever/internal/zk":     true,
 }
 
-// concurrencyPackages are the lock-heavy packages where a blocking
-// operation under a held mutex has already caused (netsim, PR 1) or can
-// cause deadlocks. LockHeld scopes to them.
-var concurrencyPackages = map[string]bool{
-	"prever/internal/core":   true,
-	"prever/internal/netsim": true,
-	"prever/internal/paxos":  true,
-	"prever/internal/pbft":   true,
-}
-
-// durabilityPackages journal state transitions to the WAL before they
-// speak on the network (DESIGN §4e durable-before-send). WalOrder scopes
-// to them.
-var durabilityPackages = map[string]bool{
-	"prever/internal/pbft": true,
-}
-
 // Run applies the analyzers to every package (and the program-level
 // analyzers to the package set as a whole), drops findings suppressed by
 // //lint:ignore directives, and returns the rest sorted by position.

@@ -118,11 +118,8 @@ func checkOutOfScope(t *testing.T, analyzer, fixture string) {
 }
 
 func TestLockHeld(t *testing.T) {
-	checkFixture(t, "lockheld", "lockheld", "prever/internal/netsim")
-}
-
-func TestLockHeldOutOfScope(t *testing.T) {
-	checkOutOfScope(t, "lockheld", "lockheld")
+	// lockheld is not scoped: any import path triggers it.
+	checkFixture(t, "lockheld", "lockheld", "prever/internal/lint/testdata/lockheld")
 }
 
 func TestCryptoRand(t *testing.T) {
@@ -159,7 +156,7 @@ func TestErrIgnored(t *testing.T) {
 // TestBadDirectives: a directive without a reason and one naming an
 // unknown analyzer are reported and suppress nothing.
 func TestBadDirectives(t *testing.T) {
-	p, err := loader(t).LoadDirAs(filepath.Join("testdata", "baddirective"), "prever/internal/netsim")
+	p, err := loader(t).LoadDirAs(filepath.Join("testdata", "baddirective"), "prever/internal/lint/testdata/baddirective")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,11 +208,8 @@ func TestFindingString(t *testing.T) {
 }
 
 func TestWalOrder(t *testing.T) {
-	checkFixture(t, "walorder", "walorder", "prever/internal/pbft")
-}
-
-func TestWalOrderOutOfScope(t *testing.T) {
-	checkOutOfScope(t, "walorder", "walorder")
+	// walorder is not scoped: any import path triggers it.
+	checkFixture(t, "walorder", "walorder", "prever/internal/lint/testdata/walorder")
 }
 
 func TestLockOrder(t *testing.T) {
@@ -239,8 +233,7 @@ func TestChanClose(t *testing.T) {
 // by a single comma-list directive. The unreviewed twin keeps both
 // findings, pinned by analyzer and line.
 func TestMultiIgnore(t *testing.T) {
-	// Loaded as netsim so the scoped lockheld analyzer participates.
-	p, err := loader(t).LoadDirAs(filepath.Join("testdata", "multiignore"), "prever/internal/netsim")
+	p, err := loader(t).LoadDirAs(filepath.Join("testdata", "multiignore"), "prever/internal/lint/testdata/multiignore")
 	if err != nil {
 		t.Fatal(err)
 	}

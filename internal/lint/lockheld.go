@@ -18,76 +18,92 @@ var LockHeld = &Analyzer{
 	Name: "lockheld",
 	Doc:  "mutex held across a channel operation or other blocking call",
 	Run: func(p *Package) []Finding {
-		if !concurrencyPackages[p.Path] {
-			return nil
-		}
 		var out []Finding
-		forEachFunc(p, func(body *ast.BlockStmt) {
-			s := &lockScan{pkg: p, out: &out}
-			s.scanStmts(body.List, newHeldSet())
-		})
+		forEachFunc(p, lockHeldRule(p, &out).frame)
 		return out
 	},
 }
 
-// forEachFunc invokes fn on every function body in the package: top-level
-// declarations and each function literal (a literal runs on its own
-// goroutine's stack and starts with no locks held by this frame).
-func forEachFunc(p *Package, fn func(*ast.BlockStmt)) {
-	for _, file := range p.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+// lockHeldRule tracks which mutexes are held, keyed by the printed
+// receiver expression ("mu", "s.mu") and mapped to the Lock position,
+// and reports blocking operations evaluated under them.
+func lockHeldRule(p *Package, out *[]Finding) *walker[token.Pos] {
+	report := func(pos token.Pos, what string, held facts[token.Pos]) {
+		for name, lockPos := range held {
+			*out = append(*out, p.finding(pos, "lockheld",
+				"%s while %s is held (Lock at line %d); a parked goroutine keeps the lock and can deadlock the unlocker",
+				what, name, p.Fset.Position(lockPos).Line))
+		}
+	}
+	// comm holds the communications of the selects walked so far: a
+	// select is reported once, at the select, and one with a default
+	// does not block at all.
+	comm := map[ast.Stmt]bool{}
+	return &walker[token.Pos]{
+		stmt: func(st ast.Stmt, held facts[token.Pos]) bool {
+			if comm[st] {
+				return true
 			}
-			fn(fd.Body)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if fl, ok := n.(*ast.FuncLit); ok {
-					fn(fl.Body)
+			switch st := st.(type) {
+			case *ast.ExprStmt:
+				call, ok := st.X.(*ast.CallExpr)
+				if !ok {
+					return false
+				}
+				switch recv, method := lockCall(call); method {
+				case "Lock", "RLock":
+					held[recv] = call.Pos()
+				case "Unlock", "RUnlock":
+					delete(held, recv)
+				default:
+					return false
 				}
 				return true
-			})
-		}
+			case *ast.DeferStmt:
+				// defer m.Unlock() keeps the lock held to the end of the
+				// frame; other deferred calls run after the frame's
+				// blocking ops anyway.
+				if recv, method := lockCall(st.Call); method == "Lock" || method == "RLock" {
+					held[recv] = st.Call.Pos()
+				}
+				return true
+			case *ast.SendStmt:
+				if len(held) > 0 {
+					report(st.Arrow, "channel send", held)
+				}
+			case *ast.SelectStmt:
+				hasDefault := false
+				for _, c := range st.Body.List {
+					if cc := c.(*ast.CommClause); cc.Comm != nil {
+						comm[cc.Comm] = true
+					} else {
+						hasDefault = true
+					}
+				}
+				if !hasDefault && len(held) > 0 {
+					report(st.Select, "select without default", held)
+				}
+			}
+			return false
+		},
+		// Channel receives and .Wait() calls block.
+		node: func(n ast.Node, held facts[token.Pos]) {
+			switch n := n.(type) {
+			case *ast.UnaryExpr:
+				if n.Op == token.ARROW {
+					report(n.OpPos, "channel receive", held)
+				}
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Wait" {
+					report(n.Pos(), types.ExprString(sel)+"() call", held)
+				}
+			}
+		},
 	}
 }
 
-// heldSet tracks which mutexes are held, keyed by the printed receiver
-// expression ("mu", "s.mu"), mapped to the Lock call position.
-type heldSet map[string]token.Pos
-
-func newHeldSet() heldSet { return make(heldSet) }
-
-func (h heldSet) clone() heldSet {
-	c := make(heldSet, len(h))
-	for k, v := range h {
-		c[k] = v
-	}
-	return c
-}
-
-func (h heldSet) union(o heldSet) {
-	for k, v := range o {
-		if _, ok := h[k]; !ok {
-			h[k] = v
-		}
-	}
-}
-
-type lockScan struct {
-	pkg *Package
-	out *[]Finding
-}
-
-func (s *lockScan) report(pos token.Pos, what string, held heldSet) {
-	for name, lockPos := range held {
-		*s.out = append(*s.out, s.pkg.finding(pos, "lockheld",
-			"%s while %s is held (Lock at line %d); a parked goroutine keeps the lock and can deadlock the unlocker",
-			what, name, s.pkg.Fset.Position(lockPos).Line))
-	}
-}
-
-// lockRecv returns the receiver expression of a m.Lock/Unlock-style call,
-// or "" if the call is not one.
+// lockCall returns the receiver expression and method of a
+// m.Lock/RLock/Unlock/RUnlock-style call, or "", "" if the call is not one.
 func lockCall(call *ast.CallExpr) (recv string, method string) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -98,221 +114,4 @@ func lockCall(call *ast.CallExpr) (recv string, method string) {
 		return types.ExprString(sel.X), sel.Sel.Name
 	}
 	return "", ""
-}
-
-// scanStmts walks a statement list in order, updating the held set, and
-// returns true if control cannot fall off the end of the list.
-func (s *lockScan) scanStmts(stmts []ast.Stmt, held heldSet) (terminated bool) {
-	for _, st := range stmts {
-		if s.scanStmt(st, held) {
-			return true
-		}
-	}
-	return false
-}
-
-// scanStmt processes one statement; it mutates held and returns true if
-// the statement unconditionally leaves the enclosing statement list.
-func (s *lockScan) scanStmt(st ast.Stmt, held heldSet) bool {
-	switch st := st.(type) {
-	case *ast.ExprStmt:
-		if call, ok := st.X.(*ast.CallExpr); ok {
-			if recv, method := lockCall(call); recv != "" {
-				switch method {
-				case "Lock", "RLock":
-					held[recv] = call.Pos()
-				case "Unlock", "RUnlock":
-					delete(held, recv)
-				}
-				return false
-			}
-			if isPanicExit(call) {
-				return true
-			}
-		}
-		s.checkExprs(st.X, held)
-	case *ast.SendStmt:
-		if len(held) > 0 {
-			s.report(st.Arrow, "channel send", held)
-		}
-		s.checkExprs(st.Value, held)
-	case *ast.DeferStmt:
-		// defer m.Unlock() keeps the lock held to the end of the frame;
-		// other deferred calls run after the frame's blocking ops anyway.
-		if recv, method := lockCall(st.Call); recv != "" && (method == "Lock" || method == "RLock") {
-			held[recv] = st.Call.Pos()
-		}
-	case *ast.GoStmt:
-		// The spawned goroutine has its own stack; literals are scanned
-		// separately with an empty held set.
-	case *ast.AssignStmt:
-		for _, e := range st.Rhs {
-			s.checkExprs(e, held)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := st.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, e := range vs.Values {
-						s.checkExprs(e, held)
-					}
-				}
-			}
-		}
-	case *ast.ReturnStmt:
-		for _, e := range st.Results {
-			s.checkExprs(e, held)
-		}
-		return true
-	case *ast.BranchStmt:
-		// break/continue/goto leave this statement list.
-		return true
-	case *ast.BlockStmt:
-		return s.scanStmts(st.List, held)
-	case *ast.LabeledStmt:
-		return s.scanStmt(st.Stmt, held)
-	case *ast.IfStmt:
-		if st.Init != nil {
-			s.scanStmt(st.Init, held)
-		}
-		s.checkExprs(st.Cond, held)
-		thenHeld := held.clone()
-		thenTerm := s.scanStmts(st.Body.List, thenHeld)
-		if st.Else != nil {
-			elseHeld := held.clone()
-			elseTerm := s.scanStmt(st.Else, elseHeld)
-			switch {
-			case thenTerm && elseTerm:
-				return true
-			case thenTerm:
-				replace(held, elseHeld)
-			case elseTerm:
-				replace(held, thenHeld)
-			default:
-				replace(held, thenHeld)
-				held.union(elseHeld)
-			}
-		} else if !thenTerm {
-			// Either the branch ran (thenHeld) or it didn't (held).
-			held.union(thenHeld)
-		}
-	case *ast.ForStmt:
-		if st.Init != nil {
-			s.scanStmt(st.Init, held)
-		}
-		if st.Cond != nil {
-			s.checkExprs(st.Cond, held)
-		}
-		bodyHeld := held.clone()
-		s.scanStmts(st.Body.List, bodyHeld)
-		if st.Post != nil {
-			s.scanStmt(st.Post, bodyHeld)
-		}
-		held.union(bodyHeld) // body may have run zero or more times
-	case *ast.RangeStmt:
-		s.checkExprs(st.X, held)
-		bodyHeld := held.clone()
-		s.scanStmts(st.Body.List, bodyHeld)
-		held.union(bodyHeld)
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt:
-		s.scanCases(st, held)
-	case *ast.SelectStmt:
-		hasDefault := false
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-				hasDefault = true
-			}
-		}
-		if !hasDefault && len(held) > 0 {
-			s.report(st.Select, "select without default", held)
-		}
-		merged := newHeldSet()
-		any := false
-		for _, c := range st.Body.List {
-			cc, ok := c.(*ast.CommClause)
-			if !ok {
-				continue
-			}
-			caseHeld := held.clone()
-			if !s.scanStmts(cc.Body, caseHeld) {
-				merged.union(caseHeld)
-				any = true
-			}
-		}
-		if any {
-			replace(held, merged)
-		} else if len(st.Body.List) > 0 {
-			return true // every case leaves the list
-		}
-	}
-	return false
-}
-
-// scanCases handles switch/type-switch bodies: each case runs with a copy
-// of the held set; fall-through survivors merge.
-func (s *lockScan) scanCases(st ast.Stmt, held heldSet) {
-	var body *ast.BlockStmt
-	switch st := st.(type) {
-	case *ast.SwitchStmt:
-		if st.Init != nil {
-			s.scanStmt(st.Init, held)
-		}
-		if st.Tag != nil {
-			s.checkExprs(st.Tag, held)
-		}
-		body = st.Body
-	case *ast.TypeSwitchStmt:
-		body = st.Body
-	}
-	merged := held.clone() // no case may match
-	for _, c := range body.List {
-		cc, ok := c.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		caseHeld := held.clone()
-		if !s.scanStmts(cc.Body, caseHeld) {
-			merged.union(caseHeld)
-		}
-	}
-	replace(held, merged)
-}
-
-// checkExprs reports blocking operations — channel receives and .Wait()
-// calls — inside an expression evaluated while locks are held. Function
-// literals are skipped: their bodies run on some later frame.
-func (s *lockScan) checkExprs(e ast.Expr, held heldSet) {
-	if len(held) == 0 || e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				s.report(n.OpPos, "channel receive", held)
-			}
-		case *ast.CallExpr:
-			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Wait" {
-				s.report(n.Pos(), types.ExprString(sel)+"() call", held)
-			}
-		}
-		return true
-	})
-}
-
-func isPanicExit(call *ast.CallExpr) bool {
-	id, ok := call.Fun.(*ast.Ident)
-	return ok && id.Name == "panic"
-}
-
-// replace overwrites dst's contents with src's.
-func replace(dst, src heldSet) {
-	for k := range dst {
-		delete(dst, k)
-	}
-	for k, v := range src {
-		dst[k] = v
-	}
 }

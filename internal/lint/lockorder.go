@@ -23,12 +23,11 @@ import (
 // instance of one class with no global order (the classic two-account
 // transfer deadlock).
 //
-// The walk is path-sensitive with lockScan's branch semantics (clone per
-// branch, union on merge, terminated branches dropped, defer Unlock holds
-// to frame end), and the call graph follows only direct calls to
-// functions with bodies in the loaded program — function literals run on
-// their own frames and are walked separately, so goroutine and timer
-// callbacks never inherit the spawner's held set.
+// The walk is the shared path-sensitive walker (walk.go; a deferred
+// Unlock holds to frame end), and the call graph follows only direct
+// calls to functions with bodies in the loaded program — function
+// literals run on their own frames and are walked separately, so
+// goroutine and timer callbacks never inherit the spawner's held set.
 var LockOrder = &Analyzer{
 	Name:       "lockorder",
 	Doc:        "mutex classes acquired in conflicting orders across the program (deadlock cycle)",
@@ -39,36 +38,6 @@ var LockOrder = &Analyzer{
 type lockAt struct {
 	class string
 	pos   token.Pos
-}
-
-// lockHeld maps the printed mutex expression ("r.mu") to its acquisition.
-// Expression keys (not class keys) make unlocks precise when two
-// instances of one class are held.
-type lockHeld map[string]lockAt
-
-func (h lockHeld) clone() lockHeld {
-	c := make(lockHeld, len(h))
-	for k, v := range h {
-		c[k] = v
-	}
-	return c
-}
-
-func (h lockHeld) union(o lockHeld) {
-	for k, v := range o {
-		if _, ok := h[k]; !ok {
-			h[k] = v
-		}
-	}
-}
-
-func (h lockHeld) replace(src lockHeld) {
-	for k := range h {
-		delete(h, k)
-	}
-	for k, v := range src {
-		h[k] = v
-	}
 }
 
 // lockEdge records the earliest-seen acquisition site for a from→to pair.
@@ -107,92 +76,36 @@ func posLess(a, b lockEdge) bool {
 }
 
 func runLockOrder(pkgs []*Package) []Finding {
-	type fnode struct {
-		p       *Package
-		fn      *types.Func
-		body    *ast.BlockStmt
-		callees []*types.Func
-	}
-	var nodes []fnode
-	direct := map[*types.Func]map[string]bool{}
-	for _, p := range pkgs {
-		for _, file := range p.Files {
-			for _, d := range file.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				fn, ok := p.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				n := fnode{p: p, fn: fn, body: fd.Body}
-				// A Lock lexically preceded by an Unlock of the same class
-				// in the same frame is the unlock-relock handoff (release
-				// the caller's lock around a blocking call, retake it):
-				// the caller is not holding the class at that acquisition,
-				// so it stays out of the summary.
-				released := map[string]bool{}
-				inspectSameFrame(fd.Body, func(call *ast.CallExpr) {
-					if cls, method := mutexOp(p, call); cls != "" {
-						switch method {
-						case "Lock", "RLock":
-							if !released[cls] {
-								if direct[fn] == nil {
-									direct[fn] = map[string]bool{}
-								}
-								direct[fn][cls] = true
-							}
-						case "Unlock", "RUnlock":
-							released[cls] = true
-						}
-						return
+	trans := callSummaries(pkgs, func(p *Package, body *ast.BlockStmt) (acq []string, callees []*types.Func) {
+		// A Lock lexically preceded by an Unlock of the same class in the
+		// same frame is the unlock-relock handoff (release the caller's
+		// lock around a blocking call, retake it): the caller is not
+		// holding the class at that acquisition, so it stays out of the
+		// summary.
+		released := map[string]bool{}
+		inspectSameFrame(body, func(call *ast.CallExpr) {
+			if cls, method := mutexOp(p, call); cls != "" {
+				switch method {
+				case "Lock", "RLock":
+					if !released[cls] {
+						acq = append(acq, cls)
 					}
-					if callee := calleeFunc(p, call); callee != nil {
-						n.callees = append(n.callees, callee)
-					}
-				})
-				nodes = append(nodes, n)
+				case "Unlock", "RUnlock":
+					released[cls] = true
+				}
+				return
 			}
-		}
-	}
-
-	// Transitive acquisition summaries, to a fixed point.
-	trans := map[*types.Func]map[string]bool{}
-	for fn, cls := range direct {
-		trans[fn] = map[string]bool{}
-		for c := range cls {
-			trans[fn][c] = true
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, n := range nodes {
-			for _, callee := range n.callees {
-				for c := range trans[callee] {
-					if trans[n.fn] == nil {
-						trans[n.fn] = map[string]bool{}
-					}
-					if !trans[n.fn][c] {
-						trans[n.fn][c] = true
-						changed = true
-					}
-				}
+			if callee := calleeFunc(p, call); callee != nil {
+				callees = append(callees, callee)
 			}
-		}
-	}
+		})
+		return acq, callees
+	})
 
 	// Edge extraction: path-sensitive walk of every function frame.
 	g := &lockGraph{edges: map[string]map[string]lockEdge{}}
-	for _, n := range nodes {
-		w := &lockWalk{p: n.p, trans: trans, g: g}
-		w.stmts(n.body.List, make(lockHeld))
-		ast.Inspect(n.body, func(x ast.Node) bool {
-			if fl, ok := x.(*ast.FuncLit); ok {
-				w.stmts(fl.Body.List, make(lockHeld))
-			}
-			return true
-		})
+	for _, p := range pkgs {
+		forEachFunc(p, lockOrderRule(p, trans, g).frame)
 	}
 
 	// Cycle detection: strongly connected components over the class graph.
@@ -271,224 +184,70 @@ func lockClass(p *Package, e ast.Expr) string {
 	return ""
 }
 
-// lockWalk mirrors lockScan's statement semantics but records
-// acquisition-order edges instead of blocking operations.
-type lockWalk struct {
-	p     *Package
-	trans map[*types.Func]map[string]bool
-	g     *lockGraph
-}
-
-// acquire records edges from every held lock to cls and marks it held.
-func (w *lockWalk) acquire(expr, cls string, pos token.Pos, held lockHeld) {
-	p := w.p.Fset.Position(pos)
-	for hexpr, h := range held {
-		if hexpr == expr {
-			continue // re-lock of the same expression: same edge as below
+// lockOrderRule tracks the held locks of one frame, keyed by the printed
+// mutex expression ("r.mu") so that unlocks stay precise when two
+// instances of one class are held, and records an acquisition-order edge
+// from each held lock to every class acquired under it: directly, or
+// through a callee's transitive summary.
+func lockOrderRule(p *Package, trans map[*types.Func]map[string]bool, g *lockGraph) *walker[lockAt] {
+	under := func(h lockAt, cls string, pos token.Pos) {
+		g.add(h.class, cls, p.Fset.Position(pos), p.Fset.Position(h.pos))
+	}
+	acquire := func(call *ast.CallExpr, cls string, held facts[lockAt]) {
+		expr := types.ExprString(unparen(call.Fun).(*ast.SelectorExpr).X)
+		// Relocking the very expression already held is a
+		// self-deadlock: the same edge as any other held lock.
+		for _, h := range held {
+			under(h, cls, call.Pos())
 		}
-		w.g.add(h.class, cls, p, w.p.Fset.Position(h.pos))
+		held[expr] = lockAt{class: cls, pos: call.Pos()}
 	}
-	if h, ok := held[expr]; ok {
-		// Relocking the very expression already held: self-deadlock.
-		w.g.add(h.class, cls, p, w.p.Fset.Position(h.pos))
-	}
-	held[expr] = lockAt{class: cls, pos: pos}
-}
-
-// call records edges from every held lock to everything the callee's
-// transitive summary acquires.
-func (w *lockWalk) call(call *ast.CallExpr, held lockHeld) {
-	if len(held) == 0 {
-		return
-	}
-	callee := calleeFunc(w.p, call)
-	if callee == nil {
-		return
-	}
-	acq := w.trans[callee]
-	if len(acq) == 0 {
-		return
-	}
-	p := w.p.Fset.Position(call.Pos())
-	for _, h := range held {
-		for cls := range acq {
-			w.g.add(h.class, cls, p, w.p.Fset.Position(h.pos))
-		}
-	}
-}
-
-func (w *lockWalk) stmts(list []ast.Stmt, held lockHeld) (terminated bool) {
-	for _, st := range list {
-		if w.stmt(st, held) {
-			return true
-		}
-	}
-	return false
-}
-
-func (w *lockWalk) stmt(st ast.Stmt, held lockHeld) bool {
-	switch st := st.(type) {
-	case *ast.ExprStmt:
-		if call, ok := st.X.(*ast.CallExpr); ok {
-			if cls, method := mutexOp(w.p, call); cls != "" || method != "" {
-				switch method {
+	return &walker[lockAt]{
+		stmt: func(st ast.Stmt, held facts[lockAt]) bool {
+			switch st := st.(type) {
+			case *ast.ExprStmt:
+				call, ok := st.X.(*ast.CallExpr)
+				if !ok {
+					return false
+				}
+				switch cls, method := mutexOp(p, call); method {
 				case "Lock", "RLock":
 					if cls != "" {
-						w.acquire(types.ExprString(unparen(call.Fun).(*ast.SelectorExpr).X), cls, call.Pos(), held)
+						acquire(call, cls, held)
 					}
 				case "Unlock", "RUnlock":
 					delete(held, types.ExprString(unparen(call.Fun).(*ast.SelectorExpr).X))
+				default:
+					return false
 				}
-				return false
-			}
-			if isPanicExit(call) {
+				return true
+			case *ast.DeferStmt:
+				// defer m.Unlock() keeps the lock to frame end (correct
+				// for ordering: later acquisitions happen under it).
+				// Other deferred calls run at return with an unknowable
+				// held set; skipping them only drops edges, never invents
+				// them.
+				if cls, method := mutexOp(p, st.Call); cls != "" && (method == "Lock" || method == "RLock") {
+					acquire(st.Call, cls, held)
+				}
 				return true
 			}
-		}
-		w.checkExpr(st.X, held)
-	case *ast.SendStmt:
-		w.checkExpr(st.Chan, held)
-		w.checkExpr(st.Value, held)
-	case *ast.DeferStmt:
-		// defer m.Unlock() keeps the lock to frame end (correct for
-		// ordering: later acquisitions happen under it). Other deferred
-		// calls run at return with an unknowable held set; skipping them
-		// only drops edges, never invents them.
-		if _, method := mutexOp(w.p, st.Call); method == "Lock" || method == "RLock" {
-			if cls, _ := mutexOp(w.p, st.Call); cls != "" {
-				w.acquire(types.ExprString(unparen(st.Call.Fun).(*ast.SelectorExpr).X), cls, st.Call.Pos(), held)
+			return false
+		},
+		node: func(n ast.Node, held facts[lockAt]) {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return
 			}
-		}
-	case *ast.GoStmt:
-		// New frame; literal bodies are walked separately with no locks.
-	case *ast.AssignStmt:
-		for _, e := range st.Rhs {
-			w.checkExpr(e, held)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := st.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, e := range vs.Values {
-						w.checkExpr(e, held)
+			if callee := calleeFunc(p, call); callee != nil {
+				for cls := range trans[callee] {
+					for _, h := range held {
+						under(h, cls, call.Pos())
 					}
 				}
 			}
-		}
-	case *ast.ReturnStmt:
-		for _, e := range st.Results {
-			w.checkExpr(e, held)
-		}
-		return true
-	case *ast.BranchStmt:
-		return true
-	case *ast.BlockStmt:
-		return w.stmts(st.List, held)
-	case *ast.LabeledStmt:
-		return w.stmt(st.Stmt, held)
-	case *ast.IfStmt:
-		if st.Init != nil {
-			w.stmt(st.Init, held)
-		}
-		w.checkExpr(st.Cond, held)
-		thenHeld := held.clone()
-		thenTerm := w.stmts(st.Body.List, thenHeld)
-		if st.Else != nil {
-			elseHeld := held.clone()
-			elseTerm := w.stmt(st.Else, elseHeld)
-			switch {
-			case thenTerm && elseTerm:
-				return true
-			case thenTerm:
-				held.replace(elseHeld)
-			case elseTerm:
-				held.replace(thenHeld)
-			default:
-				held.replace(thenHeld)
-				held.union(elseHeld)
-			}
-		} else if !thenTerm {
-			held.union(thenHeld)
-		}
-	case *ast.ForStmt:
-		if st.Init != nil {
-			w.stmt(st.Init, held)
-		}
-		if st.Cond != nil {
-			w.checkExpr(st.Cond, held)
-		}
-		bodyHeld := held.clone()
-		w.stmts(st.Body.List, bodyHeld)
-		if st.Post != nil {
-			w.stmt(st.Post, bodyHeld)
-		}
-		held.union(bodyHeld)
-	case *ast.RangeStmt:
-		w.checkExpr(st.X, held)
-		bodyHeld := held.clone()
-		w.stmts(st.Body.List, bodyHeld)
-		held.union(bodyHeld)
-	case *ast.SwitchStmt:
-		if st.Init != nil {
-			w.stmt(st.Init, held)
-		}
-		if st.Tag != nil {
-			w.checkExpr(st.Tag, held)
-		}
-		w.cases(st.Body, held)
-	case *ast.TypeSwitchStmt:
-		w.cases(st.Body, held)
-	case *ast.SelectStmt:
-		merged := held.clone()
-		for _, c := range st.Body.List {
-			cc, ok := c.(*ast.CommClause)
-			if !ok {
-				continue
-			}
-			caseHeld := held.clone()
-			if cc.Comm != nil {
-				w.stmt(cc.Comm, caseHeld)
-			}
-			if !w.stmts(cc.Body, caseHeld) {
-				merged.union(caseHeld)
-			}
-		}
-		held.replace(merged)
+		},
 	}
-	return false
-}
-
-func (w *lockWalk) cases(body *ast.BlockStmt, held lockHeld) {
-	merged := held.clone()
-	for _, c := range body.List {
-		cc, ok := c.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		caseHeld := held.clone()
-		if !w.stmts(cc.Body, caseHeld) {
-			merged.union(caseHeld)
-		}
-	}
-	held.replace(merged)
-}
-
-// checkExpr records call-summary edges for calls inside an expression.
-func (w *lockWalk) checkExpr(e ast.Expr, held lockHeld) {
-	if len(held) == 0 || e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.CallExpr:
-			if cls, _ := mutexOp(w.p, n); cls == "" {
-				w.call(n, held)
-			}
-		}
-		return true
-	})
 }
 
 // sccOf assigns each node a strongly-connected-component id (iterative

@@ -25,7 +25,9 @@ func (s *server) recvDeferHeld() int {
 	return <-s.ch // want lockheld
 }
 
-// selectHeld: a select without default parks the goroutine under the lock.
+// selectHeld: a select without default parks the goroutine under the
+// lock. It is reported once, at the select, not again at each
+// communication.
 func (s *server) selectHeld() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -34,6 +36,31 @@ func (s *server) selectHeld() {
 		_ = v
 	case s.ch <- 2:
 	}
+}
+
+// sendChanOperand: a send evaluates its channel operand first, so a
+// receive there blocks under the lock before the send does.
+func (s *server) sendChanOperand() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.pick(
+		<-s.ch, // want lockheld
+	) <- 1 // want lockheld
+}
+
+func (s *server) pick(int) chan int { return s.ch }
+
+// selectReleased: exactly one clause runs and each one unlocks, so the
+// send after the select is clean.
+func (s *server) selectReleased() {
+	s.mu.Lock()
+	select {
+	case s.ch <- 1:
+		s.mu.Unlock()
+	default:
+		s.mu.Unlock()
+	}
+	s.ch <- 2
 }
 
 // waitHeld: WaitGroup.Wait is as blocking as a channel.

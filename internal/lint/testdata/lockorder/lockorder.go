@@ -2,7 +2,9 @@
 // classes acquired in conflicting orders. The hierarchy mirrors the real
 // one — a pool mutex above per-replica mutexes — plus a deliberate
 // reversal, a same-class double acquisition, and the unlock-relock
-// handoff that must stay silent. Marked lines must be reported.
+// handoff that must stay silent. An account-over-replica order is
+// reversed too, to pin how a select is walked. Marked lines must be
+// reported.
 package lockorder
 
 import "sync"
@@ -109,4 +111,49 @@ func auditAccounts(a, b *account) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return a.bal + b.bal
+}
+
+// next's summary acquires replica.mu.
+func (r *replica) next() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.seq++
+	return r.seq
+}
+
+// accountThenReplica: a select's communication is evaluated with the
+// account lock held, so the helper's acquisition nests under it.
+func (a *account) accountThenReplica(r *replica, c chan uint64) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	select {
+	case c <- r.next(): // want lockorder
+	default:
+	}
+}
+
+// selectReleased: a select runs exactly one clause and every clause here
+// releases replica.mu, so the account lock below is not taken under it.
+// A merge that kept the locks held before the select would record
+// replica.mu -> account.mu at this line instead of at the reversal below.
+func (r *replica) selectReleased(a *account, c chan int) {
+	r.mu.Lock()
+	select {
+	case <-c:
+		r.mu.Unlock()
+	default:
+		r.mu.Unlock()
+	}
+	a.mu.Lock()
+	a.bal++
+	a.mu.Unlock()
+}
+
+// replicaThenAccount reverses the account.mu -> replica.mu order.
+func (r *replica) replicaThenAccount(a *account) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	a.mu.Lock() // want lockorder
+	a.bal--
+	a.mu.Unlock()
 }

@@ -116,3 +116,33 @@ func (r *replica) ignored(rec []byte) {
 	//lint:ignore walorder chosen cluster-wide already; peers re-serve the value on learn-sync
 	r.vote(rec)
 }
+
+// voted is a send-like helper with a value to put on a channel.
+func (r *replica) voted(payload []byte) bool {
+	r.vote(payload)
+	return true
+}
+
+// selectComm: a select's communication is evaluated like any other
+// statement, after the pending event.
+func (r *replica) selectComm(rec []byte, out chan bool) {
+	_ = r.journal(rec)
+	select {
+	case out <- r.voted(rec): // want walorder
+	default:
+	}
+}
+
+// selectAllLeave: a select runs exactly one clause, and each one returns,
+// so the send after it is unreachable. A merge that kept the events from
+// before the select would report it.
+func (r *replica) selectAllLeave(rec []byte, stop chan struct{}) {
+	_ = r.journal(rec)
+	select {
+	case <-stop:
+		return
+	default:
+		return
+	}
+	r.vote(rec)
+}

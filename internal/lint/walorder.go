@@ -30,15 +30,8 @@ var WalOrder = &Analyzer{
 	Name: "walorder",
 	Doc:  "network send reachable after a journal append whose fsync outcome was discarded",
 	Run: func(p *Package) []Finding {
-		if !durabilityPackages[p.Path] {
-			return nil
-		}
-		facts := walFactsOf(p)
 		var out []Finding
-		forEachFunc(p, func(body *ast.BlockStmt) {
-			s := &walScan{pkg: p, facts: facts, out: &out}
-			s.stmts(body.List, newHeldSet())
-		})
+		forEachFunc(p, walOrderRule(p, &out).frame)
 		return out
 	},
 }
@@ -53,318 +46,115 @@ var (
 	netSendFuncs   = map[string]bool{"Send": true, "Broadcast": true}
 )
 
-// walFacts classifies the package's declared functions by what they
-// transitively reach. Function literals are excluded from summaries: they
-// run on their own frame (a goroutine or timer callback), so their sends
-// are not sequenced after the enclosing function's journal events.
-type walFacts struct {
-	journals map[*types.Func]bool
-	sends    map[*types.Func]bool
-}
+// Summary facts: a function that transitively reaches a WAL append is
+// journal-like, one that reaches a network send is send-like.
+const (
+	factJournal = "journal"
+	factSend    = "send"
+)
 
-func walFactsOf(p *Package) *walFacts {
-	f := &walFacts{journals: map[*types.Func]bool{}, sends: map[*types.Func]bool{}}
-	type node struct {
-		fn      *types.Func
-		callees []*types.Func
-	}
-	var nodes []node
-	for _, file := range p.Files {
-		for _, d := range file.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+// walOrderRule tracks the pending discarded-journal events of one frame,
+// keyed by position, and reports send-like calls evaluated after them.
+// An event on any path keeps the send reachable.
+func walOrderRule(p *Package, out *[]Finding) *walker[token.Pos] {
+	// Summaries follow package-local calls only. Function literals are
+	// excluded: they run on their own frame (a goroutine or timer
+	// callback), so their sends are not sequenced after the enclosing
+	// function's journal events.
+	sum := callSummaries([]*Package{p}, func(p *Package, body *ast.BlockStmt) (own []string, callees []*types.Func) {
+		inspectSameFrame(body, func(call *ast.CallExpr) {
+			callee := calleeFunc(p, call)
+			if callee == nil || callee.Pkg() == nil {
+				return
 			}
-			fn, ok := p.Info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
+			switch callee.Pkg().Path() {
+			case walPkgPath:
+				if walAppendFuncs[callee.Name()] {
+					own = append(own, factJournal)
+				}
+			case netPkgPath:
+				if netSendFuncs[callee.Name()] {
+					own = append(own, factSend)
+				}
+			case p.Path:
+				callees = append(callees, callee)
 			}
-			n := node{fn: fn}
-			inspectSameFrame(fd.Body, func(call *ast.CallExpr) {
-				callee := calleeFunc(p, call)
-				if callee == nil || callee.Pkg() == nil {
-					return
-				}
-				switch callee.Pkg().Path() {
-				case walPkgPath:
-					if walAppendFuncs[callee.Name()] {
-						f.journals[fn] = true
-					}
-				case netPkgPath:
-					if netSendFuncs[callee.Name()] {
-						f.sends[fn] = true
-					}
-				case p.Path:
-					n.callees = append(n.callees, callee)
-				}
-			})
-			nodes = append(nodes, n)
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, n := range nodes {
-			for _, callee := range n.callees {
-				if f.journals[callee] && !f.journals[n.fn] {
-					f.journals[n.fn] = true
-					changed = true
-				}
-				if f.sends[callee] && !f.sends[n.fn] {
-					f.sends[n.fn] = true
-					changed = true
-				}
-			}
-		}
-	}
-	return f
-}
-
-// inspectSameFrame visits every call expression in body that executes on
-// this function's own frame: function literals (goroutines, timer
-// callbacks, deferred closures) are not descended into.
-func inspectSameFrame(body *ast.BlockStmt, fn func(*ast.CallExpr)) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
+		})
+		return own, callees
+	})
+	// journalCall: a journal-like call that returns its outcome, so
+	// discarding it means discarding a durability signal.
+	journalCall := func(call *ast.CallExpr) bool {
+		fn := calleeFunc(p, call)
+		if fn == nil || fn.Pkg() == nil {
 			return false
 		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			fn(call)
+		if sig, ok := fn.Type().(*types.Signature); !ok || sig.Results().Len() == 0 {
+			return false
 		}
-		return true
-	})
-}
-
-// journalCall reports whether the call is journal-like and returns its
-// outcome (so discarding it means discarding a durability signal).
-func (f *walFacts) journalCall(p *Package, call *ast.CallExpr) bool {
-	fn := calleeFunc(p, call)
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	if sig, ok := fn.Type().(*types.Signature); !ok || sig.Results().Len() == 0 {
-		return false
-	}
-	if fn.Pkg().Path() == walPkgPath {
-		return walAppendFuncs[fn.Name()]
-	}
-	return f.journals[fn]
-}
-
-// sendCall reports whether the call transitively reaches a network send.
-func (f *walFacts) sendCall(p *Package, call *ast.CallExpr) bool {
-	fn := calleeFunc(p, call)
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	if fn.Pkg().Path() == netPkgPath {
-		return netSendFuncs[fn.Name()]
-	}
-	return f.sends[fn]
-}
-
-// walScan walks statements tracking pending discarded-journal events with
-// the same branch semantics as lockScan: clones per branch, union on
-// merge (an event on any path keeps the send reachable), terminated
-// branches dropped.
-type walScan struct {
-	pkg   *Package
-	facts *walFacts
-	out   *[]Finding
-}
-
-func (s *walScan) report(call *ast.CallExpr, ev heldSet) {
-	earliest := token.NoPos
-	for _, pos := range ev {
-		if earliest == token.NoPos || pos < earliest {
-			earliest = pos
+		if fn.Pkg().Path() == walPkgPath {
+			return walAppendFuncs[fn.Name()]
 		}
+		return sum[fn][factJournal]
 	}
-	*s.out = append(*s.out, s.pkg.finding(call.Pos(), "walorder",
-		"network send while the journal append at line %d awaits confirmation (result discarded); durable-before-send (DESIGN §4e): check the fsync outcome and gate this send on it",
-		s.pkg.Fset.Position(earliest).Line))
-}
-
-// event reports whether st discards every result of a journal-like call:
-// a bare call statement or an assignment whose targets are all blank.
-func (s *walScan) event(st ast.Stmt) (token.Pos, bool) {
-	var call *ast.CallExpr
-	switch st := st.(type) {
-	case *ast.ExprStmt:
-		call, _ = st.X.(*ast.CallExpr)
-	case *ast.AssignStmt:
-		if len(st.Rhs) != 1 {
-			return token.NoPos, false
+	sendCall := func(call *ast.CallExpr) bool {
+		fn := calleeFunc(p, call)
+		if fn == nil || fn.Pkg() == nil {
+			return false
 		}
-		for _, lhs := range st.Lhs {
-			if id, ok := lhs.(*ast.Ident); !ok || id.Name != "_" {
-				return token.NoPos, false
-			}
+		if fn.Pkg().Path() == netPkgPath {
+			return netSendFuncs[fn.Name()]
 		}
-		call, _ = st.Rhs[0].(*ast.CallExpr)
+		return sum[fn][factSend]
 	}
-	if call == nil || !s.facts.journalCall(s.pkg, call) {
-		return token.NoPos, false
-	}
-	return call.Pos(), true
-}
-
-func (s *walScan) stmts(list []ast.Stmt, ev heldSet) (terminated bool) {
-	for _, st := range list {
-		if s.stmt(st, ev) {
-			return true
-		}
-	}
-	return false
-}
-
-func (s *walScan) stmt(st ast.Stmt, ev heldSet) bool {
-	if pos, ok := s.event(st); ok {
-		ev[s.pkg.Fset.Position(pos).String()] = pos
-		return false
-	}
-	switch st := st.(type) {
-	case *ast.ExprStmt:
-		if call, ok := st.X.(*ast.CallExpr); ok && isPanicExit(call) {
-			return true
-		}
-		s.checkExpr(st.X, ev)
-	case *ast.SendStmt:
-		s.checkExpr(st.Chan, ev)
-		s.checkExpr(st.Value, ev)
-	case *ast.AssignStmt:
-		for _, e := range st.Rhs {
-			s.checkExpr(e, ev)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := st.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, e := range vs.Values {
-						s.checkExpr(e, ev)
-					}
-				}
-			}
-		}
-	case *ast.DeferStmt:
-		// A deferred send runs at return, after any event recorded so
-		// far on this path; flag it against the current set.
-		s.checkExpr(st.Call, ev)
-	case *ast.GoStmt:
-		// New goroutine, new frame: its sends are not ordered after this
-		// frame's journal events. Literal bodies are scanned separately.
-	case *ast.ReturnStmt:
-		for _, e := range st.Results {
-			s.checkExpr(e, ev)
-		}
-		return true
-	case *ast.BranchStmt:
-		return true
-	case *ast.BlockStmt:
-		return s.stmts(st.List, ev)
-	case *ast.LabeledStmt:
-		return s.stmt(st.Stmt, ev)
-	case *ast.IfStmt:
-		if st.Init != nil {
-			s.stmt(st.Init, ev)
-		}
-		s.checkExpr(st.Cond, ev)
-		thenEv := ev.clone()
-		thenTerm := s.stmts(st.Body.List, thenEv)
-		if st.Else != nil {
-			elseEv := ev.clone()
-			elseTerm := s.stmt(st.Else, elseEv)
-			switch {
-			case thenTerm && elseTerm:
+	var w *walker[token.Pos]
+	w = &walker[token.Pos]{
+		stmt: func(st ast.Stmt, ev facts[token.Pos]) bool {
+			// An event discards every result of a journal-like call: a
+			// bare call statement or an assignment whose targets are all
+			// blank.
+			var call *ast.CallExpr
+			switch st := st.(type) {
+			case *ast.DeferStmt:
+				// A deferred send runs at return, after any event
+				// recorded so far on this path; flag it against the
+				// current set.
+				w.eval(ev, st.Call)
 				return true
-			case thenTerm:
-				replace(ev, elseEv)
-			case elseTerm:
-				replace(ev, thenEv)
-			default:
-				replace(ev, thenEv)
-				ev.union(elseEv)
+			case *ast.ExprStmt:
+				call, _ = st.X.(*ast.CallExpr)
+			case *ast.AssignStmt:
+				if len(st.Rhs) != 1 {
+					return false
+				}
+				for _, lhs := range st.Lhs {
+					if id, ok := lhs.(*ast.Ident); !ok || id.Name != "_" {
+						return false
+					}
+				}
+				call, _ = st.Rhs[0].(*ast.CallExpr)
 			}
-		} else if !thenTerm {
-			ev.union(thenEv)
-		}
-	case *ast.ForStmt:
-		if st.Init != nil {
-			s.stmt(st.Init, ev)
-		}
-		if st.Cond != nil {
-			s.checkExpr(st.Cond, ev)
-		}
-		bodyEv := ev.clone()
-		s.stmts(st.Body.List, bodyEv)
-		if st.Post != nil {
-			s.stmt(st.Post, bodyEv)
-		}
-		ev.union(bodyEv)
-	case *ast.RangeStmt:
-		s.checkExpr(st.X, ev)
-		bodyEv := ev.clone()
-		s.stmts(st.Body.List, bodyEv)
-		ev.union(bodyEv)
-	case *ast.SwitchStmt:
-		if st.Init != nil {
-			s.stmt(st.Init, ev)
-		}
-		if st.Tag != nil {
-			s.checkExpr(st.Tag, ev)
-		}
-		s.cases(st.Body, ev)
-	case *ast.TypeSwitchStmt:
-		s.cases(st.Body, ev)
-	case *ast.SelectStmt:
-		merged := ev.clone() // zero cases may have run events
-		for _, c := range st.Body.List {
-			cc, ok := c.(*ast.CommClause)
-			if !ok {
-				continue
+			if call == nil || !journalCall(call) {
+				return false
 			}
-			caseEv := ev.clone()
-			if cc.Comm != nil {
-				s.stmt(cc.Comm, caseEv)
+			ev[p.Fset.Position(call.Pos()).String()] = call.Pos()
+			return true
+		},
+		node: func(n ast.Node, ev facts[token.Pos]) {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || !sendCall(call) {
+				return
 			}
-			if !s.stmts(cc.Body, caseEv) {
-				merged.union(caseEv)
+			earliest := token.NoPos
+			for _, pos := range ev {
+				if earliest == token.NoPos || pos < earliest {
+					earliest = pos
+				}
 			}
-		}
-		replace(ev, merged)
+			*out = append(*out, p.finding(call.Pos(), "walorder",
+				"network send while the journal append at line %d awaits confirmation (result discarded); durable-before-send (DESIGN §4e): check the fsync outcome and gate this send on it",
+				p.Fset.Position(earliest).Line))
+		},
 	}
-	return false
-}
-
-func (s *walScan) cases(body *ast.BlockStmt, ev heldSet) {
-	merged := ev.clone() // no case may match
-	for _, c := range body.List {
-		cc, ok := c.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		caseEv := ev.clone()
-		if !s.stmts(cc.Body, caseEv) {
-			merged.union(caseEv)
-		}
-	}
-	replace(ev, merged)
-}
-
-// checkExpr reports send-like calls inside an expression evaluated while
-// events are pending. Function literals are skipped (separate frames).
-func (s *walScan) checkExpr(e ast.Expr, ev heldSet) {
-	if len(ev) == 0 || e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.CallExpr:
-			if s.facts.sendCall(s.pkg, n) {
-				s.report(n, ev)
-			}
-		}
-		return true
-	})
+	return w
 }

@@ -27,14 +27,6 @@ type BatchStats struct {
 	Hist    [16]int64 `json:"hist"`
 }
 
-// MeanSize is the average ops per proposed batch.
-func (b BatchStats) MeanSize() float64 {
-	if b.Batches == 0 {
-		return 0
-	}
-	return float64(b.Ops) / float64(b.Batches)
-}
-
 // Merge accumulates o into b (Sharded-style aggregation).
 func (b *BatchStats) Merge(o BatchStats) {
 	b.Batches += o.Batches

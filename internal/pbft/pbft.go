@@ -349,13 +349,6 @@ func (r *Replica) View() uint64 {
 	return r.view
 }
 
-// Primary reports the current primary's id.
-func (r *Replica) Primary() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.primaryOf(r.view)
-}
-
 // primaryOf is view's primary. It reads only ids, fixed after
 // construction, so it needs no lock.
 func (r *Replica) primaryOf(view uint64) string {

@@ -39,9 +39,6 @@ func NewServer(blockSize int) (*Server, error) {
 	return &Server{blockSize: blockSize}, nil
 }
 
-// BlockSize returns the fixed block size.
-func (s *Server) BlockSize() int { return s.blockSize }
-
 // Size returns the number of blocks.
 func (s *Server) Size() int {
 	s.mu.RLock()

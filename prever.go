@@ -170,20 +170,6 @@ type (
 	Commitment = commit.Commitment
 )
 
-// Setup is the uniform shape of every engine constructor's result: the
-// engine bundled with the secret-holding side artifacts minted during
-// construction (keys, helpers, authorities, owner state). Every *Setup
-// type — and *PlainManager itself — exposes the engine's identity and
-// tear-free stats through this interface, so harnesses can drive mixed
-// fleets of instantiations uniformly.
-type Setup interface {
-	// Name identifies the constructed engine.
-	Name() string
-	// Stats snapshots the engine's submission counters and latency
-	// histogram.
-	Stats() EngineStats
-}
-
 // Constructors (thin veneers over the internal packages; every returned
 // type's methods are documented on the type).
 
@@ -224,12 +210,6 @@ type EncryptedSetup struct {
 	// Helper holds the comparison trapdoor (NOT given to the manager).
 	Helper *mpc.Helper
 }
-
-// Name implements Setup.
-func (s *EncryptedSetup) Name() string { return s.Manager.Name() }
-
-// Stats implements Setup.
-func (s *EncryptedSetup) Stats() EngineStats { return s.Manager.Stats() }
 
 // NewEncryptedManager compiles a bound constraint and builds the RC1
 // engine with a fresh Paillier helper of the given key size.
@@ -309,12 +289,6 @@ type ZKSetup struct {
 	Owner   *ZKOwner
 }
 
-// Name implements Setup.
-func (s *ZKSetup) Name() string { return s.Manager.Name() }
-
-// Stats implements Setup.
-func (s *ZKSetup) Stats() EngineStats { return s.Manager.Stats() }
-
 // NewZKBoundManager builds the proof-carrying RC1 engine over the fixed
 // 2048-bit group (use NewZKBoundManagerWithGroup for test-sized groups).
 func NewZKBoundManager(name string, bound int64) (*ZKSetup, error) {
@@ -341,12 +315,6 @@ type TokenFederationSetup struct {
 	Authority  *token.Authority
 }
 
-// Name implements Setup.
-func (s *TokenFederationSetup) Name() string { return s.Federation.Name() }
-
-// Stats implements Setup.
-func (s *TokenFederationSetup) Stats() EngineStats { return s.Federation.Stats() }
-
 // NewTokenFederation builds the RC2 centralized engine with a fresh
 // authority and an in-memory shared spent store.
 func NewTokenFederation(name, period string, platforms []string, authorityKeyBits int) (*TokenFederationSetup, error) {
@@ -368,12 +336,6 @@ type MPCFederationSetup struct {
 	Helper     *mpc.Helper
 }
 
-// Name implements Setup.
-func (s *MPCFederationSetup) Name() string { return s.Federation.Name() }
-
-// Stats implements Setup.
-func (s *MPCFederationSetup) Stats() EngineStats { return s.Federation.Stats() }
-
 // NewMPCFederationSetup builds the RC2 decentralized engine with a fresh
 // helper.
 func NewMPCFederationSetup(name string, bound int64, window time.Duration, platforms []string, keyBits int) (*MPCFederationSetup, error) {
@@ -394,12 +356,6 @@ type PublicPIRSetup struct {
 	// Authority issues the blind-signed credentials producers spend.
 	Authority *token.Authority
 }
-
-// Name implements Setup.
-func (s *PublicPIRSetup) Name() string { return s.Manager.Name() }
-
-// Stats implements Setup.
-func (s *PublicPIRSetup) Stats() EngineStats { return s.Manager.Stats() }
 
 // NewPublicPIRSetup builds the RC3 engine with a fresh credential
 // authority.
