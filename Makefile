@@ -154,10 +154,11 @@ bench-check:
 # fan-out's concurrency contract is only proven with -race), the peer's
 # retained-heap gate and the cost gates (both
 # without -race), the benchmark module, ten seconds of fuzzing per Fuzz*
-# target, the server boot smoke test, the kill -9 recovery smoke test, and
-# the virtual-time replay of the durable chaos seeds that once never
-# converged.
-check: fmt-check vet lint deps-check race heap-smoke cost-smoke bench-check fuzz-smoke serve-smoke serve-smoke-durable chaos-regress
+# target, the server boot smoke test, the kill -9 recovery smoke test, the
+# virtual-time replay of the durable chaos seeds that once never
+# converged, and the whole virtual-time sweep (six schedules × 450 seeds,
+# one to three minutes on two CPUs).
+check: fmt-check vet lint deps-check race heap-smoke cost-smoke bench-check fuzz-smoke serve-smoke serve-smoke-durable chaos-regress chaos-sim
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run xxx ./...

@@ -489,27 +489,14 @@ func NewShard(net *netsim.Network, cfg ShardConfig) (*Shard, error) {
 	for _, id := range ids {
 		peer := newPeer(id, memberOf(id))
 		s.peers = append(s.peers, peer)
-		applier := func(_ uint64, batch []pbft.Request) {
-			var run []byte
-			undecodable := 0
-			for _, req := range batch {
-				// Every request the shard's client submits is one framed
-				// mempool batch, whose op run is applied as it sits in the
-				// committed request. Anything else that committed cannot be
-				// applied, and is counted rather than dropped unseen.
-				ops, ok := mempool.DecodeBatch(req.Op)
-				if !ok {
-					undecodable++
-					continue
-				}
-				if run == nil {
-					run = ops
-				} else { // a second frame: the block joins copies of both runs
-					run = append(run[:len(run):len(run)], ops...)
-				}
-			}
-			if len(run) > 0 {
-				undecodable += peer.applyBatch(run)
+		applier := func(_ uint64, req pbft.Request) {
+			// Every request the shard's client submits is one framed
+			// mempool batch, whose op run is applied as it sits in the
+			// committed request. Anything else that committed cannot be
+			// applied, and is counted rather than dropped unseen.
+			undecodable := 1
+			if run, ok := mempool.DecodeBatch(req.Op); ok {
+				undecodable = peer.applyBatch(run)
 			}
 			if undecodable > 0 {
 				s.statsMu.Lock()

@@ -205,7 +205,7 @@ func TestOldFormatDirectoryRefused(t *testing.T) {
 	if !errors.Is(err, wal.ErrFormat) {
 		t.Fatalf("NewShard on a v1 directory: %v, want wal.ErrFormat", err)
 	}
-	for _, want := range []string{"unstamped", `reads "prever/pbft/data/v3"`, filepath.Join(dir, "s0", "peer0")} {
+	for _, want := range []string{"unstamped", `reads "prever/pbft/data/v4"`, filepath.Join(dir, "s0", "peer0")} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not say %q", err, want)
 		}

@@ -232,7 +232,7 @@ type seqChecker struct {
 	bad     []string
 }
 
-func (c *seqChecker) apply(seq uint64, batch []pbft.Request) {
+func (c *seqChecker) apply(seq uint64, req pbft.Request) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.started && seq <= c.lastSeq {
@@ -240,9 +240,7 @@ func (c *seqChecker) apply(seq uint64, batch []pbft.Request) {
 	}
 	c.started = true
 	c.lastSeq = seq
-	for _, req := range batch {
-		c.ops = append(c.ops, string(req.Op))
-	}
+	c.ops = append(c.ops, string(req.Op))
 }
 
 func (c *seqChecker) snapshot() (ops, bad []string) {

@@ -135,3 +135,18 @@ func (s *server) suppressed() {
 	//lint:ignore lockheld fixture: reviewed send under lock
 	s.ch <- 1
 }
+
+// breakHeld: the clause's break leaves the switch with the lock held, so
+// the send after it blocks under the lock; the clause's fall-through
+// path unlocks.
+func (s *server) breakHeld(x int) {
+	switch x {
+	case 1:
+		s.mu.Lock()
+		if s.ch != nil {
+			break
+		}
+		s.mu.Unlock()
+	}
+	s.ch <- 1 // want lockheld
+}

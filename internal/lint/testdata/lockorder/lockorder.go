@@ -157,3 +157,32 @@ func (r *replica) replicaThenAccount(a *account) {
 	a.bal--
 	a.mu.Unlock()
 }
+
+// hub and spoke are taken hub → spoke only on a select clause's break
+// path, which leaves the select holding hub.mu; spokeThenHub takes them
+// the other way round.
+type hub struct{ mu sync.Mutex }
+
+type spoke struct{ mu sync.Mutex }
+
+func hubBreakThenSpoke(h *hub, s *spoke, c chan int) {
+	select {
+	case v := <-c:
+		h.mu.Lock()
+		if v > 0 {
+			break
+		}
+		h.mu.Unlock()
+		return
+	}
+	s.mu.Lock() // want lockorder
+	s.mu.Unlock()
+	h.mu.Unlock()
+}
+
+func spokeThenHub(h *hub, s *spoke) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	h.mu.Lock() // want lockorder
+	h.mu.Unlock()
+}

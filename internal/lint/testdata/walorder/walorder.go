@@ -146,3 +146,17 @@ func (r *replica) selectAllLeave(rec []byte, stop chan struct{}) {
 	}
 	r.vote(rec)
 }
+
+// breakPending: a clause that discards the outcome and breaks leaves the
+// switch with the event pending; its other path returns.
+func (r *replica) breakPending(rec []byte, x int) {
+	switch x {
+	case 1:
+		_ = r.journal(rec)
+		if len(rec) > 0 {
+			break
+		}
+		return
+	}
+	r.vote(rec) // want walorder
+}

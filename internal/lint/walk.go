@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -45,6 +46,9 @@ func (f facts[V]) replace(src facts[V]) {
 //   - a switch or type switch may match no clause;
 //   - a select runs exactly one clause, so its merge starts from nothing
 //     and it ends the statement list when no clause falls through;
+//   - an unlabeled break leaves the innermost switch, select or loop,
+//     and its facts merge into that statement's exit with the paths that
+//     fall through;
 //   - return, break, continue, goto and panic end the statement list;
 //   - go statements and function literals are frames of their own
 //     (forEachFunc walks each literal from an empty fact set).
@@ -58,6 +62,9 @@ type walker[V any] struct {
 	// node sees each node of every expression the frame evaluates while
 	// f is non-empty, function literals excepted.
 	node func(n ast.Node, f facts[V])
+	// breaks collects the facts at each unlabeled break out of the
+	// innermost switch, select or loop being walked.
+	breaks *[]facts[V]
 }
 
 // frame walks one function body from an empty fact set.
@@ -106,6 +113,9 @@ func (w *walker[V]) walk(st ast.Stmt, f facts[V]) bool {
 		w.eval(f, st.Results...)
 		return true
 	case *ast.BranchStmt:
+		if st.Tok == token.BREAK && st.Label == nil && w.breaks != nil {
+			*w.breaks = append(*w.breaks, f.clone())
+		}
 		return true
 	case *ast.BlockStmt:
 		return w.stmts(st.List, f)
@@ -138,16 +148,20 @@ func (w *walker[V]) walk(st ast.Stmt, f facts[V]) bool {
 		}
 		w.eval(f, st.Cond)
 		body := f.clone()
-		w.stmts(st.Body.List, body)
+		exits := w.breakable(func() { w.stmts(st.Body.List, body) })
 		if st.Post != nil {
 			w.walk(st.Post, body)
 		}
-		f.union(body)
+		for _, a := range append([]facts[V]{body}, exits...) {
+			f.union(a)
+		}
 	case *ast.RangeStmt:
 		w.eval(f, st.X)
 		body := f.clone()
-		w.stmts(st.Body.List, body)
-		f.union(body)
+		exits := w.breakable(func() { w.stmts(st.Body.List, body) })
+		for _, a := range append([]facts[V]{body}, exits...) {
+			f.union(a)
+		}
 	case *ast.SwitchStmt:
 		if st.Init != nil {
 			w.walk(st.Init, f)
@@ -158,17 +172,19 @@ func (w *walker[V]) walk(st ast.Stmt, f facts[V]) bool {
 		w.cases(st.Body, f)
 	case *ast.SelectStmt:
 		var arms []facts[V]
-		for _, c := range st.Body.List {
-			cc := c.(*ast.CommClause)
-			arm := f.clone()
-			if cc.Comm != nil {
-				w.walk(cc.Comm, arm)
+		breaks := w.breakable(func() {
+			for _, c := range st.Body.List {
+				cc := c.(*ast.CommClause)
+				arm := f.clone()
+				if cc.Comm != nil {
+					w.walk(cc.Comm, arm)
+				}
+				if !w.stmts(cc.Body, arm) {
+					arms = append(arms, arm)
+				}
 			}
-			if !w.stmts(cc.Body, arm) {
-				arms = append(arms, arm)
-			}
-		}
-		return merge(f, arms)
+		})
+		return merge(f, append(arms, breaks...))
 	}
 	return false
 }
@@ -177,13 +193,26 @@ func (w *walker[V]) walk(st ast.Stmt, f facts[V]) bool {
 // of f, and no clause may match at all.
 func (w *walker[V]) cases(body *ast.BlockStmt, f facts[V]) {
 	arms := []facts[V]{f.clone()}
-	for _, c := range body.List {
-		arm := f.clone()
-		if !w.stmts(c.(*ast.CaseClause).Body, arm) {
-			arms = append(arms, arm)
+	breaks := w.breakable(func() {
+		for _, c := range body.List {
+			arm := f.clone()
+			if !w.stmts(c.(*ast.CaseClause).Body, arm) {
+				arms = append(arms, arm)
+			}
 		}
-	}
-	merge(f, arms)
+	})
+	merge(f, append(arms, breaks...))
+}
+
+// breakable runs walk, which walks the body of a switch, select or loop,
+// and returns the facts at each unlabeled break out of that statement.
+func (w *walker[V]) breakable(walk func()) []facts[V] {
+	outer := w.breaks
+	var breaks []facts[V]
+	w.breaks = &breaks
+	walk()
+	w.breaks = outer
+	return breaks
 }
 
 // eval feeds every node of the expressions to the node hook. Function

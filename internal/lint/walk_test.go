@@ -41,6 +41,10 @@ outer:
 		}
 		add("b")
 	}`, "a", false},
+		{"switch clause breaks", `add("a"); switch x { case 1: add("b"); break }`, "a b", false},
+		{"select clause breaks", `add("a"); select { case <-ch: add("b"); break }`, "a b", false},
+		{"loop body breaks", `add("a"); for { del("a"); if c { add("b"); break } }`, "a b", false},
+		{"break in a clause's loop leaves the loop", `add("a"); switch x { case 1: for { add("b"); break }; return }`, "a", false},
 		{"go and func literal are other frames", `go func() { add("g") }(); f := func() { add("f") }; f()`, "", false},
 	}
 	for _, tc := range cases {

@@ -89,8 +89,8 @@ func (l *loneReplica) waitSent(t *testing.T, msgType string) []byte {
 }
 
 func onePrePrepare(seq uint64) prePrepareMsg {
-	pp := prePrepareMsg{Seq: seq, Batch: []Request{{Client: "c", Seq: seq + 1, Op: []byte("op")}}}
-	pp.Digest = digestOf(pp.Batch)
+	pp := prePrepareMsg{Seq: seq, Req: &Request{Client: "c", Seq: seq + 1, Op: []byte("op")}}
+	pp.Digest = digestOf(pp.Req)
 	return pp
 }
 

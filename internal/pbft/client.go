@@ -12,7 +12,11 @@ import (
 
 // ClientOptions tunes the failover client's retry behaviour.
 type ClientOptions struct {
-	TryTimeout time.Duration // per-attempt Submit timeout (default 1s; should exceed ViewTimeout so a dead primary is replaced within the attempt)
+	// TryTimeout bounds one attempt (default 1s). With the default
+	// ViewTimeout (2s) an attempt can end before the view change that
+	// replaces a dead primary completes; the retry loop then carries the
+	// same client seq across it, so the request still executes once.
+	TryTimeout time.Duration
 	Backoff    time.Duration // initial retry backoff (default 10ms)
 	MaxBackoff time.Duration // backoff cap (default 320ms)
 }

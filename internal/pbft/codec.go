@@ -22,10 +22,10 @@ import (
 // relabelled as another type does not open. header is what the MACs
 // cover: a pre-prepare's view | seq | digest, and every other type's
 // whole body. This is Castro & Liskov's authenticator — a vector of MACs
-// over a digest, one per receiver — so a pre-prepare's requests are
+// over a digest, one per receiver — so a pre-prepare's request is
 // hashed once per replica, by the receiver that checks them against the
 // authenticated digest (onPrePrepare), and MAC'd by nobody. A receiver
-// checks its own slot before it decodes a single request; a slot the
+// checks its own slot before it decodes the request; a slot the
 // sender did not fill (every slot but the receiver's, on a send to one
 // replica) is zero and opens nowhere. Keys are per direction (linkKey):
 // every receiver sees every slot, and with one key per pair a replica
@@ -37,23 +37,21 @@ import (
 // bytes, view and seq are uvarints, a digest is 32 raw bytes):
 //
 //	request:     client str | seq | op bytes
-//	pre-prepare: view | seq | digest | uvarint count | request*
+//	pre-prepare: view | seq | digest | uvarint count | request?
 //	prepare:     view | seq | digest
 //	commit:      view | seq | digest
 //	checkpoint:  seq | state digest
 //
-// A vote names no replica: it counts for the sender whose key its MAC
-// opened under. The receiver knows which decoder to run from
-// netsim.Message.Type, so no body carries a tag. Decoders are strict:
+// A pre-prepare's count is 1, or 0 for a view change's null fill; a
+// larger one is refused. A vote names no replica: it counts for the
+// sender whose key its MAC opened under. The receiver knows which
+// decoder to run from netsim.Message.Type, so no body carries a tag. Decoders are strict:
 // short, over-long and trailing input is refused. The four cold types
 // (view-change, new-view, state request, state reply: nested
 // certificates and state images, a handful per run) keep JSON bodies, as
 // do WAL records and snapshots. No durable record holds an envelope.
 
 const macSize = sha256.Size
-
-// minRequestBytes is the encoded size of the zero Request.
-const minRequestBytes = 3
 
 // macTags maps each message type to the tag its MACs begin with.
 var macTags = func() map[string][]byte {
@@ -160,18 +158,17 @@ func appendBody(b []byte, v any) []byte {
 		return appendRequest(slices.Grow(b, len(m.Client)+len(m.Op)+16), &m)
 	case prePrepareMsg:
 		size := 64
-		for i := range m.Batch {
-			size += len(m.Batch[i].Client) + len(m.Batch[i].Op) + 16
+		if m.Req != nil {
+			size += len(m.Req.Client) + len(m.Req.Op) + 16
 		}
 		b = slices.Grow(b, size)
 		b = binary.AppendUvarint(b, m.View)
 		b = binary.AppendUvarint(b, m.Seq)
 		b = append(b, m.Digest[:]...)
-		b = binary.AppendUvarint(b, uint64(len(m.Batch)))
-		for i := range m.Batch {
-			b = appendRequest(b, &m.Batch[i])
+		if m.Req == nil {
+			return append(b, 0)
 		}
-		return b
+		return appendRequest(append(b, 1), m.Req)
 	case prepareMsg:
 		return appendVote(b, m)
 	case commitMsg:
@@ -217,11 +214,13 @@ func decodeRequest(body []byte) (Request, bool) {
 func decodePrePrepare(body []byte) (prePrepareMsg, bool) {
 	r := wire.NewReader(body)
 	pp := prePrepareMsg{View: r.Uvarint(), Seq: r.Uvarint(), Digest: readDigest(&r)}
-	if n := r.Count(minRequestBytes); n > 0 {
-		pp.Batch = make([]Request, n)
-		for i := range pp.Batch {
-			pp.Batch[i] = readRequest(&r)
-		}
+	switch r.Uvarint() {
+	case 0:
+	case 1:
+		req := readRequest(&r)
+		pp.Req = &req
+	default:
+		r.Fail()
 	}
 	return pp, r.Done()
 }
@@ -239,19 +238,18 @@ func decodeCheckpoint(body []byte) (checkpointMsg, bool) {
 	return c, r.Done()
 }
 
-// digestOf identifies a request batch: SHA-256 over each request's
+// digestOf identifies an instance's request: SHA-256 over its
 // len|client|seq|len|op, the fields self-delimiting so that no two
-// batches share a preimage.
-func digestOf(batch []Request) Digest {
+// requests share a preimage. A null fill (nil) hashes nothing.
+func digestOf(req *Request) Digest {
 	h := sha256.New()
-	for i := range batch {
-		r := &batch[i]
-		hdr := make([]byte, 0, len(r.Client)+24)
-		hdr = wire.AppendString(hdr, r.Client)
-		hdr = binary.AppendUvarint(hdr, r.Seq)
-		hdr = binary.AppendUvarint(hdr, uint64(len(r.Op)))
+	if req != nil {
+		hdr := make([]byte, 0, len(req.Client)+24)
+		hdr = wire.AppendString(hdr, req.Client)
+		hdr = binary.AppendUvarint(hdr, req.Seq)
+		hdr = binary.AppendUvarint(hdr, uint64(len(req.Op)))
 		h.Write(hdr)
-		h.Write(r.Op)
+		h.Write(req.Op)
 	}
 	var d Digest
 	h.Sum(d[:0])

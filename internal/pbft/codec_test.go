@@ -2,12 +2,16 @@ package pbft
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/json"
 	"reflect"
 	"testing"
 	"time"
 
 	"prever/internal/mempool"
 	"prever/internal/netsim"
+	"prever/internal/wire"
 	"prever/internal/wire/wiretest"
 )
 
@@ -44,10 +48,11 @@ func decodeBody(msgType string, body []byte) (any, bool) {
 }
 
 func sampleMsgs() map[string]any {
-	d := digestOf([]Request{{Client: "c", Seq: 7, Op: []byte("op")}})
+	req := &Request{Client: "c", Seq: 7, Op: []byte("op")}
+	d := digestOf(req)
 	return map[string]any{
 		msgRequest:    Request{Client: "chain/s0/0a1b", Seq: 300, Op: []byte("op")},
-		msgPrePrepare: prePrepareMsg{View: 1, Seq: 129, Digest: d, Batch: []Request{{Client: "c", Seq: 7, Op: []byte("op")}, {Client: "", Seq: 0}}},
+		msgPrePrepare: prePrepareMsg{View: 1, Seq: 129, Digest: d, Req: req},
 		msgPrepare:    prepareMsg{View: 1, Seq: 129, Digest: d},
 		msgCommit:     commitMsg{View: 2, Seq: 130, Digest: d},
 		msgCheckpoint: checkpointMsg{Seq: 256, State: d},
@@ -75,6 +80,51 @@ func TestMessageRoundTrip(t *testing.T) {
 	}
 }
 
+// twoRequests are two requests as earlier builds ordered them in one
+// instance, under the digest they gave a request list: SHA-256 over each
+// request's len|client|seq|len|op in turn.
+func twoRequests() (a, b Request, d Digest) {
+	a = Request{Client: "c", Seq: 1, Op: []byte("a")}
+	b = Request{Client: "c", Seq: 2, Op: []byte("b")}
+	h := sha256.New()
+	for _, r := range []Request{a, b} {
+		h.Write(wire.AppendBytes(binary.AppendUvarint(wire.AppendString(nil, r.Client), r.Seq), r.Op))
+	}
+	h.Sum(d[:0])
+	return a, b, d
+}
+
+// twoRequestEntry is an instance at seq in the JSON shape of earlier
+// builds' prepared and executed entries, carrying both of twoRequests.
+func twoRequestEntry(seq uint64) string {
+	a, b, d := twoRequests()
+	js, _ := json.Marshal(map[string]any{"seq": seq, "digest": d, "batch": []Request{a, b}})
+	return string(js)
+}
+
+// An instance orders one request: a pre-prepare counting two is refused
+// by the decoder, and a replica fed one by its primary, with every vote
+// for its digest, executes neither request.
+func TestPrePrepareOfTwoRequestsRefused(t *testing.T) {
+	a, b, d := twoRequests()
+	body := append(append([]byte{0, 0}, d[:]...), 2) // view 0, seq 0, digest, count 2
+	body = appendRequest(appendRequest(body, &a), &b)
+	if pp, ok := decodePrePrepare(body); ok {
+		t.Errorf("a two-request body decoded to %+v", pp)
+	}
+	l, app := newLoneDurable(t, t.TempDir(), 4)
+	l.deliverBody("p0", msgPrePrepare, body)
+	for _, from := range []string{"p1", "p2"} {
+		l.feed(from, msgPrepare, prepareMsg{Seq: 0, Digest: d})
+	}
+	for _, from := range []string{"p0", "p1", "p2"} {
+		l.feed(from, msgCommit, commitMsg{Seq: 0, Digest: d})
+	}
+	if got, ops := l.r.Executed(), app.ops(); got != 0 || len(ops) != 0 {
+		t.Fatalf("executed %d, applied %q", got, ops)
+	}
+}
+
 // sealFrom is the envelope replica from broadcasts to the rest of ids,
 // its MACs keyed from master.
 func sealFrom(master []byte, ids []string, from, msgType string, v any) []byte {
@@ -90,8 +140,8 @@ func sealFrom(master []byte, ids []string, from, msgType string, v any) []byte {
 // TestPrePrepareGolden pins a primary's pre-prepare broadcast to a
 // four-replica shard: its own slot zero, one MAC per backup, one body.
 func TestPrePrepareGolden(t *testing.T) {
-	batch := []Request{{Client: "chain/s0/0a1b", Seq: 300, Op: []byte("pbB2\x01\x02op")}}
-	pp := prePrepareMsg{View: 1, Seq: 129, Digest: digestOf(batch), Batch: batch}
+	req := &Request{Client: "chain/s0/0a1b", Seq: 300, Op: []byte("pbB2\x01\x02op")}
+	pp := prePrepareMsg{View: 1, Seq: 129, Digest: digestOf(req), Req: req}
 	master := []byte("golden master key")
 	ids := []string{"s0/peer0", "s0/peer1", "s0/peer2", "s0/peer3"}
 	want := wiretest.Golden(t, "testdata/preprepare.hex", sealFrom(master, ids, ids[1], msgPrePrepare, pp))
@@ -103,7 +153,7 @@ func TestPrePrepareGolden(t *testing.T) {
 		if !ok {
 			continue
 		}
-		if dec, ok := decodePrePrepare(body); !ok || !reflect.DeepEqual(dec, pp) || digestOf(dec.Batch) != dec.Digest {
+		if dec, ok := decodePrePrepare(body); !ok || !reflect.DeepEqual(dec, pp) || digestOf(dec.Req) != dec.Digest {
 			t.Fatalf("golden body decodes to %+v (ok=%v)", dec, ok)
 		}
 	}
@@ -113,42 +163,39 @@ func TestPrePrepareGolden(t *testing.T) {
 // journal (pbRecord.Digest), and the envelope is in none — WAL records
 // and snapshots hold requests, digests and views, never a payload — so
 // changing the envelope leaves dataFormat where it is as long as this
-// digest holds still.
+// digest holds still. It is the digest inside preprepare.hex.
 func TestDigestGolden(t *testing.T) {
-	batch := []Request{{Client: "chain/s0/0a1b", Seq: 300, Op: []byte("pbB2\x01\x02op")}, {}}
-	d := digestOf(batch)
+	d := digestOf(&Request{Client: "chain/s0/0a1b", Seq: 300, Op: []byte("pbB2\x01\x02op")})
 	wiretest.Golden(t, "testdata/digest.hex", d[:])
 }
 
 // TestDigestInjective: the digest covers length-prefixed fields, so
-// moving a byte across a field or a request boundary changes it.
+// moving a byte across a field boundary changes it, and a null fill's
+// digest is no request's.
 func TestDigestInjective(t *testing.T) {
-	req := func(client string, seq uint64, op string) Request {
-		return Request{Client: client, Seq: seq, Op: []byte(op)}
+	req := func(client string, seq uint64, op string) *Request {
+		return &Request{Client: client, Seq: seq, Op: []byte(op)}
 	}
-	batches := map[string][]Request{
-		"ab|1|c":              {req("ab", 1, "c")},
-		"a|1|bc":              {req("a", 1, "bc")},
-		"abc|1|":              {req("abc", 1, "")},
-		"|1|abc":              {req("", 1, "abc")},
-		"ab|2|c":              {req("ab", 2, "c")},
-		"ab|257|c":            {req("ab", 257, "c")},
-		"two requests":        {req("a", 1, "x"), req("a", 2, "y")},
-		"two, swapped":        {req("a", 2, "y"), req("a", 1, "x")},
-		"one, ops joined":     {req("a", 1, "xy")},
-		"one, second spliced": {req("a", 1, "x\x01a\x02\x01y")}, // the second request's encoding appended to the first's op
-		"empty request":       {req("", 0, "")},
-		"two empty requests":  {req("", 0, ""), req("", 0, "")},
-		"no request":          nil,
+	reqs := map[string]*Request{
+		"ab|1|c":        req("ab", 1, "c"),
+		"a|1|bc":        req("a", 1, "bc"),
+		"abc|1|":        req("abc", 1, ""),
+		"|1|abc":        req("", 1, "abc"),
+		"ab|2|c":        req("ab", 2, "c"),
+		"ab|257|c":      req("ab", 257, "c"),
+		"a|1|x":         req("a", 1, "x"),
+		"a|1|y":         req("a", 1, "y"),
+		"empty request": req("", 0, ""),
+		"no request":    nil,
 	}
 	seen := map[Digest]string{}
-	for name, b := range batches {
-		d := digestOf(b)
+	for name, r := range reqs {
+		d := digestOf(r)
 		if other, dup := seen[d]; dup {
 			t.Errorf("%q and %q share a digest", name, other)
 		}
 		seen[d] = name
-		if digestOf(b) != d {
+		if digestOf(r) != d {
 			t.Errorf("%q: digest not deterministic", name)
 		}
 	}
@@ -291,7 +338,7 @@ func FuzzDecodeMsg(f *testing.F) {
 		f.Add(uint8(i), append(append([]byte{}, body...), 0))
 		f.Add(uint8(i), []byte(nil))
 	}
-	f.Add(uint8(1), appendBody(nil, prePrepareMsg{Batch: []Request{{Op: frame64()}}}))
+	f.Add(uint8(1), appendBody(nil, prePrepareMsg{Req: &Request{Op: frame64()}}))
 	f.Add(uint8(1), append(append([]byte{0, 0}, make([]byte, 32)...), 0xff, 0xff, 0xff, 0xff, 0x0f)) // request count far beyond the input
 	f.Add(uint8(0), []byte{0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f})                                      // op length far beyond the input
 	f.Add(uint8(0), []byte{0x80, 0x00, 0, 0})                                                        // client length 0 spelled in two bytes
@@ -315,7 +362,7 @@ func FuzzDecodeMsg(f *testing.F) {
 // BenchmarkPBFTBroadcast12K is one 64-op pre-prepare crossing a
 // four-replica shard: the primary encodes it once and MACs its header
 // for three receivers ("seal"); each of the three opens its slot,
-// decodes the batch and hashes it against the digest ("open", all three
+// decodes the request and hashes it against the digest ("open", all three
 // per iteration).
 func BenchmarkPBFTBroadcast12K(b *testing.B) {
 	ids := []string{"p0", "p1", "p2", "p3"}
@@ -324,8 +371,8 @@ func BenchmarkPBFTBroadcast12K(b *testing.B) {
 	for j, id := range ids {
 		keys[j] = linkKey([]byte("master"), "p0", id)
 	}
-	batch := []Request{{Client: "chain/shard0/a1b2c3d4e5f6", Seq: 12345, Op: frame64()}}
-	pp := prePrepareMsg{View: 0, Seq: 12345, Digest: digestOf(batch), Batch: batch}
+	req := &Request{Client: "chain/shard0/a1b2c3d4e5f6", Seq: 12345, Op: frame64()}
+	pp := prePrepareMsg{View: 0, Seq: 12345, Digest: digestOf(req), Req: req}
 	seal := func() []byte {
 		payload := envelope(n, pp)
 		for j := 1; j < n; j++ {
@@ -350,7 +397,7 @@ func BenchmarkPBFTBroadcast12K(b *testing.B) {
 				if !ok {
 					b.Fatal("envelope rejected")
 				}
-				if sinkPP, ok = decodePrePrepare(body); !ok || digestOf(sinkPP.Batch) != sinkPP.Digest {
+				if sinkPP, ok = decodePrePrepare(body); !ok || digestOf(sinkPP.Req) != sinkPP.Digest {
 					b.Fatal("body rejected")
 				}
 			}
@@ -359,11 +406,11 @@ func BenchmarkPBFTBroadcast12K(b *testing.B) {
 }
 
 func BenchmarkDigestOf64(b *testing.B) {
-	batch := []Request{{Client: "chain/shard0/a1b2c3d4e5f6", Seq: 12345, Op: frame64()}}
+	req := &Request{Client: "chain/shard0/a1b2c3d4e5f6", Seq: 12345, Op: frame64()}
 	b.ReportAllocs()
-	b.SetBytes(int64(len(batch[0].Op)))
+	b.SetBytes(int64(len(req.Op)))
 	for i := 0; i < b.N; i++ {
-		sinkDigest = digestOf(batch)
+		sinkDigest = digestOf(req)
 	}
 }
 

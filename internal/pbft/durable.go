@@ -14,22 +14,22 @@ import (
 // Durable-mode journal records. PBFT's safety across crashes needs the
 // accepted pre-prepares and prepared certificates (they are what a
 // view-change quorum counts on), the view the replica is in (certs are
-// view-scoped), and the executed batches (so recovery replays the log
+// view-scoped), and the executed instances (so recovery replays the log
 // locally — including the client-seq dedup marks — and only
 // state-transfers the delta).
 const (
 	pbView = "v"  // view switch; Seq carries the new-view NextSeq
 	pbPP   = "pp" // accepted pre-prepare
 	pbCM   = "cm" // prepared certificate (commit vote sent)
-	pbEX   = "ex" // executed batch
+	pbEX   = "ex" // executed instance
 )
 
 type pbRecord struct {
-	K      string    `json:"k"`
-	View   uint64    `json:"v,omitempty"`
-	Seq    uint64    `json:"s,omitempty"`
-	Digest Digest    `json:"d,omitempty"`
-	Batch  []Request `json:"b,omitempty"`
+	K      string   `json:"k"`
+	View   uint64   `json:"v,omitempty"`
+	Seq    uint64   `json:"s,omitempty"`
+	Digest Digest   `json:"d,omitempty"`
+	Req    *Request `json:"r,omitempty"`
 }
 
 // pbSnapshot is a durable replica's snapshot: its state image, which
@@ -50,18 +50,15 @@ type pbSnapshot struct {
 }
 
 type pbInstSnap struct {
-	Seq         uint64    `json:"q"`
-	Digest      Digest    `json:"d,omitempty"`
-	Batch       []Request `json:"b,omitempty"`
-	PrePrepared bool      `json:"pp,omitempty"`
-	Committed   bool      `json:"cm,omitempty"`
-	CertSet     bool      `json:"cs,omitempty"`
-	CertView    uint64    `json:"cv,omitempty"`
-	CertDigest  Digest    `json:"cd,omitempty"`
-	CertBatch   []Request `json:"cb,omitempty"`
+	Seq         uint64         `json:"q"`
+	Digest      Digest         `json:"d,omitempty"`
+	Req         *Request       `json:"r,omitempty"`
+	PrePrepared bool           `json:"pp,omitempty"`
+	Committed   bool           `json:"cm,omitempty"`
+	Cert        *prePrepareMsg `json:"c,omitempty"`
 }
 
-const pbSnapFormat = "prever/pbft/snap/v2"
+const pbSnapFormat = "prever/pbft/snap/v3"
 
 // dataFormat is the FORMAT stamp of a durable replica's directory. It
 // covers everything the journal and snapshots hold that is not JSON of
@@ -71,8 +68,9 @@ const pbSnapFormat = "prever/pbft/snap/v2"
 // change to any of them bumps it; there is no reading across versions.
 // v1 is the unstamped layout: JSON-hashed digests, "pbB1" frames, JSON
 // transactions. v2 held chain's peer image as JSON blocks; v3 holds it
-// as the block store's own bytes (chain/snapshot.go).
-const dataFormat = "prever/pbft/data/v3"
+// as the block store's own bytes (chain/snapshot.go). v4 journals and
+// snapshots an instance's one request where v3 held a request list.
+const dataFormat = "prever/pbft/data/v4"
 
 // DefaultSnapshotEvery is the executed-sequence cadence between
 // snapshots when DurableOptions leaves SnapshotEvery zero.
@@ -95,7 +93,7 @@ type DurableOptions struct {
 
 // NewDurableReplica creates a PBFT replica whose protocol-critical state
 // survives crashes: accepted pre-prepares, prepared certificates, view
-// switches, and executed batches are journaled to a WAL in d.Dir
+// switches, and executed instances are journaled to a WAL in d.Dir
 // (fsynced before the corresponding vote or client wake-up), with
 // periodic snapshots bounding the journal tail. Opening an existing
 // directory recovers — snapshot, then record replay (re-executing the
@@ -164,13 +162,10 @@ func (r *Replica) recoverFromDisk(rec *wal.Recovery) error {
 			}
 			inst := r.instLocked(is.Seq)
 			inst.digest = is.Digest
-			inst.batch = is.Batch
+			inst.req = is.Req
 			inst.prePrepared = is.PrePrepared
 			inst.committed = is.Committed
-			inst.certSet = is.CertSet
-			inst.certView = is.CertView
-			inst.certDigest = is.CertDigest
-			inst.certBatch = is.CertBatch
+			inst.cert = is.Cert
 			if is.Seq >= r.nextSeq {
 				r.nextSeq = is.Seq + 1
 			}
@@ -209,7 +204,7 @@ func (r *Replica) recoverFromDisk(rec *wal.Recovery) error {
 			}
 			inst.prePrepared = true
 			inst.digest = pr.Digest
-			inst.batch = pr.Batch
+			inst.req = pr.Req
 			if pr.Seq >= r.nextSeq {
 				r.nextSeq = pr.Seq + 1
 			}
@@ -223,12 +218,12 @@ func (r *Replica) recoverFromDisk(rec *wal.Recovery) error {
 			}
 			// The prepared certificate survives (committed suppresses a
 			// duplicate commit vote in the recovered view; the sticky cert
-			// keeps the batch in view-change messages across later views);
+			// keeps the instance in view-change messages across later views);
 			// quorum counts are volatile and rebuilt by the live protocol.
 			// decided stays false: a recovered cert proves this replica's
 			// vote, not a counted 2f+1 commit quorum.
 			inst.committed = true
-			inst.setCertLocked(pr.View)
+			inst.setCertLocked(pr.Seq, pr.View)
 		case pbEX:
 			if pr.Seq != r.execSeq {
 				break // exec records are journaled in execution order
@@ -253,20 +248,15 @@ func (r *Replica) reexecuteRecovered(pr pbRecord) {
 	inst.executed = true
 	inst.prePrepared = true
 	inst.digest = pr.Digest
-	inst.batch = pr.Batch
+	inst.req = pr.Req
 	inst.committed = true
 	r.execSeq = pr.Seq + 1
-	r.execLog[pr.Seq] = execEntry{Seq: pr.Seq, Digest: pr.Digest, Batch: pr.Batch}
-	fresh := pr.Batch[:0:0]
-	for _, req := range pr.Batch {
-		if r.executedR[req.key()] {
-			continue
-		}
+	r.execLog[pr.Seq] = prePrepareMsg{Seq: pr.Seq, Digest: pr.Digest, Req: pr.Req}
+	if req := pr.Req; req != nil && !r.executedR[req.key()] {
 		r.executedR[req.key()] = true
-		fresh = append(fresh, req)
-	}
-	if r.apply != nil && len(fresh) > 0 {
-		r.apply(pr.Seq, fresh)
+		if r.apply != nil {
+			r.apply(pr.Seq, *req)
+		}
 	}
 }
 
@@ -330,19 +320,16 @@ func (r *Replica) writeSnapshotLocked(img stateImage) {
 	}
 	snap := pbSnapshot{Format: pbSnapFormat, View: r.view, stateImage: img, Stable: r.stable}
 	for seq, inst := range r.insts {
-		if inst.executed || seq < r.execSeq || (!inst.prePrepared && !inst.certSet) {
+		if inst.executed || seq < r.execSeq || (!inst.prePrepared && inst.cert == nil) {
 			continue
 		}
 		snap.Insts = append(snap.Insts, pbInstSnap{
 			Seq:         seq,
 			Digest:      inst.digest,
-			Batch:       inst.batch,
+			Req:         inst.req,
 			PrePrepared: inst.prePrepared,
 			Committed:   inst.committed,
-			CertSet:     inst.certSet,
-			CertView:    inst.certView,
-			CertDigest:  inst.certDigest,
-			CertBatch:   inst.certBatch,
+			Cert:        inst.cert,
 		})
 	}
 	sort.Slice(snap.Insts, func(i, j int) bool { return snap.Insts[i].Seq < snap.Insts[j].Seq })
@@ -379,7 +366,7 @@ func (r *Replica) installLocked(img *stateImage) error {
 		r.nextSeq = img.ExecSeq
 	}
 	r.executedR = executed
-	r.execLog = make(map[uint64]execEntry)
+	r.execLog = make(map[uint64]prePrepareMsg)
 	for seq := range r.insts {
 		if seq < r.execSeq {
 			delete(r.insts, seq)

@@ -13,19 +13,17 @@ import (
 	"prever/internal/netsim"
 )
 
-// durableSeqApp records applied batches in order and round-trips itself
+// durableSeqApp records applied requests in order and round-trips itself
 // through a Snapshotter blob.
 type durableSeqApp struct {
 	mu  sync.Mutex
 	Ops []string `json:"ops"`
 }
 
-func (a *durableSeqApp) apply(seq uint64, batch []Request) {
+func (a *durableSeqApp) apply(seq uint64, req Request) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for _, req := range batch {
-		a.Ops = append(a.Ops, string(req.Op))
-	}
+	a.Ops = append(a.Ops, string(req.Op))
 }
 
 func (a *durableSeqApp) Snapshot() ([]byte, error) {
@@ -465,7 +463,7 @@ func TestAdoptedImageKeepsPreparedCert(t *testing.T) {
 	r.mu.Lock()
 	inst := r.insts[5]
 	r.mu.Unlock()
-	if r.Executed() != 4 || inst == nil || !inst.certSet || inst.certDigest != pp.Digest {
+	if r.Executed() != 4 || inst == nil || inst.cert == nil || inst.cert.Digest != pp.Digest {
 		t.Fatalf("recovered p3 at %d holds instance 5 as %+v, want its prepared certificate", r.Executed(), inst)
 	}
 }
@@ -478,12 +476,13 @@ func FuzzStateRep(f *testing.F) {
 	pp := onePrePrepare(0)
 	for _, rep := range []stateRepMsg{
 		{Snap: &img, View: 2},
-		{Entries: []execEntry{{Seq: 0, Digest: pp.Digest, Batch: pp.Batch}}},
+		{Entries: []prePrepareMsg{pp}},
 		{Snap: &stateImage{ExecSeq: 4, App: []byte("not json")}},
 	} {
 		f.Add(appendBody(nil, rep))
 	}
-	f.Add([]byte(`{"entries":[{"seq":0,"batch":null}],"snap":{"execSeq":18446744073709551615}}`))
+	f.Add([]byte(`{"entries":[{"seq":0,"req":null}],"snap":{"execSeq":18446744073709551615}}`))
+	f.Add([]byte(`{"entries":[` + twoRequestEntry(0) + `]}`))
 	f.Add([]byte(`{"snap":null,"view":1}`))
 	f.Add([]byte("{"))
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -507,14 +506,15 @@ func FuzzColdBodies(f *testing.F) {
 	pp := onePrePrepare(0)
 	pp.View = 1
 	for _, v := range []any{
-		viewChangeMsg{NewView: 1, Exec: 3, Prepared: []preparedEntry{{Digest: pp.Digest, Batch: pp.Batch}}},
+		viewChangeMsg{NewView: 1, Exec: 3, Prepared: []prePrepareMsg{pp}},
 		newViewMsg{View: 1, PrePrepares: []prePrepareMsg{pp}, NextSeq: 1},
 		stateReqMsg{View: 5},
 	} {
 		f.Add(byte(1), appendBody(nil, v))
 	}
 	f.Add(byte(2), []byte(`{"view":2,"newView":2,"nextSeq":18446744073709551615}`))
-	f.Add(byte(0), []byte(`{"newView":3,"prepared":[{"seq":1,"batch":null}]}`))
+	f.Add(byte(0), []byte(`{"newView":3,"prepared":[{"seq":1,"req":null}]}`))
+	f.Add(byte(1), []byte(`{"newView":1,"exec":3,"prepared":[`+twoRequestEntry(0)+`]}`))
 	f.Add(byte(1), []byte(`{"view":1,"preprepares":[null]}`))
 	f.Add(byte(1), []byte("null"))
 	f.Add(byte(1), []byte("{"))

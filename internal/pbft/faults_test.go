@@ -21,7 +21,7 @@ func TestLateTimerDoesNotTriggerSpuriousViewChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := Request{Client: "cli", Seq: 1, Op: []byte("op-1")}
-	d := digestOf([]Request{req})
+	d := digestOf(&req)
 	// Simulate the timer losing the race with execution: the AfterFunc
 	// fires late, after the request executed and Stop was called.
 	backup.onViewChangeTimeout(d, req)
@@ -169,8 +169,8 @@ func TestLatePrePrepareBelowStableCheckpoint(t *testing.T) {
 		r.handle(netsim.Message{From: from, To: "p3", Type: msgType, Payload: sealFrom(clusterKey, ids, from, msgType, m)})
 	}
 	prePrepare := func(seq uint64) prePrepareMsg {
-		pp := prePrepareMsg{Seq: seq, Batch: []Request{{Client: "c", Seq: seq, Op: []byte("op")}}}
-		pp.Digest = digestOf(pp.Batch)
+		pp := prePrepareMsg{Seq: seq, Req: &Request{Client: "c", Seq: seq, Op: []byte("op")}}
+		pp.Digest = digestOf(pp.Req)
 		return pp
 	}
 	votes := func(pp prePrepareMsg) {

@@ -2,16 +2,16 @@
 // (Castro & Liskov, OSDI '99) over the simulated network: the three-phase
 // pre-prepare / prepare / commit protocol, checkpointing, and a
 // view-change protocol that recovers prepared-but-unexecuted requests
-// under a new primary. The primary proposes one request per instance;
-// batching happens upstream, in internal/mempool, whose framed batch
-// rides as one request.
+// under a new primary. An instance orders one request, or none (a view
+// change's null fill); batching happens upstream, in internal/mempool,
+// whose framed batch rides as one request.
 //
 // Messages are authenticated as the paper does it: each broadcast is
 // encoded once into an envelope carrying one HMAC per receiver over the
 // message type and header (for a pre-prepare, the digest, not the
-// batch), and every receiver gets the same bytes. A vote counts for the
+// request), and every receiver gets the same bytes. A vote counts for the
 // replica whose key authenticated it, never for a name in its body. A
-// backup hashes a pre-prepare's batch once, against the authenticated
+// backup hashes a pre-prepare's request once, against the authenticated
 // digest, and that digest is what the instance carries to execution.
 //
 // PReVer uses PBFT twice: as the standard BFT baseline the paper prescribes
@@ -55,14 +55,18 @@ type Request struct {
 	Op     []byte `json:"op"`
 }
 
-// Digest identifies a request batch.
+// Digest identifies an instance's request (digestOf).
 type Digest [32]byte
 
+// prePrepareMsg is one instance: the request ordered at Seq, or none for
+// a view change's null fill. It is also how a view change carries a
+// prepared certificate (View is the view it prepared in) and how a state
+// reply carries an executed instance (View 0).
 type prePrepareMsg struct {
-	View   uint64    `json:"view"`
-	Seq    uint64    `json:"seq"`
-	Digest Digest    `json:"digest"`
-	Batch  []Request `json:"batch"`
+	View   uint64   `json:"view"`
+	Seq    uint64   `json:"seq"`
+	Digest Digest   `json:"digest"`
+	Req    *Request `json:"req,omitempty"`
 }
 
 // The votes name no replica: each counts for its authenticated sender.
@@ -83,19 +87,10 @@ type checkpointMsg struct {
 	State Digest `json:"state"`
 }
 
-// preparedEntry carries a prepared batch inside a view-change message so
-// the new primary can re-propose it.
-type preparedEntry struct {
-	Seq    uint64    `json:"seq"`
-	View   uint64    `json:"view"`
-	Digest Digest    `json:"digest"`
-	Batch  []Request `json:"batch"`
-}
-
 type viewChangeMsg struct {
 	NewView  uint64          `json:"newView"`
 	Stable   uint64          `json:"stable"`
-	Prepared []preparedEntry `json:"prepared,omitempty"`
+	Prepared []prePrepareMsg `json:"prepared,omitempty"`
 	// Exec is the sender's executed floor. A recovered replica holds no
 	// prepared certificates below its snapshot floor (they were compacted
 	// into the snapshot), so the new primary cannot take an absent
@@ -111,25 +106,18 @@ type newViewMsg struct {
 	NextSeq     uint64          `json:"nextSeq"`
 }
 
-// stateReqMsg asks peers for the executed batches from Have upward —
+// stateReqMsg asks peers for the executed instances from Have upward —
 // the checkpoint/state-transfer pull a restarted replica uses to catch up.
 type stateReqMsg struct {
 	Have uint64 `json:"have"`
 	View uint64 `json:"view,omitempty"` // requester's view, so peers ahead reply even with no entries
 }
 
-// execEntry is one executed batch in a state-transfer reply.
-type execEntry struct {
-	Seq    uint64    `json:"seq"`
-	Digest Digest    `json:"digest"`
-	Batch  []Request `json:"batch"`
-}
-
 // stateImage is a replica's state at ExecSeq: its client-dedup keys and
 // its application's blob. A durable replica's snapshot holds one
 // (pbSnapshot embeds it), and state transfer offers it to a replica too
 // far behind to be caught up entry by entry — a recovered replica holds
-// executed batches only above its own snapshot. Snapshots fall on
+// executed instances only above its own snapshot. Snapshots fall on
 // multiples of SnapshotEvery and both parts are deterministic (sorted
 // keys, canonical blob), so honest replicas' images at one sequence are
 // the same bytes, and f+1 senders agreeing on one prove that at least
@@ -141,8 +129,8 @@ type stateImage struct {
 }
 
 type stateRepMsg struct {
-	Entries []execEntry `json:"entries,omitempty"`
-	Snap    *stateImage `json:"snap,omitempty"`
+	Entries []prePrepareMsg `json:"entries,omitempty"`
+	Snap    *stateImage     `json:"snap,omitempty"`
 	// View is the sender's current view: state transfer doubles as view
 	// synchronization. A replica that was down when a new-view message
 	// was broadcast has no other way to learn the cluster moved on — it
@@ -150,8 +138,10 @@ type stateRepMsg struct {
 	View uint64 `json:"view,omitempty"`
 }
 
-// Applier is called once per executed batch, in sequence order.
-type Applier func(seq uint64, batch []Request)
+// Applier is called once per executed request, in sequence order: never
+// for a view change's null fill, nor for a request executed before (a
+// client's retry that a primary ordered again).
+type Applier func(seq uint64, req Request)
 
 // Options tunes a replica.
 type Options struct {
@@ -171,41 +161,38 @@ func (o *Options) withDefaults() {
 // instState tracks one (view, seq) consensus instance.
 type instState struct {
 	digest      Digest
-	batch       []Request
+	req         *Request
 	prePrepared bool
 	prepares    map[string]bool
 	commits     map[string]bool
 	committed   bool
 	executed    bool
-	// decided is set when 2f+1 commit votes were counted live: the batch
+	// decided is set when 2f+1 commit votes were counted live: the request
 	// is irrevocably committed at this sequence cluster-wide. Unlike
 	// committed (= locally prepared, a view-scoped vote), decided is
 	// final — it survives view changes and is safe to hand to peers in
 	// state-transfer replies. Never set during WAL recovery (a recovered
 	// prepared certificate proves a vote, not a decision).
 	decided bool
-	// The prepared certificate, recorded when this replica prepares the
-	// batch and kept until the sequence is checkpointed away. It is
-	// deliberately separate from the per-view vote state above: votes
-	// reset on every view entry, but the certificate must keep appearing
-	// in this replica's view-change messages until a checkpoint covers
-	// the sequence — a cert reported only in the first view change after
-	// preparing would vanish if that view's re-proposal stalled, and the
-	// next primary would null-fill a sequence some replica already
-	// executed and acked.
-	certSet    bool
-	certView   uint64
-	certDigest Digest
-	certBatch  []Request
+	// cert is the prepared certificate, recorded when this replica
+	// prepares the instance and kept until the sequence is checkpointed
+	// away; nil before. It is deliberately separate from the per-view
+	// vote state above: votes reset on every view entry, but the
+	// certificate must keep appearing in this replica's view-change
+	// messages until a checkpoint covers the sequence — a cert reported
+	// only in the first view change after preparing would vanish if that
+	// view's re-proposal stalled, and the next primary would null-fill a
+	// sequence some replica already executed and acked.
+	cert *prePrepareMsg
 }
 
 // setCertLocked records (or refreshes, in a later view) the prepared
-// certificate for this instance.
-func (inst *instState) setCertLocked(view uint64) {
-	inst.certSet = true
-	inst.certView = view
-	inst.certDigest = inst.digest
-	inst.certBatch = inst.batch
+// certificate for instance seq. A decided instance calls it on every
+// later commit vote, which leaves the certificate as it is.
+func (inst *instState) setCertLocked(seq, view uint64) {
+	if c := inst.cert; c == nil || c.View != view || c.Digest != inst.digest {
+		inst.cert = &prePrepareMsg{View: view, Seq: seq, Digest: inst.digest, Req: inst.req}
+	}
 }
 
 // resetVotesLocked clears the per-view vote state on view entry while
@@ -248,10 +235,10 @@ type Replica struct {
 	vcTarget   uint64 // highest view this replica has voted a view change for
 	vcSolo     int    // timeouts spent in a view change without f+1 support
 	vcTimers   map[Digest]*vcTimer
-	execLog    map[uint64]execEntry            // executed batches, served to restarted peers
-	stateVotes map[uint64]map[string]execEntry // state-transfer replies per seq, per sender
-	imgVotes   map[string]*imgVote             // state-image offers per image digest
-	viewClaims map[string]uint64               // views peers advertised in state replies (view sync)
+	execLog    map[uint64]prePrepareMsg            // executed instances, served to restarted peers
+	stateVotes map[uint64]map[string]prePrepareMsg // state-transfer replies per seq, per sender
+	imgVotes   map[string]*imgVote                 // state-image offers per image digest
+	viewClaims map[string]uint64                   // views peers advertised in state replies (view sync)
 
 	// Durability (nil log == in-memory mode; see durable.go). applying
 	// counts executions whose Applier call is in flight outside mu —
@@ -325,8 +312,8 @@ func newReplica(net *netsim.Network, id string, ids []string, f int, apply Appli
 		vcs:        make(map[uint64]map[string]viewChangeMsg),
 		nvHeld:     make(map[string]newViewMsg),
 		vcTimers:   make(map[Digest]*vcTimer),
-		execLog:    make(map[uint64]execEntry),
-		stateVotes: make(map[uint64]map[string]execEntry),
+		execLog:    make(map[uint64]prePrepareMsg),
+		stateVotes: make(map[uint64]map[string]prePrepareMsg),
 		sendKeys:   make(map[string]*macKey, len(ids)),
 		recvKeys:   make(map[string]*macKey, len(ids)),
 	}
@@ -446,7 +433,7 @@ func (r *Replica) Submit(client string, clientSeq uint64, op []byte, timeout tim
 // before any of them commits.
 func (r *Replica) SubmitAsync(client string, clientSeq uint64, op []byte) <-chan struct{} {
 	req := Request{Client: client, Seq: clientSeq, Op: op}
-	d := digestOf([]Request{req})
+	d := digestOf(&req)
 	done := make(chan struct{})
 
 	r.mu.Lock()
@@ -487,7 +474,7 @@ type reqKey struct {
 func (req Request) key() reqKey { return reqKey{req.Client, req.Seq} }
 
 // armViewChangeTimerLocked starts a timer that triggers a view change if
-// the request does not execute in time. d is digestOf([]Request{req}),
+// the request does not execute in time. d is digestOf(&req),
 // which every caller already holds.
 func (r *Replica) armViewChangeTimerLocked(d Digest, req Request) {
 	if _, ok := r.vcTimers[d]; ok {
@@ -572,43 +559,35 @@ func (r *Replica) onViewChangeTimeout(d Digest, req Request) {
 	r.broadcast(msgViewChange, vc)
 }
 
-// inFlightLocked reports whether req sits in the batch of an un-executed
+// inFlightLocked reports whether req is the request of an un-executed
 // instance — i.e. it has been proposed and is waiting on votes, so
 // proposing it again would be futile.
 func (r *Replica) inFlightLocked(req Request) bool {
 	k := req.key()
 	for _, inst := range r.insts {
-		if inst.executed || !inst.prePrepared {
-			continue
-		}
-		for _, b := range inst.batch {
-			if b.key() == k {
-				return true
-			}
+		if !inst.executed && inst.prePrepared && inst.req != nil && inst.req.key() == k {
+			return true
 		}
 	}
 	return false
 }
 
 // proposeLocked assigns req the next sequence and runs pre-prepare; d is
-// digestOf([]Request{req}). The primary proposes each request the moment
-// it admits it: grouping operations into one request is the mempool's
-// job, upstream of the client. (The wire and WAL shape stays a request
-// list: a view change's null fill is the empty one, and state transfer
-// re-serves whatever list an instance committed.)
+// digestOf(&req). The primary proposes each request the moment it admits
+// it: grouping operations into one request is the mempool's job,
+// upstream of the client.
 func (r *Replica) proposeLocked(d Digest, req Request) {
-	batch := []Request{req}
 	seq := r.nextSeq
 	r.nextSeq++
-	pp := prePrepareMsg{View: r.view, Seq: seq, Digest: d, Batch: batch}
+	pp := prePrepareMsg{View: r.view, Seq: seq, Digest: d, Req: &req}
 	inst := r.instLocked(seq)
-	inst.digest = pp.Digest
-	inst.batch = batch
+	inst.digest = d
+	inst.req = pp.Req
 	inst.prePrepared = true
 	// fsync point: the sequence assignment must be durable before the
-	// pre-prepare leaves the primary. On failure the batch is dropped —
+	// pre-prepare leaves the primary. On failure the request is dropped —
 	// clients retry and the watchdogs recover liveness.
-	if !r.journalLocked(pbRecord{K: pbPP, View: r.view, Seq: seq, Digest: pp.Digest, Batch: batch}) {
+	if !r.journalLocked(pbRecord{K: pbPP, View: r.view, Seq: seq, Digest: d, Req: pp.Req}) {
 		return
 	}
 	// The pre-prepare is the primary's prepare: it sends no other.
@@ -683,7 +662,7 @@ func (r *Replica) handle(m netsim.Message) {
 }
 
 func (r *Replica) onRequest(req Request) {
-	d := digestOf([]Request{req})
+	d := digestOf(&req)
 	r.mu.Lock()
 	if r.executedR[req.key()] {
 		r.mu.Unlock()
@@ -708,21 +687,21 @@ func (r *Replica) onRequest(req Request) {
 }
 
 // onPrePrepare accepts a pre-prepare whose MAC authenticated its header
-// only: the batch is hashed here, once, against the digest, and from
-// then on the instance's digest stands for the batch.
+// only: the request is hashed here, once, against the digest, and from
+// then on the instance's digest stands for the request.
 func (r *Replica) onPrePrepare(from string, pp prePrepareMsg) {
 	// The cheap checks come before the hash, so a replica that is not the
-	// current primary cannot make its peers hash batches for nothing.
+	// current primary cannot make its peers hash requests for nothing.
 	// The view is checked again under the lock below: it may move while
-	// the batch is hashed.
+	// the request is hashed.
 	r.mu.Lock()
 	current := pp.View == r.view && !r.inVC
 	r.mu.Unlock()
 	if !current || from != r.primaryOf(pp.View) {
 		return // only the current view's primary may pre-prepare
 	}
-	if digestOf(pp.Batch) != pp.Digest {
-		return // digest mismatch: Byzantine primary, or a batch altered in flight
+	if digestOf(pp.Req) != pp.Digest {
+		return // digest mismatch: Byzantine primary, or a request altered in flight
 	}
 	r.mu.Lock()
 	if pp.View != r.view || r.inVC {
@@ -736,13 +715,13 @@ func (r *Replica) onPrePrepare(from string, pp prePrepareMsg) {
 	}
 	inst.prePrepared = true
 	inst.digest = pp.Digest
-	inst.batch = pp.Batch
+	inst.req = pp.Req
 	if pp.Seq >= r.nextSeq {
 		r.nextSeq = pp.Seq + 1
 	}
 	// fsync point: the accepted pre-prepare must be durable before this
 	// replica's prepare vote is sent.
-	if !r.journalLocked(pbRecord{K: pbPP, View: pp.View, Seq: pp.Seq, Digest: pp.Digest, Batch: pp.Batch}) {
+	if !r.journalLocked(pbRecord{K: pbPP, View: pp.View, Seq: pp.Seq, Digest: pp.Digest, Req: pp.Req}) {
 		r.mu.Unlock()
 		return
 	}
@@ -783,7 +762,7 @@ func (r *Replica) maybeCommitLocked(seq uint64) {
 		return
 	}
 	inst.committed = true // locally "prepared"; send commit once
-	inst.setCertLocked(r.view)
+	inst.setCertLocked(seq, r.view)
 	// fsync point: the prepared certificate must be durable before the
 	// commit vote — a view change counts on recovered replicas still
 	// holding their certificates. On failure the replica stays silent.
@@ -795,7 +774,7 @@ func (r *Replica) maybeCommitLocked(seq uint64) {
 	r.broadcast(msgCommit, c)
 	r.mu.Lock()
 	inst.commits[r.id] = true
-	r.markDecidedLocked(inst)
+	r.markDecidedLocked(seq, inst)
 	r.maybeExecuteLocked()
 }
 
@@ -810,7 +789,7 @@ func (r *Replica) onCommit(from string, c commitMsg) {
 		return
 	}
 	inst.commits[from] = true
-	r.markDecidedLocked(inst)
+	r.markDecidedLocked(c.Seq, inst)
 	r.maybeExecuteLocked()
 }
 
@@ -819,27 +798,27 @@ func (r *Replica) onCommit(from string, c commitMsg) {
 // (not in maybeExecuteLocked) because instances above an execution gap
 // reach quorum without executing — exactly the ones that must survive a
 // view change and be servable to recovering peers.
-func (r *Replica) markDecidedLocked(inst *instState) {
+func (r *Replica) markDecidedLocked(seq uint64, inst *instState) {
 	if inst.prePrepared && len(inst.commits) >= r.commitQuorum() {
 		inst.decided = true
 		// A decided digest is final, so it is also a valid certificate
 		// even if this replica never reached its own prepare quorum.
-		inst.setCertLocked(r.view)
+		inst.setCertLocked(seq, r.view)
 	}
 }
 
 // maybeExecuteLocked executes, in sequence order, each next instance
 // that committed here or that f+1 state-transfer senders agree on (at
-// least one of them is honest, so the batch is the one the cluster
+// least one of them is honest, so the request is the one the cluster
 // committed). A durable replica executes nothing past a multiple of
 // snapEvery while an apply is in flight: the last apply to return takes
 // that point's snapshot (maybeSnapshotLocked), so none is skipped.
 func (r *Replica) maybeExecuteLocked() {
 	for r.log == nil || r.applying == 0 || r.execSeq%r.snapEvery != 0 {
 		if inst, ok := r.insts[r.execSeq]; ok && !inst.executed && inst.prePrepared && len(inst.commits) >= r.commitQuorum() {
-			r.executeInstanceLocked(r.execSeq, inst.digest, inst.batch)
+			r.executeInstanceLocked(r.execSeq, inst.digest, inst.req)
 		} else if e, ok := r.vouchedLocked(); ok {
-			r.executeInstanceLocked(e.Seq, e.Digest, e.Batch)
+			r.executeInstanceLocked(e.Seq, e.Digest, e.Req)
 		} else {
 			return
 		}
@@ -848,7 +827,7 @@ func (r *Replica) maybeExecuteLocked() {
 
 // vouchedLocked returns the state-transfer entry for execSeq that f+1
 // senders agree on.
-func (r *Replica) vouchedLocked() (execEntry, bool) {
+func (r *Replica) vouchedLocked() (prePrepareMsg, bool) {
 	votes := r.stateVotes[r.execSeq]
 	for _, e := range votes {
 		n := 0
@@ -861,61 +840,53 @@ func (r *Replica) vouchedLocked() (execEntry, bool) {
 			return e, true
 		}
 	}
-	return execEntry{}, false
+	return prePrepareMsg{}, false
 }
 
-// executeInstanceLocked executes one batch at r.execSeq: it records the
-// instance as executed, appends to the exec log (served to restarted
-// peers), dedups against executed client requests, applies, and wakes
-// waiters. The mutex is released around the Applier call and re-held on
-// return. Both the normal commit path and state-transfer catch-up land
-// here, so a sequence can never execute twice. digest is digestOf(batch)
-// on every path (computed by the proposer, checked by onPrePrepare,
-// onViewChange and onStateRep, or read back from this replica's own
-// journal), so a one-request batch's digest is its request's.
-func (r *Replica) executeInstanceLocked(seq uint64, digest Digest, batch []Request) {
+// executeInstanceLocked executes one instance at r.execSeq: it records
+// it as executed, appends to the exec log (served to restarted peers),
+// dedups its request against executed client requests, applies it, and
+// wakes its waiters. The mutex is released around the Applier call and
+// re-held on return. Both the normal commit path and state-transfer
+// catch-up land here, so a sequence can never execute twice. digest is
+// digestOf(req) on every path (computed by the proposer, checked by
+// onPrePrepare, onViewChange and onStateRep, or read back from this
+// replica's own journal), so it is the key of req's waiters and timer.
+func (r *Replica) executeInstanceLocked(seq uint64, digest Digest, req *Request) {
 	inst := r.instLocked(seq)
 	inst.executed = true
 	inst.prePrepared = true
 	inst.digest = digest
-	inst.batch = batch
+	inst.req = req
 	r.execSeq = seq + 1
-	r.execLog[seq] = execEntry{Seq: seq, Digest: digest, Batch: batch}
+	r.execLog[seq] = prePrepareMsg{Seq: seq, Digest: digest, Req: req}
 	delete(r.stateVotes, seq)
-	// Dedup and record executed requests; wake waiters.
+	// A null fill, or a request executed before, applies and wakes nothing.
+	fresh := req != nil && !r.executedR[req.key()]
 	var wake []chan struct{}
-	fresh := batch[:0:0]
-	for _, req := range batch {
-		if r.executedR[req.key()] {
-			continue
-		}
+	if fresh {
 		r.executedR[req.key()] = true
-		fresh = append(fresh, req)
-		d := digest
-		if len(batch) > 1 {
-			d = digestOf([]Request{req})
-		}
-		wake = append(wake, r.waiters[d]...)
-		delete(r.waiters, d)
-		if vt, ok := r.vcTimers[d]; ok {
+		wake = r.waiters[digest]
+		delete(r.waiters, digest)
+		if vt, ok := r.vcTimers[digest]; ok {
 			vt.tmr.Stop()
-			delete(r.vcTimers, d)
+			delete(r.vcTimers, digest)
 		}
 	}
-	// fsync point: the executed batch (with its full request list — the
-	// dedup marks must replay identically) is journaled before any
-	// waiter is woken. A journal failure degrades to in-memory
-	// execution: the batch committed cluster-wide and is recoverable by
-	// state transfer. The outcome is kept to gate the checkpoint vote
-	// below — durable-before-send (DESIGN §4e) — and since pbEX is a
-	// tolerated kind (journalLocked returns true to keep executing),
-	// walFailed is consulted too.
-	durable := r.journalLocked(pbRecord{K: pbEX, Seq: seq, Digest: digest, Batch: batch}) && !r.walFailed
+	// fsync point: the executed instance (with its request — the dedup
+	// marks must replay identically) is journaled before any waiter is
+	// woken. A journal failure degrades to in-memory execution: the
+	// instance committed cluster-wide and is recoverable by state
+	// transfer. The outcome is kept to gate the checkpoint vote below —
+	// durable-before-send (DESIGN §4e) — and since pbEX is a tolerated
+	// kind (journalLocked returns true to keep executing), walFailed is
+	// consulted too.
+	durable := r.journalLocked(pbRecord{K: pbEX, Seq: seq, Digest: digest, Req: req}) && !r.walFailed
 	apply := r.apply
 	r.applying++
 	r.mu.Unlock()
-	if apply != nil && len(fresh) > 0 {
-		apply(seq, fresh)
+	if apply != nil && fresh {
+		apply(seq, *req)
 	}
 	for _, ch := range wake {
 		close(ch)
@@ -999,20 +970,19 @@ func (r *Replica) StartViewChange(newView uint64) {
 
 // preparedSetLocked collects the prepared certificates above the stable
 // checkpoint to hand to the next primary — including already-executed
-// batches, as in the paper's P set. Executed entries matter: the new
+// instances, as in the paper's P set. Executed entries matter: the new
 // primary null-fills every gap below its NextSeq, and a committed
 // sequence must appear in some certificate of any 2f+1 view-change
 // quorum or it could be overwritten with a no-op. Certificates come
 // from the sticky cert fields, not the per-view vote state: votes are
 // wiped on every view entry, and a certificate must keep being
 // reported for as long as a failed view-change cascade can keep asking.
-func (r *Replica) preparedSetLocked() []preparedEntry {
-	var out []preparedEntry
+func (r *Replica) preparedSetLocked() []prePrepareMsg {
+	var out []prePrepareMsg
 	for seq, inst := range r.insts {
-		if seq < r.stable || !inst.certSet {
-			continue
+		if seq >= r.stable && inst.cert != nil {
+			out = append(out, *inst.cert)
 		}
-		out = append(out, preparedEntry{Seq: seq, View: inst.certView, Digest: inst.certDigest, Batch: inst.certBatch})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
@@ -1057,7 +1027,7 @@ func (r *Replica) onViewChange(from string, vc viewChangeMsg) {
 		return
 	}
 	// Become primary of the new view: re-propose the union of prepared
-	// batches under the new view, and null-fill every other sequence
+	// certificates under the new view, and null-fill every other sequence
 	// between the quorum's high-water floor and NextSeq. Without the
 	// fill, a sequence a crashed primary assigned but nobody prepared
 	// becomes a permanent gap that wedges execution forever. A filled
@@ -1069,7 +1039,7 @@ func (r *Replica) onViewChange(from string, vc viewChangeMsg) {
 	// hold no certificates for snapshotted history — so the floor also
 	// lifts base: those sequences are served by state transfer, never
 	// filled.
-	adopt := map[uint64]preparedEntry{}
+	adopt := map[uint64]prePrepareMsg{}
 	base := r.stable
 	if r.execSeq > base {
 		base = r.execSeq
@@ -1083,8 +1053,8 @@ func (r *Replica) onViewChange(from string, vc viewChangeMsg) {
 			base = v.Exec
 		}
 		for _, pe := range v.Prepared {
-			if digestOf(pe.Batch) != pe.Digest {
-				continue // not a certificate for any batch: a Byzantine voter's
+			if digestOf(pe.Req) != pe.Digest {
+				continue // not a certificate for any request: a Byzantine voter's
 			}
 			cur, ok := adopt[pe.Seq]
 			if !ok || cur.View < pe.View {
@@ -1103,7 +1073,8 @@ func (r *Replica) onViewChange(from string, vc viewChangeMsg) {
 		if pe.Seq < base {
 			continue // covered by a stable checkpoint; state transfer serves it
 		}
-		nv.PrePrepares = append(nv.PrePrepares, prePrepareMsg{View: vc.NewView, Seq: pe.Seq, Digest: pe.Digest, Batch: pe.Batch})
+		pe.View = vc.NewView
+		nv.PrePrepares = append(nv.PrePrepares, pe)
 	}
 	for seq := base; seq < maxSeq; seq++ {
 		if _, ok := adopt[seq]; ok {
@@ -1121,14 +1092,14 @@ func (r *Replica) onViewChange(from string, vc viewChangeMsg) {
 	}
 	// Propose every request this replica was merely watching as a backup.
 	// Executed-request dedup makes overlap with a re-proposed prepared
-	// batch harmless, but a request in nobody's batch has no other way
+	// request harmless, but a request in no instance has no other way
 	// into the new view.
 	for _, req := range revive {
 		r.onRequest(req)
 	}
 }
 
-// reproposeAsPrimary replays a prepared batch under the new view.
+// reproposeAsPrimary replays a prepared instance under the new view.
 func (r *Replica) reproposeAsPrimary(pp prePrepareMsg) {
 	r.mu.Lock()
 	inst := r.instLocked(pp.Seq)
@@ -1144,8 +1115,8 @@ func (r *Replica) reproposeAsPrimary(pp prePrepareMsg) {
 	inst.resetVotesLocked()
 	inst.prePrepared = true
 	inst.digest = pp.Digest
-	inst.batch = pp.Batch
-	if !r.journalLocked(pbRecord{K: pbPP, View: pp.View, Seq: pp.Seq, Digest: pp.Digest, Batch: pp.Batch}) {
+	inst.req = pp.Req
+	if !r.journalLocked(pbRecord{K: pbPP, View: pp.View, Seq: pp.Seq, Digest: pp.Digest, Req: pp.Req}) {
 		r.mu.Unlock()
 		return
 	}
@@ -1303,7 +1274,7 @@ func (r *Replica) Restart() error {
 	return nil
 }
 
-// Sync asks all peers for executed batches at or above this replica's
+// Sync asks all peers for executed instances at or above this replica's
 // execution point. Replies are applied once f+1 replicas agree on a
 // sequence's digest, so no single Byzantine peer can poison catch-up.
 func (r *Replica) Sync() {
@@ -1323,10 +1294,10 @@ func (r *Replica) Sync() {
 	var revotes []commitMsg
 	for seq := r.execSeq; seq < r.nextSeq; seq++ {
 		inst, ok := r.insts[seq]
-		if !ok || inst.executed || !inst.certSet {
+		if !ok || inst.executed || inst.cert == nil {
 			continue
 		}
-		revotes = append(revotes, commitMsg{View: r.view, Seq: seq, Digest: inst.certDigest})
+		revotes = append(revotes, commitMsg{View: r.view, Seq: seq, Digest: inst.cert.Digest})
 		inst.commits[r.id] = true
 	}
 	view := r.view
@@ -1359,7 +1330,7 @@ func (r *Replica) onStateReq(from string, s stateReqMsg) {
 	// the f+1-sender threshold even when few peers retain a given range.
 	for seq, inst := range r.insts {
 		if seq >= s.Have && inst.decided && !inst.executed {
-			rep.Entries = append(rep.Entries, execEntry{Seq: seq, Digest: inst.digest, Batch: inst.batch})
+			rep.Entries = append(rep.Entries, prePrepareMsg{Seq: seq, Digest: inst.digest, Req: inst.req})
 		}
 	}
 	// Alongside whatever entries it retains, a durable replica offers the
@@ -1427,11 +1398,11 @@ func (r *Replica) onStateRep(from string, s stateRepMsg) {
 		r.recordImageLocked(from, s.Snap)
 	}
 	for _, e := range s.Entries {
-		if e.Seq < r.execSeq || digestOf(e.Batch) != e.Digest {
+		if e.Seq < r.execSeq || digestOf(e.Req) != e.Digest {
 			continue
 		}
 		if r.stateVotes[e.Seq] == nil {
-			r.stateVotes[e.Seq] = make(map[string]execEntry)
+			r.stateVotes[e.Seq] = make(map[string]prePrepareMsg)
 		}
 		r.stateVotes[e.Seq][from] = e
 	}
@@ -1442,7 +1413,7 @@ func (r *Replica) onStateRep(from string, s stateRepMsg) {
 // recordImageLocked counts one sender behind a state image and adopts
 // the image once f+1 distinct senders offer byte-identical state — the
 // checkpoint-transfer path for a replica so far behind that no peer
-// retains the executed batches it needs.
+// retains the executed instances it needs.
 func (r *Replica) recordImageLocked(from string, img *stateImage) {
 	if img.ExecSeq <= r.execSeq || r.logApp == nil || r.applying != 0 {
 		return

@@ -27,11 +27,9 @@ func newCluster(t testing.TB, f int, opts Options, cfg netsim.Config) *cluster {
 	}
 	for _, id := range ids {
 		id := id
-		r, err := NewReplica(c.net, id, ids, f, func(_ uint64, batch []Request) {
+		r, err := NewReplica(c.net, id, ids, f, func(_ uint64, req Request) {
 			c.mu.Lock()
-			for _, req := range batch {
-				c.applied[id] = append(c.applied[id], string(req.Op))
-			}
+			c.applied[id] = append(c.applied[id], string(req.Op))
 			c.mu.Unlock()
 		}, opts)
 		if err != nil {
@@ -58,17 +56,6 @@ func TestReplicaConstruction(t *testing.T) {
 	}
 	if _, err := NewReplica(net, "a", ids[:3], 1, nil, Options{}); err == nil {
 		t.Fatal("n < 3f+1 accepted")
-	}
-}
-
-func TestDigestIsOrderAndContentSensitive(t *testing.T) {
-	a := Request{Client: "c", Seq: 1, Op: []byte("x")}
-	b := Request{Client: "c", Seq: 2, Op: []byte("y")}
-	if digestOf([]Request{a, b}) == digestOf([]Request{b, a}) {
-		t.Fatal("digest ignores order")
-	}
-	if digestOf([]Request{a}) == digestOf([]Request{b}) {
-		t.Fatal("digest ignores content")
 	}
 }
 
@@ -226,8 +213,8 @@ func TestNonPrimaryPrePrepareIgnored(t *testing.T) {
 	c := newCluster(t, 1, Options{}, netsim.Config{})
 	// p2 (a backup) tries to equivocate as primary.
 	rogue := c.replicas[2]
-	pp := prePrepareMsg{View: 0, Seq: 0, Batch: []Request{{Client: "evil", Seq: 1, Op: []byte("x")}}}
-	pp.Digest = digestOf(pp.Batch)
+	pp := prePrepareMsg{View: 0, Seq: 0, Req: &Request{Client: "evil", Seq: 1, Op: []byte("x")}}
+	pp.Digest = digestOf(pp.Req)
 	rogue.broadcast(msgPrePrepare, pp)
 	time.Sleep(50 * time.Millisecond)
 	for _, r := range c.replicas {
@@ -294,7 +281,7 @@ func TestF2ClusterCommitsAndSurvivesTwoFaults(t *testing.T) {
 }
 
 func TestConflictingPrePrepareIgnored(t *testing.T) {
-	// A Byzantine primary equivocating (two different batches for the same
+	// A Byzantine primary equivocating (two different requests for the same
 	// (view, seq)) must not get both executed.
 	c := newCluster(t, 1, Options{}, netsim.Config{})
 	primary := c.replicas[0]
@@ -303,15 +290,15 @@ func TestConflictingPrePrepareIgnored(t *testing.T) {
 	}
 	// Re-issue seq 0 with different contents, signed properly by the
 	// primary identity.
-	pp := prePrepareMsg{View: 0, Seq: 0, Batch: []Request{{Client: "evil", Seq: 9, Op: []byte("second")}}}
-	pp.Digest = digestOf(pp.Batch)
+	pp := prePrepareMsg{View: 0, Seq: 0, Req: &Request{Client: "evil", Seq: 9, Op: []byte("second")}}
+	pp.Digest = digestOf(pp.Req)
 	primary.broadcast(msgPrePrepare, pp)
 	time.Sleep(50 * time.Millisecond)
 	for _, r := range c.replicas {
 		got := c.appliedAt(r.ID())
 		for _, op := range got {
 			if op == "second" {
-				t.Fatalf("replica %s executed an equivocated batch", r.ID())
+				t.Fatalf("replica %s executed an equivocated request", r.ID())
 			}
 		}
 	}
