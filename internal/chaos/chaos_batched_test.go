@@ -374,8 +374,9 @@ func chaosShardBatched(t *testing.T, seed int64) {
 			t.Fatalf("peer %s height %d, %s height %d (seed %d, events %v)",
 				p.ID(), len(blocks), peers[0].ID(), len(ref), seed, inj.Events())
 		}
-		if len(ref) > 0 && blocks[len(blocks)-1].Hash != ref[len(ref)-1].Hash {
-			t.Fatalf("peer %s final block hash diverges (seed %d)", p.ID(), seed)
+		if h := firstDivergence(ref, blocks); h >= 0 {
+			t.Fatalf("peer %s diverges from %s at height %d: txs %v, %s has %v (seed %d, events %v)",
+				p.ID(), peers[0].ID(), ref[h].Height, txIDs(blocks[h]), peers[0].ID(), txIDs(ref[h]), seed, inj.Events())
 		}
 		if bad, err := chain.VerifyBlocks(blocks); err != nil {
 			t.Fatalf("peer %s chain fails audit at block %d: %v (seed %d)", p.ID(), bad, err, seed)

@@ -450,8 +450,9 @@ func chaosChain(t *testing.T, seed int64) {
 			t.Fatalf("peer %s height %d, %s height %d (seed %d, events %v)",
 				p.ID(), len(blocks), peers[0].ID(), len(ref), seed, inj.Events())
 		}
-		if len(ref) > 0 && blocks[len(blocks)-1].Hash != ref[len(ref)-1].Hash {
-			t.Fatalf("peer %s final block hash diverges (seed %d)", p.ID(), seed)
+		if h := firstDivergence(ref, blocks); h >= 0 {
+			t.Fatalf("peer %s diverges from %s at height %d: txs %v, %s has %v (seed %d, events %v)",
+				p.ID(), peers[0].ID(), ref[h].Height, txIDs(blocks[h]), peers[0].ID(), txIDs(ref[h]), seed, inj.Events())
 		}
 		if bad, err := chain.VerifyBlocks(blocks); err != nil {
 			t.Fatalf("peer %s chain fails audit at block %d: %v (seed %d)", p.ID(), bad, err, seed)
@@ -466,4 +467,26 @@ func chaosChain(t *testing.T, seed int64) {
 			}
 		}
 	}
+}
+
+// firstDivergence returns the first index at which two peers' chains
+// hold blocks of different hashes, or -1. Blocks are hash-linked, so
+// once one block differs every later one does: two chains of one height
+// end in different blocks exactly when this finds an index, the first.
+func firstDivergence(a, b []chain.Block) int {
+	for h := 0; h < len(a) && h < len(b); h++ {
+		if a[h].Hash != b[h].Hash {
+			return h
+		}
+	}
+	return -1
+}
+
+// txIDs lists a block's transaction ids in order.
+func txIDs(b chain.Block) []string {
+	ids := make([]string, len(b.Txs))
+	for i, tx := range b.Txs {
+		ids[i] = tx.ID
+	}
+	return ids
 }

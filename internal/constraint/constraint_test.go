@@ -44,7 +44,7 @@ func testEnv(t testing.TB) *Env {
 		{"t4", taskRow("w2", "uber", 5, t0().Add(-time.Hour))},
 	}
 	for _, r := range rows {
-		if _, err := tbl.Upsert(r.key, r.row); err != nil {
+		if err := tbl.Upsert(r.key, r.row); err != nil {
 			t.Fatal(err)
 		}
 	}

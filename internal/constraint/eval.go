@@ -131,12 +131,16 @@ func EvalBool(e Expr, env *Env) (bool, error) {
 	return v.B, nil
 }
 
-func evalRef(r *Ref, env *Env) (store.Value, error) {
-	updateName := env.UpdateName
-	if updateName == "" {
-		updateName = "u"
+// updateName is the alias the update row goes by.
+func (env *Env) updateName() string {
+	if env.UpdateName == "" {
+		return "u"
 	}
-	if r.Base == updateName {
+	return env.UpdateName
+}
+
+func evalRef(r *Ref, env *Env) (store.Value, error) {
+	if r.Base == env.updateName() {
 		v, ok := env.Update[r.Field]
 		if !ok {
 			return store.Null(), evalErr(r, fmt.Errorf("update has no field %q", r.Field))
@@ -274,7 +278,11 @@ func evalAgg(a *Agg, env *Env) (store.Value, error) {
 	sumInt := int64(0)
 	var minV, maxV store.Value
 	var scanErr error
-	tbl.Scan(func(_ string, row store.Row) bool {
+	scan := tbl.Scan
+	if col, v, ok := eqProbe(a.Where, a.Table, env); ok {
+		scan = func(fn func(string, store.Row) bool) { tbl.ScanEq(col, v, fn) }
+	}
+	scan(func(_ string, row store.Row) bool {
 		// Window filter.
 		if a.Window != nil {
 			field := a.Window.TimeField
@@ -369,5 +377,65 @@ func evalAgg(a *Agg, env *Env) (store.Value, error) {
 		return maxV, nil
 	default:
 		return store.Null(), evalErr(a, fmt.Errorf("unknown aggregate %q", a.Fn))
+	}
+}
+
+// eqProbe finds, among the top-level AND conjuncts of an aggregate's
+// WHERE, the first of the form table.col = e where e reads nothing of the
+// scanned row, and evaluates e. A row whose col does not equal that value
+// fails the WHERE, so the aggregate need only visit ScanEq's rows, which
+// it still filters through the whole WHERE and the window, in key order.
+// No probe is made if e fails to evaluate: the full scan then reports
+// whatever error the rows reach.
+func eqProbe(where Expr, table string, env *Env) (string, store.Value, bool) {
+	b, ok := where.(*Binary)
+	if !ok || table == env.updateName() {
+		return "", store.Value{}, false
+	}
+	switch b.Op {
+	case OpAnd:
+		if col, v, ok := eqProbe(b.L, table, env); ok {
+			return col, v, true
+		}
+		return eqProbe(b.R, table, env)
+	case OpEq:
+		for _, side := range [2][2]Expr{{b.L, b.R}, {b.R, b.L}} {
+			r, ok := side[0].(*Ref)
+			if !ok || r.Base != table || !updateOnly(side[1], env.updateName()) {
+				continue
+			}
+			if v, err := Eval(side[1], env); err == nil {
+				return r.Field, v, true
+			}
+		}
+	}
+	return "", store.Value{}, false
+}
+
+// updateOnly reports whether e reads nothing but literals and the update
+// row, so it has one value for every row of a scan.
+func updateOnly(e Expr, update string) bool {
+	switch n := e.(type) {
+	case *Lit:
+		return true
+	case *Ref:
+		return n.Base == update
+	case *Neg:
+		return updateOnly(n.X, update)
+	case *Not:
+		return updateOnly(n.X, update)
+	case *Binary:
+		return updateOnly(n.L, update) && updateOnly(n.R, update)
+	case *Between:
+		return updateOnly(n.X, update) && updateOnly(n.Lo, update) && updateOnly(n.Hi, update)
+	case *In:
+		for _, item := range n.List {
+			if !updateOnly(item, update) {
+				return false
+			}
+		}
+		return updateOnly(n.X, update)
+	default:
+		return false
 	}
 }

@@ -53,7 +53,7 @@ func (p *FedPlatform) LocalHours(worker string, window time.Duration, until time
 	defer p.mu.Unlock()
 	var total int64
 	lo := until.Add(-window)
-	p.tasks.Scan(func(_ string, row store.Row) bool {
+	p.tasks.ScanEq("worker", store.String_(worker), func(_ string, row store.Row) bool {
 		if row["worker"].S != worker {
 			return true
 		}
@@ -76,7 +76,7 @@ func (p *FedPlatform) record(id, worker string, hours int64, ts time.Time) (uint
 		"hours":  store.Int(hours),
 		"ts":     store.Time(ts),
 	}
-	if _, err := p.tasks.Upsert(id, row); err != nil {
+	if err := p.tasks.Upsert(id, row); err != nil {
 		return 0, err
 	}
 	rcpt, err := p.ledger.Put("task/"+id, []byte(fmt.Sprintf("%s,%d,%s", worker, hours, ts.UTC().Format(time.RFC3339))), worker, id)

@@ -139,7 +139,7 @@ func (m *PlainManager) verify(u Update) (tbl *store.Table, reject *Receipt, err 
 // ledger are internally synchronized, so the critical sections are short
 // and incorporation never blocks other lanes' verification.
 func (m *PlainManager) incorporate(u Update, tbl *store.Table) (Receipt, error) {
-	if _, err := tbl.Upsert(u.Key, u.Row); err != nil {
+	if err := tbl.Upsert(u.Key, u.Row); err != nil {
 		return Receipt{}, fmt.Errorf("core: apply: %w", err)
 	}
 	payload, err := json.Marshal(rowJSON(u.Row))

@@ -53,7 +53,7 @@ func (m *PlainManager) Query(table, filterSource string) ([]QueryResult, error) 
 			return false
 		}
 		if keep {
-			out = append(out, QueryResult{Key: key, Row: row})
+			out = append(out, QueryResult{Key: key, Row: row.Clone()})
 		}
 		return true
 	})

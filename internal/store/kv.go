@@ -109,26 +109,6 @@ func (kv *KV) Len() int {
 	return len(kv.Keys())
 }
 
-// Compact drops all version history older than the latest entry per key and
-// removes tombstoned keys entirely. Snapshots taken before Compact must not
-// be used afterwards. Returns the number of chain entries dropped.
-func (kv *KV) Compact() int {
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
-	dropped := 0
-	for k, chain := range kv.data {
-		last := chain[len(chain)-1]
-		dropped += len(chain) - 1
-		if last.deleted {
-			dropped++
-			delete(kv.data, k)
-			continue
-		}
-		kv.data[k] = []kvVersion{last}
-	}
-	return dropped
-}
-
 // Snapshot is a consistent read view of a KV at a fixed version.
 type Snapshot struct {
 	kv      *KV

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -181,27 +182,6 @@ func TestKVRangeOrderAndEarlyStop(t *testing.T) {
 	}
 }
 
-func TestKVCompact(t *testing.T) {
-	kv := NewKV()
-	kv.Put("a", []byte("1"))
-	kv.Put("a", []byte("2"))
-	kv.Put("b", []byte("x"))
-	kv.Delete("b")
-	dropped := kv.Compact()
-	if dropped != 3 { // a's old version, b's value, b's tombstone
-		t.Fatalf("compact dropped = %d, want 3", dropped)
-	}
-	if got, _ := kv.Get("a"); string(got) != "2" {
-		t.Fatalf("after compact a = %q", got)
-	}
-	if _, err := kv.Get("b"); err != ErrNotFound {
-		t.Fatalf("after compact b err = %v", err)
-	}
-	if kv.Len() != 1 {
-		t.Fatalf("after compact len = %d", kv.Len())
-	}
-}
-
 func TestKVConcurrentAccess(t *testing.T) {
 	kv := NewKV()
 	var wg sync.WaitGroup
@@ -283,98 +263,116 @@ func TestSchemaConstructionErrors(t *testing.T) {
 	if _, err := NewSchema(Column{Name: "", Kind: KindInt}); err == nil {
 		t.Fatal("empty column name accepted")
 	}
-	if testSchema.ColumnIndex("hours") != 1 {
-		t.Fatalf("ColumnIndex(hours) = %d", testSchema.ColumnIndex("hours"))
-	}
-	if testSchema.ColumnIndex("nope") != -1 {
-		t.Fatal("ColumnIndex of unknown should be -1")
-	}
 }
 
-func TestTableCRUDAndVersioning(t *testing.T) {
+func TestTableUpsertCopiesAndReplaces(t *testing.T) {
 	tbl := NewTable("tasks", testSchema)
 	row := Row{"worker": String_("w1"), "hours": Float(5), "week": Int(1)}
-	v1, err := tbl.Upsert("t1", row)
-	if err != nil {
+	if err := tbl.Upsert("t1", row); err != nil {
 		t.Fatal(err)
 	}
 	row["hours"] = Float(99) // mutate caller's row; table must hold a copy
-	got, err := tbl.Get("t1")
-	if err != nil {
+	if _, got := scan(tbl, "", Value{}); got[0]["hours"].F != 5 {
+		t.Fatalf("table aliased caller row: hours = %v", got[0]["hours"])
+	}
+	if err := tbl.Upsert("t1", Row{"worker": String_("w1"), "hours": Float(8), "week": Int(1)}); err != nil {
 		t.Fatal(err)
 	}
-	if got["hours"].F != 5 {
-		t.Fatalf("table aliased caller row: hours = %v", got["hours"])
-	}
-	tbl.Upsert("t1", Row{"worker": String_("w1"), "hours": Float(8), "week": Int(1)})
-	old, err := tbl.GetAt("t1", v1)
-	if err != nil || old["hours"].F != 5 {
-		t.Fatalf("GetAt old version = %v, %v", old, err)
-	}
-	tbl.Delete("t1")
-	if _, err := tbl.Get("t1"); err != ErrNotFound {
-		t.Fatalf("deleted row get err = %v", err)
-	}
-	if tbl.Len() != 0 {
-		t.Fatalf("len after delete = %d", tbl.Len())
+	if _, got := scan(tbl, "", Value{}); len(got) != 1 || got[0]["hours"].F != 8 || tbl.Len() != 1 {
+		t.Fatalf("after replace: rows %v, len %d", got, tbl.Len())
 	}
 }
 
 func TestTableRejectsBadRows(t *testing.T) {
 	tbl := NewTable("tasks", testSchema)
-	if _, err := tbl.Upsert("t1", Row{"worker": String_("w")}); err == nil {
+	if err := tbl.Upsert("t1", Row{"worker": String_("w")}); err == nil {
 		t.Fatal("incomplete row accepted")
 	}
-	if tbl.Version() != 0 {
-		t.Fatal("failed upsert advanced the version")
+	if tbl.Len() != 0 {
+		t.Fatal("failed upsert stored a row")
 	}
 }
 
-func TestTableScanAndSelect(t *testing.T) {
+// scan returns the keys and rows Scan (col == "") or ScanEq(col, v)
+// visits.
+func scan(tbl *Table, col string, v Value) (keys []string, rows []Row) {
+	fn := func(k string, r Row) bool {
+		keys, rows = append(keys, k), append(rows, r)
+		return true
+	}
+	if col == "" {
+		tbl.Scan(fn)
+	} else {
+		tbl.ScanEq(col, v, fn)
+	}
+	return keys, rows
+}
+
+func scanKeys(tbl *Table, col string, v Value) []string {
+	keys, _ := scan(tbl, col, v)
+	return keys
+}
+
+func TestTableScanAndScanEq(t *testing.T) {
 	tbl := NewTable("tasks", testSchema)
-	for i := 0; i < 5; i++ {
-		key := fmt.Sprintf("t%d", i)
-		_, err := tbl.Upsert(key, Row{
-			"worker": String_(fmt.Sprintf("w%d", i%2)),
-			"hours":  Float(float64(i)),
-			"week":   Int(1),
-		})
-		if err != nil {
+	put := func(key, worker string, week int64) {
+		t.Helper()
+		w := String_(worker)
+		if worker == "" {
+			w = Null()
+		}
+		if err := tbl.Upsert(key, Row{"worker": w, "hours": Float(1), "week": Int(week)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var keys []string
-	tbl.Scan(func(k string, _ Row) bool {
-		keys = append(keys, k)
-		return true
-	})
-	want := []string{"t0", "t1", "t2", "t3", "t4"}
-	for i := range want {
-		if keys[i] != want[i] {
-			t.Fatalf("scan order = %v", keys)
+	for i := 4; i >= 0; i-- { // out of key order: buckets and scans sort
+		put(fmt.Sprintf("t%d", i), fmt.Sprintf("w%d", i%2), 1)
+	}
+	eq := func(got []string, want ...string) {
+		t.Helper()
+		if !slices.Equal(got, want) {
+			t.Fatalf("keys = %v, want %v", got, want)
 		}
 	}
-	w0 := tbl.Select(func(r Row) bool { return r["worker"].S == "w0" })
-	if len(w0) != 3 {
-		t.Fatalf("select w0 = %d rows, want 3", len(w0))
-	}
-	all := tbl.Select(nil)
-	if len(all) != 5 {
-		t.Fatalf("select nil = %d rows, want 5", len(all))
+	eq(scanKeys(tbl, "", Value{}), "t0", "t1", "t2", "t3", "t4")
+	eq(scanKeys(tbl, "worker", String_("w0")), "t0", "t2", "t4") // builds the index
+	// Upsert keeps a built index: a key moves, arrives, leaves for NULL.
+	put("t2", "w1", 1)
+	put("t5", "w0", 2)
+	put("t0", "", 1)
+	eq(scanKeys(tbl, "worker", String_("w0")), "t4", "t5")
+	eq(scanKeys(tbl, "worker", String_("w1")), "t1", "t2", "t3")
+	eq(scanKeys(tbl, "worker", String_("nobody")))
+	eq(scanKeys(tbl, "week", Int(2)), "t5")
+	// Anything the index cannot answer exactly visits every row.
+	all := []string{"t0", "t1", "t2", "t3", "t4", "t5"}
+	eq(scanKeys(tbl, "worker", Null()), all...)
+	eq(scanKeys(tbl, "week", Float(2)), all...)
+	eq(scanKeys(tbl, "hours", Float(1)), all...)
+	eq(scanKeys(tbl, "nope", Int(1)), all...)
+	// Early stop.
+	n := 0
+	tbl.ScanEq("worker", String_("w1"), func(string, Row) bool { n++; return false })
+	if n != 1 {
+		t.Fatalf("ScanEq ran fn %d times after a false", n)
 	}
 }
 
-func TestTableScanAtVersion(t *testing.T) {
+// A callback may read the table it scans: the lock is not held around fn.
+func TestTableScanEqReentrant(t *testing.T) {
 	tbl := NewTable("tasks", testSchema)
-	mk := func(h float64) Row {
-		return Row{"worker": String_("w"), "hours": Float(h), "week": Int(1)}
+	for i := 0; i < 4; i++ {
+		if err := tbl.Upsert(fmt.Sprint(i), Row{"worker": String_("w"), "hours": Float(1), "week": Int(1)}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	v1, _ := tbl.Upsert("a", mk(1))
-	tbl.Upsert("b", mk(2))
-	n := 0
-	tbl.ScanAt(v1, func(string, Row) bool { n++; return true })
-	if n != 1 {
-		t.Fatalf("ScanAt(v1) saw %d rows, want 1", n)
+	inner := 0
+	tbl.ScanEq("worker", String_("w"), func(string, Row) bool {
+		inner += len(scanKeys(tbl, "worker", String_("w")))
+		return tbl.Upsert("x", Row{"worker": String_("v"), "hours": Float(1), "week": Int(1)}) == nil
+	})
+	if inner != 16 {
+		t.Fatalf("nested probes saw %d rows, want 16", inner)
 	}
 }
 
@@ -398,5 +396,35 @@ func BenchmarkKVGet(b *testing.B) {
 		if _, err := kv.Get(fmt.Sprintf("key-%d", i%1024)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// Writers and probers share a table: the first probes race to build the
+// index, and every probe sees whole buckets while rows move between them.
+func TestTableConcurrentUpsertAndScanEq(t *testing.T) {
+	tbl := NewTable("tasks", testSchema)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				w := fmt.Sprintf("w%d", (g+i)%3)
+				if err := tbl.Upsert(fmt.Sprintf("k%d", i%50), Row{"worker": String_(w), "hours": Float(1), "week": Int(int64(g))}); err != nil {
+					t.Error(err)
+					return
+				}
+				tbl.ScanEq("worker", String_(w), func(_ string, r Row) bool {
+					if r["worker"].S != w {
+						t.Errorf("probe of %s visited a row of %s", w, r["worker"].S)
+					}
+					return true
+				})
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := len(scanKeys(tbl, "worker", String_("w0"))) + len(scanKeys(tbl, "worker", String_("w1"))) + len(scanKeys(tbl, "worker", String_("w2"))); n != 50 {
+		t.Fatalf("buckets hold %d keys, want 50", n)
 	}
 }

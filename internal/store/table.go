@@ -2,7 +2,7 @@ package store
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -43,14 +43,6 @@ func MustSchema(cols ...Column) *Schema {
 	return s
 }
 
-// ColumnIndex returns the index of the named column, or -1.
-func (s *Schema) ColumnIndex(name string) int {
-	if i, ok := s.byName[name]; ok {
-		return i
-	}
-	return -1
-}
-
 // Validate checks a row against the schema: every column present with a
 // matching kind (NULL is allowed in any column).
 func (s *Schema) Validate(row Row) error {
@@ -83,129 +75,150 @@ func (r Row) Clone() Row {
 	return out
 }
 
-// Table is a schema-checked, primary-keyed collection of rows with version
-// history per row. Tables serve the constraint engine's scans and the
-// framework's apply step.
+// Table is a schema-checked, primary-keyed collection of rows: each key's
+// latest row, as a chain peer's world state keeps latest values (DESIGN
+// §2e). Tables serve the constraint engine's scans and the framework's
+// apply step. An equality probe (ScanEq, DESIGN §2f) of a String or Int
+// column builds that column's index on first use: value -> the keys
+// holding it, sorted. Upsert maintains every built index after that. NULL
+// cells are never indexed.
 type Table struct {
 	Name   string
 	Schema *Schema
 
 	mu      sync.RWMutex
-	version uint64
-	rows    map[string][]tableVersion // primary key -> version chain
-}
-
-type tableVersion struct {
-	version uint64
-	row     Row // nil means deleted
+	rows    map[string]Row                // primary key -> latest row
+	indexes map[string]map[Value][]string // column -> value -> sorted keys
 }
 
 // NewTable creates an empty table with the given schema.
 func NewTable(name string, schema *Schema) *Table {
-	return &Table{Name: name, Schema: schema, rows: make(map[string][]tableVersion)}
+	return &Table{
+		Name:    name,
+		Schema:  schema,
+		rows:    make(map[string]Row),
+		indexes: make(map[string]map[Value][]string),
+	}
 }
 
-// Version returns the table's current version.
-func (t *Table) Version() uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.version
-}
-
-// Upsert inserts or replaces the row under key after schema validation and
-// returns the new table version.
-func (t *Table) Upsert(key string, row Row) (uint64, error) {
+// Upsert inserts or replaces the row under key after schema validation.
+func (t *Table) Upsert(key string, row Row) error {
 	if err := t.Schema.Validate(row); err != nil {
-		return 0, err
+		return err
 	}
 	cp := row.Clone()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.version++
-	t.rows[key] = append(t.rows[key], tableVersion{version: t.version, row: cp})
-	return t.version, nil
-}
-
-// Delete removes the row under key, recording a tombstone.
-func (t *Table) Delete(key string) uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.version++
-	t.rows[key] = append(t.rows[key], tableVersion{version: t.version})
-	return t.version
-}
-
-// Get returns the latest row under key (a copy).
-func (t *Table) Get(key string) (Row, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.getAtLocked(key, t.version)
-}
-
-// GetAt returns the row under key as of a version.
-func (t *Table) GetAt(key string, version uint64) (Row, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.getAtLocked(key, version)
-}
-
-func (t *Table) getAtLocked(key string, version uint64) (Row, error) {
-	chain := t.rows[key]
-	i := sort.Search(len(chain), func(i int) bool { return chain[i].version > version })
-	if i == 0 || chain[i-1].row == nil {
-		return nil, ErrNotFound
+	old := t.rows[key]
+	t.rows[key] = cp
+	for col, idx := range t.indexes {
+		was, wasOK := indexKey(old[col])
+		now, nowOK := indexKey(cp[col])
+		if wasOK == nowOK && was == now {
+			continue
+		}
+		if wasOK {
+			keys := idx[was]
+			i, _ := slices.BinarySearch(keys, key)
+			if keys = slices.Delete(keys, i, i+1); len(keys) == 0 {
+				delete(idx, was)
+			} else {
+				idx[was] = keys
+			}
+		}
+		if nowOK {
+			i, _ := slices.BinarySearch(idx[now], key)
+			idx[now] = slices.Insert(idx[now], i, key)
+		}
 	}
-	return chain[i-1].row.Clone(), nil
+	return nil
 }
 
-// Len returns the number of live rows.
+// indexKey is the index entry of a cell: the cell itself, rebuilt from
+// its kind's field so equal cells are equal map keys, for String and Int
+// cells; nothing for any other kind.
+func indexKey(v Value) (Value, bool) {
+	switch v.Kind {
+	case KindString:
+		return String_(v.S), true
+	case KindInt:
+		return Int(v.I), true
+	}
+	return Value{}, false
+}
+
+// Len returns the number of rows.
 func (t *Table) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n := 0
-	for _, chain := range t.rows {
-		if chain[len(chain)-1].row != nil {
-			n++
-		}
-	}
-	return n
+	return len(t.rows)
 }
 
-// Scan calls fn for every live row in primary-key order, stopping early if
-// fn returns false. The row passed to fn is a copy.
+// Scan calls fn for every row in primary-key order, stopping early if fn
+// returns false. The keys and rows are taken under the table's lock; fn
+// runs without it, so it may read the table again. Upsert replaces a row
+// and never changes one in place, so each row is as it was when the scan
+// began; fn must not modify it.
 func (t *Table) Scan(fn func(key string, row Row) bool) {
-	t.ScanAt(t.Version(), fn)
-}
-
-// ScanAt is Scan as of a fixed version.
-func (t *Table) ScanAt(version uint64, fn func(key string, row Row) bool) {
 	t.mu.RLock()
 	keys := make([]string, 0, len(t.rows))
 	for k := range t.rows {
 		keys = append(keys, k)
 	}
-	t.mu.RUnlock()
-	sort.Strings(keys)
-	for _, k := range keys {
-		row, err := t.GetAt(k, version)
-		if err != nil {
-			continue
+	slices.Sort(keys)
+	t.visitLocked(keys, fn)
+}
+
+// ScanEq is Scan over a superset of the rows whose column col equals v
+// (in Value.Equal's sense), in primary-key order: exactly those rows when
+// col is a String or Int column and v is of that kind, every row
+// otherwise. Callers re-check their own predicate on each row.
+func (t *Table) ScanEq(col string, v Value, fn func(key string, row Row) bool) {
+	i, ok := t.Schema.byName[col]
+	key, keyOK := indexKey(v)
+	if !ok || !keyOK || t.Schema.Columns[i].Kind != v.Kind {
+		t.Scan(fn)
+		return
+	}
+	t.mu.RLock()
+	if t.indexes[col] == nil {
+		t.mu.RUnlock()
+		t.buildIndex(col)
+		t.mu.RLock()
+	}
+	t.visitLocked(slices.Clone(t.indexes[col][key]), fn)
+}
+
+// buildIndex indexes every row's cell of col.
+func (t *Table) buildIndex(col string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.indexes[col] != nil {
+		return
+	}
+	idx := make(map[Value][]string)
+	for k, row := range t.rows {
+		if v, ok := indexKey(row[col]); ok {
+			idx[v] = append(idx[v], k)
 		}
-		if !fn(k, row) {
+	}
+	for _, keys := range idx {
+		slices.Sort(keys)
+	}
+	t.indexes[col] = idx
+}
+
+// visitLocked takes the rows under keys (which the caller owns),
+// releases the read lock the caller holds, and then calls fn on each.
+func (t *Table) visitLocked(keys []string, fn func(key string, row Row) bool) {
+	rows := make([]Row, len(keys))
+	for i, k := range keys {
+		rows[i] = t.rows[k]
+	}
+	t.mu.RUnlock()
+	for i, k := range keys {
+		if !fn(k, rows[i]) {
 			return
 		}
 	}
-}
-
-// Select returns copies of all live rows matching pred (pred nil matches
-// everything), in key order.
-func (t *Table) Select(pred func(Row) bool) []Row {
-	var out []Row
-	t.Scan(func(_ string, row Row) bool {
-		if pred == nil || pred(row) {
-			out = append(out, row)
-		}
-		return true
-	})
-	return out
 }

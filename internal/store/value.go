@@ -1,10 +1,11 @@
 // Package store provides the storage substrate of PReVer: a versioned
 // (MVCC) key-value store with consistent snapshots, plus a typed table
-// layer (schemas, rows, scans) that the constraint engine evaluates over.
+// layer (schemas, latest rows, scans, equality probes) that the
+// constraint engine evaluates over.
 //
 // The store is deliberately in-memory: the paper's contribution is the
 // verification/privacy architecture layered on top, not the storage medium.
-// All mutation goes through a single writer lock; reads are served from
+// All mutation goes through a single writer lock; KV reads are served from
 // immutable version chains so snapshots never block writers.
 package store
 

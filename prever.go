@@ -132,7 +132,7 @@ type (
 	Ledger = ledger.Ledger
 	// LedgerDigest is a verifiable ledger summary.
 	LedgerDigest = ledger.Digest
-	// Table is a schema-checked versioned table.
+	// Table is a schema-checked table of each key's latest row.
 	Table = store.Table
 	// Schema types a table.
 	Schema = store.Schema
