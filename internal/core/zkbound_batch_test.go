@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"math/big"
 	"reflect"
+	"slices"
 	"testing"
 
 	"prever/internal/commit"
 	"prever/internal/group"
+	"prever/internal/zk"
 )
 
 func newZKBatchFixture(t *testing.T, bound int64) (*ZKBoundManager, *ZKOwner) {
@@ -245,21 +247,29 @@ func TestSubmitGroupedPropagatesError(t *testing.T) {
 // TestZKBatchEqualsSequentialOnNonMembers: SubmitZKBatch must be
 // indistinguishable from per-update SubmitZK when an update carries an
 // element outside [1, Q]. In a group of 8 honest updates one element at
-// a time — the update's commitment, a bit commitment, an A0, an A1, on
-// either side of the bound proof — is replaced by its negation P − x,
-// the other encoding the membership checks exist to refuse (an RLC fold
-// maps its product to [1, Q] and would not notice it).
+// a time — the update's commitment, a bit commitment, an A0, an A1 — is
+// replaced by its negation P − x, the other encoding the membership
+// checks exist to refuse (an RLC fold maps its product to [1, Q] and
+// would not notice it). A bound proof at bound 1000 is one range proof,
+// in Low; the high.* twists graft a High side, which such a proof must
+// not carry, holding the negated element.
 // Receipts, the operational error, the running commitment and the
 // ledger must match at every position.
 func TestZKBatchEqualsSequentialOnNonMembers(t *testing.T) {
 	params := commit.NewParams(group.TestGroup())
 	negate := func(x **big.Int) { *x = new(big.Int).Sub(params.Group.P, *x) }
+	graftHigh := func(u *ZKUpdate) *zk.RangeProof {
+		u.Proof.High = zk.RangeProof{Bits: slices.Clone(u.Proof.Low.Bits), BitProofs: slices.Clone(u.Proof.Low.BitProofs)}
+		return &u.Proof.High
+	}
 	twists := map[string]func(u *ZKUpdate){
 		"u.C":          func(u *ZKUpdate) { negate(&u.C.C) },
 		"low.Bits[0]":  func(u *ZKUpdate) { negate(&u.Proof.Low.Bits[0].C) },
-		"high.Bits[3]": func(u *ZKUpdate) { negate(&u.Proof.High.Bits[3].C) },
+		"low.Bits[3]":  func(u *ZKUpdate) { negate(&u.Proof.Low.Bits[3].C) },
+		"high.Bits[3]": func(u *ZKUpdate) { negate(&graftHigh(u).Bits[3].C) },
 		"low.A0":       func(u *ZKUpdate) { negate(&u.Proof.Low.BitProofs[2].A0) },
-		"high.A1":      func(u *ZKUpdate) { negate(&u.Proof.High.BitProofs[1].A1) },
+		"low.A1":       func(u *ZKUpdate) { negate(&u.Proof.Low.BitProofs[1].A1) },
+		"high.A1":      func(u *ZKUpdate) { negate(&graftHigh(u).BitProofs[1].A1) },
 	}
 	const n = 8
 	for name, twist := range twists {

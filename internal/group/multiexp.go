@@ -20,8 +20,8 @@ type term struct{ e, b *big.Int }
 // exponents differ in about their top lg n bits, so q is nearly always
 // 1 and one multiplication takes ≈ lg n bits off the largest exponent:
 // no per-base tables, no squarings, and a price per term that falls as
-// the fold grows — 27 multiplications at the verifier's 288-term fold
-// (43.5 for interleaved 4-bit windows), level at a dozen terms. Where
+// the fold grows — 27 multiplications at a 288-term fold, two of the
+// zk batch verifier's 144-term groups (43.5 for interleaved 4-bit windows), level at a dozen terms. Where
 // e₁ is more than a bit longer than e₂, b₁^q is a windowed
 // exponentiation (reducer.exp), as is the last term: a step never costs
 // more than square-and-multiply over the bits it removes, so no input

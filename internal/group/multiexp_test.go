@@ -450,9 +450,10 @@ func randResidues(tb testing.TB, g *Group, n int) []*big.Int {
 // bitFoldTerms is the fold engine_zk actually runs, n terms of it: each
 // bit proof contributes A0^ρ, A1^σ (128-bit coefficients) and
 // C^(ρ·c0+σ·c1) (257 bits). One group of 8 bound proofs at bound 40 is
-// 8·2·6 = 96 bit proofs, 288 terms; one bit proof, the floor a
-// bisection reaches before the single-proof verifier, is 3, and 6 is
-// the last fold above it.
+// 8·6 = 48 bit proofs, 144 terms; 288 terms, the shape TestMultiExpCost
+// gates, is two groups' worth. One bit proof, the floor a bisection
+// reaches before the single-proof verifier, is 3, and 6 is the last
+// fold above it.
 func bitFoldTerms(tb testing.TB, n int) (bases, exps []*big.Int) {
 	g := MODP2048()
 	bases = randResidues(tb, g, n)
@@ -484,6 +485,10 @@ func benchmarkMultiExpBitFold(b *testing.B, n int) {
 }
 
 func BenchmarkMultiExpBitFold288(b *testing.B) { benchmarkMultiExpBitFold(b, 288) }
+
+// BenchmarkMultiExpBitFold144 is one engine_zk group: 8 bound-40 proofs
+// of 6 bit proofs each.
+func BenchmarkMultiExpBitFold144(b *testing.B) { benchmarkMultiExpBitFold(b, 144) }
 
 // BenchmarkMultiExpBitFold6 is the bisection floor: the smallest fold
 // the batch verifier runs, where a chain has the least to amortise.

@@ -428,3 +428,99 @@ func TestTableConcurrentUpsertAndScanEq(t *testing.T) {
 		t.Fatalf("buckets hold %d keys, want 50", n)
 	}
 }
+
+// Scan keeps the sorted keys it built until Upsert adds a key. Every scan
+// must still see exactly the table's keys, in order, with their latest
+// rows, whether the upserts between scans add keys at either end or
+// between two existing ones, or only replace rows; and a scan whose fn
+// adds a key keeps the view it began with.
+func TestTableScanSeesEveryUpsert(t *testing.T) {
+	tbl := NewTable("tasks", testSchema)
+	want := map[string]int64{}
+	put := func(key string, week int64) {
+		t.Helper()
+		if err := tbl.Upsert(key, Row{"worker": String_("w"), "hours": Float(1), "week": Int(week)}); err != nil {
+			t.Fatal(err)
+		}
+		want[key] = week
+	}
+	check := func(step string) {
+		t.Helper()
+		keys, rows := scan(tbl, "", Value{})
+		wantKeys := make([]string, 0, len(want))
+		for k := range want {
+			wantKeys = append(wantKeys, k)
+		}
+		slices.Sort(wantKeys)
+		if !slices.Equal(keys, wantKeys) {
+			t.Fatalf("%s: Scan keys = %v, want %v", step, keys, wantKeys)
+		}
+		for i, k := range keys {
+			if rows[i]["week"].I != want[k] {
+				t.Fatalf("%s: Scan row %s has week %d, want %d", step, k, rows[i]["week"].I, want[k])
+			}
+		}
+	}
+	check("empty")
+	put("m", 1)
+	put("c", 2)
+	check("two keys")
+	put("m", 3) // existing key: the sorted keys stay
+	check("replace")
+	put("f", 4) // between c and m
+	check("between")
+	put("a", 5) // before every key
+	put("z", 6) // after every key
+	check("ends")
+	put("c", 7)
+	put("z", 8)
+	check("replace twice")
+
+	// fn adds a key between two it has not reached yet: this scan keeps
+	// its view, the next one sees the new key.
+	var seen []string
+	tbl.Scan(func(key string, _ Row) bool {
+		seen = append(seen, key)
+		if key == "c" {
+			put("d", 9)
+			put("g", 10)
+		}
+		return true
+	})
+	if want := []string{"a", "c", "f", "m", "z"}; !slices.Equal(seen, want) {
+		t.Fatalf("scan that added keys visited %v, want its starting view %v", seen, want)
+	}
+	check("after the scan that added keys")
+}
+
+// Writers that add keys and replace rows share a table with full scans:
+// each scan sees its keys in strict order, and the last one every key.
+func TestTableConcurrentUpsertAndScan(t *testing.T) {
+	tbl := NewTable("tasks", testSchema)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				key := fmt.Sprintf("k%d-%d", g, i%50)
+				if err := tbl.Upsert(key, Row{"worker": String_("w"), "hours": Float(1), "week": Int(int64(i))}); err != nil {
+					t.Error(err)
+					return
+				}
+				last := ""
+				tbl.Scan(func(k string, _ Row) bool {
+					if k <= last {
+						t.Errorf("scan visited %q after %q", k, last)
+					}
+					last = k
+					return true
+				})
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := len(scanKeys(tbl, "", Value{})); n != 200 {
+		t.Fatalf("Scan visits %d keys, want 200", n)
+	}
+}

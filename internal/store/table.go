@@ -89,6 +89,10 @@ type Table struct {
 	mu      sync.RWMutex
 	rows    map[string]Row                // primary key -> latest row
 	indexes map[string]map[Value][]string // column -> value -> sorted keys
+	// sorted is every key of rows in order, built by the Scan that finds
+	// it nil and dropped (never written) when Upsert adds a key, so a
+	// scan in progress keeps the slice it took.
+	sorted []string
 }
 
 // NewTable creates an empty table with the given schema.
@@ -109,7 +113,10 @@ func (t *Table) Upsert(key string, row Row) error {
 	cp := row.Clone()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	old := t.rows[key]
+	old, existed := t.rows[key]
+	if !existed {
+		t.sorted = nil
+	}
 	t.rows[key] = cp
 	for col, idx := range t.indexes {
 		was, wasOK := indexKey(old[col])
@@ -161,12 +168,20 @@ func (t *Table) Len() int {
 // began; fn must not modify it.
 func (t *Table) Scan(fn func(key string, row Row) bool) {
 	t.mu.RLock()
-	keys := make([]string, 0, len(t.rows))
-	for k := range t.rows {
-		keys = append(keys, k)
+	if t.sorted != nil {
+		t.visitLocked(t.sorted, t.mu.RUnlock, fn)
+		return
 	}
-	slices.Sort(keys)
-	t.visitLocked(keys, fn)
+	t.mu.RUnlock()
+	t.mu.Lock()
+	if t.sorted == nil {
+		t.sorted = make([]string, 0, len(t.rows))
+		for k := range t.rows {
+			t.sorted = append(t.sorted, k)
+		}
+		slices.Sort(t.sorted)
+	}
+	t.visitLocked(t.sorted, t.mu.Unlock, fn)
 }
 
 // ScanEq is Scan over a superset of the rows whose column col equals v
@@ -186,7 +201,7 @@ func (t *Table) ScanEq(col string, v Value, fn func(key string, row Row) bool) {
 		t.buildIndex(col)
 		t.mu.RLock()
 	}
-	t.visitLocked(slices.Clone(t.indexes[col][key]), fn)
+	t.visitLocked(slices.Clone(t.indexes[col][key]), t.mu.RUnlock, fn)
 }
 
 // buildIndex indexes every row's cell of col.
@@ -208,14 +223,15 @@ func (t *Table) buildIndex(col string) {
 	t.indexes[col] = idx
 }
 
-// visitLocked takes the rows under keys (which the caller owns),
-// releases the read lock the caller holds, and then calls fn on each.
-func (t *Table) visitLocked(keys []string, fn func(key string, row Row) bool) {
+// visitLocked takes the rows under keys (a slice no one writes to),
+// releases the lock the caller holds with unlock, and then calls fn on
+// each.
+func (t *Table) visitLocked(keys []string, unlock func(), fn func(key string, row Row) bool) {
 	rows := make([]Row, len(keys))
 	for i, k := range keys {
 		rows[i] = t.rows[k]
 	}
-	t.mu.RUnlock()
+	unlock()
 	for i, k := range keys {
 		if !fn(k, rows[i]) {
 			return

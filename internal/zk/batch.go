@@ -15,8 +15,9 @@
 // to their bit length. The fold itself is one simultaneous multi-exp
 // (group.MultiExp) plus two fixed-base exponentiations, which is where
 // the batch speedup comes from: MultiExp's Bos–Coster chain spends ≈ 27
-// modular multiplications per term on the engine's 288-term bit fold
-// (≈ 50 µs at MODP2048) and fewer as the batch grows, where a windowed
+// modular multiplications per term on a 288-term bit fold (≈ 50 µs at
+// MODP2048; the engine's group of 8 bound proofs folds 144) and fewer as
+// the batch grows, where a windowed
 // exponentiation of its own costs each term 160 (128-bit) to 320
 // (257-bit).
 //
@@ -152,7 +153,7 @@ func VerifyOpeningBatch(p *commit.Params, cs []commit.Commitment, prs []OpeningP
 	return errs, nil
 }
 
-// VerifyBitBatch checks N bit proofs with one folded equation. Each bit
+// verifyBitBatch checks N bit proofs with one folded equation. Each bit
 // proof carries two branch equations (h^{z0} == A0·C^{c0} and
 // h^{z1} == A1·(C/g)^{c1}); both are folded at once with independent
 // coefficients ρ_i, σ_i:
@@ -163,35 +164,10 @@ func VerifyOpeningBatch(p *commit.Params, cs []commit.Commitment, prs []OpeningP
 // (the g-term absorbs the (C/g)^{c1} statement without per-proof
 // inverses). The challenge split c0 XOR c1 == H(ctx, C, A0, A1) is a
 // scalar identity, checked directly per proof before folding.
-func VerifyBitBatch(p *commit.Params, cs []commit.Commitment, prs []BitProof, ctxs []string, rng io.Reader) ([]error, error) {
-	if len(cs) != len(prs) || len(ctxs) != len(prs) {
-		return nil, errBatchLength
-	}
-	errs := checkMembers(p.Group, cs)
-	if err := verifyBitBatch(p, cs, prs, ctxs, rng, errs); err != nil {
-		return nil, err
-	}
-	return errs, nil
-}
-
-// checkMembers runs the membership pre-check (Contains) on every
-// commitment of a batch and returns the per-proof error slots with the
-// non-members already marked. The unexported verifiers below take these
-// slots: a nil slot means "cs[i] has passed Contains", a non-nil slot is
-// skipped, so a commitment checked by an outer batch is not checked
-// again by the batch it is flattened into.
-func checkMembers(g *group.Group, cs []commit.Commitment) []error {
-	errs := make([]error, len(cs))
-	for i := range cs {
-		if cs[i].C == nil || !g.Contains(cs[i].C) {
-			errs[i] = ErrInvalidProof
-		}
-	}
-	return errs
-}
-
-// verifyBitBatch is VerifyBitBatch over already-checked commitments
-// (see checkMembers); it fills the remaining slots of errs.
+//
+// The commitments must already have passed Contains (the range layer's
+// recomposition checks each one): errs holds one slot per proof, a
+// non-nil slot is skipped, and the remaining slots are filled here.
 func verifyBitBatch(p *commit.Params, cs []commit.Commitment, prs []BitProof, ctxs []string, rng io.Reader, errs []error) error {
 	g := p.Group
 	live := make([]int, 0, len(prs))
@@ -242,41 +218,29 @@ func verifyBitBatch(p *commit.Params, cs []commit.Commitment, prs []BitProof, ct
 	return batchCheck(live, errs, folded, single)
 }
 
-// VerifyRangeBatch checks N range proofs. The recomposition identity
-// (Π Bits[j]^{2^j} == C) keeps its direct per-proof check — the weights
-// 2^j are tiny exponents, and folding them under 128-bit coefficients
-// would cost more than it saves — while ALL bit proofs across the whole
-// batch flatten into a single folded bit check (N·nBits statements, one
-// multi-exp).
-func VerifyRangeBatch(p *commit.Params, cs []commit.Commitment, nBits int, prs []RangeProof, ctxs []string, rng io.Reader) ([]error, error) {
-	if len(cs) != len(prs) || len(ctxs) != len(prs) {
-		return nil, errBatchLength
-	}
-	errs := checkMembers(p.Group, cs)
-	if err := verifyRangeBatch(p, cs, nBits, prs, ctxs, rng, errs); err != nil {
-		return nil, err
-	}
-	return errs, nil
-}
-
-// verifyRangeBatch is VerifyRangeBatch over already-checked commitments
-// (see checkMembers); it fills the remaining slots of errs. The bit
-// commitments it checks here go to verifyBitBatch as checked.
-func verifyRangeBatch(p *commit.Params, cs []commit.Commitment, nBits int, prs []RangeProof, ctxs []string, rng io.Reader, errs []error) error {
-	n := len(prs)
-	bitCs := make([]commit.Commitment, 0, n*nBits)
-	bitPrs := make([]BitProof, 0, n*nBits)
-	bitCtxs := make([]string, 0, n*nBits)
-	owner := make([]int, 0, n*nBits)
+// verifyRangeBatch checks N range proofs over [0, max]; it fills the
+// slots of errs that are still nil, and takes the commitments as
+// membership-checked. The recomposition identity (Π Bits[j]^{w_j} == C)
+// keeps its direct per-proof check — the weights are tiny exponents, and
+// folding them under 128-bit coefficients would cost more than it saves
+// — while ALL bit proofs across the whole batch flatten into a single
+// folded bit check (N·n statements, one multi-exp). Each bit commitment
+// goes to verifyBitBatch as checked, recompose having checked it.
+func verifyRangeBatch(p *commit.Params, cs []commit.Commitment, max *big.Int, prs []RangeProof, ctxs []string, rng io.Reader, errs []error) error {
+	nBits, top, widthOK := rangeWeights(max)
+	bitCs := make([]commit.Commitment, 0, len(prs)*nBits)
+	bitPrs := make([]BitProof, 0, len(prs)*nBits)
+	bitCtxs := make([]string, 0, len(prs)*nBits)
+	owner := make([]int, 0, len(prs)*nBits)
 	for i := range prs {
 		if errs[i] != nil {
 			continue
 		}
-		if nBits < 1 || nBits > 128 || len(prs[i].Bits) != nBits || len(prs[i].BitProofs) != nBits {
+		if !widthOK || len(prs[i].Bits) != nBits || len(prs[i].BitProofs) != nBits {
 			errs[i] = ErrInvalidProof
 			continue
 		}
-		recomposed, ok := recompose(p.Group, prs[i].Bits)
+		recomposed, ok := recompose(p.Group, prs[i].Bits, top)
 		if !ok || !ct.BigEqual(recomposed, cs[i].C) {
 			errs[i] = ErrInvalidProof
 			continue
@@ -300,10 +264,11 @@ func verifyRangeBatch(p *commit.Params, cs []commit.Commitment, nBits int, prs [
 	return nil
 }
 
-// VerifyBoundBatch checks N bound proofs (0 <= v_i <= bound). Each
-// bound proof is two range proofs (v and bound−v); the batch flattens
-// both sides of every proof into ONE range batch of 2N statements, so
-// all 2·N·nBits bit equations fold into a single multi-exp.
+// VerifyBoundBatch checks N bound proofs (0 <= v_i <= bound). For a
+// bound B ≥ 1 each proof is one range proof over [0, B], so the batch is
+// one range batch of N statements and all N·n bit equations fold into a
+// single multi-exp: at bound 40, 8 proofs are 48 bit proofs, 144 terms.
+// At bound 0 both one-bit sides of every proof join that batch.
 func VerifyBoundBatch(p *commit.Params, cs []commit.Commitment, bound *big.Int, prs []BoundProof, ctxs []string, rng io.Reader) ([]error, error) {
 	n := len(prs)
 	if len(cs) != n || len(ctxs) != n {
@@ -318,29 +283,41 @@ func VerifyBoundBatch(p *commit.Params, cs []commit.Commitment, bound *big.Int, 
 	}
 	g := p.Group
 	width := boundWidth(bound)
-	cB := p.CommitPublic(bound)
-	rCs := make([]commit.Commitment, 0, 2*n)
-	rPrs := make([]RangeProof, 0, 2*n)
-	rCtxs := make([]string, 0, 2*n)
+	max, twoSided := boundRange(bound)
+	sides := 1
+	if twoSided {
+		sides = 2
+	}
+	rCs := make([]commit.Commitment, 0, sides*n)
+	rPrs := make([]RangeProof, 0, sides*n)
+	rCtxs := make([]string, 0, sides*n)
 	live := make([]int, 0, n)
 	for i := range prs {
-		if prs[i].NBits != width || cs[i].C == nil || !g.Contains(cs[i].C) {
+		if prs[i].NBits != width || cs[i].C == nil || !g.Contains(cs[i].C) ||
+			!twoSided && (len(prs[i].High.Bits) != 0 || len(prs[i].High.BitProofs) != 0) {
 			errs[i] = ErrInvalidProof
 			continue
 		}
-		// cB/c is a quotient of two members, so a member: no check.
 		live = append(live, i)
-		rCs = append(rCs, cs[i], p.Sub(cB, cs[i]))
-		rPrs = append(rPrs, prs[i].Low, prs[i].High)
-		rCtxs = append(rCtxs, ctxs[i]+"/low", ctxs[i]+"/high")
+		rCs = append(rCs, cs[i])
+		rPrs = append(rPrs, prs[i].Low)
+		rCtxs = append(rCtxs, ctxs[i]+"/low")
+		if twoSided {
+			// cB/c is a quotient of two members, so a member: no check.
+			rCs = append(rCs, p.Sub(p.CommitPublic(bound), cs[i]))
+			rPrs = append(rPrs, prs[i].High)
+			rCtxs = append(rCtxs, ctxs[i]+"/high")
+		}
 	}
 	rErrs := make([]error, len(rCs))
-	if err := verifyRangeBatch(p, rCs, width, rPrs, rCtxs, rng, rErrs); err != nil {
+	if err := verifyRangeBatch(p, rCs, max, rPrs, rCtxs, rng, rErrs); err != nil {
 		return nil, err
 	}
 	for k, i := range live {
-		if rErrs[2*k] != nil || rErrs[2*k+1] != nil {
-			errs[i] = ErrInvalidProof
+		for _, e := range rErrs[sides*k : sides*(k+1)] {
+			if e != nil {
+				errs[i] = ErrInvalidProof
+			}
 		}
 	}
 	return errs, nil

@@ -1,6 +1,7 @@
 package zk
 
 import (
+	"crypto/rand"
 	"fmt"
 	"math/big"
 	"sync"
@@ -149,21 +150,32 @@ func TestVerifyBitBatch(t *testing.T) {
 		}
 		cs[i], prs[i] = c, pr
 	}
-	errs, err := VerifyBitBatch(p, cs, prs, ctxs, nil)
-	if err != nil {
-		t.Fatal(err)
+	bitBatch := func() []error {
+		errs := make([]error, n)
+		if err := verifyBitBatch(p, cs, prs, ctxs, nil, errs); err != nil {
+			t.Fatal(err)
+		}
+		return errs
 	}
-	assertBatchErrs(t, errs, nil)
+	assertBatchErrs(t, bitBatch(), nil)
 	// Corrupt one response and one announcement; both must be attributed.
 	prs[4].Z0 = new(big.Int).Mod(new(big.Int).Add(prs[4].Z0, big.NewInt(1)), p.Group.Q)
 	prs[9].A1 = nonMember(p)
-	errs, err = VerifyBitBatch(p, cs, prs, ctxs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBatchErrs(t, errs, map[int]bool{4: true, 9: true})
+	assertBatchErrs(t, bitBatch(), map[int]bool{4: true, 9: true})
 }
 
+// rangeBatch runs verifyRangeBatch over fresh error slots, as
+// VerifyBoundBatch does once it has checked every commitment.
+func rangeBatch(t *testing.T, p *commit.Params, cs []commit.Commitment, max *big.Int, prs []RangeProof, ctxs []string) []error {
+	t.Helper()
+	errs := make([]error, len(prs))
+	if err := verifyRangeBatch(p, cs, max, prs, ctxs, nil, errs); err != nil {
+		t.Fatal(err)
+	}
+	return errs
+}
+
+// makeRangeBatch produces n plain-binary range proofs over [0, 2^nBits).
 func makeRangeBatch(t testing.TB, p *commit.Params, n, nBits int) ([]commit.Commitment, []RangeProof, []string) {
 	t.Helper()
 	cs := make([]commit.Commitment, n)
@@ -175,7 +187,7 @@ func makeRangeBatch(t testing.TB, p *commit.Params, n, nBits int) ([]commit.Comm
 			t.Fatal(err)
 		}
 		ctxs[i] = fmt.Sprintf("range/%d", i)
-		pr, err := ProveRange(p, c, o, nBits, ctxs[i], nil)
+		pr, err := proveRange(p, c, o, binary(nBits), ctxs[i], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,20 +199,12 @@ func makeRangeBatch(t testing.TB, p *commit.Params, n, nBits int) ([]commit.Comm
 func TestVerifyRangeBatchIdentifiesCorrupted(t *testing.T) {
 	p := params()
 	cs, prs, ctxs := makeRangeBatch(t, p, 8, 5)
-	errs, err := VerifyRangeBatch(p, cs, 5, prs, ctxs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBatchErrs(t, errs, nil)
+	assertBatchErrs(t, rangeBatch(t, p, cs, binary(5), prs, ctxs), nil)
 	// Corrupt a single bit proof inside proof 3, and give proof 6 a bit
-	// count that disagrees with nBits.
+	// count that disagrees with the width.
 	prs[3].BitProofs[2].Z1 = new(big.Int).Mod(new(big.Int).Add(prs[3].BitProofs[2].Z1, big.NewInt(1)), p.Group.Q)
 	prs[6].Bits = prs[6].Bits[:4]
-	errs, err = VerifyRangeBatch(p, cs, 5, prs, ctxs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBatchErrs(t, errs, map[int]bool{3: true, 6: true})
+	assertBatchErrs(t, rangeBatch(t, p, cs, binary(5), prs, ctxs), map[int]bool{3: true, 6: true})
 }
 
 // TestVerifyRangeBatchRejectsRecompositionMismatch: bit proofs can all
@@ -214,11 +218,7 @@ func TestVerifyRangeBatchRejectsRecompositionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs[1] = other
-	errs, err := VerifyRangeBatch(p, cs, 4, prs, ctxs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBatchErrs(t, errs, map[int]bool{1: true})
+	assertBatchErrs(t, rangeBatch(t, p, cs, binary(4), prs, ctxs), map[int]bool{1: true})
 }
 
 func makeBoundBatch(t testing.TB, p *commit.Params, n int, bound int64) ([]commit.Commitment, []BoundProof, []string) {
@@ -250,9 +250,8 @@ func TestVerifyBoundBatchIdentifiesCorrupted(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertBatchErrs(t, errs, nil)
-	// Corrupt the high-side range proof of update 2 and the claimed width
-	// of update 5.
-	prs[2].High.BitProofs[1].Z0 = new(big.Int).Mod(new(big.Int).Add(prs[2].High.BitProofs[1].Z0, big.NewInt(1)), p.Group.Q)
+	// Corrupt a bit proof of update 2 and the claimed width of update 5.
+	prs[2].Low.BitProofs[1].Z0 = new(big.Int).Mod(new(big.Int).Add(prs[2].Low.BitProofs[1].Z0, big.NewInt(1)), p.Group.Q)
 	prs[5].NBits = 7
 	errs, err = VerifyBoundBatch(p, cs, big.NewInt(bound), prs, ctxs, nil)
 	if err != nil {
@@ -328,6 +327,62 @@ func TestVerifyOpeningBatchSpeedup(t *testing.T) {
 	t.Logf("sequential over batched: %v", r)
 	if r.Median < 3 {
 		t.Errorf("batch verify speedup %.2fx, want >= 3x", r.Median)
+	}
+}
+
+// bitFoldTerms is n terms of the bit-proof fold's shape at MODP2048, as
+// group's benchmarks build it: random members as bases, and exponents of
+// 128, 128 and 257 bits, a bit proof's A0^ρ, A1^σ and C^(ρ·c0+σ·c1).
+func bitFoldTerms(t *testing.T, g *group.Group, n int) (bases, exps []*big.Int) {
+	bases, exps = make([]*big.Int, n), make([]*big.Int, n)
+	for i := range bases {
+		x, err := rand.Int(rand.Reader, g.P)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bases[i] = g.Mul(x, x)
+		width := uint(128)
+		if i%3 == 2 {
+			width = 257
+		}
+		if exps[i], err = rand.Int(rand.Reader, new(big.Int).Lsh(big.NewInt(1), width)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return bases, exps
+}
+
+// TestBoundBatchCost gates what one engine group costs to verify:
+// VerifyBoundBatch over 8 bound-40 proofs at MODP2048 costs at most
+// 0.85x one MultiExp over 288 terms of the bit fold's shape. A bound
+// proof of one range over [0, 40] is 6 bit proofs, so the group folds
+// 144 terms and reads ≈ 0.66x; two range proofs per bound (v and 40 − v,
+// 12 bit proofs) fold 288 and read ≈ 1.18x. The statistic is
+// costtest.Ratio's median of pairs of thread CPU time.
+func TestBoundBatchCost(t *testing.T) {
+	costtest.Skip(t)
+	p := prodZKParams()
+	bound := big.NewInt(40)
+	cs, prs, ctxs := makeBoundBatch(t, p, 8, 40)
+	bases, exps := bitFoldTerms(t, p.Group, 288)
+	r := costtest.Ratio(15, func() {
+		errs, err := VerifyBoundBatch(p, cs, bound, prs, ctxs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range errs {
+			if e != nil {
+				t.Fatalf("proof %d unexpectedly invalid: %v", i, e)
+			}
+		}
+	}, func() {
+		if _, err := p.Group.MultiExp(bases, exps); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("VerifyBoundBatch of 8 bound-40 proofs over a 288-term fold: %v", r)
+	if r.Median > 0.85 {
+		t.Errorf("VerifyBoundBatch of 8 bound-40 proofs costs %.2fx a 288-term fold (limit 0.85x): a bound proof carries more bit proofs than one range over [0, B] needs", r.Median)
 	}
 }
 

@@ -17,19 +17,6 @@ func negate(p *commit.Params, x *big.Int) *big.Int {
 	return new(big.Int).Sub(p.Group.P, x)
 }
 
-// makeBitBatch produces n honest (commitment, bit proof, ctx) triples:
-// the single bit of a width-1 range proof.
-func makeBitBatch(t *testing.T, p *commit.Params, n int) ([]commit.Commitment, []BitProof, []string) {
-	t.Helper()
-	_, rprs, ctxs := makeRangeBatch(t, p, n, 1)
-	cs := make([]commit.Commitment, n)
-	prs := make([]BitProof, n)
-	for i := range rprs {
-		cs[i], prs[i], ctxs[i] = rprs[i].Bits[0], rprs[i].BitProofs[0], ctxs[i]+"/bit0"
-	}
-	return cs, prs, ctxs
-}
-
 // nonMembers maps a statement element c to the values no verifier may
 // take in its place: nil, the two residues with no inverse (0, P), P − 1
 // (the other encoding of 1), and P − c (the other encoding of c).
@@ -43,52 +30,28 @@ func nonMembers(p *commit.Params) map[string]func(c *big.Int) *big.Int {
 	}
 }
 
-// TestVerifyEqualRejectsNonMembers: VerifyEqual divides one commitment
-// by the other, so a commitment with no inverse (0, P) used to reach a
-// nil dereference inside group.Div, and a twisted one (P − c) is an
-// encoding outside [1, Q]. All are invalid proofs, not panics.
-func TestVerifyEqualRejectsNonMembers(t *testing.T) {
-	p := params()
-	c1, o1, _ := p.CommitInt(77, nil)
-	c2, o2, _ := p.CommitInt(77, nil)
-	pr, err := ProveEqual(p, c1, c2, o1, o2, "ctx", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, f := range nonMembers(p) {
-		if err := VerifyEqual(p, commit.Commitment{C: f(c1.C)}, c2, pr, "ctx"); !errors.Is(err, ErrInvalidProof) {
-			t.Errorf("c1 = %s: err = %v, want ErrInvalidProof", name, err)
-		}
-		if err := VerifyEqual(p, c1, commit.Commitment{C: f(c2.C)}, pr, "ctx"); !errors.Is(err, ErrInvalidProof) {
-			t.Errorf("c2 = %s: err = %v, want ErrInvalidProof", name, err)
-		}
-	}
+// oneBit is a bit proof as the range layer sees it: a range proof over
+// [0, 1] whose single bit commitment is c, with the bit proof made for
+// ctx+"/bit0".
+func oneBit(c commit.Commitment, pr BitProof) RangeProof {
+	return RangeProof{Bits: []commit.Commitment{c}, BitProofs: []BitProof{pr}}
 }
 
-// TestSingleVerifiersRejectNonMembers: VerifyDlog, VerifyOpening and
-// VerifyBit reject a statement element outside [1, Q] before any
-// arithmetic. Each case has an honest proof whose statement is swapped
-// for every non-member (nil used to panic), and a prover that runs the
-// protocol around the twisted statement P − y, whose equations hold once
-// mapped to [1, Q]: only the membership check refuses it.
+// TestSingleVerifiersRejectNonMembers: VerifyOpening and the range
+// layer's bit check reject a statement element outside [1, Q] before
+// any arithmetic. Each case has an honest proof whose statement is
+// swapped for every non-member (nil used to panic), and a prover that
+// runs the protocol around the twisted statement P − y, whose equations
+// hold once mapped to [1, Q]: only the membership check refuses it.
 func TestSingleVerifiersRejectNonMembers(t *testing.T) {
 	p := params()
-	g := p.Group
-	x, err := g.RandScalar(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	y := g.Exp(g.G, x)
-	dlogPr, err := ProveDlog(g, g.G, y, x, "ctx", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	one := big.NewInt(1)
 	c, o, _ := p.CommitInt(0, nil)
 	openPr, err := ProveOpening(p, c, o, "ctx", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bitPr, err := ProveBit(p, c, o, "ctx", nil)
+	bitPr, err := ProveBit(p, c, o, "ctx/bit0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,16 +62,6 @@ func TestSingleVerifiersRejectNonMembers(t *testing.T) {
 		verify func(stmt *big.Int) error // the honest proof against stmt
 		cheat  func(ctx string) error    // a fresh proof built around P − stmt
 	}{
-		{"dlog", y,
-			func(v *big.Int) error { return VerifyDlog(g, g.G, v, dlogPr, "ctx") },
-			func(ctx string) error {
-				bad := negate(p, y)
-				pr, err := ProveDlog(g, g.G, bad, x, ctx, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return VerifyDlog(g, g.G, bad, pr, ctx)
-			}},
 		{"opening", c.C,
 			func(v *big.Int) error { return VerifyOpening(p, commit.Commitment{C: v}, openPr, "ctx") },
 			func(ctx string) error {
@@ -120,10 +73,13 @@ func TestSingleVerifiersRejectNonMembers(t *testing.T) {
 				return VerifyOpening(p, bad, pr, ctx)
 			}},
 		{"bit", c.C,
-			func(v *big.Int) error { return VerifyBit(p, commit.Commitment{C: v}, bitPr, "ctx") },
+			func(v *big.Int) error {
+				cv := commit.Commitment{C: v}
+				return verifyRange(p, cv, one, oneBit(cv, bitPr), "ctx")
+			},
 			func(ctx string) error {
-				bad, pr := twistedBitProof(t, p, ctx, "C")
-				return VerifyBit(p, bad, pr, ctx)
+				bad, pr := twistedBitProof(t, p, ctx+"/bit0", "C")
+				return verifyRange(p, bad, one, oneBit(bad, pr), ctx)
 			}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -144,76 +100,58 @@ func TestSingleVerifiersRejectNonMembers(t *testing.T) {
 	}
 }
 
-// TestBatchEntryPointsCheckEveryElement: the exported batch verifiers
-// reject a proof with any one group element replaced by its negation,
-// whichever layer of the flattening holds it, and blame exactly that
-// proof, as the sequential verifier does. (A plain substitution also
-// breaks the Fiat–Shamir hash, so this pins batch ≡ sequential, not the
-// membership checks themselves; TestBatchRejectsTwistedProofs does that.)
+// TestBatchEntryPointsCheckEveryElement: VerifyBoundBatch rejects a
+// proof with any one group element replaced by its negation, whichever
+// layer of the flattening holds it, and blames exactly that proof, as
+// VerifyBound does. "bit" is bound 0, whose proof is a one-bit range
+// proof on each side; "range" is bound 7, plain binary; "bound" is
+// bound 5, whose top bit weighs 2. (A plain substitution also breaks
+// the Fiat–Shamir hash, so this pins batch ≡ sequential, not the
+// membership checks themselves; TestBatchRejectsTwistedProofs does
+// that.)
 func TestBatchEntryPointsCheckEveryElement(t *testing.T) {
 	p := params()
 	const n, bad = 4, 2
+	type twist func(c *commit.Commitment, pr *BoundProof)
+	check := func(t *testing.T, bound int64, twists []twist) {
+		for _, tw := range twists {
+			cs, prs, ctxs := makeBoundBatch(t, p, n, bound)
+			tw(&cs[bad], &prs[bad])
+			errs, err := VerifyBoundBatch(p, cs, big.NewInt(bound), prs, ctxs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertBatchErrs(t, errs, map[int]bool{bad: true})
+			if VerifyBound(p, cs[bad], big.NewInt(bound), prs[bad], ctxs[bad]) == nil {
+				t.Error("sequential VerifyBound accepted the twisted proof")
+			}
+		}
+	}
+	twistC := func(c *commit.Commitment, _ *BoundProof) { c.C = negate(p, c.C) }
 
 	t.Run("bit", func(t *testing.T) {
-		for _, twist := range []func(c *commit.Commitment, pr *BitProof){
-			func(c *commit.Commitment, _ *BitProof) { c.C = negate(p, c.C) },
-			func(_ *commit.Commitment, pr *BitProof) { pr.A0 = negate(p, pr.A0) },
-			func(_ *commit.Commitment, pr *BitProof) { pr.A1 = negate(p, pr.A1) },
-		} {
-			cs, prs, ctxs := makeBitBatch(t, p, n)
-			twist(&cs[bad], &prs[bad])
-			errs, err := VerifyBitBatch(p, cs, prs, ctxs, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertBatchErrs(t, errs, map[int]bool{bad: true})
-			if VerifyBit(p, cs[bad], prs[bad], ctxs[bad]) == nil {
-				t.Error("sequential VerifyBit accepted the twisted proof")
-			}
-		}
+		check(t, 0, []twist{
+			twistC,
+			func(_ *commit.Commitment, pr *BoundProof) { pr.Low.Bits[0].C = negate(p, pr.Low.Bits[0].C) },
+			func(_ *commit.Commitment, pr *BoundProof) { pr.Low.BitProofs[0].A0 = negate(p, pr.Low.BitProofs[0].A0) },
+			func(_ *commit.Commitment, pr *BoundProof) { pr.High.Bits[0].C = negate(p, pr.High.Bits[0].C) },
+			func(_ *commit.Commitment, pr *BoundProof) {
+				pr.High.BitProofs[0].A1 = negate(p, pr.High.BitProofs[0].A1)
+			},
+		})
 	})
-
-	twistRange := []func(c *commit.Commitment, pr *RangeProof){
-		func(c *commit.Commitment, _ *RangeProof) { c.C = negate(p, c.C) },
-		func(_ *commit.Commitment, pr *RangeProof) { pr.Bits[1].C = negate(p, pr.Bits[1].C) },
-		func(_ *commit.Commitment, pr *RangeProof) { pr.BitProofs[0].A0 = negate(p, pr.BitProofs[0].A0) },
-		func(_ *commit.Commitment, pr *RangeProof) { pr.BitProofs[2].A1 = negate(p, pr.BitProofs[2].A1) },
+	twistLow := []twist{
+		twistC,
+		func(_ *commit.Commitment, pr *BoundProof) { pr.Low.Bits[0].C = negate(p, pr.Low.Bits[0].C) },
+		func(_ *commit.Commitment, pr *BoundProof) { pr.Low.Bits[1].C = negate(p, pr.Low.Bits[1].C) },
+		func(_ *commit.Commitment, pr *BoundProof) { pr.Low.Bits[2].C = negate(p, pr.Low.Bits[2].C) },
+		func(_ *commit.Commitment, pr *BoundProof) { pr.Low.BitProofs[0].A0 = negate(p, pr.Low.BitProofs[0].A0) },
+		func(_ *commit.Commitment, pr *BoundProof) { pr.Low.BitProofs[2].A0 = negate(p, pr.Low.BitProofs[2].A0) },
+		func(_ *commit.Commitment, pr *BoundProof) { pr.Low.BitProofs[2].A1 = negate(p, pr.Low.BitProofs[2].A1) },
+		func(_ *commit.Commitment, pr *BoundProof) { pr.Low.BitProofs[1].A1 = negate(p, pr.Low.BitProofs[1].A1) },
 	}
-	t.Run("range", func(t *testing.T) {
-		for _, twist := range twistRange {
-			cs, prs, ctxs := makeRangeBatch(t, p, n, 3)
-			twist(&cs[bad], &prs[bad])
-			errs, err := VerifyRangeBatch(p, cs, 3, prs, ctxs, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertBatchErrs(t, errs, map[int]bool{bad: true})
-			if VerifyRange(p, cs[bad], 3, prs[bad], ctxs[bad]) == nil {
-				t.Error("sequential VerifyRange accepted the twisted proof")
-			}
-		}
-	})
-
-	t.Run("bound", func(t *testing.T) {
-		bound := big.NewInt(5)
-		for _, side := range []func(pr *BoundProof) *RangeProof{
-			func(pr *BoundProof) *RangeProof { return &pr.Low },
-			func(pr *BoundProof) *RangeProof { return &pr.High },
-		} {
-			for _, twist := range twistRange {
-				cs, prs, ctxs := makeBoundBatch(t, p, n, 5)
-				twist(&cs[bad], side(&prs[bad]))
-				errs, err := VerifyBoundBatch(p, cs, bound, prs, ctxs, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertBatchErrs(t, errs, map[int]bool{bad: true})
-				if VerifyBound(p, cs[bad], bound, prs[bad], ctxs[bad]) == nil {
-					t.Error("sequential VerifyBound accepted the twisted proof")
-				}
-			}
-		}
-	})
+	t.Run("range", func(t *testing.T) { check(t, 7, twistLow) })
+	t.Run("bound", func(t *testing.T) { check(t, 5, twistLow) })
 }
 
 // twistedBitProof is a cheating prover: it commits to 0 as C = h^r and
@@ -260,23 +198,24 @@ func twistedBitProof(t *testing.T, p *commit.Params, ctx, which string) (commit.
 }
 
 // TestBatchRejectsTwistedProofs: proofs built around a negated element
-// are rejected on every attempt — by VerifyBitBatch for a twisted C, A0
-// or A1, and by VerifyRangeBatch for a twisted bit commitment, which
-// the range layer checks once and hands to the bit layer as checked
-// (recomposition maps its product to [1, Q], so only Contains sees it).
+// are rejected on every attempt by the range batch — a one-bit range
+// proof for a twisted C, A0 or A1, and a 2-bit one whose bit 1 is a
+// twisted commitment. The range layer checks each bit commitment once
+// and hands it to the bit layer as checked (recomposition maps its
+// product to [1, Q], so only Contains sees it).
 func TestBatchRejectsTwistedProofs(t *testing.T) {
 	p := params()
 	const n, bad, attempts = 4, 1, 8
 
 	for _, which := range []string{"C", "A0", "A1"} {
-		cs, prs, ctxs := makeBitBatch(t, p, n)
-		cs[bad], prs[bad] = twistedBitProof(t, p, ctxs[bad], which)
+		cs, prs, ctxs := makeRangeBatch(t, p, n, 1)
+		c, pr := twistedBitProof(t, p, ctxs[bad]+"/bit0", which)
+		cs[bad], prs[bad] = c, oneBit(c, pr)
 		for a := 0; a < attempts; a++ {
-			errs, err := VerifyBitBatch(p, cs, prs, ctxs, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertBatchErrs(t, errs, map[int]bool{bad: true})
+			assertBatchErrs(t, rangeBatch(t, p, cs, big.NewInt(1), prs, ctxs), map[int]bool{bad: true})
+		}
+		if verifyRange(p, cs[bad], big.NewInt(1), prs[bad], ctxs[bad]) == nil {
+			t.Errorf("sequential verifyRange accepted a twisted %s", which)
 		}
 	}
 
@@ -297,13 +236,9 @@ func TestBatchRejectsTwistedProofs(t *testing.T) {
 		t.Fatal("test setup: the recomposed commitment should be a member")
 	}
 	for a := 0; a < attempts; a++ {
-		errs, err := VerifyRangeBatch(p, cs, 2, prs, ctxs, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertBatchErrs(t, errs, map[int]bool{bad: true})
+		assertBatchErrs(t, rangeBatch(t, p, cs, binary(2), prs, ctxs), map[int]bool{bad: true})
 	}
-	if VerifyRange(p, cs[bad], 2, prs[bad], ctxs[bad]) == nil {
-		t.Error("sequential VerifyRange accepted a twisted bit commitment")
+	if verifyRange(p, cs[bad], binary(2), prs[bad], ctxs[bad]) == nil {
+		t.Error("sequential verifyRange accepted a twisted bit commitment")
 	}
 }

@@ -56,13 +56,18 @@ func proveBitNegExp(p *commit.Params, c commit.Commitment, o commit.Opening, ctx
 	return proof, nil
 }
 
-// recomposeExp is the recomposition as it stood before Horner's rule:
-// one Exp by 2^j and one product per bit commitment.
-func recomposeExp(p *commit.Params, bits []commit.Commitment) *big.Int {
+// recomposeExp is the recomposition without Horner's rule: one Exp by
+// the weight and one product per bit commitment, the weight 2^j below
+// the top bit and top at it.
+func recomposeExp(p *commit.Params, bits []commit.Commitment, top *big.Int) *big.Int {
 	g := p.Group
 	out := big.NewInt(1)
 	for j, b := range bits {
-		out = g.Mul(out, g.Exp(b.C, new(big.Int).Lsh(big.NewInt(1), uint(j))))
+		w := new(big.Int).Lsh(big.NewInt(1), uint(j))
+		if j == len(bits)-1 {
+			w = top
+		}
+		out = g.Mul(out, g.Exp(b.C, w))
 	}
 	return out
 }
@@ -99,7 +104,7 @@ func TestProveBitMatchesNegativeExponentRoute(t *testing.T) {
 			if !reflect.DeepEqual(bitProofBytes(got), bitProofBytes(want)) {
 				t.Errorf("%s bit %d: ProveBit differs from the Exp(y, -c) route", name, bit)
 			}
-			if err := VerifyBit(p, c, got, "ctx"); err != nil {
+			if err := checkBit(p, c, got, "ctx"); err != nil {
 				t.Errorf("%s bit %d: proof does not verify: %v", name, bit, err)
 			}
 		}
@@ -151,9 +156,11 @@ func TestBoundRoundTripBothVerifiers(t *testing.T) {
 	}
 }
 
-// TestRecomposeMatchesExpRoute: Horner's rule gives the Exp-based
-// weighted product for every width ProveRange supports, and notices a
-// permutation of the bit commitments.
+// TestRecomposeMatchesExpRoute: Horner's rule and the top-weight
+// exponentiation give the Exp-based weighted product for every width a
+// range proof supports, at the plain-binary top weight 2^(n−1) and at
+// the smallest (1) and a random one, and notice a permutation of the
+// bit commitments.
 func TestRecomposeMatchesExpRoute(t *testing.T) {
 	p := params()
 	bits := make([]commit.Commitment, 128)
@@ -164,22 +171,28 @@ func TestRecomposeMatchesExpRoute(t *testing.T) {
 		}
 		bits[j] = commit.Commitment{C: x}
 	}
+	rng := mrand.New(mrand.NewSource(1))
 	for n := 1; n <= len(bits); n++ {
-		got, ok := recompose(p.Group, bits[:n])
-		if !ok || got.Cmp(recomposeExp(p, bits[:n])) != 0 {
-			t.Fatalf("width %d: recompose = %v, %v; want the Exp-based product", n, got, ok)
+		half := new(big.Int).Lsh(big.NewInt(1), uint(n-1))
+		random := new(big.Int).Add(new(big.Int).Rand(rng, half), big.NewInt(1))
+		for _, top := range []*big.Int{half, big.NewInt(1), random} {
+			got, ok := recompose(p.Group, bits[:n], top)
+			if !ok || got.Cmp(recomposeExp(p, bits[:n], top)) != 0 {
+				t.Fatalf("width %d, top weight %v: recompose = %v, %v; want the Exp-based product", n, top, got, ok)
+			}
 		}
 	}
+	top := big.NewInt(9) // bound 40's top weight
 	swapped := append([]commit.Commitment(nil), bits[:6]...)
 	swapped[1], swapped[4] = swapped[4], swapped[1]
-	got, _ := recompose(p.Group, swapped)
-	if want, _ := recompose(p.Group, bits[:6]); got.Cmp(want) == 0 {
+	got, _ := recompose(p.Group, swapped, top)
+	if want, _ := recompose(p.Group, bits[:6], top); got.Cmp(want) == 0 {
 		t.Fatal("recompose is blind to the order of the bit commitments")
 	}
 	for _, bad := range []*big.Int{nil, new(big.Int), new(big.Int).Sub(p.Group.P, big.NewInt(1)), p.Group.P} {
 		withBad := append([]commit.Commitment(nil), bits[:6]...)
 		withBad[3] = commit.Commitment{C: bad}
-		if _, ok := recompose(p.Group, withBad); ok {
+		if _, ok := recompose(p.Group, withBad, top); ok {
 			t.Errorf("recompose accepted the non-member %v", bad)
 		}
 	}
@@ -191,19 +204,16 @@ func TestRecomposeMatchesExpRoute(t *testing.T) {
 func TestVerifiersRejectPermutedBits(t *testing.T) {
 	p := params()
 	c, o, _ := p.CommitInt(0b100110, nil)
-	pr, err := ProveRange(p, c, o, 6, "ctx", nil)
+	pr, err := proveRange(p, c, o, binary(6), "ctx", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pr.Bits[0], pr.Bits[1] = pr.Bits[1], pr.Bits[0]
 	pr.BitProofs[0], pr.BitProofs[1] = pr.BitProofs[1], pr.BitProofs[0]
-	if VerifyRange(p, c, 6, pr, "ctx") == nil {
-		t.Error("VerifyRange accepted permuted bit commitments")
+	if verifyRange(p, c, binary(6), pr, "ctx") == nil {
+		t.Error("verifyRange accepted permuted bit commitments")
 	}
-	errs, err := VerifyRangeBatch(p, []commit.Commitment{c, c}, 6, []RangeProof{pr, pr}, []string{"ctx", "ctx"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	errs := rangeBatch(t, p, []commit.Commitment{c, c}, binary(6), []RangeProof{pr, pr}, []string{"ctx", "ctx"})
 	assertBatchErrs(t, errs, map[int]bool{0: true, 1: true})
 }
 

@@ -6,14 +6,11 @@
 //
 // Provided proofs, all over Pedersen commitments in a Schnorr group:
 //
-//   - ProveDlog / VerifyDlog: knowledge of x with y = base^x (Schnorr).
 //   - ProveOpening / VerifyOpening: knowledge of (m, r) opening C.
-//   - ProveEqual / VerifyEqual: two commitments hide the same message.
-//   - ProveBit / VerifyBit: a commitment hides 0 or 1 (CDS OR-composition).
-//   - ProveRange / VerifyRange: a commitment hides a value in [0, 2^n)
-//     (bit decomposition + per-bit proofs + homomorphic recomposition).
-//   - ProveBound / VerifyBound: a commitment hides a value in [0, B]
-//     (two range proofs: v >= 0 and B - v >= 0).
+//   - ProveBit: a commitment hides 0 or 1 (CDS OR-composition).
+//   - ProveBound / VerifyBound: a commitment hides a value in [0, B],
+//     as one range proof over exactly [0, B]: a bit decomposition whose
+//     weights sum to B, a proof per bit and a homomorphic recomposition.
 //
 // All proofs are bound to a caller-supplied context string so a proof for
 // one update cannot be replayed for another.
@@ -80,69 +77,11 @@ func randChallenge(g *group.Group, rng io.Reader) (*big.Int, error) {
 }
 
 // challengeOK reports whether a challenge share lies in the challenge
-// space; VerifyBit insists on it so a cheating prover cannot smuggle in
+// space; verifyBit insists on it so a cheating prover cannot smuggle in
 // full-width challenge exponents (slowing verification) or non-canonical
 // encodings of the same share.
 func challengeOK(g *group.Group, v *big.Int) bool {
 	return v != nil && v.Sign() >= 0 && v.BitLen() <= challengeWidth(g)
-}
-
-// DlogProof is a Schnorr proof of knowledge of x such that y = base^x.
-type DlogProof struct {
-	A *big.Int // announcement base^k
-	Z *big.Int // response k + c·x mod q
-}
-
-// ProveDlog proves knowledge of x with y = base^x in g's prime-order group.
-func ProveDlog(g *group.Group, base, y, x *big.Int, ctx string, rng io.Reader) (DlogProof, error) {
-	return proveDlogWith(g, func(e *big.Int) *big.Int { return g.Exp(base, e) }, base, y, x, ctx, rng)
-}
-
-// proveDlogWith is ProveDlog with a caller-supplied exponentiation for
-// the (fixed) base, so callers with a precomputed window table (the
-// equality proof's h) skip the square-and-multiply ladder.
-func proveDlogWith(g *group.Group, expBase func(*big.Int) *big.Int, base, y, x *big.Int, ctx string, rng io.Reader) (DlogProof, error) {
-	k, err := g.RandScalar(rng)
-	if err != nil {
-		return DlogProof{}, err
-	}
-	a := expBase(k)
-	c := dlogChallenge(g, base, y, a, ctx)
-	z := new(big.Int).Mul(c, x)
-	z.Add(z, k)
-	z.Mod(z, g.Q)
-	return DlogProof{A: a, Z: z}, nil
-}
-
-// VerifyDlog checks a Schnorr proof. The statement y must be a group
-// member: 0 and P have no witness to know, and P − y is y's element in
-// an encoding no honest prover produces.
-func VerifyDlog(g *group.Group, base, y *big.Int, p DlogProof, ctx string) error {
-	if y == nil || !g.Contains(y) {
-		return ErrInvalidProof
-	}
-	return verifyDlogWith(g, func(e *big.Int) *big.Int { return g.Exp(base, e) }, base, y, p, ctx)
-}
-
-// verifyDlogWith is VerifyDlog over a statement the caller has already
-// membership-checked, with the base exponentiation of proveDlogWith.
-func verifyDlogWith(g *group.Group, expBase func(*big.Int) *big.Int, base, y *big.Int, p DlogProof, ctx string) error {
-	if p.A == nil || !g.Contains(p.A) || !scalarOK(g, p.Z) {
-		return ErrInvalidProof
-	}
-	c := dlogChallenge(g, base, y, p.A, ctx)
-	lhs := expBase(p.Z)
-	rhs := g.Mul(p.A, g.Exp(y, c))
-	// Constant-time: verifiers run on attacker-supplied proofs, and an
-	// early-exit compare would leak how much of a forgery matched.
-	if !ct.BigEqual(lhs, rhs) {
-		return ErrInvalidProof
-	}
-	return nil
-}
-
-func dlogChallenge(g *group.Group, base, y, a *big.Int, ctx string) *big.Int {
-	return challengeScalar(g, "zk/dlog", []byte(ctx), base.Bytes(), y.Bytes(), a.Bytes())
 }
 
 // OpeningProof proves knowledge of (m, r) with C = g^m h^r.
@@ -184,7 +123,8 @@ func VerifyOpening(p *commit.Params, c commit.Commitment, pr OpeningProof, ctx s
 	ch := openingChallenge(p, c, pr.A, ctx)
 	lhs := g.Mul(p.ExpG(pr.Z1), p.ExpH(pr.Z2))
 	rhs := g.Mul(pr.A, g.Exp(c.C, ch))
-	// Constant-time compare of verification equation (see VerifyDlog).
+	// Constant-time: verifiers run on attacker-supplied proofs, and an
+	// early-exit compare would leak how much of a forgery matched.
 	if !ct.BigEqual(lhs, rhs) {
 		return ErrInvalidProof
 	}
@@ -193,52 +133,6 @@ func VerifyOpening(p *commit.Params, c commit.Commitment, pr OpeningProof, ctx s
 
 func openingChallenge(p *commit.Params, c commit.Commitment, a *big.Int, ctx string) *big.Int {
 	return challengeScalar(p.Group, "zk/opening", []byte(ctx), p.G.Bytes(), p.H.Bytes(), c.C.Bytes(), a.Bytes())
-}
-
-// EqualProof proves two commitments hide the same message: it is a Schnorr
-// proof of knowledge of log_h(C1/C2) = r1 - r2, which exists exactly when
-// the g-exponents agree.
-type EqualProof struct {
-	Proof DlogProof
-}
-
-// ProveEqual proves c1 and c2 commit to the same message, given both
-// openings.
-func ProveEqual(p *commit.Params, c1, c2 commit.Commitment, o1, o2 commit.Opening, ctx string, rng io.Reader) (EqualProof, error) {
-	mm1 := new(big.Int).Mod(o1.M, p.Group.Q)
-	mm2 := new(big.Int).Mod(o2.M, p.Group.Q)
-	if mm1.Cmp(mm2) != 0 {
-		return EqualProof{}, errors.New("zk: messages differ; refusing to prove a false statement")
-	}
-	y := p.Group.Div(c1.C, c2.C)
-	x := new(big.Int).Sub(o1.R, o2.R)
-	x.Mod(x, p.Group.Q)
-	pr, err := proveDlogWith(p.Group, p.ExpH, p.H, y, x, equalCtx(c1, c2, ctx), rng)
-	if err != nil {
-		return EqualProof{}, err
-	}
-	return EqualProof{Proof: pr}, nil
-}
-
-// VerifyEqual checks an equality proof. Both commitments must be group
-// members: each commitment has one encoding in [1, Q], and a
-// non-invertible c2 (0, P) has no quotient at all.
-func VerifyEqual(p *commit.Params, c1, c2 commit.Commitment, pr EqualProof, ctx string) error {
-	if c1.C == nil || c2.C == nil || !p.Group.Contains(c1.C) || !p.Group.Contains(c2.C) {
-		return ErrInvalidProof
-	}
-	y := p.Group.Div(c1.C, c2.C)
-	return verifyDlogWith(p.Group, p.ExpH, p.H, y, pr.Proof, equalCtx(c1, c2, ctx))
-}
-
-// equalCtx binds an equality proof to BOTH commitments, not just the
-// quotient statement the inner dlog proof sees. Without it a proof for
-// (c1, c2) replays against any pair with the same quotient — e.g.
-// (c1·t, c2·t) for arbitrary t — silently "proving" equality of
-// commitments the prover never opened. Hex encoding with "/" separators
-// keeps the binding unambiguous.
-func equalCtx(c1, c2 commit.Commitment, ctx string) string {
-	return fmt.Sprintf("equal/%x/%x/%s", c1.C, c2.C, ctx)
 }
 
 // BitProof proves a commitment hides 0 or 1 via a CDS OR-composition of
@@ -308,19 +202,11 @@ func ProveBit(p *commit.Params, c commit.Commitment, o commit.Opening, ctx strin
 	return proof, nil
 }
 
-// VerifyBit checks a bit proof. The commitment must be a group member:
-// its other encoding P − C names the same element and satisfies both
-// branch equations, so only Contains keeps one proof to one byte string.
-func VerifyBit(p *commit.Params, c commit.Commitment, pr BitProof, ctx string) error {
-	if c.C == nil || !p.Group.Contains(c.C) {
-		return ErrInvalidProof
-	}
-	return verifyBit(p, c, pr, ctx)
-}
-
-// verifyBit is VerifyBit over a commitment the caller has already
-// membership-checked (VerifyRange and the batch verifiers check every bit
-// commitment themselves).
+// verifyBit checks a bit proof over a commitment the caller has already
+// membership-checked (verifyRange and the batch verifier check every bit
+// commitment themselves). The check matters: a commitment's other
+// encoding P − C names the same element and satisfies both branch
+// equations, so only Contains keeps one proof to one byte string.
 func verifyBit(p *commit.Params, c commit.Commitment, pr BitProof, ctx string) error {
 	g := p.Group
 	if err := bitShapeCheck(p, pr); err != nil {
@@ -329,7 +215,7 @@ func verifyBit(p *commit.Params, c commit.Commitment, pr BitProof, ctx string) e
 	ch := bitChallenge(p, c, pr.A0, pr.A1, ctx)
 	split := new(big.Int).Xor(pr.C0, pr.C1)
 	// Constant-time compares of the challenge split and both verification
-	// equations (see VerifyDlog).
+	// equations (see VerifyOpening).
 	if !ct.BigEqual(split, ch) {
 		return ErrInvalidProof
 	}
@@ -353,7 +239,7 @@ func verifyBit(p *commit.Params, c commit.Commitment, pr BitProof, ctx string) e
 // equation is evaluated: announcements must be group elements in their
 // one encoding (group.Contains) and all scalars must be canonical Z_Q
 // elements (see scalarOK). Shared by
-// VerifyBit and the batch verifier, which folds equations and therefore
+// verifyBit and the batch verifier, which folds equations and therefore
 // never re-discovers shape problems on its own.
 func bitShapeCheck(p *commit.Params, pr BitProof) error {
 	g := p.Group
@@ -375,81 +261,104 @@ func bitChallenge(p *commit.Params, c commit.Commitment, a0, a1 *big.Int, ctx st
 	return challengeScalar(p.Group, "zk/bit", []byte(ctx), c.C.Bytes(), a0.Bytes(), a1.Bytes())
 }
 
-// RangeProof proves a commitment hides a value in [0, 2^n).
+// maxRangeBits caps a range proof's width: no bound the engines use comes
+// near it, and a verifier that derives the width from a public maximum
+// still refuses to let that maximum drive unbounded work.
+const maxRangeBits = 128
+
+// RangeProof proves a commitment hides a value in [0, max] for a public
+// max ≥ 1 (see rangeWeights): one commitment per bit, LSB first, whose
+// weighted product is the commitment, and a proof that each hides a bit.
 type RangeProof struct {
 	Bits      []commit.Commitment // commitments to each bit, LSB first
 	BitProofs []BitProof
 }
 
-// NBits returns the bit width the proof covers.
-func (r RangeProof) NBits() int { return len(r.Bits) }
+// rangeWeights returns the width n = max.BitLen() of a range proof over
+// [0, max] and its top weight. Bit j < n−1 weighs 2^j and bit n−1 weighs
+// top = max − 2^(n−1) + 1, which lies in [1, 2^(n−1)]: the weights sum to
+// max, so the bits recompose to exactly [0, max]. max = 2^n − 1 gives
+// top = 2^(n−1), plain binary. ok is false for max < 1 or a max wider
+// than maxRangeBits.
+func rangeWeights(max *big.Int) (n int, top *big.Int, ok bool) {
+	n = max.BitLen()
+	if max.Sign() < 1 || n > maxRangeBits {
+		return 0, nil, false
+	}
+	top = new(big.Int).Lsh(big.NewInt(1), uint(n-1))
+	top.Sub(max, top)
+	return n, top.Add(top, big.NewInt(1)), true
+}
 
-// ProveRange proves that c (with opening o) hides a value in [0, 2^n). The
-// prover decomposes the message into bits, commits to each with randomness
-// chosen so the weighted product of bit commitments equals c exactly, and
-// proves each commitment is a bit.
-func ProveRange(p *commit.Params, c commit.Commitment, o commit.Opening, nBits int, ctx string, rng io.Reader) (RangeProof, error) {
+// proveRange proves that c (with opening o) hides a value in [0, max].
+// A value of n bits (m ≥ 2^(n−1)) sets the top bit and writes m − top in
+// the low n−1 bits; a shorter one is its own binary. The randomness r_j
+// of bits 1..n−1 is uniform and r_0 = r − Σ w_j·r_j (w_0 = 1 at every
+// width), so the weighted product of the bit commitments is c exactly.
+func proveRange(p *commit.Params, c commit.Commitment, o commit.Opening, max *big.Int, ctx string, rng io.Reader) (RangeProof, error) {
 	g := p.Group
-	if nBits < 1 || nBits > 128 {
-		return RangeProof{}, fmt.Errorf("zk: unsupported range width %d", nBits)
+	n, top, ok := rangeWeights(max)
+	if !ok {
+		return RangeProof{}, fmt.Errorf("zk: unsupported range [0, %v]", max)
 	}
 	m := o.M
-	if m.Sign() < 0 || m.BitLen() > nBits {
-		return RangeProof{}, fmt.Errorf("zk: value out of [0, 2^%d); refusing to prove a false statement", nBits)
+	if m.Sign() < 0 || m.Cmp(max) > 0 {
+		return RangeProof{}, fmt.Errorf("zk: value out of [0, %v]; refusing to prove a false statement", max)
 	}
-	proof := RangeProof{
-		Bits:      make([]commit.Commitment, nBits),
-		BitProofs: make([]BitProof, nBits),
+	digits := m // bit j of the decomposition is digits.Bit(j)
+	if m.BitLen() == n {
+		digits = new(big.Int).Sub(m, top)
+		digits.SetBit(digits, n-1, 1)
 	}
-	// Choose randomness r_i for bits 1..n-1 freely, then solve for r_0 so
-	// that sum(2^i · r_i) == o.R (mod q): the weighted product of bit
-	// commitments then equals c with no extra terms.
-	rs := make([]*big.Int, nBits)
+	rs := make([]*big.Int, n)
 	acc := new(big.Int)
-	for i := 1; i < nBits; i++ {
-		ri, err := g.RandScalar(rng)
+	for j := 1; j < n; j++ {
+		rj, err := g.RandScalar(rng)
 		if err != nil {
 			return RangeProof{}, err
 		}
-		rs[i] = ri
-		weighted := new(big.Int).Lsh(ri, uint(i))
-		acc.Add(acc, weighted)
+		rs[j] = rj
+		if j == n-1 {
+			acc.Add(acc, new(big.Int).Mul(rj, top))
+		} else {
+			acc.Add(acc, new(big.Int).Lsh(rj, uint(j)))
+		}
 	}
-	r0 := new(big.Int).Sub(o.R, acc)
-	r0.Mod(r0, g.Q)
-	rs[0] = r0
-	for i := 0; i < nBits; i++ {
-		bit := big.NewInt(int64(m.Bit(i)))
-		ci := p.CommitWith(bit, rs[i])
-		proof.Bits[i] = ci
-		bp, err := ProveBit(p, ci, commit.Opening{M: bit, R: rs[i]}, fmt.Sprintf("%s/bit%d", ctx, i), rng)
+	rs[0] = acc.Sub(o.R, acc).Mod(acc, g.Q)
+	proof := RangeProof{
+		Bits:      make([]commit.Commitment, n),
+		BitProofs: make([]BitProof, n),
+	}
+	for j := 0; j < n; j++ {
+		bit := big.NewInt(int64(digits.Bit(j)))
+		cj := p.CommitWith(bit, rs[j])
+		proof.Bits[j] = cj
+		bp, err := ProveBit(p, cj, commit.Opening{M: bit, R: rs[j]}, fmt.Sprintf("%s/bit%d", ctx, j), rng)
 		if err != nil {
 			return RangeProof{}, err
 		}
-		proof.BitProofs[i] = bp
+		proof.BitProofs[j] = bp
 	}
 	return proof, nil
 }
 
-// VerifyRange checks that c hides a value in [0, 2^nBits).
-func VerifyRange(p *commit.Params, c commit.Commitment, nBits int, pr RangeProof, ctx string) error {
-	// The width cap mirrors ProveRange: no honest proof exceeds 128 bits,
-	// and bounding it here keeps attacker-chosen nBits from driving
-	// unbounded verification work.
-	if len(pr.Bits) != nBits || len(pr.BitProofs) != nBits || nBits < 1 || nBits > 128 {
+// verifyRange checks that c hides a value in [0, max]. It derives the
+// width and the weights from max and never reads them from the proof.
+func verifyRange(p *commit.Params, c commit.Commitment, max *big.Int, pr RangeProof, ctx string) error {
+	n, top, ok := rangeWeights(max)
+	if !ok || len(pr.Bits) != n || len(pr.BitProofs) != n {
 		return ErrInvalidProof
 	}
 	// The bit commitments must be well-formed and their weighted product
 	// must equal the target commitment exactly. Constant-time: the
 	// recomposition check runs on attacker-supplied bit commitments (see
-	// VerifyDlog).
-	recomposed, ok := recompose(p.Group, pr.Bits)
+	// VerifyOpening).
+	recomposed, ok := recompose(p.Group, pr.Bits, top)
 	if !ok || !ct.BigEqual(recomposed, c.C) {
 		return ErrInvalidProof
 	}
-	// Each bit commitment must prove to a bit.
-	for i := 0; i < nBits; i++ {
-		if err := verifyBit(p, pr.Bits[i], pr.BitProofs[i], fmt.Sprintf("%s/bit%d", ctx, i)); err != nil {
+	for j := 0; j < n; j++ {
+		if err := verifyBit(p, pr.Bits[j], pr.BitProofs[j], fmt.Sprintf("%s/bit%d", ctx, j)); err != nil {
 			return ErrInvalidProof
 		}
 	}
@@ -457,30 +366,39 @@ func VerifyRange(p *commit.Params, c commit.Commitment, nBits int, pr RangeProof
 }
 
 // recompose checks that every bit commitment (LSB first, at least one)
-// is a group member and returns the weighted product Π bits[j]^(2^j)
-// by Horner's rule from the top bit down — acc ← acc²·bits[j], n−1
-// squarings and n−1 products for n bits. ok is false if any commitment
-// is nil or a non-member.
-func recompose(g *group.Group, bits []commit.Commitment) (product *big.Int, ok bool) {
+// is a group member and returns the weighted product
+// Π_{j<n−1} bits[j]^(2^j) · bits[n−1]^top: Horner's rule over the low
+// n−1 bits (acc ← acc²·bits[j] from bit n−2 down, n−2 squarings and
+// n−2 products) and one exponentiation by top, at most n bits, for the
+// top bit. ok is false if any commitment is nil or a non-member.
+func recompose(g *group.Group, bits []commit.Commitment, top *big.Int) (product *big.Int, ok bool) {
 	for _, b := range bits {
 		if b.C == nil || !g.Contains(b.C) {
 			return nil, false
 		}
 	}
-	acc := bits[len(bits)-1].C
-	for j := len(bits) - 2; j >= 0; j-- {
+	n := len(bits)
+	product = g.Exp(bits[n-1].C, top)
+	if n == 1 {
+		return product, true
+	}
+	acc := bits[n-2].C
+	for j := n - 3; j >= 0; j-- {
 		acc = g.Mul(g.Mul(acc, acc), bits[j].C)
 	}
-	return acc, true
+	return g.Mul(product, acc), true
 }
 
 // BoundProof proves a commitment hides a value v with 0 <= v <= B for a
-// public bound B: a range proof on v and a range proof on B - v (whose
-// commitment anyone derives homomorphically from c and B).
+// public bound B. For B ≥ 1 it is one range proof over exactly [0, B]
+// in Low, with High empty. Bound 0 has no non-zero weight to decompose
+// into, so its proof is two one-bit range proofs: v ∈ [0, 1] in Low and
+// 0 − v ∈ [0, 1] in High (whose commitment anyone derives
+// homomorphically from c), which together leave v = 0.
 type BoundProof struct {
 	NBits int
-	Low   RangeProof // v in [0, 2^n)
-	High  RangeProof // B - v in [0, 2^n)
+	Low   RangeProof // v in [0, B]; v in [0, 1] at B = 0
+	High  RangeProof // empty; 0 − v in [0, 1] at B = 0
 }
 
 // boundWidth returns the bit width needed to cover [0, B].
@@ -490,6 +408,16 @@ func boundWidth(b *big.Int) int {
 		n = 1
 	}
 	return n
+}
+
+// boundRange returns the maximum of the range proof(s) a bound proof
+// for b carries, and whether it has a High side: [0, b] alone for
+// b ≥ 1, and [0, 1] on both sides for b = 0.
+func boundRange(b *big.Int) (max *big.Int, high bool) {
+	if b.Sign() == 0 {
+		return big.NewInt(1), true
+	}
+	return b, false
 }
 
 // ProveBound proves 0 <= v <= B for the value committed in c.
@@ -503,10 +431,14 @@ func ProveBound(p *commit.Params, c commit.Commitment, o commit.Opening, bound *
 	if o.M.Sign() < 0 || o.M.Cmp(bound) > 0 {
 		return BoundProof{}, errors.New("zk: value violates bound; refusing to prove a false statement")
 	}
-	n := boundWidth(bound)
-	low, err := ProveRange(p, c, o, n, ctx+"/low", rng)
+	max, twoSided := boundRange(bound)
+	low, err := proveRange(p, c, o, max, ctx+"/low", rng)
 	if err != nil {
 		return BoundProof{}, err
+	}
+	pr := BoundProof{NBits: boundWidth(bound), Low: low}
+	if !twoSided {
+		return pr, nil
 	}
 	// Commitment to B - v: CommitPublic(B) / c, opening (B - m, -r).
 	cHigh := p.Sub(p.CommitPublic(bound), c)
@@ -514,11 +446,10 @@ func ProveBound(p *commit.Params, c commit.Commitment, o commit.Opening, bound *
 		M: new(big.Int).Sub(bound, o.M),
 		R: new(big.Int).Mod(new(big.Int).Neg(o.R), p.Group.Q),
 	}
-	high, err := ProveRange(p, cHigh, oHigh, n, ctx+"/high", rng)
-	if err != nil {
+	if pr.High, err = proveRange(p, cHigh, oHigh, max, ctx+"/high", rng); err != nil {
 		return BoundProof{}, err
 	}
-	return BoundProof{NBits: n, Low: low, High: high}, nil
+	return pr, nil
 }
 
 // VerifyBound checks that c hides a value in [0, bound].
@@ -526,11 +457,18 @@ func VerifyBound(p *commit.Params, c commit.Commitment, bound *big.Int, pr Bound
 	if bound == nil || bound.Sign() < 0 || pr.NBits != boundWidth(bound) {
 		return ErrInvalidProof
 	}
-	if err := VerifyRange(p, c, pr.NBits, pr.Low, ctx+"/low"); err != nil {
+	max, twoSided := boundRange(bound)
+	if !twoSided && (len(pr.High.Bits) != 0 || len(pr.High.BitProofs) != 0) {
 		return ErrInvalidProof
 	}
+	if err := verifyRange(p, c, max, pr.Low, ctx+"/low"); err != nil {
+		return ErrInvalidProof
+	}
+	if !twoSided {
+		return nil
+	}
 	cHigh := p.Sub(p.CommitPublic(bound), c)
-	if err := VerifyRange(p, cHigh, pr.NBits, pr.High, ctx+"/high"); err != nil {
+	if err := verifyRange(p, cHigh, max, pr.High, ctx+"/high"); err != nil {
 		return ErrInvalidProof
 	}
 	return nil
