@@ -13,7 +13,7 @@ vet:
 
 # lint runs the project-specific analyzers (internal/lint): lockheld,
 # cryptorand, consttime, deferloop, errignored, walorder, lockorder,
-# timerleak, atomicmix, chanclose. See DESIGN.md §5 for the
+# timerleak, atomicmix, chanclose, unreached. See DESIGN.md §5 for the
 # analyzer -> invariant table.
 lint:
 	$(GO) run ./cmd/prever-lint ./...

@@ -6,7 +6,6 @@ package prever_test
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -176,145 +175,6 @@ func BenchmarkE2_Verify_ZKProof(b *testing.B) {
 		if _, err := setup.Manager.SubmitZK(u); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// --- E2b: batched submission: sequential loop vs SubmitBatch --------------
-
-// pipelinePlainManager builds a PlainManager with the windowed FLSA
-// constraint and prefills `prefill` rows per worker, so each verification
-// runs the windowed aggregate over a populated table — the scan-heavy,
-// read-only work SubmitBatch parallelizes across producers.
-func pipelinePlainManager(tb testing.TB, workers, prefill int) *prever.PlainManager {
-	tb.Helper()
-	mgr := prever.NewPlainManager("pipe")
-	tasks, err := prever.NewTable("tasks",
-		prever.Column{Name: "worker", Kind: prever.KindString},
-		prever.Column{Name: "hours", Kind: prever.KindInt},
-		prever.Column{Name: "ts", Kind: prever.KindTime},
-	)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	mgr.AddTable(tasks)
-	c, err := prever.NewConstraint("flsa",
-		"SUM(tasks.hours WHERE tasks.worker = u.worker WITHIN 168 HOURS OF u.ts) + u.hours <= 40000000",
-		prever.Regulation, prever.Public, "dol")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	mgr.AddConstraint(c)
-	base := time.Date(2022, 3, 29, 0, 0, 0, 0, time.UTC)
-	for w := 0; w < workers; w++ {
-		for i := 0; i < prefill; i++ {
-			u := pipelineUpdate(fmt.Sprintf("seed-w%d-%d", w, i), w, base)
-			if r, err := mgr.Submit(u); err != nil || !r.Accepted {
-				tb.Fatalf("prefill: %v %+v", err, r)
-			}
-		}
-	}
-	return mgr
-}
-
-func pipelineUpdate(id string, worker int, ts time.Time) prever.Update {
-	return prever.Update{
-		ID: id, Table: "tasks", Key: id,
-		Row: prever.Row{
-			"worker": prever.Str(fmt.Sprintf("w%d", worker)),
-			"hours":  prever.Int(1),
-			"ts":     prever.Time(ts),
-		},
-		Producer: fmt.Sprintf("w%d", worker),
-		TS:       ts,
-	}
-}
-
-func pipelineWorkload(workers, per int, tag string) []prever.Update {
-	base := time.Date(2022, 3, 29, 12, 0, 0, 0, time.UTC)
-	us := make([]prever.Update, 0, workers*per)
-	for i := 0; i < per; i++ {
-		for w := 0; w < workers; w++ {
-			us = append(us, pipelineUpdate(fmt.Sprintf("%s-w%d-%d", tag, w, i), w, base))
-		}
-	}
-	return us
-}
-
-func reportP95(b *testing.B, mgr *prever.PlainManager) {
-	if l := mgr.Stats().Latency; l.Count > 0 {
-		b.ReportMetric(float64(l.P95.Nanoseconds()), "p95-ns")
-	}
-}
-
-func BenchmarkPipeline_PlainSequential(b *testing.B) {
-	mgr := pipelinePlainManager(b, 8, 128)
-	us := pipelineWorkload(8, (b.N+7)/8, "seq")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mgr.Submit(us[i]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	reportP95(b, mgr)
-}
-
-// BenchmarkPipeline_PlainSubmitBatch is the same workload through the
-// batch entry point, 64 updates (8 per producer) per call.
-func BenchmarkPipeline_PlainSubmitBatch(b *testing.B) {
-	const batch = 64
-	mgr := pipelinePlainManager(b, 8, 128)
-	us := pipelineWorkload(8, (b.N+7)/8, "batch")[:b.N]
-	b.ResetTimer()
-	for len(us) > 0 {
-		n := min(batch, len(us))
-		if _, err := mgr.SubmitBatch(us[:n]); err != nil {
-			b.Fatal(err)
-		}
-		us = us[n:]
-	}
-	b.StopTimer()
-	reportP95(b, mgr)
-}
-
-// TestSubmitBatchSpeedupOnPlain is the concurrency acceptance gate: on a
-// machine with >= 4 cores, SubmitBatch's per-producer fan-out must beat
-// the sequential Submit loop by >= 2x on the scan-heavy plain workload.
-// Skipped on smaller runners, where there is no parallelism to claim.
-func TestSubmitBatchSpeedupOnPlain(t *testing.T) {
-	if runtime.NumCPU() < 4 {
-		t.Skipf("need >= 4 CPUs for the 2x speedup gate, have %d", runtime.NumCPU())
-	}
-	if testing.Short() {
-		t.Skip("speedup measurement is heavyweight")
-	}
-	const workers, prefill, per = 8, 256, 48
-	measure := func(run func([]prever.Update) error, tag string) time.Duration {
-		us := pipelineWorkload(workers, per, tag)
-		start := time.Now()
-		if err := run(us); err != nil {
-			t.Fatal(err)
-		}
-		return time.Since(start)
-	}
-	seqMgr := pipelinePlainManager(t, workers, prefill)
-	seq := measure(func(us []prever.Update) error {
-		for _, u := range us {
-			if _, err := seqMgr.Submit(u); err != nil {
-				return err
-			}
-		}
-		return nil
-	}, "seq")
-	batchMgr := pipelinePlainManager(t, workers, prefill)
-	batch := measure(func(us []prever.Update) error {
-		_, err := batchMgr.SubmitBatch(us)
-		return err
-	}, "batch")
-	speedup := float64(seq) / float64(batch)
-	t.Logf("sequential %v, SubmitBatch %v, speedup %.2fx", seq, batch, speedup)
-	if speedup < 2.0 {
-		t.Fatalf("SubmitBatch speedup %.2fx < 2x (sequential %v, SubmitBatch %v)", speedup, seq, batch)
 	}
 }
 

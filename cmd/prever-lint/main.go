@@ -4,7 +4,8 @@
 // code, short-circuiting secret comparisons, defers inside loops,
 // discarded errors from mutation entry points, sends racing journal
 // fsyncs, lock-order cycles, leaked timers, mixed atomic/plain field
-// access, and channel close races.
+// access, channel close races, and internal declarations no non-test code
+// uses.
 //
 // Usage:
 //

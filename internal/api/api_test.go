@@ -109,11 +109,12 @@ func TestSubmitPrivate(t *testing.T) {
 		"secrets": {"api/peer0", "api/peer1"},
 	})
 	secret := []byte("the-recipe")
-	id, err := client.SubmitPrivate("secrets", "r1", secret)
-	if err != nil {
+	var resp SubmitResponse
+	req := PrivateSubmitRequest{Collection: "secrets", Key: "r1", Value: secret}
+	if err := client.doJSON(http.MethodPost, "/submit-private", req, &resp); err != nil {
 		t.Fatal(err)
 	}
-	if id == "" {
+	if resp.TxID == "" {
 		t.Fatal("empty tx id")
 	}
 	waitConverged(t, client)

@@ -122,16 +122,6 @@ func (c *Client) SubmitBatch(txs []Tx) ([]BatchResult, error) {
 	return decodeResults(data, len(txs))
 }
 
-// SubmitPrivate writes a value into a private data collection.
-func (c *Client) SubmitPrivate(collection, key string, value []byte) (string, error) {
-	var resp SubmitResponse
-	req := PrivateSubmitRequest{Collection: collection, Key: key, Value: value}
-	if err := c.doJSON(http.MethodPost, "/submit-private", req, &resp); err != nil {
-		return "", err
-	}
-	return resp.TxID, nil
-}
-
 // Get reads a key's current value from its home shard. found false
 // means the key is absent (deleted or never written), not an error.
 func (c *Client) Get(key string) (value []byte, found bool, err error) {

@@ -114,7 +114,7 @@ func e1ApplyPlain(kv *store.KV, op workload.Op) error {
 		return nil
 	case workload.OpScan:
 		n := 0
-		kv.Snapshot().Range(func(k string, _ []byte) bool {
+		kv.Range(func(k string, _ []byte) bool {
 			if k < op.Key {
 				return true
 			}
@@ -151,7 +151,7 @@ func e1ApplyLedger(l *ledger.Ledger, op workload.Op) error {
 		return err
 	case workload.OpScan:
 		n := 0
-		l.State().Range(func(k string, _ []byte) bool {
+		l.Range(func(k string, _ []byte) bool {
 			if k < op.Key {
 				return true
 			}

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/big"
 	"sync"
@@ -113,17 +112,12 @@ func E5Integrity(scale Scale) (*Table, error) {
 
 // merkleRootAt recomputes the root of the ledger's first n entries the
 // way an auditor who saved an old digest would have seen it: from the
-// exported journal prefix, using the ledger's canonical JSON leaf
-// encoding.
+// exported journal prefix, whose entry hashes are the Merkle leaves.
 func merkleRootAt(l *ledger.Ledger, n int) merkle.Hash {
 	entries := l.Export()[:n]
 	tree := merkle.New()
 	for i := range entries {
-		b, err := json.Marshal(&entries[i])
-		if err != nil {
-			return merkle.Hash{}
-		}
-		tree.Append(b)
+		tree.Append(entries[i].EntryHash[:])
 	}
 	return tree.Root()
 }

@@ -103,14 +103,6 @@ func (s *Signer) Sign(blindedMsg *big.Int) (*big.Int, error) {
 	return new(big.Int).Exp(blindedMsg, s.key.D, s.key.N), nil
 }
 
-// SignMessage signs a message directly (ordinary RSA-FDH, no blinding).
-// Used where the signer is allowed to see the message — e.g. platforms
-// issuing work receipts on already-pseudonymous token serials.
-func (s *Signer) SignMessage(msg []byte) *big.Int {
-	h := hashToModulus(msg, s.key.N)
-	return new(big.Int).Exp(h, s.key.D, s.key.N)
-}
-
 // Unblind strips the blinding factor, yielding a standard RSA-FDH
 // signature on the original message. It verifies the result before
 // returning it, so a misbehaving signer is detected immediately.

@@ -72,14 +72,6 @@ type Stats struct {
 	Batches mempool.BatchStats `json:"batches"`
 }
 
-// MeanCommitLatency returns the average submission-to-commit time.
-func (s Stats) MeanCommitLatency() time.Duration {
-	if s.Accepted == 0 {
-		return 0
-	}
-	return time.Duration(s.TotalCommitNanos / s.Accepted)
-}
-
 // Merge accumulates o into s (cross-shard aggregation). Gauges (Depth,
 // InFlight) sum — the aggregate reads as total backlog.
 func (s *Stats) Merge(o Stats) {
@@ -372,15 +364,6 @@ func (s *Shard) Stats() Stats {
 	st.Pool = s.pool.Stats()
 	st.Batches = s.batcher.Stats()
 	return st
-}
-
-// Stats aggregates submission statistics across every shard.
-func (c *Sharded) Stats() Stats {
-	var total Stats
-	for _, s := range c.shards {
-		total.Merge(s.Stats())
-	}
-	return total
 }
 
 // SubmitBatch routes a batch of single-shard transactions to their home

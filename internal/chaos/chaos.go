@@ -11,6 +11,8 @@
 // `make chaos-sim` runs the same schedules on virtual time instead
 // (chaos_sim_test.go), hundreds of seeds a minute, where a failing seed
 // replays.
+//
+//lint:ignore unreached test-support package: the fault-injection schedules, imported by the chaos tests only
 package chaos
 
 import (

@@ -98,11 +98,6 @@ func (p *Params) CommitInt(m int64, rng io.Reader) (Commitment, Opening, error) 
 	return p.Commit(big.NewInt(m), rng)
 }
 
-// Verify checks that an opening matches a commitment.
-func (p *Params) Verify(c Commitment, o Opening) bool {
-	return p.CommitWith(o.M, o.R).Equal(c)
-}
-
 // Add homomorphically combines two commitments:
 // Commit(m1, r1) * Commit(m2, r2) = Commit(m1+m2, r1+r2).
 func (p *Params) Add(a, b Commitment) Commitment {
@@ -113,19 +108,6 @@ func (p *Params) Add(a, b Commitment) Commitment {
 func (p *Params) AddOpenings(a, b Opening) Opening {
 	m := new(big.Int).Add(a.M, b.M)
 	r := new(big.Int).Add(a.R, b.R)
-	r.Mod(r, p.Group.Q)
-	return Opening{M: m, R: r}
-}
-
-// ScalarMul computes Commit(m, r)^k = Commit(k·m, k·r).
-func (p *Params) ScalarMul(a Commitment, k *big.Int) Commitment {
-	return Commitment{C: p.Group.Exp(a.C, k)}
-}
-
-// ScalarMulOpening scales an opening to match ScalarMul.
-func (p *Params) ScalarMulOpening(a Opening, k *big.Int) Opening {
-	m := new(big.Int).Mul(a.M, k)
-	r := new(big.Int).Mul(a.R, k)
 	r.Mod(r, p.Group.Q)
 	return Opening{M: m, R: r}
 }

@@ -19,8 +19,8 @@ type Term struct {
 //
 // — the class of constraints PReVer's privacy-preserving engines can check
 // without general computation: homomorphically under Paillier (RC1), by
-// token budgets (RC2 centralized), or by MPC secure sum + masked compare
-// (RC2 decentralized).
+// token budgets (RC2 centralized), or by a masked compare of encrypted
+// totals (RC2 decentralized).
 type BoundForm struct {
 	Terms []Term
 	Op    BinaryOp // OpLte, OpLt, OpGte or OpGt
@@ -159,50 +159,3 @@ func scaledAtom(e Expr, coeff int64) ([]Term, bool) {
 		return nil, false
 	}
 }
-
-// EvalLinear evaluates a bound form against an environment using exact
-// integer arithmetic, returning the left-hand total and the verdict. This
-// is the plaintext reference the encrypted engines must agree with.
-func EvalLinear(b *BoundForm, env *Env) (total int64, satisfied bool, err error) {
-	for _, t := range b.Terms {
-		switch {
-		case t.IsConst:
-			total += t.Coeff
-		case t.UpdateField != "":
-			v, ok := env.Update[t.UpdateField]
-			if !ok {
-				return 0, false, &EvalError{Expr: &Ref{Base: "u", Field: t.UpdateField}, Err: errNoField(t.UpdateField)}
-			}
-			iv, cErr := v.AsInt()
-			if cErr != nil {
-				return 0, false, cErr
-			}
-			total += t.Coeff * iv
-		case t.Agg != nil:
-			v, aErr := evalAgg(t.Agg, env)
-			if aErr != nil {
-				return 0, false, aErr
-			}
-			iv, cErr := v.AsInt()
-			if cErr != nil {
-				return 0, false, cErr
-			}
-			total += t.Coeff * iv
-		}
-	}
-	switch b.Op {
-	case OpLte:
-		satisfied = total <= b.Bound
-	case OpLt:
-		satisfied = total < b.Bound
-	case OpGte:
-		satisfied = total >= b.Bound
-	case OpGt:
-		satisfied = total > b.Bound
-	}
-	return total, satisfied, nil
-}
-
-type errNoField string
-
-func (e errNoField) Error() string { return "update has no field " + string(e) }

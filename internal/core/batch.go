@@ -13,16 +13,6 @@ import (
 // SubmitSequential. Both return receipts in input order and report
 // rejections as receipts, never as errors.
 
-// LaneKey is the ordering key for plaintext Updates: the producer
-// (per-producer ordering, matching per-producer constraints), falling
-// back to the row key for producer-less updates.
-func LaneKey(u Update) string {
-	if u.Producer != "" {
-		return u.Producer
-	}
-	return u.Key
-}
-
 // SubmitSequential submits one update at a time; the error is the first
 // operational error.
 func SubmitSequential[U any](submit func(U) (Receipt, error), us []U) ([]Receipt, error) {
@@ -36,14 +26,6 @@ func SubmitSequential[U any](submit func(U) (Receipt, error), us []U) ([]Receipt
 		}
 	}
 	return receipts, firstErr
-}
-
-// eachInOrder adapts a per-update submit function to SubmitGrouped's
-// group shape for engines with no amortized verifier: a key's updates
-// run one at a time in submission order while other keys' run beside
-// them.
-func eachInOrder[U any](submit func(U) (Receipt, error)) func([]U) ([]Receipt, error) {
-	return func(group []U) ([]Receipt, error) { return SubmitSequential(submit, group) }
 }
 
 // SubmitGrouped partitions a batch by lane key and hands each key's

@@ -2,16 +2,12 @@ package core
 
 import (
 	"fmt"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"prever/internal/commit"
 	"prever/internal/group"
 	"prever/internal/he"
-	"prever/internal/token"
 )
 
 // --- every batch entry point, one contract ---------------------------------
@@ -24,9 +20,6 @@ import (
 type batchRun struct {
 	run   func() ([]Receipt, error)
 	stats func() Stats
-	// receiptID names the receipt expected at an input position; nil
-	// means the update's own ID (updateID).
-	receiptID func(pos int) string
 }
 
 // The batch is batchKeys x batchPer updates, key-interleaved (position
@@ -37,30 +30,17 @@ const (
 	batchBad            = (batchPer - 1) * batchKeys
 )
 
-// holderSeq names credential holders: the shared test authority issues
-// one credential per holder per process, -count reruns included.
-var holderSeq atomic.Int64
-
 func batchKey(pos int) string { return fmt.Sprintf("k%d", pos%batchKeys) }
 
 func updateID(pos int) string { return fmt.Sprintf("u%d", pos) }
 
-// TestBatchEntryPoints holds all six batch entry points to one contract:
+// TestBatchEntryPoints holds both batch entry points to one contract:
 // receipts come back in input order, each key's updates are processed in
 // submission order (their ledger sequences increase), and one update's
 // operational error is returned without costing any other update its
 // receipt.
 func TestBatchEntryPoints(t *testing.T) {
 	cases := map[string]func(t *testing.T) batchRun{
-		"PlainManager.SubmitBatch": func(t *testing.T) batchRun {
-			m := newPlain(t)
-			us := make([]Update, batchKeys*batchPer)
-			for i := range us {
-				us[i] = taskUpdate(updateID(i), batchKey(i), 8, tBase())
-			}
-			us[batchBad].Table = "no-such-table"
-			return batchRun{stats: m.Stats, run: func() ([]Receipt, error) { return m.SubmitBatch(us) }}
-		},
 		"ZKBoundManager.SubmitZKBatch": func(t *testing.T) batchRun {
 			m, owner := newZKBatchFixture(t, 1000)
 			us := make([]ZKUpdate, batchKeys*batchPer)
@@ -83,37 +63,6 @@ func TestBatchEntryPoints(t *testing.T) {
 			us[batchBad].Enc = map[string]*he.Ciphertext{}
 			return batchRun{stats: m.Stats, run: func() ([]Receipt, error) { return m.SubmitEncryptedBatch(us) }}
 		},
-		"PublicPIRManager.SubmitCredentialedBatch": func(t *testing.T) batchRun {
-			m, auth := newPublicMgr(t)
-			ces := make([]CredentialedEntry, batchKeys*batchPer)
-			for i := range ces {
-				ces[i] = CredentialedEntry{
-					Entry: PublicEntry{Key: batchKey(i), Data: fmt.Sprintf("v%d", i)},
-					Cred:  credential(t, auth, fmt.Sprintf("holder%d", holderSeq.Add(1))),
-				}
-			}
-			ces[batchBad].Entry.Data = strings.Repeat("x", 256) // over the 128-byte block
-			return batchRun{
-				stats: m.Stats,
-				run:   func() ([]Receipt, error) { return m.SubmitCredentialedBatch(ces) },
-				// The PIR engine's receipts are named after the entry key.
-				receiptID: batchKey,
-			}
-		},
-		"TokenFederation.SubmitTasks": func(t *testing.T) batchRun {
-			fed, auth := newTokenFed(t)
-			subs := taskBatch()
-			wallets := make(map[string]*token.Wallet)
-			for k := 0; k < batchKeys; k++ {
-				wallets[batchKey(k)] = issueTokens(t, auth, batchKey(k), 2*batchPer)
-			}
-			return batchRun{stats: fed.Stats, run: func() ([]Receipt, error) { return fed.SubmitTasks(subs, wallets) }}
-		},
-		"MPCFederation.SubmitTaskBatch": func(t *testing.T) batchRun {
-			fed := newMPCFed(t)
-			subs := taskBatch()
-			return batchRun{stats: fed.Stats, run: func() ([]Receipt, error) { return fed.SubmitTaskBatch(subs) }}
-		},
 	}
 	for name, build := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -126,10 +75,6 @@ func TestBatchEntryPoints(t *testing.T) {
 			if len(rs) != n {
 				t.Fatalf("%d receipts for %d updates", len(rs), n)
 			}
-			receiptID := b.receiptID
-			if receiptID == nil {
-				receiptID = updateID
-			}
 			lastSeq := make(map[string]uint64)
 			for i, r := range rs {
 				if i == batchBad {
@@ -138,8 +83,8 @@ func TestBatchEntryPoints(t *testing.T) {
 					}
 					continue
 				}
-				if r.UpdateID != receiptID(i) || !r.Accepted {
-					t.Fatalf("receipt %d = %+v, want %q accepted", i, r, receiptID(i))
+				if r.UpdateID != updateID(i) || !r.Accepted {
+					t.Fatalf("receipt %d = %+v, want %q accepted", i, r, updateID(i))
 				}
 				key := batchKey(i)
 				if last, ok := lastSeq[key]; ok && r.LedgerSeq <= last {
@@ -154,105 +99,7 @@ func TestBatchEntryPoints(t *testing.T) {
 	}
 }
 
-// taskBatch is the federations' batch: 2-hour tasks on one platform (so
-// one ledger numbers them all), the failing one with no hours.
-func taskBatch() []TaskSubmission {
-	subs := make([]TaskSubmission, batchKeys*batchPer)
-	for i := range subs {
-		subs[i] = TaskSubmission{ID: updateID(i), Worker: batchKey(i), Platform: "uber", Hours: 2, TS: tBase()}
-	}
-	subs[batchBad].Hours = 0
-	return subs
-}
-
 // --- PlainManager ---------------------------------------------------------
-
-// TestPlainSubmitBatchConcurrent: several callers batch at once, each
-// for its own producers; the counters add up and every producer's
-// updates were anchored in submission order.
-func TestPlainSubmitBatchConcurrent(t *testing.T) {
-	const callers, producersPer, perProducer = 3, 2, 30
-	m := newPlain(t)
-	var wg sync.WaitGroup
-	for c := 0; c < callers; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			var us []Update
-			for i := 0; i < perProducer; i++ {
-				for p := 0; p < producersPer; p++ {
-					worker := fmt.Sprintf("c%d-w%d", c, p)
-					us = append(us, taskUpdate(fmt.Sprintf("%s-t%d", worker, i), worker, 1, tBase().Add(time.Duration(i)*time.Minute)))
-				}
-			}
-			rs, err := m.SubmitBatch(us)
-			if err != nil {
-				t.Errorf("submit: %v", err)
-				return
-			}
-			last := make(map[string]uint64)
-			for i, r := range rs {
-				if !r.Accepted {
-					t.Errorf("update %s rejected: %s", us[i].ID, r.Reason)
-					return
-				}
-				if prev, ok := last[us[i].Producer]; ok && r.LedgerSeq <= prev {
-					t.Errorf("producer %s receipts out of order: %d after %d", us[i].Producer, r.LedgerSeq, prev)
-					return
-				}
-				last[us[i].Producer] = r.LedgerSeq
-			}
-		}(c)
-	}
-	wg.Wait()
-	s := m.Stats()
-	if want := int64(callers * producersPer * perProducer); s.Submitted != want || s.Accepted != want {
-		t.Fatalf("stats = %+v, want %d submitted+accepted", s, want)
-	}
-	if s.Rejected != 0 || s.Errors != 0 {
-		t.Fatalf("unexpected rejections/errors: %+v", s)
-	}
-	if s.Latency.Count != s.Submitted || s.Latency.P50 > s.Latency.P95 || s.Latency.P95 > s.Latency.P99 || s.Latency.P99 > s.Latency.Max {
-		t.Fatalf("latency summary inconsistent: %+v", s.Latency)
-	}
-}
-
-func TestPlainSubmitBatchOrderAndEnforcement(t *testing.T) {
-	m := newPlain(t)
-	var us []Update
-	// 6 workers × 5 updates of 8h: all accepted (40h each); then one more
-	// per worker: all rejected.
-	for i := 0; i < 5; i++ {
-		for w := 0; w < 6; w++ {
-			worker := fmt.Sprintf("w%d", w)
-			us = append(us, taskUpdate(fmt.Sprintf("%s-t%d", worker, i), worker, 8, tBase()))
-		}
-	}
-	for w := 0; w < 6; w++ {
-		worker := fmt.Sprintf("w%d", w)
-		us = append(us, taskUpdate(fmt.Sprintf("%s-over", worker), worker, 8, tBase()))
-	}
-	rs, err := m.SubmitBatch(us)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != len(us) {
-		t.Fatalf("%d receipts for %d updates", len(rs), len(us))
-	}
-	for i, r := range rs {
-		if r.UpdateID != us[i].ID {
-			t.Fatalf("receipt %d is for %q, want %q", i, r.UpdateID, us[i].ID)
-		}
-		over := i >= 30
-		if r.Accepted == over {
-			t.Fatalf("receipt %d (%s): accepted = %v", i, r.UpdateID, r.Accepted)
-		}
-	}
-	s := m.Stats()
-	if s.Submitted != 36 || s.Accepted != 30 || s.Rejected != 6 {
-		t.Fatalf("stats = %+v", s)
-	}
-}
 
 // --- ZKBoundManager -------------------------------------------------------
 
@@ -329,108 +176,4 @@ func TestEncryptedBatchSequentialFallback(t *testing.T) {
 
 // --- PublicPIRManager -----------------------------------------------------
 
-func TestPIRBatchConcurrentRegistrations(t *testing.T) {
-	const n = 12
-	m, auth := newPublicMgr(t)
-	ces := make([]CredentialedEntry, 0, n)
-	for i := 0; i < n; i++ {
-		key := fmt.Sprintf("attendee-%d", i)
-		ces = append(ces, CredentialedEntry{
-			Entry: PublicEntry{Key: key, Data: "ok"},
-			Cred:  credential(t, auth, key),
-		})
-	}
-	rs, err := m.SubmitCredentialedBatch(ces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range rs {
-		if !r.Accepted {
-			t.Fatalf("registration %d rejected: %s", i, r.Reason)
-		}
-	}
-	if m.Size() != n {
-		t.Fatalf("directory size = %d, want %d", m.Size(), n)
-	}
-	if s := m.Stats(); s.Submitted != n || s.Accepted != n {
-		t.Fatalf("stats = %+v", s)
-	}
-	if !m.AuditReplicas() {
-		t.Fatal("PIR replicas diverged under concurrent updates")
-	}
-}
-
 // --- Federations ----------------------------------------------------------
-
-func TestTokenFederationBatch(t *testing.T) {
-	fed, auth := newTokenFed(t)
-	wallets := map[string]*token.Wallet{
-		"alice": issueTokens(t, auth, "alice", 10),
-		"bob":   issueTokens(t, auth, "bob", 10),
-	}
-	var subs []TaskSubmission
-	for i := 0; i < 4; i++ {
-		for _, w := range []string{"alice", "bob"} {
-			subs = append(subs, TaskSubmission{
-				ID: fmt.Sprintf("%s-t%d", w, i), Worker: w,
-				Platform: "uber", Hours: 2, TS: tBase(),
-			})
-		}
-	}
-	rs, err := fed.SubmitTasks(subs, wallets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range rs {
-		if !r.Accepted {
-			t.Fatalf("task %d rejected: %s", i, r.Reason)
-		}
-		if len(r.Spent) != 2 {
-			t.Fatalf("task %d spent %d tokens, want 2", i, len(r.Spent))
-		}
-	}
-	if _, err := fed.SubmitTasks([]TaskSubmission{{ID: "x", Worker: "carol", Platform: "uber", Hours: 1, TS: tBase()}}, wallets); err == nil {
-		t.Fatal("missing wallet accepted")
-	}
-	if s := fed.Stats(); s.Submitted != 8 || s.Accepted != 8 {
-		t.Fatalf("stats = %+v", s)
-	}
-}
-
-func TestMPCFederationBatchConcurrentWorkers(t *testing.T) {
-	helper, _ := fixtures(t)
-	fed, err := NewMPCFederation("flsa-mpc", helper.PublicKey(), helper, 40, 168*time.Hour,
-		[]string{"uber", "lyft"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var subs []TaskSubmission
-	for i := 0; i < 3; i++ {
-		for _, w := range []string{"alice", "bob", "carol"} {
-			subs = append(subs, TaskSubmission{
-				ID: fmt.Sprintf("%s-t%d", w, i), Worker: w,
-				Platform: "uber", Hours: 8, TS: tBase().Add(time.Duration(i) * time.Hour),
-			})
-		}
-	}
-	rs, err := fed.SubmitTaskBatch(subs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range rs {
-		if !r.Accepted {
-			t.Fatalf("task %d (%s) rejected: %s", i, r.UpdateID, r.Reason)
-		}
-	}
-	// Each worker is at 24h; 17 more violates the 40h bound, 16 fits.
-	over, err := fed.SubmitTask(TaskSubmission{ID: "alice-over", Worker: "alice", Platform: "lyft", Hours: 17, TS: tBase().Add(4 * time.Hour)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if over.Accepted {
-		t.Fatal("over-bound task accepted")
-	}
-	if s := fed.Stats(); s.Submitted != 10 || s.Accepted != 9 || s.Rejected != 1 {
-		t.Fatalf("stats = %+v", s)
-	}
-}

@@ -123,16 +123,6 @@ type Participant struct {
 	Colludes bool // whether this participant may collude with others
 }
 
-// HasRole reports whether the participant holds the role.
-func (p Participant) HasRole(r Role) bool {
-	for _, have := range p.Roles {
-		if have == r {
-			return true
-		}
-	}
-	return false
-}
-
 // ConstraintScope distinguishes internal constraints from regulations
 // (§3.2): internal constraints bind one owner's database; regulations
 // (from external authorities) may span the databases of multiple owners.
@@ -200,10 +190,6 @@ type Receipt struct {
 	Reason    string // populated on rejection
 	Violated  string // name of the violated constraint, if any
 	LedgerSeq uint64 // sequence in the integrity layer, if accepted
-	// Spent lists the token serials consumed, for engines that enforce
-	// regulations with single-use tokens (used by lower-bound settlement:
-	// platforms issue work receipts against these serials).
-	Spent []string
 }
 
 // ErrRejected wraps a constraint rejection for callers that prefer errors.

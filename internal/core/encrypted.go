@@ -201,9 +201,6 @@ func NewEncryptedManagerMulti(name string, pk *he.PublicKey, oracle mpc.SignOrac
 	}, nil
 }
 
-// Name identifies the engine.
-func (m *EncryptedManager) Name() string { return m.name }
-
 // Ledger exposes the integrity layer.
 func (m *EncryptedManager) Ledger() *ledger.Ledger { return m.ledger }
 
@@ -364,19 +361,4 @@ func encodeEncrypted(u EncryptedUpdate) []byte {
 		out = append(out, ct.C.Bytes()...)
 	}
 	return out
-}
-
-// GroupEntries reports how many aggregate contributions a group value
-// currently holds, summed across constraints (observability for tests and
-// benchmarks).
-func (m *EncryptedManager) GroupEntries(group string) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for _, spec := range m.specs {
-		if spec.Agg != nil {
-			n += len(m.groups[spec.Name+"/"+group])
-		}
-	}
-	return n
 }

@@ -116,7 +116,7 @@ func TestEncryptedManagerWindowSlides(t *testing.T) {
 		t.Fatalf("next-week encrypted update rejected: %s", r.Reason)
 	}
 	// Out-of-window entries must have been pruned from group state.
-	if n := m.GroupEntries("w1"); n != 1 {
+	if n := groupEntries(m, "w1"); n != 1 {
 		t.Fatalf("group entries after prune = %d, want 1", n)
 	}
 }
@@ -148,13 +148,13 @@ func TestEncryptedManagerRejectedNotFolded(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		m.SubmitEncrypted(encUpdate(t, pk, fmt.Sprintf("t%d", i), "w1", 8, tBase()))
 	}
-	before := m.GroupEntries("w1")
+	before := groupEntries(m, "w1")
 	ledgerBefore := m.Ledger().Size()
 	r, _ := m.SubmitEncrypted(encUpdate(t, pk, "bad", "w1", 5, tBase()))
 	if r.Accepted {
 		t.Fatal("over-limit accepted")
 	}
-	if m.GroupEntries("w1") != before {
+	if groupEntries(m, "w1") != before {
 		t.Fatal("rejected ciphertext folded into state")
 	}
 	if m.Ledger().Size() != ledgerBefore {
@@ -443,6 +443,44 @@ func TestMPCFederationWorkersIndependent(t *testing.T) {
 	}
 }
 
+// TestMPCFederationConcurrentWorkers: one goroutine per worker calls
+// SubmitTask at once (the helper is stateless and each platform's
+// records are internally synchronized); each worker's totals still add
+// up to exactly what it submitted.
+func TestMPCFederationConcurrentWorkers(t *testing.T) {
+	fed := newMPCFed(t)
+	workers := []string{"alice", "bob", "carol"}
+	var wg sync.WaitGroup
+	for _, w := range workers {
+		wg.Add(1)
+		go func(w string) {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				r, err := fed.SubmitTask(TaskSubmission{
+					ID: fmt.Sprintf("%s-t%d", w, i), Worker: w,
+					Platform: "uber", Hours: 8, TS: tBase().Add(time.Duration(i) * time.Hour),
+				})
+				if err != nil || !r.Accepted {
+					t.Errorf("%s task %d: %+v, %v", w, i, r, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	// Each worker is at 24h: 17 more violates the 40h bound, 16 fits.
+	for _, w := range workers {
+		over, err := fed.SubmitTask(TaskSubmission{ID: w + "-over", Worker: w, Platform: "lyft", Hours: 17, TS: tBase().Add(4 * time.Hour)})
+		if err != nil || over.Accepted {
+			t.Fatalf("%s over-bound task: %+v, %v", w, over, err)
+		}
+		fits, err := fed.SubmitTask(TaskSubmission{ID: w + "-fits", Worker: w, Platform: "lyft", Hours: 16, TS: tBase().Add(4 * time.Hour)})
+		if err != nil || !fits.Accepted {
+			t.Fatalf("%s exactly-40 task: %+v, %v", w, fits, err)
+		}
+	}
+}
+
 func TestMPCFederationValidation(t *testing.T) {
 	helper, _ := fixtures(t)
 	if _, err := NewMPCFederation("x", nil, helper, 40, 0, []string{"a"}); err == nil {
@@ -496,8 +534,8 @@ func TestPublicManagerRegistrationFlow(t *testing.T) {
 	if err != nil || !r.Accepted {
 		t.Fatalf("registration: %+v, %v", r, err)
 	}
-	if m.Size() != 1 {
-		t.Fatalf("size = %d", m.Size())
+	if len(m.Directory()) != 1 {
+		t.Fatalf("size = %d", len(m.Directory()))
 	}
 	entry, err := m.PrivateLookup("alice")
 	if err != nil {
@@ -532,7 +570,7 @@ func TestPublicManagerForgedCredentialRejected(t *testing.T) {
 	if r.Accepted {
 		t.Fatal("forged credential accepted")
 	}
-	if m.Size() != 0 {
+	if len(m.Directory()) != 0 {
 		t.Fatal("forged registration stored")
 	}
 }
@@ -550,8 +588,8 @@ func TestPublicManagerReRegistrationUpdatesInPlace(t *testing.T) {
 	c2 := credential(t, auth, "carol-2")
 	m.SubmitWithCredential(PublicEntry{Key: "carol", Data: "online"}, c1)
 	m.SubmitWithCredential(PublicEntry{Key: "carol", Data: "in-person"}, c2)
-	if m.Size() != 1 {
-		t.Fatalf("size after re-registration = %d", m.Size())
+	if len(m.Directory()) != 1 {
+		t.Fatalf("size after re-registration = %d", len(m.Directory()))
 	}
 	entry, _ := m.PrivateLookup("carol")
 	if entry.Data != "in-person" {
@@ -573,6 +611,43 @@ func TestPublicManagerDirectoryAndValidation(t *testing.T) {
 }
 
 // Ledger integrity across every engine.
+// TestPublicManagerConcurrentRegistrations: registrations of distinct
+// keys call SubmitWithCredential at once (credential checks run outside
+// the manager lock); every one is listed and the PIR replicas agree.
+func TestPublicManagerConcurrentRegistrations(t *testing.T) {
+	const n = 12
+	m, auth := newPublicMgr(t)
+	creds := make([]token.Token, n)
+	for i := range creds {
+		creds[i] = credential(t, auth, fmt.Sprintf("attendee-%d", i))
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			key := fmt.Sprintf("attendee-%d", i)
+			r, err := m.SubmitWithCredential(PublicEntry{Key: key, Data: "ok"}, creds[i])
+			if err != nil || !r.Accepted {
+				t.Errorf("registration %s: %+v, %v", key, r, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if got := len(m.Directory()); got != n {
+		t.Fatalf("directory size = %d, want %d", got, n)
+	}
+	if !m.AuditReplicas() {
+		t.Fatal("PIR replicas diverged under concurrent updates")
+	}
+	for i := 0; i < n; i++ {
+		key := fmt.Sprintf("attendee-%d", i)
+		if e, err := m.PrivateLookup(key); err != nil || e.Key != key {
+			t.Fatalf("lookup %s: %+v, %v", key, e, err)
+		}
+	}
+}
+
 func TestAllEnginesProduceAuditableLedgers(t *testing.T) {
 	encM, pk := newEncrypted(t)
 	encM.SubmitEncrypted(encUpdate(t, pk, "t1", "w", 8, tBase()))
@@ -720,7 +795,7 @@ func TestEncryptedManagerMultipleConstraints(t *testing.T) {
 		t.Fatalf("13h shift: %+v", r)
 	}
 	// Rejected update must not have polluted the weekly aggregate.
-	if m.GroupEntries("mw") != 0 {
+	if groupEntries(m, "mw") != 0 {
 		t.Fatal("rejected update folded into aggregate state")
 	}
 	// Four 10-hour shifts pass both; the fifth violates the weekly cap.

@@ -43,9 +43,6 @@ func newFedPlatform(id string) *FedPlatform {
 // ID returns the platform id.
 func (p *FedPlatform) ID() string { return p.id }
 
-// Ledger exposes the platform's integrity layer.
-func (p *FedPlatform) Ledger() *ledger.Ledger { return p.ledger }
-
 // LocalHours sums this platform's recorded hours for a worker inside the
 // window ending at `until` (the platform's own private view).
 func (p *FedPlatform) LocalHours(worker string, window time.Duration, until time.Time) int64 {
@@ -106,7 +103,6 @@ type TaskSubmission struct {
 // shared store.
 type TokenFederation struct {
 	name      string
-	stats     statsRecorder
 	authority blind.PublicKey
 	period    string
 	spent     token.SpentStore
@@ -136,12 +132,6 @@ func NewTokenFederation(name string, authority blind.PublicKey, period string, s
 	return f, nil
 }
 
-// Name identifies the engine.
-func (f *TokenFederation) Name() string { return f.name }
-
-// Stats reports the engine's submission counters.
-func (f *TokenFederation) Stats() Stats { return f.stats.snapshot() }
-
 // Platform returns a platform by id.
 func (f *TokenFederation) Platform(id string) (*FedPlatform, bool) {
 	f.mu.Lock()
@@ -152,9 +142,7 @@ func (f *TokenFederation) Platform(id string) (*FedPlatform, bool) {
 
 // SubmitTask verifies a task submission by spending hours-many tokens
 // from the worker's wallet at the named platform.
-func (f *TokenFederation) SubmitTask(sub TaskSubmission, wallet *token.Wallet) (r Receipt, err error) {
-	start := time.Now()
-	defer func() { f.stats.record(start, r, err) }()
+func (f *TokenFederation) SubmitTask(sub TaskSubmission, wallet *token.Wallet) (Receipt, error) {
 	f.mu.Lock()
 	platform, ok := f.platforms[sub.Platform]
 	f.mu.Unlock()
@@ -168,7 +156,6 @@ func (f *TokenFederation) SubmitTask(sub TaskSubmission, wallet *token.Wallet) (
 	// wallet = exceeded budget; double spend = replayed token) rejects the
 	// whole task; tokens already spent stay spent, as in Separ, where a
 	// worker presenting insufficient tokens forfeits them.
-	spent := make([]string, 0, sub.Hours)
 	for i := int64(0); i < sub.Hours; i++ {
 		tok, err := wallet.Next()
 		if err != nil {
@@ -187,31 +174,12 @@ func (f *TokenFederation) SubmitTask(sub TaskSubmission, wallet *token.Wallet) (
 				Reason:   fmt.Sprintf("token %d/%d rejected: %v", i+1, sub.Hours, err),
 			}, nil
 		}
-		spent = append(spent, tok.Serial)
 	}
 	seq, err := platform.record(sub.ID, sub.Worker, sub.Hours, sub.TS)
 	if err != nil {
 		return Receipt{}, err
 	}
-	return Receipt{UpdateID: sub.ID, Accepted: true, LedgerSeq: seq, Spent: spent}, nil
-}
-
-// TaskLane is the batch ordering key for federation tasks: per-worker
-// ordering, matching the per-worker regulations both federations enforce.
-func TaskLane(s TaskSubmission) string { return s.Worker }
-
-// SubmitTasks is the batch path: tasks fan out by worker
-// (token verification is independent per task; one worker's tasks stay
-// ordered so the budget drains deterministically). wallets maps each
-// worker to the wallet holding their period budget.
-func (f *TokenFederation) SubmitTasks(subs []TaskSubmission, wallets map[string]*token.Wallet) ([]Receipt, error) {
-	return SubmitGrouped(eachInOrder(func(sub TaskSubmission) (Receipt, error) {
-		w, ok := wallets[sub.Worker]
-		if !ok {
-			return Receipt{}, fmt.Errorf("core: no wallet for worker %q", sub.Worker)
-		}
-		return f.SubmitTask(sub, w)
-	}), TaskLane, subs)
+	return Receipt{UpdateID: sub.ID, Accepted: true, LedgerSeq: seq}, nil
 }
 
 // MPCFederation is the decentralized RC2 engine: no token authority. When
@@ -222,7 +190,6 @@ func (f *TokenFederation) SubmitTasks(subs []TaskSubmission, wallets map[string]
 // totals; the helper sees only a masked difference and the verdict.
 type MPCFederation struct {
 	name   string
-	stats  statsRecorder
 	bound  int64
 	window time.Duration
 	pk     *he.PublicKey
@@ -261,35 +228,10 @@ func NewMPCFederation(name string, pk *he.PublicKey, oracle mpc.SignOracle, boun
 	return f, nil
 }
 
-// Name identifies the engine.
-func (f *MPCFederation) Name() string { return f.name }
-
-// Stats reports the engine's submission counters.
-func (f *MPCFederation) Stats() Stats { return f.stats.snapshot() }
-
-// Platform returns a platform by id.
-func (f *MPCFederation) Platform(id string) (*FedPlatform, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	p, ok := f.platforms[id]
-	return p, ok
-}
-
-// SubmitTaskBatch fans a batch out by worker: the helper is
-// stateless and each platform's records are internally synchronized, so
-// different workers' bound checks run concurrently while one worker's
-// tasks verify in order (required: each check reads the totals the
-// previous accept wrote).
-func (f *MPCFederation) SubmitTaskBatch(subs []TaskSubmission) ([]Receipt, error) {
-	return SubmitGrouped(eachInOrder(f.SubmitTask), TaskLane, subs)
-}
-
 // SubmitTask runs the federated verification: each platform encrypts its
 // private in-window total for the worker; the bound check covers
 // (Σ totals) + hours <= bound.
-func (f *MPCFederation) SubmitTask(sub TaskSubmission) (r Receipt, err error) {
-	start := time.Now()
-	defer func() { f.stats.record(start, r, err) }()
+func (f *MPCFederation) SubmitTask(sub TaskSubmission) (Receipt, error) {
 	f.mu.Lock()
 	target, ok := f.platforms[sub.Platform]
 	platforms := make([]*FedPlatform, 0, len(f.platforms))

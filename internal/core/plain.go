@@ -21,13 +21,13 @@ import (
 // privacy-preserving instantiation against this baseline on standard
 // workloads; experiments E1 and E2 do exactly that.
 // Concurrency: verification only reads, so Submit evaluates constraints
-// under a shared (read) lock — SubmitBatch's producer groups verify in
-// parallel — while incorporation relies on the table's and ledger's own
-// short internal critical sections. Updates of the SAME producer must
-// not race (per-producer constraints read state the previous update
-// wrote); SubmitBatch's per-producer grouping guarantees that ordering.
-// Callers that concurrently Submit for one producer themselves get
-// per-row consistency but may over-admit against per-producer bounds.
+// under a shared (read) lock — concurrent callers verify in parallel —
+// while incorporation relies on the table's and ledger's own short
+// internal critical sections. Updates of the SAME producer must not race
+// (per-producer constraints read state the previous update wrote): a
+// caller submits one producer's updates in order, from one goroutine.
+// Callers that concurrently Submit for one producer get per-row
+// consistency but may over-admit against per-producer bounds.
 type PlainManager struct {
 	name  string
 	stats statsRecorder
@@ -50,9 +50,6 @@ func NewPlainManager(name string, tables map[string]*store.Table) *PlainManager 
 	}
 }
 
-// Name identifies the engine.
-func (m *PlainManager) Name() string { return m.name }
-
 // AddTable registers a table.
 func (m *PlainManager) AddTable(t *store.Table) {
 	m.mu.Lock()
@@ -60,26 +57,11 @@ func (m *PlainManager) AddTable(t *store.Table) {
 	m.tables[t.Name] = t
 }
 
-// Table returns a registered table.
-func (m *PlainManager) Table(name string) (*store.Table, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	t, ok := m.tables[name]
-	return t, ok
-}
-
 // AddConstraint registers a constraint (Figure 2 step 0).
 func (m *PlainManager) AddConstraint(c *Constraint) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.constraints = append(m.constraints, c)
-}
-
-// Constraints returns the registered constraints.
-func (m *PlainManager) Constraints() []*Constraint {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return append([]*Constraint(nil), m.constraints...)
 }
 
 // Ledger exposes the integrity layer for audits.
@@ -105,7 +87,7 @@ func (m *PlainManager) Submit(u Update) (r Receipt, err error) {
 }
 
 // verify is Figure 2 step 2 under a read lock: constraint evaluation only
-// reads, so concurrent lanes verify in parallel. A nil reject means pass.
+// reads, so concurrent callers verify in parallel. A nil reject means pass.
 func (m *PlainManager) verify(u Update) (tbl *store.Table, reject *Receipt, err error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -137,7 +119,7 @@ func (m *PlainManager) verify(u Update) (tbl *store.Table, reject *Receipt, err 
 
 // incorporate is Figure 2 step 3 plus the integrity anchor. Table and
 // ledger are internally synchronized, so the critical sections are short
-// and incorporation never blocks other lanes' verification.
+// and incorporation never blocks other callers' verification.
 func (m *PlainManager) incorporate(u Update, tbl *store.Table) (Receipt, error) {
 	if err := tbl.Upsert(u.Key, u.Row); err != nil {
 		return Receipt{}, fmt.Errorf("core: apply: %w", err)
@@ -151,12 +133,6 @@ func (m *PlainManager) incorporate(u Update, tbl *store.Table) (Receipt, error) 
 		return Receipt{}, fmt.Errorf("core: ledger: %w", err)
 	}
 	return Receipt{UpdateID: u.ID, Accepted: true, LedgerSeq: rcpt.Seq}, nil
-}
-
-// SubmitBatch fans a batch out by producer: one producer's updates
-// verify in submission order, different producers' concurrently.
-func (m *PlainManager) SubmitBatch(us []Update) ([]Receipt, error) {
-	return SubmitGrouped(eachInOrder(m.Submit), LaneKey, us)
 }
 
 // rowJSON renders a row into a JSON-friendly map (store.Value is a tagged

@@ -15,7 +15,7 @@ import (
 func plainWithRows(t testing.TB, rows int) *PlainManager {
 	t.Helper()
 	m := newPlain(t)
-	tbl, _ := m.Table("tasks")
+	tbl := m.tables["tasks"]
 	rng := rand.New(rand.NewSource(int64(rows)))
 	zipf := rand.NewZipf(rng, 1.1, 1, 199)
 	put := func(key, worker string, ts time.Time) {

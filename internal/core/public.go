@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"prever/internal/blind"
 	"prever/internal/ledger"
@@ -31,7 +30,6 @@ import (
 //     server learning who was looked up.
 type PublicPIRManager struct {
 	name      string
-	stats     statsRecorder
 	issuer    blind.PublicKey
 	event     string // the credential period/event binding
 	creds     token.SpentStore
@@ -69,21 +67,8 @@ func NewPublicPIRManager(name string, issuer blind.PublicKey, event string, bloc
 	}, nil
 }
 
-// Name identifies the engine.
-func (m *PublicPIRManager) Name() string { return m.name }
-
-// Stats reports the engine's submission counters.
-func (m *PublicPIRManager) Stats() Stats { return m.stats.snapshot() }
-
 // Ledger exposes the integrity layer.
 func (m *PublicPIRManager) Ledger() *ledger.Ledger { return m.ledger }
-
-// Size returns the number of public entries.
-func (m *PublicPIRManager) Size() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.keys)
-}
 
 // Directory returns the public key list (keys are public data; the
 // private part of a lookup is WHICH key a reader is interested in).
@@ -100,34 +85,15 @@ type CredentialedEntry struct {
 	Cred  token.Token
 }
 
-// SubmitCredentialed is SubmitWithCredential over a CredentialedEntry
-// (the typed-submit shape the batch path drives).
-func (m *PublicPIRManager) SubmitCredentialed(ce CredentialedEntry) (Receipt, error) {
-	return m.SubmitWithCredential(ce.Entry, ce.Cred)
-}
-
-// CredentialLane is the batch ordering key for credentialed entries:
-// per-key ordering so re-registrations of one key apply in order.
-func CredentialLane(ce CredentialedEntry) string { return ce.Entry.Key }
-
-// SubmitCredentialedBatch fans a batch out by entry key. Credential
-// verification (an RSA signature check plus a spent-store insert) is
-// independently verifiable per entry, so it runs genuinely concurrently;
-// incorporation into the PIR replicas is a short critical section.
-func (m *PublicPIRManager) SubmitCredentialedBatch(ces []CredentialedEntry) ([]Receipt, error) {
-	return SubmitGrouped(eachInOrder(m.SubmitCredentialed), CredentialLane, ces)
-}
-
 // SubmitWithCredential verifies the private credential against the public
 // constraint and, if valid, publishes the entry. The credential is
 // single-use: re-registering with the same credential fails.
 //
 // Concurrency: the credential check runs before the manager lock is
-// taken (the spent store is internally synchronized), so lanes verify in
-// parallel and only the directory/PIR/ledger writes serialize.
-func (m *PublicPIRManager) SubmitWithCredential(entry PublicEntry, cred token.Token) (r Receipt, err error) {
-	start := time.Now()
-	defer func() { m.stats.record(start, r, err) }()
+// taken (the spent store is internally synchronized), so concurrent
+// callers verify in parallel and only the directory/PIR/ledger writes
+// serialize.
+func (m *PublicPIRManager) SubmitWithCredential(entry PublicEntry, cred token.Token) (Receipt, error) {
 	if entry.Key == "" {
 		return Receipt{}, errors.New("core: empty entry key")
 	}

@@ -60,18 +60,6 @@ func TestQueryWithAggregateSubexpression(t *testing.T) {
 	}
 }
 
-func TestQueryCount(t *testing.T) {
-	m := queryFixture(t)
-	n, err := m.QueryCount("tasks", "r.hours >= 6")
-	if err != nil || n != 3 {
-		t.Fatalf("count = %d, %v", n, err)
-	}
-	n, err = m.QueryCount("tasks", "FALSE")
-	if err != nil || n != 0 {
-		t.Fatalf("FALSE count = %d, %v", n, err)
-	}
-}
-
 func TestQueryErrors(t *testing.T) {
 	m := queryFixture(t)
 	if _, err := m.Query("tasks", "r.hours <="); err == nil {
@@ -95,76 +83,5 @@ func TestQueryKeyOrder(t *testing.T) {
 		if rows[i-1].Key >= rows[i].Key {
 			t.Fatal("results not in key order")
 		}
-	}
-}
-
-func TestQueryVerifiedRoundTrip(t *testing.T) {
-	m := queryFixture(t)
-	results, digest, err := m.QueryVerified("tasks", "r.worker = 'w1'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Fatalf("verified results = %d, want 3", len(results))
-	}
-	for _, r := range results {
-		if err := VerifyResult("tasks", r, digest); err != nil {
-			t.Fatalf("result %s failed verification: %v", r.Key, err)
-		}
-	}
-}
-
-func TestQueryVerifiedRejectsForgery(t *testing.T) {
-	m := queryFixture(t)
-	results, digest, err := m.QueryVerified("tasks", "r.worker = 'w1'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Substituted entry contents must fail.
-	forged := results[0]
-	forged.Entry.Entry.Value = []byte("forged-row")
-	if VerifyResult("tasks", forged, digest) == nil {
-		t.Fatal("forged entry verified")
-	}
-	// A proof for one key must not verify for another result key.
-	swapped := results[0]
-	swapped.Key = results[1].Key
-	if VerifyResult("tasks", swapped, digest) == nil {
-		t.Fatal("key-swapped result verified")
-	}
-	// A digest from a different manager (diverged history) must fail.
-	other := queryFixture(t)
-	other.Submit(taskUpdate("tx", "w9", 1, tBase()))
-	if VerifyResult("tasks", results[0], other.Ledger().Digest()) == nil {
-		t.Fatal("proof verified against a different manager's digest")
-	}
-}
-
-func TestQueryVerifiedReflectsLatestWrite(t *testing.T) {
-	m := queryFixture(t)
-	// Overwrite key t0 with a new row; the proof must cover the latest
-	// journal entry for the key, not the original write.
-	r, err := m.Submit(taskUpdate("t0", "w2", 4, tBase().Add(10*time.Hour)))
-	if err != nil || !r.Accepted {
-		t.Fatalf("overwrite: %+v %v", r, err)
-	}
-	results, digest, err := m.QueryVerified("tasks", "r.worker = 'w2'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, res := range results {
-		if res.Key == "t0" {
-			found = true
-			if err := VerifyResult("tasks", res, digest); err != nil {
-				t.Fatal(err)
-			}
-			if res.Entry.Entry.Seq != uint64(m.Ledger().Size()-1) {
-				t.Fatalf("proof not for the latest write: seq %d", res.Entry.Entry.Seq)
-			}
-		}
-	}
-	if !found {
-		t.Fatal("overwritten row missing from results")
 	}
 }

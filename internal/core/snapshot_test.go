@@ -48,7 +48,7 @@ func TestZKBoundSnapshotRoundTrip(t *testing.T) {
 	if err := m2.Restore(blob); err != nil {
 		t.Fatal(err)
 	}
-	if !m2.Running("g1").Equal(m.Running("g1")) {
+	if !running(m2, "g1").Equal(running(m, "g1")) {
 		t.Fatal("restored running commitment differs")
 	}
 	// The proof chain continues against the restored fold.
@@ -124,7 +124,7 @@ func checkRefusedWhole(t *testing.T, m *ZKBoundManager, owner *ZKOwner, blob []b
 		t.Fatalf("Restore = %v, want an error containing %q", err, want)
 	}
 	for g, c := range before {
-		if !m.Running(g).Equal(c) {
+		if !running(m, g).Equal(c) {
 			t.Fatalf("a refused Restore changed group %s's running commitment", g)
 		}
 	}
@@ -151,7 +151,7 @@ func TestZKBoundRestoreRefusesV1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := map[string]commit.Commitment{"g1": m.Running("g1"), "g2": m.Running("g2")}
+	before := map[string]commit.Commitment{"g1": running(m, "g1"), "g2": running(m, "g2")}
 	checkRefusedWhole(t, m, owner, v1, `"prever/core/zkbound/v1"`, before)
 }
 
@@ -179,13 +179,21 @@ func TestZKBoundRestoreRefusesOtherEncoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	empty := fresh.Running("g1")
+	empty := running(fresh, "g1")
 	if err := fresh.Restore(bad); err == nil {
 		t.Fatal("Restore accepted P - c")
 	}
-	if !fresh.Running("g1").Equal(empty) || !fresh.Running("g2").Equal(empty) {
+	if !running(fresh, "g1").Equal(empty) || !running(fresh, "g2").Equal(empty) {
 		t.Fatal("a refused Restore changed a fresh manager's state")
 	}
-	before := map[string]commit.Commitment{"g1": m.Running("g1"), "g2": m.Running("g2")}
+	before := map[string]commit.Commitment{"g1": running(m, "g1"), "g2": running(m, "g2")}
 	checkRefusedWhole(t, m, owner, bad, `"g2"`, before)
+}
+
+// running returns a group's running commitment (the identity commitment
+// for an unseen group).
+func running(m *ZKBoundManager, group string) commit.Commitment {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.runningLocked(group)
 }

@@ -15,8 +15,9 @@ import (
 // submission hot path (concurrent recorders never serialize on each
 // other); a snapshot briefly excludes recorders, so
 // Accepted+Rejected+Errors == Submitted and Latency.Count == Submitted
-// hold for every snapshot — even one taken mid-flight — and MeanLatency
-// never divides values from different moments.
+// hold for every snapshot — even one taken mid-flight — and
+// TotalVerifyNanos / Submitted never divides values from different
+// moments.
 type Stats struct {
 	Submitted int64
 	Accepted  int64
@@ -34,14 +35,6 @@ type Stats struct {
 	// Latency is the log-bucketed latency distribution of all recorded
 	// submissions (accepted, rejected and errored alike).
 	Latency LatencySummary
-}
-
-// MeanLatency returns the average time per submission.
-func (s Stats) MeanLatency() time.Duration {
-	if s.Submitted == 0 {
-		return 0
-	}
-	return time.Duration(s.TotalVerifyNanos / s.Submitted)
 }
 
 // LatencySummary condenses the latency histogram into the percentiles an

@@ -106,7 +106,7 @@ func TestMeanLatencyMatchesSummary(t *testing.T) {
 	var s statsRecorder
 	recordN(&s, 5, time.Millisecond, Receipt{Accepted: true}, nil)
 	got := s.snapshot()
-	if got.MeanLatency() != got.Latency.Mean {
-		t.Fatalf("MeanLatency %v != Latency.Mean %v", got.MeanLatency(), got.Latency.Mean)
+	if mean := time.Duration(got.TotalVerifyNanos / got.Submitted); mean != got.Latency.Mean {
+		t.Fatalf("TotalVerifyNanos/Submitted %v != Latency.Mean %v", mean, got.Latency.Mean)
 	}
 }

@@ -69,22 +69,11 @@ func NewZKBoundManager(name string, params *commit.Params, bound int64) (*ZKBoun
 	}, nil
 }
 
-// Name identifies the engine.
-func (m *ZKBoundManager) Name() string { return m.name }
-
 // Stats reports the engine's submission counters.
 func (m *ZKBoundManager) Stats() Stats { return m.stats.snapshot() }
 
 // Ledger exposes the integrity layer.
 func (m *ZKBoundManager) Ledger() *ledger.Ledger { return m.ledger }
-
-// Running returns the current running commitment for a group (identity
-// commitment for unseen groups).
-func (m *ZKBoundManager) Running(group string) commit.Commitment {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.runningLocked(group)
-}
 
 func (m *ZKBoundManager) runningLocked(group string) commit.Commitment {
 	if c, ok := m.running[group]; ok {

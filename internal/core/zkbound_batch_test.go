@@ -110,7 +110,7 @@ func TestSubmitZKBatchBadProofFallsBack(t *testing.T) {
 // commitment for grp and the same ledger, entry for entry.
 func requireSameZKState(t *testing.T, batch, seq *ZKBoundManager, grp string) {
 	t.Helper()
-	if !batch.Running(grp).Equal(seq.Running(grp)) {
+	if !running(batch, grp).Equal(running(seq, grp)) {
 		t.Fatal("running commitments differ")
 	}
 	eb, es := batch.Ledger().Export(), seq.Ledger().Export()

@@ -20,6 +20,8 @@
 // and cancels in their ratio; the median drops the pairs that one
 // interruption hit; and time the thread spent descheduled is not its
 // CPU time.
+//
+//lint:ignore unreached test-support package: the cost gates' CPU-time ratio, imported by tests only
 package costtest
 
 import (

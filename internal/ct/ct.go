@@ -24,6 +24,8 @@ import (
 // lengths of the slices, not on their contents. Mismatched lengths return
 // false immediately; length is treated as public (ciphertexts, MACs, and
 // digests have fixed, known sizes).
+//
+//lint:ignore unreached safety code: the consttime analyzer's message prescribes it as the fix for bytes.Equal on a secret
 func BytesEqual(a, b []byte) bool {
 	if len(a) != len(b) {
 		return false

@@ -80,20 +80,6 @@ func (a *Accountant) Spend(eps float64) error {
 	return nil
 }
 
-// Spent returns the epsilon consumed so far.
-func (a *Accountant) Spent() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.spent
-}
-
-// Remaining returns the unspent budget.
-func (a *Accountant) Remaining() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.total - a.spent
-}
-
 // Reset zeroes the spent budget, starting a fresh accounting epoch. Only
 // meaningful under per-window privacy (the WindowReset index policy):
 // guarantees then hold per epoch, not over the full history.
@@ -296,12 +282,4 @@ func (x *Index) Publications() int {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	return x.pubCount
-}
-
-// Stale reports whether queries see counts older than the latest inserts
-// (the freshness price of the batched policy).
-func (x *Index) Stale() bool {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.stale
 }

@@ -38,10 +38,10 @@ func TestAccountantSpendAndExhaust(t *testing.T) {
 	if err := a.Spend(0.01); err != ErrBudgetExhausted {
 		t.Fatalf("over-budget spend err = %v", err)
 	}
-	if r := a.Remaining(); math.Abs(r) > 1e-9 {
+	if r := (a.total - a.spent); math.Abs(r) > 1e-9 {
 		t.Fatalf("remaining = %v", r)
 	}
-	if s := a.Spent(); math.Abs(s-1.0) > 1e-9 {
+	if s := a.spent; math.Abs(s-1.0) > 1e-9 {
 		t.Fatalf("spent = %v", s)
 	}
 }
@@ -136,17 +136,17 @@ func TestBatchedPolicyStretchesBudget(t *testing.T) {
 
 func TestBatchedStalenessIsVisible(t *testing.T) {
 	idx := newIndex(t, Batched, 10, 10.0)
-	if idx.Stale() {
+	if idx.stale {
 		t.Fatal("fresh index reports stale")
 	}
 	idx.Insert(5)
-	if !idx.Stale() {
+	if !idx.stale {
 		t.Fatal("index with unpublished insert should be stale")
 	}
 	for i := 0; i < 9; i++ {
 		idx.Insert(5)
 	}
-	if idx.Stale() {
+	if idx.stale {
 		t.Fatal("index should be fresh after a batch publication")
 	}
 }
@@ -168,7 +168,7 @@ func TestRangeCountTracksTruthApproximately(t *testing.T) {
 		idx.Insert(int64(50 + i%50))
 	}
 	// Force a publication by filling the batch.
-	for idx.Stale() {
+	for idx.stale {
 		idx.Insert(0)
 	}
 	got := idx.RangeCount(0, 50)
@@ -280,8 +280,8 @@ func TestAccountantReset(t *testing.T) {
 	acct, _ := NewAccountant(1.0)
 	acct.Spend(0.9)
 	acct.Reset()
-	if acct.Spent() != 0 {
-		t.Fatalf("spent after reset = %v", acct.Spent())
+	if acct.spent != 0 {
+		t.Fatalf("spent after reset = %v", acct.spent)
 	}
 	if err := acct.Spend(1.0); err != nil {
 		t.Fatalf("spend after reset failed: %v", err)

@@ -27,10 +27,10 @@ func TestAccountantSnapshotRoundTrip(t *testing.T) {
 	if err := b.Restore(blob); err != nil {
 		t.Fatal(err)
 	}
-	if got := b.Spent(); got != 0.75 {
+	if got := b.spent; got != 0.75 {
 		t.Fatalf("restored spent = %v, want 0.75", got)
 	}
-	if got := b.Remaining(); got != 1.25 {
+	if got := (b.total - b.spent); got != 1.25 {
 		t.Fatalf("restored remaining = %v, want 1.25", got)
 	}
 	// The restored budget keeps enforcing: overspending still fails.
@@ -52,7 +52,7 @@ func TestAccountantRestoreRejectsInvalid(t *testing.T) {
 		}
 	}
 	// The failed restores left the original budget intact.
-	if got := a.Remaining(); got != 1.0 {
+	if got := (a.total - a.spent); got != 1.0 {
 		t.Fatalf("failed restore mutated the budget: remaining = %v", got)
 	}
 }

@@ -71,10 +71,11 @@ func safePrimeGroups(t *testing.T) []*Group {
 			t.Fatalf("testdata/safe_primes.txt: %q is not hex", lines.Text())
 		}
 		p := new(big.Int).Lsh(q, 1)
-		g, err := New(p.Add(p, one), q, big.NewInt(4))
-		if err != nil {
-			t.Fatalf("testdata/safe_primes.txt: %x: %v", q, err)
+		p.Add(p, one)
+		if !p.ProbablyPrime(20) || !q.ProbablyPrime(20) {
+			t.Fatalf("testdata/safe_primes.txt: %x: not a safe-prime pair", q)
 		}
+		g := newGroup(p, q, big.NewInt(4))
 		if want := 16 + len(groups); q.BitLen() != want {
 			t.Fatalf("testdata/safe_primes.txt: line for |Q| = %d holds a %d-bit Q", want, q.BitLen())
 		}

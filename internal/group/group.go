@@ -22,7 +22,6 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math/big"
@@ -49,26 +48,6 @@ type Group struct {
 // carries its reducer.
 func newGroup(p, q, g *big.Int) *Group {
 	return &Group{P: p, Q: q, G: g, red: newReducer(p)}
-}
-
-// New validates and returns a group from explicit parameters.
-func New(p, q, g *big.Int) (*Group, error) {
-	if p == nil || q == nil || g == nil {
-		return nil, errors.New("group: nil parameter")
-	}
-	expect := new(big.Int).Mul(q, two)
-	expect.Add(expect, one)
-	if expect.Cmp(p) != 0 {
-		return nil, errors.New("group: p != 2q+1")
-	}
-	if !p.ProbablyPrime(20) || !q.ProbablyPrime(20) {
-		return nil, errors.New("group: p or q not prime")
-	}
-	gr := newGroup(p, q, g)
-	if g.Cmp(one) <= 0 || !gr.Contains(g) {
-		return nil, errors.New("group: g is not in [2, q]")
-	}
-	return gr, nil
 }
 
 // Generate creates a fresh safe-prime group with a modulus of the given bit
@@ -128,9 +107,6 @@ func MODP2048() *Group {
 	})
 	return modpGroup
 }
-
-// Bits returns the modulus size in bits.
-func (g *Group) Bits() int { return g.P.BitLen() }
 
 // Contains reports whether x is a group element: 1 <= x <= Q. That is
 // the whole test. Every element of Z_P* but 0 has a representative in

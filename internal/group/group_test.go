@@ -28,38 +28,10 @@ func TestGenerateRejectsTinyBits(t *testing.T) {
 	}
 }
 
-func TestNewValidation(t *testing.T) {
-	g := TestGroup()
-	if _, err := New(g.P, g.Q, g.G); err != nil {
-		t.Fatalf("valid params rejected: %v", err)
-	}
-	if _, err := New(nil, g.Q, g.G); err == nil {
-		t.Fatal("nil p accepted")
-	}
-	badQ := new(big.Int).Add(g.Q, big.NewInt(1))
-	if _, err := New(g.P, badQ, g.G); err == nil {
-		t.Fatal("p != 2q+1 accepted")
-	}
-	if _, err := New(g.P, g.Q, big.NewInt(1)); err == nil {
-		t.Fatal("g=1 accepted")
-	}
-	// -1 mod p: the other encoding of 1.
-	if _, err := New(g.P, g.Q, new(big.Int).Sub(g.P, one)); err == nil {
-		t.Fatal("P-1 accepted as a generator")
-	}
-	// The other encoding of a valid generator is refused, not mapped.
-	if _, err := New(g.P, g.Q, new(big.Int).Sub(g.P, g.G)); err == nil {
-		t.Fatal("P-G accepted as a generator")
-	}
-	if _, err := New(g.P, g.Q, g.Q); err != nil {
-		t.Fatalf("g = Q, the largest element, rejected: %v", err)
-	}
-}
-
 func TestMODP2048Parameters(t *testing.T) {
 	g := MODP2048()
-	if g.Bits() != 2048 {
-		t.Fatalf("bits = %d", g.Bits())
+	if g.P.BitLen() != 2048 {
+		t.Fatalf("bits = %d", g.P.BitLen())
 	}
 	if !g.P.ProbablyPrime(10) || !g.Q.ProbablyPrime(10) {
 		t.Fatal("MODP2048 p or q not prime")
@@ -179,10 +151,10 @@ func TestOperationsIgnoreEncoding(t *testing.T) {
 			"FixedBaseExp": {g.NewFixedBase(a).Exp(e), g.NewFixedBase(na).Exp(e)},
 		} {
 			if pair[0].Cmp(pair[1]) != 0 {
-				t.Errorf("%d bits, %s: %v for x, %v for P - x", g.Bits(), name, pair[0], pair[1])
+				t.Errorf("%d bits, %s: %v for x, %v for P - x", g.P.BitLen(), name, pair[0], pair[1])
 			}
 			if !g.Contains(pair[0]) {
-				t.Errorf("%d bits, %s: result %v is not an encoding Contains accepts", g.Bits(), name, pair[0])
+				t.Errorf("%d bits, %s: result %v is not an encoding Contains accepts", g.P.BitLen(), name, pair[0])
 			}
 		}
 	}
@@ -311,7 +283,7 @@ func containsSeeds(g *Group) []*big.Int {
 		}
 	}
 	vs = append(vs, g.G, new(big.Int).Sub(g.P, g.G))
-	for k := 0; k <= 2*g.Bits(); k += 16 {
+	for k := 0; k <= 2*g.P.BitLen(); k += 16 {
 		pow := new(big.Int).Lsh(one, uint(k))
 		vs = append(vs, new(big.Int).Sub(pow, one), pow, new(big.Int).Add(pow, one))
 	}
@@ -337,13 +309,13 @@ func FuzzContains(f *testing.F) {
 		for _, g := range groups {
 			want := x.Sign() > 0 && x.Cmp(g.Q) <= 0
 			if got := g.Contains(x); got != want {
-				t.Fatalf("%d bits: Contains(%v) = %v, want %v", g.Bits(), x, got, want)
+				t.Fatalf("%d bits: Contains(%v) = %v, want %v", g.P.BitLen(), x, got, want)
 			}
 			if x.Sign() > 0 && x.Cmp(g.P) < 0 && g.Contains(new(big.Int).Sub(g.P, x)) == want {
-				t.Fatalf("%d bits: Contains gives %v for both %v and P - %v", g.Bits(), want, x, x)
+				t.Fatalf("%d bits: Contains gives %v for both %v and P - %v", g.P.BitLen(), want, x, x)
 			}
 			if want && g.Mul(x, one).Cmp(x) != 0 {
-				t.Fatalf("%d bits: Mul(%v, 1) = %v: an accepted encoding is not the one operations give", g.Bits(), x, g.Mul(x, one))
+				t.Fatalf("%d bits: Mul(%v, 1) = %v: an accepted encoding is not the one operations give", g.P.BitLen(), x, g.Mul(x, one))
 			}
 		}
 	})

@@ -246,10 +246,10 @@ func TestMultiExpDegenerateFolds(t *testing.T) {
 		for name, f := range degenerateFolds(t, g) {
 			got, err := g.MultiExp(f.bases, f.exps)
 			if err != nil {
-				t.Fatalf("%d bits, %s: %v", g.Bits(), name, err)
+				t.Fatalf("%d bits, %s: %v", g.P.BitLen(), name, err)
 			}
 			if want := naiveMultiExp(g, f.bases, f.exps); got.Cmp(want) != 0 {
-				t.Errorf("%d bits, %s: MultiExp = %v, want %v", g.Bits(), name, got, want)
+				t.Errorf("%d bits, %s: MultiExp = %v, want %v", g.P.BitLen(), name, got, want)
 			}
 		}
 	}

@@ -157,60 +157,3 @@ func (p *Proc) WaitHealthy(timeout time.Duration) error {
 	}
 	return fmt.Errorf("harness: %s never became healthy: %v", p.Addr, lastErr)
 }
-
-// WaitConverged polls GET /audit until every peer of every shard in the
-// process holds the same verified chain.
-func (p *Proc) WaitConverged(timeout time.Duration) (api.AuditResponse, error) {
-	client := p.Client()
-	deadline := time.Now().Add(timeout)
-	var last api.AuditResponse
-	for time.Now().Before(deadline) {
-		audit, err := client.Audit()
-		if err != nil {
-			return audit, err
-		}
-		last = audit
-		if audit.Clean && audit.Converged {
-			return audit, nil
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	return last, fmt.Errorf("harness: %s did not converge: %+v", p.Addr, last)
-}
-
-// Cluster is a set of independent server processes (each owns its own
-// chain — process isolation, not replication across processes).
-type Cluster struct {
-	Procs []*Proc
-}
-
-// StartCluster boots n processes of the same binary, waiting for each
-// to become healthy. On any failure the already-started processes are
-// stopped.
-func StartCluster(bin string, n int, extraArgs ...string) (*Cluster, error) {
-	c := &Cluster{}
-	for i := 0; i < n; i++ {
-		p, err := Start(bin, extraArgs...)
-		if err != nil {
-			c.Stop()
-			return nil, fmt.Errorf("harness: starting process %d: %w", i, err)
-		}
-		c.Procs = append(c.Procs, p)
-		if err := p.WaitHealthy(startTimeout); err != nil {
-			c.Stop()
-			return nil, err
-		}
-	}
-	return c, nil
-}
-
-// Stop shuts every process down, returning the first error.
-func (c *Cluster) Stop() error {
-	var firstErr error
-	for _, p := range c.Procs {
-		if err := p.Stop(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}

@@ -35,7 +35,7 @@ func TestMultiProcessCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 3
-	cluster, err := StartCluster(bin, n, "-flush", "1ms")
+	cluster, err := startCluster(bin, n, "-flush", "1ms")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestMultiProcessCluster(t *testing.T) {
 	// the processes stayed isolated: each one's stats count only its own
 	// submissions.
 	for pi, proc := range cluster.Procs {
-		audit, err := proc.WaitConverged(10 * time.Second)
+		audit, err := waitConverged(proc, 10*time.Second)
 		if err != nil {
 			t.Fatalf("proc %d: %v", pi, err)
 		}
@@ -199,7 +199,7 @@ func TestKillRecoverFromDisk(t *testing.T) {
 	if _, err := c2.Submit(api.Tx{Kind: api.KindPut, Key: "durable/post-restart", Value: []byte("p")}); err != nil {
 		t.Fatalf("post-restart submit: %v", err)
 	}
-	audit, err := proc2.WaitConverged(30 * time.Second)
+	audit, err := waitConverged(proc2, 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,4 +279,61 @@ func TestStartTimesOutOnSilentServer(t *testing.T) {
 	if _, err := Start(script); err == nil || !strings.Contains(err.Error(), "did not print its address") {
 		t.Fatalf("Start(silent server) = %v, want start-timeout error", err)
 	}
+}
+
+// waitConverged polls GET /audit until every peer of every shard in the
+// process holds the same verified chain.
+func waitConverged(p *Proc, timeout time.Duration) (api.AuditResponse, error) {
+	client := p.Client()
+	deadline := time.Now().Add(timeout)
+	var last api.AuditResponse
+	for time.Now().Before(deadline) {
+		audit, err := client.Audit()
+		if err != nil {
+			return audit, err
+		}
+		last = audit
+		if audit.Clean && audit.Converged {
+			return audit, nil
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	return last, fmt.Errorf("harness: %s did not converge: %+v", p.Addr, last)
+}
+
+// Cluster is a set of independent server processes (each owns its own
+// chain — process isolation, not replication across processes).
+type Cluster struct {
+	Procs []*Proc
+}
+
+// startCluster boots n processes of the same binary, waiting for each
+// to become healthy. On any failure the already-started processes are
+// stopped.
+func startCluster(bin string, n int, extraArgs ...string) (*Cluster, error) {
+	c := &Cluster{}
+	for i := 0; i < n; i++ {
+		p, err := Start(bin, extraArgs...)
+		if err != nil {
+			c.Stop()
+			return nil, fmt.Errorf("harness: starting process %d: %w", i, err)
+		}
+		c.Procs = append(c.Procs, p)
+		if err := p.WaitHealthy(startTimeout); err != nil {
+			c.Stop()
+			return nil, err
+		}
+	}
+	return c, nil
+}
+
+// Stop shuts every process down, returning the first error.
+func (c *Cluster) Stop() error {
+	var firstErr error
+	for _, p := range c.Procs {
+		if err := p.Stop(); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
 }

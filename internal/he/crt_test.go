@@ -116,7 +116,7 @@ func TestDecryptCRTAfterHomomorphicOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, err := sk.Sub(scaled, a) // 3·(1000-250) - 1000 = 1250
+	final, err := sub(&sk.PublicKey, scaled, a) // 3·(1000-250) - 1000 = 1250
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -332,15 +332,6 @@ func (pk *PublicKey) Neg(a *Ciphertext) (*Ciphertext, error) {
 	return &Ciphertext{C: inv}, nil
 }
 
-// Sub computes Enc(a - b).
-func (pk *PublicKey) Sub(a, b *Ciphertext) (*Ciphertext, error) {
-	nb, err := pk.Neg(b)
-	if err != nil {
-		return nil, err
-	}
-	return pk.Add(a, nb), nil
-}
-
 // Rerandomize refreshes a ciphertext's randomness so that two occurrences
 // of the same value are unlinkable (used when a manager republishes
 // ciphertexts).

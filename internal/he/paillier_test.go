@@ -122,11 +122,20 @@ func TestHomomorphicMulPlain(t *testing.T) {
 	}
 }
 
+// sub computes Enc(a - b) as Add(a, Neg(b)).
+func sub(pk *PublicKey, a, b *Ciphertext) (*Ciphertext, error) {
+	nb, err := pk.Neg(b)
+	if err != nil {
+		return nil, err
+	}
+	return pk.Add(a, nb), nil
+}
+
 func TestHomomorphicNegAndSub(t *testing.T) {
 	sk := key(t)
 	a, _ := sk.EncryptInt(30, nil)
 	b, _ := sk.EncryptInt(72, nil)
-	diff, err := sk.Sub(a, b)
+	diff, err := sub(&sk.PublicKey, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}

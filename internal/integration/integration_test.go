@@ -108,7 +108,7 @@ func TestEncryptedMatchesPlainOnRandomTrace(t *testing.T) {
 
 // TestSeparFullLifecycle runs the whole §5 story on a chain-backed
 // deployment: registration, a working week, the upper bound biting, the
-// lower-bound settlement, and the chain audit.
+// budget it leaves, and the chain audit.
 func TestSeparFullLifecycle(t *testing.T) {
 	sys, err := separ.New(separ.Config{
 		Platforms: []string{"uber", "lyft"},
@@ -138,6 +138,10 @@ func TestSeparFullLifecycle(t *testing.T) {
 			t.Fatalf("task %d: %+v %v", i, r, err)
 		}
 	}
+	// The 38 accepted hours spent 38 of the 40 tokens.
+	if left, err := sys.Remaining("driver"); err != nil || left != 2 {
+		t.Fatalf("remaining budget = %d, %v; want 2", left, err)
+	}
 	// The 39th+3 hours exceed the budget.
 	r, err := sys.CompleteTask(workload.TaskEvent{
 		ID: "t-over", Worker: "driver", Platform: "lyft", Hours: 3,
@@ -148,15 +152,6 @@ func TestSeparFullLifecycle(t *testing.T) {
 	}
 	if r.Accepted {
 		t.Fatal("41 hours accepted")
-	}
-	// Lower-bound settlement: driver proves >= 30 hours with receipts.
-	settle := separ.NewLowerBoundSettlement("2022-W13", 30, sys.PlatformReceiptKeys())
-	count, met, err := settle.Settle("driver", sys.WorkerReceipts("driver"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 38 || !met {
-		t.Fatalf("settlement = %d, met=%v; want 38, true", count, met)
 	}
 	// Chain audit across all peers.
 	if err := sys.AuditChain(); err != nil {
@@ -211,10 +206,11 @@ func TestLedgerSurvivesRestart(t *testing.T) {
 	if restored.Digest() != m.Ledger().Digest() {
 		t.Fatal("restored digest differs")
 	}
-	// Rebuild the manager's table from the journal (replay).
-	replayed := ledger.Replay(entries)
-	if len(replayed.Keys()) != 4 {
-		t.Fatalf("replayed %d keys", len(replayed.Keys()))
+	// The restored state holds the manager's four rows.
+	keys := 0
+	restored.Range(func(string, []byte) bool { keys++; return true })
+	if keys != 4 {
+		t.Fatalf("restored %d keys", keys)
 	}
 }
 

@@ -14,6 +14,8 @@
 // they outlive the grace period. Polling absorbs benign shutdown races:
 // a goroutine mid-return needs a few scheduler passes to leave the
 // stack dump.
+//
+//lint:ignore unreached test-support package: the goroutine-leak check, imported by tests only
 package leaktest
 
 import (

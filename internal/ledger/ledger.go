@@ -13,7 +13,6 @@ package ledger
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -59,7 +58,10 @@ type Entry struct {
 	EntryHash [32]byte  `json:"hash"` // hash over all fields above
 }
 
-// computeHash hashes every field except EntryHash itself.
+// computeHash hashes every field except EntryHash itself. It is the
+// entry's one canonical encoding: the hash chain links it and the Merkle
+// log takes it as the entry's leaf data, as QLDB's journal does, so every
+// check that recomputes it covers both.
 func (e *Entry) computeHash() [32]byte {
 	h := sha256.New()
 	var seq [8]byte
@@ -86,16 +88,6 @@ func writeLenPrefixed(h interface{ Write([]byte) (int, error) }, b []byte) {
 	h.Write(b)
 }
 
-// leafBytes is the canonical encoding hashed into the Merkle log.
-func (e *Entry) leafBytes() []byte {
-	b, err := json.Marshal(e)
-	if err != nil {
-		// Entry contains only marshalable fields; this cannot happen.
-		panic(fmt.Sprintf("ledger: marshal entry: %v", err))
-	}
-	return b
-}
-
 // Digest is a verifiable summary of the journal at a point in time. A
 // relying party stores digests out of band and later checks proofs against
 // them.
@@ -118,29 +110,17 @@ type Ledger struct {
 	mu      sync.RWMutex
 	entries []Entry
 	tree    *merkle.Tree
-	state   *store.KV // materialized current state
-	clock   func() time.Time
-}
-
-// Option configures a Ledger.
-type Option func(*Ledger)
-
-// WithClock overrides the timestamp source (tests use a fixed clock).
-func WithClock(clock func() time.Time) Option {
-	return func(l *Ledger) { l.clock = clock }
+	state   *store.KV        // materialized current state
+	clock   func() time.Time // time.Now; tests in this package pin it
 }
 
 // New creates an empty ledger.
-func New(opts ...Option) *Ledger {
-	l := &Ledger{
+func New() *Ledger {
+	return &Ledger{
 		tree:  merkle.New(),
 		state: store.NewKV(),
 		clock: time.Now,
 	}
-	for _, o := range opts {
-		o(l)
-	}
-	return l
 }
 
 // Size returns the number of journal entries.
@@ -178,7 +158,7 @@ func (l *Ledger) Append(kind OpKind, key string, value []byte, author, txID stri
 	}
 	e.EntryHash = e.computeHash()
 	l.entries = append(l.entries, e)
-	l.tree.Append(e.leafBytes())
+	l.tree.Append(e.EntryHash[:])
 	switch kind {
 	case OpPut:
 		l.state.Put(key, e.Value)
@@ -197,42 +177,15 @@ func (l *Ledger) Put(key string, value []byte, author, txID string) (Receipt, er
 	return l.Append(OpPut, key, value, author, txID)
 }
 
-// Delete appends a DELETE entry.
-func (l *Ledger) Delete(key string, author, txID string) (Receipt, error) {
-	return l.Append(OpDelete, key, nil, author, txID)
-}
-
 // Get reads the current state for key.
 func (l *Ledger) Get(key string) ([]byte, error) {
 	return l.state.Get(key)
 }
 
-// State returns a consistent snapshot of the current state.
-func (l *Ledger) State() store.Snapshot {
-	return l.state.Snapshot()
-}
-
-// History returns all journal entries that touched key, oldest first.
-func (l *Ledger) History(key string) []Entry {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	var out []Entry
-	for _, e := range l.entries {
-		if e.Key == key {
-			out = append(out, cloneEntry(e))
-		}
-	}
-	return out
-}
-
-// Entry returns a copy of the journal entry at seq.
-func (l *Ledger) Entry(seq uint64) (Entry, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	if seq >= uint64(len(l.entries)) {
-		return Entry{}, fmt.Errorf("ledger: seq %d out of range (size %d)", seq, len(l.entries))
-	}
-	return cloneEntry(l.entries[seq]), nil
+// Range calls fn for each key of the current state and its value, in key
+// order, stopping early if fn returns false.
+func (l *Ledger) Range(fn func(key string, value []byte) bool) {
+	l.state.Range(fn)
 }
 
 // Export returns a copy of the whole journal, for auditors and replication.
@@ -304,7 +257,7 @@ func VerifyInclusion(p InclusionProof, d Digest) error {
 	if p.Entry.computeHash() != p.Entry.EntryHash {
 		return errors.New("ledger: entry hash mismatch (contents substituted)")
 	}
-	return merkle.VerifyInclusion(p.Proof, p.Entry.leafBytes(), d.Root)
+	return merkle.VerifyInclusion(p.Proof, p.Entry.EntryHash[:], d.Root)
 }
 
 // ProveConsistency proves that the journal at oldSize (an earlier digest a
@@ -373,7 +326,7 @@ func Audit(entries []Entry, d Digest) AuditReport {
 			return r
 		}
 		prev = e.EntryHash
-		tree.Append(e.leafBytes())
+		tree.Append(e.EntryHash[:])
 	}
 	r.MerkleOK = tree.Root() == d.Root || d.Size == 0
 	if d.Size == 0 {
@@ -387,19 +340,4 @@ func Audit(entries []Entry, d Digest) AuditReport {
 		r.TamperErr = errors.New("ledger: digest tip mismatch")
 	}
 	return r
-}
-
-// Replay reconstructs the current state from an exported journal; used by
-// auditors to check the manager's materialized view.
-func Replay(entries []Entry) *store.KV {
-	kv := store.NewKV()
-	for _, e := range entries {
-		switch e.Kind {
-		case OpPut:
-			kv.Put(e.Key, e.Value)
-		case OpDelete:
-			kv.Delete(e.Key)
-		}
-	}
-	return kv
 }

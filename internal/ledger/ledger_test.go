@@ -1,6 +1,7 @@
 package ledger
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"sync"
 	"testing"
@@ -19,7 +20,9 @@ func fixedClock() func() time.Time {
 }
 
 func newTestLedger() *Ledger {
-	return New(WithClock(fixedClock()))
+	l := New()
+	l.clock = fixedClock()
+	return l
 }
 
 func fill(l *Ledger, n int) {
@@ -43,7 +46,7 @@ func TestAppendAndGet(t *testing.T) {
 	if err != nil || string(got) != "1" {
 		t.Fatalf("get = %q, %v", got, err)
 	}
-	if _, err := l.Delete("a", "alice", "tx2"); err != nil {
+	if _, err := l.Append(OpDelete, "a", nil, "alice", "tx2"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Get("a"); err != store.ErrNotFound {
@@ -83,32 +86,13 @@ func TestValueIsCopied(t *testing.T) {
 	buf := []byte("abc")
 	l.Put("k", buf, "", "")
 	buf[0] = 'X'
-	e, _ := l.Entry(0)
+	e := l.Export()[0]
 	if string(e.Value) != "abc" {
 		t.Fatalf("ledger aliased caller buffer: %q", e.Value)
 	}
 	e.Value[0] = 'Y'
-	e2, _ := l.Entry(0)
-	if string(e2.Value) != "abc" {
-		t.Fatal("Entry returned an aliased value")
-	}
-}
-
-func TestHistory(t *testing.T) {
-	l := newTestLedger()
-	l.Put("a", []byte("1"), "", "")
-	l.Put("b", []byte("x"), "", "")
-	l.Put("a", []byte("2"), "", "")
-	l.Delete("a", "", "")
-	h := l.History("a")
-	if len(h) != 3 {
-		t.Fatalf("history length = %d, want 3", len(h))
-	}
-	if h[0].Kind != OpPut || string(h[0].Value) != "1" {
-		t.Fatalf("history[0] = %+v", h[0])
-	}
-	if h[2].Kind != OpDelete {
-		t.Fatalf("history[2] kind = %v", h[2].Kind)
+	if e2 := l.Export()[0]; string(e2.Value) != "abc" {
+		t.Fatal("Export returned an aliased value")
 	}
 }
 
@@ -158,6 +142,40 @@ func TestInclusionRejectsSubstitutedEntry(t *testing.T) {
 	p.Entry.EntryHash = p.Entry.computeHash()
 	if err := VerifyInclusion(p, d); err == nil {
 		t.Fatal("substituted entry with recomputed hash verified")
+	}
+}
+
+// TestDigestRootIsRFC6962OverEntryHashes pins the journal's one canonical
+// encoding: the Merkle leaves are the entries' recomputed hashes, so the
+// digest root is RFC 6962's MTH over them, rebuilt here without the
+// merkle package.
+func TestDigestRootIsRFC6962OverEntryHashes(t *testing.T) {
+	var mth func(d [][]byte) [32]byte
+	mth = func(d [][]byte) [32]byte {
+		switch len(d) {
+		case 0:
+			return sha256.Sum256(nil)
+		case 1:
+			return sha256.Sum256(append([]byte{0x00}, d[0]...))
+		}
+		k := 1
+		for k*2 < len(d) {
+			k *= 2
+		}
+		l, r := mth(d[:k]), mth(d[k:])
+		return sha256.Sum256(append(append([]byte{0x01}, l[:]...), r[:]...))
+	}
+	l := newTestLedger()
+	for n := 0; n <= 13; n++ {
+		var leaves [][]byte
+		for _, e := range l.Export() {
+			h := e.computeHash()
+			leaves = append(leaves, h[:])
+		}
+		if got, want := l.Digest().Root, mth(leaves); got != want {
+			t.Fatalf("%d entries: digest root %x, RFC 6962 root over entry hashes %x", n, got, want)
+		}
+		fill(l, 1)
 	}
 }
 
@@ -284,27 +302,6 @@ func TestAuditDetectsReorder(t *testing.T) {
 	r := Audit(entries, l.Digest())
 	if r.Clean() {
 		t.Fatal("reordered journal passed audit")
-	}
-}
-
-func TestReplayMatchesState(t *testing.T) {
-	l := newTestLedger()
-	fill(l, 40)
-	l.Delete("k003", "", "")
-	replayed := Replay(l.Export())
-	snap := l.State()
-	for _, k := range snap.Keys() {
-		want, _ := snap.Get(k)
-		got, err := replayed.Get(k)
-		if err != nil || string(got) != string(want) {
-			t.Fatalf("replay mismatch at %q: %q vs %q (%v)", k, got, want, err)
-		}
-	}
-	if len(replayed.Keys()) != len(snap.Keys()) {
-		t.Fatalf("replay key count %d != state %d", len(replayed.Keys()), len(snap.Keys()))
-	}
-	if _, err := replayed.Get("k003"); err == nil {
-		t.Fatal("replay resurrected a deleted key")
 	}
 }
 

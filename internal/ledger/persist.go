@@ -15,7 +15,9 @@ type journalFile struct {
 	Entries []Entry `json:"entries"`
 }
 
-const journalFormat = "prever/ledger/journal/v1"
+// v2: the Merkle leaf is the entry hash, not the entry's JSON encoding,
+// so a v1 journal's digest no longer matches its entries.
+const journalFormat = "prever/ledger/journal/v2"
 
 // MarshalJournal serializes the full journal plus its digest.
 func (l *Ledger) MarshalJournal() ([]byte, error) {
@@ -99,7 +101,7 @@ func FromJournal(entries []Entry, d Digest) (*Ledger, error) {
 	for _, e := range entries {
 		e := cloneEntry(e)
 		l.entries = append(l.entries, e)
-		l.tree.Append(e.leafBytes())
+		l.tree.Append(e.EntryHash[:])
 		switch e.Kind {
 		case OpPut:
 			l.state.Put(e.Key, e.Value)

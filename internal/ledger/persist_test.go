@@ -4,13 +4,14 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
 func TestJournalMarshalRoundTrip(t *testing.T) {
 	l := newTestLedger()
 	fill(l, 25)
-	l.Delete("k003", "auditor", "txd")
+	l.Append(OpDelete, "k003", nil, "auditor", "txd")
 	data, err := l.MarshalJournal()
 	if err != nil {
 		t.Fatal(err)
@@ -62,6 +63,33 @@ func TestUnmarshalJournalRejectsGarbage(t *testing.T) {
 	wrong, _ := json.Marshal(map[string]any{"format": "other/v9"})
 	if _, _, err := UnmarshalJournal(wrong); err == nil {
 		t.Fatal("wrong format accepted")
+	}
+}
+
+// TestOldFormatJournalRefused loads an untampered journal as v1 wrote
+// it, when the Merkle leaf was the entry's JSON encoding: a put and a
+// delete of "k" at a fixed time. LoadFile must refuse it as an unknown
+// format, not report it as tampered. Its hash chain still holds (the
+// entry hash did not change), but its digest root is over the old
+// leaves, so read as v2 it would fail the audit.
+func TestOldFormatJournalRefused(t *testing.T) {
+	const v1 = `{"format":"prever/ledger/journal/v1","digest":{"size":2,"root":[207,2,83,173,71,143,209,93,57,230,249,229,213,211,141,153,89,67,67,204,37,228,198,153,181,86,40,215,243,78,70,170],"tip":[190,206,162,76,82,85,203,255,220,144,57,141,164,84,66,25,198,20,109,241,100,137,129,238,134,57,211,178,89,201,170,45]},"entries":[{"seq":0,"time":"2024-01-01T00:00:00Z","kind":1,"key":"k","value":"dg==","author":"producer","txid":"tx1","prev":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"hash":[61,119,19,203,52,101,154,52,67,78,9,121,207,164,94,91,96,68,24,186,233,170,252,207,69,238,80,11,160,169,160,215]},{"seq":1,"time":"2024-01-01T00:00:00Z","kind":2,"key":"k","author":"auditor","txid":"tx2","prev":[61,119,19,203,52,101,154,52,67,78,9,121,207,164,94,91,96,68,24,186,233,170,252,207,69,238,80,11,160,169,160,215],"hash":[190,206,162,76,82,85,203,255,220,144,57,141,164,84,66,25,198,20,109,241,100,137,129,238,134,57,211,178,89,201,170,45]}]}`
+	path := filepath.Join(t.TempDir(), "journal.json")
+	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadFile(path)
+	if err == nil || !strings.Contains(err.Error(), `unknown journal format "prever/ledger/journal/v1"`) {
+		t.Fatalf("v1 journal: got %v, want the unknown-format error", err)
+	}
+
+	var f journalFile
+	if err := json.Unmarshal([]byte(v1), &f); err != nil {
+		t.Fatal(err)
+	}
+	rep := Audit(f.Entries, f.Digest)
+	if !rep.ChainOK || !rep.DigestOK || rep.MerkleOK {
+		t.Fatalf("v1 entries under the v2 leaf: report %+v, want an intact chain and tip, and a root mismatch", rep)
 	}
 }
 

@@ -77,7 +77,7 @@ func wantMarkers(t *testing.T, dir, analyzer string) map[string]bool {
 func checkFixture(t *testing.T, analyzer, fixture, asPath string) {
 	t.Helper()
 	dir := filepath.Join("testdata", fixture)
-	p, err := loader(t).LoadDirAs(dir, asPath)
+	p, err := loader(t).loadDir(dir, asPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func checkFixture(t *testing.T, analyzer, fixture, asPath string) {
 func checkOutOfScope(t *testing.T, analyzer, fixture string) {
 	t.Helper()
 	dir := filepath.Join("testdata", fixture)
-	p, err := loader(t).LoadDirAs(dir, "prever/internal/lint/testdata/"+fixture)
+	p, err := loader(t).loadDir(dir, "prever/internal/lint/testdata/"+fixture)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestErrIgnored(t *testing.T) {
 // TestBadDirectives: a directive without a reason and one naming an
 // unknown analyzer are reported and suppress nothing.
 func TestBadDirectives(t *testing.T) {
-	p, err := loader(t).LoadDirAs(filepath.Join("testdata", "baddirective"), "prever/internal/lint/testdata/baddirective")
+	p, err := loader(t).loadDir(filepath.Join("testdata", "baddirective"), "prever/internal/lint/testdata/baddirective")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestRepoIsClean(t *testing.T) {
 
 // TestFindingString pins the output format the Makefile and CI grep for.
 func TestFindingString(t *testing.T) {
-	p, err := loader(t).LoadDirAs(filepath.Join("testdata", "errignored"), "prever/internal/lint/testdata/errignored")
+	p, err := loader(t).loadDir(filepath.Join("testdata", "errignored"), "prever/internal/lint/testdata/errignored")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestChanClose(t *testing.T) {
 // by a single comma-list directive. The unreviewed twin keeps both
 // findings, pinned by analyzer and line.
 func TestMultiIgnore(t *testing.T) {
-	p, err := loader(t).LoadDirAs(filepath.Join("testdata", "multiignore"), "prever/internal/lint/testdata/multiignore")
+	p, err := loader(t).loadDir(filepath.Join("testdata", "multiignore"), "prever/internal/lint/testdata/multiignore")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,5 +246,55 @@ func TestMultiIgnore(t *testing.T) {
 	want := []string{"chanclose:19", "lockheld:19"}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("multiignore findings = %v, want %v", got, want)
+	}
+}
+
+// TestUnreached runs the analyzer over the four-package fixture under
+// testdata/unreached: user, a command, reaches lib through a call, an
+// interface (on a plain and on a generic type), fmt and two
+// instantiations; lib_test.go calls TestOnly;
+// orphan has no importer; support carries the package directive.
+func TestUnreached(t *testing.T) {
+	const root = "testdata/unreached"
+	pkgs, err := loader(t).LoadPatterns([]string{"internal/lint/" + root + "/..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	abs, err := filepath.Abs(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[string]bool)
+	for _, f := range Run(pkgs, []*Analyzer{Unreached}) {
+		rel, err := filepath.Rel(abs, f.Pos.Filename)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[fmt.Sprintf("%s:%d", filepath.ToSlash(rel), f.Pos.Line)] = true
+	}
+	want := make(map[string]bool)
+	for _, sub := range []string{"lib", "orphan", "support", "user"} {
+		for pos := range wantMarkers(t, filepath.Join(root, sub), "unreached") {
+			want[sub+"/"+pos] = true
+		}
+	}
+	for pos := range want {
+		if !got[pos] {
+			t.Errorf("expected unreached finding at %s, got none", pos)
+		}
+	}
+	for pos := range got {
+		if !want[pos] {
+			t.Errorf("unexpected unreached finding at %s", pos)
+		}
+	}
+
+	// Without a command the program is not whole, and nothing is judged.
+	lib, err := loader(t).LoadPatterns([]string{"internal/lint/" + root + "/lib"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fs := Run(lib, []*Analyzer{Unreached}); len(fs) != 0 {
+		t.Errorf("lib alone: want no findings, got %v", fs)
 	}
 }

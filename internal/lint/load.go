@@ -100,13 +100,9 @@ func (l *Loader) loadPath(path string) (*Package, error) {
 	return p, nil
 }
 
-// LoadDirAs parses and type-checks the single package in dir under an
-// explicit import path. Tests use it to load analyzer fixtures from
+// loadDir parses and type-checks the single package in dir under the
+// given import path. Tests call it to load analyzer fixtures from
 // testdata under the import path that triggers the analyzer's scoping.
-func (l *Loader) LoadDirAs(dir, importPath string) (*Package, error) {
-	return l.loadDir(dir, importPath)
-}
-
 func (l *Loader) loadDir(dir, importPath string) (*Package, error) {
 	if l.active[importPath] {
 		return nil, fmt.Errorf("lint: import cycle through %s", importPath)

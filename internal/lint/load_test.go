@@ -59,7 +59,7 @@ func TestLoadPatternsDeduplicates(t *testing.T) {
 // TestLoadImportCycle: mutually importing packages are diagnosed instead
 // of recursing forever.
 func TestLoadImportCycle(t *testing.T) {
-	_, err := loader(t).LoadDirAs(filepath.Join("testdata", "cycle", "a"), "prever/internal/lint/testdata/cycle/a")
+	_, err := loader(t).loadDir(filepath.Join("testdata", "cycle", "a"), "prever/internal/lint/testdata/cycle/a")
 	if err == nil {
 		t.Fatal("loading a mutually importing package pair succeeded, want cycle error")
 	}

@@ -22,7 +22,7 @@ func (r *replica) journal(rec []byte) bool {
 
 // vote is a package-local helper that reaches the network.
 func (r *replica) vote(payload []byte) {
-	r.net.Broadcast(r.id, "vote", payload)
+	r.net.Send(netsim.Message{From: r.id, Type: "vote", Payload: payload})
 }
 
 // discardedThenSend: the classic violation — outcome thrown away, then a

@@ -19,7 +19,7 @@ import (
 // The check is intraprocedural with a conservative call graph over
 // package-local helpers: a function that transitively reaches
 // (*wal.Log).Append/AppendSync/Snapshot is journal-like, one that
-// transitively reaches (*netsim.Network).Send/Broadcast is send-like.
+// transitively reaches (*netsim.Network).Send is send-like.
 // An event is a call to a journal-like function that returns its outcome
 // (at least one result) with every result discarded — a bare call
 // statement or an all-blank assignment; a checked outcome
@@ -43,7 +43,7 @@ const (
 
 var (
 	walAppendFuncs = map[string]bool{"Append": true, "AppendSync": true, "Snapshot": true}
-	netSendFuncs   = map[string]bool{"Send": true, "Broadcast": true}
+	netSendFuncs   = map[string]bool{"Send": true}
 )
 
 // Summary facts: a function that transitively reaches a WAL append is

@@ -71,9 +71,6 @@ type Tree struct {
 // New returns an empty tree.
 func New() *Tree { return &Tree{} }
 
-// Size returns the number of leaves.
-func (t *Tree) Size() int { return len(t.leaves) }
-
 // Append adds an entry and returns its leaf index.
 func (t *Tree) Append(data []byte) int {
 	return t.AppendLeafHash(HashLeaf(data))
@@ -85,14 +82,6 @@ func (t *Tree) AppendLeafHash(h Hash) int {
 	t.leaves = append(t.leaves, h)
 	t.frontier.addHash(h)
 	return len(t.leaves) - 1
-}
-
-// LeafHash returns the hash of leaf i.
-func (t *Tree) LeafHash(i int) (Hash, error) {
-	if i < 0 || i >= len(t.leaves) {
-		return Hash{}, fmt.Errorf("merkle: leaf index %d out of range [0,%d)", i, len(t.leaves))
-	}
-	return t.leaves[i], nil
 }
 
 // Root returns the root hash over all current leaves in O(log n).

@@ -24,8 +24,8 @@ func buildTree(n int) *Tree {
 
 func TestEmptyRoot(t *testing.T) {
 	tr := New()
-	if tr.Size() != 0 {
-		t.Fatalf("empty tree size = %d", tr.Size())
+	if len(tr.leaves) != 0 {
+		t.Fatalf("empty tree size = %d", len(tr.leaves))
 	}
 	if tr.Root() != EmptyRoot() {
 		t.Fatalf("empty tree root mismatch")
@@ -74,23 +74,6 @@ func TestRootAtMatchesIncrementalRoots(t *testing.T) {
 		if tr.RootAt(i) != roots[i-1] {
 			t.Fatalf("RootAt(%d) does not match the root observed at that size", i)
 		}
-	}
-}
-
-func TestLeafHashAccessor(t *testing.T) {
-	tr := buildTree(5)
-	h, err := tr.LeafHash(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h != HashLeaf(leafData(3)) {
-		t.Fatalf("LeafHash(3) mismatch")
-	}
-	if _, err := tr.LeafHash(5); err == nil {
-		t.Fatalf("LeafHash out of range should error")
-	}
-	if _, err := tr.LeafHash(-1); err == nil {
-		t.Fatalf("LeafHash(-1) should error")
 	}
 }
 

@@ -1,176 +1,14 @@
 package mpc
 
 import (
-	"fmt"
 	"math"
 	"math/big"
-	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"prever/internal/costtest"
 	"prever/internal/he"
-	"prever/internal/netsim"
 )
-
-func newParties(t testing.TB, n int, cfg netsim.Config) (*netsim.Network, []*SumParty) {
-	t.Helper()
-	net := netsim.New(cfg)
-	t.Cleanup(net.Close)
-	parties := make([]*SumParty, n)
-	for i := 0; i < n; i++ {
-		p, err := NewSumParty(net, fmt.Sprintf("m%d", i), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parties[i] = p
-	}
-	return net, parties
-}
-
-func ids(parties []*SumParty) []string {
-	out := make([]string, len(parties))
-	for i, p := range parties {
-		out[i] = p.ID()
-	}
-	return out
-}
-
-func TestSecureSumBasic(t *testing.T) {
-	_, parties := newParties(t, 3, netsim.Config{})
-	inputs := []int64{10, 25, 7}
-	for i, p := range parties {
-		p.SetInput("s1", big.NewInt(inputs[i]))
-	}
-	total, err := parties[0].RunSum("s1", ids(parties), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total.Int64() != 42 {
-		t.Fatalf("total = %v, want 42", total)
-	}
-}
-
-func TestSecureSumAllPartiesLearnResult(t *testing.T) {
-	_, parties := newParties(t, 4, netsim.Config{})
-	for i, p := range parties {
-		p.SetInput("s2", big.NewInt(int64(i+1)))
-	}
-	if _, err := parties[0].RunSum("s2", ids(parties), 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(3 * time.Second)
-	for _, p := range parties {
-		for {
-			if total, ok := p.Result("s2"); ok {
-				if total.Int64() != 10 {
-					t.Fatalf("party %s sees total %v", p.ID(), total)
-				}
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("party %s never learned the total", p.ID())
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-}
-
-func TestSecureSumNegativeValues(t *testing.T) {
-	_, parties := newParties(t, 3, netsim.Config{})
-	inputs := []int64{-50, 20, 10}
-	for i, p := range parties {
-		p.SetInput("s3", big.NewInt(inputs[i]))
-	}
-	total, err := parties[0].RunSum("s3", ids(parties), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total.Int64() != -20 {
-		t.Fatalf("total = %v, want -20", total)
-	}
-}
-
-func TestSecureSumMissingInputCountsAsZero(t *testing.T) {
-	_, parties := newParties(t, 3, netsim.Config{})
-	parties[0].SetInput("s4", big.NewInt(5))
-	parties[1].SetInput("s4", big.NewInt(6))
-	// parties[2] stages nothing.
-	total, err := parties[0].RunSum("s4", ids(parties), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total.Int64() != 11 {
-		t.Fatalf("total = %v, want 11", total)
-	}
-}
-
-func TestSecureSumInitiatorMustParticipate(t *testing.T) {
-	_, parties := newParties(t, 3, netsim.Config{})
-	if _, err := parties[0].RunSum("s5", []string{"m1", "m2"}, time.Second); err == nil {
-		t.Fatal("initiator outside the party list accepted")
-	}
-}
-
-func TestSecureSumTimesOutWithDeadParty(t *testing.T) {
-	net, parties := newParties(t, 3, netsim.Config{})
-	for _, p := range parties {
-		p.SetInput("s6", big.NewInt(1))
-	}
-	net.Partition([]string{"m2"}) // one party unreachable
-	if _, err := parties[0].RunSum("s6", ids(parties), 200*time.Millisecond); err == nil {
-		t.Fatal("sum completed without all parties")
-	}
-}
-
-func TestSecureSumWithLatency(t *testing.T) {
-	_, parties := newParties(t, 4, netsim.Config{Latency: 2 * time.Millisecond, Jitter: time.Millisecond, Seed: 5})
-	for i, p := range parties {
-		p.SetInput("s7", big.NewInt(int64(100*i)))
-	}
-	total, err := parties[0].RunSum("s7", ids(parties), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total.Int64() != 600 {
-		t.Fatalf("total = %v, want 600", total)
-	}
-}
-
-func TestSecureSumConcurrentSessions(t *testing.T) {
-	_, parties := newParties(t, 3, netsim.Config{})
-	var wg sync.WaitGroup
-	errs := make([]error, 5)
-	for s := 0; s < 5; s++ {
-		sid := fmt.Sprintf("multi-%d", s)
-		for i, p := range parties {
-			p.SetInput(sid, big.NewInt(int64(s*10+i)))
-		}
-	}
-	for s := 0; s < 5; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			sid := fmt.Sprintf("multi-%d", s)
-			total, err := parties[0].RunSum(sid, ids(parties), 5*time.Second)
-			if err != nil {
-				errs[s] = err
-				return
-			}
-			want := int64(s*30 + 3)
-			if total.Int64() != want {
-				errs[s] = fmt.Errorf("session %d: total %v, want %d", s, total, want)
-			}
-		}(s)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-}
 
 func newHelper(t testing.TB) *Helper {
 	helperOnce.Do(func() {
@@ -389,20 +227,6 @@ func TestCheckBoundManyTrials(t *testing.T) {
 	}
 }
 
-func BenchmarkSecureSum4(b *testing.B) {
-	_, parties := newParties(b, 4, netsim.Config{})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sid := fmt.Sprintf("bench-%d", i)
-		for j, p := range parties {
-			p.SetInput(sid, big.NewInt(int64(j)))
-		}
-		if _, err := parties[0].RunSum(sid, ids(parties), 10*time.Second); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkCheckBound3(b *testing.B) {
 	h := newHelper(b)
 	pk := h.PublicKey()
@@ -483,27 +307,5 @@ func TestCheckBoundCost(t *testing.T) {
 	t.Logf("CheckBound over Encrypt(0)+Decrypt: %v", r)
 	if r.Median > 1.25 {
 		t.Errorf("CheckBound costs %.2fx the re-randomisation and decryption it cannot avoid (limit 1.25x): something on its path raises to an n-sized exponent again", r.Median)
-	}
-}
-
-// TestRunSumTimesOutOnCrashedParty pins RunSum's deadline arm after the
-// time.After -> stoppable-timer refactor: a session missing a party's
-// shares must fail at the timeout, not block forever.
-func TestRunSumTimesOutOnCrashedParty(t *testing.T) {
-	net, parties := newParties(t, 3, netsim.Config{})
-	for i, p := range parties {
-		p.SetInput("stall", big.NewInt(int64(i)))
-	}
-	if err := net.Crash(parties[2].ID()); err != nil {
-		t.Fatal(err)
-	}
-	const budget = 250 * time.Millisecond
-	start := time.Now()
-	_, err := parties[0].RunSum("stall", ids(parties), budget)
-	if err == nil || !strings.Contains(err.Error(), "timed out") {
-		t.Fatalf("RunSum with a crashed party = %v, want session timeout", err)
-	}
-	if since := time.Since(start); since < budget {
-		t.Fatalf("RunSum returned after %v, before its %v deadline", since, budget)
 	}
 }

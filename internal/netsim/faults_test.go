@@ -151,46 +151,6 @@ func TestReorderingDelaysSomeMessages(t *testing.T) {
 	}
 }
 
-func TestPerLinkOverride(t *testing.T) {
-	n := New(Config{})
-	defer n.Close()
-	var toB, toC atomic.Int64
-	n.Register("a", func(Message) {})
-	n.Register("b", func(Message) { toB.Add(1) })
-	n.Register("c", func(Message) { toC.Add(1) })
-	// a->b is lossy in one direction only; a->c untouched.
-	n.SetLink("a", "b", LinkConfig{DropRate: 1.0})
-	for i := 0; i < 10; i++ {
-		n.Send(Message{From: "a", To: "b", Type: "t"})
-		n.Send(Message{From: "a", To: "c", Type: "t"})
-	}
-	waitFor(t, time.Second, func() bool { return toC.Load() == 10 })
-	if toB.Load() != 0 {
-		t.Fatalf("lossy link delivered %d messages", toB.Load())
-	}
-	// Reverse direction is unaffected (asymmetric override).
-	n.Send(Message{From: "b", To: "a", Type: "t"})
-	// And clearing restores the default link.
-	n.ClearLink("a", "b")
-	n.Send(Message{From: "a", To: "b", Type: "t"})
-	waitFor(t, time.Second, func() bool { return toB.Load() == 1 })
-}
-
-func TestPerLinkLatencyOverride(t *testing.T) {
-	n := New(Config{Latency: 0})
-	defer n.Close()
-	var at atomic.Value
-	n.Register("a", func(Message) {})
-	n.Register("b", func(Message) { at.Store(time.Now()) })
-	n.SetLink("a", "b", LinkConfig{Latency: 30 * time.Millisecond})
-	start := time.Now()
-	n.Send(Message{From: "a", To: "b", Type: "t"})
-	waitFor(t, time.Second, func() bool { return at.Load() != nil })
-	if elapsed := at.Load().(time.Time).Sub(start); elapsed < 25*time.Millisecond {
-		t.Fatalf("delivered after %v, want >= ~30ms", elapsed)
-	}
-}
-
 func TestSeededFaultsAreDeterministic(t *testing.T) {
 	run := func() (delivered int64) {
 		n := New(Config{DropRate: 0.3, DuplicateRate: 0.2, Seed: 1234})

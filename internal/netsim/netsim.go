@@ -1,8 +1,8 @@
 // Package netsim provides an in-process simulated network for PReVer's
 // distributed substrates (Paxos, PBFT, MPC). Nodes register handlers;
 // messages are delivered asynchronously with configurable latency, jitter,
-// drop probability, duplication, reordering, partitions, per-link
-// overrides, and node crash/restart, so protocol implementations are
+// drop probability, duplication, reordering, partitions, and node
+// crash/restart, so protocol implementations are
 // exercised against realistic (mis)behaviour without real sockets.
 //
 // Each node's handler runs on a single dedicated goroutine, so a node never
@@ -46,15 +46,6 @@ type Config struct {
 	Buffer        int           // per-node inbox size (default 1024)
 }
 
-// LinkConfig overrides delay and loss for one directed (from, to) link,
-// replacing the network-wide Latency/Jitter/DropRate for that link.
-// Duplication and reordering remain global.
-type LinkConfig struct {
-	Latency  time.Duration
-	Jitter   time.Duration
-	DropRate float64
-}
-
 // Network is the hub all nodes attach to. Safe for concurrent use.
 type Network struct {
 	cfg Config
@@ -62,7 +53,6 @@ type Network struct {
 	mu        sync.RWMutex
 	nodes     map[string]*node
 	partition map[string]int // node -> partition group; absent = group 0
-	links     map[[2]string]LinkConfig
 	closed    bool
 
 	rngMu sync.Mutex
@@ -102,7 +92,6 @@ func New(cfg Config) *Network {
 		cfg:       cfg,
 		nodes:     make(map[string]*node),
 		partition: make(map[string]int),
-		links:     make(map[[2]string]LinkConfig),
 		rng:       rand.New(rand.NewSource(seed)),
 	}
 }
@@ -196,31 +185,6 @@ func (n *Network) Closed() bool {
 	return n.closed
 }
 
-// SetLink overrides latency/jitter/drop for the directed link from -> to.
-func (n *Network) SetLink(from, to string, lc LinkConfig) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.links[[2]string{from, to}] = lc
-}
-
-// ClearLink removes a per-link override.
-func (n *Network) ClearLink(from, to string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.links, [2]string{from, to})
-}
-
-// Nodes returns the registered node ids.
-func (n *Network) Nodes() []string {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make([]string, 0, len(n.nodes))
-	for id := range n.nodes {
-		out = append(out, id)
-	}
-	return out
-}
-
 // Send delivers a message asynchronously, applying latency, drops,
 // duplication, reordering, partitions, and crashes. Sending to an unknown
 // or crashed node, from a crashed node, or across a partition silently
@@ -240,18 +204,12 @@ func (n *Network) Send(msg Message) {
 	}
 	dst, ok := n.nodes[msg.To]
 	sameSide := n.partition[msg.From] == n.partition[msg.To]
-	link, hasLink := n.links[[2]string{msg.From, msg.To}]
 	n.mu.RUnlock()
 	if !ok || !sameSide || dst.crashed.Load() {
 		n.dropped.Add(1)
 		return
 	}
-	dropRate := n.cfg.DropRate
-	latency, jitter := n.cfg.Latency, n.cfg.Jitter
-	if hasLink {
-		dropRate, latency, jitter = link.DropRate, link.Latency, link.Jitter
-	}
-	if dropRate > 0 && n.randFloat() < dropRate {
+	if n.cfg.DropRate > 0 && n.randFloat() < n.cfg.DropRate {
 		n.dropped.Add(1)
 		return
 	}
@@ -260,9 +218,9 @@ func (n *Network) Send(msg Message) {
 		copies = 2
 	}
 	for i := 0; i < copies; i++ {
-		delay := latency
-		if jitter > 0 {
-			delay += time.Duration(n.randInt63(int64(jitter)))
+		delay := n.cfg.Latency
+		if n.cfg.Jitter > 0 {
+			delay += time.Duration(n.randInt63(int64(n.cfg.Jitter)))
 		}
 		if n.cfg.ReorderRate > 0 && n.randFloat() < n.cfg.ReorderRate {
 			delay += n.cfg.ReorderDelay
@@ -295,21 +253,6 @@ func (n *Network) deliver(dst *node, msg Message) {
 	default:
 		// Inbox overflow models a congested replica.
 		n.dropped.Add(1)
-	}
-}
-
-// Broadcast sends msg to every registered node except the sender.
-func (n *Network) Broadcast(from, msgType string, payload []byte) {
-	n.mu.RLock()
-	ids := make([]string, 0, len(n.nodes))
-	for id := range n.nodes {
-		if id != from {
-			ids = append(ids, id)
-		}
-	}
-	n.mu.RUnlock()
-	for _, id := range ids {
-		n.Send(Message{From: from, To: id, Type: msgType, Payload: payload})
 	}
 }
 

@@ -60,27 +60,6 @@ func TestUnknownDestinationDropped(t *testing.T) {
 	}
 }
 
-func TestBroadcastExcludesSender(t *testing.T) {
-	n := New(Config{})
-	defer n.Close()
-	var count atomic.Int64
-	var selfHit atomic.Bool
-	for _, id := range []string{"a", "b", "c", "d"} {
-		id := id
-		n.Register(id, func(m Message) {
-			count.Add(1)
-			if m.To == m.From {
-				selfHit.Store(true)
-			}
-		})
-	}
-	n.Broadcast("a", "hello", nil)
-	waitFor(t, time.Second, func() bool { return count.Load() == 3 })
-	if selfHit.Load() {
-		t.Fatal("broadcast delivered to sender")
-	}
-}
-
 func TestLatencyApplied(t *testing.T) {
 	n := New(Config{Latency: 30 * time.Millisecond})
 	defer n.Close()
@@ -220,7 +199,11 @@ func TestManyNodesStress(t *testing.T) {
 		go func(id string) {
 			defer wg.Done()
 			for j := 0; j < 20; j++ {
-				n.Broadcast(id, "gossip", nil)
+				for _, to := range ids {
+					if to != id {
+						n.Send(Message{From: id, To: to, Type: "gossip"})
+					}
+				}
 			}
 		}(ids[i])
 	}

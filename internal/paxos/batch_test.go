@@ -35,8 +35,8 @@ func TestProposeAsyncPipelinesInOrder(t *testing.T) {
 		if slot != uint64(i) {
 			t.Fatalf("proposal %d committed into slot %d", i, slot)
 		}
-		if slot != p.Slot() {
-			t.Fatalf("Wait slot %d != Slot() %d", slot, p.Slot())
+		if slot != p.slot {
+			t.Fatalf("Wait slot %d != Slot() %d", slot, p.slot)
 		}
 	}
 	want := make([]string, n)
@@ -74,7 +74,7 @@ func TestClientProposeBatchCommitsOneSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, ok := c.replicas[0].Chosen(slot)
+	v, ok := chosen(c.replicas[0], slot)
 	if !ok {
 		t.Fatalf("slot %d not chosen on r0", slot)
 	}
@@ -110,7 +110,7 @@ func TestClientStartWaitFallsBackOnLeaderCrash(t *testing.T) {
 	// The value must be committed on a surviving replica.
 	var committed bool
 	for _, r := range c.replicas[1:] {
-		if v, ok := r.Chosen(slot); ok {
+		if v, ok := chosen(r, slot); ok {
 			run, isBatch := mempool.DecodeBatch(v)
 			if ops := wiretest.Split(run); isBatch && len(ops) == 1 && string(ops[0]) == "survivor" {
 				committed = true
@@ -146,4 +146,23 @@ func TestClientStartPipelinedBatchesKeepOrder(t *testing.T) {
 		}
 		prev = slot
 	}
+}
+
+// chosen returns the chosen value for a slot, if any.
+func chosen(r *Replica, slot uint64) ([]byte, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	v, ok := r.chosen[slot]
+	return v, ok
+}
+
+// applied returns the number of contiguous slots the Applier has been
+// handed and has returned from; applyMu first keeps a mid-apply floor
+// from being observed.
+func applied(r *Replica) uint64 {
+	r.applyMu.Lock()
+	defer r.applyMu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.applied
 }

@@ -40,13 +40,13 @@ func TestDuelingLeadersConverge(t *testing.T) {
 	}
 	// Every chosen slot must agree across the replicas that know it.
 	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) && a.Applied() < 7 {
+	for time.Now().Before(deadline) && applied(a) < 7 {
 		time.Sleep(time.Millisecond)
 	}
 	for slot := uint64(0); slot < 7; slot++ {
 		var ref []byte
 		for _, r := range c.replicas {
-			v, ok := r.Chosen(slot)
+			v, ok := chosen(r, slot)
 			if !ok {
 				continue
 			}
@@ -83,7 +83,7 @@ func TestElectionRecoveryPreservesAcceptedValues(t *testing.T) {
 	if _, err := next.Propose([]byte("next-era"), 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	v, ok := next.Chosen(0)
+	v, ok := chosen(next, 0)
 	if !ok || string(v) != "committed" {
 		t.Fatalf("slot 0 after failover = %q, %v", v, ok)
 	}
@@ -148,11 +148,11 @@ func electAndPropose(t *testing.T, r *Replica, values ...string) {
 func checkChosen(t *testing.T, r *Replica, want ...string) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) && r.Applied() < uint64(len(want)) {
+	for time.Now().Before(deadline) && applied(r) < uint64(len(want)) {
 		time.Sleep(time.Millisecond)
 	}
 	for slot, w := range want {
-		if v, ok := r.Chosen(uint64(slot)); !ok || string(v) != w {
+		if v, ok := chosen(r, uint64(slot)); !ok || string(v) != w {
 			t.Fatalf("slot %d at %s = %q, %v; want %q", slot, r.ID(), v, ok, w)
 		}
 	}

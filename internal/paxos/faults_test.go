@@ -88,7 +88,7 @@ func TestConcurrentProposeAppliesInOrder(t *testing.T) {
 	const total = workers * perWorker
 	deadline := time.Now().Add(5 * time.Second)
 	for _, r := range replicas {
-		for time.Now().Before(deadline) && r.Applied() < total {
+		for time.Now().Before(deadline) && applied(r) < total {
 			time.Sleep(time.Millisecond)
 		}
 	}
@@ -138,7 +138,7 @@ func TestProposeReturnsErrSlotLost(t *testing.T) {
 	}
 	// Everyone learns slot 0 before the partition.
 	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) && b.Applied() < 1 {
+	for time.Now().Before(deadline) && applied(b) < 1 {
 		time.Sleep(time.Millisecond)
 	}
 	// The leader is cut off; its next proposal can only self-accept.
@@ -168,7 +168,7 @@ func TestProposeReturnsErrSlotLost(t *testing.T) {
 	if _, err := b.Propose([]byte("winner"), 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := b.Chosen(1); !ok || string(v) != "winner" {
+	if v, ok := chosen(b, 1); !ok || string(v) != "winner" {
 		t.Fatalf("slot 1 on b = %q, %v", v, ok)
 	}
 	// Heal; the old leader pulls the chosen log and must report the loss.
@@ -182,7 +182,7 @@ func TestProposeReturnsErrSlotLost(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("doomed Propose never returned")
 	}
-	if v, ok := a.Chosen(1); !ok || string(v) != "winner" {
+	if v, ok := chosen(a, 1); !ok || string(v) != "winner" {
 		t.Fatalf("slot 1 on a = %q, %v after sync", v, ok)
 	}
 }
@@ -224,11 +224,11 @@ func TestRestartCatchesUpViaLearnSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && victim.Applied() < 10 {
+	for time.Now().Before(deadline) && applied(victim) < 10 {
 		time.Sleep(time.Millisecond)
 	}
-	if victim.Applied() != 10 {
-		t.Fatalf("restarted replica applied %d/10", victim.Applied())
+	if applied(victim) != 10 {
+		t.Fatalf("restarted replica applied %d/10", applied(victim))
 	}
 	want := checkers["r0"].applied()
 	got := checkers["r2"].applied()
@@ -295,7 +295,7 @@ func TestClientFailsOverOnLeaderCrash(t *testing.T) {
 	}
 	found := map[string]bool{}
 	for slot := uint64(0); slot < 32; slot++ {
-		if v, ok := surv.Chosen(slot); ok {
+		if v, ok := chosen(surv, slot); ok {
 			found[string(v)] = true
 		}
 	}

@@ -303,9 +303,6 @@ type PendingProposal struct {
 	w    *slotWaiter
 }
 
-// Slot returns the log slot this proposal was assigned.
-func (p *PendingProposal) Slot() uint64 { return p.slot }
-
 // Wait blocks until the slot is chosen and applied locally or the timeout
 // elapses. ErrSlotLost means a competing proposal took the slot; the
 // value was not committed there and may be retried.
@@ -396,27 +393,6 @@ func (r *Replica) sendAccept(a acceptMsg) {
 	r.broadcast(msgAccept, a)
 	// Self-accept.
 	r.onAccept(r.id, a)
-}
-
-// Chosen returns the chosen value for a slot, if any.
-func (r *Replica) Chosen(slot uint64) ([]byte, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.chosen[slot]
-	return v, ok
-}
-
-// Applied returns the number of contiguous slots the Applier has been
-// handed and has returned from. onLearn advances r.applied under mu and
-// runs the Applier afterwards, outside mu but still under applyMu; taking
-// applyMu first keeps a mid-apply floor — slot n counted, n-1 values in
-// the application — from being observed.
-func (r *Replica) Applied() uint64 {
-	r.applyMu.Lock()
-	defer r.applyMu.Unlock()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.applied
 }
 
 func (r *Replica) acceptedListLocked() []slotValue {

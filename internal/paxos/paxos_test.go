@@ -82,7 +82,7 @@ func TestSingleProposal(t *testing.T) {
 	if slot != 0 {
 		t.Fatalf("first slot = %d", slot)
 	}
-	v, ok := leader.Chosen(0)
+	v, ok := chosen(leader, 0)
 	if !ok || string(v) != "v0" {
 		t.Fatalf("chosen(0) = %q, %v", v, ok)
 	}
@@ -110,11 +110,11 @@ func TestSequenceOfProposalsAppliedInOrderEverywhere(t *testing.T) {
 	// All replicas should converge on the same applied sequence.
 	deadline := time.Now().Add(5 * time.Second)
 	for _, r := range c.replicas {
-		for time.Now().Before(deadline) && r.Applied() < n {
+		for time.Now().Before(deadline) && applied(r) < n {
 			time.Sleep(time.Millisecond)
 		}
-		if r.Applied() != n {
-			t.Fatalf("replica %s applied %d/%d", r.ID(), r.Applied(), n)
+		if applied(r) != n {
+			t.Fatalf("replica %s applied %d/%d", r.ID(), applied(r), n)
 		}
 	}
 	want := c.appliedAt("r0")
@@ -180,7 +180,7 @@ func TestLeaderFailover(t *testing.T) {
 	}
 	// The old committed values must survive on the new leader.
 	for i := uint64(0); i < 5; i++ {
-		v, ok := next.Chosen(i)
+		v, ok := chosen(next, i)
 		if !ok || string(v) != fmt.Sprintf("old-%d", i) {
 			t.Fatalf("slot %d lost after failover: %q, %v", i, v, ok)
 		}
@@ -294,7 +294,7 @@ func TestProposalWaitTimeoutDetachesWaiter(t *testing.T) {
 	}
 	r0 := c.replicas[0]
 	r0.mu.Lock()
-	_, still := r0.waiters[p.Slot()]
+	_, still := r0.waiters[p.slot]
 	r0.mu.Unlock()
 	if still {
 		t.Fatal("timed-out proposal left its slot waiter registered")

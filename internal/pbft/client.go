@@ -54,6 +54,8 @@ type Client struct {
 // recovered object replaces the dead one). The client identity and
 // sequence counter are kept: the cluster's dedup state recognises
 // retries across the swap.
+//
+//lint:ignore unreached the durable chaos schedule, a test of another package, swaps in replicas rebuilt from disk
 func (c *Client) SetReplicas(replicas []*Replica) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -350,6 +350,8 @@ func (r *Replica) IsPrimary() bool {
 }
 
 // Executed returns how many sequences this replica has executed.
+//
+//lint:ignore unreached the chaos suite, a test of another package, waits on it for convergence
 func (r *Replica) Executed() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()

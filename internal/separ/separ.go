@@ -19,7 +19,6 @@ import (
 	"sync"
 	"time"
 
-	"prever/internal/blind"
 	"prever/internal/chain"
 	"prever/internal/core"
 	"prever/internal/netsim"
@@ -67,11 +66,9 @@ type System struct {
 	fed       *core.TokenFederation
 	net       *netsim.Network
 	shard     *chain.Shard
-	issuers   map[string]*receiptIssuer // per-platform receipt signers
 
-	mu       sync.Mutex
-	wallets  map[string]*token.Wallet
-	receipts map[string][]WorkReceipt // worker -> accumulated work receipts
+	mu      sync.Mutex
+	wallets map[string]*token.Wallet
 }
 
 // New boots a Separ system.
@@ -85,15 +82,6 @@ func New(cfg Config) (*System, error) {
 		cfg:       cfg,
 		authority: auth,
 		wallets:   make(map[string]*token.Wallet),
-		receipts:  make(map[string][]WorkReceipt),
-		issuers:   make(map[string]*receiptIssuer),
-	}
-	for _, pid := range cfg.Platforms {
-		signer, err := blind.NewSigner(cfg.AuthorityKeyBits, nil)
-		if err != nil {
-			return nil, err
-		}
-		s.issuers[pid] = &receiptIssuer{signer: signer, pub: signer.Public()}
 	}
 	var spent token.SpentStore
 	if cfg.UseChain {
@@ -129,9 +117,6 @@ func (s *System) Close() {
 		s.net.Close()
 	}
 }
-
-// Authority exposes the regulator (e.g. to inspect issuance counts).
-func (s *System) Authority() *token.Authority { return s.authority }
 
 // Platform returns a platform's local state.
 func (s *System) Platform(id string) (*core.FedPlatform, bool) { return s.fed.Platform(id) }
@@ -182,65 +167,13 @@ func (s *System) CompleteTask(ev workload.TaskEvent) (core.Receipt, error) {
 	if !ok {
 		return core.Receipt{}, fmt.Errorf("separ: worker %s not registered", ev.Worker)
 	}
-	r, err := s.fed.SubmitTask(core.TaskSubmission{
+	return s.fed.SubmitTask(core.TaskSubmission{
 		ID:       ev.ID,
 		Worker:   ev.Worker,
 		Platform: ev.Platform,
 		Hours:    ev.Hours,
 		TS:       ev.TS,
 	}, wallet)
-	if err != nil || !r.Accepted {
-		return r, err
-	}
-	// The platform issues one signed work receipt per accepted unit; the
-	// worker keeps them for lower-bound settlement at period end.
-	if issuer, ok := s.issuers[ev.Platform]; ok {
-		s.mu.Lock()
-		for _, serial := range r.Spent {
-			s.receipts[ev.Worker] = append(s.receipts[ev.Worker], WorkReceipt{
-				Serial:   serial,
-				Period:   s.cfg.Period,
-				Platform: ev.Platform,
-				Sig:      issuer.signer.SignMessage(receiptMessage(serial, s.cfg.Period, ev.Platform)),
-			})
-		}
-		s.mu.Unlock()
-	}
-	return r, nil
-}
-
-// PlatformReceiptKeys returns each platform's receipt-verification key,
-// handed to the authority for lower-bound settlement.
-func (s *System) PlatformReceiptKeys() map[string]blind.PublicKey {
-	out := make(map[string]blind.PublicKey, len(s.issuers))
-	for pid, iss := range s.issuers {
-		out[pid] = iss.pub
-	}
-	return out
-}
-
-// WorkerReceipts returns the receipts a worker has accumulated (the
-// worker-side receipt box).
-func (s *System) WorkerReceipts(worker string) []WorkReceipt {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]WorkReceipt(nil), s.receipts[worker]...)
-}
-
-// Replay runs a whole trace, returning per-outcome counts.
-func (s *System) Replay(events []workload.TaskEvent) (accepted, rejected int, err error) {
-	for _, ev := range events {
-		r, rerr := s.CompleteTask(ev)
-		if rerr != nil {
-			return accepted, rejected, rerr
-		}
-		if r.Accepted {
-			accepted++
-		} else {
-			rejected++
-		}
-	}
-	return accepted, rejected, nil
 }
 
 // AuditChain verifies the blockchain's integrity on every peer. Returns

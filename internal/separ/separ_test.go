@@ -106,9 +106,17 @@ func TestReplayTraceCounts(t *testing.T) {
 			events[i].Platform = "lyft"
 		}
 	}
-	accepted, rejected, err := s.Replay(events)
-	if err != nil {
-		t.Fatal(err)
+	var accepted, rejected int
+	for _, ev := range events {
+		r, err := s.CompleteTask(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Accepted {
+			accepted++
+		} else {
+			rejected++
+		}
 	}
 	if accepted+rejected != 60 {
 		t.Fatalf("counts: %d + %d != 60", accepted, rejected)

@@ -154,13 +154,6 @@ func indexKey(v Value) (Value, bool) {
 	return Value{}, false
 }
 
-// Len returns the number of rows.
-func (t *Table) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.rows)
-}
-
 // Scan calls fn for every row in primary-key order, stopping early if fn
 // returns false. The keys and rows are taken under the table's lock; fn
 // runs without it, so it may read the table again. Upsert replaces a row

@@ -116,22 +116,6 @@ func (v Value) AsFloat() (float64, error) {
 	}
 }
 
-// AsInt converts to int64 when the value is an integer (or an integral
-// float).
-func (v Value) AsInt() (int64, error) {
-	switch v.Kind {
-	case KindInt:
-		return v.I, nil
-	case KindFloat:
-		if v.F == float64(int64(v.F)) {
-			return int64(v.F), nil
-		}
-		return 0, fmt.Errorf("store: float %v is not integral", v.F)
-	default:
-		return 0, fmt.Errorf("store: %s is not an integer", v.Kind)
-	}
-}
-
 // Equal reports deep equality with numeric cross-kind comparison
 // (Int(3) equals Float(3)).
 func (v Value) Equal(o Value) bool {

@@ -25,7 +25,6 @@ package token
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -92,13 +91,6 @@ func (a *Authority) IssueBudget(participant, period string, blinded []*big.Int, 
 		sigs[i] = s
 	}
 	return sigs, nil
-}
-
-// Issued reports how many tokens a participant has drawn in a period.
-func (a *Authority) Issued(participant, period string) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.issued[participant+"|"+period]
 }
 
 // Wallet holds a participant's tokens for one period.
@@ -215,13 +207,6 @@ func (m *MemorySpentStore) MarkSpent(serial string) (bool, error) {
 	return false, nil
 }
 
-// Len reports the number of spent serials.
-func (m *MemorySpentStore) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.spent)
-}
-
 // Spend errors.
 var (
 	ErrBadSignature = errors.New("token: invalid authority signature")
@@ -247,22 +232,4 @@ func Spend(pub blind.PublicKey, store SpentStore, tok Token, period string) erro
 		return ErrDoubleSpend
 	}
 	return nil
-}
-
-// Marshal serializes a token for transport.
-func (t Token) Marshal() []byte {
-	b, _ := json.Marshal(t)
-	return b
-}
-
-// Unmarshal parses a serialized token.
-func Unmarshal(b []byte) (Token, error) {
-	var t Token
-	if err := json.Unmarshal(b, &t); err != nil {
-		return Token{}, err
-	}
-	if t.Sig == nil || t.Serial == "" {
-		return Token{}, errors.New("token: malformed token")
-	}
-	return t, nil
 }

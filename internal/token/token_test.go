@@ -87,8 +87,8 @@ func TestBudgetEnforcedAtIssuance(t *testing.T) {
 	if _, err := a.IssueBudget("worker-3", "2022-W13", w3.BlindedRequests(), 40); err != nil {
 		t.Fatalf("in-budget issuance refused: %v", err)
 	}
-	if a.Issued("worker-3", "2022-W13") != 40 {
-		t.Fatalf("issued = %d", a.Issued("worker-3", "2022-W13"))
+	if n := a.issued["worker-3|2022-W13"]; n != 40 {
+		t.Fatalf("issued = %d", n)
 	}
 }
 
@@ -106,7 +106,7 @@ func TestForgedTokenRejected(t *testing.T) {
 	if err := Spend(a.PublicKey(), store, forged, "2022-W13"); err != ErrBadSignature {
 		t.Fatalf("forged token err = %v, want ErrBadSignature", err)
 	}
-	if store.Len() != 0 {
+	if len(store.spent) != 0 {
 		t.Fatal("forged token recorded as spent")
 	}
 }
@@ -176,25 +176,6 @@ func TestFinalizeValidation(t *testing.T) {
 	}
 	if err := w.Finalize([]*big.Int{big.NewInt(1), big.NewInt(2)}); err == nil {
 		t.Fatal("garbage signatures accepted")
-	}
-}
-
-func TestMarshalRoundTrip(t *testing.T) {
-	a := authority(t)
-	w := issueWallet(t, a, "worker-9", "2022-W13", 1, 40)
-	tok, _ := w.Next()
-	got, err := Unmarshal(tok.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Serial != tok.Serial || got.Period != tok.Period || got.Sig.Cmp(tok.Sig) != 0 {
-		t.Fatal("marshal round trip mismatch")
-	}
-	if _, err := Unmarshal([]byte("{}")); err == nil {
-		t.Fatal("empty token accepted")
-	}
-	if _, err := Unmarshal([]byte("not-json")); err == nil {
-		t.Fatal("garbage accepted")
 	}
 }
 

@@ -356,9 +356,6 @@ func (l *Log) Close() error {
 	return err
 }
 
-// Dir returns the directory this log lives in.
-func (l *Log) Dir() string { return l.dir }
-
 func (l *Log) snapPath(seq uint64) string {
 	return filepath.Join(l.dir, fmt.Sprintf("%s%016d%s", snapPrefix, seq, snapSuffix))
 }

@@ -1,4 +1,6 @@
 // Package wiretest holds what the codecs' tests share.
+//
+//lint:ignore unreached test-support package: the codecs' golden-file helper, imported by tests only
 package wiretest
 
 import (

@@ -104,12 +104,3 @@ func (t *TPCC) Next() TPCCTx {
 	}
 	return tx
 }
-
-// Generate produces n transactions.
-func (t *TPCC) Generate(n int) []TPCCTx {
-	txs := make([]TPCCTx, n)
-	for i := range txs {
-		txs[i] = t.Next()
-	}
-	return txs
-}

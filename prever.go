@@ -374,10 +374,6 @@ func NewPublicPIRSetup(name, event string, blockSize, authorityKeyBits int) (*Pu
 // NewSepar boots the §5 Separ instantiation.
 func NewSepar(cfg SeparConfig) (*SeparSystem, error) { return separ.New(cfg) }
 
-// WorkReceipt certifies one accepted regulated unit (Separ footnote 4):
-// what SeparSystem.WorkerReceipts returns.
-type WorkReceipt = separ.WorkReceipt
-
 // Column kind constants for NewTable.
 const (
 	KindInt    = store.KindInt

@@ -241,8 +241,11 @@ func TestFacadeDP(t *testing.T) {
 	if err := acct.Spend(0.5); err != nil {
 		t.Fatal(err)
 	}
-	if acct.Remaining() != 0.5 {
-		t.Fatalf("remaining = %v", acct.Remaining())
+	if err := acct.Spend(0.6); err == nil {
+		t.Fatal("spend beyond the remaining 0.5 accepted")
+	}
+	if err := acct.Spend(0.5); err != nil {
+		t.Fatalf("spend of the remaining 0.5: %v", err)
 	}
 }
 
