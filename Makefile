@@ -113,8 +113,8 @@ heap-smoke:
 # product on the exponent vectors that make every step of the chain a
 # division; zk's VerifyOpeningBatch of 64 openings costs at most a third
 # of 64 sequential VerifyOpening calls, and its VerifyBoundBatch of one
-# engine group (8 bound-40 proofs, one range proof each) at most 0.85x
-# that 288-term fold; core.PlainManager's windowed-SUM Submit against
+# engine group (8 bound-40 proofs, three base-4 digits each) at most
+# 0.60x that 288-term fold; core.PlainManager's windowed-SUM Submit against
 # 8 192 rows costs at most 2x the same Submit against 512 (its aggregate
 # probes an index). `make race` skips all seven: a timing ratio under the detector measures
 # the detector. -p 1: one package at a time, so no gate is timed while

@@ -212,6 +212,31 @@ func TestZKBoundAcceptsWithinBound(t *testing.T) {
 	}
 }
 
+// TestZKOwnerFoldIsCommitment: the fold the owner keeps, advanced by one
+// multiplication per update, is the very element committing to its
+// running opening afresh gives, and the running commitment the manager
+// holds after accepting the update.
+func TestZKOwnerFoldIsCommitment(t *testing.T) {
+	m, owner := newZK(t)
+	for i := 0; i < 6; i++ {
+		grp := fmt.Sprintf("w%d", i%2)
+		u, err := owner.ProduceUpdate(fmt.Sprintf("t%d", i), grp, grp, int64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur := owner.totals[grp]
+		if want := owner.params.CommitWith(cur.opening.M, cur.opening.R); !cur.fold.Equal(want) {
+			t.Fatalf("update %d: the owner's fold is not Commit(%v, r)", i, cur.opening.M)
+		}
+		if r, err := m.SubmitZK(u); err != nil || !r.Accepted {
+			t.Fatalf("update %d: %+v, %v", i, r, err)
+		}
+		if !cur.fold.Equal(running(m, grp)) {
+			t.Fatalf("update %d: the owner's fold is not the manager's running commitment", i)
+		}
+	}
+}
+
 func TestZKBoundOwnerRefusesViolation(t *testing.T) {
 	m, owner := newZK(t)
 	for i := 0; i < 5; i++ {

@@ -255,9 +255,12 @@ type ZKOwner struct {
 	totals map[string]ownerTotal
 }
 
+// ownerTotal is a group's running total with its opening and the fold
+// it opens, the commitment the manager holds for the group.
 type ownerTotal struct {
 	total   int64
 	opening commit.Opening
+	fold    commit.Commitment
 }
 
 // NewZKOwner creates the owner side, mirroring a manager with the same
@@ -293,6 +296,7 @@ func (o *ZKOwner) ProduceUpdate(id, producer, group string, value int64) (ZKUpda
 	cur, ok := o.totals[group]
 	if !ok {
 		cur.opening = commit.Opening{M: big.NewInt(0), R: big.NewInt(0)}
+		cur.fold = commit.Commitment{C: big.NewInt(1)} // Commit(0, 0)
 	}
 	newTotal := cur.total + value
 	if newTotal > o.bound {
@@ -307,13 +311,16 @@ func (o *ZKOwner) ProduceUpdate(id, producer, group string, value int64) (ZKUpda
 	if err != nil {
 		return ZKUpdate{}, err
 	}
+	// The new fold is the old one times c, the manager's own fold: one
+	// multiplication where committing to the combined opening afresh
+	// would take two fixed-base exponentiations.
 	combinedOpening := o.params.AddOpenings(cur.opening, opening)
-	combined := o.params.CommitWith(combinedOpening.M, combinedOpening.R)
+	combined := o.params.Add(cur.fold, c)
 	ctx := proofContext(o.manager, group, id)
 	proof, err := zk.ProveBound(o.params, combined, combinedOpening, big.NewInt(o.bound), ctx, nil)
 	if err != nil {
 		return ZKUpdate{}, err
 	}
-	o.totals[group] = ownerTotal{total: newTotal, opening: combinedOpening}
+	o.totals[group] = ownerTotal{total: newTotal, opening: combinedOpening, fold: combined}
 	return ZKUpdate{ID: id, Producer: producer, Group: group, C: c, Proof: proof}, nil
 }

@@ -247,12 +247,15 @@ func TestSubmitGroupedPropagatesError(t *testing.T) {
 // TestZKBatchEqualsSequentialOnNonMembers: SubmitZKBatch must be
 // indistinguishable from per-update SubmitZK when an update carries an
 // element outside [1, Q]. In a group of 8 honest updates one element at
-// a time — the update's commitment, a bit commitment, an A0, an A1 — is
-// replaced by its negation P − x, the other encoding the membership
-// checks exist to refuse (an RLC fold maps its product to [1, Q] and
-// would not notice it). A bound proof at bound 1000 is one range proof,
-// in Low; the high.* twists graft a High side, which such a proof must
-// not carry, holding the negated element.
+// a time — the update's commitment, a digit commitment, an announcement
+// in a digit's first or second record — is replaced by its negation
+// P − x, the other encoding the membership checks exist to refuse (an
+// RLC fold maps its product to [1, Q] and would not notice it). A bound
+// proof at bound 1000 is one range proof, in Low: four base-4 digits and
+// a top digit over {0, 249, 497, 745}, every digit four-valued and so
+// two records (BitProofs[1] is digit 0's second record, BitProofs[9]
+// the top digit's). The high.* twists graft a High side, which such a
+// proof must not carry, holding the negated element.
 // Receipts, the operational error, the running commitment and the
 // ledger must match at every position.
 func TestZKBatchEqualsSequentialOnNonMembers(t *testing.T) {
@@ -269,6 +272,7 @@ func TestZKBatchEqualsSequentialOnNonMembers(t *testing.T) {
 		"high.Bits[3]": func(u *ZKUpdate) { negate(&graftHigh(u).Bits[3].C) },
 		"low.A0":       func(u *ZKUpdate) { negate(&u.Proof.Low.BitProofs[2].A0) },
 		"low.A1":       func(u *ZKUpdate) { negate(&u.Proof.Low.BitProofs[1].A1) },
+		"low.top.A1":   func(u *ZKUpdate) { negate(&u.Proof.Low.BitProofs[9].A1) },
 		"high.A1":      func(u *ZKUpdate) { negate(&graftHigh(u).BitProofs[1].A1) },
 	}
 	const n = 8

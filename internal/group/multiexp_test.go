@@ -447,13 +447,12 @@ func randResidues(tb testing.TB, g *Group, n int) []*big.Int {
 	return out
 }
 
-// bitFoldTerms is the fold engine_zk actually runs, n terms of it: each
-// bit proof contributes A0^ρ, A1^σ (128-bit coefficients) and
-// C^(ρ·c0+σ·c1) (257 bits). One group of 8 bound proofs at bound 40 is
-// 8·6 = 48 bit proofs, 144 terms; 288 terms, the shape TestMultiExpCost
-// gates, is two groups' worth. One bit proof, the floor a bisection
-// reaches before the single-proof verifier, is 3, and 6 is the last
-// fold above it.
+// bitFoldTerms is the fold of bit proofs, n terms of it: each bit proof
+// contributes A0^ρ, A1^σ (128-bit coefficients) and C^(ρ·c0+σ·c1) (257
+// bits). While a bound-40 proof was 6 bit proofs, one engine_zk group of
+// 8 was 48 bit proofs, 144 terms; 288 terms, the shape TestMultiExpCost
+// gates, is two such groups' worth. A bound-0 side is one bit proof, 3
+// terms, and 6 is the last fold above it.
 func bitFoldTerms(tb testing.TB, n int) (bases, exps []*big.Int) {
 	g := MODP2048()
 	bases = randResidues(tb, g, n)
@@ -472,9 +471,31 @@ func bitFoldTerms(tb testing.TB, n int) (bases, exps []*big.Int) {
 	return bases, exps
 }
 
-func benchmarkMultiExpBitFold(b *testing.B, n int) {
+// digitFoldTerms is the fold of base-4 digit proofs, n terms of it: each
+// four-value digit contributes A_i^ρ_i for its four branches (128-bit
+// coefficients) and one term for its commitment, D^(Σρ_i·c_i) (258
+// bits). One group of 8 bound proofs at bound 40 is 8·3 = 24 digits,
+// 120 terms.
+func digitFoldTerms(tb testing.TB, n int) (bases, exps []*big.Int) {
 	g := MODP2048()
-	bases, exps := bitFoldTerms(b, n)
+	bases = randResidues(tb, g, n)
+	exps = make([]*big.Int, n)
+	for i := range bases {
+		bases[i] = g.Mul(bases[i], bases[i])
+		width := uint(128)
+		if i%5 == 4 {
+			width = 258
+		}
+		var err error
+		if exps[i], err = rand.Int(rand.Reader, new(big.Int).Lsh(one, width)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return bases, exps
+}
+
+func benchmarkMultiExpFold(b *testing.B, bases, exps []*big.Int) {
+	g := MODP2048()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -484,14 +505,26 @@ func benchmarkMultiExpBitFold(b *testing.B, n int) {
 	}
 }
 
+func benchmarkMultiExpBitFold(b *testing.B, n int) {
+	bases, exps := bitFoldTerms(b, n)
+	benchmarkMultiExpFold(b, bases, exps)
+}
+
 func BenchmarkMultiExpBitFold288(b *testing.B) { benchmarkMultiExpBitFold(b, 288) }
 
-// BenchmarkMultiExpBitFold144 is one engine_zk group: 8 bound-40 proofs
-// of 6 bit proofs each.
+// BenchmarkMultiExpBitFold144 is one engine_zk group as it folded while
+// a bound-40 proof was 6 bit proofs.
 func BenchmarkMultiExpBitFold144(b *testing.B) { benchmarkMultiExpBitFold(b, 144) }
 
-// BenchmarkMultiExpBitFold6 is the bisection floor: the smallest fold
-// the batch verifier runs, where a chain has the least to amortise.
+// BenchmarkMultiExpDigitFold120 is one engine_zk group: 8 bound-40
+// proofs of three four-value digits each.
+func BenchmarkMultiExpDigitFold120(b *testing.B) {
+	bases, exps := digitFoldTerms(b, 120)
+	benchmarkMultiExpFold(b, bases, exps)
+}
+
+// BenchmarkMultiExpBitFold6 is the bisection floor of bit proofs, where
+// a chain has the least to amortise.
 func BenchmarkMultiExpBitFold6(b *testing.B) { benchmarkMultiExpBitFold(b, 6) }
 
 func BenchmarkNaiveMultiExp64(b *testing.B) {

@@ -22,25 +22,20 @@ import (
 	"prever/internal/store"
 )
 
-// OpKind is the kind of state change an entry records.
+// OpKind is the kind of state change an entry records. The journal
+// records one kind, PUT; the field stays in every entry and its hash so
+// the entry encoding is unchanged.
 type OpKind uint8
 
-// Journal operation kinds.
-const (
-	OpPut OpKind = iota + 1
-	OpDelete
-)
+// OpPut is the journal's one operation kind.
+const OpPut OpKind = 1
 
 // String names the operation kind.
 func (k OpKind) String() string {
-	switch k {
-	case OpPut:
+	if k == OpPut {
 		return "PUT"
-	case OpDelete:
-		return "DELETE"
-	default:
-		return fmt.Sprintf("OpKind(%d)", uint8(k))
 	}
+	return fmt.Sprintf("OpKind(%d)", uint8(k))
 }
 
 // Entry is one immutable journal record. PrevHash chains entries so that
@@ -97,7 +92,7 @@ type Digest struct {
 	Tip  [32]byte    `json:"tip"` // hash of the last entry (chain head)
 }
 
-// Receipt is returned from Append: enough for the producer to later prove
+// Receipt is returned from Put: enough for the producer to later prove
 // the update was incorporated.
 type Receipt struct {
 	Seq       uint64
@@ -130,12 +125,8 @@ func (l *Ledger) Size() int {
 	return len(l.entries)
 }
 
-// Append records a state change and returns a receipt. kind OpDelete
-// ignores value.
-func (l *Ledger) Append(kind OpKind, key string, value []byte, author, txID string) (Receipt, error) {
-	if kind != OpPut && kind != OpDelete {
-		return Receipt{}, fmt.Errorf("ledger: invalid op kind %d", kind)
-	}
+// Put appends a PUT entry setting key to value and returns a receipt.
+func (l *Ledger) Put(key string, value []byte, author, txID string) (Receipt, error) {
 	if key == "" {
 		return Receipt{}, errors.New("ledger: empty key")
 	}
@@ -144,14 +135,11 @@ func (l *Ledger) Append(kind OpKind, key string, value []byte, author, txID stri
 	e := Entry{
 		Seq:    uint64(len(l.entries)),
 		Time:   l.clock(),
-		Kind:   kind,
+		Kind:   OpPut,
 		Key:    key,
+		Value:  append(make([]byte, 0, len(value)), value...),
 		Author: author,
 		TxID:   txID,
-	}
-	if kind == OpPut {
-		e.Value = make([]byte, len(value))
-		copy(e.Value, value)
 	}
 	if len(l.entries) > 0 {
 		e.PrevHash = l.entries[len(l.entries)-1].EntryHash
@@ -159,22 +147,12 @@ func (l *Ledger) Append(kind OpKind, key string, value []byte, author, txID stri
 	e.EntryHash = e.computeHash()
 	l.entries = append(l.entries, e)
 	l.tree.Append(e.EntryHash[:])
-	switch kind {
-	case OpPut:
-		l.state.Put(key, e.Value)
-	case OpDelete:
-		l.state.Delete(key)
-	}
+	l.state.Put(key, e.Value)
 	return Receipt{
 		Seq:       e.Seq,
 		EntryHash: e.EntryHash,
 		Digest:    l.digestLocked(),
 	}, nil
-}
-
-// Put appends a PUT entry.
-func (l *Ledger) Put(key string, value []byte, author, txID string) (Receipt, error) {
-	return l.Append(OpPut, key, value, author, txID)
 }
 
 // Get reads the current state for key.

@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"sync"
 	"testing"
@@ -46,11 +47,14 @@ func TestAppendAndGet(t *testing.T) {
 	if err != nil || string(got) != "1" {
 		t.Fatalf("get = %q, %v", got, err)
 	}
-	if _, err := l.Append(OpDelete, "a", nil, "alice", "tx2"); err != nil {
+	if _, err := l.Put("a", []byte("2"), "alice", "tx2"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Get("a"); err != store.ErrNotFound {
-		t.Fatalf("get after delete = %v", err)
+	if got, err := l.Get("a"); err != nil || string(got) != "2" {
+		t.Fatalf("get after overwrite = %q, %v", got, err)
+	}
+	if _, err := l.Get("b"); err != store.ErrNotFound {
+		t.Fatalf("get of an absent key = %v", err)
 	}
 	if l.Size() != 2 {
 		t.Fatalf("size = %d", l.Size())
@@ -59,11 +63,32 @@ func TestAppendAndGet(t *testing.T) {
 
 func TestAppendValidation(t *testing.T) {
 	l := newTestLedger()
-	if _, err := l.Append(OpKind(99), "k", nil, "", ""); err == nil {
-		t.Fatal("invalid op kind accepted")
-	}
 	if _, err := l.Put("", []byte("v"), "", ""); err == nil {
 		t.Fatal("empty key accepted")
+	}
+	if l.Size() != 0 {
+		t.Fatalf("a refused put left %d entries", l.Size())
+	}
+}
+
+// TestPutEntryHashesPinned: the entry encoding is a format (journals on
+// disk and the digests relying parties keep are over it), so the tip
+// and root of a fixed-clock ledger of six PUTs, the last with an empty
+// value, are pinned.
+func TestPutEntryHashesPinned(t *testing.T) {
+	l := newTestLedger()
+	fill(l, 5)
+	if _, err := l.Put("empty", nil, "", ""); err != nil {
+		t.Fatal(err)
+	}
+	d := l.Digest()
+	const tip = "6ddf7413c8ea0f645a13728885b777bbca50c79a99d7808854ec56b4e98f3a47"
+	const root = "8674de2bebc072038528695f6587bbfc84bc284d7c96d7532fddc9dd00cdd90e"
+	if got := hex.EncodeToString(d.Tip[:]); got != tip {
+		t.Errorf("tip = %s, want %s", got, tip)
+	}
+	if got := hex.EncodeToString(d.Root[:]); got != root {
+		t.Errorf("root = %s, want %s", got, root)
 	}
 }
 

@@ -89,8 +89,10 @@ func UnmarshalJournal(data []byte) ([]Entry, Digest, error) {
 }
 
 // FromJournal reconstructs a ledger from an exported journal, refusing any
-// journal that fails the audit against the embedded digest. This is how a
-// ledger survives a restart — and how a reader rejects a tampered file.
+// journal that fails the audit against the embedded digest, and any
+// entry of a kind other than PUT, the one kind Put records. This is how
+// a ledger survives a restart — and how a reader rejects a tampered
+// file.
 func FromJournal(entries []Entry, d Digest) (*Ledger, error) {
 	if rep := Audit(entries, d); !rep.Clean() {
 		return nil, fmt.Errorf("ledger: journal failed audit: %v", rep.TamperErr)
@@ -99,15 +101,13 @@ func FromJournal(entries []Entry, d Digest) (*Ledger, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, e := range entries {
+		if e.Kind != OpPut {
+			return nil, fmt.Errorf("ledger: journal entry %d is a %v; only PUT entries are recorded", e.Seq, e.Kind)
+		}
 		e := cloneEntry(e)
 		l.entries = append(l.entries, e)
 		l.tree.Append(e.EntryHash[:])
-		switch e.Kind {
-		case OpPut:
-			l.state.Put(e.Key, e.Value)
-		case OpDelete:
-			l.state.Delete(e.Key)
-		}
+		l.state.Put(e.Key, e.Value)
 	}
 	return l, nil
 }

@@ -11,7 +11,9 @@ import (
 func TestJournalMarshalRoundTrip(t *testing.T) {
 	l := newTestLedger()
 	fill(l, 25)
-	l.Append(OpDelete, "k003", nil, "auditor", "txd")
+	if _, err := l.Put("k003", []byte("overwritten"), "auditor", "txd"); err != nil {
+		t.Fatal(err)
+	}
 	data, err := l.MarshalJournal()
 	if err != nil {
 		t.Fatal(err)
@@ -31,8 +33,8 @@ func TestJournalMarshalRoundTrip(t *testing.T) {
 		t.Fatal("restored ledger digest differs")
 	}
 	// State must match too.
-	if _, err := restored.Get("k003"); err == nil {
-		t.Fatal("restored ledger resurrected a deleted key")
+	if got, err := restored.Get("k003"); err != nil || string(got) != "overwritten" {
+		t.Fatalf("restored ledger reads k003 = %q, %v; want its last PUT", got, err)
 	}
 	want, _ := l.Get("k004")
 	got, err := restored.Get("k004")
@@ -42,6 +44,33 @@ func TestJournalMarshalRoundTrip(t *testing.T) {
 	// The restored ledger keeps working.
 	if _, err := restored.Put("new", []byte("x"), "", ""); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFromJournalRefusesDelete: a journal whose hashes and digest are
+// all in order but which holds an entry of kind 2 (DELETE, which no
+// ledger records) is refused, not replayed as a PUT or skipped.
+func TestFromJournalRefusesDelete(t *testing.T) {
+	l := newTestLedger()
+	fill(l, 4)
+	l.mu.Lock()
+	e := Entry{
+		Seq:      uint64(len(l.entries)),
+		Time:     l.clock(),
+		Kind:     OpKind(2),
+		Key:      "k001",
+		PrevHash: l.entries[len(l.entries)-1].EntryHash,
+	}
+	e.EntryHash = e.computeHash()
+	l.entries = append(l.entries, e)
+	l.tree.Append(e.EntryHash[:])
+	l.mu.Unlock()
+	entries, d := l.Export(), l.Digest()
+	if rep := Audit(entries, d); !rep.Clean() {
+		t.Fatalf("test setup: the journal should audit clean: %+v", rep)
+	}
+	if _, err := FromJournal(entries, d); err == nil || !strings.Contains(err.Error(), "only PUT") {
+		t.Fatalf("FromJournal of a journal holding a DELETE: err = %v, want a refusal", err)
 	}
 }
 

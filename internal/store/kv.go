@@ -9,8 +9,8 @@ import (
 // ErrNotFound is returned by reads of keys that do not exist.
 var ErrNotFound = errors.New("store: key not found")
 
-// KV is a key-value store holding each key's latest value. The zero value
-// is not usable; call NewKV.
+// KV is a key-value store holding each key's latest value; a key, once
+// written, is never removed. The zero value is not usable; call NewKV.
 type KV struct {
 	mu   sync.RWMutex
 	data map[string][]byte
@@ -29,13 +29,6 @@ func (kv *KV) Put(key string, value []byte) {
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
 	kv.data[key] = cp
-}
-
-// Delete removes key; deleting an absent key is a no-op.
-func (kv *KV) Delete(key string) {
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
-	delete(kv.data, key)
 }
 
 // Get returns a copy of key's value.
@@ -63,7 +56,7 @@ func (kv *KV) Keys() []string {
 
 // Range calls fn for each (key, value) pair in key order, stopping early
 // if fn returns false. Each value is the key's latest when Range reaches
-// it; a key deleted after Range listed the keys is skipped.
+// it.
 func (kv *KV) Range(fn func(key string, value []byte) bool) {
 	for _, k := range kv.Keys() {
 		v, err := kv.Get(k)

@@ -15,11 +15,11 @@
 // to their bit length. The fold itself is one simultaneous multi-exp
 // (group.MultiExp) plus two fixed-base exponentiations, which is where
 // the batch speedup comes from: MultiExp's Bos–Coster chain spends ≈ 27
-// modular multiplications per term on a 288-term bit fold (≈ 50 µs at
-// MODP2048; the engine's group of 8 bound proofs folds 144) and fewer as
-// the batch grows, where a windowed
+// modular multiplications per term on a 288-term fold (≈ 50 µs at
+// MODP2048; the engine's group of 8 bound-40 proofs folds 120 terms, 15
+// per proof) and fewer as the batch grows, where a windowed
 // exponentiation of its own costs each term 160 (128-bit) to 320
-// (257-bit).
+// (258-bit).
 //
 // On batch failure the verifier bisects with fresh coefficients per
 // half, so error reporting stays per-proof: callers learn exactly which
@@ -29,7 +29,6 @@ package zk
 import (
 	"crypto/rand"
 	"errors"
-	"fmt"
 	"io"
 	"math/big"
 
@@ -153,110 +152,129 @@ func VerifyOpeningBatch(p *commit.Params, cs []commit.Commitment, prs []OpeningP
 	return errs, nil
 }
 
-// verifyBitBatch checks N bit proofs with one folded equation. Each bit
-// proof carries two branch equations (h^{z0} == A0·C^{c0} and
-// h^{z1} == A1·(C/g)^{c1}); both are folded at once with independent
-// coefficients ρ_i, σ_i:
+// digitClaim is one digit of a range proof as the batch verifier
+// flattens it: the digit commitment (membership-checked by recompose),
+// its value set, its records and its context.
+type digitClaim struct {
+	c      commit.Commitment
+	values []*big.Int
+	recs   []BitProof
+	ctx    string
+}
+
+// verifyDigitBatch checks N digit OR proofs with one folded equation.
+// Branch i of a digit D with value t_i has the equation
+// h^{z_i} == A_i·(D/g^{t_i})^{c_i}; every branch of every digit folds
+// under a coefficient ρ_i of its own:
 //
-//	g^{Σσ_i·c1_i} · h^{Σ(ρ_i·z0_i + σ_i·z1_i)} ==
-//	    Π A0_i^{ρ_i} · A1_i^{σ_i} · C_i^{ρ_i·c0_i + σ_i·c1_i}
+//	g^{Σ ρ_i·c_i·t_i} · h^{Σ ρ_i·z_i} == Π A_i^{ρ_i} · Π_D D^{Σ_{i∈D} ρ_i·c_i}
 //
-// (the g-term absorbs the (C/g)^{c1} statement without per-proof
-// inverses). The challenge split c0 XOR c1 == H(ctx, C, A0, A1) is a
-// scalar identity, checked directly per proof before folding.
+// so a digit adds one term per branch and ONE for its commitment, whose
+// exponent gathers its branches' weighted challenge shares, and the
+// values' g-part joins the fixed-base side without per-branch inverses.
+// The challenge split (the shares XOR to the digit's hash) is a scalar
+// identity, checked directly per digit before folding; a failed fold
+// bisects per digit.
 //
-// The commitments must already have passed Contains (the range layer's
-// recomposition checks each one): errs holds one slot per proof, a
-// non-nil slot is skipped, and the remaining slots are filled here.
-func verifyBitBatch(p *commit.Params, cs []commit.Commitment, prs []BitProof, ctxs []string, rng io.Reader, errs []error) error {
+// errs holds one slot per digit: a non-nil slot is skipped, and the
+// remaining slots are filled here.
+func verifyDigitBatch(p *commit.Params, ds []digitClaim, rng io.Reader, errs []error) error {
 	g := p.Group
-	live := make([]int, 0, len(prs))
-	for i := range prs {
+	type branches struct{ as, cs, zs []*big.Int }
+	br := make([]branches, len(ds))
+	live := make([]int, 0, len(ds))
+	for i, d := range ds {
 		if errs[i] != nil {
 			continue
 		}
-		if bitShapeCheck(p, prs[i]) != nil {
+		as, cs, zs, ok := digitBranches(p, len(d.values), d.recs)
+		if !ok || !splitOK(p, d.c, as, cs, d.ctx) {
 			errs[i] = ErrInvalidProof
 			continue
 		}
-		ch := bitChallenge(p, cs[i], prs[i].A0, prs[i].A1, ctxs[i])
-		split := new(big.Int).Xor(prs[i].C0, prs[i].C1)
-		if !ct.BigEqual(split, ch) {
-			errs[i] = ErrInvalidProof
-			continue
-		}
+		br[i] = branches{as, cs, zs}
 		live = append(live, i)
 	}
 	folded := func(idx []int) (bool, error) {
-		coeffs, err := sampleCoeffs(g, 2*len(idx), rng)
+		n := 0
+		for _, i := range idx {
+			n += len(ds[i].values)
+		}
+		rho, err := sampleCoeffs(g, n, rng)
 		if err != nil {
 			return false, err
 		}
 		zsum := new(big.Int)
 		gsum := new(big.Int)
-		bases := make([]*big.Int, 0, 3*len(idx))
-		exps := make([]*big.Int, 0, 3*len(idx))
-		for k, i := range idx {
-			rho, sig := coeffs[2*k], coeffs[2*k+1]
-			zsum.Add(zsum, new(big.Int).Mul(rho, prs[i].Z0))
-			zsum.Add(zsum, new(big.Int).Mul(sig, prs[i].Z1))
-			sc1 := new(big.Int).Mul(sig, prs[i].C1)
-			gsum.Add(gsum, sc1)
-			ce := new(big.Int).Mul(rho, prs[i].C0)
-			ce.Add(ce, sc1)
-			bases = append(bases, prs[i].A0, prs[i].A1, cs[i].C)
-			exps = append(exps, rho, sig, ce)
+		bases := make([]*big.Int, 0, n+len(idx))
+		exps := make([]*big.Int, 0, n+len(idx))
+		for _, i := range idx {
+			ce := new(big.Int)
+			for k, t := range ds[i].values {
+				r := rho[0]
+				rho = rho[1:]
+				zsum.Add(zsum, new(big.Int).Mul(r, br[i].zs[k]))
+				rc := new(big.Int).Mul(r, br[i].cs[k])
+				ce.Add(ce, rc)
+				if t.Sign() != 0 {
+					gsum.Add(gsum, rc.Mul(rc, t))
+				}
+				bases = append(bases, br[i].as[k])
+				exps = append(exps, r)
+			}
+			bases = append(bases, ds[i].c.C)
+			exps = append(exps, ce)
 		}
-		lhs := p.CommitWith(gsum, zsum).C
+		lhs := p.CommitWith(gsum, zsum).C // two fixed-base exps; reduces mod Q
 		rhs, err := g.MultiExp(bases, exps)
 		if err != nil {
 			return false, err
 		}
 		return ct.BigEqual(lhs, rhs), nil
 	}
-	single := func(i int) error { return verifyBit(p, cs[i], prs[i], ctxs[i]) }
+	single := func(i int) error { return verifyDigit(p, ds[i].c, ds[i].values, ds[i].recs, ds[i].ctx) }
 	return batchCheck(live, errs, folded, single)
 }
 
 // verifyRangeBatch checks N range proofs over [0, max]; it fills the
 // slots of errs that are still nil, and takes the commitments as
-// membership-checked. The recomposition identity (Π Bits[j]^{w_j} == C)
-// keeps its direct per-proof check — the weights are tiny exponents, and
-// folding them under 128-bit coefficients would cost more than it saves
-// — while ALL bit proofs across the whole batch flatten into a single
-// folded bit check (N·n statements, one multi-exp). Each bit commitment
-// goes to verifyBitBatch as checked, recompose having checked it.
+// membership-checked. The recomposition identity (Π D_j^{w_j} == C)
+// keeps its direct per-proof check — base-4 Horner, two squarings and a
+// product per digit — while ALL digit proofs across the whole batch
+// flatten into a single folded digit check (one multi-exp). Each digit
+// commitment goes to verifyDigitBatch as checked, recompose having
+// checked it.
 func verifyRangeBatch(p *commit.Params, cs []commit.Commitment, max *big.Int, prs []RangeProof, ctxs []string, rng io.Reader, errs []error) error {
-	nBits, top, widthOK := rangeWeights(max)
-	bitCs := make([]commit.Commitment, 0, len(prs)*nBits)
-	bitPrs := make([]BitProof, 0, len(prs)*nBits)
-	bitCtxs := make([]string, 0, len(prs)*nBits)
-	owner := make([]int, 0, len(prs)*nBits)
+	sets, setsOK := rangeDigits(max)
+	nRecs := recordCount(sets)
+	claims := make([]digitClaim, 0, len(prs)*len(sets))
+	owner := make([]int, 0, len(prs)*len(sets))
 	for i := range prs {
 		if errs[i] != nil {
 			continue
 		}
-		if !widthOK || len(prs[i].Bits) != nBits || len(prs[i].BitProofs) != nBits {
+		if !setsOK || len(prs[i].Bits) != len(sets) || len(prs[i].BitProofs) != nRecs {
 			errs[i] = ErrInvalidProof
 			continue
 		}
-		recomposed, ok := recompose(p.Group, prs[i].Bits, top)
+		recomposed, ok := recompose(p.Group, prs[i].Bits)
 		if !ok || !ct.BigEqual(recomposed, cs[i].C) {
 			errs[i] = ErrInvalidProof
 			continue
 		}
-		for j := 0; j < nBits; j++ {
-			bitCs = append(bitCs, prs[i].Bits[j])
-			bitPrs = append(bitPrs, prs[i].BitProofs[j])
-			bitCtxs = append(bitCtxs, fmt.Sprintf("%s/bit%d", ctxs[i], j))
+		recs := prs[i].BitProofs
+		for j, set := range sets {
+			k := len(set) / 2
+			claims = append(claims, digitClaim{prs[i].Bits[j], set, recs[:k], digitContext(ctxs[i], j)})
 			owner = append(owner, i)
+			recs = recs[k:]
 		}
 	}
-	bitErrs := make([]error, len(bitCs))
-	if err := verifyBitBatch(p, bitCs, bitPrs, bitCtxs, rng, bitErrs); err != nil {
+	digitErrs := make([]error, len(claims))
+	if err := verifyDigitBatch(p, claims, rng, digitErrs); err != nil {
 		return err
 	}
-	for k, e := range bitErrs {
+	for k, e := range digitErrs {
 		if e != nil {
 			errs[owner[k]] = ErrInvalidProof
 		}
@@ -266,9 +284,10 @@ func verifyRangeBatch(p *commit.Params, cs []commit.Commitment, max *big.Int, pr
 
 // VerifyBoundBatch checks N bound proofs (0 <= v_i <= bound). For a
 // bound B ≥ 1 each proof is one range proof over [0, B], so the batch is
-// one range batch of N statements and all N·n bit equations fold into a
-// single multi-exp: at bound 40, 8 proofs are 48 bit proofs, 144 terms.
-// At bound 0 both one-bit sides of every proof join that batch.
+// one range batch of N statements and all N digit proofs' equations
+// fold into a single multi-exp: at bound 40 a proof is three four-value
+// digits, 15 terms, so 8 proofs fold 120. At bound 0 both one-bit sides
+// of every proof join that batch.
 func VerifyBoundBatch(p *commit.Params, cs []commit.Commitment, bound *big.Int, prs []BoundProof, ctxs []string, rng io.Reader) ([]error, error) {
 	n := len(prs)
 	if len(cs) != n || len(ctxs) != n {

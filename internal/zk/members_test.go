@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 	"testing"
 
 	"prever/internal/commit"
@@ -51,7 +52,7 @@ func TestSingleVerifiersRejectNonMembers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bitPr, err := ProveBit(p, c, o, "ctx/bit0", nil)
+	bitPr, err := proveBit(p, c, o, "ctx/bit0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +105,9 @@ func TestSingleVerifiersRejectNonMembers(t *testing.T) {
 // proof with any one group element replaced by its negation, whichever
 // layer of the flattening holds it, and blames exactly that proof, as
 // VerifyBound does. "bit" is bound 0, whose proof is a one-bit range
-// proof on each side; "range" is bound 7, plain binary; "bound" is
-// bound 5, whose top bit weighs 2. (A plain substitution also breaks
+// proof on each side; "range" is bound 63, plain base 4 (three
+// four-value digits); "bound" is bound 20, whose top digit takes
+// {0, 5}. (A plain substitution also breaks
 // the Fiat–Shamir hash, so this pins batch ≡ sequential, not the
 // membership checks themselves; TestBatchRejectsTwistedProofs does
 // that.)
@@ -150,8 +152,8 @@ func TestBatchEntryPointsCheckEveryElement(t *testing.T) {
 		func(_ *commit.Commitment, pr *BoundProof) { pr.Low.BitProofs[2].A1 = negate(p, pr.Low.BitProofs[2].A1) },
 		func(_ *commit.Commitment, pr *BoundProof) { pr.Low.BitProofs[1].A1 = negate(p, pr.Low.BitProofs[1].A1) },
 	}
-	t.Run("range", func(t *testing.T) { check(t, 7, twistLow) })
-	t.Run("bound", func(t *testing.T) { check(t, 5, twistLow) })
+	t.Run("range", func(t *testing.T) { check(t, 63, twistLow) })
+	t.Run("bound", func(t *testing.T) { check(t, 20, twistLow) })
 }
 
 // twistedBitProof is a cheating prover: it commits to 0 as C = h^r and
@@ -191,7 +193,7 @@ func twistedBitProof(t *testing.T, p *commit.Params, ctx, which string) (commit.
 	case "A1":
 		pr.A1 = negate(p, pr.A1)
 	}
-	pr.C0 = new(big.Int).Xor(bitChallenge(p, c, pr.A0, pr.A1, ctx), simC)
+	pr.C0 = new(big.Int).Xor(digitChallenge(p, c, []*big.Int{pr.A0, pr.A1}, ctx), simC)
 	pr.Z0 = new(big.Int).Mul(pr.C0, r)
 	pr.Z0.Add(pr.Z0, k).Mod(pr.Z0, g.Q)
 	return c, pr
@@ -199,16 +201,17 @@ func twistedBitProof(t *testing.T, p *commit.Params, ctx, which string) (commit.
 
 // TestBatchRejectsTwistedProofs: proofs built around a negated element
 // are rejected on every attempt by the range batch — a one-bit range
-// proof for a twisted C, A0 or A1, and a 2-bit one whose bit 1 is a
-// twisted commitment. The range layer checks each bit commitment once
-// and hands it to the bit layer as checked (recomposition maps its
-// product to [1, Q], so only Contains sees it).
+// proof for a twisted C, A0 or A1, and a two-digit one over [0, 4]
+// whose top digit, a bit, is a twisted commitment. The range layer
+// checks each digit commitment once and hands it to the digit layer as
+// checked (recomposition maps its product to [1, Q], so only Contains
+// sees it).
 func TestBatchRejectsTwistedProofs(t *testing.T) {
 	p := params()
 	const n, bad, attempts = 4, 1, 8
 
 	for _, which := range []string{"C", "A0", "A1"} {
-		cs, prs, ctxs := makeRangeBatch(t, p, n, 1)
+		cs, prs, ctxs := makeRangeBatch(t, p, n, big.NewInt(1))
 		c, pr := twistedBitProof(t, p, ctxs[bad]+"/bit0", which)
 		cs[bad], prs[bad] = c, oneBit(c, pr)
 		for a := 0; a < attempts; a++ {
@@ -219,26 +222,105 @@ func TestBatchRejectsTwistedProofs(t *testing.T) {
 		}
 	}
 
-	// A 2-bit range proof of 0 whose bit 1 is twisted: C = B0 · B1².
-	cs, prs, ctxs := makeRangeBatch(t, p, n, 2)
-	b0, o0, err := p.CommitInt(0, nil)
+	// A range proof of 0 over [0, 4] (a base-4 digit, then a top digit
+	// over {0, 1}) whose top digit is twisted: C = D0 · D1.
+	four := big.NewInt(4)
+	cs, prs, ctxs := makeRangeBatch(t, p, n, four)
+	d0, o0, err := p.CommitInt(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr0, err := ProveBit(p, b0, o0, ctxs[bad]+"/bit0", nil)
+	recs0, err := proveDigit(p, d0, o0, quaternary, ctxs[bad]+"/bit0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1, pr1 := twistedBitProof(t, p, ctxs[bad]+"/bit1", "C")
-	cs[bad] = commit.Commitment{C: p.Group.Mul(b0.C, p.Group.Mul(b1.C, b1.C))}
-	prs[bad] = RangeProof{Bits: []commit.Commitment{b0, b1}, BitProofs: []BitProof{pr0, pr1}}
+	d1, pr1 := twistedBitProof(t, p, ctxs[bad]+"/bit1", "C")
+	cs[bad] = commit.Commitment{C: p.Group.Mul(d0.C, d1.C)}
+	prs[bad] = RangeProof{Bits: []commit.Commitment{d0, d1}, BitProofs: append(recs0, pr1)}
 	if !p.Group.Contains(cs[bad].C) {
 		t.Fatal("test setup: the recomposed commitment should be a member")
 	}
 	for a := 0; a < attempts; a++ {
-		assertBatchErrs(t, rangeBatch(t, p, cs, binary(2), prs, ctxs), map[int]bool{bad: true})
+		assertBatchErrs(t, rangeBatch(t, p, cs, four, prs, ctxs), map[int]bool{bad: true})
 	}
-	if verifyRange(p, cs[bad], binary(2), prs[bad], ctxs[bad]) == nil {
-		t.Error("sequential verifyRange accepted a twisted bit commitment")
+	if verifyRange(p, cs[bad], four, prs[bad], ctxs[bad]) == nil {
+		t.Error("sequential verifyRange accepted a twisted digit commitment")
+	}
+}
+
+// TestFourValueDigitTamperRefused: at bound 40 every digit has four
+// values, so two records: records 2 and 3 are digit 1's, 4 and 5 the top
+// digit's over {0, 9, 17, 25}. In a batch of four honest proofs, each
+// tamper below of one proof is refused by VerifyBound and by
+// VerifyBoundBatch, which blames that proof alone: in every branch of
+// both records of either digit, an announcement negated (a non-member)
+// or times g (a member), one challenge bit flipped or the share pushed
+// past the challenge space, a response plus one or plus Q; and a record
+// swapped between the two digits, a digit's two records swapped, a
+// record dropped and a record added.
+func TestFourValueDigitTamperRefused(t *testing.T) {
+	p := params()
+	g := p.Group
+	const n, bad = 4, 1
+	bound := big.NewInt(40)
+	cs, prs, ctxs := makeBoundBatch(t, p, n, 40)
+	if len(prs[bad].Low.Bits) != 3 || len(prs[bad].Low.BitProofs) != 6 {
+		t.Fatalf("a bound-40 proof has %d digits and %d records, want 3 and 6", len(prs[bad].Low.Bits), len(prs[bad].Low.BitProofs))
+	}
+	branch := func(r *BitProof, b int) (a, c, z **big.Int) {
+		if b == 0 {
+			return &r.A0, &r.C0, &r.Z0
+		}
+		return &r.A1, &r.C1, &r.Z1
+	}
+	type tamper struct {
+		name string
+		f    func(recs []BitProof) []BitProof
+	}
+	var tampers []tamper
+	for rec := 2; rec < 6; rec++ {
+		for b := 0; b < 2; b++ {
+			at := func(f func(a, c, z **big.Int)) func([]BitProof) []BitProof {
+				return func(recs []BitProof) []BitProof {
+					f(branch(&recs[rec], b))
+					return recs
+				}
+			}
+			where := fmt.Sprintf("record %d branch %d", rec, b)
+			tampers = append(tampers,
+				tamper{where + ": A negated", at(func(a, _, _ **big.Int) { *a = negate(p, *a) })},
+				tamper{where + ": A times g", at(func(a, _, _ **big.Int) { *a = g.Mul(*a, p.G) })},
+				tamper{where + ": a challenge bit flipped", at(func(_, c, _ **big.Int) { *c = new(big.Int).Xor(*c, big.NewInt(1)) })},
+				tamper{where + ": challenge past its space", at(func(_, c, _ **big.Int) {
+					*c = new(big.Int).SetBit(*c, challengeWidth(g), 1)
+				})},
+				tamper{where + ": response plus one", at(func(_, _, z **big.Int) {
+					*z = new(big.Int).Mod(new(big.Int).Add(*z, big.NewInt(1)), g.Q)
+				})},
+				tamper{where + ": response plus Q", at(func(_, _, z **big.Int) { *z = new(big.Int).Add(*z, g.Q) })},
+			)
+		}
+	}
+	tampers = append(tampers,
+		tamper{"record swapped between digits", func(recs []BitProof) []BitProof {
+			recs[2], recs[4] = recs[4], recs[2]
+			return recs
+		}},
+		tamper{"a digit's records swapped", func(recs []BitProof) []BitProof {
+			recs[4], recs[5] = recs[5], recs[4]
+			return recs
+		}},
+		tamper{"record dropped", func(recs []BitProof) []BitProof { return recs[:5] }},
+		tamper{"record added", func(recs []BitProof) []BitProof { return append(recs, recs[0]) }},
+	)
+	for _, tc := range tampers {
+		tampered := slices.Clone(prs)
+		tampered[bad].Low.BitProofs = tc.f(slices.Clone(prs[bad].Low.BitProofs))
+		seq, batch := verifyBoth(t, p, bound, cs, tampered, ctxs)
+		for i := range tampered {
+			if want := i == bad; (seq[i] != nil) != want || (batch[i] != nil) != want {
+				t.Errorf("%s: proof %d: VerifyBound = %v, VerifyBoundBatch = %v, want refused = %v", tc.name, i, seq[i], batch[i], want)
+			}
+		}
 	}
 }

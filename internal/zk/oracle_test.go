@@ -43,7 +43,7 @@ func proveBitNegExp(p *commit.Params, c commit.Commitment, o commit.Opening, ctx
 		proof.C0, proof.Z0 = simC, simZ
 		proof.A0 = g.Mul(p.ExpH(simZ), g.Exp(y0, new(big.Int).Neg(simC)))
 	}
-	ch := bitChallenge(p, c, proof.A0, proof.A1, ctx)
+	ch := digitChallenge(p, c, []*big.Int{proof.A0, proof.A1}, ctx)
 	real := new(big.Int).Xor(ch, simC)
 	z := new(big.Int).Mul(real, o.R)
 	z.Add(z, k)
@@ -57,17 +57,17 @@ func proveBitNegExp(p *commit.Params, c commit.Commitment, o commit.Opening, ctx
 }
 
 // recomposeExp is the recomposition without Horner's rule: one Exp by
-// the weight and one product per bit commitment, the weight 2^j below
-// the top bit and top at it.
-func recomposeExp(p *commit.Params, bits []commit.Commitment, top *big.Int) *big.Int {
+// the weight and one product per digit commitment, the weight 4^j below
+// the top digit and 1 at it.
+func recomposeExp(p *commit.Params, digits []commit.Commitment) *big.Int {
 	g := p.Group
 	out := big.NewInt(1)
-	for j, b := range bits {
-		w := new(big.Int).Lsh(big.NewInt(1), uint(j))
-		if j == len(bits)-1 {
-			w = top
+	for j, d := range digits {
+		w := new(big.Int).Lsh(big.NewInt(1), uint(2*j))
+		if j == len(digits)-1 {
+			w = big.NewInt(1)
 		}
-		out = g.Mul(out, g.Exp(b.C, w))
+		out = g.Mul(out, g.Exp(d.C, w))
 	}
 	return out
 }
@@ -93,7 +93,7 @@ func TestProveBitMatchesNegativeExponentRoute(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := ProveBit(p, c, o, "ctx", mrand.New(mrand.NewSource(7+bit)))
+			got, err := proveBit(p, c, o, "ctx", mrand.New(mrand.NewSource(7+bit)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,7 +116,7 @@ func TestProveBitMatchesNegativeExponentRoute(t *testing.T) {
 func TestProveBitRefusesNonInvertibleCommitment(t *testing.T) {
 	p := params()
 	_, o, _ := p.CommitInt(1, nil)
-	if _, err := ProveBit(p, commit.Commitment{C: new(big.Int)}, o, "ctx", nil); err == nil {
+	if _, err := proveBit(p, commit.Commitment{C: new(big.Int)}, o, "ctx", nil); err == nil {
 		t.Fatal("ProveBit accepted a zero commitment")
 	}
 }
@@ -156,51 +156,45 @@ func TestBoundRoundTripBothVerifiers(t *testing.T) {
 	}
 }
 
-// TestRecomposeMatchesExpRoute: Horner's rule and the top-weight
-// exponentiation give the Exp-based weighted product for every width a
-// range proof supports, at the plain-binary top weight 2^(n−1) and at
-// the smallest (1) and a random one, and notice a permutation of the
-// bit commitments.
+// TestRecomposeMatchesExpRoute: base-4 Horner times the top digit
+// gives the Exp-based weighted product for every digit count a range
+// proof supports, and notices a permutation of the digit commitments.
 func TestRecomposeMatchesExpRoute(t *testing.T) {
 	p := params()
-	bits := make([]commit.Commitment, 128)
-	for j := range bits {
+	digits := make([]commit.Commitment, maxRangeBits/2+1)
+	for j := range digits {
 		x, err := p.Group.RandElement(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bits[j] = commit.Commitment{C: x}
+		digits[j] = commit.Commitment{C: x}
 	}
-	rng := mrand.New(mrand.NewSource(1))
-	for n := 1; n <= len(bits); n++ {
-		half := new(big.Int).Lsh(big.NewInt(1), uint(n-1))
-		random := new(big.Int).Add(new(big.Int).Rand(rng, half), big.NewInt(1))
-		for _, top := range []*big.Int{half, big.NewInt(1), random} {
-			got, ok := recompose(p.Group, bits[:n], top)
-			if !ok || got.Cmp(recomposeExp(p, bits[:n], top)) != 0 {
-				t.Fatalf("width %d, top weight %v: recompose = %v, %v; want the Exp-based product", n, top, got, ok)
-			}
+	for n := 1; n <= len(digits); n++ {
+		got, ok := recompose(p.Group, digits[:n])
+		if !ok || got.Cmp(recomposeExp(p, digits[:n])) != 0 {
+			t.Fatalf("%d digits: recompose = %v, %v; want the Exp-based product", n, got, ok)
 		}
 	}
-	top := big.NewInt(9) // bound 40's top weight
-	swapped := append([]commit.Commitment(nil), bits[:6]...)
-	swapped[1], swapped[4] = swapped[4], swapped[1]
-	got, _ := recompose(p.Group, swapped, top)
-	if want, _ := recompose(p.Group, bits[:6], top); got.Cmp(want) == 0 {
-		t.Fatal("recompose is blind to the order of the bit commitments")
+	swapped := append([]commit.Commitment(nil), digits[:3]...) // bound 40's digit count
+	swapped[0], swapped[1] = swapped[1], swapped[0]
+	got, _ := recompose(p.Group, swapped)
+	if want, _ := recompose(p.Group, digits[:3]); got.Cmp(want) == 0 {
+		t.Fatal("recompose is blind to the order of the digit commitments")
 	}
 	for _, bad := range []*big.Int{nil, new(big.Int), new(big.Int).Sub(p.Group.P, big.NewInt(1)), p.Group.P} {
-		withBad := append([]commit.Commitment(nil), bits[:6]...)
-		withBad[3] = commit.Commitment{C: bad}
-		if _, ok := recompose(p.Group, withBad, top); ok {
-			t.Errorf("recompose accepted the non-member %v", bad)
+		for j := 0; j < 3; j++ {
+			withBad := append([]commit.Commitment(nil), digits[:3]...)
+			withBad[j] = commit.Commitment{C: bad}
+			if _, ok := recompose(p.Group, withBad); ok {
+				t.Errorf("recompose accepted the non-member %v as digit %d", bad, j)
+			}
 		}
 	}
 }
 
-// TestVerifiersRejectPermutedBits: a range proof whose bit commitments
-// (and their proofs) swap places recomposes to a different value; both
-// verifiers reject it.
+// TestVerifiersRejectPermutedBits: a range proof whose digit
+// commitments (and their proofs) swap places recomposes to a different
+// value; both verifiers reject it.
 func TestVerifiersRejectPermutedBits(t *testing.T) {
 	p := params()
 	c, o, _ := p.CommitInt(0b100110, nil)
@@ -209,9 +203,11 @@ func TestVerifiersRejectPermutedBits(t *testing.T) {
 		t.Fatal(err)
 	}
 	pr.Bits[0], pr.Bits[1] = pr.Bits[1], pr.Bits[0]
-	pr.BitProofs[0], pr.BitProofs[1] = pr.BitProofs[1], pr.BitProofs[0]
+	// Digits 0 and 1 are base-4 digits, two records each.
+	recs := pr.BitProofs
+	recs[0], recs[1], recs[2], recs[3] = recs[2], recs[3], recs[0], recs[1]
 	if verifyRange(p, c, binary(6), pr, "ctx") == nil {
-		t.Error("verifyRange accepted permuted bit commitments")
+		t.Error("verifyRange accepted permuted digit commitments")
 	}
 	errs := rangeBatch(t, p, []commit.Commitment{c, c}, binary(6), []RangeProof{pr, pr}, []string{"ctx", "ctx"})
 	assertBatchErrs(t, errs, map[int]bool{0: true, 1: true})

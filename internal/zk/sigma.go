@@ -7,10 +7,11 @@
 // Provided proofs, all over Pedersen commitments in a Schnorr group:
 //
 //   - ProveOpening / VerifyOpening: knowledge of (m, r) opening C.
-//   - ProveBit: a commitment hides 0 or 1 (CDS OR-composition).
 //   - ProveBound / VerifyBound: a commitment hides a value in [0, B],
-//     as one range proof over exactly [0, B]: a bit decomposition whose
-//     weights sum to B, a proof per bit and a homomorphic recomposition.
+//     as one range proof over exactly [0, B]: base-4 digits of weight
+//     4^j and one top digit whose public value set is chosen so the
+//     digits cover exactly [0, B], a CDS OR proof per digit commitment
+//     (one branch per value) and a homomorphic recomposition.
 //
 // All proofs are bound to a caller-supplied context string so a proof for
 // one update cannot be replayed for another.
@@ -22,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"slices"
 
 	"prever/internal/commit"
 	"prever/internal/ct"
@@ -77,7 +79,7 @@ func randChallenge(g *group.Group, rng io.Reader) (*big.Int, error) {
 }
 
 // challengeOK reports whether a challenge share lies in the challenge
-// space; verifyBit insists on it so a cheating prover cannot smuggle in
+// space; verifyDigit insists on it so a cheating prover cannot smuggle in
 // full-width challenge exponents (slowing verification) or non-canonical
 // encodings of the same share.
 func challengeOK(g *group.Group, v *big.Int) bool {
@@ -135,130 +137,162 @@ func openingChallenge(p *commit.Params, c commit.Commitment, a *big.Int, ctx str
 	return challengeScalar(p.Group, "zk/opening", []byte(ctx), p.G.Bytes(), p.H.Bytes(), c.C.Bytes(), a.Bytes())
 }
 
-// BitProof proves a commitment hides 0 or 1 via a CDS OR-composition of
-// two Schnorr proofs: C = h^r (bit 0) OR C/g = h^r (bit 1). The
-// challenge shares split the global challenge by XOR (GF(2)^t secret
-// sharing) rather than addition mod Q: either share still uniquely
-// determines the other given the global challenge — all CDS needs —
-// while both shares stay inside the short challenge space, keeping the
-// y^c verification exponents quarter-width.
+// BitProof is one record of a digit's OR proof: two branches, each an
+// announcement, a challenge share and a response. A digit commitment D
+// hiding one of k public values t_0, …, t_{k−1} (k = 2 or 4) proves it
+// by a CDS OR-composition of k Schnorr proofs, branch i showing
+// D/g^{t_i} = h^r, and carries k/2 records, branches 2i and 2i+1 in
+// record i: a two-value digit is one record (at the values {0, 1}, a bit
+// proof), a four-value digit two. The challenge shares of all k branches
+// split the digit's Fiat–Shamir hash by XOR (GF(2)^t secret sharing)
+// rather than by addition mod Q: any k − 1 shares and the hash still
+// determine the last one — all CDS needs — while every share stays
+// inside the short challenge space, keeping the y^c verification
+// exponents quarter-width. The type keeps the bit proof's name because
+// a benchmark reads these fields by name (ROADMAP 3(k)).
 type BitProof struct {
-	A0, A1 *big.Int // per-branch announcements
-	C0, C1 *big.Int // per-branch challenges (XOR to the global challenge)
-	Z0, Z1 *big.Int // per-branch responses
+	A0, A1 *big.Int // announcements of branches 2i and 2i+1
+	C0, C1 *big.Int // their challenge shares
+	Z0, Z1 *big.Int // their responses
 }
 
-// ProveBit proves c hides a bit, given its opening.
-func ProveBit(p *commit.Params, c commit.Commitment, o commit.Opening, ctx string, rng io.Reader) (BitProof, error) {
+// quaternary is a base-4 digit's value set.
+var quaternary = []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(2), big.NewInt(3)}
+
+// proveDigit proves that c hides one of values (two or four of them, in
+// ascending order), given its opening, and returns the digit's records.
+// The first branch whose value is o.M runs the real protocol; every
+// other branch is simulated, its challenge share and response drawn in
+// branch order before the real branch's nonce. A simulated announcement
+// is h^z · y^{-c} for the branch's statement y = c/g^t, and y^{-c} =
+// (c^{-1}·g^t)^c: one inversion of c serves every branch, and each
+// exponent is as short as a challenge, where Exp(y, -c) would reduce -c
+// mod Q to full width.
+func proveDigit(p *commit.Params, c commit.Commitment, o commit.Opening, values []*big.Int, ctx string, rng io.Reader) ([]BitProof, error) {
 	g := p.Group
-	bit := o.M.Sign()
-	if !o.M.IsInt64() || (o.M.Int64() != 0 && o.M.Int64() != 1) {
-		return BitProof{}, fmt.Errorf("zk: message %v is not a bit", o.M)
+	real := slices.IndexFunc(values, func(t *big.Int) bool { return t.Cmp(o.M) == 0 })
+	if real < 0 {
+		return nil, fmt.Errorf("zk: message %v is not among the digit's values", o.M)
 	}
-	var proof BitProof
-	// Simulate the false branch, run the real protocol on the true branch.
-	simC, err := randChallenge(g, rng)
+	cInv := g.Inv(c.C)
+	if cInv == nil {
+		return nil, errors.New("zk: commitment has no inverse")
+	}
+	k := len(values)
+	as, cs, zs := make([]*big.Int, k), make([]*big.Int, k), make([]*big.Int, k)
+	split := new(big.Int) // the simulated shares' XOR
+	for i, t := range values {
+		if i == real {
+			continue
+		}
+		ci, err := randChallenge(g, rng)
+		if err != nil {
+			return nil, err
+		}
+		zi, err := g.RandScalar(rng)
+		if err != nil {
+			return nil, err
+		}
+		yInv := cInv
+		if t.Sign() != 0 {
+			yInv = g.Mul(cInv, g.Exp(p.G, t))
+		}
+		as[i] = g.Mul(p.ExpH(zi), g.Exp(yInv, ci))
+		cs[i], zs[i] = ci, zi
+		split.Xor(split, ci)
+	}
+	nonce, err := g.RandScalar(rng)
 	if err != nil {
-		return BitProof{}, err
+		return nil, err
 	}
-	simZ, err := g.RandScalar(rng)
-	if err != nil {
-		return BitProof{}, err
+	as[real] = p.ExpH(nonce)
+	cs[real] = split.Xor(split, digitChallenge(p, c, as, ctx))
+	z := new(big.Int).Mul(cs[real], o.R)
+	zs[real] = z.Add(z, nonce).Mod(z, g.Q)
+	recs := make([]BitProof, k/2)
+	for i := range recs {
+		recs[i] = BitProof{
+			A0: as[2*i], A1: as[2*i+1],
+			C0: cs[2*i], C1: cs[2*i+1],
+			Z0: zs[2*i], Z1: zs[2*i+1],
+		}
 	}
-	k, err := g.RandScalar(rng)
-	if err != nil {
-		return BitProof{}, err
-	}
-	// The simulated announcement is h^z · y^{-c} for the false branch's
-	// statement y: C (bit 0) or C/g (bit 1). y is a group member, so
-	// y^{-c} = (y^{-1})^c — one inversion and an exponent as short as the
-	// challenge, where Exp(y, -c) reduces -c mod Q to full width.
-	yInv := g.Inv(c.C)
-	if yInv == nil {
-		return BitProof{}, errors.New("zk: commitment has no inverse")
-	}
-	if bit == 0 {
-		yInv = g.Mul(yInv, p.G) // (C/g)^{-1}
-	}
-	aReal := p.ExpH(k)
-	aSim := g.Mul(p.ExpH(simZ), g.Exp(yInv, simC))
-	if bit == 0 {
-		proof.A0, proof.A1 = aReal, aSim
-		proof.C1, proof.Z1 = simC, simZ
-	} else {
-		proof.A0, proof.A1 = aSim, aReal
-		proof.C0, proof.Z0 = simC, simZ
-	}
-	ch := bitChallenge(p, c, proof.A0, proof.A1, ctx)
-	real := new(big.Int).Xor(ch, simC)
-	z := new(big.Int).Mul(real, o.R)
-	z.Add(z, k)
-	z.Mod(z, g.Q)
-	if bit == 0 {
-		proof.C0, proof.Z0 = real, z
-	} else {
-		proof.C1, proof.Z1 = real, z
-	}
-	return proof, nil
+	return recs, nil
 }
 
-// verifyBit checks a bit proof over a commitment the caller has already
-// membership-checked (verifyRange and the batch verifier check every bit
-// commitment themselves). The check matters: a commitment's other
-// encoding P − C names the same element and satisfies both branch
-// equations, so only Contains keeps one proof to one byte string.
-func verifyBit(p *commit.Params, c commit.Commitment, pr BitProof, ctx string) error {
-	g := p.Group
-	if err := bitShapeCheck(p, pr); err != nil {
-		return err
+// digitChallenge is a digit's Fiat–Shamir hash over the context, the
+// commitment and every branch's announcement in branch order; with two
+// branches it is the bit proof's hash.
+func digitChallenge(p *commit.Params, c commit.Commitment, as []*big.Int, ctx string) *big.Int {
+	parts := [][]byte{[]byte(ctx), c.C.Bytes()}
+	for _, a := range as {
+		parts = append(parts, a.Bytes())
 	}
-	ch := bitChallenge(p, c, pr.A0, pr.A1, ctx)
-	split := new(big.Int).Xor(pr.C0, pr.C1)
-	// Constant-time compares of the challenge split and both verification
-	// equations (see VerifyOpening).
-	if !ct.BigEqual(split, ch) {
-		return ErrInvalidProof
-	}
-	y0 := new(big.Int).Set(c.C)
-	y1 := g.Mul(c.C, p.GInv())
-	// h^z0 == A0 · y0^c0
-	lhs0 := p.ExpH(pr.Z0)
-	rhs0 := g.Mul(pr.A0, g.Exp(y0, pr.C0))
-	if !ct.BigEqual(lhs0, rhs0) {
-		return ErrInvalidProof
-	}
-	lhs1 := p.ExpH(pr.Z1)
-	rhs1 := g.Mul(pr.A1, g.Exp(y1, pr.C1))
-	if !ct.BigEqual(lhs1, rhs1) {
-		return ErrInvalidProof
-	}
-	return nil
+	return challengeScalar(p.Group, "zk/bit", parts...)
 }
 
-// bitShapeCheck rejects structurally malformed bit proofs before any
-// equation is evaluated: announcements must be group elements in their
-// one encoding (group.Contains) and all scalars must be canonical Z_Q
-// elements (see scalarOK). Shared by
-// verifyBit and the batch verifier, which folds equations and therefore
-// never re-discovers shape problems on its own.
-func bitShapeCheck(p *commit.Params, pr BitProof) error {
+// digitBranches rejects structurally malformed digit proofs before any
+// equation is evaluated: a digit of k values carries k/2 records, its
+// announcements must be group elements in their one encoding
+// (group.Contains), its challenge shares must lie in the challenge space
+// and its responses must be canonical Z_Q elements (see scalarOK). It
+// returns the branches' announcements, challenge shares and responses in
+// branch order. Shared by verifyDigit and the batch verifier, which
+// folds equations and therefore never re-discovers shape problems on its
+// own.
+func digitBranches(p *commit.Params, k int, recs []BitProof) (as, cs, zs []*big.Int, ok bool) {
 	g := p.Group
-	if pr.A0 == nil || pr.A1 == nil || !g.Contains(pr.A0) || !g.Contains(pr.A1) {
+	if len(recs) != k/2 {
+		return nil, nil, nil, false
+	}
+	as, cs, zs = make([]*big.Int, 0, k), make([]*big.Int, 0, k), make([]*big.Int, 0, k)
+	for _, r := range recs {
+		as = append(as, r.A0, r.A1)
+		cs = append(cs, r.C0, r.C1)
+		zs = append(zs, r.Z0, r.Z1)
+	}
+	for i := range as {
+		if as[i] == nil || !g.Contains(as[i]) || !challengeOK(g, cs[i]) || !scalarOK(g, zs[i]) {
+			return nil, nil, nil, false
+		}
+	}
+	return as, cs, zs, true
+}
+
+// splitOK reports whether a digit's challenge shares XOR to its
+// Fiat–Shamir hash. Constant-time (see VerifyOpening).
+func splitOK(p *commit.Params, c commit.Commitment, as, cs []*big.Int, ctx string) bool {
+	split := new(big.Int)
+	for _, ci := range cs {
+		split.Xor(split, ci)
+	}
+	return ct.BigEqual(split, digitChallenge(p, c, as, ctx))
+}
+
+// verifyDigit checks a digit's OR proof that c hides one of values, over
+// a commitment the caller has already membership-checked (verifyRange
+// and the batch verifier check every digit commitment themselves). The
+// check matters: a commitment's other encoding P − C names the same
+// element and satisfies every branch equation, so only Contains keeps
+// one proof to one byte string.
+func verifyDigit(p *commit.Params, c commit.Commitment, values []*big.Int, recs []BitProof, ctx string) error {
+	g := p.Group
+	as, cs, zs, ok := digitBranches(p, len(values), recs)
+	if !ok || !splitOK(p, c, as, cs, ctx) {
 		return ErrInvalidProof
 	}
-	if !challengeOK(g, pr.C0) || !challengeOK(g, pr.C1) {
-		return ErrInvalidProof
-	}
-	for _, v := range []*big.Int{pr.Z0, pr.Z1} {
-		if !scalarOK(g, v) {
+	// h^z_i == A_i · (c/g^t_i)^c_i, compared in constant time (see
+	// VerifyOpening).
+	for i, t := range values {
+		y := c.C
+		if t.Sign() != 0 {
+			y = g.Mul(c.C, g.Exp(p.GInv(), t))
+		}
+		if !ct.BigEqual(p.ExpH(zs[i]), g.Mul(as[i], g.Exp(y, cs[i]))) {
 			return ErrInvalidProof
 		}
 	}
 	return nil
-}
-
-func bitChallenge(p *commit.Params, c commit.Commitment, a0, a1 *big.Int, ctx string) *big.Int {
-	return challengeScalar(p.Group, "zk/bit", []byte(ctx), c.C.Bytes(), a0.Bytes(), a1.Bytes())
 }
 
 // maxRangeBits caps a range proof's width: no bound the engines use comes
@@ -267,134 +301,182 @@ func bitChallenge(p *commit.Params, c commit.Commitment, a0, a1 *big.Int, ctx st
 const maxRangeBits = 128
 
 // RangeProof proves a commitment hides a value in [0, max] for a public
-// max ≥ 1 (see rangeWeights): one commitment per bit, LSB first, whose
-// weighted product is the commitment, and a proof that each hides a bit.
+// max ≥ 1 (see rangeDigits). Bits holds one commitment per digit, the
+// base-4 digits LSB first and then the top digit, whose weighted product
+// is the commitment; BitProofs holds every digit's OR-proof records (see
+// BitProof), digit after digit. The fields keep a bit decomposition's
+// names because a benchmark reads them by name (ROADMAP 3(k)).
 type RangeProof struct {
-	Bits      []commit.Commitment // commitments to each bit, LSB first
-	BitProofs []BitProof
+	Bits      []commit.Commitment // digit commitments: base-4 digits LSB first, then the top digit
+	BitProofs []BitProof          // each digit's records, in digit order
 }
 
-// rangeWeights returns the width n = max.BitLen() of a range proof over
-// [0, max] and its top weight. Bit j < n−1 weighs 2^j and bit n−1 weighs
-// top = max − 2^(n−1) + 1, which lies in [1, 2^(n−1)]: the weights sum to
-// max, so the bits recompose to exactly [0, max]. max = 2^n − 1 gives
-// top = 2^(n−1), plain binary. ok is false for max < 1 or a max wider
-// than maxRangeBits.
-func rangeWeights(max *big.Int) (n int, top *big.Int, ok bool) {
-	n = max.BitLen()
-	if max.Sign() < 1 || n > maxRangeBits {
-		return 0, nil, false
+// rangeDigits returns the value set of each digit of a range proof over
+// [0, max], in digit order: m = ⌊log₄ max⌋ base-4 digits, digit j of
+// weight 4^j with the values {0, 1, 2, 3}, which cover [0, 4^m − 1],
+// then a top digit of weight 1 whose values T make the whole cover
+// exactly [0, max]. With R = max − 4^m + 1 ∈ [1, 3·4^m], T = {0, R} when
+// R ≤ 4^m, else {0, ⌈R/3⌉, ⌈2R/3⌉, R}. Consecutive values of T lie at
+// most 4^m apart, so every v ∈ [0, max] is some t ∈ T plus a value of
+// the base digits, and R + 4^m − 1 = max is the largest sum. max =
+// 4^(m+1) − 1 gives T = {0, 4^m, 2·4^m, 3·4^m}, plain base 4; max = 2
+// gives T = {0, 1, 2, 2}, whose repeated value an OR proof allows. ok
+// is false for max < 1 or a max wider than maxRangeBits.
+func rangeDigits(max *big.Int) (sets [][]*big.Int, ok bool) {
+	if max.Sign() < 1 || max.BitLen() > maxRangeBits {
+		return nil, false
 	}
-	top = new(big.Int).Lsh(big.NewInt(1), uint(n-1))
-	top.Sub(max, top)
-	return n, top.Add(top, big.NewInt(1)), true
+	m := (max.BitLen() - 1) / 2
+	pow := new(big.Int).Lsh(big.NewInt(1), uint(2*m))
+	r := new(big.Int).Sub(max, pow)
+	r.Add(r, big.NewInt(1))
+	top := []*big.Int{big.NewInt(0), r}
+	if r.Cmp(pow) > 0 {
+		third := func(k int64) *big.Int { // ⌈k·R/3⌉
+			t := new(big.Int).Mul(r, big.NewInt(k))
+			return t.Quo(t.Add(t, big.NewInt(2)), big.NewInt(3))
+		}
+		top = []*big.Int{big.NewInt(0), third(1), third(2), r}
+	}
+	sets = make([][]*big.Int, m+1)
+	for j := 0; j < m; j++ {
+		sets[j] = quaternary
+	}
+	sets[m] = top
+	return sets, true
 }
 
-// proveRange proves that c (with opening o) hides a value in [0, max].
-// A value of n bits (m ≥ 2^(n−1)) sets the top bit and writes m − top in
-// the low n−1 bits; a shorter one is its own binary. The randomness r_j
-// of bits 1..n−1 is uniform and r_0 = r − Σ w_j·r_j (w_0 = 1 at every
-// width), so the weighted product of the bit commitments is c exactly.
+// recordCount is the number of BitProof records a range proof with the
+// digit value sets sets carries.
+func recordCount(sets [][]*big.Int) int {
+	n := 0
+	for _, s := range sets {
+		n += len(s) / 2
+	}
+	return n
+}
+
+// digitContext binds digit j's OR proof to the range proof's context.
+func digitContext(ctx string, j int) string { return fmt.Sprintf("%s/bit%d", ctx, j) }
+
+// proveRange proves that c (with opening o) hides a value v in [0, max]
+// (see rangeDigits). The top digit takes the largest t ∈ T with t ≤ v,
+// and the base digits write v − t ≤ 4^m − 1 in base 4. The randomness
+// r_j of digits 1..m is uniform and r_0 = r − Σ w_j·r_j (w_j = 4^j for a
+// base digit, 1 for the top one; digit 0 weighs 1 whether it is a base
+// digit or, at m = 0, the top one), so the weighted product of the digit
+// commitments is c exactly.
 func proveRange(p *commit.Params, c commit.Commitment, o commit.Opening, max *big.Int, ctx string, rng io.Reader) (RangeProof, error) {
 	g := p.Group
-	n, top, ok := rangeWeights(max)
+	sets, ok := rangeDigits(max)
 	if !ok {
 		return RangeProof{}, fmt.Errorf("zk: unsupported range [0, %v]", max)
 	}
-	m := o.M
-	if m.Sign() < 0 || m.Cmp(max) > 0 {
+	v := o.M
+	if v.Sign() < 0 || v.Cmp(max) > 0 {
 		return RangeProof{}, fmt.Errorf("zk: value out of [0, %v]; refusing to prove a false statement", max)
 	}
-	digits := m // bit j of the decomposition is digits.Bit(j)
-	if m.BitLen() == n {
-		digits = new(big.Int).Sub(m, top)
-		digits.SetBit(digits, n-1, 1)
+	m := len(sets) - 1
+	digits := make([]*big.Int, m+1)
+	for _, t := range sets[m] { // ascending: the last t ≤ v is the largest
+		if t.Cmp(v) <= 0 {
+			digits[m] = t
+		}
 	}
-	rs := make([]*big.Int, n)
+	rest := new(big.Int).Sub(v, digits[m])
+	for j := 0; j < m; j++ {
+		digits[j] = big.NewInt(int64(rest.Bit(2*j+1)<<1 | rest.Bit(2*j)))
+	}
+	rs := make([]*big.Int, m+1)
 	acc := new(big.Int)
-	for j := 1; j < n; j++ {
+	for j := 1; j <= m; j++ {
 		rj, err := g.RandScalar(rng)
 		if err != nil {
 			return RangeProof{}, err
 		}
 		rs[j] = rj
-		if j == n-1 {
-			acc.Add(acc, new(big.Int).Mul(rj, top))
+		if j == m {
+			acc.Add(acc, rj)
 		} else {
-			acc.Add(acc, new(big.Int).Lsh(rj, uint(j)))
+			acc.Add(acc, new(big.Int).Lsh(rj, uint(2*j)))
 		}
 	}
 	rs[0] = acc.Sub(o.R, acc).Mod(acc, g.Q)
 	proof := RangeProof{
-		Bits:      make([]commit.Commitment, n),
-		BitProofs: make([]BitProof, n),
+		Bits:      make([]commit.Commitment, m+1),
+		BitProofs: make([]BitProof, 0, recordCount(sets)),
 	}
-	for j := 0; j < n; j++ {
-		bit := big.NewInt(int64(digits.Bit(j)))
-		cj := p.CommitWith(bit, rs[j])
-		proof.Bits[j] = cj
-		bp, err := ProveBit(p, cj, commit.Opening{M: bit, R: rs[j]}, fmt.Sprintf("%s/bit%d", ctx, j), rng)
+	for j, set := range sets {
+		dj := p.CommitWith(digits[j], rs[j])
+		proof.Bits[j] = dj
+		recs, err := proveDigit(p, dj, commit.Opening{M: digits[j], R: rs[j]}, set, digitContext(ctx, j), rng)
 		if err != nil {
 			return RangeProof{}, err
 		}
-		proof.BitProofs[j] = bp
+		proof.BitProofs = append(proof.BitProofs, recs...)
 	}
 	return proof, nil
 }
 
 // verifyRange checks that c hides a value in [0, max]. It derives the
-// width and the weights from max and never reads them from the proof.
+// digits and their value sets from max and never reads them from the
+// proof.
 func verifyRange(p *commit.Params, c commit.Commitment, max *big.Int, pr RangeProof, ctx string) error {
-	n, top, ok := rangeWeights(max)
-	if !ok || len(pr.Bits) != n || len(pr.BitProofs) != n {
+	sets, ok := rangeDigits(max)
+	if !ok || len(pr.Bits) != len(sets) || len(pr.BitProofs) != recordCount(sets) {
 		return ErrInvalidProof
 	}
-	// The bit commitments must be well-formed and their weighted product
+	// The digit commitments must be well-formed and their weighted product
 	// must equal the target commitment exactly. Constant-time: the
-	// recomposition check runs on attacker-supplied bit commitments (see
+	// recomposition check runs on attacker-supplied digit commitments (see
 	// VerifyOpening).
-	recomposed, ok := recompose(p.Group, pr.Bits, top)
+	recomposed, ok := recompose(p.Group, pr.Bits)
 	if !ok || !ct.BigEqual(recomposed, c.C) {
 		return ErrInvalidProof
 	}
-	for j := 0; j < n; j++ {
-		if err := verifyBit(p, pr.Bits[j], pr.BitProofs[j], fmt.Sprintf("%s/bit%d", ctx, j)); err != nil {
+	recs := pr.BitProofs
+	for j, set := range sets {
+		k := len(set) / 2
+		if err := verifyDigit(p, pr.Bits[j], set, recs[:k], digitContext(ctx, j)); err != nil {
 			return ErrInvalidProof
 		}
+		recs = recs[k:]
 	}
 	return nil
 }
 
-// recompose checks that every bit commitment (LSB first, at least one)
-// is a group member and returns the weighted product
-// Π_{j<n−1} bits[j]^(2^j) · bits[n−1]^top: Horner's rule over the low
-// n−1 bits (acc ← acc²·bits[j] from bit n−2 down, n−2 squarings and
-// n−2 products) and one exponentiation by top, at most n bits, for the
-// top bit. ok is false if any commitment is nil or a non-member.
-func recompose(g *group.Group, bits []commit.Commitment, top *big.Int) (product *big.Int, ok bool) {
-	for _, b := range bits {
-		if b.C == nil || !g.Contains(b.C) {
+// recompose checks that every digit commitment (base-4 digits LSB first,
+// then the top digit; at least one) is a group member and returns the
+// weighted product Π_{j<m} D_j^(4^j) · D_m: base-4 Horner over the base
+// digits (acc ← acc⁴·D_j from digit m−2 down, two squarings and a
+// product each) times the top digit. ok is false if any commitment is
+// nil or a non-member.
+func recompose(g *group.Group, digits []commit.Commitment) (product *big.Int, ok bool) {
+	for _, d := range digits {
+		if d.C == nil || !g.Contains(d.C) {
 			return nil, false
 		}
 	}
-	n := len(bits)
-	product = g.Exp(bits[n-1].C, top)
-	if n == 1 {
-		return product, true
+	m := len(digits) - 1
+	if m == 0 {
+		return digits[0].C, true
 	}
-	acc := bits[n-2].C
-	for j := n - 3; j >= 0; j-- {
-		acc = g.Mul(g.Mul(acc, acc), bits[j].C)
+	acc := digits[m-1].C
+	for j := m - 2; j >= 0; j-- {
+		sq := g.Mul(acc, acc)
+		acc = g.Mul(g.Mul(sq, sq), digits[j].C)
 	}
-	return g.Mul(product, acc), true
+	return g.Mul(acc, digits[m].C), true
 }
 
 // BoundProof proves a commitment hides a value v with 0 <= v <= B for a
 // public bound B. For B ≥ 1 it is one range proof over exactly [0, B]
-// in Low, with High empty. Bound 0 has no non-zero weight to decompose
-// into, so its proof is two one-bit range proofs: v ∈ [0, 1] in Low and
-// 0 − v ∈ [0, 1] in High (whose commitment anyone derives
-// homomorphically from c), which together leave v = 0.
+// in Low (base-4 digits and a top digit, see rangeDigits), with High
+// empty. Bound 0 has no non-zero weight to decompose into, so its proof
+// is two one-bit range proofs: v ∈ [0, 1] in Low and 0 − v ∈ [0, 1] in
+// High (whose commitment anyone derives homomorphically from c), which
+// together leave v = 0. NBits is B's bit width, which both verifiers
+// derive from B and compare.
 type BoundProof struct {
 	NBits int
 	Low   RangeProof // v in [0, B]; v in [0, 1] at B = 0

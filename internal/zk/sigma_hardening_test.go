@@ -46,7 +46,7 @@ func TestVerifiersRejectNonCanonicalScalars(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp, err := ProveBit(p, cb, ob, "ctx", nil)
+	bp, err := proveBit(p, cb, ob, "ctx", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestVerifyBitRejectsOutOfGroupAnnouncements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := ProveBit(p, c, o, "ctx", nil)
+	pr, err := proveBit(p, c, o, "ctx", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestBitContextBinding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := ProveBit(p, c, o, "ctx-a", nil)
+	pr, err := proveBit(p, c, o, "ctx-a", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,4 +167,58 @@ func TestBoundContextBinding(t *testing.T) {
 	if VerifyBound(p, c, big.NewInt(40), pr, "ctx-b") == nil {
 		t.Error("bound proof replayed across contexts")
 	}
+}
+
+// TestAllBranchesSimulatedRefused: a prover who does not know an opening
+// to any value of a digit can still simulate every branch — each branch
+// equation holds — but cannot make the shares XOR to the Fiat–Shamir
+// hash. A digit over {0, 1, 2, 3} committing to 5, every branch
+// simulated, is refused by both verifiers, and so is the same proof
+// with its last share forced to the hash's split (which breaks that
+// branch's equation instead).
+func TestAllBranchesSimulatedRefused(t *testing.T) {
+	p := params()
+	g := p.Group
+	three := big.NewInt(3)
+	c, _, err := p.CommitInt(5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cInv := g.Inv(c.C)
+	as, cs, zs := make([]*big.Int, 4), make([]*big.Int, 4), make([]*big.Int, 4)
+	for i, v := range quaternary {
+		if cs[i], err = randChallenge(g, nil); err != nil {
+			t.Fatal(err)
+		}
+		if zs[i], err = g.RandScalar(nil); err != nil {
+			t.Fatal(err)
+		}
+		yInv := g.Mul(cInv, g.Exp(p.G, v))
+		as[i] = g.Mul(p.ExpH(zs[i]), g.Exp(yInv, cs[i]))
+	}
+	records := func() RangeProof {
+		return RangeProof{Bits: []commit.Commitment{c}, BitProofs: []BitProof{
+			{A0: as[0], A1: as[1], C0: cs[0], C1: cs[1], Z0: zs[0], Z1: zs[1]},
+			{A0: as[2], A1: as[3], C0: cs[2], C1: cs[3], Z0: zs[2], Z1: zs[3]},
+		}}
+	}
+	check := func(name string, pr RangeProof) {
+		if verifyRange(p, c, three, pr, "sim") == nil {
+			t.Errorf("%s: verifyRange accepted it", name)
+		}
+		errs := make([]error, 2)
+		if err := verifyRangeBatch(p, []commit.Commitment{c, c}, three, []RangeProof{pr, pr}, []string{"sim", "sim"}, nil, errs); err != nil {
+			t.Fatal(err)
+		}
+		if errs[0] == nil || errs[1] == nil {
+			t.Errorf("%s: verifyRangeBatch accepted it: %v", name, errs)
+		}
+	}
+	check("every branch simulated", records())
+	split := digitChallenge(p, c, as, "sim/bit0")
+	for _, ci := range cs[:3] {
+		split.Xor(split, ci)
+	}
+	cs[3] = split
+	check("last share forced", records())
 }

@@ -1,6 +1,7 @@
 package zk
 
 import (
+	"io"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -16,13 +17,26 @@ func binary(n int) *big.Int {
 	return new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), uint(n)), big.NewInt(1))
 }
 
+// bitValues is a bit's value set: a digit over [0, 1].
+var bitValues = []*big.Int{big.NewInt(0), big.NewInt(1)}
+
+// proveBit is a bit proof: the one record of a two-value digit over
+// {0, 1}, as a range proof over [0, 1] makes it.
+func proveBit(p *commit.Params, c commit.Commitment, o commit.Opening, ctx string, rng io.Reader) (BitProof, error) {
+	recs, err := proveDigit(p, c, o, bitValues, ctx, rng)
+	if err != nil {
+		return BitProof{}, err
+	}
+	return recs[0], nil
+}
+
 // checkBit is the sequential bit verifier as the range layer runs it:
-// Contains on the commitment, then verifyBit.
+// Contains on the commitment, then verifyDigit over {0, 1}.
 func checkBit(p *commit.Params, c commit.Commitment, pr BitProof, ctx string) error {
 	if c.C == nil || !p.Group.Contains(c.C) {
 		return ErrInvalidProof
 	}
-	return verifyBit(p, c, pr, ctx)
+	return verifyDigit(p, c, bitValues, []BitProof{pr}, ctx)
 }
 
 func TestOpeningRoundTrip(t *testing.T) {
@@ -49,7 +63,7 @@ func TestBitRoundTrip(t *testing.T) {
 	p := params()
 	for _, b := range []int64{0, 1} {
 		c, o, _ := p.CommitInt(b, nil)
-		pr, err := ProveBit(p, c, o, "ctx", nil)
+		pr, err := proveBit(p, c, o, "ctx", nil)
 		if err != nil {
 			t.Fatalf("prove bit %d: %v", b, err)
 		}
@@ -62,7 +76,7 @@ func TestBitRoundTrip(t *testing.T) {
 func TestBitRefusesNonBit(t *testing.T) {
 	p := params()
 	c, o, _ := p.CommitInt(2, nil)
-	if _, err := ProveBit(p, c, o, "ctx", nil); err == nil {
+	if _, err := proveBit(p, c, o, "ctx", nil); err == nil {
 		t.Fatal("prover produced a bit proof for 2")
 	}
 }
@@ -70,13 +84,13 @@ func TestBitRefusesNonBit(t *testing.T) {
 func TestBitRejectsTamper(t *testing.T) {
 	p := params()
 	c, o, _ := p.CommitInt(1, nil)
-	pr, _ := ProveBit(p, c, o, "ctx", nil)
+	pr, _ := proveBit(p, c, o, "ctx", nil)
 	pr.Z0 = new(big.Int).Add(pr.Z0, big.NewInt(1))
 	if checkBit(p, c, pr, "ctx") == nil {
 		t.Fatal("tampered bit proof verified")
 	}
 	// Challenge-split tampering must also fail.
-	pr2, _ := ProveBit(p, c, o, "ctx", nil)
+	pr2, _ := proveBit(p, c, o, "ctx", nil)
 	pr2.C0 = new(big.Int).Add(pr2.C0, big.NewInt(1))
 	if checkBit(p, c, pr2, "ctx") == nil {
 		t.Fatal("challenge-tampered bit proof verified")
@@ -87,7 +101,7 @@ func TestBitProofDoesNotTransferToOtherCommitment(t *testing.T) {
 	p := params()
 	c1, o1, _ := p.CommitInt(1, nil)
 	c2, _, _ := p.CommitInt(1, nil)
-	pr, _ := ProveBit(p, c1, o1, "ctx", nil)
+	pr, _ := proveBit(p, c1, o1, "ctx", nil)
 	if checkBit(p, c2, pr, "ctx") == nil {
 		t.Fatal("bit proof transferred between commitments")
 	}
@@ -142,13 +156,17 @@ func TestRangeRejectsBitSubstitution(t *testing.T) {
 	p := params()
 	c, o, _ := p.CommitInt(100, nil)
 	pr, _ := proveRange(p, c, o, binary(8), "ctx", nil)
-	// Substitute a bit commitment with a fresh commitment to 1.
+	// Substitute digit 1 (records 2 and 3) with a fresh commitment to 1
+	// and its honest digit proof.
 	forged, fo, _ := p.CommitInt(1, nil)
-	fpr, _ := ProveBit(p, forged, fo, "ctx/bit3", nil)
-	pr.Bits[3] = forged
-	pr.BitProofs[3] = fpr
+	recs, err := proveDigit(p, forged, fo, quaternary, "ctx/bit1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr.Bits[1] = forged
+	copy(pr.BitProofs[2:4], recs)
 	if verifyRange(p, c, binary(8), pr, "ctx") == nil {
-		t.Fatal("bit-substituted range proof verified")
+		t.Fatal("digit-substituted range proof verified")
 	}
 }
 
