@@ -6,10 +6,10 @@ import (
 
 // worldState is a peer's key-value state: the latest value per key and
 // nothing else. The chain is the history — nothing reads a peer's past
-// versions — so a put to a key that exists overwrites its value in place
-// instead of appending a version (store.KV keeps every version, which is
-// what the ledger and the engines need and a peer does not). It holds no
-// lock: its peer's view lock guards it (see Peer).
+// versions — so a put to a key that exists overwrites its value in place.
+// It is a plain map, not a store.KV (which also keeps only latest values,
+// behind a mutex of its own): it holds no lock, its peer's view lock
+// guards it (see Peer).
 type worldState map[string][]byte
 
 // get returns a copy of key's value, or store.ErrNotFound.

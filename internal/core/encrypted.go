@@ -33,7 +33,6 @@ import (
 // well formed under the key (he.PublicKey.Valid) before the manager
 // computes on it or anchors it.
 type EncryptedManager struct {
-	name   string
 	stats  statsRecorder
 	pk     *he.PublicKey
 	oracle mpc.SignOracle
@@ -168,6 +167,7 @@ func (u *EncryptedUpdate) groupValue(field string) string {
 }
 
 // NewEncryptedManager builds the RC1 engine with a single constraint.
+// name is unused.
 func NewEncryptedManager(name string, pk *he.PublicKey, oracle mpc.SignOracle, spec *BoundSpec) (*EncryptedManager, error) {
 	if spec == nil {
 		return nil, errors.New("core: encrypted manager needs a spec")
@@ -177,6 +177,7 @@ func NewEncryptedManager(name string, pk *he.PublicKey, oracle mpc.SignOracle, s
 
 // NewEncryptedManagerMulti builds the RC1 engine enforcing several bound
 // constraints; an update is incorporated only if it satisfies every one.
+// name is unused.
 func NewEncryptedManagerMulti(name string, pk *he.PublicKey, oracle mpc.SignOracle, specs []*BoundSpec) (*EncryptedManager, error) {
 	if pk == nil || oracle == nil || len(specs) == 0 {
 		return nil, errors.New("core: encrypted manager needs key, oracle and at least one spec")
@@ -192,7 +193,6 @@ func NewEncryptedManagerMulti(name string, pk *he.PublicKey, oracle mpc.SignOrac
 		seen[s.Name] = true
 	}
 	return &EncryptedManager{
-		name:   name,
 		pk:     pk,
 		oracle: oracle,
 		specs:  append([]*BoundSpec(nil), specs...),

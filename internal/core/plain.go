@@ -29,7 +29,6 @@ import (
 // Callers that concurrently Submit for one producer get per-row
 // consistency but may over-admit against per-producer bounds.
 type PlainManager struct {
-	name  string
 	stats statsRecorder
 
 	mu          sync.RWMutex
@@ -39,12 +38,12 @@ type PlainManager struct {
 }
 
 // NewPlainManager creates a baseline manager with the given tables.
+// name is unused.
 func NewPlainManager(name string, tables map[string]*store.Table) *PlainManager {
 	if tables == nil {
 		tables = make(map[string]*store.Table)
 	}
 	return &PlainManager{
-		name:   name,
 		tables: tables,
 		ledger: ledger.New(),
 	}

@@ -7,7 +7,9 @@
 //
 // Each node's handler runs on a single dedicated goroutine, so a node never
 // processes two messages concurrently — the same execution model as a
-// single-threaded event loop per replica.
+// single-threaded event loop per replica. Post queues a function on that
+// goroutine, at once or after a delay, so a node's own timers and calls
+// from outside it join the same loop, in arrival order with its messages.
 //
 // Fault injection is seeded: with Config.Seed set, every drop, duplicate,
 // and reorder decision is drawn from one deterministic stream, so a failing
@@ -65,15 +67,95 @@ type Network struct {
 	wg sync.WaitGroup
 }
 
-// node is one attachment generation. Crash closes the inbox and marks the
-// node crashed; Restart installs a fresh node struct under the same id, so
-// goroutines and in-flight deliveries bound to the old generation can never
-// leak messages into the new one.
+// node is one attachment generation. Crash empties and stops its queue
+// and marks it crashed; Restart installs a fresh node struct under the same
+// id, so goroutines and in-flight deliveries bound to the old generation
+// can never leak messages or posts into the new one.
 type node struct {
-	id      string
-	inbox   chan Message
 	handler Handler
 	crashed atomic.Bool
+	done    chan struct{} // closed when the handler goroutine returns
+
+	mu      sync.Mutex
+	queue   []input // pending inputs, oldest at head
+	head    int
+	msgs    int           // messages (not posts) in queue: what Buffer bounds
+	stopped bool          // crashed or closed: nothing more is queued
+	wake    chan struct{} // capacity 1: a token means the queue may have changed
+}
+
+// input is one queued unit of work for a node's handler goroutine: a
+// delivered message, or a posted function when fn is set.
+type input struct {
+	msg Message
+	fn  func()
+}
+
+// push queues in unless the node has stopped. A message is refused when
+// Buffer messages are already queued; a post never is.
+func (nd *node) push(in input, buffer int) bool {
+	nd.mu.Lock()
+	ok := !nd.stopped && (in.fn != nil || nd.msgs < buffer)
+	if ok {
+		if nd.head > 0 && len(nd.queue) == cap(nd.queue) {
+			nd.queue = append(nd.queue[:0], nd.queue[nd.head:]...)
+			nd.head = 0
+		}
+		nd.queue = append(nd.queue, in)
+		if in.fn == nil {
+			nd.msgs++
+		}
+	}
+	nd.mu.Unlock()
+	if ok {
+		nd.signal()
+	}
+	return ok
+}
+
+// pop takes the oldest input, waiting for one; false once the node has
+// stopped and nothing is left to run.
+func (nd *node) pop() (input, bool) {
+	for {
+		nd.mu.Lock()
+		if nd.head < len(nd.queue) {
+			in := nd.queue[nd.head]
+			nd.queue[nd.head] = input{}
+			nd.head++
+			if nd.head == len(nd.queue) {
+				nd.queue, nd.head = nd.queue[:0], 0
+			}
+			if in.fn == nil {
+				nd.msgs--
+			}
+			nd.mu.Unlock()
+			return in, true
+		}
+		stopped := nd.stopped
+		nd.mu.Unlock()
+		if stopped {
+			return input{}, false
+		}
+		<-nd.wake
+	}
+}
+
+// stop refuses every later push; discard also drops what is queued.
+func (nd *node) stop(discard bool) {
+	nd.mu.Lock()
+	nd.stopped = true
+	if discard {
+		nd.queue, nd.head, nd.msgs = nil, 0, 0
+	}
+	nd.mu.Unlock()
+	nd.signal()
+}
+
+func (nd *node) signal() {
+	select {
+	case nd.wake <- struct{}{}:
+	default: // a token is already pending
+	}
 }
 
 // New creates a network with the given link configuration.
@@ -114,23 +196,30 @@ func (n *Network) Register(id string, h Handler) error {
 // attachLocked installs a fresh node generation and starts its handler
 // goroutine. Caller holds the write lock.
 func (n *Network) attachLocked(id string, h Handler) {
-	nd := &node{id: id, inbox: make(chan Message, n.cfg.Buffer), handler: h}
+	nd := &node{handler: h, done: make(chan struct{}), wake: make(chan struct{}, 1)}
 	n.nodes[id] = nd
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		for msg := range nd.inbox {
-			if nd.crashed.Load() {
-				continue // crash discards everything still queued
+		defer close(nd.done)
+		for {
+			in, ok := nd.pop()
+			if !ok {
+				return
 			}
-			nd.handler(msg)
+			if in.fn != nil {
+				in.fn()
+			} else {
+				nd.handler(in.msg)
+			}
 		}
 	}()
 }
 
-// Crash detaches a node: queued and in-flight messages to it are discarded,
-// and until Restart it neither receives nor sends. The handler goroutine
-// exits. Crashing an unknown or already-crashed node returns an error.
+// Crash detaches a node: queued and in-flight messages and posts to it are
+// discarded, and until Restart it neither receives nor sends. The handler
+// goroutine exits once the input it is running returns. Crashing an
+// unknown or already-crashed node returns an error.
 func (n *Network) Crash(id string) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -145,29 +234,73 @@ func (n *Network) Crash(id string) error {
 		return fmt.Errorf("netsim: node %q already crashed", id)
 	}
 	nd.crashed.Store(true)
-	//lint:ignore chanclose the crashed flag (set under n.mu write lock, checked by the other closer and by deliver) makes the close sites mutually exclusive
-	close(nd.inbox)
+	nd.stop(true)
 	return nil
 }
 
 // Restart reattaches a crashed node with a (possibly new) handler. The node
 // rejoins with an empty inbox; messages sent while it was down are lost, as
-// after a real process restart.
+// after a real process restart. Restart first waits for the crashed
+// generation's handler to return, so the two generations never run at
+// once; it must not be called from that handler.
 func (n *Network) Restart(id string, h Handler) error {
+	n.mu.RLock()
+	old, err := n.crashedLocked(id)
+	n.mu.RUnlock()
+	if err != nil {
+		return err
+	}
+	<-old.done
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.closed {
-		return fmt.Errorf("netsim: network closed")
+	nd, err := n.crashedLocked(id)
+	if err != nil {
+		return err
 	}
-	nd, ok := n.nodes[id]
-	if !ok {
-		return fmt.Errorf("netsim: restart of unknown node %q", id)
-	}
-	if !nd.crashed.Load() {
-		return fmt.Errorf("netsim: node %q is not crashed", id)
+	if nd != old {
+		return fmt.Errorf("netsim: node %q is not crashed", id) // restarted meanwhile
 	}
 	n.attachLocked(id, h)
 	return nil
+}
+
+// crashedLocked returns id's current generation if it is crashed.
+func (n *Network) crashedLocked(id string) (*node, error) {
+	if n.closed {
+		return nil, fmt.Errorf("netsim: network closed")
+	}
+	nd, ok := n.nodes[id]
+	if !ok {
+		return nil, fmt.Errorf("netsim: restart of unknown node %q", id)
+	}
+	if !nd.crashed.Load() {
+		return nil, fmt.Errorf("netsim: node %q is not crashed", id)
+	}
+	return nd, nil
+}
+
+// Post queues fn on node id's handler goroutine, behind the inputs
+// queued there by then: at once, or when after has elapsed if it is
+// positive. The post belongs to the node's generation at the call: it
+// never runs if that generation crashes first (Crash discards one still
+// queued) or the network closes, nor for an unknown node. It never
+// blocks and a full inbox never refuses it, so it is safe to call under
+// any lock. For a positive after it returns the timer, whose Stop
+// cancels the post; otherwise nil.
+func (n *Network) Post(id string, after time.Duration, fn func()) *time.Timer {
+	n.mu.RLock()
+	nd := n.nodes[id]
+	n.mu.RUnlock()
+	post := func() {
+		if nd != nil {
+			nd.push(input{fn: fn}, 0)
+		}
+	}
+	if after <= 0 {
+		post()
+		return nil
+	}
+	return time.AfterFunc(after, post)
 }
 
 // Alive reports whether a node is registered and not crashed.
@@ -176,13 +309,6 @@ func (n *Network) Alive(id string) bool {
 	defer n.mu.RUnlock()
 	nd, ok := n.nodes[id]
 	return ok && !nd.crashed.Load()
-}
-
-// Closed reports whether the network has been shut down.
-func (n *Network) Closed() bool {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.closed
 }
 
 // Send delivers a message asynchronously, applying latency, drops,
@@ -237,8 +363,6 @@ func (n *Network) Send(msg Message) {
 // crashed, and the partition map under the read lock: all three can change
 // while the message sits in its delay window, and a message must not cross
 // a partition (or reach a crashed node) created while it was in flight.
-// Close and Crash mutate under the write lock, so the non-blocking send can
-// never race a channel close.
 func (n *Network) deliver(dst *node, msg Message) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
@@ -246,11 +370,9 @@ func (n *Network) deliver(dst *node, msg Message) {
 		n.dropped.Add(1)
 		return
 	}
-	select {
-	//lint:ignore chanclose both closers hold n.mu for writing and set closed/crashed first; the RLock plus re-check above orders this send before any close (PR 1 discipline)
-	case dst.inbox <- msg:
+	if dst.push(input{msg: msg}, n.cfg.Buffer) {
 		n.delivered.Add(1)
-	default:
+	} else {
 		// Inbox overflow models a congested replica.
 		n.dropped.Add(1)
 	}
@@ -290,7 +412,7 @@ func (n *Network) ResetStats() {
 }
 
 // Close shuts the network down and waits for all handler goroutines to
-// drain. Messages still in flight after Close are dropped.
+// drain what is queued. Messages still in flight after Close are dropped.
 func (n *Network) Close() {
 	n.mu.Lock()
 	if n.closed {
@@ -299,10 +421,7 @@ func (n *Network) Close() {
 	}
 	n.closed = true
 	for _, nd := range n.nodes {
-		if !nd.crashed.Load() {
-			//lint:ignore chanclose the crashed check under the held n.mu write lock excludes Crash's close; closed=true excludes a second Close
-			close(nd.inbox)
-		}
+		nd.stop(false) // what is queued still runs
 	}
 	n.mu.Unlock()
 	n.wg.Wait()

@@ -287,12 +287,11 @@ func (r *Replica) journalLocked(rec pbRecord) bool {
 // maybeSnapshotLocked snapshots at every multiple of snapEvery, so all
 // honest replicas' snapshots at one sequence hold the same image. It is
 // called with mu held in executeInstanceLocked as soon as the apply
-// returns, so the snapshot is on disk before the checkpoint vote. Only
-// the last apply in flight to return takes it: the application state is
-// then exactly the state at execSeq, and maybeExecuteLocked has let
-// nothing execute past it.
+// returns, so the snapshot is on disk before the checkpoint vote. The
+// application state is then exactly the state at execSeq: executions
+// run one at a time, on the replica's goroutine.
 func (r *Replica) maybeSnapshotLocked() {
-	if r.log == nil || r.walFailed || r.applying != 0 || r.execSeq%r.snapEvery != 0 {
+	if r.log == nil || r.walFailed || r.execSeq%r.snapEvery != 0 {
 		return
 	}
 	img := stateImage{ExecSeq: r.execSeq}

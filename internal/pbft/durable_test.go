@@ -342,15 +342,19 @@ func (a *snapAtApp) Snapshot() ([]byte, error) {
 
 // TestSnapshotAtEveryAlignedPoint: with SnapshotEvery equal to
 // CheckpointEvery every aligned point is also a checkpoint, whose vote
-// is sent with mu released. p3 is prepared on 64 sequences and p1's and
-// p2's commits arrive on a goroutine each, so executions start on many
-// goroutines at once; p3 must still snapshot at every multiple of two
-// (one op per sequence, so at every even op count).
+// is sent with mu released. p3 is prepared on 64 sequences, then p1's and
+// p2's commits for all of them reach it through the network at once and
+// queue behind a slow Applier; p3 must still snapshot at every multiple
+// of two (one op per sequence, so at every even op count) and skip none.
 func TestSnapshotAtEveryAlignedPoint(t *testing.T) {
 	const every, total = 2, 64
 	l := newLoneReplica(t)
 	app := &snapAtApp{}
-	r, err := NewDurableReplica(l.net, "p3", l.ids, 1, app.apply, Options{CheckpointEvery: every}, DurableOptions{Dir: t.TempDir(), App: app, SnapshotEvery: every})
+	slow := func(seq uint64, req Request) {
+		time.Sleep(200 * time.Microsecond)
+		app.apply(seq, req)
+	}
+	r, err := NewDurableReplica(l.net, "p3", l.ids, 1, slow, Options{CheckpointEvery: every}, DurableOptions{Dir: t.TempDir(), App: app, SnapshotEvery: every})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,25 +363,27 @@ func TestSnapshotAtEveryAlignedPoint(t *testing.T) {
 	for seq := uint64(0); seq < total; seq++ {
 		l.prepare(onePrePrepare(seq))
 	}
-	var wg sync.WaitGroup
 	for seq := uint64(0); seq < total; seq++ {
+		pp := onePrePrepare(seq)
 		for _, from := range []string{"p1", "p2"} {
-			wg.Add(1)
-			go func(pp prePrepareMsg, from string) {
-				defer wg.Done()
-				l.feed(from, msgCommit, commitMsg{View: pp.View, Seq: pp.Seq, Digest: pp.Digest})
-			}(onePrePrepare(seq), from)
+			c := commitMsg{View: pp.View, Seq: pp.Seq, Digest: pp.Digest}
+			l.net.Send(netsim.Message{From: from, To: "p3", Type: msgCommit, Payload: sealFrom(clusterKey, l.ids, from, msgCommit, c)})
 		}
 	}
-	wg.Wait()
-	app.mu.Lock()
-	defer app.mu.Unlock()
-	if r.Executed() != total || len(app.at) != total/every {
-		t.Fatalf("p3 executed %d and snapshotted at op counts %v, want %d and every multiple of %d", r.Executed(), app.at, total, every)
+	snaps := func() []int {
+		app.mu.Lock()
+		defer app.mu.Unlock()
+		return append([]int(nil), app.at...)
 	}
-	for k, n := range app.at {
+	for deadline := time.Now().Add(5 * time.Second); len(snaps()) < total/every && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+	}
+	at := snaps()
+	if r.Executed() != total || len(at) != total/every {
+		t.Fatalf("p3 executed %d and snapshotted at op counts %v, want %d and every multiple of %d", r.Executed(), at, total, every)
+	}
+	for k, n := range at {
 		if n != every*(k+1) {
-			t.Fatalf("p3 snapshotted at op counts %v, want every multiple of %d", app.at, every)
+			t.Fatalf("p3 snapshotted at op counts %v, want every multiple of %d", at, every)
 		}
 	}
 }

@@ -9,11 +9,11 @@ import (
 )
 
 // TestLateTimerDoesNotTriggerSpuriousViewChange is the deterministic
-// regression test for the view-change-timer bug: a timer could fire and
-// block on the replica mutex while execution stopped it, and the callback
-// would then start a view change for a request that had already executed.
-// The fix re-checks the executed set inside the callback, so invoking the
-// callback directly after execution must be a no-op.
+// regression test for the view-change-timer bug: a timer could fire
+// while execution stopped it, and its timeout would then start a view
+// change for a request that had already executed. A timeout acts only for
+// the timer still armed under its digest, so a timeout delivered after
+// execution removed that timer must be a no-op.
 func TestLateTimerDoesNotTriggerSpuriousViewChange(t *testing.T) {
 	c := newCluster(t, 1, Options{}, netsim.Config{})
 	backup := c.replicas[1]
@@ -22,9 +22,10 @@ func TestLateTimerDoesNotTriggerSpuriousViewChange(t *testing.T) {
 	}
 	req := Request{Client: "cli", Seq: 1, Op: []byte("op-1")}
 	d := digestOf(&req)
-	// Simulate the timer losing the race with execution: the AfterFunc
-	// fires late, after the request executed and Stop was called.
-	backup.onViewChangeTimeout(d, req)
+	// Simulate the timer losing the race with execution: it fired and
+	// posted its timeout, and the request executed and removed the timer
+	// before the timeout ran.
+	backup.onViewChangeTimeout(d, &vcTimer{req: req})
 	// A spurious view change would propagate within this window.
 	time.Sleep(100 * time.Millisecond)
 	for _, r := range c.replicas {

@@ -140,7 +140,8 @@ type stateRepMsg struct {
 
 // Applier is called once per executed request, in sequence order: never
 // for a view change's null fill, nor for a request executed before (a
-// client's retry that a primary ordered again).
+// client's retry that a primary ordered again). Executions run one at a
+// time, on the replica's goroutine (Replica), so applies never overlap.
 type Applier func(seq uint64, req Request)
 
 // Options tunes a replica.
@@ -205,7 +206,12 @@ func (inst *instState) resetVotesLocked() {
 	inst.prePrepared = false
 }
 
-// Replica is one PBFT node.
+// Replica is one PBFT node. Everything that can execute, snapshot or
+// change view runs on its goroutine, netsim's handler loop for its id:
+// messages arrive there and timers, Sync and proposals are posted there,
+// in arrival order; a restart starts a new loop once the old one ended.
+// mu serves the readers outside that loop (View, IsPrimary, Executed,
+// SubmitAsync's waiters).
 type Replica struct {
 	id    string
 	index int
@@ -240,17 +246,13 @@ type Replica struct {
 	imgVotes   map[string]*imgVote                 // state-image offers per image digest
 	viewClaims map[string]uint64                   // views peers advertised in state replies (view sync)
 
-	// Durability (nil log == in-memory mode; see durable.go). applying
-	// counts executions whose Applier call is in flight outside mu —
-	// snapshots are taken only when it is zero, so the application blob
-	// always corresponds exactly to execSeq. walFailed is sticky: a
-	// failed journal write silences this replica's votes (an
-	// un-journaled prepare/commit is unsafe to count) but lets
-	// execution continue in memory.
+	// Durability (nil log == in-memory mode; see durable.go). walFailed
+	// is sticky: a failed journal write silences this replica's votes (an
+	// un-journaled prepare/commit is unsafe to count) but lets execution
+	// continue in memory.
 	log       *wal.Log
 	logApp    wal.Snapshotter
 	snapEvery uint64
-	applying  int
 	walFailed bool
 }
 
@@ -261,9 +263,7 @@ type imgVote struct {
 	senders map[string]bool
 }
 
-// vcTimer guards one watched request. The request rides along so the
-// timeout callback (and view entry) can check execution state before
-// deciding anything.
+// vcTimer guards one watched, un-executed request: execution removes it.
 type vcTimer struct {
 	tmr *time.Timer
 	req Request
@@ -429,10 +429,10 @@ func (r *Replica) Submit(client string, clientSeq uint64, op []byte, timeout tim
 
 // SubmitAsync proposes an operation without waiting: the returned channel
 // closes when the request executes locally. A duplicate of an already
-// executed request gets a closed channel immediately. The eager ingestion
-// is what lets a batching client pipeline requests — on a stable primary,
-// requests submitted in order are sequenced (pre-prepared) in order
-// before any of them commits.
+// executed request gets a closed channel immediately. The proposal itself
+// is an input posted to the replica's goroutine, so requests submitted in
+// order are sequenced (pre-prepared) in order on a stable primary before
+// any of them commits — what lets a batching client pipeline them.
 func (r *Replica) SubmitAsync(client string, clientSeq uint64, op []byte) <-chan struct{} {
 	req := Request{Client: client, Seq: clientSeq, Op: op}
 	d := digestOf(&req)
@@ -445,26 +445,22 @@ func (r *Replica) SubmitAsync(client string, clientSeq uint64, op []byte) <-chan
 		return done
 	}
 	r.waiters[d] = append(r.waiters[d], done)
-	// Arm the watchdog on the primary too: a primary that proposes into a
-	// view whose quorum has collapsed (e.g. enough backups are wedged in a
-	// view change nobody else joins) would otherwise stall the request
-	// forever with no timer anywhere to force a view change.
-	r.armViewChangeTimerLocked(d, req)
-	isPrimary := r.primaryOf(r.view) == r.id && !r.inVC
-	if isPrimary {
-		if !r.inFlightLocked(req) {
-			r.proposeLocked(d, req)
+	r.mu.Unlock()
+	r.post(func() {
+		if r.onRequest(d, req) {
+			// Broadcast the request so every replica arms a view-change
+			// timer; the primary picks it up for ordering, and if the
+			// primary is dead, f+1 timers expire and a view change goes
+			// through.
+			r.broadcast(msgRequest, req)
 		}
-		r.mu.Unlock()
-	} else {
-		// Broadcast the request so every replica arms a view-change
-		// timer; the primary picks it up for ordering, and if the primary
-		// is dead, f+1 timers expire and a view change goes through.
-		r.mu.Unlock()
-		r.broadcast(msgRequest, req)
-	}
+	})
 	return done
 }
+
+// post queues fn on this replica's goroutine, behind the messages
+// already delivered to it. A crashed replica drops it.
+func (r *Replica) post(fn func()) { r.net.Post(r.id, 0, fn) }
 
 // reqKey identifies a request for dedup: its client and that client's
 // sequence number. A snapshot spells it "client/seq" (String).
@@ -477,21 +473,21 @@ func (req Request) key() reqKey { return reqKey{req.Client, req.Seq} }
 
 // armViewChangeTimerLocked starts a timer that triggers a view change if
 // the request does not execute in time. d is digestOf(&req),
-// which every caller already holds.
+// which every caller already holds. The timeout is a delayed post, so it
+// dies with the replica's current netsim generation: a crash kills it.
 func (r *Replica) armViewChangeTimerLocked(d Digest, req Request) {
 	if _, ok := r.vcTimers[d]; ok {
 		return
 	}
 	vt := &vcTimer{req: req}
-	vt.tmr = time.AfterFunc(r.opts.ViewTimeout, func() { r.onViewChangeTimeout(d, req) })
+	vt.tmr = r.net.Post(r.id, r.opts.ViewTimeout, func() { r.onViewChangeTimeout(d, vt) })
 	r.vcTimers[d] = vt
 }
 
-// onViewChangeTimeout fires when a watched request's timer expires. A
-// timer can lose the race with execution — maybeExecuteLocked's Stop
-// lands after the timer has fired but before this callback takes the
-// lock — so the executed set is re-checked here; without it a fully
-// executed workload could still trigger spurious view changes under load.
+// onViewChangeTimeout handles the timeout of timer vt, which watches
+// request vt.req. A timer that fired before its request executed, or
+// before a view entry replaced it, left its input queued; that input
+// finds another timer (or none) under d and does nothing.
 //
 // For a request that truly stalled, the timer is the liveness engine and
 // re-arms itself until the request executes: vote for a view change; if
@@ -500,19 +496,15 @@ func (r *Replica) armViewChangeTimerLocked(d Digest, req Request) {
 // primary to the next view; if this replica's vote is a singleton, the
 // vote was probably lost in a partition, so retransmit it instead of
 // climbing views nobody else wants.
-func (r *Replica) onViewChangeTimeout(d Digest, req Request) {
+func (r *Replica) onViewChangeTimeout(d Digest, vt *vcTimer) {
 	r.mu.Lock()
-	delete(r.vcTimers, d)
-	if r.executedR[req.key()] {
+	if r.vcTimers[d] != vt {
 		r.mu.Unlock()
 		return
 	}
-	// Re-arm only while this node is actually part of a live network —
-	// without the guard an abandoned request would keep a timer ticking
-	// forever after a crash or shutdown.
-	if r.net.Alive(r.id) && !r.net.Closed() {
-		r.armViewChangeTimerLocked(d, req)
-	}
+	delete(r.vcTimers, d)
+	req := vt.req
+	r.armViewChangeTimerLocked(d, req)
 	if !r.inVC {
 		if r.primaryOf(r.view) == r.id && !r.inFlightLocked(req) {
 			// This replica became primary after the request was armed
@@ -529,13 +521,13 @@ func (r *Replica) onViewChangeTimeout(d Digest, req Request) {
 			next = r.vcTarget + 1
 		}
 		r.mu.Unlock()
-		r.StartViewChange(next)
+		r.startViewChange(next)
 		return
 	}
 	target := r.vcTarget
 	if len(r.vcs[target]) >= r.f+1 {
 		r.mu.Unlock()
-		r.StartViewChange(target + 1)
+		r.startViewChange(target + 1)
 		return
 	}
 	// This replica's vote is a minority nobody joined. Retransmit it once
@@ -552,7 +544,7 @@ func (r *Replica) onViewChangeTimeout(d Digest, req Request) {
 		r.vcSolo = 0
 		r.inVC = false
 		r.mu.Unlock()
-		r.Sync()
+		r.sync()
 		return
 	}
 	r.vcSolo++
@@ -618,7 +610,7 @@ func (r *Replica) handle(m netsim.Message) {
 	switch m.Type {
 	case msgRequest:
 		if req, ok := decodeRequest(body); ok {
-			r.onRequest(req)
+			r.onRequest(digestOf(&req), req)
 		}
 	case msgPrePrepare:
 		if pp, ok := decodePrePrepare(body); ok {
@@ -663,20 +655,25 @@ func (r *Replica) handle(m netsim.Message) {
 	}
 }
 
-func (r *Replica) onRequest(req Request) {
-	d := digestOf(&req)
+// onRequest takes in a request, d its digestOf: a primary proposes it
+// unless it is in flight, a backup (or a replica mid-view-change) only
+// watches it, and reports that it did.
+func (r *Replica) onRequest(d Digest, req Request) (watched bool) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.executedR[req.key()] {
-		r.mu.Unlock()
-		return
+		return false
 	}
+	// Arm the watchdog on the primary too: a primary that proposes into a
+	// view whose quorum has collapsed (e.g. enough backups are wedged in a
+	// view change nobody else joins) would otherwise stall the request
+	// forever with no timer anywhere to force a view change.
 	r.armViewChangeTimerLocked(d, req)
 	if r.inVC || r.primaryOf(r.view) != r.id {
 		// Backup (or mid-view-change): the request is only watched, so a
 		// dead primary — or a stalled view change — triggers escalation
 		// from f+1 replicas, not just the submitting one.
-		r.mu.Unlock()
-		return
+		return true
 	}
 	// A client retry (same client seq) or a post-view-change revival can
 	// re-deliver a request that is already proposed and waiting on votes;
@@ -685,7 +682,7 @@ func (r *Replica) onRequest(req Request) {
 	if !r.inFlightLocked(req) {
 		r.proposeLocked(d, req)
 	}
-	r.mu.Unlock()
+	return false
 }
 
 // onPrePrepare accepts a pre-prepare whose MAC authenticated its header
@@ -694,8 +691,6 @@ func (r *Replica) onRequest(req Request) {
 func (r *Replica) onPrePrepare(from string, pp prePrepareMsg) {
 	// The cheap checks come before the hash, so a replica that is not the
 	// current primary cannot make its peers hash requests for nothing.
-	// The view is checked again under the lock below: it may move while
-	// the request is hashed.
 	r.mu.Lock()
 	current := pp.View == r.view && !r.inVC
 	r.mu.Unlock()
@@ -706,10 +701,6 @@ func (r *Replica) onPrePrepare(from string, pp prePrepareMsg) {
 		return // digest mismatch: Byzantine primary, or a request altered in flight
 	}
 	r.mu.Lock()
-	if pp.View != r.view || r.inVC {
-		r.mu.Unlock()
-		return
-	}
 	inst := r.instLocked(pp.Seq)
 	if inst.prePrepared && inst.digest != pp.Digest {
 		r.mu.Unlock()
@@ -812,11 +803,9 @@ func (r *Replica) markDecidedLocked(seq uint64, inst *instState) {
 // maybeExecuteLocked executes, in sequence order, each next instance
 // that committed here or that f+1 state-transfer senders agree on (at
 // least one of them is honest, so the request is the one the cluster
-// committed). A durable replica executes nothing past a multiple of
-// snapEvery while an apply is in flight: the last apply to return takes
-// that point's snapshot (maybeSnapshotLocked), so none is skipped.
+// committed).
 func (r *Replica) maybeExecuteLocked() {
-	for r.log == nil || r.applying == 0 || r.execSeq%r.snapEvery != 0 {
+	for {
 		if inst, ok := r.insts[r.execSeq]; ok && !inst.executed && inst.prePrepared && len(inst.commits) >= r.commitQuorum() {
 			r.executeInstanceLocked(r.execSeq, inst.digest, inst.req)
 		} else if e, ok := r.vouchedLocked(); ok {
@@ -849,7 +838,8 @@ func (r *Replica) vouchedLocked() (prePrepareMsg, bool) {
 // it as executed, appends to the exec log (served to restarted peers),
 // dedups its request against executed client requests, applies it, and
 // wakes its waiters. The mutex is released around the Applier call and
-// re-held on return. Both the normal commit path and state-transfer
+// re-held on return; only this goroutine moves execSeq, so it is still
+// seq+1 then. Both the normal commit path and state-transfer
 // catch-up land here, so a sequence can never execute twice. digest is
 // digestOf(req) on every path (computed by the proposer, checked by
 // onPrePrepare, onViewChange and onStateRep, or read back from this
@@ -884,19 +874,14 @@ func (r *Replica) executeInstanceLocked(seq uint64, digest Digest, req *Request)
 	// kind (journalLocked returns true to keep executing), walFailed is
 	// consulted too.
 	durable := r.journalLocked(pbRecord{K: pbEX, Seq: seq, Digest: digest, Req: req}) && !r.walFailed
-	apply := r.apply
-	r.applying++
 	r.mu.Unlock()
-	if apply != nil && fresh {
-		apply(seq, *req)
+	if r.apply != nil && fresh {
+		r.apply(seq, *req)
 	}
 	for _, ch := range wake {
 		close(ch)
 	}
 	r.mu.Lock()
-	r.applying--
-	// Snapshot before the checkpoint vote releases mu: an execution that
-	// slipped in then would move execSeq past the aligned point.
 	r.maybeSnapshotLocked()
 	// Checkpointing. The vote asserts "my state through execSeq is on
 	// disk" to peers who will truncate their logs on a quorum of such
@@ -947,10 +932,10 @@ func (r *Replica) recordCheckpointLocked(from string, c checkpointMsg) {
 
 // --- view change ---
 
-// StartViewChange broadcasts a view-change vote for the target view.
+// startViewChange broadcasts a view-change vote for the target view.
 // Each view is voted for at most once; retransmission of a stalled vote
 // goes through onViewChangeTimeout.
-func (r *Replica) StartViewChange(newView uint64) {
+func (r *Replica) startViewChange(newView uint64) {
 	r.mu.Lock()
 	if newView <= r.view || newView <= r.vcTarget {
 		r.mu.Unlock()
@@ -1015,7 +1000,7 @@ func (r *Replica) onViewChange(from string, vc viewChangeMsg) {
 	// this replica has voted for (liveness rule — this is also how a
 	// replica stuck in a lower stalled view change gets pulled forward).
 	if vc.NewView > target && count >= r.f+1 {
-		r.StartViewChange(vc.NewView)
+		r.startViewChange(vc.NewView)
 	}
 	if replay { // the view's new view came before the votes that let it count
 		r.onNewView(primary, held)
@@ -1097,7 +1082,7 @@ func (r *Replica) onViewChange(from string, vc viewChangeMsg) {
 	// request harmless, but a request in no instance has no other way
 	// into the new view.
 	for _, req := range revive {
-		r.onRequest(req)
+		r.onRequest(digestOf(&req), req)
 	}
 }
 
@@ -1153,7 +1138,7 @@ func (r *Replica) onNewView(from string, nv newViewMsg) {
 		r.nvHeld[from] = nv
 		r.mu.Unlock()
 		if first {
-			r.Sync()
+			r.sync()
 		}
 		return
 	}
@@ -1224,20 +1209,15 @@ func (r *Replica) enterViewLocked(view, nextSeq uint64) []Request {
 	}
 	// Restart the watchdogs: timers armed in the old view carry stale
 	// deadlines — left running they fire mid-recovery and cascade into
-	// further view changes. Pending requests get a full fresh timeout
-	// under the new primary; executed ones are dropped outright.
+	// further view changes. Pending requests (the only ones watched) get
+	// a full fresh timeout under the new primary.
+	old := r.vcTimers
+	r.vcTimers = make(map[Digest]*vcTimer, len(old))
 	var rearm []Request
-	var digests []Digest
-	for d, vt := range r.vcTimers {
+	for d, vt := range old {
 		vt.tmr.Stop()
-		delete(r.vcTimers, d)
-		if !r.executedR[vt.req.key()] {
-			rearm = append(rearm, vt.req)
-			digests = append(digests, d)
-		}
-	}
-	for i, req := range rearm {
-		r.armViewChangeTimerLocked(digests[i], req)
+		rearm = append(rearm, vt.req)
+		r.armViewChangeTimerLocked(d, vt.req)
 	}
 	return rearm
 }
@@ -1245,41 +1225,43 @@ func (r *Replica) enterViewLocked(view, nextSeq uint64) []Request {
 // --- crash / restart / state transfer ---
 
 // Crash detaches the replica from the network, simulating a process
-// crash: armed timers die with the process. Consensus state (executed
-// log, instances, view) survives in this object, standing in for the
-// replica's stable storage.
+// crash: its queued inputs and its armed timers die with it. Consensus
+// state (executed log, instances, view) survives in this object,
+// standing in for the replica's stable storage.
 func (r *Replica) Crash() error {
-	if err := r.net.Crash(r.id); err != nil {
-		return err
-	}
-	r.mu.Lock()
-	for d, vt := range r.vcTimers {
-		vt.tmr.Stop()
-		delete(r.vcTimers, d)
-	}
-	r.inVC = false
-	// Volatile view-change state dies with the process: any vote this
-	// replica had broadcast is treated as lost, so after a restart it can
-	// vote (idempotently) again instead of orphaning its old target.
-	r.vcTarget = r.view
-	r.mu.Unlock()
-	return nil
+	return r.net.Crash(r.id)
 }
 
-// Restart reattaches a crashed replica and pulls the executed history it
-// missed from its peers (checkpoint/state transfer).
+// Restart reattaches a crashed replica once its crashed handler has
+// returned, then queues an input that resets the volatile view-change
+// state, which died with the process, and pulls the executed history it
+// missed from its peers (checkpoint/state transfer). Any vote it had
+// broadcast is treated as lost, so it can vote (idempotently) again
+// instead of orphaning its old target, and the watchdogs that died in
+// the crash are forgotten, so their requests can be watched again.
 func (r *Replica) Restart() error {
 	if err := r.net.Restart(r.id, r.handle); err != nil {
 		return err
 	}
-	r.Sync()
+	r.post(func() {
+		r.mu.Lock()
+		r.inVC = false
+		r.vcTarget = r.view
+		clear(r.vcTimers)
+		r.mu.Unlock()
+		r.sync()
+	})
 	return nil
 }
 
 // Sync asks all peers for executed instances at or above this replica's
 // execution point. Replies are applied once f+1 replicas agree on a
 // sequence's digest, so no single Byzantine peer can poison catch-up.
-func (r *Replica) Sync() {
+// Sync is an input like a message: it returns once the input is queued
+// on the replica's goroutine.
+func (r *Replica) Sync() { r.post(r.sync) }
+
+func (r *Replica) sync() {
 	r.mu.Lock()
 	have := r.execSeq
 	// Retransmit commit votes for certified but un-executed sequences.
@@ -1417,7 +1399,7 @@ func (r *Replica) onStateRep(from string, s stateRepMsg) {
 // checkpoint-transfer path for a replica so far behind that no peer
 // retains the executed instances it needs.
 func (r *Replica) recordImageLocked(from string, img *stateImage) {
-	if img.ExecSeq <= r.execSeq || r.logApp == nil || r.applying != 0 {
+	if img.ExecSeq <= r.execSeq || r.logApp == nil {
 		return
 	}
 	for k, v := range r.imgVotes {
