@@ -79,7 +79,7 @@ func TestRestartReattachesWithNewHandler(t *testing.T) {
 	var old, fresh atomic.Int64
 	n.Register("a", func(Message) {})
 	n.Register("b", func(Message) { old.Add(1) })
-	if err := n.Restart("b", func(Message) {}); err == nil {
+	if err := n.Restart("b", func(Message) {}, nil); err == nil {
 		t.Fatal("restart of a live node accepted")
 	}
 	if err := n.Crash("b"); err != nil {
@@ -88,7 +88,7 @@ func TestRestartReattachesWithNewHandler(t *testing.T) {
 	if err := n.Crash("b"); err == nil {
 		t.Fatal("double crash accepted")
 	}
-	if err := n.Restart("b", func(Message) { fresh.Add(1) }); err != nil {
+	if err := n.Restart("b", func(Message) { fresh.Add(1) }, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !n.Alive("b") {
@@ -102,7 +102,7 @@ func TestRestartReattachesWithNewHandler(t *testing.T) {
 	if err := n.Crash("ghost"); err == nil {
 		t.Fatal("crash of unknown node accepted")
 	}
-	if err := n.Restart("ghost", func(Message) {}); err == nil {
+	if err := n.Restart("ghost", func(Message) {}, nil); err == nil {
 		t.Fatal("restart of unknown node accepted")
 	}
 }

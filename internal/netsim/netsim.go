@@ -67,21 +67,22 @@ type Network struct {
 	wg sync.WaitGroup
 }
 
-// node is one attachment generation. Crash empties and stops its queue
-// and marks it crashed; Restart installs a fresh node struct under the same
-// id, so goroutines and in-flight deliveries bound to the old generation
-// can never leak messages or posts into the new one.
+// node is one attachment generation. Crash empties and stops its queue;
+// Restart installs a fresh node struct under the same id, so goroutines
+// and in-flight deliveries bound to the old generation can never leak
+// messages or posts into the new one.
 type node struct {
 	handler Handler
-	crashed atomic.Bool
 	done    chan struct{} // closed when the handler goroutine returns
+	// stopped is set, under mu, by Crash and by Close: nothing more is
+	// queued. Send, deliver and Alive read it without mu.
+	stopped atomic.Bool
 
-	mu      sync.Mutex
-	queue   []input // pending inputs, oldest at head
-	head    int
-	msgs    int           // messages (not posts) in queue: what Buffer bounds
-	stopped bool          // crashed or closed: nothing more is queued
-	wake    chan struct{} // capacity 1: a token means the queue may have changed
+	mu    sync.Mutex
+	queue []input       // pending inputs from head on, oldest first
+	head  int           // queue[:head] ran: push reuses that room, pop allocates nothing
+	msgs  int           // messages (not posts) in queue: what Buffer bounds
+	wake  chan struct{} // capacity 1: a token means the queue may have changed
 }
 
 // input is one queued unit of work for a node's handler goroutine: a
@@ -95,7 +96,7 @@ type input struct {
 // Buffer messages are already queued; a post never is.
 func (nd *node) push(in input, buffer int) bool {
 	nd.mu.Lock()
-	ok := !nd.stopped && (in.fn != nil || nd.msgs < buffer)
+	ok := !nd.stopped.Load() && (in.fn != nil || nd.msgs < buffer)
 	if ok {
 		if nd.head > 0 && len(nd.queue) == cap(nd.queue) {
 			nd.queue = append(nd.queue[:0], nd.queue[nd.head:]...)
@@ -131,7 +132,7 @@ func (nd *node) pop() (input, bool) {
 			nd.mu.Unlock()
 			return in, true
 		}
-		stopped := nd.stopped
+		stopped := nd.stopped.Load()
 		nd.mu.Unlock()
 		if stopped {
 			return input{}, false
@@ -143,7 +144,7 @@ func (nd *node) pop() (input, bool) {
 // stop refuses every later push; discard also drops what is queued.
 func (nd *node) stop(discard bool) {
 	nd.mu.Lock()
-	nd.stopped = true
+	nd.stopped.Store(true)
 	if discard {
 		nd.queue, nd.head, nd.msgs = nil, 0, 0
 	}
@@ -189,14 +190,18 @@ func (n *Network) Register(id string, h Handler) error {
 	if _, dup := n.nodes[id]; dup {
 		return fmt.Errorf("netsim: node %q already registered", id)
 	}
-	n.attachLocked(id, h)
+	n.attachLocked(id, h, nil)
 	return nil
 }
 
 // attachLocked installs a fresh node generation and starts its handler
-// goroutine. Caller holds the write lock.
-func (n *Network) attachLocked(id string, h Handler) {
+// goroutine; a non-nil init is its first input, queued before the node
+// can receive anything. Caller holds the write lock.
+func (n *Network) attachLocked(id string, h Handler, init func()) {
 	nd := &node{handler: h, done: make(chan struct{}), wake: make(chan struct{}, 1)}
+	if init != nil {
+		nd.queue = []input{{fn: init}}
+	}
 	n.nodes[id] = nd
 	n.wg.Add(1)
 	go func() {
@@ -230,10 +235,9 @@ func (n *Network) Crash(id string) error {
 	if !ok {
 		return fmt.Errorf("netsim: crash of unknown node %q", id)
 	}
-	if nd.crashed.Load() {
+	if nd.stopped.Load() {
 		return fmt.Errorf("netsim: node %q already crashed", id)
 	}
-	nd.crashed.Store(true)
 	nd.stop(true)
 	return nil
 }
@@ -242,8 +246,9 @@ func (n *Network) Crash(id string) error {
 // rejoins with an empty inbox; messages sent while it was down are lost, as
 // after a real process restart. Restart first waits for the crashed
 // generation's handler to return, so the two generations never run at
-// once; it must not be called from that handler.
-func (n *Network) Restart(id string, h Handler) error {
+// once; it must not be called from that handler. A non-nil init runs on
+// the new handler goroutine before any message or post reaches it.
+func (n *Network) Restart(id string, h Handler, init func()) error {
 	n.mu.RLock()
 	old, err := n.crashedLocked(id)
 	n.mu.RUnlock()
@@ -260,7 +265,7 @@ func (n *Network) Restart(id string, h Handler) error {
 	if nd != old {
 		return fmt.Errorf("netsim: node %q is not crashed", id) // restarted meanwhile
 	}
-	n.attachLocked(id, h)
+	n.attachLocked(id, h, init)
 	return nil
 }
 
@@ -273,7 +278,7 @@ func (n *Network) crashedLocked(id string) (*node, error) {
 	if !ok {
 		return nil, fmt.Errorf("netsim: restart of unknown node %q", id)
 	}
-	if !nd.crashed.Load() {
+	if !nd.stopped.Load() {
 		return nil, fmt.Errorf("netsim: node %q is not crashed", id)
 	}
 	return nd, nil
@@ -303,12 +308,13 @@ func (n *Network) Post(id string, after time.Duration, fn func()) *time.Timer {
 	return time.AfterFunc(after, post)
 }
 
-// Alive reports whether a node is registered and not crashed.
+// Alive reports whether a node is registered and not crashed (on a closed
+// network, none is).
 func (n *Network) Alive(id string) bool {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	nd, ok := n.nodes[id]
-	return ok && !nd.crashed.Load()
+	return ok && !nd.stopped.Load()
 }
 
 // Send delivers a message asynchronously, applying latency, drops,
@@ -323,7 +329,7 @@ func (n *Network) Send(msg Message) {
 		n.dropped.Add(1)
 		return
 	}
-	if src, ok := n.nodes[msg.From]; ok && src.crashed.Load() {
+	if src, ok := n.nodes[msg.From]; ok && src.stopped.Load() {
 		n.mu.RUnlock()
 		n.dropped.Add(1)
 		return
@@ -331,7 +337,7 @@ func (n *Network) Send(msg Message) {
 	dst, ok := n.nodes[msg.To]
 	sameSide := n.partition[msg.From] == n.partition[msg.To]
 	n.mu.RUnlock()
-	if !ok || !sameSide || dst.crashed.Load() {
+	if !ok || !sameSide || dst.stopped.Load() {
 		n.dropped.Add(1)
 		return
 	}
@@ -366,7 +372,7 @@ func (n *Network) Send(msg Message) {
 func (n *Network) deliver(dst *node, msg Message) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	if n.closed || dst.crashed.Load() || n.partition[msg.From] != n.partition[msg.To] {
+	if n.closed || dst.stopped.Load() || n.partition[msg.From] != n.partition[msg.To] {
 		n.dropped.Add(1)
 		return
 	}

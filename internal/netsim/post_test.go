@@ -179,7 +179,7 @@ func TestCrashDiscardsPosts(t *testing.T) {
 	n.Post("b", 0, func() { g.record("while-down") })
 	close(g.release)
 	g2 := &gatedNode{entered: make(chan struct{}, 1), release: make(chan struct{})}
-	if err := n.Restart("b", g2.handle); err != nil {
+	if err := n.Restart("b", g2.handle, nil); err != nil {
 		t.Fatal(err)
 	}
 	n.Post("b", 0, func() { g2.record("after") })
@@ -213,7 +213,7 @@ func TestRestartWaitsForCrashedHandler(t *testing.T) {
 		t.Fatal(err)
 	}
 	restarted := make(chan error, 1)
-	go func() { restarted <- n.Restart("b", func(Message) {}) }()
+	go func() { restarted <- n.Restart("b", func(Message) {}, nil) }()
 	select {
 	case err := <-restarted:
 		t.Fatalf("Restart returned (%v) while the crashed handler was blocked", err)
@@ -228,5 +228,64 @@ func TestRestartWaitsForCrashedHandler(t *testing.T) {
 	}
 	if !n.Alive("b") {
 		t.Fatal("restarted node is not alive")
+	}
+}
+
+// TestRestartInitRunsFirst: Restart's init is the new generation's first
+// input, ahead of a message sent and a post made the moment Restart
+// returns, and it runs on the new handler goroutine.
+func TestRestartInitRunsFirst(t *testing.T) {
+	n := New(Config{})
+	defer n.Close()
+	n.Register("a", func(Message) {})
+	newGatedNode(t, n, "b")
+	if err := n.Crash("b"); err != nil {
+		t.Fatal(err)
+	}
+	g2 := &gatedNode{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	hold := make(chan struct{})
+	var gids [2]uint64
+	if err := n.Restart("b", g2.handle, func() {
+		gids[0] = goid()
+		g2.record("init")
+		<-hold
+	}); err != nil {
+		t.Fatal(err)
+	}
+	n.Send(Message{From: "a", To: "b", Type: "m"})
+	n.Post("b", 0, func() { gids[1] = goid(); g2.record("p") })
+	close(hold)
+	waitFor(t, 2*time.Second, func() bool { return len(g2.snapshot()) == 3 })
+	if got, want := g2.snapshot(), []string{"init", "m", "p"}; !slices.Equal(got, want) {
+		t.Fatalf("ran %v, want %v", got, want)
+	}
+	if gids[0] != gids[1] {
+		t.Fatalf("init ran on goroutine %d, a post on %d", gids[0], gids[1])
+	}
+}
+
+// TestDeliveryAllocatesNothing: a node's queue reuses its room, so a
+// message delivered to a drained queue, or a burst of them, costs no
+// allocation (a queue resliced from its front reallocates as the front
+// moves: 4 allocations per burst of 8).
+func TestDeliveryAllocatesNothing(t *testing.T) {
+	n := New(Config{})
+	defer n.Close()
+	got := make(chan struct{}, 8)
+	n.Register("a", func(Message) {})
+	n.Register("b", func(Message) { got <- struct{}{} })
+	msg := Message{From: "a", To: "b", Type: "t"}
+	for _, burst := range []int{1, 8} {
+		allocs := testing.AllocsPerRun(500, func() {
+			for i := 0; i < burst; i++ {
+				n.Send(msg)
+			}
+			for i := 0; i < burst; i++ {
+				<-got
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("a burst of %d deliveries allocates %.1f times", burst, allocs)
+		}
 	}
 }

@@ -371,7 +371,7 @@ func (r *Replica) Crash() error {
 // Restart reattaches a crashed replica and pulls the chosen log it missed
 // from its peers (learn-sync).
 func (r *Replica) Restart() error {
-	if err := r.net.Restart(r.id, r.handle); err != nil {
+	if err := r.net.Restart(r.id, r.handle, nil); err != nil {
 		return err
 	}
 	r.Sync()

@@ -131,7 +131,7 @@ func NewDurableReplica(net *netsim.Network, id string, ids []string, f int, appl
 	r.log = log
 
 	if err := net.Register(id, r.handle); err != nil {
-		if rerr := net.Restart(id, r.handle); rerr != nil {
+		if rerr := net.Restart(id, r.handle, nil); rerr != nil {
 			_ = log.Close()
 			return nil, fmt.Errorf("pbft: %v (and restart failed: %v)", err, rerr)
 		}

@@ -2,6 +2,7 @@ package pbft
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -32,6 +33,102 @@ func TestLateTimerDoesNotTriggerSpuriousViewChange(t *testing.T) {
 		if v := r.View(); v != 0 {
 			t.Fatalf("replica %s moved to view %d after late timer on executed request", r.ID(), v)
 		}
+	}
+}
+
+// onLoop runs fn on r's goroutine and waits for it to return.
+func onLoop(t *testing.T, r *Replica, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	r.post(func() {
+		fn()
+		close(done)
+	})
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s never ran a posted input", r.ID())
+	}
+}
+
+// armedTimer is r's timer under d, nil if none.
+func armedTimer(t *testing.T, r *Replica, d Digest) (vt *vcTimer) {
+	t.Helper()
+	onLoop(t, r, func() {
+		r.mu.Lock()
+		vt = r.vcTimers[d]
+		r.mu.Unlock()
+	})
+	return vt
+}
+
+// TestSameKeyTimerDiesWithExecution: every replica watches two requests
+// with one (client, seq), and the one ordered executes. The other one
+// never can, so its timers must die when they fire: a timer left to
+// re-arm would start a view change every ViewTimeout, forever.
+func TestSameKeyTimerDiesWithExecution(t *testing.T) {
+	const timeout = 50 * time.Millisecond
+	c := newCluster(t, 1, Options{ViewTimeout: timeout}, netsim.Config{})
+	other := Request{Client: "cli", Seq: 1, Op: []byte("op-b")}
+	d := digestOf(&other)
+	for _, r := range c.replicas {
+		onLoop(t, r, func() {
+			r.mu.Lock()
+			r.armViewChangeTimerLocked(d, other)
+			r.mu.Unlock()
+		})
+	}
+	if err := c.replicas[0].Submit("cli", 1, []byte("op-a"), 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range c.replicas {
+		waitExecuted(t, r, 1, 2*time.Second)
+	}
+	time.Sleep(3 * timeout)
+	for _, r := range c.replicas {
+		if v := r.View(); v != 0 {
+			t.Fatalf("%s moved to view %d over a request whose (client, seq) executed", r.ID(), v)
+		}
+		if armedTimer(t, r, d) != nil {
+			t.Fatalf("%s still watches a request whose (client, seq) executed", r.ID())
+		}
+	}
+}
+
+// TestRequestAtRestartStaysWatched: p1 crashes while watching a request,
+// and its timer dies with it. The request reaches p1 again the moment it
+// is alive after Restart; p1 must watch it with a new timer. Restart's
+// reset forgets the dead timers as the new loop's first input, so it
+// never lands after, and erases, the new one.
+func TestRequestAtRestartStaysWatched(t *testing.T) {
+	c := newCluster(t, 1, Options{ViewTimeout: time.Minute}, netsim.Config{})
+	p0, b := c.replicas[0], c.replicas[1]
+	req := Request{Client: "cli", Seq: 1, Op: []byte("op")}
+	d := digestOf(&req)
+	var dead *vcTimer
+	onLoop(t, b, func() {
+		b.mu.Lock()
+		b.armViewChangeTimerLocked(d, req)
+		dead = b.vcTimers[d]
+		b.mu.Unlock()
+	})
+	if err := b.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		for !c.net.Alive(b.ID()) {
+			runtime.Gosched()
+		}
+		p0.broadcast(msgRequest, req)
+	}()
+	if err := b.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	<-sent // with no latency, the broadcast is queued at p1 by now
+	if vt := armedTimer(t, b, d); vt == nil || vt == dead {
+		t.Fatalf("p1 does not watch the request it got at its restart (timer %p, dead one %p)", vt, dead)
 	}
 }
 

@@ -263,7 +263,9 @@ type imgVote struct {
 	senders map[string]bool
 }
 
-// vcTimer guards one watched, un-executed request: execution removes it.
+// vcTimer guards one watched request. Execution removes the timer under
+// its digest; a timer whose request's (client, seq) executed under
+// another digest is dropped when it fires or at the next view entry.
 type vcTimer struct {
 	tmr *time.Timer
 	req Request
@@ -504,6 +506,12 @@ func (r *Replica) onViewChangeTimeout(d Digest, vt *vcTimer) {
 	}
 	delete(r.vcTimers, d)
 	req := vt.req
+	if r.executedR[req.key()] {
+		// Another request with its (client, seq) executed: this one
+		// never will.
+		r.mu.Unlock()
+		return
+	}
 	r.armViewChangeTimerLocked(d, req)
 	if !r.inVC {
 		if r.primaryOf(r.view) == r.id && !r.inFlightLocked(req) {
@@ -1209,15 +1217,17 @@ func (r *Replica) enterViewLocked(view, nextSeq uint64) []Request {
 	}
 	// Restart the watchdogs: timers armed in the old view carry stale
 	// deadlines — left running they fire mid-recovery and cascade into
-	// further view changes. Pending requests (the only ones watched) get
-	// a full fresh timeout under the new primary.
+	// further view changes. Pending requests get a full fresh timeout
+	// under the new primary; executed ones are dropped outright.
 	old := r.vcTimers
 	r.vcTimers = make(map[Digest]*vcTimer, len(old))
 	var rearm []Request
 	for d, vt := range old {
 		vt.tmr.Stop()
-		rearm = append(rearm, vt.req)
-		r.armViewChangeTimerLocked(d, vt.req)
+		if !r.executedR[vt.req.key()] {
+			rearm = append(rearm, vt.req)
+			r.armViewChangeTimerLocked(d, vt.req)
+		}
 	}
 	return rearm
 }
@@ -1233,17 +1243,15 @@ func (r *Replica) Crash() error {
 }
 
 // Restart reattaches a crashed replica once its crashed handler has
-// returned, then queues an input that resets the volatile view-change
-// state, which died with the process, and pulls the executed history it
-// missed from its peers (checkpoint/state transfer). Any vote it had
-// broadcast is treated as lost, so it can vote (idempotently) again
-// instead of orphaning its old target, and the watchdogs that died in
-// the crash are forgotten, so their requests can be watched again.
+// returned. The new loop's first input, before any message, resets the
+// volatile view-change state, which died with the process, and pulls
+// the executed history it missed from its peers (checkpoint/state
+// transfer). Any vote it had broadcast is treated as lost, so it can
+// vote (idempotently) again instead of orphaning its old target, and the
+// watchdogs that died in the crash are forgotten, so their requests can
+// be watched again.
 func (r *Replica) Restart() error {
-	if err := r.net.Restart(r.id, r.handle); err != nil {
-		return err
-	}
-	r.post(func() {
+	return r.net.Restart(r.id, r.handle, func() {
 		r.mu.Lock()
 		r.inVC = false
 		r.vcTarget = r.view
@@ -1251,7 +1259,6 @@ func (r *Replica) Restart() error {
 		r.mu.Unlock()
 		r.sync()
 	})
-	return nil
 }
 
 // Sync asks all peers for executed instances at or above this replica's
