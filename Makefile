@@ -112,15 +112,17 @@ heap-smoke:
 # the zk verifier's 144-term groups) and at most 0.6x the per-term Exp
 # product on the exponent vectors that make every step of the chain a
 # division; zk's VerifyOpeningBatch of 64 openings costs at most a third
-# of 64 sequential VerifyOpening calls, and its VerifyBoundBatch of one
-# engine group (8 bound-40 proofs, three base-4 digits each) at most
-# 0.60x that 288-term fold; core.PlainManager's windowed-SUM Submit against
-# 8 192 rows costs at most 2x the same Submit against 512 (its aggregate
-# probes an index). `make race` skips all seven: a timing ratio under the detector measures
+# of checking the 64 openings' equations directly (the test oracle), its
+# VerifyBoundBatch of one engine group (8 bound-40 proofs, three base-4
+# digits each) at most 0.60x that 288-term fold, and its VerifyBound of
+# one bound-40 proof, a fold of one, at most 0.5x that group;
+# core.PlainManager's windowed-SUM Submit against 8 192 rows costs at
+# most 2x the same Submit against 512 (its aggregate probes an index).
+# `make race` skips all eight: a timing ratio under the detector measures
 # the detector. -p 1: one package at a time, so no gate is timed while
 # another's test binary compiles or runs.
 cost-smoke:
-	$(GO) test -p 1 -count=1 -run '^(TestCheckBoundCost|TestMulModCost|TestFixedBaseCost|TestMultiExpCost|TestVerifyOpeningBatchSpeedup|TestBoundBatchCost|TestPlainCheckCost)$$' ./internal/mpc ./internal/group ./internal/zk ./internal/core
+	$(GO) test -p 1 -count=1 -run '^(TestCheckBoundCost|TestMulModCost|TestFixedBaseCost|TestMultiExpCost|TestVerifyOpeningBatchSpeedup|TestBoundBatchCost|TestLoneBoundVerifyCost|TestPlainCheckCost)$$' ./internal/mpc ./internal/group ./internal/zk ./internal/core
 
 # serve-smoke is the deployment smoke test, run by the repository
 # benchmark's open-loop workload (benchmark/README.md): build the real

@@ -28,7 +28,6 @@ type Params struct {
 
 	gBase *group.FixedBase
 	hBase *group.FixedBase
-	gInv  *big.Int
 }
 
 // NewParams derives commitment parameters from a group. The second
@@ -41,7 +40,6 @@ func NewParams(g *group.Group) *Params {
 		H:     h,
 		gBase: g.NewFixedBase(g.G),
 		hBase: g.NewFixedBase(h),
-		gInv:  g.Inv(g.G),
 	}
 }
 
@@ -50,11 +48,6 @@ func (p *Params) ExpG(e *big.Int) *big.Int { return p.gBase.Exp(e) }
 
 // ExpH computes H^e using the precomputed table.
 func (p *Params) ExpH(e *big.Int) *big.Int { return p.hBase.Exp(e) }
-
-// GInv returns the cached inverse of G. The bit-proof statement C/g is
-// formed once per bit verification; the cache turns that ModInverse into
-// a single multiplication.
-func (p *Params) GInv() *big.Int { return p.gInv }
 
 // Commitment is a committed value: a single group element.
 type Commitment struct {

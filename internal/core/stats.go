@@ -23,10 +23,9 @@ type Stats struct {
 	Accepted  int64
 	Rejected  int64
 	Errors    int64
-	// BatchVerified counts submissions whose proof was checked on an
-	// amortized batch path (one folded verification for a whole drained
-	// lane) rather than individually. It is a subset of Submitted;
-	// updates that fall back to sequential verification contribute
+	// BatchVerified counts submissions accepted by one folded
+	// verification that covered two or more updates of a drained lane.
+	// It is a subset of Submitted; an update verified alone contributes
 	// nothing here.
 	BatchVerified int64
 	// TotalVerifyNanos accumulates wall time spent inside submissions;

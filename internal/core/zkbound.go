@@ -28,10 +28,12 @@ import (
 // manager, auditors) verifies.
 // Concurrency: proof verification (the expensive group exponentiations)
 // runs OUTSIDE the lock against a snapshot of the group's running
-// commitment; incorporation re-checks the snapshot under a short critical
-// section and re-verifies serially in the (SubmitZKBatch's per-group
-// ordering never hits it) case that the group advanced mid-verify.
-// Different groups therefore verify fully in parallel.
+// commitment; a short critical section re-checks the snapshot, advances
+// the fold and anchors the accepted updates in the ledger, so a group's
+// ledger entries come in fold order. If the group advanced mid-verify,
+// the updates verify again against the fold as it stands (SubmitZKBatch's
+// per-group ordering never hits it). Different groups therefore verify
+// fully in parallel.
 type ZKBoundManager struct {
 	name   string
 	stats  statsRecorder
@@ -90,58 +92,11 @@ func proofContext(name, group, updateID string) string {
 
 // SubmitZK verifies the proof against the folded commitment and, if
 // valid, advances the group's running commitment and anchors both the
-// update commitment and the new running commitment in the ledger.
-//
-// The expensive verification runs outside the lock against a snapshot of
-// the group's fold; incorporation commits only if the fold is unchanged
-// (SubmitZKBatch serializes same-group submissions, so the re-verify
-// fallback is reserved for callers racing one group themselves).
-func (m *ZKBoundManager) SubmitZK(u ZKUpdate) (r Receipt, err error) {
-	start := time.Now()
-	defer func() { m.stats.record(start, r, err) }()
-	if u.C.C == nil {
-		return Receipt{}, errors.New("core: update carries no commitment")
-	}
-	if !m.params.Group.Contains(u.C.C) {
-		return Receipt{}, errors.New("core: commitment outside the group")
-	}
-	// Verify (read-locked snapshot; proof check runs lock-free).
-	m.mu.RLock()
-	prev := m.runningLocked(u.Group)
-	m.mu.RUnlock()
-	combined := m.params.Add(prev, u.C)
-	ctx := proofContext(m.name, u.Group, u.ID)
-	verr := zk.VerifyBound(m.params, combined, m.bound, u.Proof, ctx)
-	// Incorporate (short critical section).
-	m.mu.Lock()
-	if cur := m.runningLocked(u.Group); !cur.Equal(prev) {
-		// The group's fold advanced mid-verify: redo against it.
-		combined = m.params.Add(cur, u.C)
-		verr = zk.VerifyBound(m.params, combined, m.bound, u.Proof, ctx)
-	}
-	if verr != nil {
-		m.mu.Unlock()
-		return m.rejection(u.ID), nil
-	}
-	m.running[u.Group] = combined
-	m.mu.Unlock()
-	payload := append(u.C.Bytes(), combined.Bytes()...)
-	rcpt, err := m.ledger.Put("zk/"+u.Group+"/"+u.ID, payload, u.Producer, u.ID)
-	if err != nil {
-		return Receipt{}, fmt.Errorf("core: ledger: %w", err)
-	}
-	return Receipt{UpdateID: u.ID, Accepted: true, LedgerSeq: rcpt.Seq}, nil
-}
-
-// rejection is the receipt for an update whose bound proof did not
-// verify against the fold it would have produced.
-func (m *ZKBoundManager) rejection(updateID string) Receipt {
-	return Receipt{
-		UpdateID: updateID,
-		Accepted: false,
-		Violated: m.name,
-		Reason:   "bound proof invalid or bound exceeded",
-	}
+// update commitment and the new running commitment in the ledger. It is
+// submitZKGroup of one.
+func (m *ZKBoundManager) SubmitZK(u ZKUpdate) (Receipt, error) {
+	rs, err := m.submitZKGroup([]ZKUpdate{u})
+	return rs[0], err
 }
 
 // ZKLane is the batch ordering key for proof-carrying updates: proofs
@@ -158,87 +113,95 @@ func (m *ZKBoundManager) SubmitZKBatch(us []ZKUpdate) ([]Receipt, error) {
 	return SubmitGrouped(m.submitZKGroup, ZKLane, us)
 }
 
-// submitZKGroup is the amortized verify path for one group's ordered
-// updates. It optimistically assumes no concurrent submission advances
-// the group's fold, and checks all proofs against the prospective chain
-// of folded commitments with one batched verification, which bisects a
-// failed fold down to exact per-proof verdicts. The updates before the
-// first rejected one were verified against the very chain SubmitZK
-// would have built, so they are incorporated as verified; the rejected
-// one gets SubmitZK's rejection receipt; only the updates after it —
-// checked against a chain that includes the rejected value — go through
-// SubmitZK, against the fold as it then stands. If any update is
-// structurally malformed, verification fails operationally, or the
-// fold moved mid-verify, the whole group replays through SubmitZK.
-func (m *ZKBoundManager) submitZKGroup(us []ZKUpdate) (rs []Receipt, err error) {
-	if len(us) < 2 {
-		return SubmitSequential(m.SubmitZK, us)
-	}
-	group := us[0].Group
+// submitZKGroup is the verify path for one group's ordered updates,
+// one SubmitZK after another in effect. An update without a commitment
+// or with one outside the group gets an operational error and never
+// joins the fold. The rest go round one loop: snapshot the group's
+// fold; check every remaining proof against the prospective chain of
+// folded commitments with one VerifyBoundBatch (lock-free); then, under
+// the lock and only if the fold has not moved meanwhile, advance it by
+// the verified prefix and anchor those updates in the ledger, and
+// reject the first update that failed. The updates after it were
+// checked against a chain holding the rejected value, so they go round
+// again against the fold as it now stands. A fold that moved mid-verify
+// sends the same updates round again.
+//
+// Stats.BatchVerified counts the updates accepted by a fold that
+// covered two or more updates; a lone SubmitZK adds nothing.
+func (m *ZKBoundManager) submitZKGroup(us []ZKUpdate) ([]Receipt, error) {
 	start := time.Now()
-	for _, u := range us {
-		if u.Group != group || u.C.C == nil || !m.params.Group.Contains(u.C.C) {
-			return SubmitSequential(m.SubmitZK, us)
+	group := us[0].Group
+	rs := make([]Receipt, len(us))
+	errs := make([]error, len(us))
+	live := make([]int, 0, len(us))
+	for i, u := range us {
+		switch {
+		case u.C.C == nil:
+			errs[i] = errors.New("core: update carries no commitment")
+		case !m.params.Group.Contains(u.C.C):
+			errs[i] = errors.New("core: commitment outside the group")
+		default:
+			live = append(live, i)
 		}
 	}
-	// Prospective chain against a snapshot of the fold (lock-free verify,
-	// as in SubmitZK).
-	m.mu.RLock()
-	prev := m.runningLocked(group)
-	m.mu.RUnlock()
-	combined := make([]commit.Commitment, len(us))
-	proofs := make([]zk.BoundProof, len(us))
-	ctxs := make([]string, len(us))
-	cur := prev
-	for i, u := range us {
-		cur = m.params.Add(cur, u.C)
-		combined[i] = cur
-		proofs[i] = u.Proof
-		ctxs[i] = proofContext(m.name, group, u.ID)
-	}
-	verrs, verr := zk.VerifyBoundBatch(m.params, combined, m.bound, proofs, ctxs, nil)
-	if verr != nil {
-		return SubmitSequential(m.SubmitZK, us)
-	}
-	// us[:k] verified; us[k], if there is one, did not.
-	k := 0
-	for k < len(us) && verrs[k] == nil {
-		k++
-	}
-	// Incorporate: only if the fold is still where verification left it.
-	m.mu.Lock()
-	if got := m.runningLocked(group); !got.Equal(prev) {
-		m.mu.Unlock()
-		return SubmitSequential(m.SubmitZK, us)
-	}
-	if k > 0 {
-		m.running[group] = combined[k-1]
-	}
-	m.mu.Unlock()
-	m.stats.recordBatch(k)
-	rs = make([]Receipt, len(us))
-	var firstErr error
-	for i, u := range us[:k] {
-		payload := append(u.C.Bytes(), combined[i].Bytes()...)
-		rcpt, lerr := m.ledger.Put("zk/"+group+"/"+u.ID, payload, u.Producer, u.ID)
-		if lerr != nil {
-			lerr = fmt.Errorf("core: ledger: %w", lerr)
-			if firstErr == nil {
-				firstErr = lerr
+	for len(live) > 0 {
+		m.mu.RLock()
+		prev := m.runningLocked(group)
+		m.mu.RUnlock()
+		combined := make([]commit.Commitment, len(live))
+		proofs := make([]zk.BoundProof, len(live))
+		ctxs := make([]string, len(live))
+		cur := prev
+		for k, i := range live {
+			cur = m.params.Add(cur, us[i].C)
+			combined[k] = cur
+			proofs[k] = us[i].Proof
+			ctxs[k] = proofContext(m.name, group, us[i].ID)
+		}
+		verrs, verr := zk.VerifyBoundBatch(m.params, combined, m.bound, proofs, ctxs, nil)
+		if verr != nil {
+			for _, i := range live {
+				errs[i] = verr
 			}
-			m.stats.record(start, Receipt{}, lerr)
+			break
+		}
+		// live[:k] verified; live[k], if there is one, did not.
+		k := 0
+		for k < len(live) && verrs[k] == nil {
+			k++
+		}
+		m.mu.Lock()
+		if !m.runningLocked(group).Equal(prev) {
+			m.mu.Unlock()
 			continue
 		}
-		rs[i] = Receipt{UpdateID: u.ID, Accepted: true, LedgerSeq: rcpt.Seq}
-		m.stats.record(start, rs[i], nil)
+		for j, i := range live[:k] {
+			u := us[i]
+			m.running[group] = combined[j]
+			payload := append(u.C.Bytes(), combined[j].Bytes()...)
+			rcpt, lerr := m.ledger.Put("zk/"+group+"/"+u.ID, payload, u.Producer, u.ID)
+			if lerr != nil {
+				errs[i] = fmt.Errorf("core: ledger: %w", lerr)
+				continue
+			}
+			rs[i] = Receipt{UpdateID: u.ID, Accepted: true, LedgerSeq: rcpt.Seq}
+		}
+		m.mu.Unlock()
+		if len(live) > 1 {
+			m.stats.recordBatch(k)
+		}
+		if k < len(live) {
+			// Its proof did not verify against the fold it would produce.
+			rs[live[k]] = Receipt{UpdateID: us[live[k]].ID, Violated: m.name, Reason: "bound proof invalid or bound exceeded"}
+			k++
+		}
+		live = live[k:]
 	}
-	if k < len(us) {
-		rs[k] = m.rejection(us[k].ID)
-		m.stats.record(start, rs[k], nil)
-		rest, rerr := SubmitSequential(m.SubmitZK, us[k+1:])
-		copy(rs[k+1:], rest)
+	var firstErr error
+	for i := range us {
+		m.stats.record(start, rs[i], errs[i])
 		if firstErr == nil {
-			firstErr = rerr
+			firstErr = errs[i]
 		}
 	}
 	return rs, firstErr

@@ -6,6 +6,7 @@ import (
 	"math/big"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"prever/internal/commit"
@@ -78,10 +79,10 @@ func TestSubmitZKBatchAmortized(t *testing.T) {
 }
 
 // TestSubmitZKBatchBadProofFallsBack: one corrupted proof sends the
-// updates after it through the sequential fallback, whose semantics the
-// amortized path must match: the bad update is rejected, and every
-// later update in the group — whose proof chains on the rejected fold —
-// is rejected too. Only the updates before it count as batch-verified.
+// updates after it round the verify loop again, against the fold
+// without it: the bad update is rejected, and every later update in the
+// group — whose proof chains on the rejected fold — is rejected too.
+// Only the updates before it count as batch-verified.
 func TestSubmitZKBatchBadProofFallsBack(t *testing.T) {
 	m, owner := newZKBatchFixture(t, 1000)
 	us := produceZK(t, owner, "g0", 5, 7)
@@ -128,9 +129,9 @@ func requireSameZKState(t *testing.T, batch, seq *ZKBoundManager, grp string) {
 // TestSubmitZKBatchKeepsProvedPrefix: a failed fold keeps what it
 // proved. With the first, a middle or the last of a group of 8 forged,
 // the batch path incorporates the k updates before the forgery from the
-// fold's own per-proof verdicts (BatchVerified == k) and replays only
-// the ones after it, and nothing observable tells it from a manager fed
-// the same updates one SubmitZK at a time.
+// fold's own per-proof verdicts (BatchVerified == k) and verifies again
+// only the ones after it, and nothing observable tells it from a manager
+// fed the same updates one SubmitZK at a time.
 func TestSubmitZKBatchKeepsProvedPrefix(t *testing.T) {
 	const n = 8
 	for _, k := range []int{0, 3, n - 1} {
@@ -171,8 +172,8 @@ func TestSubmitZKBatchKeepsProvedPrefix(t *testing.T) {
 }
 
 // TestSubmitZKBatchMalformedUpdateFallsBack: a structurally malformed
-// update (no commitment) is an operational error on the sequential
-// path; the batch must surface the same error while still processing
+// update (no commitment) is an operational error, as from a lone
+// SubmitZK; the batch must surface that error while still processing
 // the valid updates.
 func TestSubmitZKBatchMalformedUpdateFallsBack(t *testing.T) {
 	m, owner := newZKBatchFixture(t, 1000)
@@ -187,6 +188,83 @@ func TestSubmitZKBatchMalformedUpdateFallsBack(t *testing.T) {
 	}
 	if rs[1].Accepted {
 		t.Fatal("nil-commitment update accepted")
+	}
+}
+
+// TestZKLedgerReplaysFoldOrder: submissions racing one group anchor
+// their updates in fold order. Four goroutines each submit the same
+// chained updates of two groups, two one SubmitZK at a time and two as
+// SubmitZKBatch chunks of three, so every update is accepted exactly
+// once, by whichever submission finds the fold where its proof expects
+// it. Each group's ledger entries must then replay combined_i =
+// combined_{i−1} · C_i in ledger order, ending at the running
+// commitment.
+func TestZKLedgerReplaysFoldOrder(t *testing.T) {
+	const n, workers, chunk = 12, 4, 3
+	m, owner := newZKBatchFixture(t, 1000)
+	groups := []string{"g0", "g1"}
+	byID := make(map[string]ZKUpdate)
+	var all []ZKUpdate // update i of every group, then update i+1
+	perGroup := make([][]ZKUpdate, len(groups))
+	for gi, grp := range groups {
+		perGroup[gi] = produceZK(t, owner, grp, n, 7)
+	}
+	for i := 0; i < n; i++ {
+		for gi := range groups {
+			u := perGroup[gi][i]
+			byID[u.ID] = u
+			all = append(all, u)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, workers*len(all))
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(batched bool) {
+			defer wg.Done()
+			if !batched {
+				for _, u := range all {
+					if _, err := m.SubmitZK(u); err != nil {
+						errs <- err
+					}
+				}
+				return
+			}
+			for i := 0; i < len(all); i += chunk * len(groups) {
+				if _, err := m.SubmitZKBatch(all[i:min(i+chunk*len(groups), len(all))]); err != nil {
+					errs <- err
+				}
+			}
+		}(w%2 == 1)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got := m.Stats().Accepted; got != int64(len(all)) {
+		t.Fatalf("accepted %d updates, want each of %d once", got, len(all))
+	}
+	fold := make(map[string]commit.Commitment)
+	for _, e := range m.Ledger().Export() {
+		u, ok := byID[e.TxID]
+		if !ok {
+			t.Fatalf("ledger entry %d anchors unknown update %q", e.Seq, e.TxID)
+		}
+		prev, ok := fold[u.Group]
+		if !ok {
+			prev = m.params.CommitPublic(big.NewInt(0))
+		}
+		next := m.params.Add(prev, u.C)
+		if want := append(u.C.Bytes(), next.Bytes()...); !bytes.Equal(e.Value, want) {
+			t.Fatalf("ledger entry %d (%s) does not extend its group's fold: anchored out of fold order", e.Seq, u.ID)
+		}
+		fold[u.Group] = next
+	}
+	for _, grp := range groups {
+		if !fold[grp].Equal(running(m, grp)) {
+			t.Fatalf("group %s: the ledger's fold is not the running commitment", grp)
+		}
 	}
 }
 
@@ -296,6 +374,66 @@ func TestZKBatchEqualsSequentialOnNonMembers(t *testing.T) {
 				}
 				requireSameZKState(t, batch, seq, "g")
 			})
+		}
+	}
+}
+
+// zkBenchUpdates returns a manager factory and a group of n chained
+// bound-40 updates at MODP2048, the engine_zk benchmark's shape, with
+// a proof from another group to plant in it.
+func zkBenchUpdates(b *testing.B, n int) (fresh func() *ZKBoundManager, us []ZKUpdate, foreign zk.BoundProof) {
+	b.Helper()
+	params := commit.NewParams(group.MODP2048())
+	owner := NewZKOwner(params, "zk-bench", 40)
+	for i := 0; i < n; i++ {
+		u, err := owner.ProduceUpdate(fmt.Sprintf("u%d", i), "p", "g", 3)
+		if err != nil {
+			b.Fatal(err)
+		}
+		us = append(us, u)
+	}
+	other, err := owner.ProduceUpdate("other", "p", "h", 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return func() *ZKBoundManager {
+		m, err := NewZKBoundManager("zk-bench", params, 40)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return m
+	}, us, other.Proof
+}
+
+// BenchmarkSubmitZKLone is one SubmitZK of a bound-40 update at
+// MODP2048 against a fresh manager: a fold of one proof.
+func BenchmarkSubmitZKLone(b *testing.B) {
+	fresh, us, _ := zkBenchUpdates(b, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if r, err := fresh().SubmitZK(us[0]); err != nil || !r.Accepted {
+			b.Fatalf("receipt %+v, err %v", r, err)
+		}
+	}
+}
+
+// BenchmarkSubmitZKBatchOneBad is one SubmitZKBatch of a group of 8
+// bound-40 updates at MODP2048 whose update 4 carries another group's
+// proof: four accepted, four rejected.
+func BenchmarkSubmitZKBatchOneBad(b *testing.B) {
+	const n, bad = 8, 4
+	fresh, us, foreign := zkBenchUpdates(b, n)
+	us[bad].Proof = foreign
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rs, err := fresh().SubmitZKBatch(us)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j, r := range rs {
+			if r.Accepted != (j < bad) {
+				b.Fatalf("receipt %d accepted = %v", j, r.Accepted)
+			}
 		}
 	}
 }

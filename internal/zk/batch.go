@@ -23,7 +23,10 @@
 //
 // On batch failure the verifier bisects with fresh coefficients per
 // half, so error reporting stays per-proof: callers learn exactly which
-// indices failed, at O(log N) extra folded checks per offender.
+// indices failed, at O(log N) extra folded checks per offender. A batch
+// of one is no special case: a lone proof, and every singleton a
+// bisection reaches, folds its own equations under fresh coefficients,
+// so there is one verifier, with the batch's soundness (DESIGN §4f).
 package zk
 
 import (
@@ -69,31 +72,27 @@ func sampleCoeffs(g *group.Group, n int, rng io.Reader) ([]*big.Int, error) {
 
 // batchCheck verifies the proofs at idx with one folded check. On fold
 // failure it bisects (fresh coefficients per half) until the offenders
-// are isolated; a singleton falls through to the direct per-proof
-// verifier so errs[i] carries the same error the sequential path would
-// have reported. A valid batch costs one fold; a batch with k bad
-// proofs costs O(k·log n) extra folds. The returned error is
-// operational (rng failure), never a verification verdict.
-func batchCheck(idx []int, errs []error, folded func([]int) (bool, error), single func(int) error) error {
-	switch len(idx) {
-	case 0:
-		return nil
-	case 1:
-		errs[idx[0]] = single(idx[0])
+// are isolated; a singleton is folded like any other set, and one whose
+// fold fails gets ErrInvalidProof. A valid batch costs one fold; a
+// batch with k bad proofs costs O(k·log n) extra folds. The returned
+// error is operational (rng failure), never a verification verdict.
+func batchCheck(idx []int, errs []error, folded func([]int) (bool, error)) error {
+	if len(idx) == 0 {
 		return nil
 	}
 	ok, err := folded(idx)
-	if err != nil {
+	if err != nil || ok {
 		return err
 	}
-	if ok {
+	if len(idx) == 1 {
+		errs[idx[0]] = ErrInvalidProof
 		return nil
 	}
 	mid := len(idx) / 2
-	if err := batchCheck(idx[:mid], errs, folded, single); err != nil {
+	if err := batchCheck(idx[:mid], errs, folded); err != nil {
 		return err
 	}
-	return batchCheck(idx[mid:], errs, folded, single)
+	return batchCheck(idx[mid:], errs, folded)
 }
 
 // VerifyOpeningBatch checks N opening proofs with one folded equation:
@@ -145,8 +144,7 @@ func VerifyOpeningBatch(p *commit.Params, cs []commit.Commitment, prs []OpeningP
 		}
 		return ct.BigEqual(lhs, rhs), nil
 	}
-	single := func(i int) error { return VerifyOpening(p, cs[i], prs[i], ctxs[i]) }
-	if err := batchCheck(live, errs, folded, single); err != nil {
+	if err := batchCheck(live, errs, folded); err != nil {
 		return nil, err
 	}
 	return errs, nil
@@ -232,8 +230,7 @@ func verifyDigitBatch(p *commit.Params, ds []digitClaim, rng io.Reader, errs []e
 		}
 		return ct.BigEqual(lhs, rhs), nil
 	}
-	single := func(i int) error { return verifyDigit(p, ds[i].c, ds[i].values, ds[i].recs, ds[i].ctx) }
-	return batchCheck(live, errs, folded, single)
+	return batchCheck(live, errs, folded)
 }
 
 // verifyRangeBatch checks N range proofs over [0, max]; it fills the

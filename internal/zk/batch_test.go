@@ -266,9 +266,9 @@ func TestVerifyBoundBatchIdentifiesCorrupted(t *testing.T) {
 	assertBatchErrs(t, errs, map[int]bool{2: true, 5: true})
 }
 
-// TestVerifyBoundBatchAgreesWithSequential: for every single-corruption
-// position, the batch verdict per index must match VerifyBound run
-// sequentially.
+// TestVerifyBoundBatchAgreesWithSequential: with one proof corrupted,
+// the batch verdict per index must match the oracle's direct check of
+// that proof alone, and so must VerifyBound's.
 func TestVerifyBoundBatchAgreesWithSequential(t *testing.T) {
 	p := params()
 	bound := int64(10)
@@ -279,9 +279,10 @@ func TestVerifyBoundBatchAgreesWithSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range prs {
-		seq := VerifyBound(p, cs[i], big.NewInt(bound), prs[i], ctxs[i])
-		if (seq == nil) != (errs[i] == nil) {
-			t.Errorf("proof %d: sequential=%v batch=%v", i, seq, errs[i])
+		oracle := directBound(p, cs[i], big.NewInt(bound), prs[i], ctxs[i])
+		lone := VerifyBound(p, cs[i], big.NewInt(bound), prs[i], ctxs[i])
+		if (oracle == nil) != (errs[i] == nil) || (oracle == nil) != (lone == nil) {
+			t.Errorf("proof %d: oracle=%v VerifyBound=%v batch=%v", i, oracle, lone, errs[i])
 		}
 	}
 }
@@ -302,9 +303,9 @@ func prodZKParams() *commit.Params {
 }
 
 // TestVerifyOpeningBatchSpeedup is the gate on the folded opening
-// check: at batch=64 on the production-sized group, 64 sequential
-// VerifyOpening calls must cost at least 3x one VerifyOpeningBatch of
-// the same proofs. Both sides are single-threaded, so unlike the
+// check: at batch=64 on the production-sized group, checking each of 64
+// proofs' equations directly (the oracle's directOpening) must cost at
+// least 3x one VerifyOpeningBatch of the same proofs. Both sides are single-threaded, so unlike the
 // pipeline speedup gate this does not need spare cores. The statistic
 // is the median over back-to-back pairs of each pair's ratio of thread
 // CPU time (costtest.Ratio), so a load spike that hits one pair cannot
@@ -315,7 +316,7 @@ func TestVerifyOpeningBatchSpeedup(t *testing.T) {
 	cs, prs, ctxs := makeOpeningBatch(t, p, 64)
 	r := costtest.Ratio(9, func() {
 		for i := range prs {
-			if err := VerifyOpening(p, cs[i], prs[i], ctxs[i]); err != nil {
+			if err := directOpening(p, cs[i], prs[i], ctxs[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -330,9 +331,42 @@ func TestVerifyOpeningBatchSpeedup(t *testing.T) {
 			}
 		}
 	})
-	t.Logf("sequential over batched: %v", r)
+	t.Logf("direct over batched: %v", r)
 	if r.Median < 3 {
 		t.Errorf("batch verify speedup %.2fx, want >= 3x", r.Median)
+	}
+}
+
+// TestLoneBoundVerifyCost gates what a proof verified alone costs:
+// VerifyBound of one bound-40 proof at MODP2048 costs at most 0.5x
+// VerifyBoundBatch of one engine group, 8 such proofs. A lone proof is
+// a fold of one, 15 terms and two fixed-base exponentiations, and reads
+// ≈ 0.3x; checking its 12 branch equations one at a time, as the direct
+// verifier did, reads ≈ 1.1x. The statistic is costtest.Ratio's median
+// of pairs of thread CPU time.
+func TestLoneBoundVerifyCost(t *testing.T) {
+	costtest.Skip(t)
+	p := prodZKParams()
+	bound := big.NewInt(40)
+	cs, prs, ctxs := makeBoundBatch(t, p, 8, 40)
+	r := costtest.Ratio(15, func() {
+		if err := VerifyBound(p, cs[3], bound, prs[3], ctxs[3]); err != nil {
+			t.Fatal(err)
+		}
+	}, func() {
+		errs, err := VerifyBoundBatch(p, cs, bound, prs, ctxs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range errs {
+			if e != nil {
+				t.Fatalf("proof %d unexpectedly invalid: %v", i, e)
+			}
+		}
+	})
+	t.Logf("VerifyBound of one bound-40 proof over VerifyBoundBatch of 8: %v", r)
+	if r.Median > 0.5 {
+		t.Errorf("a lone bound-40 proof costs %.2fx a batch of 8 (limit 0.5x): a lone proof is no longer a fold of one", r.Median)
 	}
 }
 
@@ -397,8 +431,8 @@ func TestBoundBatchCost(t *testing.T) {
 // --- regression benchmarks (wired into make bench) ------------------------
 
 // BenchmarkVerifyOpeningBatch64 and BenchmarkVerifyOpeningSeq64 bracket
-// the ISSUE 10 perf target: one iteration verifies the same 64 proofs,
-// folded vs sequentially.
+// the opening batch's speedup: one iteration verifies the same 64
+// proofs, folded vs each checked directly (the oracle's directOpening).
 func BenchmarkVerifyOpeningBatch64(b *testing.B) {
 	p := prodZKParams()
 	cs, prs, ctxs := makeOpeningBatch(b, p, 64)
@@ -422,7 +456,7 @@ func BenchmarkVerifyOpeningSeq64(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := range prs {
-			if err := VerifyOpening(p, cs[j], prs[j], ctxs[j]); err != nil {
+			if err := directOpening(p, cs[j], prs[j], ctxs[j]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -444,6 +478,19 @@ func BenchmarkVerifyBoundBatch8MODP2048(b *testing.B) {
 			if e != nil {
 				b.Fatal(e)
 			}
+		}
+	}
+}
+
+// BenchmarkVerifyBoundLoneMODP2048 is one bound-40 proof verified
+// alone at MODP2048: VerifyBound, a fold of one (15 terms).
+func BenchmarkVerifyBoundLoneMODP2048(b *testing.B) {
+	p := prodZKParams()
+	cs, prs, ctxs := makeBoundBatch(b, p, 1, 40)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := VerifyBound(p, cs[0], big.NewInt(40), prs[0], ctxs[0]); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

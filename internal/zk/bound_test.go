@@ -169,24 +169,30 @@ func commitBig(t *testing.T, p *commit.Params, v *big.Int) (commit.Commitment, c
 	return p.CommitWith(v, r), commit.Opening{M: v, R: r}
 }
 
-// verifyBoth runs VerifyBound on each proof and VerifyBoundBatch on all
-// of them, and returns the per-proof verdicts of each.
-func verifyBoth(t *testing.T, p *commit.Params, bound *big.Int, cs []commit.Commitment, prs []BoundProof, ctxs []string) (seq, batch []error) {
+// verifyBoth runs the oracle's direct check on each proof and
+// VerifyBoundBatch on all of them, and returns the per-proof verdicts
+// of each. It also fails the test where VerifyBound, a fold of the one
+// proof, disagrees with the oracle.
+func verifyBoth(t *testing.T, p *commit.Params, bound *big.Int, cs []commit.Commitment, prs []BoundProof, ctxs []string) (oracle, batch []error) {
 	t.Helper()
 	for i := range prs {
-		seq = append(seq, VerifyBound(p, cs[i], bound, prs[i], ctxs[i]))
+		oracle = append(oracle, directBound(p, cs[i], bound, prs[i], ctxs[i]))
+		if lone := VerifyBound(p, cs[i], bound, prs[i], ctxs[i]); (lone == nil) != (oracle[i] == nil) {
+			t.Errorf("bound %v, proof %d: oracle = %v, VerifyBound = %v", bound, i, oracle[i], lone)
+		}
 	}
 	batch, err := VerifyBoundBatch(p, cs, bound, prs, ctxs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return seq, batch
+	return oracle, batch
 }
 
 // TestBoundEveryValue: at every test bound, each value in [0, B] (all
 // of them up to 2^10 + 1, a sample of ends and digit thresholds at
 // 2^40 ± 1)
-// proves and verifies under VerifyBound and VerifyBoundBatch, and the
+// proves and verifies under the oracle, VerifyBound and
+// VerifyBoundBatch, and the
 // prover refuses each value in [B + 1, 2^n + 1], n = boundWidth(B).
 func TestBoundEveryValue(t *testing.T) {
 	p := params()
@@ -208,7 +214,7 @@ func TestBoundEveryValue(t *testing.T) {
 		seq, batch := verifyBoth(t, p, bound, cs, prs, ctxs)
 		for i := range prs {
 			if seq[i] != nil || batch[i] != nil {
-				t.Errorf("bound %v, proof %d: VerifyBound = %v, VerifyBoundBatch = %v", bound, i, seq[i], batch[i])
+				t.Errorf("bound %v, proof %d: oracle = %v, VerifyBoundBatch = %v", bound, i, seq[i], batch[i])
 			}
 		}
 		beyond := new(big.Int).Lsh(big.NewInt(1), uint(n))
@@ -226,8 +232,8 @@ func TestBoundEveryValue(t *testing.T) {
 // bound's base-4 digit count, has an honest plain base-4 range proof
 // with as many digits, the construction whose range is [0, 4^(m+1)) and
 // whose top digit takes {0, 4^m, 2·4^m, 3·4^m}. Put in a bound proof's
-// Low, it must fail both verifiers, which check the top digit against
-// the values they derive from B.
+// Low, it must fail the oracle, VerifyBound and VerifyBoundBatch, which
+// check the top digit against the values they derive from B.
 func TestBoundRejectsPowerOfTwoWeights(t *testing.T) {
 	p := params()
 	for _, bound := range testBounds() {
@@ -257,7 +263,7 @@ func TestBoundRejectsPowerOfTwoWeights(t *testing.T) {
 		seq, batch := verifyBoth(t, p, bound, cs, prs, ctxs)
 		for i := range prs {
 			if seq[i] == nil || batch[i] == nil {
-				t.Errorf("bound %v: a plain base-4 proof of a value above it passed: VerifyBound = %v, VerifyBoundBatch = %v", bound, seq[i], batch[i])
+				t.Errorf("bound %v: a plain base-4 proof of a value above it passed: oracle = %v, VerifyBoundBatch = %v", bound, seq[i], batch[i])
 			}
 		}
 	}
@@ -292,7 +298,7 @@ func TestBoundRejectsOtherBoundOfSameWidth(t *testing.T) {
 			seq, batch := verifyBoth(t, p, big.NewInt(b2), cs, prs, ctxs)
 			for i := range prs {
 				if seq[i] == nil || batch[i] == nil {
-					t.Errorf("proof for bound %d passed under bound %d: VerifyBound = %v, VerifyBoundBatch = %v", b1, b2, seq[i], batch[i])
+					t.Errorf("proof for bound %d passed under bound %d: oracle = %v, VerifyBoundBatch = %v", b1, b2, seq[i], batch[i])
 				}
 			}
 		}
@@ -302,7 +308,7 @@ func TestBoundRejectsOtherBoundOfSameWidth(t *testing.T) {
 // TestBoundHighSideShape: at B ≥ 1 a proof's High side must be empty,
 // and at B = 0 it must be there. An honest proof with another proof's
 // range grafted onto its High side, or with its High side removed,
-// fails both verifiers.
+// fails the oracle, VerifyBound and VerifyBoundBatch.
 func TestBoundHighSideShape(t *testing.T) {
 	p := params()
 	zero := big.NewInt(0)
@@ -334,7 +340,7 @@ func TestBoundHighSideShape(t *testing.T) {
 				t.Fatalf("bound %d: the honest proof failed: %v, %v", bound, seq[0], batch[0])
 			}
 			if seq[1] == nil || batch[1] == nil {
-				t.Errorf("bound %d: a High side (%s) passed: VerifyBound = %v, VerifyBoundBatch = %v", bound, name, seq[1], batch[1])
+				t.Errorf("bound %d: a High side (%s) passed: oracle = %v, VerifyBoundBatch = %v", bound, name, seq[1], batch[1])
 			}
 		}
 	}
@@ -345,6 +351,6 @@ func TestBoundHighSideShape(t *testing.T) {
 		t.Fatalf("bound 0: the honest proof failed: %v, %v", seq[0], batch[0])
 	}
 	if seq[1] == nil || batch[1] == nil {
-		t.Errorf("bound 0: a proof without its High side passed: VerifyBound = %v, VerifyBoundBatch = %v", seq[1], batch[1])
+		t.Errorf("bound 0: a proof without its High side passed: oracle = %v, VerifyBoundBatch = %v", seq[1], batch[1])
 	}
 }

@@ -38,9 +38,9 @@ func oneBit(c commit.Commitment, pr BitProof) RangeProof {
 	return RangeProof{Bits: []commit.Commitment{c}, BitProofs: []BitProof{pr}}
 }
 
-// TestSingleVerifiersRejectNonMembers: VerifyOpening and the range
-// layer's bit check reject a statement element outside [1, Q] before
-// any arithmetic. Each case has an honest proof whose statement is
+// TestSingleVerifiersRejectNonMembers: a lone opening proof and a lone
+// one-bit range proof, each a fold of one, are refused for a statement
+// element outside [1, Q] before any arithmetic. Each case has an honest proof whose statement is
 // swapped for every non-member (nil used to panic), and a prover that
 // runs the protocol around the twisted statement P − y, whose equations
 // hold once mapped to [1, Q]: only the membership check refuses it.
@@ -64,23 +64,23 @@ func TestSingleVerifiersRejectNonMembers(t *testing.T) {
 		cheat  func(ctx string) error    // a fresh proof built around P − stmt
 	}{
 		{"opening", c.C,
-			func(v *big.Int) error { return VerifyOpening(p, commit.Commitment{C: v}, openPr, "ctx") },
+			func(v *big.Int) error { return verifyOpeningLone(p, commit.Commitment{C: v}, openPr, "ctx") },
 			func(ctx string) error {
 				bad := commit.Commitment{C: negate(p, c.C)}
 				pr, err := ProveOpening(p, bad, o, ctx, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return VerifyOpening(p, bad, pr, ctx)
+				return verifyOpeningLone(p, bad, pr, ctx)
 			}},
 		{"bit", c.C,
 			func(v *big.Int) error {
 				cv := commit.Commitment{C: v}
-				return verifyRange(p, cv, one, oneBit(cv, bitPr), "ctx")
+				return checkRange(p, cv, one, oneBit(cv, bitPr), "ctx")
 			},
 			func(ctx string) error {
 				bad, pr := twistedBitProof(t, p, ctx+"/bit0", "C")
-				return verifyRange(p, bad, one, oneBit(bad, pr), ctx)
+				return checkRange(p, bad, one, oneBit(bad, pr), ctx)
 			}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -104,13 +104,12 @@ func TestSingleVerifiersRejectNonMembers(t *testing.T) {
 // TestBatchEntryPointsCheckEveryElement: VerifyBoundBatch rejects a
 // proof with any one group element replaced by its negation, whichever
 // layer of the flattening holds it, and blames exactly that proof, as
-// VerifyBound does. "bit" is bound 0, whose proof is a one-bit range
-// proof on each side; "range" is bound 63, plain base 4 (three
-// four-value digits); "bound" is bound 20, whose top digit takes
-// {0, 5}. (A plain substitution also breaks
-// the Fiat–Shamir hash, so this pins batch ≡ sequential, not the
-// membership checks themselves; TestBatchRejectsTwistedProofs does
-// that.)
+// VerifyBound (a fold of one) does. "bit" is bound 0, whose proof is a
+// one-bit range proof on each side; "range" is bound 63, plain base 4
+// (three four-value digits); "bound" is bound 20, whose top digit takes
+// {0, 5}. (A plain substitution also breaks the Fiat–Shamir hash, so
+// this pins batch ≡ lone, not the membership checks themselves;
+// TestBatchRejectsTwistedProofs does that.)
 func TestBatchEntryPointsCheckEveryElement(t *testing.T) {
 	p := params()
 	const n, bad = 4, 2
@@ -125,7 +124,7 @@ func TestBatchEntryPointsCheckEveryElement(t *testing.T) {
 			}
 			assertBatchErrs(t, errs, map[int]bool{bad: true})
 			if VerifyBound(p, cs[bad], big.NewInt(bound), prs[bad], ctxs[bad]) == nil {
-				t.Error("sequential VerifyBound accepted the twisted proof")
+				t.Error("VerifyBound accepted the twisted proof")
 			}
 		}
 	}
@@ -181,7 +180,7 @@ func twistedBitProof(t *testing.T, p *commit.Params, ctx, which string) (commit.
 	if which == "C" {
 		c.C = negate(p, c.C)
 	}
-	y1 := g.Mul(c.C, p.GInv())
+	y1 := g.Div(c.C, p.G)
 	pr := BitProof{
 		A0: p.ExpH(k),
 		A1: g.Div(p.ExpH(simZ), g.Exp(y1, simC)),
@@ -217,8 +216,8 @@ func TestBatchRejectsTwistedProofs(t *testing.T) {
 		for a := 0; a < attempts; a++ {
 			assertBatchErrs(t, rangeBatch(t, p, cs, big.NewInt(1), prs, ctxs), map[int]bool{bad: true})
 		}
-		if verifyRange(p, cs[bad], big.NewInt(1), prs[bad], ctxs[bad]) == nil {
-			t.Errorf("sequential verifyRange accepted a twisted %s", which)
+		if checkRange(p, cs[bad], big.NewInt(1), prs[bad], ctxs[bad]) == nil {
+			t.Errorf("a lone range fold accepted a twisted %s", which)
 		}
 	}
 
@@ -243,16 +242,16 @@ func TestBatchRejectsTwistedProofs(t *testing.T) {
 	for a := 0; a < attempts; a++ {
 		assertBatchErrs(t, rangeBatch(t, p, cs, four, prs, ctxs), map[int]bool{bad: true})
 	}
-	if verifyRange(p, cs[bad], four, prs[bad], ctxs[bad]) == nil {
-		t.Error("sequential verifyRange accepted a twisted digit commitment")
+	if checkRange(p, cs[bad], four, prs[bad], ctxs[bad]) == nil {
+		t.Error("a lone range fold accepted a twisted digit commitment")
 	}
 }
 
 // TestFourValueDigitTamperRefused: at bound 40 every digit has four
 // values, so two records: records 2 and 3 are digit 1's, 4 and 5 the top
 // digit's over {0, 9, 17, 25}. In a batch of four honest proofs, each
-// tamper below of one proof is refused by VerifyBound and by
-// VerifyBoundBatch, which blames that proof alone: in every branch of
+// tamper below of one proof is refused by the oracle, by VerifyBound and
+// by VerifyBoundBatch, which blames that proof alone: in every branch of
 // both records of either digit, an announcement negated (a non-member)
 // or times g (a member), one challenge bit flipped or the share pushed
 // past the challenge space, a response plus one or plus Q; and a record
@@ -319,7 +318,7 @@ func TestFourValueDigitTamperRefused(t *testing.T) {
 		seq, batch := verifyBoth(t, p, bound, cs, tampered, ctxs)
 		for i := range tampered {
 			if want := i == bad; (seq[i] != nil) != want || (batch[i] != nil) != want {
-				t.Errorf("%s: proof %d: VerifyBound = %v, VerifyBoundBatch = %v, want refused = %v", tc.name, i, seq[i], batch[i], want)
+				t.Errorf("%s: proof %d: oracle = %v, VerifyBoundBatch = %v, want refused = %v", tc.name, i, seq[i], batch[i], want)
 			}
 		}
 	}

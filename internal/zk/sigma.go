@@ -6,15 +6,19 @@
 //
 // Provided proofs, all over Pedersen commitments in a Schnorr group:
 //
-//   - ProveOpening / VerifyOpening: knowledge of (m, r) opening C.
-//   - ProveBound / VerifyBound: a commitment hides a value in [0, B],
-//     as one range proof over exactly [0, B]: base-4 digits of weight
-//     4^j and one top digit whose public value set is chosen so the
-//     digits cover exactly [0, B], a CDS OR proof per digit commitment
-//     (one branch per value) and a homomorphic recomposition.
+//   - ProveOpening / VerifyOpeningBatch: knowledge of (m, r) opening C.
+//   - ProveBound / VerifyBoundBatch: a commitment hides a value in
+//     [0, B], as one range proof over exactly [0, B]: base-4 digits of
+//     weight 4^j and one top digit whose public value set is chosen so
+//     the digits cover exactly [0, B], a CDS OR proof per digit
+//     commitment (one branch per value) and a homomorphic recomposition.
+//     VerifyBound is VerifyBoundBatch of one.
 //
-// All proofs are bound to a caller-supplied context string so a proof for
-// one update cannot be replayed for another.
+// Every proof is verified the one way batch.go describes: its equations
+// fold under random coefficients into one multi-exponentiation, whether
+// it comes alone or with others. All proofs are bound to a
+// caller-supplied context string so a proof for one update cannot be
+// replayed for another.
 package zk
 
 import (
@@ -46,8 +50,8 @@ func scalarOK(g *group.Group, v *big.Int) bool {
 // soundness is the size of its challenge space, not the group order, so
 // 128-bit challenges give the same 2^-128 forgery bound as the batch
 // verifier's RLC coefficients — while keeping every challenge-side
-// exponentiation (y^c in sequential verification, the C^{ρ·c} terms of
-// the batched fold) at quarter width instead of full group-order width.
+// exponentiation (the prover's y^c, the fold's D^{Σρ·c} terms) at
+// quarter or half width instead of full group-order width.
 const challengeBits = 128
 
 // challengeWidth returns the challenge bit width for a group: 128,
@@ -79,7 +83,7 @@ func randChallenge(g *group.Group, rng io.Reader) (*big.Int, error) {
 }
 
 // challengeOK reports whether a challenge share lies in the challenge
-// space; verifyDigit insists on it so a cheating prover cannot smuggle in
+// space; digitBranches insists on it so a cheating prover cannot smuggle in
 // full-width challenge exponents (slowing verification) or non-canonical
 // encodings of the same share.
 func challengeOK(g *group.Group, v *big.Int) bool {
@@ -113,24 +117,6 @@ func ProveOpening(p *commit.Params, c commit.Commitment, o commit.Opening, ctx s
 	z2.Add(z2, k2)
 	z2.Mod(z2, g.Q)
 	return OpeningProof{A: a, Z1: z1, Z2: z2}, nil
-}
-
-// VerifyOpening checks an opening-knowledge proof.
-func VerifyOpening(p *commit.Params, c commit.Commitment, pr OpeningProof, ctx string) error {
-	g := p.Group
-	if c.C == nil || !g.Contains(c.C) ||
-		pr.A == nil || !g.Contains(pr.A) || !scalarOK(g, pr.Z1) || !scalarOK(g, pr.Z2) {
-		return ErrInvalidProof
-	}
-	ch := openingChallenge(p, c, pr.A, ctx)
-	lhs := g.Mul(p.ExpG(pr.Z1), p.ExpH(pr.Z2))
-	rhs := g.Mul(pr.A, g.Exp(c.C, ch))
-	// Constant-time: verifiers run on attacker-supplied proofs, and an
-	// early-exit compare would leak how much of a forgery matched.
-	if !ct.BigEqual(lhs, rhs) {
-		return ErrInvalidProof
-	}
-	return nil
 }
 
 func openingChallenge(p *commit.Params, c commit.Commitment, a *big.Int, ctx string) *big.Int {
@@ -237,9 +223,8 @@ func digitChallenge(p *commit.Params, c commit.Commitment, as []*big.Int, ctx st
 // (group.Contains), its challenge shares must lie in the challenge space
 // and its responses must be canonical Z_Q elements (see scalarOK). It
 // returns the branches' announcements, challenge shares and responses in
-// branch order. Shared by verifyDigit and the batch verifier, which
-// folds equations and therefore never re-discovers shape problems on its
-// own.
+// branch order. The fold checks equations only, so it never
+// re-discovers shape problems on its own.
 func digitBranches(p *commit.Params, k int, recs []BitProof) (as, cs, zs []*big.Int, ok bool) {
 	g := p.Group
 	if len(recs) != k/2 {
@@ -260,39 +245,15 @@ func digitBranches(p *commit.Params, k int, recs []BitProof) (as, cs, zs []*big.
 }
 
 // splitOK reports whether a digit's challenge shares XOR to its
-// Fiat–Shamir hash. Constant-time (see VerifyOpening).
+// Fiat–Shamir hash. Constant-time, as every verifier comparison is: a
+// verifier runs on attacker-supplied proofs, and an early-exit compare
+// would leak how much of a forgery matched.
 func splitOK(p *commit.Params, c commit.Commitment, as, cs []*big.Int, ctx string) bool {
 	split := new(big.Int)
 	for _, ci := range cs {
 		split.Xor(split, ci)
 	}
 	return ct.BigEqual(split, digitChallenge(p, c, as, ctx))
-}
-
-// verifyDigit checks a digit's OR proof that c hides one of values, over
-// a commitment the caller has already membership-checked (verifyRange
-// and the batch verifier check every digit commitment themselves). The
-// check matters: a commitment's other encoding P − C names the same
-// element and satisfies every branch equation, so only Contains keeps
-// one proof to one byte string.
-func verifyDigit(p *commit.Params, c commit.Commitment, values []*big.Int, recs []BitProof, ctx string) error {
-	g := p.Group
-	as, cs, zs, ok := digitBranches(p, len(values), recs)
-	if !ok || !splitOK(p, c, as, cs, ctx) {
-		return ErrInvalidProof
-	}
-	// h^z_i == A_i · (c/g^t_i)^c_i, compared in constant time (see
-	// VerifyOpening).
-	for i, t := range values {
-		y := c.C
-		if t.Sign() != 0 {
-			y = g.Mul(c.C, g.Exp(p.GInv(), t))
-		}
-		if !ct.BigEqual(p.ExpH(zs[i]), g.Mul(as[i], g.Exp(y, cs[i]))) {
-			return ErrInvalidProof
-		}
-	}
-	return nil
 }
 
 // maxRangeBits caps a range proof's width: no bound the engines use comes
@@ -418,33 +379,6 @@ func proveRange(p *commit.Params, c commit.Commitment, o commit.Opening, max *bi
 	return proof, nil
 }
 
-// verifyRange checks that c hides a value in [0, max]. It derives the
-// digits and their value sets from max and never reads them from the
-// proof.
-func verifyRange(p *commit.Params, c commit.Commitment, max *big.Int, pr RangeProof, ctx string) error {
-	sets, ok := rangeDigits(max)
-	if !ok || len(pr.Bits) != len(sets) || len(pr.BitProofs) != recordCount(sets) {
-		return ErrInvalidProof
-	}
-	// The digit commitments must be well-formed and their weighted product
-	// must equal the target commitment exactly. Constant-time: the
-	// recomposition check runs on attacker-supplied digit commitments (see
-	// VerifyOpening).
-	recomposed, ok := recompose(p.Group, pr.Bits)
-	if !ok || !ct.BigEqual(recomposed, c.C) {
-		return ErrInvalidProof
-	}
-	recs := pr.BitProofs
-	for j, set := range sets {
-		k := len(set) / 2
-		if err := verifyDigit(p, pr.Bits[j], set, recs[:k], digitContext(ctx, j)); err != nil {
-			return ErrInvalidProof
-		}
-		recs = recs[k:]
-	}
-	return nil
-}
-
 // recompose checks that every digit commitment (base-4 digits LSB first,
 // then the top digit; at least one) is a group member and returns the
 // weighted product Π_{j<m} D_j^(4^j) · D_m: base-4 Horner over the base
@@ -534,24 +468,13 @@ func ProveBound(p *commit.Params, c commit.Commitment, o commit.Opening, bound *
 	return pr, nil
 }
 
-// VerifyBound checks that c hides a value in [0, bound].
+// VerifyBound checks that c hides a value in [0, bound]: it is
+// VerifyBoundBatch of one. The error is ErrInvalidProof for a refused
+// proof, or the batch's operational error.
 func VerifyBound(p *commit.Params, c commit.Commitment, bound *big.Int, pr BoundProof, ctx string) error {
-	if bound == nil || bound.Sign() < 0 || pr.NBits != boundWidth(bound) {
-		return ErrInvalidProof
+	errs, err := VerifyBoundBatch(p, []commit.Commitment{c}, bound, []BoundProof{pr}, []string{ctx}, nil)
+	if err != nil {
+		return err
 	}
-	max, twoSided := boundRange(bound)
-	if !twoSided && (len(pr.High.Bits) != 0 || len(pr.High.BitProofs) != 0) {
-		return ErrInvalidProof
-	}
-	if err := verifyRange(p, c, max, pr.Low, ctx+"/low"); err != nil {
-		return ErrInvalidProof
-	}
-	if !twoSided {
-		return nil
-	}
-	cHigh := p.Sub(p.CommitPublic(bound), c)
-	if err := verifyRange(p, cHigh, max, pr.High, ctx+"/high"); err != nil {
-		return ErrInvalidProof
-	}
-	return nil
+	return errs[0]
 }

@@ -37,7 +37,7 @@ func TestVerifiersRejectNonCanonicalScalars(t *testing.T) {
 	} {
 		bad := op
 		mutate(&bad)
-		if VerifyOpening(p, c, bad, "ctx") == nil {
+		if verifyOpeningLone(p, c, bad, "ctx") == nil {
 			t.Error("opening proof with non-canonical scalar accepted")
 		}
 	}
@@ -131,7 +131,7 @@ func TestRangeRejectsOversizedWidth(t *testing.T) {
 	// before the bit count is compared.
 	pr.Bits = append(pr.Bits, make([]commit.Commitment, 125)...)
 	pr.BitProofs = append(pr.BitProofs, make([]BitProof, 125)...)
-	if verifyRange(p, c, binary(129), pr, "ctx") == nil {
+	if checkRange(p, c, binary(129), pr, "ctx") == nil {
 		t.Error("129-bit range proof accepted")
 	}
 }
@@ -149,7 +149,7 @@ func TestRangeContextBinding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if verifyRange(p, c, binary(5), pr, "ctx-b") == nil {
+	if checkRange(p, c, binary(5), pr, "ctx-b") == nil {
 		t.Error("range proof replayed across contexts")
 	}
 }
@@ -203,8 +203,8 @@ func TestAllBranchesSimulatedRefused(t *testing.T) {
 		}}
 	}
 	check := func(name string, pr RangeProof) {
-		if verifyRange(p, c, three, pr, "sim") == nil {
-			t.Errorf("%s: verifyRange accepted it", name)
+		if checkRange(p, c, three, pr, "sim") == nil {
+			t.Errorf("%s: a lone range fold accepted it", name)
 		}
 		errs := make([]error, 2)
 		if err := verifyRangeBatch(p, []commit.Commitment{c, c}, three, []RangeProof{pr, pr}, []string{"sim", "sim"}, nil, errs); err != nil {

@@ -30,13 +30,38 @@ func proveBit(p *commit.Params, c commit.Commitment, o commit.Opening, ctx strin
 	return recs[0], nil
 }
 
-// checkBit is the sequential bit verifier as the range layer runs it:
-// Contains on the commitment, then verifyDigit over {0, 1}.
+// checkBit is a lone bit proof through the production verifier, as
+// the range layer runs it: Contains on the commitment, then a digit
+// fold of one over {0, 1}.
 func checkBit(p *commit.Params, c commit.Commitment, pr BitProof, ctx string) error {
 	if c.C == nil || !p.Group.Contains(c.C) {
 		return ErrInvalidProof
 	}
-	return verifyDigit(p, c, bitValues, []BitProof{pr}, ctx)
+	errs := make([]error, 1)
+	if err := verifyDigitBatch(p, []digitClaim{{c, bitValues, []BitProof{pr}, ctx}}, nil, errs); err != nil {
+		return err
+	}
+	return errs[0]
+}
+
+// checkRange is a lone range proof through the production verifier: a
+// range fold of one, whose recomposition check refuses a commitment
+// outside the group as the product of members never equals it.
+func checkRange(p *commit.Params, c commit.Commitment, max *big.Int, pr RangeProof, ctx string) error {
+	errs := make([]error, 1)
+	if err := verifyRangeBatch(p, []commit.Commitment{c}, max, []RangeProof{pr}, []string{ctx}, nil, errs); err != nil {
+		return err
+	}
+	return errs[0]
+}
+
+// verifyOpeningLone is VerifyOpeningBatch of one proof.
+func verifyOpeningLone(p *commit.Params, c commit.Commitment, pr OpeningProof, ctx string) error {
+	errs, err := VerifyOpeningBatch(p, []commit.Commitment{c}, []OpeningProof{pr}, []string{ctx}, nil)
+	if err != nil {
+		return err
+	}
+	return errs[0]
 }
 
 func TestOpeningRoundTrip(t *testing.T) {
@@ -46,15 +71,15 @@ func TestOpeningRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyOpening(p, c, pr, "ctx"); err != nil {
+	if err := verifyOpeningLone(p, c, pr, "ctx"); err != nil {
 		t.Fatal(err)
 	}
 	// Wrong commitment must fail.
 	c2, _, _ := p.CommitInt(123, nil)
-	if VerifyOpening(p, c2, pr, "ctx") == nil {
+	if verifyOpeningLone(p, c2, pr, "ctx") == nil {
 		t.Fatal("opening proof transferred to another commitment")
 	}
-	if VerifyOpening(p, c, pr, "other") == nil {
+	if verifyOpeningLone(p, c, pr, "other") == nil {
 		t.Fatal("opening proof replayed under another context")
 	}
 }
@@ -115,7 +140,7 @@ func TestRangeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("prove range %d: %v", v, err)
 		}
-		if err := verifyRange(p, c, binary(8), pr, "ctx"); err != nil {
+		if err := checkRange(p, c, binary(8), pr, "ctx"); err != nil {
 			t.Fatalf("verify range %d: %v", v, err)
 		}
 	}
@@ -138,7 +163,7 @@ func TestRangeRejectsWrongCommitment(t *testing.T) {
 	c, o, _ := p.CommitInt(100, nil)
 	pr, _ := proveRange(p, c, o, binary(8), "ctx", nil)
 	c2, _, _ := p.CommitInt(100, nil)
-	if verifyRange(p, c2, binary(8), pr, "ctx") == nil {
+	if checkRange(p, c2, binary(8), pr, "ctx") == nil {
 		t.Fatal("range proof transferred to another commitment")
 	}
 }
@@ -147,7 +172,7 @@ func TestRangeRejectsWidthMismatch(t *testing.T) {
 	p := params()
 	c, o, _ := p.CommitInt(100, nil)
 	pr, _ := proveRange(p, c, o, binary(8), "ctx", nil)
-	if verifyRange(p, c, binary(9), pr, "ctx") == nil {
+	if checkRange(p, c, binary(9), pr, "ctx") == nil {
 		t.Fatal("width-mismatched range proof verified")
 	}
 }
@@ -165,7 +190,7 @@ func TestRangeRejectsBitSubstitution(t *testing.T) {
 	}
 	pr.Bits[1] = forged
 	copy(pr.BitProofs[2:4], recs)
-	if verifyRange(p, c, binary(8), pr, "ctx") == nil {
+	if checkRange(p, c, binary(8), pr, "ctx") == nil {
 		t.Fatal("digit-substituted range proof verified")
 	}
 }
