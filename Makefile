@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race bench bench-check deps-check vet fmt fmt-check lint chaos chaos-sim chaos-regress fuzz-smoke heap-smoke cost-smoke serve-smoke serve-smoke-durable profile-serve
+.PHONY: build test check race bench bench-check deps-check vet fmt fmt-check lint chaos chaos-sim chaos-sim-race chaos-regress fuzz-smoke heap-smoke cost-smoke serve-smoke serve-smoke-durable profile-serve
 
 build:
 	$(GO) build ./...
@@ -69,6 +69,14 @@ SIM ?=
 SEEDS ?= 0-449
 chaos-sim:
 	GOEXPERIMENT=synctest CHAOS_SIM=$(SIM) CHAOS_SEEDS=$(SEEDS) $(GO) test -cpu 1 -count=1 -timeout 60m -run '^TestChaosSim$$' ./internal/chaos
+
+# chaos-sim-race runs all six schedules on virtual time, seeds 0-29,
+# under the race detector. `make race` does not build chaos_sim_test.go
+# (it needs GOEXPERIMENT=synctest), so without this target the crash,
+# restart and timer schedules, which a PBFT replica's one goroutine must
+# order without a lock, would never run with -race.
+chaos-sim-race:
+	GOEXPERIMENT=synctest CHAOS_SIM= CHAOS_SEEDS=0-29 $(GO) test -race -cpu 1 -count=1 -timeout 30m -run '^TestChaosSim$$' ./internal/chaos
 
 # chaos-regress replays the durable-recovery seeds 217 and 255 on
 # virtual time. Their replicas never converged while each up-to-date
@@ -162,9 +170,10 @@ bench-check:
 # without -race), the benchmark module, ten seconds of fuzzing per Fuzz*
 # target, the server boot smoke test, the kill -9 recovery smoke test, the
 # virtual-time replay of the durable chaos seeds that once never
-# converged, and the whole virtual-time sweep (six schedules × 450 seeds,
+# converged, 30 seeds of every virtual-time schedule under the race
+# detector, and the whole virtual-time sweep (six schedules × 450 seeds,
 # one to three minutes on two CPUs).
-check: fmt-check vet lint deps-check race heap-smoke cost-smoke bench-check fuzz-smoke serve-smoke serve-smoke-durable chaos-regress chaos-sim
+check: fmt-check vet lint deps-check race heap-smoke cost-smoke bench-check fuzz-smoke serve-smoke serve-smoke-durable chaos-regress chaos-sim-race chaos-sim
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run xxx ./...

@@ -12,8 +12,8 @@ import (
 // a goroutine parked on a channel while holding the lock that the closer
 // needs. The scan is deliberately conservative the safe way around: a
 // branch whose fall-through paths all unlock clears the lock, and a
-// select with a default clause is non-blocking, so the disciplined
-// unlock-before-block idiom used across paxos/pbft stays silent.
+// select with a default clause is non-blocking, so code that unlocks
+// before it blocks (paxos's replica and clients) stays silent.
 var LockHeld = &Analyzer{
 	Name: "lockheld",
 	Doc:  "mutex held across a channel operation or other blocking call",

@@ -12,7 +12,10 @@ import (
 
 // loneReplica is p3 of a four-replica shard, driven by hand: the other
 // three ids are sinks on the network that record what p3 sends them.
+// What the test hands p3, and what it reads of p3's state, runs on p3's
+// goroutine (onLoop).
 type loneReplica struct {
+	t    testing.TB
 	r    *Replica
 	net  *netsim.Network
 	ids  []string
@@ -20,11 +23,23 @@ type loneReplica struct {
 	sent []netsim.Message // what p3 sent, one entry per receiver
 }
 
-func newLoneReplica(t *testing.T) *loneReplica {
+func newLoneReplica(t testing.TB) *loneReplica {
+	t.Helper()
+	l := newLoneSinks(t)
+	r, err := NewReplica(l.net, "p3", l.ids, 1, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.r = r
+	return l
+}
+
+// newLoneSinks is a loneReplica without p3: the caller builds it.
+func newLoneSinks(t testing.TB) *loneReplica {
 	t.Helper()
 	net := netsim.New(netsim.Config{})
 	t.Cleanup(net.Close)
-	l := &loneReplica{net: net, ids: []string{"p0", "p1", "p2", "p3"}}
+	l := &loneReplica{t: t, net: net, ids: []string{"p0", "p1", "p2", "p3"}}
 	for _, id := range l.ids[:3] {
 		if err := net.Register(id, func(m netsim.Message) {
 			l.mu.Lock()
@@ -34,18 +49,17 @@ func newLoneReplica(t *testing.T) *loneReplica {
 			t.Fatal(err)
 		}
 	}
-	r, err := newReplica(net, "p3", l.ids, 1, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.r = r
 	return l
 }
 
-// deliver hands p3 a payload as if from sent it under msgType.
+// deliver hands p3 a payload as if from sent it under msgType, and
+// returns once p3 has handled it.
 func (l *loneReplica) deliver(from, msgType string, payload []byte) {
-	l.r.handle(netsim.Message{From: from, To: "p3", Type: msgType, Payload: payload})
+	l.do(func() { l.r.handle(netsim.Message{From: from, To: "p3", Type: msgType, Payload: payload}) })
 }
+
+// do runs fn on p3's goroutine and waits for it to return.
+func (l *loneReplica) do(fn func()) { onLoop(l.t, l.r, fn) }
 
 // deliverBody hands p3 body, any bytes, under msgType in an envelope
 // whose p3 slot from signed.
@@ -121,17 +135,14 @@ func TestVotesCountForAuthenticatedSender(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		l.feed("p1", msgCheckpoint, checkpointMsg{Seq: 128})
 	}
-	l.r.mu.Lock()
-	stable := l.r.stable
-	l.r.mu.Unlock()
+	var stable uint64
+	l.do(func() { stable = l.r.stable })
 	if stable != 0 {
 		t.Fatalf("p1's checkpoints alone made %d stable", stable)
 	}
 	l.feed("p0", msgCheckpoint, checkpointMsg{Seq: 128})
 	l.feed("p2", msgCheckpoint, checkpointMsg{Seq: 128})
-	l.r.mu.Lock()
-	stable = l.r.stable
-	l.r.mu.Unlock()
+	l.do(func() { stable = l.r.stable })
 	if stable != 128 {
 		t.Fatalf("stable %d after checkpoints from p0, p1 and p2", stable)
 	}
@@ -139,16 +150,14 @@ func TestVotesCountForAuthenticatedSender(t *testing.T) {
 	for _, name := range []string{"p0", "p2"} {
 		l.feed("p1", msgViewChange, json.RawMessage(`{"newView":1,"stable":0,"replica":"`+name+`"}`))
 	}
-	l.r.mu.Lock()
-	inVC, votes := l.r.inVC, len(l.r.vcs[1])
-	l.r.mu.Unlock()
+	var inVC bool
+	var votes int
+	l.do(func() { inVC, votes = l.r.inVC, len(l.r.vcs[1]) })
 	if inVC || votes != 1 {
 		t.Fatalf("p1's view changes counted as %d votes (in view change: %v)", votes, inVC)
 	}
 	l.feed("p2", msgViewChange, viewChangeMsg{NewView: 1})
-	l.r.mu.Lock()
-	inVC = l.r.inVC
-	l.r.mu.Unlock()
+	l.do(func() { inVC = l.r.inVC })
 	if !inVC {
 		t.Fatal("view changes from p1 and p2 (f+1) did not pull p3 along")
 	}
@@ -217,16 +226,14 @@ func TestRelabelledVoteRefused(t *testing.T) {
 		t.Fatal("a prepare opened as a commit")
 	}
 	l.deliver("p1", msgCommit, prepare)
-	l.r.mu.Lock()
-	commits := len(l.r.insts[0].commits)
-	l.r.mu.Unlock()
+	var commits int
+	l.do(func() { commits = len(l.r.insts[0].commits) })
 	if commits != 0 {
 		t.Fatalf("a relabelled prepare counted as %d commits", commits)
 	}
 	l.deliver("p1", msgPrepare, prepare)
-	l.r.mu.Lock()
-	prepared := l.r.insts[0].prepares["p1"]
-	l.r.mu.Unlock()
+	var prepared bool
+	l.do(func() { prepared = l.r.insts[0].prepares["p1"] })
 	if !prepared {
 		t.Fatal("the prepare under its own type did not count")
 	}
@@ -246,9 +253,8 @@ func TestAlteredBatchRefused(t *testing.T) {
 		t.Fatal("the header MAC did not verify: this test exercises nothing")
 	}
 	l.deliver("p0", msgPrePrepare, altered)
-	l.r.mu.Lock()
-	_, touched := l.r.insts[0]
-	l.r.mu.Unlock()
+	var touched bool
+	l.do(func() { _, touched = l.r.insts[0] })
 	if touched {
 		t.Fatal("an altered batch reached the instance")
 	}
@@ -317,9 +323,8 @@ func TestReflectedVoteRefused(t *testing.T) {
 		}
 	}
 	votes := func() (prepares, commits int) {
-		l.r.mu.Lock()
-		defer l.r.mu.Unlock()
-		return len(l.r.insts[0].prepares), len(l.r.insts[0].commits)
+		l.do(func() { prepares, commits = len(l.r.insts[0].prepares), len(l.r.insts[0].commits) })
+		return prepares, commits
 	}
 
 	l.feed("p0", msgPrePrepare, pp)

@@ -216,7 +216,7 @@ func TestRevivedRequestsReachSelfAsNewPrimary(t *testing.T) {
 	// the instance would wait out the view timer.
 	for _, r := range []*Replica{c.replicas[3], c.replicas[2], p1} {
 		for _, from := range []string{"p2", "p3"} { // f+1 claims of view 1
-			r.onStateRep(from, stateRepMsg{View: 1})
+			onLoop(t, r, func() { r.onStateRep(from, stateRepMsg{View: 1}) })
 		}
 	}
 	select {

@@ -140,8 +140,9 @@ func NewDurableReplica(net *netsim.Network, id string, ids []string, f int, appl
 }
 
 // recoverFromDisk rebuilds replica state from a WAL recovery: snapshot
-// floor first, then the record tail in append order. Runs before the
-// replica is registered, so no locking is needed.
+// floor first, then the record tail in append order. It runs before the
+// replica is registered, so before its goroutine starts, and publishes
+// the view and execution point it recovers.
 func (r *Replica) recoverFromDisk(rec *wal.Recovery) error {
 	if rec.Snapshot != nil {
 		var snap pbSnapshot
@@ -151,7 +152,7 @@ func (r *Replica) recoverFromDisk(rec *wal.Recovery) error {
 		if snap.Format != pbSnapFormat {
 			return fmt.Errorf("pbft: unknown snapshot format %q", snap.Format)
 		}
-		if err := r.installLocked(&snap.stateImage); err != nil {
+		if err := r.install(&snap.stateImage); err != nil {
 			return fmt.Errorf("pbft: restoring application state: %w", err)
 		}
 		r.view = snap.View
@@ -160,7 +161,7 @@ func (r *Replica) recoverFromDisk(rec *wal.Recovery) error {
 			if is.Seq < r.execSeq {
 				continue
 			}
-			inst := r.instLocked(is.Seq)
+			inst := r.inst(is.Seq)
 			inst.digest = is.Digest
 			inst.req = is.Req
 			inst.prePrepared = is.PrePrepared
@@ -183,7 +184,7 @@ func (r *Replica) recoverFromDisk(rec *wal.Recovery) error {
 			if pr.View <= r.view {
 				break
 			}
-			// Mirror enterViewLocked: un-executed instances reset, the
+			// Mirror enterView: un-executed instances reset, the
 			// new-view NextSeq is authoritative.
 			r.view = pr.View
 			if pr.Seq > 0 {
@@ -191,14 +192,14 @@ func (r *Replica) recoverFromDisk(rec *wal.Recovery) error {
 			}
 			for _, inst := range r.insts {
 				if !inst.executed {
-					inst.resetVotesLocked()
+					inst.resetVotes()
 				}
 			}
 		case pbPP:
 			if pr.Seq < r.execSeq {
 				break // already executed per the snapshot floor
 			}
-			inst := r.instLocked(pr.Seq)
+			inst := r.inst(pr.Seq)
 			if inst.executed {
 				break
 			}
@@ -212,7 +213,7 @@ func (r *Replica) recoverFromDisk(rec *wal.Recovery) error {
 			if pr.Seq < r.execSeq {
 				break
 			}
-			inst := r.instLocked(pr.Seq)
+			inst := r.inst(pr.Seq)
 			if inst.executed || !inst.prePrepared {
 				break
 			}
@@ -223,7 +224,7 @@ func (r *Replica) recoverFromDisk(rec *wal.Recovery) error {
 			// decided stays false: a recovered cert proves this replica's
 			// vote, not a counted 2f+1 commit quorum.
 			inst.committed = true
-			inst.setCertLocked(pr.Seq, pr.View)
+			inst.setCert(pr.Seq, pr.View)
 		case pbEX:
 			if pr.Seq != r.execSeq {
 				break // exec records are journaled in execution order
@@ -237,14 +238,15 @@ func (r *Replica) recoverFromDisk(rec *wal.Recovery) error {
 	if r.nextSeq < r.execSeq {
 		r.nextSeq = r.execSeq
 	}
+	r.publish()
 	return nil
 }
 
 // reexecuteRecovered re-applies one journaled execution during recovery:
-// the same dedup-and-apply path as executeInstanceLocked, minus the
+// the same dedup-and-apply path as executeInstance, minus the
 // messaging, journaling, and waiter machinery (there are none yet).
 func (r *Replica) reexecuteRecovered(pr pbRecord) {
-	inst := r.instLocked(pr.Seq)
+	inst := r.inst(pr.Seq)
 	inst.executed = true
 	inst.prePrepared = true
 	inst.digest = pr.Digest
@@ -260,12 +262,11 @@ func (r *Replica) reexecuteRecovered(pr pbRecord) {
 	}
 }
 
-// journalLocked appends one record and fsyncs. Callers hold r.mu. A
-// false return means the record is NOT durable and the caller must not
-// send the vote it backs; view and exec records tolerate degradation
-// (they are reconstructible from the cluster). In-memory replicas
-// (r.log == nil) always succeed.
-func (r *Replica) journalLocked(rec pbRecord) bool {
+// journal appends one record and fsyncs. A false return means the
+// record is NOT durable and the caller must not send the vote it backs;
+// view and exec records tolerate degradation (they are reconstructible
+// from the cluster). In-memory replicas (r.log == nil) always succeed.
+func (r *Replica) journal(rec pbRecord) bool {
 	if r.log == nil {
 		return true
 	}
@@ -284,13 +285,13 @@ func (r *Replica) journalLocked(rec pbRecord) bool {
 	return true
 }
 
-// maybeSnapshotLocked snapshots at every multiple of snapEvery, so all
+// maybeSnapshot snapshots at every multiple of snapEvery, so all
 // honest replicas' snapshots at one sequence hold the same image. It is
-// called with mu held in executeInstanceLocked as soon as the apply
-// returns, so the snapshot is on disk before the checkpoint vote. The
-// application state is then exactly the state at execSeq: executions
-// run one at a time, on the replica's goroutine.
-func (r *Replica) maybeSnapshotLocked() {
+// called in executeInstance as soon as the apply returns, so the
+// snapshot is on disk before the checkpoint vote. The application state
+// is then exactly the state at execSeq: executions run one at a time,
+// on the replica's goroutine.
+func (r *Replica) maybeSnapshot() {
 	if r.log == nil || r.walFailed || r.execSeq%r.snapEvery != 0 {
 		return
 	}
@@ -306,14 +307,15 @@ func (r *Replica) maybeSnapshotLocked() {
 		}
 		img.App = blob
 	}
-	r.writeSnapshotLocked(img)
+	r.writeSnapshot(img)
 }
 
-// writeSnapshotLocked stores img as this replica's snapshot, together
+// writeSnapshot stores img as this replica's snapshot, together
 // with its view, stable checkpoint and in-flight instances, and compacts
-// the journal. mu stays held across the write so no journal append can
-// land in a segment the snapshot supersedes.
-func (r *Replica) writeSnapshotLocked(img stateImage) {
+// the journal. It runs on the replica's goroutine, the only one that
+// appends, so no journal append can land in a segment the snapshot
+// supersedes.
+func (r *Replica) writeSnapshot(img stateImage) {
 	if r.log == nil || r.walFailed {
 		return
 	}
@@ -341,12 +343,12 @@ func (r *Replica) writeSnapshotLocked(img stateImage) {
 	}
 }
 
-// installLocked makes img this replica's state: the application restored
+// install makes img this replica's state: the application restored
 // from its blob, the dedup set replaced by its keys, execution moved to
 // its sequence and everything below that dropped. Recovery installs the
 // image in the replica's own snapshot, adoption one f+1 peers offered.
 // On error nothing has changed.
-func (r *Replica) installLocked(img *stateImage) error {
+func (r *Replica) install(img *stateImage) error {
 	executed := make(map[reqKey]bool, len(img.Executed))
 	for _, s := range img.Executed {
 		k, err := parseReqKey(s)
@@ -398,18 +400,15 @@ func storedImage(log *wal.Log, have uint64) *stateImage {
 }
 
 // CloseStorage syncs and closes the WAL. The replica keeps running in
-// memory but goes vote-silent (its votes can no longer be made durable);
-// intended for tests tearing down a durable replica before re-opening
-// its directory, and for server shutdown.
+// memory but goes vote-silent: its next journal append fails, which
+// sets walFailed on its goroutine, and its votes can no longer be made
+// durable. Intended for tests tearing down a durable replica before
+// re-opening its directory, and for server shutdown.
 func (r *Replica) CloseStorage() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.log == nil {
 		return nil
 	}
-	err := r.log.Close()
-	r.walFailed = true
-	return err
+	return r.log.Close()
 }
 
 // String is the key as a snapshot holds it: "client/seq", seq in decimal.

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"prever/internal/netsim"
+	"prever/internal/wal"
 )
 
 // durableSeqApp records applied requests in order and round-trips itself
@@ -341,14 +342,14 @@ func (a *snapAtApp) Snapshot() ([]byte, error) {
 }
 
 // TestSnapshotAtEveryAlignedPoint: with SnapshotEvery equal to
-// CheckpointEvery every aligned point is also a checkpoint, whose vote
-// is sent with mu released. p3 is prepared on 64 sequences, then p1's and
-// p2's commits for all of them reach it through the network at once and
-// queue behind a slow Applier; p3 must still snapshot at every multiple
-// of two (one op per sequence, so at every even op count) and skip none.
+// CheckpointEvery every aligned point is also a checkpoint vote. p3 is
+// prepared on 64 sequences, then p1's and p2's commits for all of them
+// reach it through the network at once and queue behind a slow Applier;
+// p3 must still snapshot at every multiple of two (one op per sequence,
+// so at every even op count) and skip none.
 func TestSnapshotAtEveryAlignedPoint(t *testing.T) {
 	const every, total = 2, 64
-	l := newLoneReplica(t)
+	l := newLoneSinks(t)
 	app := &snapAtApp{}
 	slow := func(seq uint64, req Request) {
 		time.Sleep(200 * time.Microsecond)
@@ -391,7 +392,7 @@ func TestSnapshotAtEveryAlignedPoint(t *testing.T) {
 // newLoneDurable is newLoneReplica with p3 crash-durable in dir.
 func newLoneDurable(t *testing.T, dir string, snapEvery uint64) (*loneReplica, *durableSeqApp) {
 	t.Helper()
-	l := newLoneReplica(t)
+	l := newLoneSinks(t)
 	app := &durableSeqApp{}
 	r, err := NewDurableReplica(l.net, "p3", l.ids, 1, app.apply, Options{}, DurableOptions{Dir: dir, App: app, SnapshotEvery: snapEvery})
 	if err != nil {
@@ -466,11 +467,36 @@ func TestAdoptedImageKeepsPreparedCert(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = r.CloseStorage() }()
-	r.mu.Lock()
-	inst := r.insts[5]
-	r.mu.Unlock()
+	var inst *instState
+	onLoop(t, r, func() { inst = r.insts[5] })
 	if r.Executed() != 4 || inst == nil || inst.cert == nil || inst.cert.Digest != pp.Digest {
 		t.Fatalf("recovered p3 at %d holds instance 5 as %+v, want its prepared certificate", r.Executed(), inst)
+	}
+}
+
+// TestAdoptedImageWakesWaiter: p3 lags, and a caller waits on it for
+// request c/1, when it adopts an image at 4 that p0 and p1 offer. The
+// image covers c/1, which p3 then never executes itself: the adoption
+// must wake the caller and leave no waiter behind.
+func TestAdoptedImageWakesWaiter(t *testing.T) {
+	l, _ := newLoneDurable(t, t.TempDir(), 4)
+	done := l.r.SubmitAsync("c", 1, []byte("a"))
+	img := stateImage{ExecSeq: 4, Executed: []string{"c/1", "c/2"}, App: []byte(`{"ops":["a","b"]}`)}
+	for _, from := range []string{"p0", "p1"} {
+		l.feed(from, msgStateRep, stateRepMsg{Snap: &img})
+	}
+	if got := l.r.Executed(); got != 4 {
+		t.Fatalf("p3 at %d after the image, want 4", got)
+	}
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("the caller waiting on c/1 still waits after p3 adopted an image that covers it")
+	}
+	var waiting int
+	l.do(func() { waiting = len(l.r.waiters) })
+	if waiting != 0 {
+		t.Fatalf("p3 still holds %d waiters", waiting)
 	}
 }
 
@@ -557,4 +583,61 @@ func TestReqKeyRoundTrip(t *testing.T) {
 			t.Fatalf("%q read as %+v", bad, k)
 		}
 	}
+}
+
+// FuzzRecoverSnapshot: a durable replica's snapshot is read back from
+// disk when it restarts, and a state image a peer offered is stored as
+// one. No snapshot bytes may panic recovery; bytes it accepts leave a
+// replica whose next sequence is at or above its execution point and
+// that holds no instance below it.
+func FuzzRecoverSnapshot(f *testing.F) {
+	f.Add(writtenSnapshot(f))
+	f.Add([]byte(`{"format":"prever/pbft/snap/v3","execSeq":3,"insts":[{"q":1},{"q":18446744073709551615,"pp":true}]}`))
+	f.Add([]byte(`{"format":"prever/pbft/snap/v3","executed":["c"]}`))
+	f.Add([]byte(`{"format":"prever/pbft/snap/v2"}`))
+	f.Add([]byte("{"))
+	f.Fuzz(func(t *testing.T, snap []byte) {
+		r, err := newReplica(nil, "p3", []string{"p0", "p1", "p2", "p3"}, 1, nil, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.recoverFromDisk(&wal.Recovery{Snapshot: snap}) != nil {
+			return
+		}
+		if r.nextSeq < r.execSeq {
+			t.Fatalf("recovered at %d with next sequence %d", r.execSeq, r.nextSeq)
+		}
+		for seq := range r.insts {
+			if seq < r.execSeq {
+				t.Fatalf("recovered at %d holding instance %d", r.execSeq, seq)
+			}
+		}
+	})
+}
+
+// writtenSnapshot is the snapshot writeSnapshot stores for a replica at
+// 4 in view 1 with a prepared certificate at 5 and a pre-prepare at 6.
+func writtenSnapshot(t testing.TB) []byte {
+	log, _, err := wal.Open(t.TempDir(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = log.Close() }()
+	r, err := newReplica(nil, "p3", []string{"p0", "p1", "p2", "p3"}, 1, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.log, r.view, r.execSeq = log, 1, 4
+	for seq := uint64(5); seq <= 6; seq++ {
+		pp := onePrePrepare(seq)
+		inst := r.inst(seq)
+		inst.digest, inst.req, inst.prePrepared = pp.Digest, pp.Req, true
+	}
+	r.inst(5).setCert(5, 1)
+	r.writeSnapshot(stateImage{ExecSeq: 4, Executed: []string{"c/1", "c/2"}, App: []byte(`{"ops":["a","b"]}`)})
+	b, err := log.ReadSnapshot()
+	if err != nil || b == nil {
+		t.Fatalf("no snapshot written: %v", err)
+	}
+	return b
 }

@@ -26,7 +26,7 @@ func TestLateTimerDoesNotTriggerSpuriousViewChange(t *testing.T) {
 	// Simulate the timer losing the race with execution: it fired and
 	// posted its timeout, and the request executed and removed the timer
 	// before the timeout ran.
-	backup.onViewChangeTimeout(d, &vcTimer{req: req})
+	onLoop(t, backup, func() { backup.onViewChangeTimeout(d, &vcTimer{req: req}) })
 	// A spurious view change would propagate within this window.
 	time.Sleep(100 * time.Millisecond)
 	for _, r := range c.replicas {
@@ -36,29 +36,10 @@ func TestLateTimerDoesNotTriggerSpuriousViewChange(t *testing.T) {
 	}
 }
 
-// onLoop runs fn on r's goroutine and waits for it to return.
-func onLoop(t *testing.T, r *Replica, fn func()) {
-	t.Helper()
-	done := make(chan struct{})
-	r.post(func() {
-		fn()
-		close(done)
-	})
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatalf("%s never ran a posted input", r.ID())
-	}
-}
-
 // armedTimer is r's timer under d, nil if none.
 func armedTimer(t *testing.T, r *Replica, d Digest) (vt *vcTimer) {
 	t.Helper()
-	onLoop(t, r, func() {
-		r.mu.Lock()
-		vt = r.vcTimers[d]
-		r.mu.Unlock()
-	})
+	onLoop(t, r, func() { vt = r.vcTimers[d] })
 	return vt
 }
 
@@ -72,11 +53,7 @@ func TestSameKeyTimerDiesWithExecution(t *testing.T) {
 	other := Request{Client: "cli", Seq: 1, Op: []byte("op-b")}
 	d := digestOf(&other)
 	for _, r := range c.replicas {
-		onLoop(t, r, func() {
-			r.mu.Lock()
-			r.armViewChangeTimerLocked(d, other)
-			r.mu.Unlock()
-		})
+		onLoop(t, r, func() { r.armViewChangeTimer(d, other) })
 	}
 	if err := c.replicas[0].Submit("cli", 1, []byte("op-a"), 2*time.Second); err != nil {
 		t.Fatal(err)
@@ -107,10 +84,8 @@ func TestRequestAtRestartStaysWatched(t *testing.T) {
 	d := digestOf(&req)
 	var dead *vcTimer
 	onLoop(t, b, func() {
-		b.mu.Lock()
-		b.armViewChangeTimerLocked(d, req)
+		b.armViewChangeTimer(d, req)
 		dead = b.vcTimers[d]
-		b.mu.Unlock()
 	})
 	if err := b.Crash(); err != nil {
 		t.Fatal(err)

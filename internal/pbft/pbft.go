@@ -28,7 +28,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"prever/internal/netsim"
@@ -187,31 +187,32 @@ type instState struct {
 	cert *prePrepareMsg
 }
 
-// setCertLocked records (or refreshes, in a later view) the prepared
+// setCert records (or refreshes, in a later view) the prepared
 // certificate for instance seq. A decided instance calls it on every
 // later commit vote, which leaves the certificate as it is.
-func (inst *instState) setCertLocked(seq, view uint64) {
+func (inst *instState) setCert(seq, view uint64) {
 	if c := inst.cert; c == nil || c.View != view || c.Digest != inst.digest {
 		inst.cert = &prePrepareMsg{View: view, Seq: seq, Digest: inst.digest, Req: inst.req}
 	}
 }
 
-// resetVotesLocked clears the per-view vote state on view entry while
+// resetVotes clears the per-view vote state on view entry while
 // leaving the prepared certificate (and decided/executed finality)
 // untouched.
-func (inst *instState) resetVotesLocked() {
+func (inst *instState) resetVotes() {
 	inst.prepares = map[string]bool{}
 	inst.commits = map[string]bool{}
 	inst.committed = false
 	inst.prePrepared = false
 }
 
-// Replica is one PBFT node. Everything that can execute, snapshot or
-// change view runs on its goroutine, netsim's handler loop for its id:
-// messages arrive there and timers, Sync and proposals are posted there,
-// in arrival order; a restart starts a new loop once the old one ended.
-// mu serves the readers outside that loop (View, IsPrimary, Executed,
-// SubmitAsync's waiters).
+// Replica is one PBFT node. Its state belongs to its goroutine, netsim's
+// handler loop for its id: messages arrive there and timers, Sync and
+// proposals are posted there, in arrival order; a restart starts a new
+// loop once the old one ended. Each input runs to completion there, so no
+// lock guards the state. The readers on other goroutines (View,
+// IsPrimary, Executed) read the view and execution point that loop
+// publishes.
 type Replica struct {
 	id    string
 	index int
@@ -226,14 +227,13 @@ type Replica struct {
 	sendKeys map[string]*macKey
 	recvKeys map[string]*macKey
 
-	mu         sync.Mutex
 	view       uint64
 	nextSeq    uint64 // primary: next sequence to assign
 	execSeq    uint64 // next sequence to execute
 	stable     uint64 // last stable checkpoint
 	insts      map[uint64]*instState
-	executedR  map[reqKey]bool // dedup of executed requests
-	waiters    map[Digest][]chan struct{}
+	executedR  map[reqKey]bool            // dedup of executed requests
+	waiters    map[reqKey][]chan struct{} // SubmitAsync callers, woken when their request's key executes
 	ckpts      map[uint64]map[string]bool
 	vcs        map[uint64]map[string]viewChangeMsg
 	nvHeld     map[string]newViewMsg // per sender: its latest new view that arrived before f+1 votes for it
@@ -254,6 +254,10 @@ type Replica struct {
 	logApp    wal.Snapshotter
 	snapEvery uint64
 	walFailed bool
+
+	// view and execSeq as published (publish) for the readers on other
+	// goroutines.
+	pubView, pubExec atomic.Uint64
 }
 
 // imgVote accumulates senders backing one state image (keyed by the
@@ -309,7 +313,7 @@ func newReplica(net *netsim.Network, id string, ids []string, f int, apply Appli
 		opts:       opts,
 		insts:      make(map[uint64]*instState),
 		executedR:  make(map[reqKey]bool),
-		waiters:    make(map[Digest][]chan struct{}),
+		waiters:    make(map[reqKey][]chan struct{}),
 		ckpts:      make(map[uint64]map[string]bool),
 		vcs:        make(map[uint64]map[string]viewChangeMsg),
 		nvHeld:     make(map[string]newViewMsg),
@@ -332,32 +336,30 @@ func newReplica(net *netsim.Network, id string, ids []string, f int, apply Appli
 func (r *Replica) ID() string { return r.id }
 
 // View returns the current view number.
-func (r *Replica) View() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.view
-}
+func (r *Replica) View() uint64 { return r.pubView.Load() }
 
 // primaryOf is view's primary. It reads only ids, fixed after
-// construction, so it needs no lock.
+// construction, so any goroutine may call it.
 func (r *Replica) primaryOf(view uint64) string {
 	return r.ids[int(view)%len(r.ids)]
 }
 
 // IsPrimary reports whether this replica is the current primary.
-func (r *Replica) IsPrimary() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.primaryOf(r.view) == r.id
-}
+func (r *Replica) IsPrimary() bool { return r.primaryOf(r.View()) == r.id }
 
 // Executed returns how many sequences this replica has executed.
 //
 //lint:ignore unreached the chaos suite, a test of another package, waits on it for convergence
-func (r *Replica) Executed() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.execSeq
+func (r *Replica) Executed() uint64 { return r.pubExec.Load() }
+
+// publish stores view and execSeq for the readers on other goroutines.
+// The replica's goroutine calls it wherever either changes, once the
+// change is journaled (or stored in a snapshot), so a caller that reads
+// a value and then closes the storage finds it on disk; recovery calls
+// it before the replica is registered.
+func (r *Replica) publish() {
+	r.pubView.Store(r.view)
+	r.pubExec.Store(r.execSeq)
 }
 
 // quorum sizes. An instance is prepared on its pre-prepare, which
@@ -430,25 +432,24 @@ func (r *Replica) Submit(client string, clientSeq uint64, op []byte, timeout tim
 }
 
 // SubmitAsync proposes an operation without waiting: the returned channel
-// closes when the request executes locally. A duplicate of an already
-// executed request gets a closed channel immediately. The proposal itself
-// is an input posted to the replica's goroutine, so requests submitted in
-// order are sequenced (pre-prepared) in order on a stable primary before
-// any of them commits — what lets a batching client pipeline them.
+// closes when a request with its (client, seq) executes locally, or is
+// covered by an adopted state image. The proposal is an input posted to
+// the replica's goroutine, so requests submitted in order are sequenced
+// (pre-prepared) in order on a stable primary before any of them commits
+// — what lets a batching client pipeline them. A duplicate of an already
+// executed request gets its channel closed when that input runs; a crash
+// that drops the input leaves no waiter behind.
 func (r *Replica) SubmitAsync(client string, clientSeq uint64, op []byte) <-chan struct{} {
 	req := Request{Client: client, Seq: clientSeq, Op: op}
 	d := digestOf(&req)
 	done := make(chan struct{})
-
-	r.mu.Lock()
-	if r.executedR[req.key()] {
-		r.mu.Unlock()
-		close(done) // duplicate of an executed request
-		return done
-	}
-	r.waiters[d] = append(r.waiters[d], done)
-	r.mu.Unlock()
 	r.post(func() {
+		k := req.key()
+		if r.executedR[k] {
+			close(done) // duplicate of an executed request
+			return
+		}
+		r.waiters[k] = append(r.waiters[k], done)
 		if r.onRequest(d, req) {
 			// Broadcast the request so every replica arms a view-change
 			// timer; the primary picks it up for ordering, and if the
@@ -473,11 +474,19 @@ type reqKey struct {
 
 func (req Request) key() reqKey { return reqKey{req.Client, req.Seq} }
 
-// armViewChangeTimerLocked starts a timer that triggers a view change if
+// wake closes the channels of the callers waiting on k.
+func (r *Replica) wake(k reqKey) {
+	for _, ch := range r.waiters[k] {
+		close(ch)
+	}
+	delete(r.waiters, k)
+}
+
+// armViewChangeTimer starts a timer that triggers a view change if
 // the request does not execute in time. d is digestOf(&req),
 // which every caller already holds. The timeout is a delayed post, so it
 // dies with the replica's current netsim generation: a crash kills it.
-func (r *Replica) armViewChangeTimerLocked(d Digest, req Request) {
+func (r *Replica) armViewChangeTimer(d Digest, req Request) {
 	if _, ok := r.vcTimers[d]; ok {
 		return
 	}
@@ -499,9 +508,7 @@ func (r *Replica) armViewChangeTimerLocked(d Digest, req Request) {
 // vote was probably lost in a partition, so retransmit it instead of
 // climbing views nobody else wants.
 func (r *Replica) onViewChangeTimeout(d Digest, vt *vcTimer) {
-	r.mu.Lock()
 	if r.vcTimers[d] != vt {
-		r.mu.Unlock()
 		return
 	}
 	delete(r.vcTimers, d)
@@ -509,33 +516,24 @@ func (r *Replica) onViewChangeTimeout(d Digest, vt *vcTimer) {
 	if r.executedR[req.key()] {
 		// Another request with its (client, seq) executed: this one
 		// never will.
-		r.mu.Unlock()
 		return
 	}
-	r.armViewChangeTimerLocked(d, req)
+	r.armViewChangeTimer(d, req)
 	if !r.inVC {
-		if r.primaryOf(r.view) == r.id && !r.inFlightLocked(req) {
+		if r.primaryOf(r.view) == r.id && !r.inFlight(req) {
 			// This replica became primary after the request was armed
 			// and never proposed it: propose it rather than view-changing
 			// away from itself. If the request IS in flight, the view's
 			// quorum has collapsed — re-proposing into the same dead view
 			// cannot help, so fall through to the view change.
-			r.proposeLocked(d, req)
-			r.mu.Unlock()
+			r.propose(d, req)
 			return
 		}
-		next := r.view + 1
-		if r.vcTarget+1 > next {
-			next = r.vcTarget + 1
-		}
-		r.mu.Unlock()
-		r.startViewChange(next)
+		r.startViewChange(max(r.view, r.vcTarget) + 1)
 		return
 	}
-	target := r.vcTarget
-	if len(r.vcs[target]) >= r.f+1 {
-		r.mu.Unlock()
-		r.startViewChange(target + 1)
+	if len(r.vcs[r.vcTarget]) >= r.f+1 {
+		r.startViewChange(r.vcTarget + 1)
 		return
 	}
 	// This replica's vote is a minority nobody joined. Retransmit it once
@@ -551,20 +549,17 @@ func (r *Replica) onViewChangeTimeout(d Digest, vt *vcTimer) {
 	if r.vcSolo >= 1 {
 		r.vcSolo = 0
 		r.inVC = false
-		r.mu.Unlock()
 		r.sync()
 		return
 	}
 	r.vcSolo++
-	vc := viewChangeMsg{NewView: target, Stable: r.stable, Prepared: r.preparedSetLocked(), Exec: r.execSeq}
-	r.mu.Unlock()
-	r.broadcast(msgViewChange, vc)
+	r.broadcast(msgViewChange, viewChangeMsg{NewView: r.vcTarget, Stable: r.stable, Prepared: r.preparedSet(), Exec: r.execSeq})
 }
 
-// inFlightLocked reports whether req is the request of an un-executed
+// inFlight reports whether req is the request of an un-executed
 // instance — i.e. it has been proposed and is waiting on votes, so
 // proposing it again would be futile.
-func (r *Replica) inFlightLocked(req Request) bool {
+func (r *Replica) inFlight(req Request) bool {
 	k := req.key()
 	for _, inst := range r.insts {
 		if !inst.executed && inst.prePrepared && inst.req != nil && inst.req.key() == k {
@@ -574,32 +569,30 @@ func (r *Replica) inFlightLocked(req Request) bool {
 	return false
 }
 
-// proposeLocked assigns req the next sequence and runs pre-prepare; d is
+// propose assigns req the next sequence and runs pre-prepare; d is
 // digestOf(&req). The primary proposes each request the moment it admits
 // it: grouping operations into one request is the mempool's job,
 // upstream of the client.
-func (r *Replica) proposeLocked(d Digest, req Request) {
+func (r *Replica) propose(d Digest, req Request) {
 	seq := r.nextSeq
 	r.nextSeq++
 	pp := prePrepareMsg{View: r.view, Seq: seq, Digest: d, Req: &req}
-	inst := r.instLocked(seq)
+	inst := r.inst(seq)
 	inst.digest = d
 	inst.req = pp.Req
 	inst.prePrepared = true
 	// fsync point: the sequence assignment must be durable before the
 	// pre-prepare leaves the primary. On failure the request is dropped —
 	// clients retry and the watchdogs recover liveness.
-	if !r.journalLocked(pbRecord{K: pbPP, View: r.view, Seq: seq, Digest: d, Req: pp.Req}) {
+	if !r.journal(pbRecord{K: pbPP, View: r.view, Seq: seq, Digest: d, Req: pp.Req}) {
 		return
 	}
 	// The pre-prepare is the primary's prepare: it sends no other.
-	r.mu.Unlock()
 	r.broadcast(msgPrePrepare, pp)
-	r.mu.Lock()
-	r.maybeCommitLocked(seq) // prepared at once only when f = 0
+	r.maybeCommit(seq) // prepared at once only when f = 0
 }
 
-func (r *Replica) instLocked(seq uint64) *instState {
+func (r *Replica) inst(seq uint64) *instState {
 	inst, ok := r.insts[seq]
 	if !ok {
 		inst = &instState{prepares: map[string]bool{}, commits: map[string]bool{}}
@@ -667,8 +660,6 @@ func (r *Replica) handle(m netsim.Message) {
 // unless it is in flight, a backup (or a replica mid-view-change) only
 // watches it, and reports that it did.
 func (r *Replica) onRequest(d Digest, req Request) (watched bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.executedR[req.key()] {
 		return false
 	}
@@ -676,7 +667,7 @@ func (r *Replica) onRequest(d Digest, req Request) (watched bool) {
 	// view whose quorum has collapsed (e.g. enough backups are wedged in a
 	// view change nobody else joins) would otherwise stall the request
 	// forever with no timer anywhere to force a view change.
-	r.armViewChangeTimerLocked(d, req)
+	r.armViewChangeTimer(d, req)
 	if r.inVC || r.primaryOf(r.view) != r.id {
 		// Backup (or mid-view-change): the request is only watched, so a
 		// dead primary — or a stalled view change — triggers escalation
@@ -687,8 +678,8 @@ func (r *Replica) onRequest(d Digest, req Request) (watched bool) {
 	// re-deliver a request that is already proposed and waiting on votes;
 	// a second instance would be a wasted consensus round (execution
 	// dedups it to a no-op).
-	if !r.inFlightLocked(req) {
-		r.proposeLocked(d, req)
+	if !r.inFlight(req) {
+		r.propose(d, req)
 	}
 	return false
 }
@@ -699,19 +690,14 @@ func (r *Replica) onRequest(d Digest, req Request) (watched bool) {
 func (r *Replica) onPrePrepare(from string, pp prePrepareMsg) {
 	// The cheap checks come before the hash, so a replica that is not the
 	// current primary cannot make its peers hash requests for nothing.
-	r.mu.Lock()
-	current := pp.View == r.view && !r.inVC
-	r.mu.Unlock()
-	if !current || from != r.primaryOf(pp.View) {
+	if pp.View != r.view || r.inVC || from != r.primaryOf(pp.View) {
 		return // only the current view's primary may pre-prepare
 	}
 	if digestOf(pp.Req) != pp.Digest {
 		return // digest mismatch: Byzantine primary, or a request altered in flight
 	}
-	r.mu.Lock()
-	inst := r.instLocked(pp.Seq)
+	inst := r.inst(pp.Seq)
 	if inst.prePrepared && inst.digest != pp.Digest {
-		r.mu.Unlock()
 		return // conflicting pre-prepare for same (view, seq): equivocation
 	}
 	inst.prePrepared = true
@@ -722,40 +708,33 @@ func (r *Replica) onPrePrepare(from string, pp prePrepareMsg) {
 	}
 	// fsync point: the accepted pre-prepare must be durable before this
 	// replica's prepare vote is sent.
-	if !r.journalLocked(pbRecord{K: pbPP, View: pp.View, Seq: pp.Seq, Digest: pp.Digest, Req: pp.Req}) {
-		r.mu.Unlock()
+	if !r.journal(pbRecord{K: pbPP, View: pp.View, Seq: pp.Seq, Digest: pp.Digest, Req: pp.Req}) {
 		return
 	}
-	view := r.view
-	r.mu.Unlock()
-	r.broadcast(msgPrepare, prepareMsg{View: view, Seq: pp.Seq, Digest: pp.Digest})
-	r.mu.Lock()
+	r.broadcast(msgPrepare, prepareMsg{View: r.view, Seq: pp.Seq, Digest: pp.Digest})
 	inst.prepares[r.id] = true
-	r.maybeCommitLocked(pp.Seq)
-	r.mu.Unlock()
+	r.maybeCommit(pp.Seq)
 }
 
 func (r *Replica) onPrepare(from string, p prepareMsg) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if p.View != r.view || r.inVC {
 		return
 	}
 	if from == r.primaryOf(p.View) {
 		return // the pre-prepare already counts for the primary
 	}
-	inst := r.instLocked(p.Seq)
+	inst := r.inst(p.Seq)
 	if inst.prePrepared && inst.digest != p.Digest {
 		return
 	}
 	inst.prepares[from] = true
-	r.maybeCommitLocked(p.Seq)
+	r.maybeCommit(p.Seq)
 }
 
-// maybeCommitLocked sends a commit once the instance is "prepared":
+// maybeCommit sends a commit once the instance is "prepared":
 // pre-prepare plus 2f prepares from backups (counting self, if a backup).
-func (r *Replica) maybeCommitLocked(seq uint64) {
-	inst := r.instLocked(seq)
+func (r *Replica) maybeCommit(seq uint64) {
+	inst := r.inst(seq)
 	if !inst.prePrepared || inst.committed {
 		return
 	}
@@ -763,70 +742,65 @@ func (r *Replica) maybeCommitLocked(seq uint64) {
 		return
 	}
 	inst.committed = true // locally "prepared"; send commit once
-	inst.setCertLocked(seq, r.view)
+	inst.setCert(seq, r.view)
 	// fsync point: the prepared certificate must be durable before the
 	// commit vote — a view change counts on recovered replicas still
 	// holding their certificates. On failure the replica stays silent.
-	if !r.journalLocked(pbRecord{K: pbCM, View: r.view, Seq: seq, Digest: inst.digest}) {
+	if !r.journal(pbRecord{K: pbCM, View: r.view, Seq: seq, Digest: inst.digest}) {
 		return
 	}
-	c := commitMsg{View: r.view, Seq: seq, Digest: inst.digest}
-	r.mu.Unlock()
-	r.broadcast(msgCommit, c)
-	r.mu.Lock()
+	r.broadcast(msgCommit, commitMsg{View: r.view, Seq: seq, Digest: inst.digest})
 	inst.commits[r.id] = true
-	r.markDecidedLocked(seq, inst)
-	r.maybeExecuteLocked()
+	r.markDecided(seq, inst)
+	r.maybeExecute()
 }
 
 func (r *Replica) onCommit(from string, c commitMsg) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if c.View != r.view || r.inVC {
 		return
 	}
-	inst := r.instLocked(c.Seq)
+	inst := r.inst(c.Seq)
 	if inst.prePrepared && inst.digest != c.Digest {
 		return
 	}
 	inst.commits[from] = true
-	r.markDecidedLocked(c.Seq, inst)
-	r.maybeExecuteLocked()
+	r.markDecided(c.Seq, inst)
+	r.maybeExecute()
 }
 
-// markDecidedLocked promotes an instance to decided once 2f+1 commit
+// markDecided promotes an instance to decided once 2f+1 commit
 // votes have been counted live. The check runs at every vote insertion
-// (not in maybeExecuteLocked) because instances above an execution gap
+// (not in maybeExecute) because instances above an execution gap
 // reach quorum without executing — exactly the ones that must survive a
 // view change and be servable to recovering peers.
-func (r *Replica) markDecidedLocked(seq uint64, inst *instState) {
+func (r *Replica) markDecided(seq uint64, inst *instState) {
 	if inst.prePrepared && len(inst.commits) >= r.commitQuorum() {
 		inst.decided = true
 		// A decided digest is final, so it is also a valid certificate
 		// even if this replica never reached its own prepare quorum.
-		inst.setCertLocked(seq, r.view)
+		inst.setCert(seq, r.view)
 	}
 }
 
-// maybeExecuteLocked executes, in sequence order, each next instance
+// maybeExecute executes, in sequence order, each next instance
 // that committed here or that f+1 state-transfer senders agree on (at
 // least one of them is honest, so the request is the one the cluster
 // committed).
-func (r *Replica) maybeExecuteLocked() {
+func (r *Replica) maybeExecute() {
 	for {
 		if inst, ok := r.insts[r.execSeq]; ok && !inst.executed && inst.prePrepared && len(inst.commits) >= r.commitQuorum() {
-			r.executeInstanceLocked(r.execSeq, inst.digest, inst.req)
-		} else if e, ok := r.vouchedLocked(); ok {
-			r.executeInstanceLocked(e.Seq, e.Digest, e.Req)
+			r.executeInstance(r.execSeq, inst.digest, inst.req)
+		} else if e, ok := r.vouched(); ok {
+			r.executeInstance(e.Seq, e.Digest, e.Req)
 		} else {
 			return
 		}
 	}
 }
 
-// vouchedLocked returns the state-transfer entry for execSeq that f+1
+// vouched returns the state-transfer entry for execSeq that f+1
 // senders agree on.
-func (r *Replica) vouchedLocked() (prePrepareMsg, bool) {
+func (r *Replica) vouched() (prePrepareMsg, bool) {
 	votes := r.stateVotes[r.execSeq]
 	for _, e := range votes {
 		n := 0
@@ -842,18 +816,16 @@ func (r *Replica) vouchedLocked() (prePrepareMsg, bool) {
 	return prePrepareMsg{}, false
 }
 
-// executeInstanceLocked executes one instance at r.execSeq: it records
+// executeInstance executes one instance at r.execSeq: it records
 // it as executed, appends to the exec log (served to restarted peers),
 // dedups its request against executed client requests, applies it, and
-// wakes its waiters. The mutex is released around the Applier call and
-// re-held on return; only this goroutine moves execSeq, so it is still
-// seq+1 then. Both the normal commit path and state-transfer
+// wakes its waiters. Both the normal commit path and state-transfer
 // catch-up land here, so a sequence can never execute twice. digest is
 // digestOf(req) on every path (computed by the proposer, checked by
 // onPrePrepare, onViewChange and onStateRep, or read back from this
-// replica's own journal), so it is the key of req's waiters and timer.
-func (r *Replica) executeInstanceLocked(seq uint64, digest Digest, req *Request) {
-	inst := r.instLocked(seq)
+// replica's own journal), so it is the key of req's timer.
+func (r *Replica) executeInstance(seq uint64, digest Digest, req *Request) {
+	inst := r.inst(seq)
 	inst.executed = true
 	inst.prePrepared = true
 	inst.digest = digest
@@ -863,11 +835,8 @@ func (r *Replica) executeInstanceLocked(seq uint64, digest Digest, req *Request)
 	delete(r.stateVotes, seq)
 	// A null fill, or a request executed before, applies and wakes nothing.
 	fresh := req != nil && !r.executedR[req.key()]
-	var wake []chan struct{}
 	if fresh {
 		r.executedR[req.key()] = true
-		wake = r.waiters[digest]
-		delete(r.waiters, digest)
 		if vt, ok := r.vcTimers[digest]; ok {
 			vt.tmr.Stop()
 			delete(r.vcTimers, digest)
@@ -879,18 +848,17 @@ func (r *Replica) executeInstanceLocked(seq uint64, digest Digest, req *Request)
 	// instance committed cluster-wide and is recoverable by state
 	// transfer. The outcome is kept to gate the checkpoint vote below —
 	// durable-before-send (DESIGN §4e) — and since pbEX is a tolerated
-	// kind (journalLocked returns true to keep executing), walFailed is
+	// kind (journal returns true to keep executing), walFailed is
 	// consulted too.
-	durable := r.journalLocked(pbRecord{K: pbEX, Seq: seq, Digest: digest, Req: req}) && !r.walFailed
-	r.mu.Unlock()
-	if r.apply != nil && fresh {
-		r.apply(seq, *req)
+	durable := r.journal(pbRecord{K: pbEX, Seq: seq, Digest: digest, Req: req}) && !r.walFailed
+	r.publish()
+	if fresh {
+		if r.apply != nil {
+			r.apply(seq, *req)
+		}
+		r.wake(req.key())
 	}
-	for _, ch := range wake {
-		close(ch)
-	}
-	r.mu.Lock()
-	r.maybeSnapshotLocked()
+	r.maybeSnapshot()
 	// Checkpointing. The vote asserts "my state through execSeq is on
 	// disk" to peers who will truncate their logs on a quorum of such
 	// votes — so a replica whose journal append failed must stay
@@ -899,20 +867,12 @@ func (r *Replica) executeInstanceLocked(seq uint64, digest Digest, req *Request)
 	// discard the very entries needed to re-feed it.
 	if durable && r.execSeq%r.opts.CheckpointEvery == 0 {
 		ck := checkpointMsg{Seq: r.execSeq}
-		r.mu.Unlock()
 		r.broadcast(msgCheckpoint, ck)
-		r.mu.Lock()
-		r.recordCheckpointLocked(r.id, ck)
+		r.onCheckpoint(r.id, ck)
 	}
 }
 
 func (r *Replica) onCheckpoint(from string, c checkpointMsg) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.recordCheckpointLocked(from, c)
-}
-
-func (r *Replica) recordCheckpointLocked(from string, c checkpointMsg) {
 	if c.Seq <= r.stable {
 		return
 	}
@@ -944,9 +904,7 @@ func (r *Replica) recordCheckpointLocked(from string, c checkpointMsg) {
 // Each view is voted for at most once; retransmission of a stalled vote
 // goes through onViewChangeTimeout.
 func (r *Replica) startViewChange(newView uint64) {
-	r.mu.Lock()
 	if newView <= r.view || newView <= r.vcTarget {
-		r.mu.Unlock()
 		return
 	}
 	r.inVC = true
@@ -955,15 +913,14 @@ func (r *Replica) startViewChange(newView uint64) {
 	vc := viewChangeMsg{
 		NewView:  newView,
 		Stable:   r.stable,
-		Prepared: r.preparedSetLocked(),
+		Prepared: r.preparedSet(),
 		Exec:     r.execSeq,
 	}
-	r.mu.Unlock()
 	r.broadcast(msgViewChange, vc)
 	r.onViewChange(r.id, vc) // count own vote
 }
 
-// preparedSetLocked collects the prepared certificates above the stable
+// preparedSet collects the prepared certificates above the stable
 // checkpoint to hand to the next primary — including already-executed
 // instances, as in the paper's P set. Executed entries matter: the new
 // primary null-fills every gap below its NextSeq, and a committed
@@ -972,7 +929,7 @@ func (r *Replica) startViewChange(newView uint64) {
 // from the sticky cert fields, not the per-view vote state: votes are
 // wiped on every view entry, and a certificate must keep being
 // reported for as long as a failed view-change cascade can keep asking.
-func (r *Replica) preparedSetLocked() []prePrepareMsg {
+func (r *Replica) preparedSet() []prePrepareMsg {
 	var out []prePrepareMsg
 	for seq, inst := range r.insts {
 		if seq >= r.stable && inst.cert != nil {
@@ -984,9 +941,7 @@ func (r *Replica) preparedSetLocked() []prePrepareMsg {
 }
 
 func (r *Replica) onViewChange(from string, vc viewChangeMsg) {
-	r.mu.Lock()
 	if vc.NewView <= r.view {
-		r.mu.Unlock()
 		return
 	}
 	if r.vcs[vc.NewView] == nil {
@@ -994,31 +949,24 @@ func (r *Replica) onViewChange(from string, vc viewChangeMsg) {
 	}
 	r.vcs[vc.NewView][from] = vc
 	count := len(r.vcs[vc.NewView])
-	target := r.vcTarget
 	primary := r.primaryOf(vc.NewView)
-	iAmNewPrimary := primary == r.id
+	// A held new view is taken out before the join below: the join's own
+	// vote re-enters onViewChange, which must not replay it first.
 	held, replay := r.nvHeld[primary]
 	replay = replay && held.View == vc.NewView && count >= r.f+1
 	if replay {
 		delete(r.nvHeld, primary)
 	}
-	r.mu.Unlock()
-
 	// Join a view change once f+1 replicas vote for a view beyond any
 	// this replica has voted for (liveness rule — this is also how a
 	// replica stuck in a lower stalled view change gets pulled forward).
-	if vc.NewView > target && count >= r.f+1 {
+	if vc.NewView > r.vcTarget && count >= r.f+1 {
 		r.startViewChange(vc.NewView)
 	}
 	if replay { // the view's new view came before the votes that let it count
 		r.onNewView(primary, held)
 	}
-	if !iAmNewPrimary {
-		return
-	}
-	r.mu.Lock()
-	if len(r.vcs[vc.NewView]) < r.commitQuorum() || r.view >= vc.NewView {
-		r.mu.Unlock()
+	if primary != r.id || len(r.vcs[vc.NewView]) < r.commitQuorum() || r.view >= vc.NewView {
 		return
 	}
 	// Become primary of the new view: re-propose the union of prepared
@@ -1078,8 +1026,7 @@ func (r *Replica) onViewChange(from string, vc viewChangeMsg) {
 		nv.PrePrepares = append(nv.PrePrepares, prePrepareMsg{View: vc.NewView, Seq: seq, Digest: digestOf(nil)})
 	}
 	sort.Slice(nv.PrePrepares, func(i, j int) bool { return nv.PrePrepares[i].Seq < nv.PrePrepares[j].Seq })
-	revive := r.enterViewLocked(vc.NewView, maxSeq)
-	r.mu.Unlock()
+	revive := r.enterView(vc.NewView, maxSeq)
 	r.broadcast(msgNewView, nv)
 	// Process own re-proposals.
 	for _, pp := range nv.PrePrepares {
@@ -1096,30 +1043,24 @@ func (r *Replica) onViewChange(from string, vc viewChangeMsg) {
 
 // reproposeAsPrimary replays a prepared instance under the new view.
 func (r *Replica) reproposeAsPrimary(pp prePrepareMsg) {
-	r.mu.Lock()
-	inst := r.instLocked(pp.Seq)
+	inst := r.inst(pp.Seq)
 	if inst.executed || inst.decided {
 		// A decided instance is final and carries this same digest (its
 		// 2f+1 prepared certificates intersect every view-change quorum,
 		// so the adopted re-proposal cannot differ). Backups that lack it
 		// re-run agreement among themselves off the new-view broadcast;
 		// resetting it here would only discard a finished decision.
-		r.mu.Unlock()
 		return
 	}
-	inst.resetVotesLocked()
+	inst.resetVotes()
 	inst.prePrepared = true
 	inst.digest = pp.Digest
 	inst.req = pp.Req
-	if !r.journalLocked(pbRecord{K: pbPP, View: pp.View, Seq: pp.Seq, Digest: pp.Digest, Req: pp.Req}) {
-		r.mu.Unlock()
+	if !r.journal(pbRecord{K: pbPP, View: pp.View, Seq: pp.Seq, Digest: pp.Digest, Req: pp.Req}) {
 		return
 	}
-	r.mu.Unlock()
 	r.broadcast(msgPrePrepare, pp)
-	r.mu.Lock()
-	r.maybeCommitLocked(pp.Seq)
-	r.mu.Unlock()
+	r.maybeCommit(pp.Seq)
 }
 
 // onNewView enters the view a new primary announces. The announcement
@@ -1136,23 +1077,18 @@ func (r *Replica) reproposeAsPrimary(pp prePrepareMsg) {
 // are in the new view. One sync per sender and view, so a primary cannot
 // make a replica broadcast by repeating its message.
 func (r *Replica) onNewView(from string, nv newViewMsg) {
-	r.mu.Lock()
 	if nv.View <= r.view || from != r.primaryOf(nv.View) {
-		r.mu.Unlock()
 		return
 	}
 	if len(r.vcs[nv.View]) < r.f+1 {
 		first := r.nvHeld[from].View != nv.View
 		r.nvHeld[from] = nv
-		r.mu.Unlock()
 		if first {
 			r.sync()
 		}
 		return
 	}
-	revive := r.enterViewLocked(nv.View, nv.NextSeq)
-	pps := nv.PrePrepares
-	r.mu.Unlock()
+	revive := r.enterView(nv.View, nv.NextSeq)
 	// Relay watched requests to the new primary: it may never have seen
 	// them (partitioned, or the request raced the view change), and a
 	// backup cannot propose on their behalf.
@@ -1161,25 +1097,23 @@ func (r *Replica) onNewView(from string, nv newViewMsg) {
 	}
 	// Reset in-flight instances that were not executed, then process the
 	// new primary's re-proposals through the normal path.
-	for _, pp := range pps {
-		r.mu.Lock()
-		inst := r.instLocked(pp.Seq)
+	for _, pp := range nv.PrePrepares {
+		inst := r.inst(pp.Seq)
 		if !inst.executed && !inst.decided {
-			inst.resetVotesLocked()
+			inst.resetVotes()
 		}
-		r.mu.Unlock()
 		r.onPrePrepare(from, pp)
 	}
 }
 
-// enterViewLocked switches the replica into a new view. It returns the
+// enterView switches the replica into a new view. It returns the
 // watched (armed, un-executed) requests so the caller can revive them in
 // the new view: the new primary must propose them and backups must relay
 // them to it. A request that arrived while the old view was collapsing is
 // held only in vcTimers — no instance carries it — so without this
 // handoff the timers drive view change after view change while no
 // primary ever proposes the request: a permanent livelock.
-func (r *Replica) enterViewLocked(view, nextSeq uint64) []Request {
+func (r *Replica) enterView(view, nextSeq uint64) []Request {
 	r.view = view
 	r.inVC = false
 	r.vcSolo = 0
@@ -1187,7 +1121,8 @@ func (r *Replica) enterViewLocked(view, nextSeq uint64) []Request {
 	// it left (prepared certificates are view-scoped). Failure is
 	// tolerable: a stale recovered view is pulled forward by the f+1
 	// view-change rule.
-	_ = r.journalLocked(pbRecord{K: pbView, View: view, Seq: nextSeq})
+	_ = r.journal(pbRecord{K: pbView, View: view, Seq: nextSeq})
+	r.publish()
 	if view > r.vcTarget {
 		r.vcTarget = view
 	}
@@ -1204,7 +1139,7 @@ func (r *Replica) enterViewLocked(view, nextSeq uint64) []Request {
 		}
 	}
 	// Drop un-executed per-view votes; they are invalid in the new view.
-	// Prepared certificates persist (resetVotesLocked leaves them) — they
+	// Prepared certificates persist (resetVotes leaves them) — they
 	// must keep appearing in view-change messages until checkpointed.
 	// Decided instances are exempt entirely: a counted 2f+1 commit quorum
 	// is final regardless of view, and wiping it would strand the
@@ -1212,7 +1147,7 @@ func (r *Replica) enterViewLocked(view, nextSeq uint64) []Request {
 	// happens to cover it.
 	for _, inst := range r.insts {
 		if !inst.executed && !inst.decided {
-			inst.resetVotesLocked()
+			inst.resetVotes()
 		}
 	}
 	// Restart the watchdogs: timers armed in the old view carry stale
@@ -1226,7 +1161,7 @@ func (r *Replica) enterViewLocked(view, nextSeq uint64) []Request {
 		vt.tmr.Stop()
 		if !r.executedR[vt.req.key()] {
 			rearm = append(rearm, vt.req)
-			r.armViewChangeTimerLocked(d, vt.req)
+			r.armViewChangeTimer(d, vt.req)
 		}
 	}
 	return rearm
@@ -1252,11 +1187,9 @@ func (r *Replica) Crash() error {
 // be watched again.
 func (r *Replica) Restart() error {
 	return r.net.Restart(r.id, r.handle, func() {
-		r.mu.Lock()
 		r.inVC = false
 		r.vcTarget = r.view
 		clear(r.vcTimers)
-		r.mu.Unlock()
 		r.sync()
 	})
 }
@@ -1269,8 +1202,7 @@ func (r *Replica) Restart() error {
 func (r *Replica) Sync() { r.post(r.sync) }
 
 func (r *Replica) sync() {
-	r.mu.Lock()
-	have := r.execSeq
+	r.broadcast(msgStateReq, stateReqMsg{Have: r.execSeq, View: r.view})
 	// Retransmit commit votes for certified but un-executed sequences.
 	// After a crash, recovery restores the certificate with committed =
 	// true — which (correctly) suppresses a fresh vote in the normal
@@ -1282,25 +1214,17 @@ func (r *Replica) sync() {
 	// every Sync (the convergence hook) lets the survivors re-assemble
 	// the quorum live instead of depending on f+1 state-transfer
 	// vouchers that may not exist.
-	var revotes []commitMsg
 	for seq := r.execSeq; seq < r.nextSeq; seq++ {
 		inst, ok := r.insts[seq]
 		if !ok || inst.executed || inst.cert == nil {
 			continue
 		}
-		revotes = append(revotes, commitMsg{View: r.view, Seq: seq, Digest: inst.cert.Digest})
+		r.broadcast(msgCommit, commitMsg{View: r.view, Seq: seq, Digest: inst.cert.Digest})
 		inst.commits[r.id] = true
-	}
-	view := r.view
-	r.mu.Unlock()
-	r.broadcast(msgStateReq, stateReqMsg{Have: have, View: view})
-	for _, c := range revotes {
-		r.broadcast(msgCommit, c)
 	}
 }
 
 func (r *Replica) onStateReq(from string, s stateReqMsg) {
-	r.mu.Lock()
 	rep := stateRepMsg{View: r.view}
 	// Alongside each served entry goes a fresh commit vote: this replica
 	// executed (or decided) the sequence, so re-attesting it is sound,
@@ -1332,12 +1256,9 @@ func (r *Replica) onStateReq(from string, s stateReqMsg) {
 	// one vote in each would starve. Snapshots fall on multiples of
 	// snapEvery, so any f+1 peers past the same one offer the same image.
 	// None can be above have unless the last multiple at or below
-	// execSeq is; the image is read back from disk outside mu.
-	log := r.log
-	serve := r.logApp != nil && r.execSeq-r.execSeq%r.snapEvery > s.Have
-	r.mu.Unlock()
-	if serve {
-		rep.Snap = storedImage(log, s.Have)
+	// execSeq is; the image is read back from disk.
+	if r.logApp != nil && r.execSeq-r.execSeq%r.snapEvery > s.Have {
+		rep.Snap = storedImage(r.log, s.Have)
 	}
 	if len(rep.Entries) > 0 || rep.Snap != nil || rep.View > s.View {
 		r.send(from, msgStateRep, rep)
@@ -1355,7 +1276,6 @@ func imageKey(img *stateImage) string {
 }
 
 func (r *Replica) onStateRep(from string, s stateRepMsg) {
-	r.mu.Lock()
 	// View synchronization: adopt a newer view once f+1 distinct senders
 	// attest to being at or beyond it — at least one of them is honest,
 	// so the view-change protocol genuinely completed there. One claim is
@@ -1375,18 +1295,14 @@ func (r *Replica) onStateRep(from string, s stateRepMsg) {
 		if len(claims) >= r.f+1 {
 			sort.Slice(claims, func(i, j int) bool { return claims[i] > claims[j] })
 			if v := claims[r.f]; v > r.view { // f+1 senders claim ≥ v
-				revive := r.enterViewLocked(v, r.nextSeq)
-				primary := r.primaryOf(v)
-				r.mu.Unlock()
-				for _, req := range revive {
-					r.send(primary, msgRequest, req)
+				for _, req := range r.enterView(v, r.nextSeq) {
+					r.send(r.primaryOf(v), msgRequest, req)
 				}
-				r.mu.Lock()
 			}
 		}
 	}
 	if s.Snap != nil {
-		r.recordImageLocked(from, s.Snap)
+		r.recordImage(from, s.Snap)
 	}
 	for _, e := range s.Entries {
 		if e.Seq < r.execSeq || digestOf(e.Req) != e.Digest {
@@ -1397,15 +1313,14 @@ func (r *Replica) onStateRep(from string, s stateRepMsg) {
 		}
 		r.stateVotes[e.Seq][from] = e
 	}
-	r.maybeExecuteLocked()
-	r.mu.Unlock()
+	r.maybeExecute()
 }
 
-// recordImageLocked counts one sender behind a state image and adopts
+// recordImage counts one sender behind a state image and adopts
 // the image once f+1 distinct senders offer byte-identical state — the
 // checkpoint-transfer path for a replica so far behind that no peer
 // retains the executed instances it needs.
-func (r *Replica) recordImageLocked(from string, img *stateImage) {
+func (r *Replica) recordImage(from string, img *stateImage) {
 	if img.ExecSeq <= r.execSeq || r.logApp == nil {
 		return
 	}
@@ -1427,19 +1342,26 @@ func (r *Replica) recordImageLocked(from string, img *stateImage) {
 	if len(v.senders) < r.f+1 {
 		return
 	}
-	r.adoptImageLocked(&v.img)
+	r.adoptImage(&v.img)
 }
 
-// adoptImageLocked jumps this replica to a peer-certified state image
+// adoptImage jumps this replica to a peer-certified state image
 // and stores it as its own snapshot, so the jump survives a further
-// crash. The image is refused if the application cannot restore it;
+// crash, then wakes the callers waiting on a request the image covers.
+// The image is refused if the application cannot restore it;
 // entry-based transfer may still work.
-func (r *Replica) adoptImageLocked(img *stateImage) {
-	if r.installLocked(img) != nil {
+func (r *Replica) adoptImage(img *stateImage) {
+	if r.install(img) != nil {
 		return
 	}
 	if r.stable < img.ExecSeq {
 		r.stable = img.ExecSeq
 	}
-	r.writeSnapshotLocked(*img)
+	r.writeSnapshot(*img)
+	r.publish()
+	for k := range r.waiters {
+		if r.executedR[k] {
+			r.wake(k)
+		}
+	}
 }

@@ -41,6 +41,23 @@ func newCluster(t testing.TB, f int, opts Options, cfg netsim.Config) *cluster {
 	return c
 }
 
+// onLoop runs fn on r's goroutine, behind the inputs already queued
+// there, and waits for it to return: a test reads or changes a
+// replica's state only there, as the replica's own code does.
+func onLoop(t testing.TB, r *Replica, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	r.post(func() {
+		fn()
+		close(done)
+	})
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s never ran a posted input", r.ID())
+	}
+}
+
 func (c *cluster) appliedAt(id string) []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -232,20 +249,15 @@ func TestCheckpointGarbageCollects(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		primary.mu.Lock()
-		stable := primary.stable
-		nInsts := len(primary.insts)
-		primary.mu.Unlock()
+	var stable uint64
+	var nInsts int
+	for deadline := time.Now().Add(3 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		onLoop(t, primary, func() { stable, nInsts = primary.stable, len(primary.insts) })
 		if stable >= 8 && nInsts <= 8 {
 			return
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
-	primary.mu.Lock()
-	defer primary.mu.Unlock()
-	t.Fatalf("no GC: stable=%d, instances=%d", primary.stable, len(primary.insts))
+	t.Fatalf("no GC: stable=%d, instances=%d", stable, nInsts)
 }
 
 func BenchmarkPBFTThroughputF1(b *testing.B) {
